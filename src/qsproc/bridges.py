@@ -19,7 +19,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import COMPLEX, dagger, opnorm
+from . import linalg
+from .linalg import COMPLEX, opnorm
+from .markov import pointwise_factorization_residual
 from .models import CheckEntry, HilbertModel, ModelReport, ModelSymmetry
 from .kernels import _word_label
 from .sites import CausalSite, SiteSymmetry
@@ -27,7 +29,6 @@ from .words import (
     EventWord,
     OutcomeSpaces,
     partitions_of_factor,
-    unit_word,
 )
 
 ULTRASTATIONARITY_TOL = 1e-12
@@ -190,26 +191,21 @@ def check_ultrastationarity(
 ) -> ModelReport:
     """Exhaustive level-shift invariance of the kernel over the word list."""
     depth = site.meta["depth"]
-    feyn = {w: model.feynman(site, w) for w in words}
-
-    def product_column(w: EventWord) -> np.ndarray:
-        if w not in feyn:
-            feyn[w] = model.feynman(site, w)
-        return feyn[w]
-
+    feyn = model.products(site, words)
     worst, wit = 0.0, ""
     for k in range(1, depth):
-        shifted = {}
-        for w in words:
+        kept, moved = [], []
+        for i, w in enumerate(words):
             sw = shift_word(w, k, depth, model.spaces)
             if sw is not None:
-                shifted[w] = sw
-        for a, b in itertools.product(shifted, repeat=2):
-            base = dagger(feyn[a]) @ feyn[b]
-            moved = dagger(product_column(shifted[a])) @ product_column(shifted[b])
-            r = opnorm(base - moved)
-            if r > worst:
-                worst, wit = r, f"shift {k} on ({_word_label(a)}, {_word_label(b)})"
+                kept.append(i)
+                moved.append(sw)
+        f, g = feyn[kept], model.products(site, moved)
+        diff = linalg.pair_blocks(f) - linalg.pair_blocks(g)
+        r, at = linalg.worst_block(diff)
+        if r > worst:
+            a, b = (words[kept[i]] for i in at)
+            worst, wit = r, f"shift {k} on ({_word_label(a)}, {_word_label(b)})"
     return ModelReport((CheckEntry("ultrastationarity", worst, wit, tol),))
 
 
@@ -407,30 +403,23 @@ def classical_reduce(
     trajectories = list(
         itertools.product(*(model.spaces.outcomes(t) for t in pts))
     )
-    measure: dict[tuple[str, ...], float] = {}
-    for traj in trajectories:
-        w = EventWord.from_dict(
-            {t: {x} for t, x in zip(pts, traj)}, model.spaces
-        )
-        measure[traj] = model.probability(site, w)
+    traj_words = [
+        EventWord.from_dict({t: {x} for t, x in zip(pts, traj)}, model.spaces)
+        for traj in trajectories
+    ]
+    measure = dict(zip(trajectories, _probabilities(model, site, traj_words)))
     total = float(sum(measure.values()))
 
     # the kernel factorizes through pointwise products of the words
-    from .words import enumerate_words, pointwise_product
+    from .words import enumerate_words
 
     if words is None:
         words = enumerate_words(site, model.spaces)
-    fact_res = 0.0
-    for b, bp in itertools.product(words, repeat=2):
-        direct = model.kernel(site, b, bp)
-        merged = model.kernel(
-            site, pointwise_product(b, bp, model.spaces), unit_word()
-        )
-        fact_res = max(fact_res, opnorm(direct - merged))
+    fact_res = pointwise_factorization_residual(model, site, words)
 
     # additivity in every argument: the measure of a cylinder with one factor
     # enlarged is the sum over its parts
-    worst_add = 0.0
+    cylinders, sums = [], []
     for i, t in enumerate(pts):
         outs = model.spaces.outcomes(t)
         for rest in itertools.product(
@@ -439,12 +428,10 @@ def classical_reduce(
             for b in _nonempty_subsets(outs):
                 factors = {u: {x} for u, x in zip([p for p in pts if p != t], rest)}
                 factors[t] = set(b)
-                w = EventWord.from_dict(factors, model.spaces)
-                lhs = model.probability(site, w)
-                rhs = sum(
-                    measure[_traj_with(pts, rest, i, x)] for x in b
-                )
-                worst_add = max(worst_add, abs(lhs - rhs))
+                cylinders.append(EventWord.from_dict(factors, model.spaces))
+                sums.append(sum(measure[_traj_with(pts, rest, i, x)] for x in b))
+    lhs = _probabilities(model, site, cylinders)
+    worst_add = max((abs(a - b) for a, b in zip(lhs, sums)), default=0.0)
 
     # marginal consistency against every one-point-removed sub-site
     worst_marg = 0.0
@@ -452,19 +439,20 @@ def classical_reduce(
         for drop in range(len(pts)):
             sub_pts = [p for j, p in enumerate(pts) if j != drop]
             sub_site = _subsite(site, sub_pts)
-            for traj in itertools.product(
-                *(model.spaces.outcomes(t) for t in sub_pts)
-            ):
-                w = EventWord.from_dict(
-                    {t: {x} for t, x in zip(sub_pts, traj)}, model.spaces
-                )
-                direct = model.probability(sub_site, w)
+            sub_trajs = list(
+                itertools.product(*(model.spaces.outcomes(t) for t in sub_pts))
+            )
+            direct = _probabilities(model, sub_site, [
+                EventWord.from_dict({t: {x} for t, x in zip(sub_pts, traj)}, model.spaces)
+                for traj in sub_trajs
+            ])
+            for traj, p in zip(sub_trajs, direct):
                 summed = sum(
                     v
                     for k, v in measure.items()
                     if tuple(x for j, x in enumerate(k) if j != drop) == traj
                 )
-                worst_marg = max(worst_marg, abs(direct - summed))
+                worst_marg = max(worst_marg, abs(p - summed))
 
     return ClassicalReduction(
         measure=measure,
@@ -475,6 +463,13 @@ def classical_reduce(
         marginal_residual=worst_marg,
         tolerance=tol,
     )
+
+
+def _probabilities(model: HilbertModel, site: CausalSite, words) -> list[float]:
+    """Probabilities of observing each word's events in chronological order,
+    for a scalar initial space."""
+    feyn = model.products(site, words)
+    return [float(p) for p in np.einsum("nak,nak->n", np.conjugate(feyn), feyn).real]
 
 
 def _nonempty_subsets(outs):
@@ -535,16 +530,24 @@ def interference_witness(
         count *= len(subs)
         if count > cap:
             raise ValueError(f"later-word enumeration exceeds the cap ({cap})")
-    worst = 0.0
     outs_t = model.spaces.outcomes(t_marginal)
+    partitions = partitions_of_factor(outs_t, frozenset(outs_t))
+    later_words, split_words = [], []
     for combo in itertools.product(*per_point):
         factors = {u: b for u, b in combo}
-        w = EventWord.from_dict(factors, model.spaces)
-        base = model.probability(site, w)
-        for parts in partitions_of_factor(outs_t, frozenset(outs_t)):
+        later_words.append(EventWord.from_dict(factors, model.spaces))
+        for parts in partitions:
+            split_words.extend(
+                EventWord.from_dict({**factors, t_marginal: p}, model.spaces)
+                for p in parts
+            )
+    base = _probabilities(model, site, later_words)
+    split = iter(_probabilities(model, site, split_words))
+    worst = 0.0
+    for b in base:
+        for parts in partitions:
             summed = 0.0
-            for p in parts:
-                wp = EventWord.from_dict({**factors, t_marginal: p}, model.spaces)
-                summed += model.probability(site, wp)
-            worst = max(worst, abs(base - summed))
+            for _ in parts:
+                summed += next(split)
+            worst = max(worst, abs(b - summed))
     return worst

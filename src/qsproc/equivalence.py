@@ -23,7 +23,6 @@ from .sites import CausalSite, SiteClasses, SiteSymmetry, derive_classes
 from .words import EventWord, enumerate_words
 
 EQUIV_TOL = 1e-8
-ISOMETRY_TOL = 1e-10
 
 
 class EquivalenceRefused(ValueError):
@@ -32,8 +31,7 @@ class EquivalenceRefused(ValueError):
 
 def _feynman_stack(model: HilbertModel, site: CausalSite, words) -> np.ndarray:
     """All chronological product columns, word-major (kdim columns each)."""
-    cols = [model.feynman(site, w) for w in words]
-    return np.hstack(cols) if cols else np.zeros((model.dim, 0), dtype=COMPLEX)
+    return linalg.side_by_side(model.products(site, words))
 
 
 def minimal_rank(model: HilbertModel, site: CausalSite, words, rel_tol=1e-9) -> int:
@@ -173,13 +171,10 @@ def check_wide_equivalence(
             f"initial spaces differ ({m1.kdim} vs {m2.kdim}); the tables are "
             "not comparable"
         )
-    f1 = [m1.feynman(site, w) for w in words]
-    f2 = [m2.feynman(site, w) for w in words]
-    worst, witness = 0.0, ""
-    for i, j in itertools.product(range(len(words)), repeat=2):
-        r = opnorm(dagger(f1[i]) @ f1[j] - dagger(f2[i]) @ f2[j])
-        if r > worst:
-            worst, witness = r, f"pair (word {i}, word {j})"
+    f1 = m1.products(site, words)
+    f2 = m2.products(site, words)
+    worst, at = linalg.worst_block(linalg.pair_blocks(f1) - linalg.pair_blocks(f2))
+    witness = "" if at is None else f"pair (word {at[0]}, word {at[1]})"
     return EquivalenceVerdict(worst <= tol, worst, witness, tol)
 
 

@@ -33,6 +33,38 @@ def opnorm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def side_by_side(stack: np.ndarray) -> np.ndarray:
+    """A (n, rows, cols) stack as one rows x (n * cols) matrix, block-major."""
+    n, rows, cols = stack.shape
+    return stack.transpose(1, 0, 2).reshape(rows, n * cols)
+
+
+def pair_blocks(stack: np.ndarray) -> np.ndarray:
+    """Inner products ``F_i* F_j`` of every pair of a (n, rows, k) stack, as
+    an (n, n, k, k) array."""
+    return np.einsum("iak,jal->ijkl", np.conjugate(stack), stack, optimize=True)
+
+
+def worst_block(blocks: np.ndarray) -> tuple[float, tuple[int, int] | None]:
+    """Largest operator norm among the k x k blocks of an (n, m, k, k) array,
+    with the row-major index of the first block attaining it (None when every
+    entry is zero).
+
+    Blocks are screened by their largest entry: the operator norm of a k x k
+    block lies between that and k times it, so only blocks within a factor k
+    of the leader need their exact norm, taken in one batched call.
+    """
+    if not blocks.any():
+        return 0.0, None
+    k = blocks.shape[-1]
+    entry_max = np.abs(blocks).max(axis=(2, 3))
+    top = float(entry_max.max())
+    rows, cols = np.nonzero(entry_max >= top / k)
+    norms = np.linalg.norm(blocks[rows, cols], 2, axis=(-2, -1))
+    best = int(np.argmax(norms))
+    return float(norms[best]), (int(rows[best]), int(cols[best]))
+
+
 def projector_defect(p: np.ndarray) -> float:
     """How far `p` is from being an orthogonal projector: max of the
     idempotence and Hermiticity residuals in operator norm."""
@@ -73,14 +105,6 @@ def _phase_fix(v: np.ndarray) -> np.ndarray:
         if abs(x) > 1e-12 * scale:
             return v * (np.conjugate(x) / abs(x))
     return v
-
-
-def gram_factor(gram: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Factor ``G = A* A`` with A of full row rank r (the numerical rank of G
-    at ``rel_tol``).  Column p of A is the coordinate vector of generator p in
-    the quotient space."""
-    vals, vecs, _ = psd_eigencut(gram, rel_tol)
-    return np.sqrt(vals)[:, None] * dagger(vecs)
 
 
 def pinv(a: np.ndarray, rel_tol: float) -> np.ndarray:

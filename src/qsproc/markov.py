@@ -23,7 +23,7 @@ from . import linalg
 from .linalg import COMPLEX, dagger, opnorm
 from .models import CheckEntry, HilbertModel, ModelReport
 from .sites import CausalSite, SiteClasses, derive_classes
-from .words import Event, EventWord, enumerate_words, pointwise_product, unit_word
+from .words import Event, EventWord, enumerate_words, pointwise_product_table
 
 MEMBERSHIP_TOL = 1e-8
 COMMUTATIVITY_TOL = 1e-9
@@ -223,31 +223,15 @@ def check_regression(
     e_proj = {l: slice_projector(model, classes, l) for l in slices}
     emb = model.embedding
 
-    worst_r, wit_r = 0.0, ""
-    for b, bp in itertools.product(words, repeat=2):
-        prod = pointwise_product(b, bp, model.spaces)
-        direct = model.kernel(site, b, bp)
-        nested = None
-        for l in reversed(slices):
-            factors = {
-                t: prod.factor(t, model.spaces)
-                for t in sorted(l, key=site.index)
-                if prod.factor(t, model.spaces) != model.spaces.full(t)
-            }
-            # the slice event, padded with units: the reduced-block projector
-            # times the slice unit
-            op = model.block_projector(site, Event.from_dict(factors)) \
-                @ model.unit_p(frozenset(l))
-            if nested is None:
-                nested = op
-            else:
-                nested = op @ (e_proj[l] @ nested @ e_proj[l])
-        if nested is None:
-            nested = model.identity()
-        value = dagger(emb) @ nested @ emb
-        r = opnorm(value - direct)
-        if r > worst_r:
-            worst_r, wit_r = r, "regression of a word pair"
+    feyn = model.products(site, words)
+    direct = linalg.pair_blocks(feyn)
+    merged, index = pointwise_product_table(words, model.spaces)
+    nested = np.array(
+        [_nested_regression(model, site, slices, e_proj, w) for w in merged],
+        dtype=COMPLEX,
+    ).reshape(len(merged), model.kdim, model.kdim)
+    worst_r, at = linalg.worst_block(nested[index] - direct)
+    wit_r = "" if at is None else "regression of a word pair"
     entries.append(CheckEntry("regression", worst_r, wit_r, tol))
 
     # composition identities of the compression maps
@@ -277,6 +261,43 @@ def check_regression(
                         )
     entries.append(CheckEntry("regression_composition", worst_c, wit_c, tol))
     return ModelReport(tuple(entries))
+
+
+def _nested_regression(model, site, slices, e_proj, word) -> np.ndarray:
+    """The kernel value of a word through the nested slice compressions,
+    latest slice outermost."""
+    nested = None
+    for l in reversed(slices):
+        factors = {
+            t: word.factor(t, model.spaces)
+            for t in sorted(l, key=site.index)
+            if word.factor(t, model.spaces) != model.spaces.full(t)
+        }
+        # the slice event, padded with units: the reduced-block projector
+        # times the slice unit
+        op = model.block_projector(site, Event.from_dict(factors)) \
+            @ model.unit_p(frozenset(l))
+        if nested is None:
+            nested = op
+        else:
+            nested = op @ (e_proj[l] @ nested @ e_proj[l])
+    if nested is None:
+        nested = model.identity()
+    return dagger(model.embedding) @ nested @ model.embedding
+
+
+def pointwise_factorization_residual(
+    model: HilbertModel, site: CausalSite, words: Sequence[EventWord]
+) -> float:
+    """Largest operator-norm gap between the kernel of a word pair and the
+    kernel of their pointwise product against the unit word."""
+    feyn = model.products(site, words)
+    direct = linalg.pair_blocks(feyn)
+    merged, index = pointwise_product_table(words, model.spaces)
+    merged_kernels = np.einsum(
+        "pak,al->pkl", np.conjugate(model.products(site, merged)), model.embedding
+    )
+    return linalg.worst_block(merged_kernels[index] - direct)[0]
 
 
 def check_narrow_commutativity(
@@ -311,15 +332,8 @@ def check_narrow_commutativity(
     if worst <= tol:
         if words is None:
             words = enumerate_words(site, model.spaces)
-        worst_f, wit_f = 0.0, ""
-        for b, bp in itertools.product(words, repeat=2):
-            direct = model.kernel(site, b, bp)
-            merged = model.kernel(
-                site, pointwise_product(b, bp, model.spaces), unit_word()
-            )
-            r = opnorm(direct - merged)
-            if r > worst_f:
-                worst_f, wit_f = r, "factorization through the pointwise product"
+        worst_f = pointwise_factorization_residual(model, site, words)
+        wit_f = "factorization through the pointwise product" if worst_f > 0.0 else ""
         entries.append(CheckEntry("complete_factorization", worst_f, wit_f, max(tol, 1e-9)))
     return ModelReport(tuple(entries))
 
@@ -345,17 +359,18 @@ def check_relaxation(
         words = enumerate_words(site, model.spaces)
     minimal = classes.minimal_antichains()
     p0 = model.initial_projector()
+    columns = {l: _slice_columns(model, site, words, l) for l in classes.maximal_antichains}
+    span = {l: linalg.projector_onto_columns(c, 1e-9) for l, c in columns.items()}
+    algebras = {l: slice_algebra(model, classes, l, span[l]) for l in span}
     entries = []
 
     worst, wit = 0.0, ""
     for l0 in minimal:
-        e_l0 = _feynman_span_projector(model, site, words, l0)
+        e_l0 = span[l0]
         for l in classes.maximal_antichains:
             if not classes.subset_le(l0, l):
                 continue
-            e_l = _feynman_span_projector(model, site, words, l)
-            alg = slice_algebra(model, classes, l, e_l)
-            for a in alg.basis_operators():
+            for a in algebras[l].basis_operators():
                 r = opnorm(e_l0 @ a @ e_l0 - p0 @ a @ p0)
                 if r > worst:
                     worst, wit = r, (
@@ -368,16 +383,20 @@ def check_relaxation(
     rng = np.random.default_rng(perturbation_seed)
     for l0 in minimal:
         perturbed = _rotate_slice_atoms(model, l0, rng)
-        e_l0 = _feynman_span_projector(model, site, words, l0)
-        e_l0_pert = _feynman_span_projector(perturbed, site, words, l0)
+        e_l0 = span[l0]
+        e_l0_pert = linalg.projector_onto_columns(
+            _slice_columns(perturbed, site, words, l0), 1e-9
+        )
+        # unit vectors reachable by measurements on the slice
+        cols = columns[l0]
+        norms = np.linalg.norm(cols, axis=0)
+        vecs = cols[:, norms >= 1e-12] / norms[norms >= 1e-12]
         for l in classes.maximal_antichains:
             if not classes.subset_le(l0, l):
                 continue
-            e_l = _feynman_span_projector(model, site, words, l)
-            alg = slice_algebra(model, classes, l, e_l)
-            for a in alg.basis_operators():
-                base = _limit_states(model, site, words, l0, e_l0, a)
-                moved = _limit_states(model, site, words, l0, e_l0_pert, a)
+            for a in algebras[l].basis_operators():
+                base = _limit_states(vecs, e_l0, a)
+                moved = _limit_states(vecs, e_l0_pert, a)
                 r = float(np.max(np.abs(base - moved))) if base.size else 0.0
                 if r > worst_i:
                     worst_i, wit_i = r, (
@@ -388,30 +407,18 @@ def check_relaxation(
     return ModelReport(tuple(entries))
 
 
-def _feynman_span_projector(model, site, words, l) -> np.ndarray:
+def _slice_columns(model, site, words, l) -> np.ndarray:
+    """Chronological product columns of the words supported below a slice."""
     down = site.down_set(l)
-    cols = [model.feynman(site, w) for w in words if set(w.support) <= down]
-    mat = np.hstack(cols) if cols else np.zeros((model.dim, 0), dtype=COMPLEX)
-    return linalg.projector_onto_columns(mat, 1e-9)
+    return linalg.side_by_side(
+        model.products(site, [w for w in words if set(w.support) <= down])
+    )
 
 
-def _limit_states(model, site, words, l0, e_l0, a) -> np.ndarray:
+def _limit_states(vecs, e_l0, a) -> np.ndarray:
     """States of the operator `a` seen through the slice projector, taken at
-    unit vectors reachable by measurements on the slice."""
-    down = site.down_set(l0)
-    vals = []
-    for w in words:
-        if not set(w.support) <= down:
-            continue
-        f = model.feynman(site, w)
-        for col in range(f.shape[1]):
-            v = f[:, col]
-            norm = np.linalg.norm(v)
-            if norm < 1e-12:
-                continue
-            v = v / norm
-            vals.append(np.vdot(v, e_l0 @ a @ e_l0 @ v))
-    return np.asarray(vals)
+    the given unit vectors."""
+    return np.einsum("ic,ic->c", np.conjugate(vecs), e_l0 @ a @ e_l0 @ vecs)
 
 
 def _rotate_slice_atoms(model: HilbertModel, l0, rng) -> HilbertModel:

@@ -26,7 +26,6 @@ from .words import (
     EventWord,
     OutcomeSpaces,
     partitions_of_factor,
-    pull_back,
 )
 
 PROJECTOR_TOL = 1e-10
@@ -162,6 +161,51 @@ class HilbertModel:
             out = out @ self.units_p[k]
         return out
 
+    def products(
+        self,
+        site: CausalSite,
+        words: Sequence[EventWord],
+        base: Iterable[str] | None = None,
+        interleave_units: bool = False,
+    ) -> np.ndarray:
+        """Chronologically ordered products of each word's block projectors
+        applied to the initial embedding (earliest applied first), stacked
+        word-major: shape ``(len(words), dim, kdim)``.
+
+        With a `base` block each product ends on that block's essential-space
+        unit instead of the embedding (shape ``(len(words), dim, dim)``);
+        `interleave_units` additionally applies each block's essential unit
+        after its projector, the form taken by the relaxed normalization.
+
+        Shared across the list: one chain decomposition per distinct support,
+        one block operator per block event, and one product per shared
+        chronological prefix (a trie keyed by block events).
+        """
+        start = self.embedding if base is None else self.unit_i(base)
+        out = np.empty((len(words), self.dim, start.shape[1]), dtype=COMPLEX)
+        chains: dict[tuple, tuple] = {}
+        ops: dict[Event, np.ndarray] = {}
+        root: tuple[np.ndarray, dict] = (start, {})
+        for n, word in enumerate(words):
+            blocks = chains.get(word.support)
+            if blocks is None:
+                blocks = chains[word.support] = site.chain_decompose(word.support)
+            node = root
+            for block in blocks:
+                ev = Event(tuple(f for f in word.factors if f[0] in block))
+                child = node[1].get(ev)
+                if child is None:
+                    op = ops.get(ev)
+                    if op is None:
+                        op = self.block_projector(site, ev)
+                        if interleave_units:
+                            op = self.unit_i(block) @ op
+                        ops[ev] = op
+                    child = node[1][ev] = (op @ node[0], {})
+                node = child
+            out[n] = node[0]
+        return out
+
     def feynman(
         self,
         site: CausalSite,
@@ -169,25 +213,8 @@ class HilbertModel:
         base: Iterable[str] | None = None,
         interleave_units: bool = False,
     ) -> np.ndarray:
-        """Chronologically ordered product of the word's block projectors
-        applied to the initial embedding (earliest applied first).
-
-        With a `base` block the product ends on that block's essential-space
-        unit instead of the embedding; `interleave_units` additionally
-        applies each block's essential unit before its projector, the form
-        taken by the relaxed normalization.
-        """
-        blocks = site.chain_decompose(word.support)
-        if base is None:
-            out = np.array(self.embedding)
-        else:
-            out = np.array(self.unit_i(base))
-        for block in blocks:
-            ev = Event.from_dict({t: word.factor(t, self.spaces) for t in block})
-            out = self.block_projector(site, ev) @ out
-            if interleave_units:
-                out = self.unit_i(block) @ out
-        return out
+        """The chronological product of one word (see `products`)."""
+        return self.products(site, (word,), base, interleave_units)[0]
 
     def probability(self, site: CausalSite, word: EventWord) -> float:
         """Probability of observing the word's events in chronological order,
@@ -215,10 +242,8 @@ class HilbertModel:
         from .kernels import KernelOracle, OracleSymmetry
 
         classes = classes or derive_classes(site)
-        n = len(word_list)
-        feyn = np.stack([self.feynman(site, w) for w in word_list]) \
-            if word_list else np.zeros((0, self.dim, self.kdim), dtype=COMPLEX)
-        table = np.einsum("iak,jal->ijkl", np.conjugate(feyn), feyn, optimize=True)
+        feyn = self.products(site, word_list)
+        table = linalg.pair_blocks(feyn)
         sym = {}
         for s, ms in self.symmetry.items():
             if site_sym is None or s not in site_sym.maps:
@@ -445,10 +470,3 @@ def _blocks_within(classes: SiteClasses, l: frozenset[str]) -> list[frozenset[st
         out.extend([cur | {t} for cur in out])
     return [k for k in out if k]
 
-
-def transformed_word(
-    model: HilbertModel, s: str, site_sym: SiteSymmetry, word: EventWord
-) -> EventWord:
-    """Pull a word back through the model's symmetry element `s`."""
-    ms = model.symmetry[s]
-    return pull_back(word, dict(site_sym.maps[s]), ms.outcome_maps, model.spaces)

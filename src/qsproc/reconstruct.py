@@ -31,12 +31,9 @@ from .kernels import (
     _word_label,
 )
 from .models import HilbertModel, ModelSymmetry
-from .sites import SiteSymmetry
 from .words import Event, right_multiply
 
 RANK_TOL = 1e-9
-GRAM_FACTOR_TOL = 1e-8
-RECON_PROJECTOR_TOL = 1e-9
 DECOMPOSITION_TOL = 1e-8
 
 
@@ -313,12 +310,6 @@ class ReconstructedProcess:
     def regular_at_origin(self, tol: float = 1e-8) -> bool:
         return opnorm(self.unit_i[frozenset()] - self.initial_projector()) <= tol
 
-    def site_symmetry(self) -> SiteSymmetry | None:
-        if not self.gns.oracle.symmetry:
-            return None
-        maps = {s: dict(sym.point_map) for s, sym in self.gns.oracle.symmetry.items()}
-        return SiteSymmetry(tuple(maps), maps, {})
-
     def provenance(self) -> dict:
         return {
             "rank": self.rank,
@@ -448,38 +439,14 @@ def verify_decomposition(
     """Recompute the kernel table from the reconstructed model and compare it
     entrywise with the oracle."""
     oracle = oracle or recon.gns.oracle
-    site = oracle.site
-    n = len(oracle.words)
-    feyn = np.stack([recon.model.feynman(site, w) for w in oracle.words]) \
-        if n else np.zeros((0, recon.rank, oracle.kdim), dtype=COMPLEX)
-    diff = np.einsum("iak,jal->ijkl", np.conjugate(feyn), feyn, optimize=True) \
+    diff = linalg.pair_blocks(recon.model.products(oracle.site, oracle.words)) \
         - oracle.table
-    worst, witness = _worst_block(diff, oracle)
+    worst, at = linalg.worst_block(diff)
+    if at is None:
+        return DecompositionReport(worst, "" if diff.size == 0 else "exact match", tol)
+    i, j = at
+    witness = f"pair ({_word_label(oracle.words[i])}, {_word_label(oracle.words[j])})"
     return DecompositionReport(worst, witness, tol)
-
-
-def _worst_block(diff: np.ndarray, oracle: KernelOracle) -> tuple[float, str]:
-    """Largest operator-norm block of a (n, n, k, k) difference array.
-
-    Blocks are screened by their largest entry; the operator norm of a k x k
-    block is between that and k times it, so only blocks within a factor k of
-    the leader need exact evaluation.
-    """
-    if diff.size == 0:
-        return 0.0, ""
-    k = diff.shape[-1]
-    entry_max = np.abs(diff).max(axis=(2, 3))
-    top = float(entry_max.max())
-    if top == 0.0:
-        return 0.0, "exact match"
-    worst, wi, wj = 0.0, 0, 0
-    for i, j in zip(*np.nonzero(entry_max >= top / max(k, 1))):
-        r = opnorm(diff[i, j])
-        if r > worst:
-            worst, wi, wj = r, int(i), int(j)
-    return worst, (
-        f"pair ({_word_label(oracle.words[wi])}, {_word_label(oracle.words[wj])})"
-    )
 
 
 def _event_label(event: Event) -> str:

@@ -241,9 +241,19 @@ def oracle_from_json(data: dict):
     kdim = int(data["kdim"])
     n = len(words)
     table = np.zeros((n, n, kdim, kdim), dtype=COMPLEX)
+    flat = []
     for key, m in data["values"].items():
-        i, j = (int(x) for x in key.split(","))
+        i, j = map(int, key.split(","))
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"kernel entry {key!r} is outside the {n} words")
         table[i, j] = matrix_from_json(m)
+        flat.append(i * n + j)
+    # every pair exactly once: complete, and no two keys naming one pair
+    count = np.bincount(np.asarray(flat, dtype=np.int64), minlength=n * n)
+    if (count != 1).any():
+        i, j = divmod(int(np.argmax(count != 1)), n)
+        state = "missing" if count[i * n + j] == 0 else "given twice"
+        raise ValueError(f"kernel entry {i},{j} is {state}")
     symmetry = {
         s: OracleSymmetry(
             point_map=dict(entry["map"]),

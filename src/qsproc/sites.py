@@ -110,12 +110,6 @@ class CausalSite:
             a for a in pts if not any(self.strictly_precedes(a, b) for b in pts)
         )
 
-    def minimal_points(self, pts: Iterable[str]) -> frozenset[str]:
-        pts = list(pts)
-        return frozenset(
-            a for a in pts if not any(self.strictly_precedes(b, a) for b in pts)
-        )
-
     def down_set(self, pts: Iterable[str]) -> frozenset[str]:
         """All site points lying below (<=) some point of `pts`."""
         pts = list(pts)
@@ -159,9 +153,6 @@ class SiteClasses:
             if t in cls:
                 return cls
         raise KeyError(f"unknown point identifier {t!r}")
-
-    def representative(self, t: str) -> str:
-        return self.class_of(t)[0]
 
     def all_nonanticipatory(self, cap: int = DEFAULT_ANTICHAIN_CAP) -> list[frozenset[str]]:
         """Every nonanticipatory subset (including the empty set), in a
@@ -255,11 +246,6 @@ def _maximal_antichains(site: CausalSite) -> list[frozenset[str]]:
 
     grow(frozenset(), list(site.points))
     return collected
-
-
-def enumerate_maximal_antichains(site: CausalSite) -> list[frozenset[str]]:
-    """Standalone enumeration of the maximal nonanticipatory subsets."""
-    return list(derive_classes(site).maximal_antichains)
 
 
 # -- symmetries ------------------------------------------------------------

@@ -18,6 +18,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .sites import CausalSite
 
 DEFAULT_WORD_CAP = 20000
@@ -53,14 +55,6 @@ class OutcomeSpaces:
     def points(self) -> tuple[str, ...]:
         return tuple(self.spaces)
 
-    def subset_sorted(self, t: str, b: Iterable[str]) -> tuple[str, ...]:
-        order = {x: i for i, x in enumerate(self.outcomes(t))}
-        b = frozenset(b)
-        for x in b:
-            if x not in order:
-                raise KeyError(f"unknown outcome {x!r} at point {t!r}")
-        return tuple(sorted(b, key=order.__getitem__))
-
     def bitmask(self, t: str, b: Iterable[str]) -> int:
         """Subset as a bitmask in outcome order (the subset sort key)."""
         order = {x: i for i, x in enumerate(self.outcomes(t))}
@@ -93,10 +87,6 @@ class Event:
 
     def is_unit(self, spaces: OutcomeSpaces) -> bool:
         return all(b == spaces.full(t) for t, b in self.factors)
-
-
-def unit_event(block: Iterable[str], spaces: OutcomeSpaces) -> Event:
-    return Event.from_dict({t: spaces.full(t) for t in block})
 
 
 @dataclass(frozen=True)
@@ -134,14 +124,8 @@ class EventWord:
                 return b
         return spaces.full(t)
 
-    def as_dict(self) -> dict[str, frozenset[str]]:
-        return dict(self.factors)
-
     def is_unit(self) -> bool:
         return not self.factors
-
-    def has_empty_factor(self) -> bool:
-        return any(not b for _, b in self.factors)
 
 
 def unit_word() -> EventWord:
@@ -177,6 +161,33 @@ def pointwise_product(a: EventWord, b: EventWord, spaces: OutcomeSpaces) -> Even
     for t, fb in b.factors:
         out[t] = a.factor(t, spaces) & fb
     return EventWord.from_dict(out, spaces)
+
+
+def pointwise_product_table(
+    words: Sequence[EventWord], spaces: OutcomeSpaces
+) -> tuple[list[EventWord], np.ndarray]:
+    """Distinct pointwise products over all ordered pairs of a word list, and
+    the (n, n) array giving each pair's product as an index into them.
+
+    Pairs are intersected as per-point outcome bitmasks, cut into 62-bit
+    columns, in one vectorized step; each distinct product is built once.
+    """
+    n = len(words)
+    cols = [
+        (t, shift)
+        for t in sorted({t for w in words for t in w.support})
+        for shift in range(0, len(spaces.outcomes(t)), 62)
+    ]
+    # the constant first column keeps rows nonempty when every word is the unit
+    masks = np.array(
+        [[0] + [spaces.bitmask(t, w.factor(t, spaces)) >> shift & (2**62 - 1)
+                for t, shift in cols] for w in words],
+        dtype=np.int64,
+    ).reshape(n, len(cols) + 1)
+    pairs = (masks[:, None, :] & masks[None, :, :]).reshape(n * n, -1)
+    _, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+    merged = [pointwise_product(words[f // n], words[f % n], spaces) for f in first]
+    return merged, inverse.reshape(n, n)
 
 
 def to_chain_sequence(

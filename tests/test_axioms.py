@@ -203,6 +203,14 @@ class TestProjectivity:
         assert check.status == PASS
         assert check.residual < 1e-10
 
+    def test_sampled_comparison_is_reported(self, qubit_oracle):
+        n = len(qubit_oracle.words)
+        assert n == 16
+        sampled = check_projectivity(qubit_oracle, pair_cap=4)
+        assert sampled.status == PASS
+        assert sampled.witness.endswith("sampled 4 of 16 words")
+        assert "sampled" not in check_projectivity(qubit_oracle).witness
+
     def test_wide_model_compressions(self):
         from qsproc.equivalence import minimal_modification
 

@@ -105,6 +105,25 @@ class TestReconstruct:
         table_file = write(tmp_path, "bad.json", serialize.oracle_to_json(oracle))
         assert cli.main(["reconstruct", table_file]) == 1
 
+    @pytest.mark.parametrize("defect", ["missing", "negative", "past_end", "repeated"])
+    def test_malformed_table_exits_two(self, tmp_path, capsys, defect):
+        model, site = fixtures.qubit_zx()
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+        data = serialize.oracle_to_json(oracle)
+        values, n = data["values"], len(oracle.words)
+        if defect == "missing":
+            del values["0,1"]
+        elif defect == "negative":
+            values["-1,1"] = values.pop(f"{n - 1},1")
+        elif defect == "past_end":
+            values[f"{n},0"] = values["0,0"]
+        else:
+            values["00,1"] = values["0,1"]
+        table_file = write(tmp_path, "table.json", data)
+        assert cli.main(["reconstruct", table_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: kernel entry")
+
     def test_byte_identical_reports(self, qubit_files, capsys):
         model_file, site_file = qubit_files
         cli.main(["reconstruct", model_file, "--site", site_file])
