@@ -234,7 +234,7 @@ def cmd_kernels(args, config: RunConfig) -> int:
 
 
 def cmd_reconstruct(args, config: RunConfig) -> int:
-    from .reconstruct import ReconstructionRefused, reconstruct, verify_decomposition
+    from .reconstruct import ReconstructionRefused, verify_decomposition
 
     if args.site:
         model, site, sym = _load_model_site(args.source, args.site)
@@ -248,7 +248,7 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(str(exc)) from None
     try:
-        recon = reconstruct(oracle, rank_tol=config.rank_tol)
+        recon = _reconstruct(oracle, config)
     except ReconstructionRefused as exc:
         print(f"reconstruction refused: {exc}", file=sys.stderr)
         return EXIT_MATH
@@ -257,20 +257,23 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
         "provenance": recon.provenance(),
     }
     if args.verify:
-        from .equivalence import build_unitary
+        from .equivalence import EquivalenceRefused, build_unitary
 
         decomp = verify_decomposition(recon, oracle, config.decomposition_tol)
         report["verification"] = decomp.to_dict()
         # idempotence: the emitted model's own table reconstructs to a
         # unitarily equivalent model
-        second = reconstruct(
-            recon.model.kernel_table(oracle.site, list(oracle.words)),
-            rank_tol=config.rank_tol,
-        )
-        morphism = build_unitary(
-            recon.model, second.model, oracle.site, list(oracle.words),
-            config.equivalence_tol,
-        )
+        try:
+            second = _reconstruct(
+                recon.model.kernel_table(oracle.site, list(oracle.words)), config
+            )
+            morphism = build_unitary(
+                recon.model, second.model, oracle.site, list(oracle.words),
+                config.equivalence_tol,
+            )
+        except (ReconstructionRefused, EquivalenceRefused) as exc:
+            print(f"idempotence refused: {exc}", file=sys.stderr)
+            return EXIT_MATH
         report["idempotence"] = morphism.to_dict()
         if not decomp.ok or not morphism.ok:
             _emit(report, config)
@@ -279,14 +282,22 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _reconstruct(oracle, config: RunConfig):
+    from .reconstruct import reconstruct
+
+    return reconstruct(
+        oracle, rank_tol=config.rank_tol, positivity_tol=config.positivity_tol
+    )
+
+
 def cmd_roundtrip(args, config: RunConfig) -> int:
-    from .reconstruct import ReconstructionRefused, reconstruct, verify_decomposition
+    from .reconstruct import ReconstructionRefused, verify_decomposition
 
     model, site, sym = _load_model_site(args.model, args.site)
     words = _word_list(site, model.spaces, config)
     oracle = model.kernel_table(site, words, site_sym=sym)
     try:
-        recon = reconstruct(oracle, rank_tol=config.rank_tol)
+        recon = _reconstruct(oracle, config)
     except ReconstructionRefused as exc:
         print(f"reconstruction refused: {exc}", file=sys.stderr)
         return EXIT_MATH

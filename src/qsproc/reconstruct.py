@@ -24,6 +24,7 @@ import numpy as np
 from . import linalg
 from .linalg import COMPLEX, dagger, opnorm
 from .kernels import (
+    POSITIVITY_TOL,
     KernelOracle,
     check_covariance,
     check_normalization,
@@ -87,13 +88,17 @@ class GnsSpace:
         return opnorm(approx - self.gram) / scale
 
 
-def build_space(oracle: KernelOracle, rank_tol: float = RANK_TOL) -> GnsSpace:
+def build_space(
+    oracle: KernelOracle,
+    rank_tol: float = RANK_TOL,
+    positivity_tol: float = POSITIVITY_TOL,
+) -> GnsSpace:
     """Quotient the formal sums by the kernel's null space.
 
-    Refuses when positivity or normalization fail: without them the form is
-    not an inner product on the quotient.
+    Refuses when positivity (at `positivity_tol`) or normalization fail:
+    without them the form is not an inner product on the quotient.
     """
-    pos = check_positivity(oracle)
+    pos = check_positivity(oracle, positivity_tol)
     if not pos.ok:
         raise ReconstructionRefused(
             f"positivity fails ({pos.witness}, residual {pos.residual:.3e})"
@@ -364,6 +369,7 @@ def reconstruct(
     rank_tol: float = RANK_TOL,
     antichain_cap: int = 4096,
     strict_closure: bool = True,
+    positivity_tol: float = POSITIVITY_TOL,
 ) -> ReconstructedProcess:
     """Run the whole construction and package the result as a model.
 
@@ -372,7 +378,7 @@ def reconstruct(
     essential units), so the model re-enters every forward operation
     unchanged.
     """
-    gns = build_space(oracle, rank_tol)
+    gns = build_space(oracle, rank_tol, positivity_tol)
     atoms = represent_events(gns, strict_closure)
     slice_projectors, unit_p, unit_i = compute_subspace_lattice(gns, antichain_cap)
     algebra = represent_algebra(gns) if oracle.algebra else {}

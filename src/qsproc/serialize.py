@@ -3,13 +3,17 @@
 Complex scalars serialize as ``[re, im]`` pairs, matrices as nested lists of
 those pairs, block keys as comma-joined sorted point names.  Geometric site
 descriptions (``{"kind": "minkowski", ...}``) are accepted alongside explicit
-relation matrices.
+relation matrices.  `dumps` also takes complex ndarrays and writes them as
+those same nested pairs, so a kernel table keeps its entries as arrays until
+they become text.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Mapping
 
 import numpy as np
@@ -207,13 +211,14 @@ def model_from_json(data: dict) -> HilbertModel:
 
 
 def oracle_to_json(oracle) -> dict:
-    n = len(oracle.words)
-    values = {}
-    for i in range(n):
-        for j in range(n):
-            values[f"{i},{j}"] = matrix_to_json(oracle.table[i, j])
+    """The table as a JSON-ready dict; each ``"i,j"`` value is the kdim × kdim
+    complex array ``oracle.table[i, j]`` (a view), which `dumps` writes as
+    nested ``[re, im]`` pairs."""
+    n, kdim = len(oracle.words), oracle.kdim
+    keys = [f"{i},{j}" for i in range(n) for j in range(n)]
+    values = dict(zip(keys, oracle.table.reshape(n * n, kdim, kdim)))
     out = {
-        "kdim": oracle.kdim,
+        "kdim": kdim,
         "site": site_to_json(oracle.site),
         "spaces": spaces_to_json(oracle.spaces),
         "words": [word_to_json(w) for w in oracle.words],
@@ -240,13 +245,14 @@ def oracle_from_json(data: dict):
     words = tuple(word_from_json(w, spaces) for w in data["words"])
     kdim = int(data["kdim"])
     n = len(words)
-    table = np.zeros((n, n, kdim, kdim), dtype=COMPLEX)
+    if not n:
+        raise ValueError("the kernel table lists no words")
+    values = data["values"]
     flat = []
-    for key, m in data["values"].items():
+    for key in values:
         i, j = map(int, key.split(","))
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"kernel entry {key!r} is outside the {n} words")
-        table[i, j] = matrix_from_json(m)
         flat.append(i * n + j)
     # every pair exactly once: complete, and no two keys naming one pair
     count = np.bincount(np.asarray(flat, dtype=np.int64), minlength=n * n)
@@ -254,6 +260,10 @@ def oracle_from_json(data: dict):
         i, j = divmod(int(np.argmax(count != 1)), n)
         state = "missing" if count[i * n + j] == 0 else "given twice"
         raise ValueError(f"kernel entry {i},{j} is {state}")
+    pairs = _entry_pairs(values, kdim)
+    table = np.empty((n * n, kdim, kdim), dtype=COMPLEX)
+    table[flat] = pairs.view(COMPLEX)[..., 0]
+    table = table.reshape(n, n, kdim, kdim)
     symmetry = {
         s: OracleSymmetry(
             point_map=dict(entry["map"]),
@@ -273,5 +283,144 @@ def oracle_from_json(data: dict):
     )
 
 
-def dumps(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, indent=2)
+def _entry_pairs(values: dict, kdim: int) -> np.ndarray:
+    """All kernel entries, in the order of `values`, as one contiguous float
+    array of shape (entries, kdim, kdim, 2)."""
+    want = (kdim, kdim, 2)
+    pairs = _as_pairs(list(values.values()))
+    if pairs is None or pairs.shape[1:] != want:
+        # one entry at a time: name the first misshapen one
+        per_entry = []
+        for key, m in values.items():
+            entry = _as_pairs(m)
+            if entry is None or entry.shape != want:
+                raise ValueError(
+                    f"kernel entry {key} is not a {kdim}x{kdim} matrix of [re, im] pairs"
+                )
+            per_entry.append(entry)
+        pairs = np.stack(per_entry)
+    finite = np.isfinite(pairs).all(axis=(1, 2, 3))
+    if not finite.all():
+        key = list(values)[int(np.argmin(finite))]
+        raise ValueError(f"kernel entry {key} is not finite")
+    return pairs
+
+
+def _as_pairs(m) -> np.ndarray | None:
+    """Nested ``[re, im]`` lists, or complex arrays, as one float array with a
+    trailing (re, im) axis; None when ragged or not numeric."""
+    try:
+        a = np.asarray(m)
+    except ValueError:
+        return None
+    if np.iscomplexobj(a):
+        a = np.stack((a.real, a.imag), axis=-1)
+    if a.dtype.kind not in "biuf":
+        return None
+    return np.ascontiguousarray(a, dtype=float)
+
+
+# -- writing ------------------------------------------------------------------------
+
+
+def dumps(data) -> str:
+    """``json.dumps(data, sort_keys=True, indent=2)``, byte for byte, where
+    any ndarray leaf is written as the nested ``[re, im]`` pairs of its
+    complex values (what `matrix_to_json` gives for a matrix).
+
+    With `indent` set the stdlib encodes in pure Python, one float at a
+    time.  Here the containers are walked the same way, but every array leaf
+    only leaves a slot; afterwards the arrays of one shape at one depth are
+    written together, their floats by one C-encoded ``json.dumps`` of a flat
+    list and their brackets by one cached template.
+    """
+    chunks: list = []
+    groups: dict = {}  # (shape, level) -> (slots, arrays)
+    _encode(data, 0, chunks, groups)
+    for (shape, level), (slots, arrays) in groups.items():
+        for slot, text in zip(slots, _render(arrays, shape, level)):
+            chunks[slot] = text
+    return "".join(chunks)
+
+
+def _encode(o, level: int, chunks: list, groups: dict) -> None:
+    if isinstance(o, np.ndarray):
+        slots, arrays = groups.setdefault((o.shape, level), ([], []))
+        slots.append(len(chunks))
+        arrays.append(o)
+        chunks.append(None)
+    elif isinstance(o, str):
+        chunks.append(encode_basestring_ascii(o))
+    elif o is None:
+        chunks.append("null")
+    elif o is True:
+        chunks.append("true")
+    elif o is False:
+        chunks.append("false")
+    elif isinstance(o, int):
+        chunks.append(int.__repr__(o))
+    elif isinstance(o, float):
+        chunks.append(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            chunks.append("[]")
+            return
+        inner = "\n" + "  " * (level + 1)
+        sep = "[" + inner
+        for v in o:
+            chunks.append(sep)
+            sep = "," + inner
+            _encode(v, level + 1, chunks, groups)
+        chunks.append("\n" + "  " * level + "]")
+    elif isinstance(o, dict):
+        if not o:
+            chunks.append("{}")
+            return
+        inner = "\n" + "  " * (level + 1)
+        sep = "{" + inner
+        for k in sorted(o):
+            key = k if isinstance(k, str) else _key_text(k)
+            chunks.append(sep + encode_basestring_ascii(key) + ": ")
+            sep = "," + inner
+            _encode(o[k], level + 1, chunks, groups)
+        chunks.append("\n" + "  " * level + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == float("inf"):
+        return "Infinity"
+    if x == -float("inf"):
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(k) -> str:
+    """The stdlib's spelling of a non-string key."""
+    if k is None or isinstance(k, (int, float)):
+        return json.dumps(k)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(k).__name__}"
+    )
+
+
+def _render(arrays: list, shape: tuple, level: int) -> list[str]:
+    """The texts of same-shape arrays written at one depth, in order."""
+    z = np.asarray(arrays, dtype=COMPLEX)
+    flat = np.stack((z.real, z.imag), axis=-1).ravel().tolist()
+    # the C encoder spells floats as the stdlib does (repr, NaN, Infinity)
+    floats = json.dumps(flat)[1:-1].split(", ") if flat else []
+    return (_template(shape, level) * len(arrays) % tuple(floats))[:-1].split("\0")
+
+
+@lru_cache(maxsize=64)
+def _template(shape: tuple, level: int) -> str:
+    """The text of one array of `shape` at depth `level`, with ``%s`` for
+    each float and a closing NUL to split on: the list walk of zeros, whose
+    brackets, commas and indents never contain ``0.0``."""
+    chunks: list = []
+    _encode(np.zeros(shape + (2,)).tolist(), level, chunks, {})
+    return "%s".join("".join(chunks).split("0.0")) + "\0"

@@ -14,6 +14,13 @@ def write(tmp_path, name, data):
     return str(path)
 
 
+def kdim2_table() -> dict:
+    model, site = fixtures.controlled_kdim2()
+    oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+    assert (oracle.kdim, len(oracle.words)) == (2, 16)
+    return serialize.oracle_to_json(oracle)
+
+
 @pytest.fixture
 def qubit_files(tmp_path):
     model, site = fixtures.qubit_zx()
@@ -123,6 +130,59 @@ class TestReconstruct:
         assert cli.main(["reconstruct", table_file]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: kernel entry")
+
+    @pytest.mark.parametrize("key", ["5,5", "1,1"])
+    def test_misshapen_entry_exits_two(self, tmp_path, capsys, key):
+        # a one-row entry must not broadcast over its 2x2 slot, whether the
+        # entry is nonzero ("5,5") or zero ("1,1")
+        data = kdim2_table()
+        data["values"][key] = data["values"][key][:1]
+        table_file = write(tmp_path, "table.json", data)
+        assert cli.main(["reconstruct", table_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: kernel entry {key} is not a 2x2 matrix")
+
+    def test_non_finite_entry_exits_two(self, tmp_path, capsys):
+        data = kdim2_table()
+        entry = data["values"]["5,5"].copy()
+        entry[0, 0] = float("nan")
+        data["values"]["5,5"] = entry
+        table_file = write(tmp_path, "table.json", data)
+        assert cli.main(["reconstruct", table_file]) == 2
+        assert capsys.readouterr().err == "input error: kernel entry 5,5 is not finite\n"
+
+    def test_idempotence_refusal_exits_one(self, tmp_path, capsys):
+        # a nonzero kernel on the word with an empty factor at t1: the table
+        # reconstructs, but the emitted model is not minimal
+        data = kdim2_table()
+        data["values"]["1,1"] = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
+        table_file = write(tmp_path, "table.json", data)
+        assert cli.main(["reconstruct", table_file]) == 0
+        capsys.readouterr()
+        assert cli.main(["reconstruct", table_file, "--verify"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("idempotence refused: the first model is not minimal")
+
+    def test_positivity_tol_from_config(self, tmp_path, capsys):
+        model, site = fixtures.qubit_zx()
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+        assert not oracle.table[1].any()  # the word has an empty factor
+        oracle.table[1, 1] = -1e-8  # least Gram eigenvalue, 3.3e-9 relative
+        table_file = write(tmp_path, "table.json", serialize.oracle_to_json(oracle))
+        assert cli.main(["reconstruct", table_file]) == 1
+        assert "positivity fails" in capsys.readouterr().err
+        loose = write(tmp_path, "loose.json", {"positivity_tol": 1e-6})
+        assert cli.main(["--config", loose, "reconstruct", table_file]) == 0
+        assert json.loads(capsys.readouterr().out)["provenance"]["rank"] == 2
+
+    def test_text_format_report(self, qubit_files, capsys):
+        model_file, site_file = qubit_files
+        code = cli.main(
+            ["--format", "text", "reconstruct", model_file, "--site", site_file]
+        )
+        assert code == 0
+        assert "rank: 2" in capsys.readouterr().out
 
     def test_byte_identical_reports(self, qubit_files, capsys):
         model_file, site_file = qubit_files

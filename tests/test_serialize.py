@@ -1,7 +1,13 @@
 """JSON round trips for sites, models, words, and kernel tables."""
 
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qsproc import fixtures, serialize
 from qsproc.sites import chain_site, derive_classes
@@ -124,3 +130,133 @@ class TestMatrixEncoding:
         assert serialize.block_key(frozenset({"b", "a"})) == "a,b"
         assert serialize.block_from_key("a,b") == frozenset({"a", "b"})
         assert serialize.block_from_key("") == frozenset()
+
+
+def to_lists(x):
+    """`x` with every ndarray leaf replaced by its nested [re, im] lists."""
+    if isinstance(x, np.ndarray):
+        z = np.asarray(x, dtype=complex)
+        return np.stack((z.real, z.imag), axis=-1).tolist()
+    if isinstance(x, dict):
+        return {k: to_lists(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [to_lists(v) for v in x]
+    return x
+
+
+def reference_dumps(x) -> str:
+    return json.dumps(to_lists(x), sort_keys=True, indent=2)
+
+
+def _table(model, site, sym=None):
+    return model.kernel_table(site, enumerate_words(site, model.spaces), site_sym=sym)
+
+
+class TestWriter:
+    @pytest.mark.parametrize("name", ["qubit_zx", "controlled_kdim2", "tensor_chain"])
+    def test_oracle_bytes_match_stdlib(self, name):
+        if name == "tensor_chain":
+            model, site = fixtures.tensor_chain(3)
+        else:
+            model, site = getattr(fixtures, name)()
+        data = serialize.oracle_to_json(_table(model, site))
+        assert serialize.dumps(data) == reference_dumps(data)
+
+    def test_oracle_with_symmetry_bytes_match_stdlib(self):
+        model, site, sym = fixtures.galilean_shift_fixture()
+        data = serialize.oracle_to_json(_table(model, site, sym))
+        assert "symmetry" in data
+        assert serialize.dumps(data) == reference_dumps(data)
+
+    def test_model_bytes_match_stdlib(self):
+        from qsproc.equivalence import minimal_modification
+
+        model, site, _ = fixtures.galilean_shift_fixture()
+        small = minimal_modification(model, site)
+        data = serialize.model_to_json(small)
+        assert {"units", "symmetry"} <= set(data)
+        assert serialize.dumps(data) == reference_dumps(data)
+        algebra = serialize.model_to_json(fixtures.diagonal_kdim2()[0])
+        assert "algebra" in algebra
+        assert serialize.dumps(algebra) == reference_dumps(algebra)
+
+    def test_special_floats_and_text(self):
+        data = {
+            "floats": [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300],
+            "array": np.array([[complex(-0.0, math.nan)], [complex(math.inf, 1e300)]]),
+            "empty": [np.zeros((0,)), np.zeros((2, 0)), {}, []],
+            "\u00e9\u2603": "non-ASCII \U0001f600",
+        }
+        assert serialize.dumps(data) == reference_dumps(data)
+
+    def test_non_string_keys(self):
+        for data in ({1: "a", 10: "b", 2: "c"}, {2.5: 0, -1: 1, True: 2}, {None: 0}):
+            assert serialize.dumps(data) == reference_dumps(data)
+        with pytest.raises(TypeError):
+            serialize.dumps({"a": 0, 1: 1})  # mixed key types do not sort
+
+    def test_unserializable_leaf(self):
+        with pytest.raises(TypeError):
+            serialize.dumps({"x": object()})
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text()
+        | st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300])
+        | hnp.arrays(
+            st.sampled_from([np.complex128, np.float64]),
+            hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+        ),
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=4), children, max_size=4),
+        max_leaves=20,
+    ))
+    def test_matches_stdlib(self, data):
+        assert serialize.dumps(data) == reference_dumps(data)
+
+
+class TestTableReader:
+    def test_array_and_list_leaves_agree(self):
+        oracle = _table(*fixtures.controlled_kdim2())
+        data = serialize.oracle_to_json(oracle)
+        assert isinstance(data["values"]["0,0"], np.ndarray)
+        from_arrays = serialize.oracle_from_json(data)
+        from_lists = serialize.oracle_from_json(json.loads(serialize.dumps(data)))
+        assert np.array_equal(from_arrays.table, oracle.table)
+        assert np.array_equal(from_lists.table, oracle.table)
+
+    def test_misshapen_entry(self):
+        data = json.loads(serialize.dumps(serialize.oracle_to_json(
+            _table(*fixtures.controlled_kdim2()))))
+        data["values"]["1,1"] = [[[0.0, 0.0], [0.0, 0.0]]]
+        with pytest.raises(ValueError, match="kernel entry 1,1 is not a 2x2 matrix"):
+            serialize.oracle_from_json(data)
+
+    def test_non_finite_entry(self):
+        data = json.loads(serialize.dumps(serialize.oracle_to_json(
+            _table(*fixtures.controlled_kdim2()))))
+        data["values"]["3,2"][1][0][1] = math.inf
+        with pytest.raises(ValueError, match="kernel entry 3,2 is not finite"):
+            serialize.oracle_from_json(data)
+
+    @pytest.mark.parametrize("bad", ["text", None, [[0.0, 0.0], [0.0]]])
+    def test_non_numeric_or_ragged_entry(self, bad):
+        data = json.loads(serialize.dumps(serialize.oracle_to_json(
+            _table(*fixtures.qubit_zx()))))
+        data["values"]["2,0"] = [[bad]]
+        with pytest.raises(ValueError, match="kernel entry 2,0 is not a 1x1 matrix"):
+            serialize.oracle_from_json(data)
+
+    def test_mixed_array_and_list_leaves(self):
+        oracle = _table(*fixtures.qubit_zx())
+        data = serialize.oracle_to_json(oracle)
+        data["values"]["0,0"] = serialize.matrix_to_json(data["values"]["0,0"])
+        back = serialize.oracle_from_json(data)
+        assert np.array_equal(back.table, oracle.table)
+
+    def test_no_words(self):
+        data = json.loads(serialize.dumps(serialize.oracle_to_json(
+            _table(*fixtures.qubit_zx()))))
+        data["words"], data["values"] = [], {}
+        with pytest.raises(ValueError, match="lists no words"):
+            serialize.oracle_from_json(data)
