@@ -29,6 +29,7 @@ from .words import (
     EventWord,
     OutcomeSpaces,
     partitions_of_factor,
+    subsets,
 )
 
 ULTRASTATIONARITY_TOL = 1e-12
@@ -156,10 +157,7 @@ def enumerate_level_words(
         for x in positions:
             t = level_point(l, x)
             outs = model.spaces.outcomes(t)
-            for r in range(len(outs) + 1):
-                for c in itertools.combinations(outs, r):
-                    if frozenset(c) != frozenset(outs):
-                        choices.append((t, frozenset(c)))
+            choices.extend((t, b) for b in subsets(outs) if b != frozenset(outs))
         per_level.append(choices)
         count *= len(choices)
         if count > cap:
@@ -425,7 +423,7 @@ def classical_reduce(
         for rest in itertools.product(
             *(model.spaces.outcomes(u) for u in pts if u != t)
         ):
-            for b in _nonempty_subsets(outs):
+            for b in subsets(outs)[1:]:
                 factors = {u: {x} for u, x in zip([p for p in pts if p != t], rest)}
                 factors[t] = set(b)
                 cylinders.append(EventWord.from_dict(factors, model.spaces))
@@ -472,11 +470,6 @@ def _probabilities(model: HilbertModel, site: CausalSite, words) -> list[float]:
     return [float(p) for p in np.einsum("nak,nak->n", np.conjugate(feyn), feyn).real]
 
 
-def _nonempty_subsets(outs):
-    for r in range(1, len(outs) + 1):
-        yield from (frozenset(c) for c in itertools.combinations(outs, r))
-
-
 def _traj_with(pts, rest, i, x):
     out = list(rest)
     out.insert(i, x)
@@ -521,11 +514,7 @@ def interference_witness(
     per_point = []
     count = 1
     for u in later:
-        outs = model.spaces.outcomes(u)
-        subs = [
-            frozenset(c) for r in range(len(outs) + 1)
-            for c in itertools.combinations(outs, r)
-        ]
+        subs = subsets(model.spaces.outcomes(u))
         per_point.append([(u, b) for b in subs])
         count *= len(subs)
         if count > cap:

@@ -10,7 +10,6 @@ the initial space.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,7 +19,7 @@ from . import linalg
 from .linalg import COMPLEX, dagger, opnorm
 from .models import HilbertModel, ModelSymmetry
 from .sites import CausalSite, SiteClasses, SiteSymmetry, derive_classes
-from .words import EventWord, enumerate_words
+from .words import EventWord, enumerate_words, subsets
 
 EQUIV_TOL = 1e-8
 
@@ -35,11 +34,11 @@ def _feynman_stack(model: HilbertModel, site: CausalSite, words) -> np.ndarray:
 
 
 def minimal_rank(model: HilbertModel, site: CausalSite, words, rel_tol=1e-9) -> int:
-    stack = _feynman_stack(model, site, words)
-    s = np.linalg.svd(stack, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return _stack_rank(_feynman_stack(model, site, words), rel_tol)
+
+
+def _stack_rank(stack: np.ndarray, rel_tol: float) -> int:
+    return int(np.sum(linalg.svd_cut(np.linalg.svd(stack, compute_uv=False), rel_tol)))
 
 
 def is_minimal(model: HilbertModel, site: CausalSite, words, rel_tol=1e-9) -> bool:
@@ -68,8 +67,7 @@ def minimal_modification(
         words = enumerate_words(site, model.spaces)
     stack = _feynman_stack(model, site, words)
     u, s, _ = np.linalg.svd(stack, full_matrices=False)
-    keep = s > rel_tol * (s[0] if s.size else 0.0)
-    w = u[:, keep]  # orthonormal basis of the minimal subspace
+    w = u[:, linalg.svd_cut(s, rel_tol)]  # orthonormal basis of the minimal subspace
     wd = dagger(w)
 
     word_index = {word: i for i, word in enumerate(words)}
@@ -166,13 +164,22 @@ def check_wide_equivalence(
     tol: float = EQUIV_TOL,
 ) -> EquivalenceVerdict:
     """Entrywise comparison of the two kernel tables."""
+    return _compare_tables(*_product_stacks(m1, m2, site, words), tol)
+
+
+def _product_stacks(m1: HilbertModel, m2: HilbertModel, site: CausalSite, words):
+    """Both models' chronological products, once models whose initial spaces
+    differ are refused."""
     if m1.kdim != m2.kdim:
         raise ValueError(
             f"initial spaces differ ({m1.kdim} vs {m2.kdim}); the tables are "
             "not comparable"
         )
-    f1 = m1.products(site, words)
-    f2 = m2.products(site, words)
+    return m1.products(site, words), m2.products(site, words)
+
+
+def _compare_tables(f1: np.ndarray, f2: np.ndarray, tol: float) -> EquivalenceVerdict:
+    """Entrywise comparison of the kernel tables of two product stacks."""
     worst, at = linalg.worst_block(linalg.pair_blocks(f1) - linalg.pair_blocks(f2))
     witness = "" if at is None else f"pair (word {at[0]}, word {at[1]})"
     return EquivalenceVerdict(worst <= tol, worst, witness, tol)
@@ -227,19 +234,19 @@ def build_unitary(
     construction, and the phase is fixed by matching the initial embeddings
     directly, so the restriction to the initial space is the identity.
     """
-    verdict = check_wide_equivalence(m1, m2, site, words, tol)
+    f1, f2 = _product_stacks(m1, m2, site, words)
+    verdict = _compare_tables(f1, f2, tol)
     if not verdict.equivalent:
         raise EquivalenceRefused(
             f"models are not equivalent in the wide sense "
             f"(residual {verdict.max_residual:.3e} at {verdict.witness})"
         )
-    for name, m in (("first", m1), ("second", m2)):
-        if not is_minimal(m, site, words, rel_tol):
+    x, y = linalg.side_by_side(f1), linalg.side_by_side(f2)
+    for name, m, stack in (("first", m1, x), ("second", m2, y)):
+        if _stack_rank(stack, rel_tol) != m.dim:
             raise EquivalenceRefused(
                 f"the {name} model is not minimal; compress it first"
             )
-    x = _feynman_stack(m1, site, words)
-    y = _feynman_stack(m2, site, words)
     gram = linalg.hermitize(dagger(x) @ x)
     vals, vecs, _ = linalg.psd_eigencut(gram, rel_tol)
     z = vecs / np.sqrt(vals)[None, :]
@@ -267,7 +274,7 @@ def _relation_residuals(m_small, m_big, u, site):
     ev = 0.0
     for t in site.points:
         p_small = m_small.unit_p({t})
-        for b in _subsets(m_small.spaces.outcomes(t)):
+        for b in subsets(m_small.spaces.outcomes(t)):
             lhs = u @ (m_small.point_projector(t, b) @ p_small)
             rhs = m_big.point_projector(t, b) @ u @ p_small
             ev = max(ev, opnorm(lhs - rhs))
@@ -325,8 +332,3 @@ def _symmetry_unit_residual(model: HilbertModel, site: CausalSite, site_sym: Sit
             worst = max(worst, opnorm(ms.v @ i_t - i_st @ ms.v @ i_t))
             worst = max(worst, opnorm(ms.v @ p_t - p_st @ ms.v @ p_t))
     return worst
-
-
-def _subsets(outs):
-    for r in range(len(outs) + 1):
-        yield from (frozenset(c) for c in itertools.combinations(outs, r))

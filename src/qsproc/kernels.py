@@ -27,9 +27,11 @@ from .words import (
     Event,
     EventWord,
     OutcomeSpaces,
+    event_label,
     partitions_of_factor,
     pull_back,
     right_multiply,
+    subsets,
     unit_word,
 )
 
@@ -207,17 +209,29 @@ def _verdict(name, residual, tol, witness, missing=None) -> AxiomCheck:
 
 
 def check_positivity(oracle: KernelOracle, tol: float = POSITIVITY_TOL) -> AxiomCheck:
-    """The block Gram matrix over (word, basis) pairs must be PSD up to a
-    relative eigenvalue tolerance."""
+    """The block Gram matrix over (word, basis) pairs must be Hermitian and
+    PSD up to a relative tolerance."""
     if not oracle.words:
         raise ValueError("word list is empty")
-    g = linalg.hermitize(oracle.gram())
-    vals = np.linalg.eigvalsh(g)
+    vals = np.linalg.eigvalsh(linalg.hermitize(oracle.gram()))
+    return positivity_verdict(oracle, vals, tol)
+
+
+def positivity_verdict(oracle: KernelOracle, vals: np.ndarray, tol: float) -> AxiomCheck:
+    """Positivity from the spectrum `vals` (any order) of the hermitized Gram
+    matrix, relative to its largest magnitude.
+
+    Hermitizing hides an anti-Hermitian part of the table, so the table's
+    Hermiticity defect on the same scale is a residual too."""
     scale = max(float(np.max(np.abs(vals))), 1e-300)
-    residual = max(0.0, -float(vals[0])) / scale
-    return _verdict(
-        "positivity", residual, tol, f"least eigenvalue {vals[0]:.3e} of the Gram matrix"
-    )
+    least = float(np.min(vals))
+    residual = max(0.0, -least) / scale
+    witness = f"least eigenvalue {least:.3e} of the Gram matrix"
+    defect = oracle.hermitian_defect()
+    if defect / scale > residual:
+        residual = defect / scale
+        witness = f"Hermiticity defect {defect:.3e} of the kernel table"
+    return _verdict("positivity", residual, tol, witness)
 
 
 def check_normalization(
@@ -292,7 +306,7 @@ def check_factorizability(
         if not idx_l:
             continue
         for t in sorted(l, key=site.index):
-            for b_ev in _all_subsets(spaces.outcomes(t)):
+            for b_ev in subsets(spaces.outcomes(t)):
                 ev = Event.from_dict({t: b_ev})
                 mapped = []
                 gap = None
@@ -482,12 +496,5 @@ def check_axioms(
     return AxiomReport(tuple(checks))
 
 
-def _all_subsets(outs: Sequence[str]):
-    for r in range(len(outs) + 1):
-        yield from (frozenset(c) for c in itertools.combinations(outs, r))
-
-
 def _word_label(w: EventWord) -> str:
-    if w.is_unit():
-        return "e"
-    return "{" + ", ".join(f"{sorted(b)}@{t}" for t, b in w.factors) + "}"
+    return "e" if w.is_unit() else event_label(w)

@@ -79,13 +79,13 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 def psd_eigencut(gram: np.ndarray, rel_tol: float):
     """Rank-revealing eigendecomposition of a Hermitian PSD matrix.
 
+    `gram` is read as Hermitian (pass it through `hermitize` first).
     Eigenvalues below ``rel_tol * max(eigenvalue)`` are treated as zero.
-    Returns ``(kept_values, kept_vectors, dropped_values)`` with kept pairs in
-    descending eigenvalue order and each eigenvector phase-fixed so that its
-    first significant component is real positive.
+    Returns ``(kept_values, kept_vectors, dropped_values)``, each in
+    descending eigenvalue order, with each kept eigenvector phase-fixed so
+    that its first significant component is real positive.
     """
-    g = hermitize(asmatrix(gram))
-    vals, vecs = np.linalg.eigh(g)  # ascending
+    vals, vecs = np.linalg.eigh(asmatrix(gram))  # ascending
     vals, vecs = vals[::-1], vecs[:, ::-1]
     top = float(vals[0]) if vals.size else 0.0
     cut = rel_tol * max(top, 0.0)
@@ -127,9 +127,14 @@ def projector_onto_columns(x: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
     if x.size == 0:
         return np.zeros((n, n), dtype=COMPLEX)
     u, s, _ = np.linalg.svd(x, full_matrices=False)
-    keep = s > rel_tol * (s[0] if s.size else 0.0)
-    basis = u[:, keep]
+    basis = u[:, svd_cut(s, rel_tol)]
     return basis @ dagger(basis)
+
+
+def svd_cut(s: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Mask of the singular values (in descending order) above ``rel_tol``
+    times the largest: the rank cut of every SVD column basis."""
+    return s > rel_tol * (s[0] if s.size else 0.0)
 
 
 def join_projectors(projs, rel_tol: float = 1e-9) -> np.ndarray:

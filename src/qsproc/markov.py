@@ -23,7 +23,14 @@ from . import linalg
 from .linalg import COMPLEX, dagger, opnorm
 from .models import CheckEntry, HilbertModel, ModelReport
 from .sites import CausalSite, SiteClasses, derive_classes
-from .words import Event, EventWord, enumerate_words, pointwise_product_table
+from .words import (
+    Event,
+    EventWord,
+    enumerate_words,
+    event_label,
+    pointwise_product_table,
+    subsets,
+)
 
 MEMBERSHIP_TOL = 1e-8
 COMMUTATIVITY_TOL = 1e-9
@@ -77,9 +84,8 @@ def generate_algebra(generators: Sequence[np.ndarray], unit: np.ndarray) -> Gene
 def _orthonormal_rows(rows: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
     if rows.size == 0:
         return rows.reshape(0, rows.shape[-1] if rows.ndim == 2 else 0)
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    keep = s > rel_tol * (s[0] if s.size else 0.0)
-    return np.ascontiguousarray(vh[keep])
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    return np.ascontiguousarray(vh[linalg.svd_cut(s, rel_tol)])
 
 
 # -- model-level structure ----------------------------------------------------
@@ -160,7 +166,7 @@ def check_dynamicity(
                 d = alg.membership_distance(compressed)
                 if d > worst_m:
                     worst_m, wit_m = d, (
-                        f"event {_event_label(ev)} compressed to slice {sorted(l)}"
+                        f"event {event_label(ev)} compressed to slice {sorted(l)}"
                     )
                 for t in sorted(l, key=site.index):
                     for x in model.spaces.outcomes(t):
@@ -168,7 +174,7 @@ def check_dynamicity(
                         c = opnorm(compressed @ own - own @ compressed)
                         if c > worst_w:
                             worst_w, wit_w = c, (
-                                f"[{_event_label(ev)} compressed, atom {x!r}@{t!r}]"
+                                f"[{event_label(ev)} compressed, atom {x!r}@{t!r}]"
                             )
     entries.append(CheckEntry("dynamicity", worst_m, wit_m, tol))
     entries.append(CheckEntry("weak_commutativity", worst_w, wit_w, tol))
@@ -181,10 +187,7 @@ def _slice_events(model: HilbertModel, site: CausalSite, l):
     pts = sorted(l, key=site.index)
     per_point = []
     for t in pts:
-        outs = model.spaces.outcomes(t)
-        subs = [frozenset(c) for r in range(len(outs) + 1)
-                for c in itertools.combinations(outs, r)]
-        per_point.append([(t, b) for b in subs])
+        per_point.append([(t, b) for b in subsets(model.spaces.outcomes(t))])
     for combo in itertools.product(*per_point):
         factors = {t: b for t, b in combo if b != model.spaces.full(t)}
         if factors:
@@ -438,7 +441,3 @@ def _rotate_slice_atoms(model: HilbertModel, l0, rng) -> HilbertModel:
         algebra=model.algebra,
         symmetry=model.symmetry,
     )
-
-
-def _event_label(ev: Event) -> str:
-    return "{" + ", ".join(f"{sorted(b)}@{t}" for t, b in ev.factors) + "}"

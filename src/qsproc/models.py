@@ -26,6 +26,7 @@ from .words import (
     EventWord,
     OutcomeSpaces,
     partitions_of_factor,
+    subsets,
 )
 
 PROJECTOR_TOL = 1e-10
@@ -380,9 +381,9 @@ def check_model(
         rel_ind = site.independent(a, b)
         if not (rel_eq or rel_ind):
             continue
-        for ba in _all_subsets(model.spaces.outcomes(a)):
+        for ba in subsets(model.spaces.outcomes(a)):
             pa = model.point_projector(a, ba)
-            for bb in _all_subsets(model.spaces.outcomes(b)):
+            for bb in subsets(model.spaces.outcomes(b)):
                 pb = model.point_projector(b, bb)
                 prod = pa @ pb
                 r = max(opnorm(prod - pb @ pa), linalg.projector_defect(prod))
@@ -425,7 +426,7 @@ def check_model(
     worst_c, wit_c = 0.0, ""
     for k, gens in model.algebra.items():
         for t in k:
-            for b in _all_subsets(model.spaces.outcomes(t)):
+            for b in subsets(model.spaces.outcomes(t)):
                 p = model.point_projector(t, b)
                 for gi, g in enumerate(gens):
                     r = opnorm(p @ g - g @ p)
@@ -443,7 +444,7 @@ def check_model(
         pmap = dict(site_sym.maps[s]) if site_sym and s in site_sym.maps else {}
         for t, st in pmap.items():
             g = ms.outcome_maps[t]
-            for b in _all_subsets(model.spaces.outcomes(st)):
+            for b in subsets(model.spaces.outcomes(st)):
                 bs = frozenset(x for x in model.spaces.outcomes(t) if g[x] in b)
                 lhs = v @ model.point_projector(t, bs)
                 rhs = model.point_projector(st, b) @ v @ model.unit_p({t})
@@ -453,11 +454,6 @@ def check_model(
     record("covariance", worst_s, wit_s)
 
     return ModelReport(tuple(entries))
-
-
-def _all_subsets(outs: Sequence[str]):
-    for r in range(len(outs) + 1):
-        yield from (frozenset(c) for c in itertools.combinations(outs, r))
 
 
 def _blocks_within(classes: SiteClasses, l: frozenset[str]) -> list[frozenset[str]]:

@@ -15,7 +15,6 @@ for identical inputs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -28,11 +27,11 @@ from .kernels import (
     KernelOracle,
     check_covariance,
     check_normalization,
-    check_positivity,
+    positivity_verdict,
     _word_label,
 )
 from .models import HilbertModel, ModelSymmetry
-from .words import Event, right_multiply
+from .words import Event, event_label, right_multiply
 
 RANK_TOL = 1e-9
 DECOMPOSITION_TOL = 1e-8
@@ -95,10 +94,15 @@ def build_space(
 ) -> GnsSpace:
     """Quotient the formal sums by the kernel's null space.
 
-    Refuses when positivity (at `positivity_tol`) or normalization fail:
-    without them the form is not an inner product on the quotient.
+    Refuses when positivity (at `positivity_tol`, read off the spectrum of the
+    one eigendecomposition) or normalization fail: without them the form is
+    not an inner product on the quotient.
     """
-    pos = check_positivity(oracle, positivity_tol)
+    if not oracle.words:
+        raise ValueError("word list is empty")
+    gram = linalg.hermitize(oracle.gram())
+    kept, vecs, dropped = linalg.psd_eigencut(gram, rank_tol)
+    pos = positivity_verdict(oracle, np.concatenate([kept, dropped]), positivity_tol)
     if not pos.ok:
         raise ReconstructionRefused(
             f"positivity fails ({pos.witness}, residual {pos.residual:.3e})"
@@ -108,8 +112,6 @@ def build_space(
         raise ReconstructionRefused(
             f"normalization fails (residual {norm.residual:.3e})"
         )
-    gram = linalg.hermitize(oracle.gram())
-    kept, vecs, dropped = linalg.psd_eigencut(gram, rank_tol)
     coords = np.sqrt(kept)[:, None] * dagger(vecs)
     return GnsSpace(
         oracle=oracle,
@@ -160,7 +162,7 @@ def represent_event(
             if strict_closure:
                 raise ReconstructionRefused(
                     f"word list is not closed under multiplication by "
-                    f"{_event_label(event)}; close it with the all-subsets policy"
+                    f"{event_label(event)}; close it with the all-subsets policy"
                 )
             continue
         idx.append(i)
@@ -204,12 +206,11 @@ def represent_algebra(
     out: dict[frozenset, tuple] = {}
     for block, gens in generators.items():
         idx = sorted(oracle.words_within(oracle.site.down_set(block)))
+        values = oracle.table[np.ix_(idx, idx)]
         represented = []
         for gi, a in enumerate(gens):
             a = np.asarray(a, dtype=COMPLEX)
-            worst = 0.0
-            for i, j in itertools.product(idx, repeat=2):
-                worst = max(worst, opnorm(oracle.table[i, j] @ a - a @ oracle.table[i, j]))
+            worst, _ = linalg.worst_block(values @ a - a @ values)
             if worst > commutation_tol:
                 raise ReconstructionRefused(
                     f"generator {gi} of block {sorted(block)} does not commute "
@@ -223,17 +224,21 @@ def represent_algebra(
 def _algebra_action(gns: GnsSpace, idx: Sequence[int], a: np.ndarray) -> np.ndarray:
     # The represented operator is the adjoint of the adjoint generator's
     # action on the vector leg, extended by zero off the eligible span.
+    y = _vector_leg(gns, idx, dagger(a))
+    lam_star = linalg.map_on_span(gns.pair_coords(idx), y, gns.rank_tol)
+    return dagger(lam_star)
+
+
+def _vector_leg(gns: GnsSpace, idx: Sequence[int], op: np.ndarray) -> np.ndarray:
+    """Coordinates of the pairs of the words `idx` with `op` applied to their
+    initial-vector leg: column (i, al) is sum_b op[b, al] * pair (i, b)."""
     k = gns.kdim
-    x = gns.pair_coords(idx)
     cols = []
-    a_star = dagger(a)
     for i in idx:
         base = [gns.coords[:, gns.pair_column(i, b)] for b in range(k)]
         for al in range(k):
-            cols.append(sum(a_star[b, al] * base[b] for b in range(k)))
-    y = np.column_stack(cols) if cols else np.zeros((gns.rank, 0), dtype=COMPLEX)
-    lam_star = linalg.map_on_span(x, y, gns.rank_tol)
-    return dagger(lam_star)
+            cols.append(sum(op[b, al] * base[b] for b in range(k)))
+    return np.column_stack(cols) if cols else np.zeros((gns.rank, 0), dtype=COMPLEX)
 
 
 def represent_symmetry(
@@ -273,17 +278,8 @@ def represent_symmetry(
                     "is outside the word list"
                 )
             transported.append(j)
-        k = gns.kdim
-        u = np.asarray(sym.u, dtype=COMPLEX)
-        x = gns.pair_coords(eligible)
-        cols = []
-        u_star = dagger(u)
-        for j in transported:
-            base = [gns.coords[:, gns.pair_column(j, b)] for b in range(k)]
-            for al in range(k):
-                cols.append(sum(u_star[b, al] * base[b] for b in range(k)))
-        y = np.column_stack(cols) if cols else np.zeros((gns.rank, 0), dtype=COMPLEX)
-        pulled = linalg.map_on_span(x, y, gns.rank_tol)
+        y = _vector_leg(gns, transported, dagger(np.asarray(sym.u, dtype=COMPLEX)))
+        pulled = linalg.map_on_span(gns.pair_coords(eligible), y, gns.rank_tol)
         out[s] = dagger(pulled)
     return out
 
@@ -453,7 +449,3 @@ def verify_decomposition(
     i, j = at
     witness = f"pair ({_word_label(oracle.words[i])}, {_word_label(oracle.words[j])})"
     return DecompositionReport(worst, witness, tol)
-
-
-def _event_label(event: Event) -> str:
-    return "{" + ", ".join(f"{sorted(b)}@{t}" for t, b in event.factors) + "}"

@@ -128,6 +128,17 @@ class EventWord:
         return not self.factors
 
 
+def subsets(outs: Sequence[str]) -> list[frozenset[str]]:
+    """Every subset of an outcome tuple, by size, then in combination order
+    (the empty set first, the full set last)."""
+    return [frozenset(c) for r in range(len(outs) + 1)
+            for c in itertools.combinations(outs, r)]
+
+
+def event_label(event: Event | EventWord) -> str:
+    return "{" + ", ".join(f"{sorted(b)}@{t}" for t, b in event.factors) + "}"
+
+
 def unit_word() -> EventWord:
     return EventWord(())
 
@@ -235,11 +246,7 @@ def enumerate_words(
     for t in site.points:
         outs = spaces.outcomes(t)
         if policy == POLICY_ALL_SUBSETS:
-            choices = [
-                frozenset(c)
-                for r in range(len(outs) + 1)
-                for c in itertools.combinations(outs, r)
-            ]
+            choices = subsets(outs)
         elif policy == POLICY_ATOMS_PLUS_UNIT:
             choices = [frozenset(outs)] + [frozenset({x}) for x in outs]
         else:

@@ -58,6 +58,20 @@ class TestPositivity:
         with pytest.raises(ValueError):
             check_positivity(oracle)
 
+    def test_hermiticity_defect_fails(self):
+        # an anti-Hermitian pair of entries leaves the hermitized Gram matrix,
+        # and so its spectrum, unchanged
+        model, site = fixtures.qubit_zx()
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+        i, j = 6, 5  # {['0']@t1, ['-']@t2}, {['0']@t1, ['+']@t2}
+        oracle.table[i, j] += 0.05
+        oracle.table[j, i] -= 0.05
+        assert oracle.hermitian_defect() == pytest.approx(0.1)
+        check = check_positivity(oracle)
+        assert check.status == FAIL
+        assert check.witness == "Hermiticity defect 1.000e-01 of the kernel table"
+        assert check.residual == pytest.approx(0.1 / 3.0)  # Gram scale 3
+
     def test_psd_stable_under_restriction(self, qubit_oracle):
         # principal submatrices of a PSD table stay PSD
         rng = np.random.default_rng(3)

@@ -112,6 +112,20 @@ class TestReconstruct:
         table_file = write(tmp_path, "bad.json", serialize.oracle_to_json(oracle))
         assert cli.main(["reconstruct", table_file]) == 1
 
+    def test_non_hermitian_table_exits_one(self, tmp_path, capsys):
+        model, site = fixtures.qubit_zx()
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+        oracle.table[6, 5] += 0.05
+        oracle.table[5, 6] -= 0.05
+        table_file = write(tmp_path, "table.json", serialize.oracle_to_json(oracle))
+        assert cli.main(["reconstruct", table_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "reconstruction refused: positivity fails (Hermiticity defect 1.000e-01 "
+            "of the kernel table, residual 3.333e-02)\n"
+        )
+
     @pytest.mark.parametrize("defect", ["missing", "negative", "past_end", "repeated"])
     def test_malformed_table_exits_two(self, tmp_path, capsys, defect):
         model, site = fixtures.qubit_zx()

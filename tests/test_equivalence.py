@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qsproc import fixtures
+from qsproc import fixtures, linalg
 from qsproc.equivalence import (
     EquivalenceRefused,
     build_unitary,
@@ -143,8 +143,49 @@ class TestBuildUnitary:
     def test_non_minimal_refused(self, qubit):
         model, site, words = qubit
         padded = fixtures.with_untouched_ancilla(model, 3)
-        with pytest.raises(EquivalenceRefused, match="minimal"):
+        with pytest.raises(EquivalenceRefused, match="the second model is not minimal"):
             build_unitary(model, padded, site, words)
+
+    def test_mismatched_initial_spaces_rejected(self, qubit):
+        model, site, words = qubit
+        other, _ = fixtures.diagonal_kdim2()
+        with pytest.raises(ValueError, match="initial spaces differ"):
+            build_unitary(model, other, site, words)
+
+    def test_one_product_stack_per_model(self, qubit, monkeypatch):
+        model, site, words = qubit
+        padded = fixtures.with_untouched_ancilla(model, 3)
+        m1 = minimal_modification(model, site, words)
+        m2 = minimal_modification(padded, site, words)
+        calls = []
+
+        def counted(self, *args, _orig=HilbertModel.products, **kwargs):
+            calls.append(self)
+            return _orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(HilbertModel, "products", counted)
+        build_unitary(m1, m2, site, words)
+        assert calls == [m1, m2]
+
+    @pytest.mark.parametrize("seed", [0, 4, 7])
+    def test_matches_separate_stack_formula(self, seed):
+        # the formula that built each product stack separately, kept as the
+        # reference: the unitary and its residuals agree bit for bit
+        model, site = fixtures.random_valid_model(seed)
+        words = enumerate_words(site, model.spaces)
+        m1 = minimal_modification(model, site, words)
+        m2 = minimal_modification(fixtures.with_untouched_ancilla(model, 2), site, words)
+        assert check_wide_equivalence(m1, m2, site, words).equivalent
+        assert is_minimal(m1, site, words) and is_minimal(m2, site, words)
+        x = linalg.side_by_side(m1.products(site, words))
+        y = linalg.side_by_side(m2.products(site, words))
+        vals, vecs, _ = linalg.psd_eigencut(linalg.hermitize(dagger(x) @ x), 1e-9)
+        z = vecs / np.sqrt(vals)[None, :]
+        u = (y @ z) @ dagger(x @ z)
+        expected = check_model_relation(m1, m2, u, site)
+        morphism = build_unitary(m1, m2, site, words)
+        assert np.array_equal(morphism.u, u)
+        assert morphism.to_dict() == expected.to_dict()
 
 
 class TestModelRelation:

@@ -78,6 +78,26 @@ class TestBuildSpace:
         with pytest.raises(ReconstructionRefused, match="normalization"):
             build_space(oracle)
 
+    def test_one_eigendecomposition(self, monkeypatch):
+        model, site = fixtures.random_valid_model(4)
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _orig=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        build_space(oracle)
+        assert calls == ["eigh"]
+
+    def test_empty_word_list_rejected(self):
+        site = chain_site(("t",))
+        spaces = OutcomeSpaces({"t": ("0",)})
+        oracle = KernelOracle.from_values(site, spaces, [], {})
+        with pytest.raises(ValueError, match="word list is empty"):
+            build_space(oracle)
+
     def test_embedded_initial_space_isometric(self, qubit_recon):
         _, _, _, recon = qubit_recon
         emb = recon.gns.initial_embedding()

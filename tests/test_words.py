@@ -17,6 +17,7 @@ from qsproc.words import (
     pull_back,
     reassemble,
     right_multiply,
+    subsets,
     to_chain_sequence,
     unit_word,
 )
@@ -134,6 +135,16 @@ class TestChainSequence:
         w = word({"t1": {"0"}, "t2": {"+"}})
         _, blocks = to_chain_sequence(SITE, w, SPACES)
         assert reassemble(blocks, SPACES) == w
+
+
+class TestSubsets:
+    def test_order_by_size_then_combination(self):
+        assert subsets(("a", "b", "c")) == [
+            frozenset(),
+            frozenset("a"), frozenset("b"), frozenset("c"),
+            frozenset("ab"), frozenset("ac"), frozenset("bc"),
+            frozenset("abc"),
+        ]
 
 
 class TestEnumerateWords:
