@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import linalg
+from .config import RunConfig
 from .linalg import COMPLEX, opnorm
 from .markov import pointwise_factorization_residual
 from .models import CheckEntry, HilbertModel, ModelReport, ModelSymmetry
@@ -31,10 +32,6 @@ from .words import (
     partitions_of_factor,
     subsets,
 )
-
-ULTRASTATIONARITY_TOL = 1e-12
-CLASSICAL_TOL = 1e-12
-LIFT_TOL = 1e-8
 
 
 class ReductionRefused(ValueError):
@@ -144,7 +141,7 @@ def lift_process(
 
 
 def enumerate_level_words(
-    model: HilbertModel, site: CausalSite, cap: int = 20000
+    model: HilbertModel, site: CausalSite, cap: int = RunConfig.cap
 ) -> list[EventWord]:
     """Words with at most one supported position per level, the words whose
     kernel values carry the arbitrarily ordered device correlations."""
@@ -185,7 +182,7 @@ def check_ultrastationarity(
     model: HilbertModel,
     site: CausalSite,
     words: Sequence[EventWord],
-    tol: float = ULTRASTATIONARITY_TOL,
+    tol: float = RunConfig.ultrastationarity_tol,
 ) -> ModelReport:
     """Exhaustive level-shift invariance of the kernel over the word list."""
     depth = site.meta["depth"]
@@ -255,8 +252,8 @@ def verify_lift(
     depth: int,
     spaces: Mapping[str, Sequence[str]],
     words: Sequence[EventWord] | None = None,
-    tol: float = LIFT_TOL,
-    cap: int = 20000,
+    tol: float = RunConfig.decomposition_tol,
+    cap: int = RunConfig.cap,
 ) -> LiftReport:
     """End-to-end check of the level lift.
 
@@ -340,7 +337,7 @@ class ClassicalReduction:
     def ok(self) -> bool:
         return (
             abs(self.total_mass - 1.0) <= self.tolerance
-            and self.factorization_residual <= max(self.tolerance, 1e-9)
+            and self.factorization_residual <= max(self.tolerance, RunConfig.commutativity_tol)
             and self.additivity_residual <= self.tolerance
             and self.marginal_residual <= self.tolerance
         )
@@ -361,7 +358,7 @@ class ClassicalReduction:
 def classical_reduce(
     model: HilbertModel,
     site: CausalSite,
-    tol: float = CLASSICAL_TOL,
+    tol: float = RunConfig.classical_tol,
     words: Sequence[EventWord] | None = None,
 ) -> ClassicalReduction:
     """Reduce a fully commuting scalar model to a probability measure on the
@@ -387,7 +384,7 @@ def classical_reduce(
             r = opnorm(pa @ pb - pb @ pa)
             if r > worst_comm:
                 worst_comm, comm_wit = r, f"[{x!r}@{a!r}, {y!r}@{b!r}]"
-    if worst_comm > 1e-9:
+    if worst_comm > RunConfig.commutativity_tol:
         witness = _interference_obstruction(model, site) or (
             f"commutator {comm_wit} has norm {worst_comm:.3g}"
         )
@@ -487,7 +484,7 @@ def _interference_obstruction(model: HilbertModel, site: CausalSite) -> str | No
     for t in site.points:
         if any(site.strictly_precedes(t, u) for u in site.points):
             defect = interference_witness(model, site, t)
-            if defect > 1e-12:
+            if defect > RunConfig.classical_tol:
                 return (
                     f"marginalizing {t!r} changes later statistics by {defect:.3g}"
                 )
@@ -498,7 +495,7 @@ def interference_witness(
     model: HilbertModel,
     site: CausalSite,
     t_marginal: str,
-    cap: int = 20000,
+    cap: int = RunConfig.cap,
 ) -> float:
     """Largest additivity defect from marginalizing one point.
 

@@ -203,13 +203,7 @@ def cmd_check(args, config: RunConfig) -> int:
     words = _word_list(site, model.spaces, config)
     oracle = model.kernel_table(site, words, classes, site_sym=sym)
     axiom_report = check_axioms(
-        oracle,
-        positivity_tol=config.positivity_tol,
-        normalization_tol=config.normalization_tol,
-        additivity_tol=config.axiom_tol,
-        factorizability_tol=config.axiom_tol,
-        covariance_tol=config.axiom_tol,
-        projectivity_tol=config.axiom_tol,
+        oracle, config.positivity_tol, config.normalization_tol, config.axiom_tol
     )
     # inconclusive checks (restricted word policies) are not violations
     ok = model_report.ok and not axiom_report.failed
@@ -381,7 +375,9 @@ def cmd_lift(args, config: RunConfig) -> int:
         spaces = {x: tuple(v) for x, v in data["spaces"].items()}
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(str(exc)) from None
-    report = verify_lift(devices, initial, depth, spaces, cap=config.cap)
+    report = verify_lift(
+        devices, initial, depth, spaces, tol=config.decomposition_tol, cap=config.cap
+    )
     _emit({"lift": report.to_dict()}, config)
     return EXIT_OK if report.ok else EXIT_MATH
 

@@ -16,12 +16,11 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
+from .config import RunConfig
 from .linalg import COMPLEX, dagger, opnorm
 from .models import HilbertModel, ModelSymmetry
 from .sites import CausalSite, SiteClasses, SiteSymmetry, derive_classes
 from .words import EventWord, enumerate_words, subsets
-
-EQUIV_TOL = 1e-8
 
 
 class EquivalenceRefused(ValueError):
@@ -33,16 +32,17 @@ def _feynman_stack(model: HilbertModel, site: CausalSite, words) -> np.ndarray:
     return linalg.side_by_side(model.products(site, words))
 
 
-def minimal_rank(model: HilbertModel, site: CausalSite, words, rel_tol=1e-9) -> int:
-    return _stack_rank(_feynman_stack(model, site, words), rel_tol)
+def minimal_rank(model: HilbertModel, site: CausalSite, words) -> int:
+    return _stack_rank(_feynman_stack(model, site, words))
 
 
-def _stack_rank(stack: np.ndarray, rel_tol: float) -> int:
-    return int(np.sum(linalg.svd_cut(np.linalg.svd(stack, compute_uv=False), rel_tol)))
+def _stack_rank(stack: np.ndarray) -> int:
+    s = np.linalg.svd(stack, compute_uv=False)
+    return int(np.sum(linalg.svd_cut(s, RunConfig.rank_tol)))
 
 
-def is_minimal(model: HilbertModel, site: CausalSite, words, rel_tol=1e-9) -> bool:
-    return minimal_rank(model, site, words, rel_tol) == model.dim
+def is_minimal(model: HilbertModel, site: CausalSite, words) -> bool:
+    return minimal_rank(model, site, words) == model.dim
 
 
 def minimal_modification(
@@ -51,7 +51,6 @@ def minimal_modification(
     words: Sequence[EventWord] | None = None,
     classes: SiteClasses | None = None,
     regular: bool = False,
-    rel_tol: float = 1e-9,
     antichain_cap: int = 4096,
 ) -> HilbertModel:
     """Compress a model to the span of its chronological product vectors.
@@ -67,7 +66,7 @@ def minimal_modification(
         words = enumerate_words(site, model.spaces)
     stack = _feynman_stack(model, site, words)
     u, s, _ = np.linalg.svd(stack, full_matrices=False)
-    w = u[:, linalg.svd_cut(s, rel_tol)]  # orthonormal basis of the minimal subspace
+    w = u[:, linalg.svd_cut(s, RunConfig.rank_tol)]  # orthonormal basis of the minimal subspace
     wd = dagger(w)
 
     word_index = {word: i for i, word in enumerate(words)}
@@ -79,7 +78,7 @@ def minimal_modification(
             for wd_ in eligible_words
         ]
         mat = np.hstack(cols) if cols else np.zeros((model.dim, 0), dtype=COMPLEX)
-        return linalg.projector_onto_columns(mat, rel_tol)
+        return linalg.projector_onto_columns(mat)
 
     down = {l: site.down_set(l) for l in classes.maximal_antichains}
     slice_proj = {
@@ -161,7 +160,7 @@ def check_wide_equivalence(
     m2: HilbertModel,
     site: CausalSite,
     words: Sequence[EventWord],
-    tol: float = EQUIV_TOL,
+    tol: float = RunConfig.equivalence_tol,
 ) -> EquivalenceVerdict:
     """Entrywise comparison of the two kernel tables."""
     return _compare_tables(*_product_stacks(m1, m2, site, words), tol)
@@ -224,8 +223,7 @@ def build_unitary(
     m2: HilbertModel,
     site: CausalSite,
     words: Sequence[EventWord],
-    tol: float = EQUIV_TOL,
-    rel_tol: float = 1e-9,
+    tol: float = RunConfig.equivalence_tol,
 ) -> ModelMorphism:
     """Unitary sending the first minimal model onto the second.
 
@@ -243,12 +241,12 @@ def build_unitary(
         )
     x, y = linalg.side_by_side(f1), linalg.side_by_side(f2)
     for name, m, stack in (("first", m1, x), ("second", m2, y)):
-        if _stack_rank(stack, rel_tol) != m.dim:
+        if _stack_rank(stack) != m.dim:
             raise EquivalenceRefused(
                 f"the {name} model is not minimal; compress it first"
             )
     gram = linalg.hermitize(dagger(x) @ x)
-    vals, vecs, _ = linalg.psd_eigencut(gram, rel_tol)
+    vals, vecs, _ = linalg.psd_eigencut(gram, RunConfig.rank_tol)
     z = vecs / np.sqrt(vals)[None, :]
     q1 = x @ z
     q2 = y @ z
@@ -298,7 +296,7 @@ def check_model_relation(
     m_big: HilbertModel,
     u: np.ndarray,
     site: CausalSite,
-    tol: float = EQUIV_TOL,
+    tol: float = RunConfig.equivalence_tol,
     site_sym: SiteSymmetry | None = None,
 ) -> ModelMorphism:
     """Measure how well `u` realizes the first model inside the second.

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import linalg
+from .config import RunConfig
 from .linalg import COMPLEX, dagger, opnorm
 from .sites import CausalSite, SiteClasses, derive_classes
 from .words import (
@@ -38,14 +39,6 @@ from .words import (
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
-
-POSITIVITY_TOL = 1e-9
-NORMALIZATION_TOL = 1e-12
-ADDITIVITY_TOL = 1e-9
-FACTORIZABILITY_TOL = 1e-9
-COVARIANCE_TOL = 1e-9
-PROJECTIVITY_TOL = 1e-9
-REGULARITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -208,7 +201,9 @@ def _verdict(name, residual, tol, witness, missing=None) -> AxiomCheck:
 # -- the axiom battery --------------------------------------------------------
 
 
-def check_positivity(oracle: KernelOracle, tol: float = POSITIVITY_TOL) -> AxiomCheck:
+def check_positivity(
+    oracle: KernelOracle, tol: float = RunConfig.positivity_tol
+) -> AxiomCheck:
     """The block Gram matrix over (word, basis) pairs must be Hermitian and
     PSD up to a relative tolerance."""
     if not oracle.words:
@@ -235,7 +230,7 @@ def positivity_verdict(oracle: KernelOracle, vals: np.ndarray, tol: float) -> Ax
 
 
 def check_normalization(
-    oracle: KernelOracle, tol: float = NORMALIZATION_TOL
+    oracle: KernelOracle, tol: float = RunConfig.normalization_tol
 ) -> AxiomCheck:
     """The kernel at the unit word pair must be the identity on K."""
     e = oracle.unit_index()
@@ -244,7 +239,7 @@ def check_normalization(
 
 
 def check_sigma_additivity(
-    oracle: KernelOracle, tol: float = ADDITIVITY_TOL
+    oracle: KernelOracle, tol: float = RunConfig.axiom_tol
 ) -> AxiomCheck:
     """Partitioning a word's factor at any point of a maximal slice must sum
     the kernel: diagonally, and against every other word (the sesquilinear
@@ -293,7 +288,7 @@ def check_sigma_additivity(
 
 
 def check_factorizability(
-    oracle: KernelOracle, tol: float = FACTORIZABILITY_TOL
+    oracle: KernelOracle, tol: float = RunConfig.axiom_tol
 ) -> AxiomCheck:
     """Right multiplication by an event at a point of a maximal slice must
     move freely across the two kernel arguments."""
@@ -330,7 +325,9 @@ def check_factorizability(
     return _verdict("factorizability", worst, tol, witness, missing)
 
 
-def check_covariance(oracle: KernelOracle, tol: float = COVARIANCE_TOL) -> AxiomCheck:
+def check_covariance(
+    oracle: KernelOracle, tol: float = RunConfig.axiom_tol
+) -> AxiomCheck:
     """Transported word pairs must reproduce the kernel conjugated by the
     initial-space isometry, for every symmetry element."""
     if not oracle.symmetry:
@@ -370,7 +367,7 @@ def check_covariance(oracle: KernelOracle, tol: float = COVARIANCE_TOL) -> Axiom
 
 
 def check_projectivity(
-    oracle: KernelOracle, tol: float = PROJECTIVITY_TOL, pair_cap: int = 64
+    oracle: KernelOracle, tol: float = RunConfig.axiom_tol, pair_cap: int = 64
 ) -> AxiomCheck:
     """Unit extension invariance (exact in the canonical word encoding, still
     exercised) plus, when a realizing model is attached, the consistency of
@@ -429,7 +426,7 @@ def check_projectivity(
 
 
 def check_regularity(
-    oracle: KernelOracle, tol: float = REGULARITY_TOL
+    oracle: KernelOracle, tol: float = RunConfig.regularity_tol
 ) -> AxiomCheck:
     """Asymptotic noncorrelation with the distant past.
 
@@ -449,7 +446,7 @@ def check_regularity(
         down = site.down_set(l)
         idx_l = oracle.words_within(down)
         g_l = oracle.gram(idx_l)
-        g_pinv = linalg.pinv(g_l, 1e-9)
+        g_pinv = linalg.pinv(g_l, RunConfig.rank_tol)
         worst_b, wit = 0.0, ""
         for i, b in enumerate(oracle.words):
             # cross inner products of the centered vector against the slice span
@@ -474,26 +471,18 @@ def check_regularity(
 
 def check_axioms(
     oracle: KernelOracle,
-    positivity_tol: float = POSITIVITY_TOL,
-    normalization_tol: float = NORMALIZATION_TOL,
-    additivity_tol: float = ADDITIVITY_TOL,
-    factorizability_tol: float = FACTORIZABILITY_TOL,
-    covariance_tol: float = COVARIANCE_TOL,
-    projectivity_tol: float = PROJECTIVITY_TOL,
-    with_regularity: bool = False,
-    regularity_tol: float = REGULARITY_TOL,
+    positivity_tol: float = RunConfig.positivity_tol,
+    normalization_tol: float = RunConfig.normalization_tol,
+    axiom_tol: float = RunConfig.axiom_tol,
 ) -> AxiomReport:
-    checks = [
+    return AxiomReport((
         check_positivity(oracle, positivity_tol),
         check_normalization(oracle, normalization_tol),
-        check_sigma_additivity(oracle, additivity_tol),
-        check_factorizability(oracle, factorizability_tol),
-        check_covariance(oracle, covariance_tol),
-        check_projectivity(oracle, projectivity_tol),
-    ]
-    if with_regularity:
-        checks.append(check_regularity(oracle, regularity_tol))
-    return AxiomReport(tuple(checks))
+        check_sigma_additivity(oracle, axiom_tol),
+        check_factorizability(oracle, axiom_tol),
+        check_covariance(oracle, axiom_tol),
+        check_projectivity(oracle, axiom_tol),
+    ))
 
 
 def _word_label(w: EventWord) -> str:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import RunConfig
+
 COMPLEX = np.complex128
 
 
@@ -120,7 +122,7 @@ def map_on_span(sources: np.ndarray, images: np.ndarray, rel_tol: float) -> np.n
     return asmatrix(images) @ pinv(sources, rel_tol)
 
 
-def projector_onto_columns(x: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
+def projector_onto_columns(x: np.ndarray, rel_tol: float = RunConfig.rank_tol) -> np.ndarray:
     """Orthogonal projector onto the column span of `x`."""
     x = np.atleast_2d(asmatrix(x))
     n = x.shape[0]
@@ -137,16 +139,16 @@ def svd_cut(s: np.ndarray, rel_tol: float) -> np.ndarray:
     return s > rel_tol * (s[0] if s.size else 0.0)
 
 
-def join_projectors(projs, rel_tol: float = 1e-9) -> np.ndarray:
+def join_projectors(projs) -> np.ndarray:
     """Projector onto the sum of the ranges (lattice join)."""
     projs = list(projs)
     if not projs:
         raise ValueError("join of an empty family is undefined without a dimension")
     stacked = np.hstack([asmatrix(p) for p in projs])
-    return projector_onto_columns(stacked, rel_tol)
+    return projector_onto_columns(stacked)
 
 
-def meet_projectors(projs, rel_tol: float = 1e-9) -> np.ndarray:
+def meet_projectors(projs) -> np.ndarray:
     """Projector onto the intersection of the ranges (lattice meet).
 
     Computed algebraically as the null space of the sum of complements.
@@ -159,7 +161,7 @@ def meet_projectors(projs, rel_tol: float = 1e-9) -> np.ndarray:
     s = sum(eye - p for p in projs)
     vals, vecs = np.linalg.eigh(hermitize(s))
     scale = max(float(vals[-1]), 1.0)
-    basis = vecs[:, vals < rel_tol * scale]
+    basis = vecs[:, vals < RunConfig.rank_tol * scale]
     return basis @ dagger(basis)
 
 

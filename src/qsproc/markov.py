@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
+from .config import RunConfig
 from .linalg import COMPLEX, dagger, opnorm
 from .models import CheckEntry, HilbertModel, ModelReport
 from .sites import CausalSite, SiteClasses, derive_classes
@@ -31,11 +32,6 @@ from .words import (
     pointwise_product_table,
     subsets,
 )
-
-MEMBERSHIP_TOL = 1e-8
-COMMUTATIVITY_TOL = 1e-9
-REGRESSION_TOL = 1e-8
-RELAXATION_TOL = 1e-8
 
 
 @dataclass(eq=False)
@@ -143,7 +139,7 @@ def check_dynamicity(
     model: HilbertModel,
     site: CausalSite,
     classes: SiteClasses | None = None,
-    tol: float = MEMBERSHIP_TOL,
+    tol: float = RunConfig.membership_tol,
 ) -> ModelReport:
     """Compressions of later-slice events must stay in the slice algebra.
 
@@ -199,7 +195,7 @@ def check_regression(
     site: CausalSite,
     words: Sequence[EventWord] | None = None,
     classes: SiteClasses | None = None,
-    tol: float = REGRESSION_TOL,
+    tol: float = RunConfig.membership_tol,
 ) -> ModelReport:
     """Recompute the kernel through the nested slice compressions and compare
     with the direct value; also verify the composition identities of the
@@ -308,7 +304,7 @@ def check_narrow_commutativity(
     site: CausalSite,
     classes: SiteClasses | None = None,
     words: Sequence[EventWord] | None = None,
-    tol: float = COMMUTATIVITY_TOL,
+    tol: float = RunConfig.commutativity_tol,
 ) -> ModelReport:
     """Fully normalized dynamic models force commuting event projectors
     across comparable slices; when that holds the kernel factorizes through
@@ -337,7 +333,8 @@ def check_narrow_commutativity(
             words = enumerate_words(site, model.spaces)
         worst_f = pointwise_factorization_residual(model, site, words)
         wit_f = "factorization through the pointwise product" if worst_f > 0.0 else ""
-        entries.append(CheckEntry("complete_factorization", worst_f, wit_f, max(tol, 1e-9)))
+        tol_f = max(tol, RunConfig.commutativity_tol)
+        entries.append(CheckEntry("complete_factorization", worst_f, wit_f, tol_f))
     return ModelReport(tuple(entries))
 
 
@@ -346,7 +343,7 @@ def check_relaxation(
     site: CausalSite,
     classes: SiteClasses | None = None,
     words: Sequence[EventWord] | None = None,
-    tol: float = RELAXATION_TOL,
+    tol: float = RunConfig.membership_tol,
     perturbation_seed: int = 7,
 ) -> ModelReport:
     """Relaxation of the compression maps at the smallest slices.
@@ -363,7 +360,7 @@ def check_relaxation(
     minimal = classes.minimal_antichains()
     p0 = model.initial_projector()
     columns = {l: _slice_columns(model, site, words, l) for l in classes.maximal_antichains}
-    span = {l: linalg.projector_onto_columns(c, 1e-9) for l, c in columns.items()}
+    span = {l: linalg.projector_onto_columns(c) for l, c in columns.items()}
     algebras = {l: slice_algebra(model, classes, l, span[l]) for l in span}
     entries = []
 
@@ -387,9 +384,7 @@ def check_relaxation(
     for l0 in minimal:
         perturbed = _rotate_slice_atoms(model, l0, rng)
         e_l0 = span[l0]
-        e_l0_pert = linalg.projector_onto_columns(
-            _slice_columns(perturbed, site, words, l0), 1e-9
-        )
+        e_l0_pert = linalg.projector_onto_columns(_slice_columns(perturbed, site, words, l0))
         # unit vectors reachable by measurements on the slice
         cols = columns[l0]
         norms = np.linalg.norm(cols, axis=0)

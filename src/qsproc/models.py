@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import linalg
+from .config import RunConfig
 from .linalg import COMPLEX, dagger, opnorm
 from .sites import CausalSite, SiteClasses, SiteSymmetry, derive_classes
 from .words import (
@@ -28,8 +29,6 @@ from .words import (
     partitions_of_factor,
     subsets,
 )
-
-PROJECTOR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ class HilbertModel:
             return self.units_i[k]
         return self.identity()
 
-    def is_narrow(self, site: CausalSite, tol: float = PROJECTOR_TOL) -> bool:
+    def is_narrow(self, site: CausalSite, tol: float = RunConfig.projector_tol) -> bool:
         """Fully normalized: every unit projector is the identity."""
         eye = self.identity()
         for t in site.points:
@@ -318,7 +317,7 @@ def check_model(
     model: HilbertModel,
     site: CausalSite,
     classes: SiteClasses | None = None,
-    tol: float = PROJECTOR_TOL,
+    tol: float = RunConfig.projector_tol,
     site_sym: SiteSymmetry | None = None,
 ) -> ModelReport:
     """Verify the whole contract of a measurement model.

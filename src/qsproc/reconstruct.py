@@ -21,20 +21,18 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import linalg
+from .config import RunConfig
 from .linalg import COMPLEX, dagger, opnorm
 from .kernels import (
-    POSITIVITY_TOL,
     KernelOracle,
     check_covariance,
     check_normalization,
+    check_sigma_additivity,
     positivity_verdict,
     _word_label,
 )
 from .models import HilbertModel, ModelSymmetry
 from .words import Event, event_label, right_multiply
-
-RANK_TOL = 1e-9
-DECOMPOSITION_TOL = 1e-8
 
 
 class ReconstructionRefused(ValueError):
@@ -89,14 +87,16 @@ class GnsSpace:
 
 def build_space(
     oracle: KernelOracle,
-    rank_tol: float = RANK_TOL,
-    positivity_tol: float = POSITIVITY_TOL,
+    rank_tol: float = RunConfig.rank_tol,
+    positivity_tol: float = RunConfig.positivity_tol,
 ) -> GnsSpace:
     """Quotient the formal sums by the kernel's null space.
 
     Refuses when positivity (at `positivity_tol`, read off the spectrum of the
     one eigendecomposition) or normalization fail: without them the form is
-    not an inner product on the quotient.
+    not an inner product on the quotient.  Refuses too when sigma additivity
+    fails (not when the word list leaves it inconclusive): no measurement
+    model has such a table.
     """
     if not oracle.words:
         raise ValueError("word list is empty")
@@ -111,6 +111,12 @@ def build_space(
     if not norm.ok:
         raise ReconstructionRefused(
             f"normalization fails (residual {norm.residual:.3e})"
+        )
+    additivity = check_sigma_additivity(oracle, RunConfig.axiom_tol)
+    if additivity.status == "fail":
+        raise ReconstructionRefused(
+            f"sigma additivity fails ({additivity.witness}, "
+            f"residual {additivity.residual:.3e})"
         )
     coords = np.sqrt(kept)[:, None] * dagger(vecs)
     return GnsSpace(
@@ -141,7 +147,6 @@ def represent_event(
     gns: GnsSpace,
     block,
     event: Event,
-    rel_tol: float | None = None,
     strict_closure: bool = True,
 ) -> np.ndarray:
     """Projector of an event over a block: right multiplication on the
@@ -154,7 +159,6 @@ def represent_event(
     remaining words still span everything that matters).
     """
     oracle = gns.oracle
-    rel_tol = gns.rank_tol if rel_tol is None else rel_tol
     idx, targets = [], []
     for i in eligible_for_block(oracle, block):
         j = oracle.index(right_multiply(oracle.words[i], event, oracle.spaces))
@@ -169,7 +173,7 @@ def represent_event(
         targets.append(j)
     x = gns.pair_coords(idx)
     y = gns.pair_coords(targets)
-    return linalg.map_on_span(x, y, rel_tol)
+    return linalg.map_on_span(x, y, gns.rank_tol)
 
 
 def represent_events(
@@ -192,7 +196,6 @@ def represent_events(
 def represent_algebra(
     gns: GnsSpace,
     generators: Mapping[frozenset, tuple] | None = None,
-    commutation_tol: float = 1e-8,
 ) -> dict[frozenset, tuple]:
     """Action of the controlling algebra generators on the quotient.
 
@@ -211,7 +214,7 @@ def represent_algebra(
         for gi, a in enumerate(gens):
             a = np.asarray(a, dtype=COMPLEX)
             worst, _ = linalg.worst_block(values @ a - a @ values)
-            if worst > commutation_tol:
+            if worst > 1e-8:
                 raise ReconstructionRefused(
                     f"generator {gi} of block {sorted(block)} does not commute "
                     f"with the kernel values (residual {worst:.3e})"
@@ -241,9 +244,7 @@ def _vector_leg(gns: GnsSpace, idx: Sequence[int], op: np.ndarray) -> np.ndarray
     return np.column_stack(cols) if cols else np.zeros((gns.rank, 0), dtype=COMPLEX)
 
 
-def represent_symmetry(
-    gns: GnsSpace, covariance_tol: float = 1e-9
-) -> dict[str, np.ndarray]:
+def represent_symmetry(gns: GnsSpace) -> dict[str, np.ndarray]:
     """Isometries implementing the symmetry on the quotient.
 
     The transported-pair map is built on the span of words supported inside
@@ -253,7 +254,7 @@ def represent_symmetry(
     are skipped.
     """
     oracle = gns.oracle
-    cov = check_covariance(oracle, covariance_tol)
+    cov = check_covariance(oracle, RunConfig.axiom_tol)
     if cov.status == "fail":
         raise ReconstructionRefused(
             f"covariance fails ({cov.witness}, residual {cov.residual:.3e})"
@@ -362,10 +363,10 @@ def compute_subspace_lattice(gns: GnsSpace, antichain_cap: int = 4096):
 
 def reconstruct(
     oracle: KernelOracle,
-    rank_tol: float = RANK_TOL,
+    rank_tol: float = RunConfig.rank_tol,
     antichain_cap: int = 4096,
     strict_closure: bool = True,
-    positivity_tol: float = POSITIVITY_TOL,
+    positivity_tol: float = RunConfig.positivity_tol,
 ) -> ReconstructedProcess:
     """Run the whole construction and package the result as a model.
 
@@ -436,7 +437,7 @@ class DecompositionReport:
 def verify_decomposition(
     recon: ReconstructedProcess,
     oracle: KernelOracle | None = None,
-    tol: float = DECOMPOSITION_TOL,
+    tol: float = RunConfig.decomposition_tol,
 ) -> DecompositionReport:
     """Recompute the kernel table from the reconstructed model and compare it
     entrywise with the oracle."""

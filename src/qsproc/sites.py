@@ -148,12 +148,6 @@ class SiteClasses:
     equivalence_classes: tuple[tuple[str, ...], ...]
     maximal_antichains: tuple[frozenset[str], ...]
 
-    def class_of(self, t: str) -> tuple[str, ...]:
-        for cls in self.equivalence_classes:
-            if t in cls:
-                return cls
-        raise KeyError(f"unknown point identifier {t!r}")
-
     def all_nonanticipatory(self, cap: int = DEFAULT_ANTICHAIN_CAP) -> list[frozenset[str]]:
         """Every nonanticipatory subset (including the empty set), in a
         deterministic order.  Refuses when the count would exceed `cap`."""
@@ -267,9 +261,6 @@ class SiteSymmetry:
 
     def apply(self, s: str, t: str) -> str | None:
         return self.maps[s].get(t)
-
-    def image(self, s: str) -> frozenset[str]:
-        return frozenset(self.maps[s].values())
 
     def domain(self, s: str) -> frozenset[str]:
         return frozenset(self.maps[s].keys())

@@ -20,9 +20,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .sites import CausalSite
-
-DEFAULT_WORD_CAP = 20000
 
 POLICY_ALL_SUBSETS = "all_subsets"
 POLICY_ATOMS_PLUS_UNIT = "atoms_plus_unit"
@@ -232,7 +231,7 @@ def enumerate_words(
     site: CausalSite,
     spaces: OutcomeSpaces,
     policy: str = POLICY_ALL_SUBSETS,
-    cap: int = DEFAULT_WORD_CAP,
+    cap: int = RunConfig.cap,
 ) -> list[EventWord]:
     """Deterministic word list over the whole site.
 

@@ -2,7 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsproc import cli, fixtures, serialize
 from qsproc.words import enumerate_words
@@ -19,6 +22,20 @@ def kdim2_table() -> dict:
     oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
     assert (oracle.kdim, len(oracle.words)) == (2, 16)
     return serialize.oracle_to_json(oracle)
+
+
+def qubit_table():
+    model, site = fixtures.qubit_zx()
+    return model.kernel_table(site, enumerate_words(site, model.spaces))
+
+
+def trajectory_hits(oracle, trajectories) -> np.ndarray:
+    """Which words of a (t1, t2) table contain each outcome pair."""
+    return np.array([
+        [x in w.factor("t1", oracle.spaces) and y in w.factor("t2", oracle.spaces)
+         for x, y in trajectories]
+        for w in oracle.words
+    ], dtype=float)
 
 
 @pytest.fixture
@@ -165,24 +182,45 @@ class TestReconstruct:
         assert cli.main(["reconstruct", table_file]) == 2
         assert capsys.readouterr().err == "input error: kernel entry 5,5 is not finite\n"
 
-    def test_idempotence_refusal_exits_one(self, tmp_path, capsys):
-        # a nonzero kernel on the word with an empty factor at t1: the table
-        # reconstructs, but the emitted model is not minimal
+    def test_sigma_additivity_failure_exits_one(self, tmp_path, capsys):
+        # a nonzero kernel on the word with an empty factor at t1: the quotient
+        # would hold a vector the emitted model's products cannot reach
         data = kdim2_table()
         data["values"]["1,1"] = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
         table_file = write(tmp_path, "table.json", data)
+        for argv in (["reconstruct", table_file], ["reconstruct", table_file, "--verify"]):
+            assert cli.main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "reconstruction refused: sigma additivity fails (diagonal additivity "
+                "of {[]@t1} split at 't2', residual 1.000e+00)\n"
+            )
+
+    def test_idempotence_refusal_exits_one(self, tmp_path, capsys):
+        # sigma additive but not factorizable: the Gram table of the vectors
+        # w(0,+) = w(1,-) = (1/2, 0) and w(0,-) = -w(1,+) = (0, 1/2), summed
+        # over the trajectories of each word; the emitted model does not
+        # reproduce it, and the model's own table is not sigma additive
+        oracle = qubit_table()
+        hits = trajectory_hits(oracle, [("0", "+"), ("1", "-"), ("0", "-"), ("1", "+")])
+        vecs = hits @ np.array([[0.5, 0.0], [0.5, 0.0], [0.0, 0.5], [0.0, -0.5]])
+        oracle.table[:, :, 0, 0] = vecs @ vecs.T
+        table_file = write(tmp_path, "table.json", serialize.oracle_to_json(oracle))
         assert cli.main(["reconstruct", table_file]) == 0
         capsys.readouterr()
         assert cli.main(["reconstruct", table_file, "--verify"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("idempotence refused: the first model is not minimal")
+        assert captured.err.startswith("idempotence refused: sigma additivity fails")
 
     def test_positivity_tol_from_config(self, tmp_path, capsys):
-        model, site = fixtures.qubit_zx()
-        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
-        assert not oracle.table[1].any()  # the word has an empty factor
-        oracle.table[1, 1] = -1e-8  # least Gram eigenvalue, 3.3e-9 relative
+        # a signed classical measure, +1e-8 on the trajectory (0,+) and -1e-8
+        # on (1,-): every linear axiom holds, and the least Gram eigenvalue is
+        # -3e-8, 1e-8 relative
+        oracle = qubit_table()
+        hits = trajectory_hits(oracle, [("0", "+"), ("1", "-")])
+        oracle.table[:, :, 0, 0] += hits @ np.diag([1e-8, -1e-8]) @ hits.T
         table_file = write(tmp_path, "table.json", serialize.oracle_to_json(oracle))
         assert cli.main(["reconstruct", table_file]) == 1
         assert "positivity fails" in capsys.readouterr().err
@@ -262,7 +300,8 @@ class TestMarkov:
 
 
 class TestLift:
-    def test_two_point_field(self, tmp_path, capsys):
+    @pytest.fixture
+    def field_file(self, tmp_path):
         atoms, xi, spaces = fixtures.two_point_field()
         data = {
             "depth": 2,
@@ -273,10 +312,24 @@ class TestLift:
             },
             "spaces": {x: list(v) for x, v in spaces.items()},
         }
-        field_file = write(tmp_path, "field.json", data)
+        return write(tmp_path, "field.json", data)
+
+    def test_two_point_field(self, field_file, capsys):
         assert cli.main(["lift", field_file]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["lift"]["ok"] is True
+
+    def test_decomposition_tol_from_config(self, tmp_path, field_file, capsys):
+        cfg = write(tmp_path, "cfg.json", {"decomposition_tol": 1e-6})
+        assert cli.main(["--config", cfg, "lift", field_file]) == 0
+        checks = json.loads(capsys.readouterr().out)["lift"]["checks"]
+        assert {c["condition"]: c["tolerance"] for c in checks} == {
+            "ultrastationarity": 1e-12,
+            "constant_slice_units": 1e-6,
+            "level_independent_events": 1e-6,
+            "narrow_units_on_minimal_space": 1e-6,
+            "decomposition": 1e-6,
+        }
 
     def test_malformed_field_exits_two(self, tmp_path):
         field_file = write(tmp_path, "field.json", {"depth": 2})
@@ -313,3 +366,58 @@ class TestConfig:
 
     def test_cap_enforced(self, qubit_files):
         assert cli.main(["--cap", "3", "check", *qubit_files]) == 2
+
+
+# -- adversarial tables ---------------------------------------------------------
+
+QUBIT_TABLE = json.loads(serialize.dumps(serialize.oracle_to_json(qubit_table())))
+N_WORDS = len(QUBIT_TABLE["words"])
+finite = st.floats(-1e3, 1e3, allow_nan=False)
+pair = st.lists(finite, min_size=2, max_size=2)
+index = st.integers(-2, N_WORDS + 1)
+entry_key = st.builds("{},{}".format, index, index)
+# a 1x1 kernel entry is [[[re, im]]]; most of these are not
+misshapen = st.one_of(
+    st.none(), st.text(max_size=3),
+    st.recursive(st.one_of(finite, pair), lambda inner: st.lists(inner, max_size=3),
+                 max_leaves=6),
+)
+mutation = st.one_of(
+    st.tuples(st.just("entry"), entry_key, pair),
+    st.tuples(st.just("drop"), st.sampled_from(sorted(QUBIT_TABLE["values"]))),
+    st.tuples(st.just("drop_top"), st.sampled_from(sorted(QUBIT_TABLE))),
+    st.tuples(st.just("extra"), st.one_of(entry_key, st.text(max_size=4)), pair),
+    st.tuples(st.just("duplicate"), st.sampled_from(sorted(QUBIT_TABLE["values"])),
+              st.sampled_from(["0{}", " {}", "+{}", "{}\n"])),
+    st.tuples(st.just("shape"), st.sampled_from(sorted(QUBIT_TABLE["values"])), misshapen),
+    st.tuples(st.just("asymmetric"), index, index, pair, pair),
+)
+
+
+def mutate(table: dict, mutations) -> dict:
+    data = json.loads(json.dumps(table))
+    values = data["values"]
+    for kind, *args in mutations:
+        if kind == "drop_top":
+            data.pop(args[0], None)
+        elif kind == "drop":
+            values.pop(args[0], None)
+        elif kind in ("entry", "extra"):
+            values[args[0]] = [[args[1]]]
+        elif kind == "duplicate":
+            key, alias = args
+            values[alias.format(key)] = values.get(key, [[[0.0, 0.0]]])
+        elif kind == "shape":
+            values[args[0]] = args[1]
+        else:
+            i, j, x, y = args
+            values[f"{i},{j}"], values[f"{j},{i}"] = [[x]], [[y]]
+    return data
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(mutation, min_size=1, max_size=4))
+def test_mutated_table_exits_cleanly(tmp_path_factory, mutations):
+    path = tmp_path_factory.mktemp("mutated") / "table.json"
+    path.write_text(json.dumps(mutate(QUBIT_TABLE, mutations)))
+    assert cli.main(["reconstruct", str(path)]) in (0, 1, 2)

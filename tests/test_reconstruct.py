@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsproc import fixtures
-from qsproc.kernels import KernelOracle
+from qsproc.kernels import KernelOracle, check_sigma_additivity
 from qsproc.linalg import dagger, opnorm
 from qsproc.models import check_model
 from qsproc.reconstruct import (
@@ -48,7 +48,10 @@ class TestBuildSpace:
         # independent oracle: both eigenvalues of [[1,.5],[.5,.5]] are positive
         eigs = np.linalg.eigvalsh(np.array([[1.0, 0.5], [0.5, 0.5]]))
         assert (eigs > 0).all()
-        gns = build_space(KernelOracle.from_values(site, spaces, words, values))
+        oracle = KernelOracle.from_values(site, spaces, words, values)
+        # the unit word's split at t needs the missing word {1}@t
+        assert check_sigma_additivity(oracle).status == "inconclusive"
+        gns = build_space(oracle)
         assert gns.rank == 2
         assert gns.gram_defect() < 1e-12
 
@@ -76,6 +79,14 @@ class TestBuildSpace:
             site, spaces, [unit_word()], {(0, 0): 2.0}
         )
         with pytest.raises(ReconstructionRefused, match="normalization"):
+            build_space(oracle)
+
+    def test_refuses_sigma_additivity_failure(self):
+        model, site = fixtures.controlled_kdim2()
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+        assert not oracle.table[1].any()  # the word has an empty factor at t1
+        oracle.table[1, 1] = 0.5
+        with pytest.raises(ReconstructionRefused, match="sigma additivity fails"):
             build_space(oracle)
 
     def test_one_eigendecomposition(self, monkeypatch):
