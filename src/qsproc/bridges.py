@@ -141,7 +141,7 @@ def lift_process(
 
 
 def enumerate_level_words(
-    model: HilbertModel, site: CausalSite, cap: int = RunConfig.cap
+    model: HilbertModel, site: CausalSite, config: RunConfig = RunConfig()
 ) -> list[EventWord]:
     """Words with at most one supported position per level, the words whose
     kernel values carry the arbitrarily ordered device correlations."""
@@ -157,8 +157,8 @@ def enumerate_level_words(
             choices.extend((t, b) for b in subsets(outs) if b != frozenset(outs))
         per_level.append(choices)
         count *= len(choices)
-        if count > cap:
-            raise ValueError(f"level word enumeration exceeds the cap ({cap})")
+        if count > config.cap:
+            raise ValueError(f"level word enumeration exceeds the cap ({config.cap})")
     words = []
     for combo in itertools.product(*per_level):
         factors = {t: b for entry in combo if entry is not None for t, b in [entry]}
@@ -182,7 +182,7 @@ def check_ultrastationarity(
     model: HilbertModel,
     site: CausalSite,
     words: Sequence[EventWord],
-    tol: float = RunConfig.ultrastationarity_tol,
+    config: RunConfig = RunConfig(),
 ) -> ModelReport:
     """Exhaustive level-shift invariance of the kernel over the word list."""
     depth = site.meta["depth"]
@@ -201,7 +201,9 @@ def check_ultrastationarity(
         if r > worst:
             a, b = (words[kept[i]] for i in at)
             worst, wit = r, f"shift {k} on ({_word_label(a)}, {_word_label(b)})"
-    return ModelReport((CheckEntry("ultrastationarity", worst, wit, tol),))
+    return ModelReport(
+        (CheckEntry("ultrastationarity", worst, wit, config.ultrastationarity_tol),)
+    )
 
 
 @dataclass(frozen=True)
@@ -252,8 +254,7 @@ def verify_lift(
     depth: int,
     spaces: Mapping[str, Sequence[str]],
     words: Sequence[EventWord] | None = None,
-    tol: float = RunConfig.decomposition_tol,
-    cap: int = RunConfig.cap,
+    config: RunConfig = RunConfig(),
 ) -> LiftReport:
     """End-to-end check of the level lift.
 
@@ -266,13 +267,14 @@ def verify_lift(
     """
     from .reconstruct import reconstruct, verify_decomposition
 
+    tol = config.decomposition_tol
     model, site, sym = lift_process(field_atoms, initial, depth, spaces)
     if words is None:
-        words = enumerate_level_words(model, site, cap)
-    ultra = check_ultrastationarity(model, site, words).entries[0]
+        words = enumerate_level_words(model, site, config)
+    ultra = check_ultrastationarity(model, site, words, config).entries[0]
 
     oracle = model.kernel_table(site, list(words), site_sym=sym)
-    recon = reconstruct(oracle, strict_closure=False)
+    recon = reconstruct(oracle, config, strict_closure=False)
 
     worst_c, wit_c = 0.0, ""
     for (la, pa), (lb, pb) in itertools.combinations(
@@ -307,7 +309,7 @@ def verify_lift(
                     worst_l, wit_l = r, f"atom {o!r} of {x!r} at levels {la},{lb}"
     level_independent = CheckEntry("level_independent_events", worst_l, wit_l, tol)
 
-    decomp = verify_decomposition(recon, oracle, tol)
+    decomp = verify_decomposition(recon, oracle, config)
     decomposition = CheckEntry(
         "decomposition", decomp.max_residual, decomp.witness, tol
     )
@@ -332,12 +334,13 @@ class ClassicalReduction:
     additivity_residual: float
     marginal_residual: float
     tolerance: float
+    factorization_tolerance: float
 
     @property
     def ok(self) -> bool:
         return (
             abs(self.total_mass - 1.0) <= self.tolerance
-            and self.factorization_residual <= max(self.tolerance, RunConfig.commutativity_tol)
+            and self.factorization_residual <= self.factorization_tolerance
             and self.additivity_residual <= self.tolerance
             and self.marginal_residual <= self.tolerance
         )
@@ -358,7 +361,7 @@ class ClassicalReduction:
 def classical_reduce(
     model: HilbertModel,
     site: CausalSite,
-    tol: float = RunConfig.classical_tol,
+    config: RunConfig = RunConfig(),
     words: Sequence[EventWord] | None = None,
 ) -> ClassicalReduction:
     """Reduce a fully commuting scalar model to a probability measure on the
@@ -372,7 +375,7 @@ def classical_reduce(
     """
     if model.kdim != 1:
         raise ValueError("the classical reduction needs a scalar initial space")
-    if not model.is_narrow(site):
+    if not model.is_narrow(site, config):
         raise ValueError("the classical reduction needs a fully normalized model")
     # full commutativity, across every pair of points regardless of relation
     worst_comm, comm_wit = 0.0, ""
@@ -384,8 +387,8 @@ def classical_reduce(
             r = opnorm(pa @ pb - pb @ pa)
             if r > worst_comm:
                 worst_comm, comm_wit = r, f"[{x!r}@{a!r}, {y!r}@{b!r}]"
-    if worst_comm > RunConfig.commutativity_tol:
-        witness = _interference_obstruction(model, site) or (
+    if worst_comm > config.commutativity_tol:
+        witness = _interference_obstruction(model, site, config) or (
             f"commutator {comm_wit} has norm {worst_comm:.3g}"
         )
         raise ReductionRefused(
@@ -456,7 +459,8 @@ def classical_reduce(
         factorization_residual=fact_res,
         additivity_residual=worst_add,
         marginal_residual=worst_marg,
-        tolerance=tol,
+        tolerance=config.classical_tol,
+        factorization_tolerance=max(config.classical_tol, config.commutativity_tol),
     )
 
 
@@ -479,12 +483,14 @@ def _subsite(site: CausalSite, keep: Sequence[str]) -> CausalSite:
     return CausalSite(points=tuple(keep), leq=leq, meta=dict(site.meta))
 
 
-def _interference_obstruction(model: HilbertModel, site: CausalSite) -> str | None:
+def _interference_obstruction(
+    model: HilbertModel, site: CausalSite, config: RunConfig
+) -> str | None:
     """Name a marginalization defect exhibiting the failure of additivity."""
     for t in site.points:
         if any(site.strictly_precedes(t, u) for u in site.points):
-            defect = interference_witness(model, site, t)
-            if defect > RunConfig.classical_tol:
+            defect = interference_witness(model, site, t, config)
+            if defect > config.classical_tol:
                 return (
                     f"marginalizing {t!r} changes later statistics by {defect:.3g}"
                 )
@@ -495,7 +501,7 @@ def interference_witness(
     model: HilbertModel,
     site: CausalSite,
     t_marginal: str,
-    cap: int = RunConfig.cap,
+    config: RunConfig = RunConfig(),
 ) -> float:
     """Largest additivity defect from marginalizing one point.
 
@@ -514,8 +520,8 @@ def interference_witness(
         subs = subsets(model.spaces.outcomes(u))
         per_point.append([(u, b) for b in subs])
         count *= len(subs)
-        if count > cap:
-            raise ValueError(f"later-word enumeration exceeds the cap ({cap})")
+        if count > config.cap:
+            raise ValueError(f"later-word enumeration exceeds the cap ({config.cap})")
     outs_t = model.spaces.outcomes(t_marginal)
     partitions = partitions_of_factor(outs_t, frozenset(outs_t))
     later_words, split_words = [], []

@@ -137,7 +137,7 @@ def _config_from_args(args) -> RunConfig:
     policy = getattr(args, "policy", None)
     if policy:
         overrides["policy"] = "all_subsets" if policy == "all" else "atoms_plus_unit"
-    if getattr(args, "cap", None):
+    if getattr(args, "cap", None) is not None:
         overrides["cap"] = args.cap
     if getattr(args, "format", None):
         overrides["format"] = args.format
@@ -162,6 +162,9 @@ def _load_model_site(model_path: str, site_path: str):
         raise
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(str(exc)) from None
+    for t in site.points:
+        if t not in model.spaces.spaces:
+            raise InputError(f"no outcome space declared at point {t!r}")
     return model, site, sym
 
 
@@ -199,12 +202,10 @@ def _word_list(site, spaces, config: RunConfig):
 def cmd_check(args, config: RunConfig) -> int:
     model, site, sym = _load_model_site(args.model, args.site)
     classes = derive_classes(site)
-    model_report = check_model(model, site, classes, config.projector_tol, sym)
+    model_report = check_model(model, site, classes, config, sym)
     words = _word_list(site, model.spaces, config)
     oracle = model.kernel_table(site, words, classes, site_sym=sym)
-    axiom_report = check_axioms(
-        oracle, config.positivity_tol, config.normalization_tol, config.axiom_tol
-    )
+    axiom_report = check_axioms(oracle, config)
     # inconclusive checks (restricted word policies) are not violations
     ok = model_report.ok and not axiom_report.failed
     _emit(
@@ -228,7 +229,7 @@ def cmd_kernels(args, config: RunConfig) -> int:
 
 
 def cmd_reconstruct(args, config: RunConfig) -> int:
-    from .reconstruct import ReconstructionRefused, verify_decomposition
+    from .reconstruct import ReconstructionRefused, reconstruct, verify_decomposition
 
     if args.site:
         model, site, sym = _load_model_site(args.source, args.site)
@@ -237,12 +238,13 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
     else:
         try:
             oracle = serialize.oracle_from_json(_load_json(args.source))
+            oracle.unit_index()  # the initial space sits at the unit word
         except InputError:
             raise
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(str(exc)) from None
     try:
-        recon = _reconstruct(oracle, config)
+        recon = reconstruct(oracle, config)
     except ReconstructionRefused as exc:
         print(f"reconstruction refused: {exc}", file=sys.stderr)
         return EXIT_MATH
@@ -253,17 +255,16 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
     if args.verify:
         from .equivalence import EquivalenceRefused, build_unitary
 
-        decomp = verify_decomposition(recon, oracle, config.decomposition_tol)
+        decomp = verify_decomposition(recon, oracle, config)
         report["verification"] = decomp.to_dict()
         # idempotence: the emitted model's own table reconstructs to a
         # unitarily equivalent model
         try:
-            second = _reconstruct(
+            second = reconstruct(
                 recon.model.kernel_table(oracle.site, list(oracle.words)), config
             )
             morphism = build_unitary(
-                recon.model, second.model, oracle.site, list(oracle.words),
-                config.equivalence_tol,
+                recon.model, second.model, oracle.site, list(oracle.words), config
             )
         except (ReconstructionRefused, EquivalenceRefused) as exc:
             print(f"idempotence refused: {exc}", file=sys.stderr)
@@ -276,26 +277,18 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _reconstruct(oracle, config: RunConfig):
-    from .reconstruct import reconstruct
-
-    return reconstruct(
-        oracle, rank_tol=config.rank_tol, positivity_tol=config.positivity_tol
-    )
-
-
 def cmd_roundtrip(args, config: RunConfig) -> int:
-    from .reconstruct import ReconstructionRefused, verify_decomposition
+    from .reconstruct import ReconstructionRefused, reconstruct, verify_decomposition
 
     model, site, sym = _load_model_site(args.model, args.site)
     words = _word_list(site, model.spaces, config)
     oracle = model.kernel_table(site, words, site_sym=sym)
     try:
-        recon = _reconstruct(oracle, config)
+        recon = reconstruct(oracle, config)
     except ReconstructionRefused as exc:
         print(f"reconstruction refused: {exc}", file=sys.stderr)
         return EXIT_MATH
-    decomp = verify_decomposition(recon, oracle, config.decomposition_tol)
+    decomp = verify_decomposition(recon, oracle, config)
     shrink = {"ambient_dimension": model.dim, "minimal_dimension": recon.rank}
     _emit({"roundtrip": decomp.to_dict(), "dimensions": shrink}, config)
     return EXIT_OK if decomp.ok else EXIT_MATH
@@ -310,19 +303,21 @@ def cmd_equiv(args, config: RunConfig) -> int:
     )
 
     m1, site, _ = _load_model_site(args.model1, args.site)
-    try:
-        m2 = serialize.model_from_json(_load_json(args.model2))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(str(exc)) from None
+    m2, _, _ = _load_model_site(args.model2, args.site)
+    if m2.kdim != m1.kdim:
+        raise InputError(f"initial spaces differ ({m1.kdim} vs {m2.kdim})")
+    for t in site.points:
+        if set(m2.spaces.outcomes(t)) != set(m1.spaces.outcomes(t)):
+            raise InputError(f"the models' outcome labels differ at point {t!r}")
     words = _word_list(site, m1.spaces, config)
     if args.action == "check":
-        verdict = check_wide_equivalence(m1, m2, site, words, config.equivalence_tol)
+        verdict = check_wide_equivalence(m1, m2, site, words, config)
         _emit({"equivalence": verdict.to_dict()}, config)
         return EXIT_OK if verdict.equivalent else EXIT_MATH
-    mm1 = minimal_modification(m1, site, words)
-    mm2 = minimal_modification(m2, site, words)
+    mm1 = minimal_modification(m1, site, words, config=config)
+    mm2 = minimal_modification(m2, site, words, config=config)
     try:
-        morphism = build_unitary(mm1, mm2, site, words, config.equivalence_tol)
+        morphism = build_unitary(mm1, mm2, site, words, config)
     except EquivalenceRefused as exc:
         print(f"unitary construction refused: {exc}", file=sys.stderr)
         return EXIT_MATH
@@ -345,24 +340,22 @@ def cmd_markov(args, config: RunConfig) -> int:
 
     model, site, _ = _load_model_site(args.model, args.site)
     classes = derive_classes(site)
-    dyn = check_dynamicity(model, site, classes, config.membership_tol)
+    dyn = check_dynamicity(model, site, classes, config)
     report = {"dynamicity": dyn.to_dict()}
     ok = dyn.ok
     if dyn.ok:
-        reg = check_regression(model, site, classes=classes, tol=config.membership_tol)
+        reg = check_regression(model, site, classes=classes, config=config)
         report["regression"] = reg.to_dict()
         ok = ok and reg.ok
-    if model.is_narrow(site):
-        comm = check_narrow_commutativity(
-            model, site, classes, tol=config.commutativity_tol
-        )
+    if model.is_narrow(site, config):
+        comm = check_narrow_commutativity(model, site, classes, config=config)
         report["narrow_commutativity"] = comm.to_dict()
     _emit(report, config)
     return EXIT_OK if ok else EXIT_MATH
 
 
 def cmd_lift(args, config: RunConfig) -> int:
-    from .bridges import verify_lift
+    from .bridges import enumerate_level_words, lift_process, verify_lift
 
     data = _load_json(args.field)
     try:
@@ -373,11 +366,11 @@ def cmd_lift(args, config: RunConfig) -> int:
         initial = serialize.matrix_from_json(data["initial"])
         depth = int(data["depth"])
         spaces = {x: tuple(v) for x, v in data["spaces"].items()}
+        model, site, _ = lift_process(devices, initial, depth, spaces)
+        words = enumerate_level_words(model, site, config)
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(str(exc)) from None
-    report = verify_lift(
-        devices, initial, depth, spaces, tol=config.decomposition_tol, cap=config.cap
-    )
+    report = verify_lift(devices, initial, depth, spaces, words, config)
     _emit({"lift": report.to_dict()}, config)
     return EXIT_OK if report.ok else EXIT_MATH
 
@@ -387,7 +380,7 @@ def cmd_classical(args, config: RunConfig) -> int:
 
     model, site, _ = _load_model_site(args.model, args.site)
     try:
-        reduction = classical_reduce(model, site, config.classical_tol)
+        reduction = classical_reduce(model, site, config)
     except ReductionRefused as exc:
         print(f"classical reduction refused: {exc}", file=sys.stderr)
         return EXIT_MATH

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 
@@ -28,10 +29,15 @@ class RunConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            if f.name.endswith("_tol") and getattr(self, f.name) <= 0:
-                raise ValueError(f"{f.name} must be positive")
-        if self.cap < 1:
-            raise ValueError("cap must be at least 1")
+            value = getattr(self, f.name)
+            if f.name.endswith("_tol") and not (
+                _is_number(value, (int, float)) and math.isfinite(value) and value > 0
+            ):
+                raise ValueError(
+                    f"{f.name} must be a finite positive number, not {value!r}"
+                )
+        if not _is_number(self.cap, int) or self.cap < 1:
+            raise ValueError(f"cap must be an integer of at least 1, not {self.cap!r}")
         if self.policy not in ("all_subsets", "atoms_plus_unit"):
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.format not in ("json", "text"):
@@ -42,6 +48,8 @@ class RunConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ValueError("configuration must be a JSON object")
         known = {f.name for f in dataclasses.fields(RunConfig)}
         unknown = set(data) - known
         if unknown:
@@ -52,3 +60,8 @@ class RunConfig:
     def from_file(path: str) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return RunConfig.from_dict(json.load(fh))
+
+
+def _is_number(value, types) -> bool:
+    # bool is an int subclass, but True is no tolerance or cap
+    return isinstance(value, types) and not isinstance(value, bool)

@@ -32,17 +32,9 @@ def _feynman_stack(model: HilbertModel, site: CausalSite, words) -> np.ndarray:
     return linalg.side_by_side(model.products(site, words))
 
 
-def minimal_rank(model: HilbertModel, site: CausalSite, words) -> int:
-    return _stack_rank(_feynman_stack(model, site, words))
-
-
-def _stack_rank(stack: np.ndarray) -> int:
+def _stack_rank(stack: np.ndarray, rank_tol: float) -> int:
     s = np.linalg.svd(stack, compute_uv=False)
-    return int(np.sum(linalg.svd_cut(s, RunConfig.rank_tol)))
-
-
-def is_minimal(model: HilbertModel, site: CausalSite, words) -> bool:
-    return minimal_rank(model, site, words) == model.dim
+    return int(np.sum(linalg.svd_cut(s, rank_tol)))
 
 
 def minimal_modification(
@@ -51,7 +43,7 @@ def minimal_modification(
     words: Sequence[EventWord] | None = None,
     classes: SiteClasses | None = None,
     regular: bool = False,
-    antichain_cap: int = 4096,
+    config: RunConfig = RunConfig(),
 ) -> HilbertModel:
     """Compress a model to the span of its chronological product vectors.
 
@@ -64,9 +56,10 @@ def minimal_modification(
     classes = classes or derive_classes(site)
     if words is None:
         words = enumerate_words(site, model.spaces)
+    rank_tol = config.rank_tol
     stack = _feynman_stack(model, site, words)
     u, s, _ = np.linalg.svd(stack, full_matrices=False)
-    w = u[:, linalg.svd_cut(s, RunConfig.rank_tol)]  # orthonormal basis of the minimal subspace
+    w = u[:, linalg.svd_cut(s, rank_tol)]  # orthonormal basis of the minimal subspace
     wd = dagger(w)
 
     word_index = {word: i for i, word in enumerate(words)}
@@ -78,7 +71,7 @@ def minimal_modification(
             for wd_ in eligible_words
         ]
         mat = np.hstack(cols) if cols else np.zeros((model.dim, 0), dtype=COMPLEX)
-        return linalg.projector_onto_columns(mat)
+        return linalg.projector_onto_columns(mat, rank_tol)
 
     down = {l: site.down_set(l) for l in classes.maximal_antichains}
     slice_proj = {
@@ -86,17 +79,17 @@ def minimal_modification(
         for l in classes.maximal_antichains
     }
 
-    blocks = [k for k in classes.all_nonanticipatory(antichain_cap) if k]
+    blocks = [k for k in classes.all_nonanticipatory() if k]
     units_p: dict[frozenset, np.ndarray] = {}
     units_i: dict[frozenset, np.ndarray] = {}
     for k in blocks:
         containing = [slice_proj[l] for l in classes.antichains_containing(k)]
         if not containing:
             raise ValueError(f"block {sorted(k)} lies in no maximal antichain")
-        p_k = linalg.join_projectors(containing)
+        p_k = linalg.join_projectors(containing, rank_tol)
         units_p[k] = wd @ p_k @ w
         if regular:
-            units_i[k] = wd @ linalg.meet_projectors(containing) @ w
+            units_i[k] = wd @ linalg.meet_projectors(containing, rank_tol) @ w
         else:
             kdown = site.down_set(k)
             units_i[k] = wd @ span_projector(
@@ -105,7 +98,9 @@ def minimal_modification(
 
     atoms = {}
     for t in site.points:
-        p_t = _ambient_unit_p(model, site, classes, t, slice_proj)
+        p_t = linalg.join_projectors(
+            [slice_proj[l] for l in classes.antichains_containing({t})], rank_tol
+        )
         atoms[t] = {
             x: wd @ model.atoms[t][x] @ p_t @ w
             for x in model.spaces.outcomes(t)
@@ -134,11 +129,6 @@ def minimal_modification(
     )
 
 
-def _ambient_unit_p(model, site, classes, t, slice_proj) -> np.ndarray:
-    containing = [slice_proj[l] for l in classes.antichains_containing({t})]
-    return linalg.join_projectors(containing)
-
-
 @dataclass(frozen=True)
 class EquivalenceVerdict:
     equivalent: bool
@@ -160,10 +150,11 @@ def check_wide_equivalence(
     m2: HilbertModel,
     site: CausalSite,
     words: Sequence[EventWord],
-    tol: float = RunConfig.equivalence_tol,
+    config: RunConfig = RunConfig(),
 ) -> EquivalenceVerdict:
     """Entrywise comparison of the two kernel tables."""
-    return _compare_tables(*_product_stacks(m1, m2, site, words), tol)
+    f1, f2 = _product_stacks(m1, m2, site, words)
+    return _compare_tables(f1, f2, config.equivalence_tol)
 
 
 def _product_stacks(m1: HilbertModel, m2: HilbertModel, site: CausalSite, words):
@@ -223,7 +214,7 @@ def build_unitary(
     m2: HilbertModel,
     site: CausalSite,
     words: Sequence[EventWord],
-    tol: float = RunConfig.equivalence_tol,
+    config: RunConfig = RunConfig(),
 ) -> ModelMorphism:
     """Unitary sending the first minimal model onto the second.
 
@@ -232,6 +223,7 @@ def build_unitary(
     construction, and the phase is fixed by matching the initial embeddings
     directly, so the restriction to the initial space is the identity.
     """
+    tol = config.equivalence_tol
     f1, f2 = _product_stacks(m1, m2, site, words)
     verdict = _compare_tables(f1, f2, tol)
     if not verdict.equivalent:
@@ -241,12 +233,12 @@ def build_unitary(
         )
     x, y = linalg.side_by_side(f1), linalg.side_by_side(f2)
     for name, m, stack in (("first", m1, x), ("second", m2, y)):
-        if _stack_rank(stack) != m.dim:
+        if _stack_rank(stack, config.rank_tol) != m.dim:
             raise EquivalenceRefused(
                 f"the {name} model is not minimal; compress it first"
             )
     gram = linalg.hermitize(dagger(x) @ x)
-    vals, vecs, _ = linalg.psd_eigencut(gram, RunConfig.rank_tol)
+    vals, vecs, _ = linalg.psd_eigencut(gram, config.rank_tol)
     z = vecs / np.sqrt(vals)[None, :]
     q1 = x @ z
     q2 = y @ z
@@ -296,7 +288,7 @@ def check_model_relation(
     m_big: HilbertModel,
     u: np.ndarray,
     site: CausalSite,
-    tol: float = RunConfig.equivalence_tol,
+    config: RunConfig = RunConfig(),
     site_sym: SiteSymmetry | None = None,
 ) -> ModelMorphism:
     """Measure how well `u` realizes the first model inside the second.
@@ -305,6 +297,7 @@ def check_model_relation(
     with the small model's unit projectors on the right; symmetry, when both
     sides declare it, is compared through the transported essential units.
     """
+    tol = config.equivalence_tol
     morphism = _measure_morphism(np.asarray(u, dtype=COMPLEX), m_small, m_big, site, tol)
     if site_sym is not None:
         extra = _symmetry_unit_residual(m_small, site, site_sym)

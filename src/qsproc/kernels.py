@@ -108,13 +108,6 @@ class KernelOracle:
     def index(self, word: EventWord) -> int | None:
         return self._index.get(word)
 
-    def value(self, b: EventWord, bp: EventWord) -> np.ndarray:
-        i, j = self._index.get(b), self._index.get(bp)
-        if i is None or j is None:
-            missing = b if i is None else bp
-            raise KeyError(f"word {missing!r} is not in the oracle")
-        return self.table[i, j]
-
     def unit_index(self) -> int:
         i = self._index.get(unit_word())
         if i is None:
@@ -202,14 +195,14 @@ def _verdict(name, residual, tol, witness, missing=None) -> AxiomCheck:
 
 
 def check_positivity(
-    oracle: KernelOracle, tol: float = RunConfig.positivity_tol
+    oracle: KernelOracle, config: RunConfig = RunConfig()
 ) -> AxiomCheck:
     """The block Gram matrix over (word, basis) pairs must be Hermitian and
     PSD up to a relative tolerance."""
     if not oracle.words:
         raise ValueError("word list is empty")
     vals = np.linalg.eigvalsh(linalg.hermitize(oracle.gram()))
-    return positivity_verdict(oracle, vals, tol)
+    return positivity_verdict(oracle, vals, config.positivity_tol)
 
 
 def positivity_verdict(oracle: KernelOracle, vals: np.ndarray, tol: float) -> AxiomCheck:
@@ -230,106 +223,151 @@ def positivity_verdict(oracle: KernelOracle, vals: np.ndarray, tol: float) -> Ax
 
 
 def check_normalization(
-    oracle: KernelOracle, tol: float = RunConfig.normalization_tol
+    oracle: KernelOracle, config: RunConfig = RunConfig()
 ) -> AxiomCheck:
     """The kernel at the unit word pair must be the identity on K."""
     e = oracle.unit_index()
     residual = opnorm(oracle.table[e, e] - np.eye(oracle.kdim))
-    return _verdict("normalization", residual, tol, "kernel at the unit pair")
+    return _verdict(
+        "normalization", residual, config.normalization_tol, "kernel at the unit pair"
+    )
 
 
 def check_sigma_additivity(
-    oracle: KernelOracle, tol: float = RunConfig.axiom_tol
+    oracle: KernelOracle, config: RunConfig = RunConfig()
 ) -> AxiomCheck:
     """Partitioning a word's factor at any point of a maximal slice must sum
     the kernel: diagonally, and against every other word (the sesquilinear
     form implied by polarization)."""
-    site, spaces = oracle.site, oracle.spaces
-    worst, witness = 0.0, ""
-    missing: str | None = None
-    for l in oracle.classes.maximal_antichains:
-        down = site.down_set(l)
-        idx_l = oracle.words_within(down)
-        for i in idx_l:
-            b = oracle.words[i]
-            for t in sorted(l, key=site.index):
-                factor = b.factor(t, spaces)
-                for parts in partitions_of_factor(spaces.outcomes(t), factor):
-                    if len(parts) <= 1 and factor:
-                        continue
-                    # parts refine the factor, so intersection installs them
-                    part_words = [
-                        right_multiply(b, Event.from_dict({t: p}), spaces)
-                        for p in parts
-                    ]
-                    part_idx = [oracle.index(w) for w in part_words]
-                    if any(j is None for j in part_idx):
-                        missing = missing or (
-                            f"partition members of {_word_label(b)} at {t!r} "
-                            "are outside the word list"
-                        )
-                        continue
-                    total_diag = sum(
-                        (oracle.table[j, j] for j in part_idx),
-                        start=np.zeros((oracle.kdim, oracle.kdim), dtype=COMPLEX),
-                    )
-                    r = opnorm(oracle.table[i, i] - total_diag)
-                    if r > worst:
-                        worst, witness = r, (
-                            f"diagonal additivity of {_word_label(b)} split at {t!r}"
-                        )
-                    total_off = sum(oracle.table[:, j] for j in part_idx)
-                    r_off = float(np.max(np.abs(oracle.table[:, i] - total_off)))
-                    if r_off > worst:
-                        worst, witness = r_off, (
-                            f"linear additivity of {_word_label(b)} split at {t!r}"
-                        )
-    return _verdict("sigma_additivity", worst, tol, witness, missing)
+    return check_slice_axioms(oracle, config)[0]
 
 
 def check_factorizability(
-    oracle: KernelOracle, tol: float = RunConfig.axiom_tol
+    oracle: KernelOracle, config: RunConfig = RunConfig()
 ) -> AxiomCheck:
     """Right multiplication by an event at a point of a maximal slice must
     move freely across the two kernel arguments."""
-    site, spaces = oracle.site, oracle.spaces
-    worst, witness = 0.0, ""
-    missing: str | None = None
+    return check_slice_axioms(oracle, config)[1]
+
+
+def check_slice_axioms(
+    oracle: KernelOracle, config: RunConfig = RunConfig()
+) -> tuple[AxiomCheck, AxiomCheck]:
+    """Sigma additivity and factorizability, from one pass over the maximal
+    slices.
+
+    For each point t of a slice and each event b at t, the right products of
+    the slice's words by b are looked up once.  Factorizability compares the
+    table's rows and columns through that index map; additivity sums, for
+    each word, the maps of the parts of its factor at t (the parts refine the
+    factor, so right multiplication installs them).  Each witness is the
+    first worst candidate in slice, word, point, partition order.
+    """
+    site, spaces, table = oracle.site, oracle.spaces, oracle.table
+    add_worst, add_witness, add_missing = 0.0, "", None
+    fac_worst, fac_witness, fac_missing = 0.0, "", None
     for l in oracle.classes.maximal_antichains:
-        down = site.down_set(l)
-        idx_l = oracle.words_within(down)
-        if not idx_l:
+        idx = np.array(oracle.words_within(site.down_set(l)), dtype=int)
+        if not idx.size:
             continue
-        for t in sorted(l, key=site.index):
-            for b_ev in subsets(spaces.outcomes(t)):
-                ev = Event.from_dict({t: b_ev})
-                mapped = []
-                gap = None
-                for i in idx_l:
-                    j = oracle.index(right_multiply(oracle.words[i], ev, spaces))
-                    if j is None:
-                        gap = (
-                            f"{_word_label(oracle.words[i])} multiplied by "
-                            f"{sorted(b_ev)}@{t!r} is outside the word list"
-                        )
-                        break
-                    mapped.append(j)
-                if gap is not None:
-                    missing = missing or gap
+        words = [oracle.words[i] for i in idx]
+        points = sorted(l, key=site.index)
+        found, gaps = [], []  # additivity residuals and missing parts, keyed
+        for tp, t in enumerate(points):
+            outs = spaces.outcomes(t)
+            maps = {}
+            for b in subsets(outs):
+                ev = Event.from_dict({t: b})
+                mapped = [oracle.index(right_multiply(w, ev, spaces)) for w in words]
+                maps[b] = np.array([-1 if j is None else j for j in mapped], dtype=int)
+                if None in mapped:
+                    fac_missing = fac_missing or (
+                        f"{_word_label(words[mapped.index(None)])} multiplied by "
+                        f"{sorted(b)}@{t!r} is outside the word list"
+                    )
                     continue
-                lhs = oracle.table[np.ix_(mapped, idx_l)]
-                rhs = oracle.table[np.ix_(idx_l, mapped)]
-                r = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
-                if r > worst:
-                    worst, witness = r, f"event {sorted(b_ev)}@{t!r} on slice {sorted(l)}"
-    return _verdict("factorizability", worst, tol, witness, missing)
+                r = float(np.max(np.abs(
+                    table[np.ix_(maps[b], idx)] - table[np.ix_(idx, maps[b])]
+                )))
+                if r > fac_worst:
+                    fac_worst, fac_witness = r, (
+                        f"event {sorted(b)}@{t!r} on slice {sorted(l)}"
+                    )
+            factors = [w.factor(t, spaces) for w in words]
+            for f in dict.fromkeys(factors):
+                pos = np.array([p for p, g in enumerate(factors) if g == f])
+                for k, parts in enumerate(partitions_of_factor(outs, f)):
+                    if len(parts) <= 1 and f:
+                        continue
+                    j = np.array([maps[p][pos] for p in parts], dtype=int)
+                    j = j.reshape(len(parts), pos.size)
+                    present = (j >= 0).all(axis=0)
+                    gaps.extend((p, tp) for p in pos[~present])
+                    if present.any():
+                        found.append(_additivity_residuals(
+                            table, idx[pos[present]], j[:, present]
+                        ) + (pos[present], tp, k))
+        if gaps and add_missing is None:
+            p, tp = min(gaps)
+            add_missing = (
+                f"partition members of {_word_label(words[p])} at {points[tp]!r} "
+                "are outside the word list"
+            )
+        r, at = _first_worst(found)
+        if r > add_worst:
+            p, tp, _, kind = at
+            add_worst, add_witness = r, (
+                f"{('diagonal', 'linear')[kind]} additivity of "
+                f"{_word_label(words[p])} split at {points[tp]!r}"
+            )
+    tol = config.axiom_tol
+    return (
+        _verdict("sigma_additivity", add_worst, tol, add_witness, add_missing),
+        _verdict("factorizability", fac_worst, tol, fac_witness, fac_missing),
+    )
+
+
+def _additivity_residuals(table, i, parts):
+    """Diagonal (operator norm) and linear (largest entry) additivity
+    residuals of the words `i`, whose factor parts sit at the table indices
+    `parts` (one row per part)."""
+    diag = np.zeros((i.size,) + table.shape[2:], dtype=COMPLEX)
+    column = 0
+    for row in parts:
+        diag = diag + table[row, row]
+        column = column + table[:, row]
+    d = table[i, i] - diag
+    # opnorm's 1x1 case is the modulus
+    if table.shape[-1] == 1:
+        r_diag = np.abs(d[:, 0, 0])
+    else:
+        r_diag = np.linalg.norm(d, 2, axis=(1, 2))
+    return r_diag, np.abs(table[:, i] - column).max(axis=(0, 2, 3))
+
+
+def _first_worst(found) -> tuple[float, tuple | None]:
+    """The largest positive residual among the candidates ``(r_diag, r_lin,
+    pos, tp, k)`` and the least key ``(pos, tp, k, kind)`` attaining it,
+    kind 0 diagonal and 1 linear: what a sequential sweep with a strict
+    comparison finds."""
+    best, key = 0.0, None
+    for r_diag, r_lin, pos, tp, k in found:
+        for kind, r in enumerate((r_diag, r_lin)):
+            top = float(r.max())
+            if top == 0.0 or top < best:
+                continue
+            cand = (int(pos[r == top].min()), tp, k, kind)
+            if top > best or cand < key:
+                best, key = top, cand
+    return best, key
 
 
 def check_covariance(
-    oracle: KernelOracle, tol: float = RunConfig.axiom_tol
+    oracle: KernelOracle, config: RunConfig = RunConfig()
 ) -> AxiomCheck:
     """Transported word pairs must reproduce the kernel conjugated by the
     initial-space isometry, for every symmetry element."""
+    tol = config.axiom_tol
     if not oracle.symmetry:
         return AxiomCheck(
             "covariance", PASS, 0.0, "no symmetry declared (trivial action)", tol
@@ -367,7 +405,7 @@ def check_covariance(
 
 
 def check_projectivity(
-    oracle: KernelOracle, tol: float = RunConfig.axiom_tol, pair_cap: int = 64
+    oracle: KernelOracle, config: RunConfig = RunConfig(), pair_cap: int = 64
 ) -> AxiomCheck:
     """Unit extension invariance (exact in the canonical word encoding, still
     exercised) plus, when a realizing model is attached, the consistency of
@@ -378,6 +416,7 @@ def check_projectivity(
     witness says so."""
     from .words import extend
 
+    tol = config.axiom_tol
     for w in oracle.words[: min(len(oracle.words), 16)]:
         if extend(w, set(oracle.site.points)) != w:
             return AxiomCheck(
@@ -426,7 +465,7 @@ def check_projectivity(
 
 
 def check_regularity(
-    oracle: KernelOracle, tol: float = RunConfig.regularity_tol
+    oracle: KernelOracle, config: RunConfig = RunConfig()
 ) -> AxiomCheck:
     """Asymptotic noncorrelation with the distant past.
 
@@ -436,6 +475,7 @@ def check_regularity(
     slices.  A zero limit says the slice spans shrink to the initial space.
     """
     site = oracle.site
+    tol = config.regularity_tol
     e = oracle.unit_index()
     k = oracle.kdim
     minimal = oracle.classes.minimal_antichains()
@@ -446,7 +486,7 @@ def check_regularity(
         down = site.down_set(l)
         idx_l = oracle.words_within(down)
         g_l = oracle.gram(idx_l)
-        g_pinv = linalg.pinv(g_l, RunConfig.rank_tol)
+        g_pinv = linalg.pinv(g_l, config.rank_tol)
         worst_b, wit = 0.0, ""
         for i, b in enumerate(oracle.words):
             # cross inner products of the centered vector against the slice span
@@ -469,19 +509,17 @@ def check_regularity(
     )
 
 
-def check_axioms(
-    oracle: KernelOracle,
-    positivity_tol: float = RunConfig.positivity_tol,
-    normalization_tol: float = RunConfig.normalization_tol,
-    axiom_tol: float = RunConfig.axiom_tol,
-) -> AxiomReport:
+def check_axioms(oracle: KernelOracle, config: RunConfig = RunConfig()) -> AxiomReport:
+    positivity = check_positivity(oracle, config)
+    normalization = check_normalization(oracle, config)
+    additivity, factorizability = check_slice_axioms(oracle, config)
     return AxiomReport((
-        check_positivity(oracle, positivity_tol),
-        check_normalization(oracle, normalization_tol),
-        check_sigma_additivity(oracle, axiom_tol),
-        check_factorizability(oracle, axiom_tol),
-        check_covariance(oracle, axiom_tol),
-        check_projectivity(oracle, axiom_tol),
+        positivity,
+        normalization,
+        additivity,
+        factorizability,
+        check_covariance(oracle, config),
+        check_projectivity(oracle, config),
     ))
 
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import RunConfig
-
 COMPLEX = np.complex128
 
 
@@ -122,7 +120,7 @@ def map_on_span(sources: np.ndarray, images: np.ndarray, rel_tol: float) -> np.n
     return asmatrix(images) @ pinv(sources, rel_tol)
 
 
-def projector_onto_columns(x: np.ndarray, rel_tol: float = RunConfig.rank_tol) -> np.ndarray:
+def projector_onto_columns(x: np.ndarray, rel_tol: float) -> np.ndarray:
     """Orthogonal projector onto the column span of `x`."""
     x = np.atleast_2d(asmatrix(x))
     n = x.shape[0]
@@ -139,16 +137,16 @@ def svd_cut(s: np.ndarray, rel_tol: float) -> np.ndarray:
     return s > rel_tol * (s[0] if s.size else 0.0)
 
 
-def join_projectors(projs) -> np.ndarray:
+def join_projectors(projs, rel_tol: float) -> np.ndarray:
     """Projector onto the sum of the ranges (lattice join)."""
     projs = list(projs)
     if not projs:
         raise ValueError("join of an empty family is undefined without a dimension")
     stacked = np.hstack([asmatrix(p) for p in projs])
-    return projector_onto_columns(stacked)
+    return projector_onto_columns(stacked, rel_tol)
 
 
-def meet_projectors(projs) -> np.ndarray:
+def meet_projectors(projs, rel_tol: float) -> np.ndarray:
     """Projector onto the intersection of the ranges (lattice meet).
 
     Computed algebraically as the null space of the sum of complements.
@@ -161,7 +159,7 @@ def meet_projectors(projs) -> np.ndarray:
     s = sum(eye - p for p in projs)
     vals, vecs = np.linalg.eigh(hermitize(s))
     scale = max(float(vals[-1]), 1.0)
-    basis = vecs[:, vals < RunConfig.rank_tol * scale]
+    basis = vecs[:, vals < rel_tol * scale]
     return basis @ dagger(basis)
 
 
@@ -171,8 +169,3 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
-
-def random_isometry(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
-    if m > n:
-        raise ValueError("isometry target must not be smaller than the source")
-    return random_unitary(rng, n)[:, :m]

@@ -87,7 +87,9 @@ def _orthonormal_rows(rows: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
 # -- model-level structure ----------------------------------------------------
 
 
-def slice_projector(model: HilbertModel, classes: SiteClasses, l) -> np.ndarray:
+def slice_projector(
+    model: HilbertModel, classes: SiteClasses, l, config: RunConfig = RunConfig()
+) -> np.ndarray:
     """Meet of the block event units inside a slice."""
     site = classes.site
     pts = sorted(l, key=site.index)
@@ -95,7 +97,7 @@ def slice_projector(model: HilbertModel, classes: SiteClasses, l) -> np.ndarray:
     blocks = [frozenset(c) for r in range(2, len(pts) + 1)
               for c in itertools.combinations(pts, r)]
     units += [model.unit_p(k) for k in blocks if k in model.units_p]
-    return linalg.meet_projectors(units + [model.identity()])
+    return linalg.meet_projectors(units + [model.identity()], config.rank_tol)
 
 
 def slice_algebra(
@@ -139,7 +141,7 @@ def check_dynamicity(
     model: HilbertModel,
     site: CausalSite,
     classes: SiteClasses | None = None,
-    tol: float = RunConfig.membership_tol,
+    config: RunConfig = RunConfig(),
 ) -> ModelReport:
     """Compressions of later-slice events must stay in the slice algebra.
 
@@ -147,11 +149,12 @@ def check_dynamicity(
     commute with the slice's own event projectors.
     """
     classes = classes or derive_classes(site)
+    tol = config.membership_tol
     entries = []
     worst_m, wit_m = 0.0, ""
     worst_w, wit_w = 0.0, ""
     for l in classes.maximal_antichains:
-        e_l = slice_projector(model, classes, l)
+        e_l = slice_projector(model, classes, l, config)
         alg = slice_algebra(model, classes, l, e_l)
         for lp in classes.maximal_antichains:
             if not classes.subset_le(l, lp):
@@ -195,7 +198,7 @@ def check_regression(
     site: CausalSite,
     words: Sequence[EventWord] | None = None,
     classes: SiteClasses | None = None,
-    tol: float = RunConfig.membership_tol,
+    config: RunConfig = RunConfig(),
 ) -> ModelReport:
     """Recompute the kernel through the nested slice compressions and compare
     with the direct value; also verify the composition identities of the
@@ -205,6 +208,7 @@ def check_regression(
     composition failure with an explanatory witness.
     """
     classes = classes or derive_classes(site)
+    tol = config.membership_tol
     slices = _ordered_slices(classes)
     entries = []
     if slices is None:
@@ -219,7 +223,7 @@ def check_regression(
         return ModelReport(tuple(entries))
     if words is None:
         words = enumerate_words(site, model.spaces)
-    e_proj = {l: slice_projector(model, classes, l) for l in slices}
+    e_proj = {l: slice_projector(model, classes, l, config) for l in slices}
     emb = model.embedding
 
     feyn = model.products(site, words)
@@ -304,13 +308,14 @@ def check_narrow_commutativity(
     site: CausalSite,
     classes: SiteClasses | None = None,
     words: Sequence[EventWord] | None = None,
-    tol: float = RunConfig.commutativity_tol,
+    config: RunConfig = RunConfig(),
 ) -> ModelReport:
     """Fully normalized dynamic models force commuting event projectors
     across comparable slices; when that holds the kernel factorizes through
     the pointwise product of the words."""
     classes = classes or derive_classes(site)
-    if not model.is_narrow(site):
+    tol = config.commutativity_tol
+    if not model.is_narrow(site, config):
         raise ValueError("commutativity is a narrow-sense diagnostic; "
                          "the model has nontrivial unit projectors")
     entries = []
@@ -333,8 +338,7 @@ def check_narrow_commutativity(
             words = enumerate_words(site, model.spaces)
         worst_f = pointwise_factorization_residual(model, site, words)
         wit_f = "factorization through the pointwise product" if worst_f > 0.0 else ""
-        tol_f = max(tol, RunConfig.commutativity_tol)
-        entries.append(CheckEntry("complete_factorization", worst_f, wit_f, tol_f))
+        entries.append(CheckEntry("complete_factorization", worst_f, wit_f, tol))
     return ModelReport(tuple(entries))
 
 
@@ -343,7 +347,7 @@ def check_relaxation(
     site: CausalSite,
     classes: SiteClasses | None = None,
     words: Sequence[EventWord] | None = None,
-    tol: float = RunConfig.membership_tol,
+    config: RunConfig = RunConfig(),
     perturbation_seed: int = 7,
 ) -> ModelReport:
     """Relaxation of the compression maps at the smallest slices.
@@ -355,12 +359,15 @@ def check_relaxation(
     vector is.
     """
     classes = classes or derive_classes(site)
+    tol = config.membership_tol
     if words is None:
         words = enumerate_words(site, model.spaces)
     minimal = classes.minimal_antichains()
     p0 = model.initial_projector()
     columns = {l: _slice_columns(model, site, words, l) for l in classes.maximal_antichains}
-    span = {l: linalg.projector_onto_columns(c) for l, c in columns.items()}
+    span = {
+        l: linalg.projector_onto_columns(c, config.rank_tol) for l, c in columns.items()
+    }
     algebras = {l: slice_algebra(model, classes, l, span[l]) for l in span}
     entries = []
 
@@ -384,7 +391,9 @@ def check_relaxation(
     for l0 in minimal:
         perturbed = _rotate_slice_atoms(model, l0, rng)
         e_l0 = span[l0]
-        e_l0_pert = linalg.projector_onto_columns(_slice_columns(perturbed, site, words, l0))
+        e_l0_pert = linalg.projector_onto_columns(
+            _slice_columns(perturbed, site, words, l0), config.rank_tol
+        )
         # unit vectors reachable by measurements on the slice
         cols = columns[l0]
         norms = np.linalg.norm(cols, axis=0)

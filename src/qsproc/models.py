@@ -138,8 +138,9 @@ class HilbertModel:
             return self.units_i[k]
         return self.identity()
 
-    def is_narrow(self, site: CausalSite, tol: float = RunConfig.projector_tol) -> bool:
+    def is_narrow(self, site: CausalSite, config: RunConfig = RunConfig()) -> bool:
         """Fully normalized: every unit projector is the identity."""
+        tol = config.projector_tol
         eye = self.identity()
         for t in site.points:
             if opnorm(self.point_unit(t) - eye) > tol:
@@ -317,7 +318,7 @@ def check_model(
     model: HilbertModel,
     site: CausalSite,
     classes: SiteClasses | None = None,
-    tol: float = RunConfig.projector_tol,
+    config: RunConfig = RunConfig(),
     site_sym: SiteSymmetry | None = None,
 ) -> ModelReport:
     """Verify the whole contract of a measurement model.
@@ -333,8 +334,10 @@ def check_model(
     classes = classes or derive_classes(site)
     entries: list[CheckEntry] = []
 
-    def record(condition, residual, witness, tolerance=tol):
-        entries.append(CheckEntry(condition, float(residual), witness, tolerance))
+    def record(condition, residual, witness):
+        entries.append(
+            CheckEntry(condition, float(residual), witness, config.projector_tol)
+        )
 
     eye = model.identity()
 
@@ -399,10 +402,11 @@ def check_model(
     for l in classes.maximal_antichains:
         blocks = _blocks_within(classes, l)
         meet = linalg.meet_projectors(
-            [model.unit_p(k) for k in blocks] + [eye]
+            [model.unit_p(k) for k in blocks] + [eye], config.rank_tol
         )
         join = linalg.join_projectors(
-            [model.unit_i(k) for k in blocks] + [model.initial_projector()]
+            [model.unit_i(k) for k in blocks] + [model.initial_projector()],
+            config.rank_tol,
         )
         r = opnorm(meet - join)
         if r > worst_u:

@@ -24,10 +24,12 @@ from . import linalg
 from .config import RunConfig
 from .linalg import COMPLEX, dagger, opnorm
 from .kernels import (
+    FAIL,
+    AxiomCheck,
     KernelOracle,
     check_covariance,
     check_normalization,
-    check_sigma_additivity,
+    check_slice_axioms,
     positivity_verdict,
     _word_label,
 )
@@ -54,7 +56,7 @@ class GnsSpace:
     coords: np.ndarray  # (rank, n_pairs)
     kept_eigenvalues: np.ndarray
     dropped_eigenvalues: np.ndarray
-    rank_tol: float
+    config: RunConfig
 
     @property
     def rank(self) -> int:
@@ -85,39 +87,24 @@ class GnsSpace:
         return opnorm(approx - self.gram) / scale
 
 
-def build_space(
-    oracle: KernelOracle,
-    rank_tol: float = RunConfig.rank_tol,
-    positivity_tol: float = RunConfig.positivity_tol,
-) -> GnsSpace:
+def build_space(oracle: KernelOracle, config: RunConfig = RunConfig()) -> GnsSpace:
     """Quotient the formal sums by the kernel's null space.
 
-    Refuses when positivity (at `positivity_tol`, read off the spectrum of the
-    one eigendecomposition) or normalization fail: without them the form is
-    not an inner product on the quotient.  Refuses too when sigma additivity
-    fails (not when the word list leaves it inconclusive): no measurement
-    model has such a table.
+    Refuses when positivity (read off the spectrum of the one
+    eigendecomposition) or normalization fail: without them the form is not
+    an inner product on the quotient.  Refuses too when sigma additivity or
+    factorizability fail (not when the word list leaves them inconclusive):
+    no measurement model has such a table, and the emitted model would not
+    reproduce it.
     """
     if not oracle.words:
         raise ValueError("word list is empty")
     gram = linalg.hermitize(oracle.gram())
-    kept, vecs, dropped = linalg.psd_eigencut(gram, rank_tol)
-    pos = positivity_verdict(oracle, np.concatenate([kept, dropped]), positivity_tol)
-    if not pos.ok:
-        raise ReconstructionRefused(
-            f"positivity fails ({pos.witness}, residual {pos.residual:.3e})"
-        )
-    norm = check_normalization(oracle)
-    if not norm.ok:
-        raise ReconstructionRefused(
-            f"normalization fails (residual {norm.residual:.3e})"
-        )
-    additivity = check_sigma_additivity(oracle, RunConfig.axiom_tol)
-    if additivity.status == "fail":
-        raise ReconstructionRefused(
-            f"sigma additivity fails ({additivity.witness}, "
-            f"residual {additivity.residual:.3e})"
-        )
+    kept, vecs, dropped = linalg.psd_eigencut(gram, config.rank_tol)
+    spectrum = np.concatenate([kept, dropped])
+    _refuse_failed(positivity_verdict(oracle, spectrum, config.positivity_tol))
+    _refuse_failed(check_normalization(oracle, config))
+    _refuse_failed(*check_slice_axioms(oracle, config))
     coords = np.sqrt(kept)[:, None] * dagger(vecs)
     return GnsSpace(
         oracle=oracle,
@@ -125,8 +112,19 @@ def build_space(
         coords=coords,
         kept_eigenvalues=kept,
         dropped_eigenvalues=dropped,
-        rank_tol=rank_tol,
+        config=config,
     )
+
+
+def _refuse_failed(*checks: AxiomCheck) -> None:
+    """Refuse the construction on the first demonstrated axiom violation; an
+    inconclusive verdict (missing closure data) does not refuse."""
+    for c in checks:
+        if c.status == FAIL:
+            name = c.name.replace("_", " ")
+            raise ReconstructionRefused(
+                f"{name} fails ({c.witness}, residual {c.residual:.3e})"
+            )
 
 
 # -- represented structure ----------------------------------------------------
@@ -173,7 +171,7 @@ def represent_event(
         targets.append(j)
     x = gns.pair_coords(idx)
     y = gns.pair_coords(targets)
-    return linalg.map_on_span(x, y, gns.rank_tol)
+    return linalg.map_on_span(x, y, gns.config.rank_tol)
 
 
 def represent_events(
@@ -228,7 +226,7 @@ def _algebra_action(gns: GnsSpace, idx: Sequence[int], a: np.ndarray) -> np.ndar
     # The represented operator is the adjoint of the adjoint generator's
     # action on the vector leg, extended by zero off the eligible span.
     y = _vector_leg(gns, idx, dagger(a))
-    lam_star = linalg.map_on_span(gns.pair_coords(idx), y, gns.rank_tol)
+    lam_star = linalg.map_on_span(gns.pair_coords(idx), y, gns.config.rank_tol)
     return dagger(lam_star)
 
 
@@ -254,11 +252,7 @@ def represent_symmetry(gns: GnsSpace) -> dict[str, np.ndarray]:
     are skipped.
     """
     oracle = gns.oracle
-    cov = check_covariance(oracle, RunConfig.axiom_tol)
-    if cov.status == "fail":
-        raise ReconstructionRefused(
-            f"covariance fails ({cov.witness}, residual {cov.residual:.3e})"
-        )
+    _refuse_failed(check_covariance(oracle, gns.config))
     out: dict[str, np.ndarray] = {}
     from .words import pull_back
 
@@ -280,7 +274,7 @@ def represent_symmetry(gns: GnsSpace) -> dict[str, np.ndarray]:
                 )
             transported.append(j)
         y = _vector_leg(gns, transported, dagger(np.asarray(sym.u, dtype=COMPLEX)))
-        pulled = linalg.map_on_span(gns.pair_coords(eligible), y, gns.rank_tol)
+        pulled = linalg.map_on_span(gns.pair_coords(eligible), y, gns.config.rank_tol)
         out[s] = dagger(pulled)
     return out
 
@@ -309,9 +303,6 @@ class ReconstructedProcess:
     def origin_unit_rank(self) -> int:
         return int(round(float(np.real(np.trace(self.unit_i[frozenset()])))))
 
-    def regular_at_origin(self, tol: float = 1e-8) -> bool:
-        return opnorm(self.unit_i[frozenset()] - self.initial_projector()) <= tol
-
     def provenance(self) -> dict:
         return {
             "rank": self.rank,
@@ -319,12 +310,12 @@ class ReconstructedProcess:
             "pairs": self.gns.coords.shape[1],
             "kept_eigenvalues": [float(v) for v in self.gns.kept_eigenvalues],
             "dropped_eigenvalues": [float(v) for v in self.gns.dropped_eigenvalues],
-            "rank_tolerance": self.gns.rank_tol,
+            "rank_tolerance": self.gns.config.rank_tol,
             "gram_defect": self.gns.gram_defect(),
         }
 
 
-def compute_subspace_lattice(gns: GnsSpace, antichain_cap: int = 4096):
+def compute_subspace_lattice(gns: GnsSpace):
     """Slice-span projectors and the derived unit families.
 
     E_l projects onto the span of pairs of words supported below the slice l;
@@ -340,15 +331,17 @@ def compute_subspace_lattice(gns: GnsSpace, antichain_cap: int = 4096):
     for l in oracle.classes.maximal_antichains:
         idx = oracle.words_within(site.down_set(l))
         slice_projectors[l] = linalg.projector_onto_columns(
-            gns.pair_coords(idx), gns.rank_tol
+            gns.pair_coords(idx), gns.config.rank_tol
         )
     unit_p: dict[frozenset, np.ndarray] = {frozenset(): eye}
     unit_i: dict[frozenset, np.ndarray] = {
-        frozenset(): linalg.meet_projectors(list(slice_projectors.values()))
+        frozenset(): linalg.meet_projectors(
+            list(slice_projectors.values()), gns.config.rank_tol
+        )
         if slice_projectors
         else eye
     }
-    for k in oracle.classes.all_nonanticipatory(antichain_cap):
+    for k in oracle.classes.all_nonanticipatory():
         if not k:
             continue
         containing = [slice_projectors[l] for l in oracle.classes.antichains_containing(k)]
@@ -356,17 +349,15 @@ def compute_subspace_lattice(gns: GnsSpace, antichain_cap: int = 4096):
             raise ReconstructionRefused(
                 f"block {sorted(k)} lies in no maximal antichain"
             )
-        unit_p[k] = linalg.join_projectors(containing)
-        unit_i[k] = linalg.meet_projectors(containing)
+        unit_p[k] = linalg.join_projectors(containing, gns.config.rank_tol)
+        unit_i[k] = linalg.meet_projectors(containing, gns.config.rank_tol)
     return slice_projectors, unit_p, unit_i
 
 
 def reconstruct(
     oracle: KernelOracle,
-    rank_tol: float = RunConfig.rank_tol,
-    antichain_cap: int = 4096,
+    config: RunConfig = RunConfig(),
     strict_closure: bool = True,
-    positivity_tol: float = RunConfig.positivity_tol,
 ) -> ReconstructedProcess:
     """Run the whole construction and package the result as a model.
 
@@ -375,9 +366,9 @@ def reconstruct(
     essential units), so the model re-enters every forward operation
     unchanged.
     """
-    gns = build_space(oracle, rank_tol, positivity_tol)
+    gns = build_space(oracle, config)
     atoms = represent_events(gns, strict_closure)
-    slice_projectors, unit_p, unit_i = compute_subspace_lattice(gns, antichain_cap)
+    slice_projectors, unit_p, unit_i = compute_subspace_lattice(gns)
     algebra = represent_algebra(gns) if oracle.algebra else {}
     isometries = represent_symmetry(gns) if oracle.symmetry else {}
 
@@ -387,7 +378,7 @@ def reconstruct(
             continue
         idx = oracle.words_within(oracle.site.down_set(k))
         units_i_model[k] = linalg.projector_onto_columns(
-            gns.pair_coords(idx), gns.rank_tol
+            gns.pair_coords(idx), gns.config.rank_tol
         )
 
     symmetry = {
@@ -437,11 +428,12 @@ class DecompositionReport:
 def verify_decomposition(
     recon: ReconstructedProcess,
     oracle: KernelOracle | None = None,
-    tol: float = RunConfig.decomposition_tol,
+    config: RunConfig = RunConfig(),
 ) -> DecompositionReport:
     """Recompute the kernel table from the reconstructed model and compare it
     entrywise with the oracle."""
     oracle = oracle or recon.gns.oracle
+    tol = config.decomposition_tol
     diff = linalg.pair_blocks(recon.model.products(oracle.site, oracle.words)) \
         - oracle.table
     worst, at = linalg.worst_block(diff)

@@ -25,7 +25,7 @@ SUCCEEDS = "succeeds"
 INDEPENDENT = "independent"
 
 #: Hard ceiling on antichain enumeration, overridable per call.
-DEFAULT_ANTICHAIN_CAP = 20000
+DEFAULT_ANTICHAIN_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -94,12 +94,6 @@ class CausalSite:
     def nonanticipatory_pair(self, a: str, b: str) -> bool:
         """Neither point strictly precedes the other."""
         return self.classify_pair(a, b) in (EQUIVALENT, INDEPENDENT)
-
-    def is_nonanticipatory(self, pts: Iterable[str]) -> bool:
-        pts = list(pts)
-        return all(
-            self.nonanticipatory_pair(a, b) for a, b in itertools.combinations(pts, 2)
-        )
 
     # -- derived subsets --------------------------------------------------
 
@@ -176,11 +170,6 @@ class SiteClasses:
         some point of j'."""
         j, jp = set(j), set(jp)
         return all(any(self.site.le(a, b) for b in jp) for a in j)
-
-    def subset_strictly_after(self, j: Iterable[str], jp: Iterable[str]) -> bool:
-        """Strict order: j comes strictly after j' (join is j, disjoint)."""
-        j, jp = frozenset(j), frozenset(jp)
-        return bool(j) and self.join(j, jp) == j and not (j & jp)
 
     def antichains_containing(self, k: Iterable[str]) -> list[frozenset[str]]:
         k = frozenset(k)
@@ -259,12 +248,6 @@ class SiteSymmetry:
     maps: Mapping[str, Mapping[str, str]]
     compose: Mapping[tuple[str, str], str]
 
-    def apply(self, s: str, t: str) -> str | None:
-        return self.maps[s].get(t)
-
-    def domain(self, s: str) -> frozenset[str]:
-        return frozenset(self.maps[s].keys())
-
 
 @dataclass(frozen=True)
 class SymmetryReport:
@@ -308,11 +291,6 @@ def check_symmetry(site: CausalSite, sym: SiteSymmetry) -> SymmetryReport:
             if lhs != rhs:
                 comp.append((s, sp, t))
     return SymmetryReport(tuple(mono), tuple(comp), ())
-
-
-def trivial_symmetry(site: CausalSite) -> SiteSymmetry:
-    ident = {t: t for t in site.points}
-    return SiteSymmetry(("id",), {"id": ident}, {("id", "id"): "id"})
 
 
 # -- geometric constructors -------------------------------------------------
@@ -400,13 +378,6 @@ def discrete_site(labels: Sequence[str]) -> CausalSite:
     n = len(labels)
     leq = tuple(tuple(True for _ in range(n)) for _ in range(n))
     return CausalSite(points=tuple(labels), leq=leq, meta={"kind": "discrete"})
-
-
-def antichain_site(labels: Sequence[str]) -> CausalSite:
-    """All points pairwise independent."""
-    n = len(labels)
-    leq = tuple(tuple(i == j for j in range(n)) for i in range(n))
-    return CausalSite(points=tuple(labels), leq=leq, meta={"kind": "antichain"})
 
 
 def _coord_label(p: tuple) -> str:

@@ -214,24 +214,11 @@ def to_chain_sequence(
     return support, events
 
 
-def reassemble(
-    blocks: Iterable[Event], spaces: OutcomeSpaces
-) -> EventWord:
-    """Inverse of `to_chain_sequence` up to unit padding."""
-    out: dict[str, frozenset[str]] = {}
-    for ev in blocks:
-        for t, b in ev.factors:
-            if t in out:
-                raise ValueError(f"blocks overlap at {t!r}")
-            out[t] = b
-    return EventWord.from_dict(out, spaces)
-
-
 def enumerate_words(
     site: CausalSite,
     spaces: OutcomeSpaces,
     policy: str = POLICY_ALL_SUBSETS,
-    cap: int = RunConfig.cap,
+    cap: int = RunConfig().cap,
 ) -> list[EventWord]:
     """Deterministic word list over the whole site.
 

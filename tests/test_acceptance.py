@@ -20,6 +20,7 @@ from qsproc.markov import (
 )
 from qsproc.reconstruct import reconstruct, verify_decomposition
 from qsproc.bridges import classical_reduce, interference_witness, verify_lift
+from qsproc.config import RunConfig
 from qsproc.words import enumerate_words
 
 SEEDS = range(20)
@@ -135,7 +136,7 @@ def test_criterion_5_classical_bridge():
     details = []
     for trivial in (True, False):
         model, site = fixtures.commuting_diagonal(trivial_order=trivial)
-        red = classical_reduce(model, site, tol=1e-12)
+        red = classical_reduce(model, site, RunConfig(classical_tol=1e-12))
         ok = ok and red.ok
         ok = ok and abs(red.total_mass - 1.0) <= 1e-12
         ok = ok and red.additivity_residual <= 1e-12
@@ -153,7 +154,7 @@ def test_criterion_6_shift_covariance():
     model, site, sym = fixtures.galilean_shift_fixture()
     words = enumerate_words(site, model.spaces)
     oracle = model.kernel_table(site, words, site_sym=sym)
-    cov = check_covariance(oracle, tol=1e-9)
+    cov = check_covariance(oracle, RunConfig(axiom_tol=1e-9))
     recon = reconstruct(oracle)
     worst = cov.residual
     ok = cov.status == "pass"
@@ -197,8 +198,8 @@ def _intertwining_residual(recon, sym):
 
 def test_criterion_7_markov_suite():
     chain, chain_site_ = fixtures.tensor_chain(3)
-    dyn = check_dynamicity(chain, chain_site_, tol=1e-8)
-    reg = check_regression(chain, chain_site_, tol=1e-8)
+    dyn = check_dynamicity(chain, chain_site_, config=RunConfig(membership_tol=1e-8))
+    reg = check_regression(chain, chain_site_, config=RunConfig(membership_tol=1e-8))
     ok = dyn.ok and reg.ok
     detail = (
         f"dynamicity {dyn.worst('dynamicity').residual:.2e}, "
@@ -235,8 +236,10 @@ def test_criterion_8_level_lift():
 def test_criterion_9_regularity_and_relaxation():
     regular, rsite = fixtures.tensor_chain(2, eigen_aligned_first=True)
     words = enumerate_words(rsite, regular.spaces)
-    r_reg = check_regularity(regular.kernel_table(rsite, words), tol=1e-9)
-    r_rel = check_relaxation(regular, rsite, tol=1e-8)
+    r_reg = check_regularity(
+        regular.kernel_table(rsite, words), RunConfig(regularity_tol=1e-9)
+    )
+    r_rel = check_relaxation(regular, rsite, config=RunConfig(membership_tol=1e-8))
 
     ancilla, asite = fixtures.ancilla_correlated()
     awords = enumerate_words(asite, ancilla.spaces)

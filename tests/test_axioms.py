@@ -121,13 +121,11 @@ class TestSigmaAdditivity:
     def test_unit_partition_sums_to_one(self, qubit_oracle):
         # mass balance at the latest slice is part of the sweep
         e = qubit_oracle.unit_index()
-        total = sum(
-            qubit_oracle.value(
-                EventWord.from_dict({"t2": {m}}, qubit_oracle.spaces),
-                EventWord.from_dict({"t2": {m}}, qubit_oracle.spaces),
-            )[0, 0]
+        idx = [
+            qubit_oracle.index(EventWord.from_dict({"t2": {m}}, qubit_oracle.spaces))
             for m in ("+", "-")
-        )
+        ]
+        total = sum(qubit_oracle.table[i, i, 0, 0] for i in idx)
         assert total == pytest.approx(qubit_oracle.table[e, e, 0, 0])
 
     def test_perturbed_entry_fails(self):

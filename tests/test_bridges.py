@@ -42,8 +42,8 @@ class TestLexicographicSite:
 
     def test_top_level_leaves_shift_domain(self):
         _, sym = lexicographic_site(["a"], 3)
-        assert "2:a" not in sym.domain("shift1")
-        assert sym.apply("shift1", "1:a") == "2:a"
+        assert "2:a" not in sym.maps["shift1"]
+        assert sym.maps["shift1"]["1:a"] == "2:a"
 
     def test_total_order_variant_has_singleton_classes(self):
         site, _ = lexicographic_site(["a", "b"], 2, total_order=True)

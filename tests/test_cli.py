@@ -1,13 +1,19 @@
 """Command-line surface: exit codes, report shape, determinism."""
 
+import contextlib
+import io
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsproc import cli, fixtures, serialize
+from qsproc import cli, equivalence, fixtures, serialize
+from qsproc.config import RunConfig
+from qsproc.kernels import check_axioms
+from qsproc.models import HilbertModel
 from qsproc.words import enumerate_words
 
 
@@ -197,22 +203,34 @@ class TestReconstruct:
                 "of {[]@t1} split at 't2', residual 1.000e+00)\n"
             )
 
-    def test_idempotence_refusal_exits_one(self, tmp_path, capsys):
+    def test_idempotence_refusal_exits_one(self, tmp_path, capsys, monkeypatch):
         # sigma additive but not factorizable: the Gram table of the vectors
         # w(0,+) = w(1,-) = (1/2, 0) and w(0,-) = -w(1,+) = (0, 1/2), summed
-        # over the trajectories of each word; the emitted model does not
-        # reproduce it, and the model's own table is not sigma additive
+        # over the trajectories of each word; no model reproduces it, so the
+        # reconstruction refuses it
         oracle = qubit_table()
         hits = trajectory_hits(oracle, [("0", "+"), ("1", "-"), ("0", "-"), ("1", "+")])
         vecs = hits @ np.array([[0.5, 0.0], [0.5, 0.0], [0.0, 0.5], [0.0, -0.5]])
         oracle.table[:, :, 0, 0] = vecs @ vecs.T
         table_file = write(tmp_path, "table.json", serialize.oracle_to_json(oracle))
-        assert cli.main(["reconstruct", table_file]) == 0
-        capsys.readouterr()
-        assert cli.main(["reconstruct", table_file, "--verify"]) == 1
+        for verify in ([], ["--verify"]):
+            assert cli.main(["reconstruct", table_file, *verify]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(
+                "reconstruction refused: factorizability fails"
+            )
+        # a refused idempotence step on an accepted table exits 1 too
+
+        def refuse(*args, **kwargs):
+            raise equivalence.EquivalenceRefused("models are not equivalent")
+
+        monkeypatch.setattr(equivalence, "build_unitary", refuse)
+        good = write(tmp_path, "good.json", serialize.oracle_to_json(qubit_table()))
+        assert cli.main(["reconstruct", good, "--verify"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("idempotence refused: sigma additivity fails")
+        assert captured.err == "idempotence refused: models are not equivalent\n"
 
     def test_positivity_tol_from_config(self, tmp_path, capsys):
         # a signed classical measure, +1e-8 on the trajectory (0,+) and -1e-8
@@ -320,11 +338,14 @@ class TestLift:
         assert report["lift"]["ok"] is True
 
     def test_decomposition_tol_from_config(self, tmp_path, field_file, capsys):
-        cfg = write(tmp_path, "cfg.json", {"decomposition_tol": 1e-6})
+        cfg = write(
+            tmp_path, "cfg.json",
+            {"decomposition_tol": 1e-6, "ultrastationarity_tol": 1e-7},
+        )
         assert cli.main(["--config", cfg, "lift", field_file]) == 0
         checks = json.loads(capsys.readouterr().out)["lift"]["checks"]
         assert {c["condition"]: c["tolerance"] for c in checks} == {
-            "ultrastationarity": 1e-12,
+            "ultrastationarity": 1e-7,
             "constant_slice_units": 1e-6,
             "level_independent_events": 1e-6,
             "narrow_units_on_minimal_space": 1e-6,
@@ -366,6 +387,219 @@ class TestConfig:
 
     def test_cap_enforced(self, qubit_files):
         assert cli.main(["--cap", "3", "check", *qubit_files]) == 2
+
+    @pytest.mark.parametrize("flags, text", [
+        (["--cap", "0"], None),
+        ([], '{"cap": "10"}'),
+        ([], '{"cap": 2.5}'),
+        ([], '{"cap": true}'),
+        ([], '{"axiom_tol": "1e-9"}'),
+        ([], '{"axiom_tol": NaN}'),
+        ([], '{"axiom_tol": Infinity}'),
+        ([], '{"axiom_tol": 0}'),
+        ([], '{"rank_tol": true}'),
+        ([], '5'),
+    ])
+    def test_invalid_value_exits_two(self, tmp_path, qubit_files, capsys, flags, text):
+        if text is not None:
+            flags = ["--config", write(tmp_path, "cfg.json", text)]
+        assert cli.main([*flags, "check", *qubit_files]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error:")
+
+
+class TestConfigKeys:
+    """Each config key a command reads changes that command's verdict or
+    output (`positivity_tol`, `decomposition_tol`, `ultrastationarity_tol`,
+    `cap`, `policy` and `format` are shown above)."""
+
+    def run(self, tmp_path, capsys, overrides, argv):
+        if overrides:
+            argv = ["--config", write(tmp_path, "cfg.json", overrides), *argv]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_axiom_tol(self, tmp_path, capsys):
+        # 1e-8 on the word with an empty factor: additivity and
+        # factorizability fail at 1e-9 and hold at 1e-6, in `check` and
+        # `reconstruct` alike
+        data = serialize.oracle_to_json(qubit_table())
+        data["values"]["1,1"] = data["values"]["1,1"] + 1e-8
+        table_file = write(tmp_path, "table.json", data)
+        code, out, err = self.run(tmp_path, capsys, None, ["reconstruct", table_file])
+        assert (code, out) == (1, "")
+        assert err.startswith("reconstruction refused: sigma additivity fails")
+        code, out, _ = self.run(
+            tmp_path, capsys, {"axiom_tol": 1e-6}, ["reconstruct", table_file]
+        )
+        assert code == 0
+        assert json.loads(out)["provenance"]["rank"] == 3
+
+    def test_normalization_tol(self, tmp_path, capsys):
+        oracle = qubit_table()
+        e = oracle.unit_index()
+        oracle.table[e, e] *= 1 + 1e-11
+        table_file = write(tmp_path, "table.json", serialize.oracle_to_json(oracle))
+        code, _, err = self.run(tmp_path, capsys, None, ["reconstruct", table_file])
+        assert code == 1
+        assert err == (
+            "reconstruction refused: normalization fails (kernel at the unit pair, "
+            "residual 1.000e-11)\n"
+        )
+        code, _, _ = self.run(
+            tmp_path, capsys, {"normalization_tol": 1e-10}, ["reconstruct", table_file]
+        )
+        assert code == 0
+
+    def test_rank_tol(self, tmp_path, qubit_files, capsys):
+        # a cut at half the largest eigenvalue drops a genuine dimension, and
+        # the round trip sees it
+        argv = ["reconstruct", qubit_files[0], "--site", qubit_files[1]]
+        for overrides, rank in ((None, 2), ({"rank_tol": 0.5}, 1)):
+            code, out, _ = self.run(tmp_path, capsys, overrides, argv)
+            assert (code, json.loads(out)["provenance"]["rank"]) == (0, rank)
+        argv = ["roundtrip", *qubit_files]
+        assert self.run(tmp_path, capsys, None, argv)[0] == 0
+        assert self.run(tmp_path, capsys, {"rank_tol": 0.5}, argv)[0] == 1
+
+    def test_projector_tol(self, tmp_path, qubit_files, capsys):
+        # atoms off by 3e-10 from projectors that still resolve the unit
+        model, _ = fixtures.qubit_zx()
+        delta = 3e-10
+        atoms = dict(model.atoms)
+        atoms["t1"] = {
+            "0": (1 + delta) * fixtures.Z_ATOMS["0"],
+            "1": fixtures.Z_ATOMS["1"] - delta * fixtures.Z_ATOMS["0"],
+        }
+        bad = HilbertModel(
+            dim=2, embedding=model.embedding, atoms=atoms, spaces=model.spaces
+        )
+        model_file = write(tmp_path, "bad.json", serialize.model_to_json(bad))
+        argv = ["check", model_file, qubit_files[1]]
+        code, out, _ = self.run(tmp_path, capsys, None, argv)
+        assert code == 1
+        assert json.loads(out)["model"]["ok"] is False
+        code, out, _ = self.run(tmp_path, capsys, {"projector_tol": 1e-9}, argv)
+        assert (code, json.loads(out)["ok"]) == (0, True)
+
+    def test_equivalence_tol(self, tmp_path, qubit_files, capsys):
+        # the second basis turned by a further 1e-7: tables 1e-7 apart
+        model, _ = fixtures.qubit_zx()
+        turned = fixtures.rotated_atoms(np.pi / 4 + 1e-7)
+        atoms = {**model.atoms, "t2": {"+": turned["0"], "-": turned["1"]}}
+        other = HilbertModel(
+            dim=2, embedding=model.embedding, atoms=atoms, spaces=model.spaces
+        )
+        other_file = write(tmp_path, "other.json", serialize.model_to_json(other))
+        model_file, site_file = qubit_files
+        for action in ("check", "unitary"):
+            argv = ["equiv", action, model_file, other_file, site_file]
+            assert self.run(tmp_path, capsys, None, argv)[0] == 1
+            assert self.run(tmp_path, capsys, {"equivalence_tol": 1e-6}, argv)[0] == 0
+
+    def test_membership_tol(self, qubit_files, tmp_path, capsys):
+        argv = ["markov", "check", *qubit_files]
+        code, out, _ = self.run(tmp_path, capsys, None, argv)
+        assert (code, json.loads(out)["dynamicity"]["ok"]) == (1, False)
+        code, out, _ = self.run(tmp_path, capsys, {"membership_tol": 1.0}, argv)
+        report = json.loads(out)
+        assert code == 0
+        assert report["dynamicity"]["ok"] and report["regression"]["ok"]
+
+    def test_commutativity_tol(self, qubit_files, tmp_path, capsys):
+        argv = ["markov", "check", *qubit_files]
+        _, out, _ = self.run(tmp_path, capsys, None, argv)
+        assert json.loads(out)["narrow_commutativity"]["ok"] is False
+        _, out, _ = self.run(tmp_path, capsys, {"commutativity_tol": 1.0}, argv)
+        assert json.loads(out)["narrow_commutativity"]["ok"] is True
+
+    def test_classical_tol(self, tmp_path, capsys):
+        # the interference defect 1/2 names the obstruction only above the
+        # tolerance; otherwise the commutator does
+        model, site = fixtures.qubit_xz()
+        argv = [
+            "classical",
+            write(tmp_path, "xz.json", serialize.model_to_json(model)),
+            write(tmp_path, "xz_site.json", serialize.site_to_json(site)),
+        ]
+        code, _, err = self.run(tmp_path, capsys, None, argv)
+        assert code == 1 and "marginalizing 't1' changes later statistics" in err
+        code, _, err = self.run(tmp_path, capsys, {"classical_tol": 1.0}, argv)
+        assert code == 1 and "commutator" in err and "marginalizing" not in err
+
+
+class TestInputErrors:
+    @pytest.fixture
+    def files(self, tmp_path):
+        model, site = fixtures.qubit_zx()
+        site_t9 = serialize.site_to_json(site)
+        site_t9["points"] = ["t1", "t9"]
+        relabeled = serialize.model_to_json(model)
+        relabeled["spaces"]["t2"] = ["p", "m"]
+        plus, minus = (relabeled["projectors"]["t2"].pop(o) for o in ("+", "-"))
+        relabeled["projectors"]["t2"] = {"p": plus, "m": minus}
+        no_unit = model.kernel_table(
+            site, [w for w in enumerate_words(site, model.spaces) if not w.is_unit()]
+        )
+        atoms, xi, spaces = fixtures.two_point_field()
+        field = {
+            "depth": 2,
+            "initial": serialize.matrix_to_json(xi[:, None]),
+            "devices": {
+                x: {o: serialize.matrix_to_json(m) for o, m in fam.items()}
+                for x, fam in atoms.items()
+            },
+            "spaces": {x: list(v) for x, v in spaces.items()},
+        }
+        misshapen = json.loads(json.dumps(field))
+        misshapen["devices"]["x"]["+"] = misshapen["devices"]["x"]["+"][:1]
+        return {
+            "model": write(tmp_path, "model.json", serialize.model_to_json(model)),
+            "site": write(tmp_path, "site.json", serialize.site_to_json(site)),
+            "site_t9": write(tmp_path, "site_t9.json", site_t9),
+            "kdim2": write(
+                tmp_path, "kdim2.json",
+                serialize.model_to_json(fixtures.controlled_kdim2()[0]),
+            ),
+            "relabeled": write(tmp_path, "relabeled.json", relabeled),
+            "no_unit": write(
+                tmp_path, "no_unit.json", serialize.oracle_to_json(no_unit)
+            ),
+            "misshapen": write(tmp_path, "misshapen.json", misshapen),
+            "depth0": write(tmp_path, "depth0.json", {**field, "depth": 0}),
+            "spaces": write(
+                tmp_path, "spaces.json", {**field, "spaces": {"x": ["+"], "z": ["0"]}}
+            ),
+            "other_point": write(
+                tmp_path, "other_point.json", {**field, "spaces": {"y": ["0", "1"]}}
+            ),
+            "field": write(tmp_path, "field.json", field),
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "model", "site_t9"],
+        ["kernels", "model", "site_t9"],
+        ["reconstruct", "model", "--site", "site_t9"],
+        ["markov", "check", "model", "site_t9"],
+        ["equiv", "check", "model", "kdim2", "site"],
+        ["equiv", "unitary", "model", "kdim2", "site"],
+        ["equiv", "check", "model", "relabeled", "site"],
+        ["equiv", "unitary", "model", "relabeled", "site"],
+        ["reconstruct", "no_unit"],
+        ["lift", "misshapen"],
+        ["lift", "depth0"],
+        ["lift", "spaces"],
+        ["lift", "other_point"],
+        ["--cap", "5", "lift", "field"],
+    ])
+    def test_mismatched_input_exits_two(self, files, capsys, argv):
+        assert cli.main([files.get(a, a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 # -- adversarial tables ---------------------------------------------------------
@@ -415,9 +649,29 @@ def mutate(table: dict, mutations) -> dict:
     return data
 
 
+GATED = ("positivity", "normalization", "sigma_additivity", "factorizability")
+
+
 @settings(max_examples=50, deadline=None)
-@given(st.lists(mutation, min_size=1, max_size=4))
-def test_mutated_table_exits_cleanly(tmp_path_factory, mutations):
-    path = tmp_path_factory.mktemp("mutated") / "table.json"
-    path.write_text(json.dumps(mutate(QUBIT_TABLE, mutations)))
-    assert cli.main(["reconstruct", str(path)]) in (0, 1, 2)
+@given(st.lists(mutation, min_size=1, max_size=4), st.sampled_from([1e-9, 1e-6]))
+def test_mutated_table_exits_cleanly(tmp_path_factory, mutations, axiom_tol):
+    # reconstruct refuses a table exactly when `check_axioms`, at the same
+    # config, reports one of the gated axioms as failed, and names it
+    config = RunConfig(axiom_tol=axiom_tol)
+    workdir = tmp_path_factory.mktemp("mutated")
+    data = mutate(QUBIT_TABLE, mutations)
+    table_file, config_file = workdir / "table.json", workdir / "config.json"
+    table_file.write_text(json.dumps(data))
+    config_file.write_text(json.dumps(config.to_dict()))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["--config", str(config_file), "reconstruct", str(table_file)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        return
+    report = check_axioms(serialize.oracle_from_json(data), config)
+    failed = [name for name in GATED if report[name].status == "fail"]
+    refused = re.match(r"reconstruction refused: ([a-z ]+) fails", err.getvalue())
+    assert (code == 1) == bool(failed)
+    if code == 1:
+        assert refused and refused.group(1).replace(" ", "_") == failed[0]

@@ -9,13 +9,23 @@ from qsproc.equivalence import (
     build_unitary,
     check_model_relation,
     check_wide_equivalence,
-    is_minimal,
     minimal_modification,
 )
-from qsproc.linalg import dagger, opnorm, random_isometry
+from qsproc.config import RunConfig
+from qsproc.linalg import dagger, opnorm
 from qsproc.models import HilbertModel
 from qsproc.reconstruct import reconstruct
 from qsproc.words import enumerate_words
+
+
+def is_minimal(model, site, words) -> bool:
+    """Compressing a minimal model to the span of its products keeps its
+    dimension."""
+    return minimal_modification(model, site, words).dim == model.dim
+
+
+def random_isometry(rng, n: int, m: int) -> np.ndarray:
+    return linalg.random_unitary(rng, n)[:, :m]
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +71,7 @@ class TestMinimalModification:
         model, site, words = qubit
         plain = minimal_modification(model, site, words)
         regular = minimal_modification(model, site, words, regular=True)
-        assert check_model(regular, site, tol=1e-8).ok
+        assert check_model(regular, site, config=RunConfig(projector_tol=1e-8)).ok
         assert check_wide_equivalence(plain, regular, site, words).equivalent
         # regular essential unit at the origin-adjacent block is the meet of
         # the slice spans containing it

@@ -5,7 +5,7 @@ import pytest
 
 from qsproc import fixtures
 from qsproc.models import HilbertModel, check_model
-from qsproc.sites import antichain_site, chain_site
+from qsproc.sites import CausalSite, chain_site
 from qsproc.words import EventWord, OutcomeSpaces, enumerate_words, unit_word
 
 
@@ -165,7 +165,7 @@ class TestCheckModel:
         assert any(e.condition == "projector" for e in report.violations())
 
     def test_noncommuting_independent_pair_flagged(self):
-        site = antichain_site(("a", "b"))
+        site = CausalSite(points=("a", "b"), leq=((True, False), (False, True)))
         spaces = OutcomeSpaces({"a": ("0", "1"), "b": ("+", "-")})
         atoms = {"a": dict(fixtures.Z_ATOMS), "b": dict(fixtures.X_ATOMS)}
         model = HilbertModel(

@@ -15,7 +15,6 @@ from qsproc.words import (
     partitions_of_factor,
     pointwise_product,
     pull_back,
-    reassemble,
     right_multiply,
     subsets,
     to_chain_sequence,
@@ -134,7 +133,9 @@ class TestChainSequence:
     def test_reassembly_roundtrip(self):
         w = word({"t1": {"0"}, "t2": {"+"}})
         _, blocks = to_chain_sequence(SITE, w, SPACES)
-        assert reassemble(blocks, SPACES) == w
+        factors = [f for ev in blocks for f in ev.factors]
+        assert len({t for t, _ in factors}) == len(factors)  # disjoint blocks
+        assert EventWord.from_dict(dict(factors), SPACES) == w
 
 
 class TestSubsets:
