@@ -412,7 +412,7 @@ def classical_reduce(
     from .words import enumerate_words
 
     if words is None:
-        words = enumerate_words(site, model.spaces)
+        words = enumerate_words(site, model.spaces, config.policy, config.cap)
     fact_res = pointwise_factorization_residual(model, site, words)
 
     # additivity in every argument: the measure of a cylinder with one factor

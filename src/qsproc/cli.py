@@ -340,15 +340,16 @@ def cmd_markov(args, config: RunConfig) -> int:
 
     model, site, _ = _load_model_site(args.model, args.site)
     classes = derive_classes(site)
+    words = _word_list(site, model.spaces, config)
     dyn = check_dynamicity(model, site, classes, config)
     report = {"dynamicity": dyn.to_dict()}
     ok = dyn.ok
     if dyn.ok:
-        reg = check_regression(model, site, classes=classes, config=config)
+        reg = check_regression(model, site, words, classes, config)
         report["regression"] = reg.to_dict()
         ok = ok and reg.ok
     if model.is_narrow(site, config):
-        comm = check_narrow_commutativity(model, site, classes, config=config)
+        comm = check_narrow_commutativity(model, site, classes, words, config)
         report["narrow_commutativity"] = comm.to_dict()
     _emit(report, config)
     return EXIT_OK if ok else EXIT_MATH

@@ -55,7 +55,7 @@ def minimal_modification(
     """
     classes = classes or derive_classes(site)
     if words is None:
-        words = enumerate_words(site, model.spaces)
+        words = enumerate_words(site, model.spaces, config.policy, config.cap)
     rank_tol = config.rank_tol
     stack = _feynman_stack(model, site, words)
     u, s, _ = np.linalg.svd(stack, full_matrices=False)

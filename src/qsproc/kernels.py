@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -23,17 +24,19 @@ import numpy as np
 from . import linalg
 from .config import RunConfig
 from .linalg import COMPLEX, dagger, opnorm
-from .sites import CausalSite, SiteClasses, derive_classes
+from .sites import CausalSite, SiteClasses
 from .words import (
     Event,
     EventWord,
     OutcomeSpaces,
+    code_columns,
     event_label,
+    factor_code,
     partitions_of_factor,
     pull_back,
-    right_multiply,
     subsets,
     unit_word,
+    word_codes,
 )
 
 PASS = "pass"
@@ -78,30 +81,8 @@ class KernelOracle:
         self._index = {w: i for i, w in enumerate(self.words)}
         if len(self._index) != n:
             raise ValueError("word list contains duplicates")
-
-    @staticmethod
-    def from_values(
-        site: CausalSite,
-        spaces: OutcomeSpaces,
-        words: Sequence[EventWord],
-        values: Mapping,
-        kdim: int = 1,
-        symmetry: Mapping[str, OracleSymmetry] | None = None,
-    ) -> "KernelOracle":
-        """Build an oracle from a ``(i, j) -> matrix`` (or scalar) mapping."""
-        n = len(words)
-        table = np.zeros((n, n, kdim, kdim), dtype=COMPLEX)
-        for (i, j), v in values.items():
-            table[i, j] = np.asarray(v, dtype=COMPLEX).reshape(kdim, kdim)
-        return KernelOracle(
-            site=site,
-            classes=derive_classes(site),
-            spaces=spaces,
-            kdim=kdim,
-            words=tuple(words),
-            table=table,
-            symmetry=symmetry or {},
-        )
+        self._within: dict = {}  # region -> word indices
+        self._products: dict = {}  # event -> right-product index map
 
     # -- access -------------------------------------------------------------
 
@@ -121,11 +102,67 @@ class KernelOracle:
         m = len(idx) * self.kdim
         return np.transpose(sub, (0, 2, 1, 3)).reshape(m, m)
 
+    # -- word maps, computed once: words, site and spaces never change ------
+
+    @cached_property
+    def _columns(self) -> dict[str, slice]:
+        """Each point's code columns: site points first, then any other
+        support point by name."""
+        extra = {t for w in self.words for t in w.support} - set(self.site.points)
+        return code_columns(self.spaces, self.site.points + tuple(sorted(extra)))
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """The words as per-point outcome bitmasks (`words.word_codes`)."""
+        return word_codes(self.words, self.spaces, list(self._columns))
+
+    @cached_property
+    def _unit_at(self) -> np.ndarray:
+        """Whether each word is unit at each point, (n, points)."""
+        unit = self.codes == word_codes([unit_word()], self.spaces, list(self._columns))
+        at = [unit[:, c].all(axis=1) for c in self._columns.values()]
+        return np.array(at, dtype=bool).reshape(len(at), len(self.words)).T
+
+    @cached_property
+    def _sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        keys = _row_keys(self.codes)
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+
+    def lookup(self, codes: np.ndarray) -> np.ndarray:
+        """Word index of each word code (the last axis), -1 where the code
+        is not a word of the list."""
+        keys, order = self._sorted_keys
+        wanted = _row_keys(codes)
+        if not keys.size:
+            return np.full(codes.shape[:-1], -1, dtype=int)
+        at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+        return np.where(keys[at] == wanted, order[at], -1).reshape(codes.shape[:-1])
+
     def words_within(self, region: Iterable[str]) -> list[int]:
-        region = set(region)
-        return [
-            i for i, w in enumerate(self.words) if set(w.support) <= region
-        ]
+        """Indices of the words supported within `region`, in list order."""
+        region = frozenset(region)
+        if region not in self._within:
+            outside = [k for k, t in enumerate(self._columns) if t not in region]
+            keep = self._unit_at[:, outside].all(axis=1)
+            self._within[region] = np.flatnonzero(keep).tolist()
+        return list(self._within[region])
+
+    def right_products(self, event: Event) -> np.ndarray:
+        """Index of each word's right product by `event` (`right_multiply`),
+        -1 where the product is not in the word list."""
+        if event not in self._products:
+            codes = self.codes.copy()
+            listed = True
+            for t, b in event.factors:
+                if t in self._columns:
+                    codes[:, self._columns[t]] &= factor_code(self.spaces, t, b)
+                elif b != self.spaces.full(t):
+                    listed = False  # no word of the list has a factor at t
+            found = self.lookup(codes) if listed else np.full(len(self.words), -1)
+            found.setflags(write=False)  # shared by every caller
+            self._products[event] = found
+        return self._products[event]
 
     def hermitian_defect(self) -> float:
         swapped = np.conjugate(np.transpose(self.table, (1, 0, 3, 2)))
@@ -182,6 +219,16 @@ class AxiomReport:
             "failed": self.failed,
             "checks": [c.to_dict() for c in self.checks],
         }
+
+
+def _row_keys(codes: np.ndarray) -> np.ndarray:
+    """One opaque, exactly comparable key per word code (the last axis),
+    flattened."""
+    codes = np.asarray(codes, dtype=np.int64)
+    if not codes.shape[-1]:  # no points: every code is the unit word
+        codes = np.zeros(codes.shape[:-1] + (1,), dtype=np.int64)
+    rows = np.ascontiguousarray(codes.reshape(-1, codes.shape[-1]))
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
 
 
 def _verdict(name, residual, tol, witness, missing=None) -> AxiomCheck:
@@ -256,12 +303,13 @@ def check_slice_axioms(
     """Sigma additivity and factorizability, from one pass over the maximal
     slices.
 
-    For each point t of a slice and each event b at t, the right products of
-    the slice's words by b are looked up once.  Factorizability compares the
-    table's rows and columns through that index map; additivity sums, for
-    each word, the maps of the parts of its factor at t (the parts refine the
-    factor, so right multiplication installs them).  Each witness is the
-    first worst candidate in slice, word, point, partition order.
+    For each point t of a slice and each event b at t, the oracle's
+    right-product map of b gives the products of the slice's words.
+    Factorizability compares the table's rows and columns through that index
+    map; additivity sums, for each word, the maps of the parts of its factor
+    at t (the parts refine the factor, so right multiplication installs
+    them).  Each witness is the first worst candidate in slice, word, point,
+    partition order.
     """
     site, spaces, table = oracle.site, oracle.spaces, oracle.table
     add_worst, add_witness, add_missing = 0.0, "", None
@@ -270,32 +318,42 @@ def check_slice_axioms(
         idx = np.array(oracle.words_within(site.down_set(l)), dtype=int)
         if not idx.size:
             continue
-        words = [oracle.words[i] for i in idx]
+        words = [oracle.words[i] for i in idx]  # for witnesses
         points = sorted(l, key=site.index)
         found, gaps = [], []  # additivity residuals and missing parts, keyed
+        # the slice's table block, contiguous, and buffers for every event
+        block = np.ascontiguousarray(table[np.ix_(idx, idx)])
+        rows, cols = np.empty_like(block), np.empty_like(block)
+        mods = np.empty(block.shape)
         for tp, t in enumerate(points):
             outs = spaces.outcomes(t)
             maps = {}
             for b in subsets(outs):
-                ev = Event.from_dict({t: b})
-                mapped = [oracle.index(right_multiply(w, ev, spaces)) for w in words]
-                maps[b] = np.array([-1 if j is None else j for j in mapped], dtype=int)
-                if None in mapped:
+                maps[b] = oracle.right_products(Event.from_dict({t: b}))[idx]
+                if (maps[b] < 0).any():
                     fac_missing = fac_missing or (
-                        f"{_word_label(words[mapped.index(None)])} multiplied by "
+                        f"{_word_label(words[np.argmax(maps[b] < 0)])} multiplied by "
                         f"{sorted(b)}@{t!r} is outside the word list"
                     )
                     continue
-                r = float(np.max(np.abs(
-                    table[np.ix_(maps[b], idx)] - table[np.ix_(idx, maps[b])]
-                )))
+                if (maps[b] == idx).all():
+                    continue  # every product is its word: the residual is 0
+                # products stay below the slice, so `at` is in range: the
+                # unbuffered "clip" mode never clips
+                at = np.searchsorted(idx, maps[b])
+                np.take(block, at, axis=0, out=rows, mode="clip")
+                np.take(block, at, axis=1, out=cols, mode="clip")
+                r = float(np.max(np.abs(np.subtract(rows, cols, out=rows), out=mods)))
                 if r > fac_worst:
                     fac_worst, fac_witness = r, (
                         f"event {sorted(b)}@{t!r} on slice {sorted(l)}"
                     )
-            factors = [w.factor(t, spaces) for w in words]
-            for f in dict.fromkeys(factors):
-                pos = np.array([p for p, g in enumerate(factors) if g == f])
+            # the slice's words grouped by their factor at t, first seen first
+            keys = _row_keys(oracle.codes[idx][:, oracle._columns[t]])
+            _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+            for g in np.argsort(first):
+                pos = np.flatnonzero(group == g)
+                f = words[pos[0]].factor(t, spaces)
                 for k, parts in enumerate(partitions_of_factor(outs, f)):
                     if len(parts) <= 1 and f:
                         continue

@@ -222,7 +222,7 @@ def check_regression(
         )
         return ModelReport(tuple(entries))
     if words is None:
-        words = enumerate_words(site, model.spaces)
+        words = enumerate_words(site, model.spaces, config.policy, config.cap)
     e_proj = {l: slice_projector(model, classes, l, config) for l in slices}
     emb = model.embedding
 
@@ -335,7 +335,7 @@ def check_narrow_commutativity(
 
     if worst <= tol:
         if words is None:
-            words = enumerate_words(site, model.spaces)
+            words = enumerate_words(site, model.spaces, config.policy, config.cap)
         worst_f = pointwise_factorization_residual(model, site, words)
         wit_f = "factorization through the pointwise product" if worst_f > 0.0 else ""
         entries.append(CheckEntry("complete_factorization", worst_f, wit_f, tol))
@@ -361,7 +361,7 @@ def check_relaxation(
     classes = classes or derive_classes(site)
     tol = config.membership_tol
     if words is None:
-        words = enumerate_words(site, model.spaces)
+        words = enumerate_words(site, model.spaces, config.policy, config.cap)
     minimal = classes.minimal_antichains()
     p0 = model.initial_projector()
     columns = {l: _slice_columns(model, site, words, l) for l in classes.maximal_antichains}

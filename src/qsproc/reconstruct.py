@@ -34,7 +34,7 @@ from .kernels import (
     _word_label,
 )
 from .models import HilbertModel, ModelSymmetry
-from .words import Event, event_label, right_multiply
+from .words import Event, event_label
 
 
 class ReconstructionRefused(ValueError):
@@ -70,12 +70,9 @@ class GnsSpace:
         return word_index * self.kdim + basis_index
 
     def pair_coords(self, word_indices: Sequence[int]) -> np.ndarray:
-        cols = [
-            self.pair_column(i, a)
-            for i in word_indices
-            for a in range(self.kdim)
-        ]
-        return self.coords[:, cols]
+        idx = np.asarray(word_indices, dtype=int)
+        cols = idx[:, None] * self.kdim + np.arange(self.kdim)
+        return self.coords[:, cols.ravel()]
 
     def initial_embedding(self) -> np.ndarray:
         """Coordinates of the embedded initial space (the unit-word pairs)."""
@@ -134,11 +131,10 @@ def eligible_for_block(oracle: KernelOracle, block) -> list[int]:
     """Indices of words supported within the down-set of some maximal
     antichain containing the block."""
     site = oracle.site
-    block = frozenset(block)
-    out: set[int] = set()
-    for l in oracle.classes.antichains_containing(block):
-        out.update(oracle.words_within(site.down_set(l)))
-    return sorted(out)
+    return sorted(set().union(*(
+        oracle.words_within(site.down_set(l))
+        for l in oracle.classes.antichains_containing(block)
+    )))
 
 
 def represent_event(
@@ -157,20 +153,16 @@ def represent_event(
     remaining words still span everything that matters).
     """
     oracle = gns.oracle
-    idx, targets = [], []
-    for i in eligible_for_block(oracle, block):
-        j = oracle.index(right_multiply(oracle.words[i], event, oracle.spaces))
-        if j is None:
-            if strict_closure:
-                raise ReconstructionRefused(
-                    f"word list is not closed under multiplication by "
-                    f"{event_label(event)}; close it with the all-subsets policy"
-                )
-            continue
-        idx.append(i)
-        targets.append(j)
-    x = gns.pair_coords(idx)
-    y = gns.pair_coords(targets)
+    idx = np.array(eligible_for_block(oracle, block), dtype=int)
+    targets = oracle.right_products(event)[idx]
+    listed = targets >= 0
+    if strict_closure and not listed.all():
+        raise ReconstructionRefused(
+            f"word list is not closed under multiplication by "
+            f"{event_label(event)}; close it with the all-subsets policy"
+        )
+    x = gns.pair_coords(idx[listed])
+    y = gns.pair_coords(targets[listed])
     return linalg.map_on_span(x, y, gns.config.rank_tol)
 
 
@@ -198,9 +190,9 @@ def represent_algebra(
     """Action of the controlling algebra generators on the quotient.
 
     Each generator acts on the initial-vector leg of the eligible pairs; the
-    kernel values over eligible word pairs must commute with it, otherwise
-    the action would not be well defined on the quotient and the
-    construction refuses.
+    kernel values over eligible word pairs must commute with it up to the
+    config's `membership_tol`, otherwise the action would not be well
+    defined on the quotient and the construction refuses.
     """
     oracle = gns.oracle
     generators = oracle.algebra if generators is None else generators
@@ -212,7 +204,7 @@ def represent_algebra(
         for gi, a in enumerate(gens):
             a = np.asarray(a, dtype=COMPLEX)
             worst, _ = linalg.worst_block(values @ a - a @ values)
-            if worst > 1e-8:
+            if worst > gns.config.membership_tol:
                 raise ReconstructionRefused(
                     f"generator {gi} of block {sorted(block)} does not commute "
                     f"with the kernel values (residual {worst:.3e})"

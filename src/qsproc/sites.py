@@ -161,10 +161,6 @@ class SiteClasses:
 
     # -- the semilattice of nonanticipatory subsets -----------------------
 
-    def join(self, j: Iterable[str], jp: Iterable[str]) -> frozenset[str]:
-        """max(j ∪ j'): the maximal points of the union."""
-        return self.site.maximal_points(set(j) | set(jp))
-
     def subset_le(self, j: Iterable[str], jp: Iterable[str]) -> bool:
         """Preorder on nonanticipatory subsets: every point of j lies below
         some point of j'."""

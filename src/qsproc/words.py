@@ -25,6 +25,7 @@ from .sites import CausalSite
 
 POLICY_ALL_SUBSETS = "all_subsets"
 POLICY_ATOMS_PLUS_UNIT = "atoms_plus_unit"
+CODE_BITS = 62  # outcome bits per word-code column, so masks stay nonnegative
 
 
 @dataclass(frozen=True)
@@ -173,27 +174,62 @@ def pointwise_product(a: EventWord, b: EventWord, spaces: OutcomeSpaces) -> Even
     return EventWord.from_dict(out, spaces)
 
 
+def word_codes(
+    words: Sequence[EventWord], spaces: OutcomeSpaces, points: Sequence[str]
+) -> np.ndarray:
+    """The words as an int64 array of per-point outcome bitmasks in `points`
+    order, full where a word is unit, one row per word.
+
+    A point's mask is cut into 62-bit columns, lowest outcomes first
+    (`code_columns`), so every entry is nonnegative.  Every support point of
+    every word must be among `points`.
+    """
+    columns = code_columns(spaces, points)
+    unit = [x for t in points for x in factor_code(spaces, t, spaces.outcomes(t))]
+    cut: dict = {}  # (point, factor) -> its columns
+    rows = []
+    for w in words:
+        row = list(unit)
+        for t, b in w.factors:
+            if (t, b) not in cut:
+                cut[t, b] = factor_code(spaces, t, b)
+            row[columns[t]] = cut[t, b]
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(len(words), len(unit))
+
+
+def code_columns(spaces: OutcomeSpaces, points: Sequence[str]) -> dict[str, slice]:
+    """Each point's columns in `word_codes`: one per 62 outcomes."""
+    out, start = {}, 0
+    for t in points:
+        width = -(-len(spaces.outcomes(t)) // CODE_BITS)
+        out[t] = slice(start, start + width)
+        start += width
+    return out
+
+
+def factor_code(spaces: OutcomeSpaces, t: str, b: Iterable[str]) -> list[int]:
+    """The bitmask of a factor at `t`, cut into the columns of `word_codes`."""
+    mask = spaces.bitmask(t, b)
+    return [
+        mask >> shift & (2**CODE_BITS - 1)
+        for shift in range(0, len(spaces.outcomes(t)), CODE_BITS)
+    ]
+
+
 def pointwise_product_table(
     words: Sequence[EventWord], spaces: OutcomeSpaces
 ) -> tuple[list[EventWord], np.ndarray]:
     """Distinct pointwise products over all ordered pairs of a word list, and
     the (n, n) array giving each pair's product as an index into them.
 
-    Pairs are intersected as per-point outcome bitmasks, cut into 62-bit
-    columns, in one vectorized step; each distinct product is built once.
+    Pairs are intersected as word codes (`word_codes`) in one vectorized
+    step; each distinct product is built once.
     """
     n = len(words)
-    cols = [
-        (t, shift)
-        for t in sorted({t for w in words for t in w.support})
-        for shift in range(0, len(spaces.outcomes(t)), 62)
-    ]
+    codes = word_codes(words, spaces, sorted({t for w in words for t in w.support}))
     # the constant first column keeps rows nonempty when every word is the unit
-    masks = np.array(
-        [[0] + [spaces.bitmask(t, w.factor(t, spaces)) >> shift & (2**62 - 1)
-                for t, shift in cols] for w in words],
-        dtype=np.int64,
-    ).reshape(n, len(cols) + 1)
+    masks = np.hstack([np.zeros((n, 1), dtype=np.int64), codes])
     pairs = (masks[:, None, :] & masks[None, :, :]).reshape(n * n, -1)
     _, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
     merged = [pointwise_product(words[f // n], words[f % n], spaces) for f in first]

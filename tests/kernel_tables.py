@@ -1,0 +1,25 @@
+"""Kernel oracles written out by hand, for tests that need a particular table."""
+
+import numpy as np
+
+from qsproc.kernels import KernelOracle
+from qsproc.linalg import COMPLEX
+from qsproc.sites import derive_classes
+
+
+def oracle_from_values(site, spaces, words, values, kdim=1, symmetry=None):
+    """An oracle whose table holds `values[(i, j)]` (a matrix or a scalar)
+    at each listed pair and zero elsewhere."""
+    n = len(words)
+    table = np.zeros((n, n, kdim, kdim), dtype=COMPLEX)
+    for (i, j), v in values.items():
+        table[i, j] = np.asarray(v, dtype=COMPLEX).reshape(kdim, kdim)
+    return KernelOracle(
+        site=site,
+        classes=derive_classes(site),
+        spaces=spaces,
+        kdim=kdim,
+        words=tuple(words),
+        table=table,
+        symmetry=symmetry or {},
+    )

@@ -21,6 +21,8 @@ from qsproc.kernels import (
 from qsproc.sites import chain_site
 from qsproc.words import EventWord, OutcomeSpaces, enumerate_words, unit_word
 
+from kernel_tables import oracle_from_values
+
 
 @pytest.fixture(scope="module")
 def qubit_oracle():
@@ -30,7 +32,7 @@ def qubit_oracle():
 
 
 def scalar_oracle(site, spaces, words, values, symmetry=None):
-    return KernelOracle.from_values(site, spaces, words, values, 1, symmetry)
+    return oracle_from_values(site, spaces, words, values, 1, symmetry)
 
 
 class TestPositivity:

@@ -16,6 +16,8 @@ from qsproc.kernels import check_axioms
 from qsproc.models import HilbertModel
 from qsproc.words import enumerate_words
 
+from kernel_tables import oracle_from_values
+
 
 def write(tmp_path, name, data):
     path = tmp_path / name
@@ -115,13 +117,12 @@ class TestReconstruct:
         assert report["model"]["dim"] == 2
 
     def test_unit_only_table(self, tmp_path, capsys):
-        from qsproc.kernels import KernelOracle
         from qsproc.sites import chain_site
         from qsproc.words import OutcomeSpaces, unit_word
 
         site = chain_site(("t",))
         spaces = OutcomeSpaces({"t": ("0",)})
-        oracle = KernelOracle.from_values(site, spaces, [unit_word()], {(0, 0): 1.0})
+        oracle = oracle_from_values(site, spaces, [unit_word()], {(0, 0): 1.0})
         table_file = write(tmp_path, "unit.json", serialize.oracle_to_json(oracle))
         assert cli.main(["reconstruct", table_file]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -316,6 +317,16 @@ class TestMarkov:
         assert report["dynamicity"]["ok"] is True
         assert report["regression"]["ok"] is True
 
+    def test_cap_reaches_the_library(self, tmp_path, capsys):
+        # regression and commutativity enumerate words inside the library
+        model, site = fixtures.tensor_chain(2)
+        model_file = write(tmp_path, "chain.json", serialize.model_to_json(model))
+        site_file = write(tmp_path, "chain_site.json", serialize.site_to_json(site))
+        assert cli.main(["--cap", "3", "markov", "check", model_file, site_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: word enumeration would produce")
+
 
 class TestLift:
     @pytest.fixture
@@ -370,6 +381,15 @@ class TestClassical:
         model_file, site_file = qubit_files
         assert cli.main(["classical", model_file, site_file]) == 1
         assert "refused" in capsys.readouterr().err
+
+    def test_cap_reaches_the_library(self, tmp_path, capsys):
+        model, site = fixtures.commuting_diagonal()
+        model_file = write(tmp_path, "cm.json", serialize.model_to_json(model))
+        site_file = write(tmp_path, "cs.json", serialize.site_to_json(site))
+        assert cli.main(["--cap", "3", "classical", model_file, site_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: word enumeration would produce")
 
 
 class TestConfig:
@@ -507,6 +527,30 @@ class TestConfigKeys:
         report = json.loads(out)
         assert code == 0
         assert report["dynamicity"]["ok"] and report["regression"]["ok"]
+
+    def test_membership_tol_algebra(self, tmp_path, capsys):
+        # a controlling-algebra generator 1e-6 off commuting with the kernel
+        # values (commutator 6.4e-8) is refused at 1e-8 and kept at 1e-5
+        model, site = fixtures.controlled_kdim2()
+        x = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2))
+        algebra = {k: tuple(g + 1e-6 * x for g in gens) for k, gens in model.algebra.items()}
+        skewed = HilbertModel(
+            dim=model.dim, embedding=model.embedding, atoms=model.atoms,
+            spaces=model.spaces, algebra=algebra,
+        )
+        argv = [
+            "reconstruct",
+            write(tmp_path, "skewed.json", serialize.model_to_json(skewed)),
+            "--site",
+            write(tmp_path, "site.json", serialize.site_to_json(site)),
+        ]
+        code, out, err = self.run(tmp_path, capsys, None, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("reconstruction refused: generator 0 of block ['t1'] "
+                              "does not commute with the kernel values")
+        code, out, _ = self.run(tmp_path, capsys, {"membership_tol": 1e-5}, argv)
+        assert code == 0
+        assert len(json.loads(out)["model"]["algebra"]) == 2
 
     def test_commutativity_tol(self, qubit_files, tmp_path, capsys):
         argv = ["markov", "check", *qubit_files]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsproc import fixtures
-from qsproc.kernels import KernelOracle, check_sigma_additivity
+from qsproc.kernels import check_sigma_additivity
 from qsproc.config import RunConfig
 from qsproc.linalg import dagger, opnorm
 from qsproc.models import check_model
@@ -20,6 +20,8 @@ from qsproc.reconstruct import (
 )
 from qsproc.sites import chain_site, derive_classes
 from qsproc.words import Event, EventWord, OutcomeSpaces, enumerate_words, unit_word
+
+from kernel_tables import oracle_from_values
 
 
 def regular_at_origin(recon) -> bool:
@@ -39,7 +41,7 @@ class TestBuildSpace:
     def test_unit_only(self):
         site = chain_site(("t",))
         spaces = OutcomeSpaces({"t": ("0",)})
-        oracle = KernelOracle.from_values(
+        oracle = oracle_from_values(
             site, spaces, [unit_word()], {(0, 0): 1.0}
         )
         gns = build_space(oracle)
@@ -54,7 +56,7 @@ class TestBuildSpace:
         # independent oracle: both eigenvalues of [[1,.5],[.5,.5]] are positive
         eigs = np.linalg.eigvalsh(np.array([[1.0, 0.5], [0.5, 0.5]]))
         assert (eigs > 0).all()
-        oracle = KernelOracle.from_values(site, spaces, words, values)
+        oracle = oracle_from_values(site, spaces, words, values)
         # the unit word's split at t needs the missing word {1}@t
         assert check_sigma_additivity(oracle).status == "inconclusive"
         gns = build_space(oracle)
@@ -74,14 +76,14 @@ class TestBuildSpace:
         spaces = OutcomeSpaces({"t": ("0", "1")})
         words = [unit_word(), EventWord.from_dict({"t": {"0"}}, spaces)]
         values = {(0, 0): 1.0, (1, 1): -1.0}
-        oracle = KernelOracle.from_values(site, spaces, words, values)
+        oracle = oracle_from_values(site, spaces, words, values)
         with pytest.raises(ReconstructionRefused, match="positivity"):
             build_space(oracle)
 
     def test_refuses_unnormalized_table(self):
         site = chain_site(("t",))
         spaces = OutcomeSpaces({"t": ("0",)})
-        oracle = KernelOracle.from_values(
+        oracle = oracle_from_values(
             site, spaces, [unit_word()], {(0, 0): 2.0}
         )
         with pytest.raises(ReconstructionRefused, match="normalization"):
@@ -111,7 +113,7 @@ class TestBuildSpace:
     def test_empty_word_list_rejected(self):
         site = chain_site(("t",))
         spaces = OutcomeSpaces({"t": ("0",)})
-        oracle = KernelOracle.from_values(site, spaces, [], {})
+        oracle = oracle_from_values(site, spaces, [], {})
         with pytest.raises(ValueError, match="word list is empty"):
             build_space(oracle)
 

@@ -1,5 +1,6 @@
 """JSON round trips for sites, models, words, and kernel tables."""
 
+import dataclasses
 import json
 import math
 
@@ -260,3 +261,42 @@ class TestTableReader:
         data["words"], data["values"] = [], {}
         with pytest.raises(ValueError, match="lists no words"):
             serialize.oracle_from_json(data)
+
+
+# -- round-trip properties ------------------------------------------------------
+
+ROUND_TRIP_TABLES = {
+    name: _table(*getattr(fixtures, name)()) for name in ("qubit_zx", "controlled_kdim2")
+}
+finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ROUND_TRIP_TABLES)), st.data())
+def test_mutated_table_round_trip(name, data):
+    """Any finite kernel entries come back from the written text with the
+    same words and the same table bits."""
+    oracle = ROUND_TRIP_TABLES[name]
+    n, k = len(oracle.words), oracle.kdim
+    table = oracle.table.copy()
+    edits = data.draw(st.lists(st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1),
+        hnp.arrays(complex, (k, k), elements=finite_complex),
+    ), max_size=6))
+    for i, j, value in edits:
+        table[i, j] = value
+    text = serialize.dumps(serialize.oracle_to_json(dataclasses.replace(oracle, table=table)))
+    back = serialize.oracle_from_json(json.loads(text))
+    assert back.words == oracle.words
+    assert back.table.tobytes() == table.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 200))
+def test_model_round_trip_keeps_the_kernel_table(seed):
+    model, site = fixtures.random_valid_model(seed)
+    text = serialize.dumps(serialize.model_to_json(model))
+    back = serialize.model_from_json(json.loads(text))
+    words = enumerate_words(site, model.spaces)
+    assert back.kernel_table(site, words).table.tobytes() == \
+        model.kernel_table(site, words).table.tobytes()

@@ -1,0 +1,368 @@
+"""The oracle's array word maps against the per-word formulas they replaced.
+
+`reference_slice_axioms`, `reference_words_within` and
+`reference_represent_event` are the per-word loops (`right_multiply`,
+`EventWord.from_dict`, `oracle.index`) that the word codes replaced; they are
+kept here so that residuals, witnesses and projectors are held to them bit
+for bit.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from qsproc import fixtures, kernels, linalg, reconstruct as recon_mod, words as words_mod
+from qsproc.config import RunConfig
+from qsproc.kernels import (
+    KernelOracle,
+    _additivity_residuals,
+    _first_worst,
+    _verdict,
+    _word_label,
+    check_slice_axioms,
+)
+from qsproc.models import HilbertModel
+from qsproc.reconstruct import ReconstructionRefused, build_space, represent_events
+from qsproc.sites import chain_site, derive_classes
+from qsproc.words import (
+    Event,
+    EventWord,
+    OutcomeSpaces,
+    enumerate_words,
+    event_label,
+    pointwise_product_table,
+    right_multiply,
+    unit_word,
+)
+
+
+def reference_words_within(oracle, region):
+    region = set(region)
+    return [i for i, w in enumerate(oracle.words) if set(w.support) <= region]
+
+
+def reference_slice_axioms(oracle, config=RunConfig()):
+    """One pass over the maximal slices, right-multiplying word by word.
+    The event and partition lists are read from `kernels` at call time, as
+    the library reads them."""
+    site, spaces, table = oracle.site, oracle.spaces, oracle.table
+    add_worst, add_witness, add_missing = 0.0, "", None
+    fac_worst, fac_witness, fac_missing = 0.0, "", None
+    for l in oracle.classes.maximal_antichains:
+        idx = np.array(reference_words_within(oracle, site.down_set(l)), dtype=int)
+        if not idx.size:
+            continue
+        words = [oracle.words[i] for i in idx]
+        points = sorted(l, key=site.index)
+        found, gaps = [], []
+        for tp, t in enumerate(points):
+            outs = spaces.outcomes(t)
+            maps = {}
+            for b in kernels.subsets(outs):
+                ev = Event.from_dict({t: b})
+                mapped = [oracle.index(right_multiply(w, ev, spaces)) for w in words]
+                maps[b] = np.array([-1 if j is None else j for j in mapped], dtype=int)
+                if None in mapped:
+                    fac_missing = fac_missing or (
+                        f"{_word_label(words[mapped.index(None)])} multiplied by "
+                        f"{sorted(b)}@{t!r} is outside the word list"
+                    )
+                    continue
+                r = float(np.max(np.abs(
+                    table[np.ix_(maps[b], idx)] - table[np.ix_(idx, maps[b])]
+                )))
+                if r > fac_worst:
+                    fac_worst, fac_witness = r, (
+                        f"event {sorted(b)}@{t!r} on slice {sorted(l)}"
+                    )
+            factors = [w.factor(t, spaces) for w in words]
+            for f in dict.fromkeys(factors):
+                pos = np.array([p for p, g in enumerate(factors) if g == f])
+                for k, parts in enumerate(kernels.partitions_of_factor(outs, f)):
+                    if len(parts) <= 1 and f:
+                        continue
+                    j = np.array([maps[p][pos] for p in parts], dtype=int)
+                    j = j.reshape(len(parts), pos.size)
+                    present = (j >= 0).all(axis=0)
+                    gaps.extend((p, tp) for p in pos[~present])
+                    if present.any():
+                        found.append(_additivity_residuals(
+                            table, idx[pos[present]], j[:, present]
+                        ) + (pos[present], tp, k))
+        if gaps and add_missing is None:
+            p, tp = min(gaps)
+            add_missing = (
+                f"partition members of {_word_label(words[p])} at {points[tp]!r} "
+                "are outside the word list"
+            )
+        r, at = _first_worst(found)
+        if r > add_worst:
+            p, tp, _, kind = at
+            add_worst, add_witness = r, (
+                f"{('diagonal', 'linear')[kind]} additivity of "
+                f"{_word_label(words[p])} split at {points[tp]!r}"
+            )
+    tol = config.axiom_tol
+    return (
+        _verdict("sigma_additivity", add_worst, tol, add_witness, add_missing),
+        _verdict("factorizability", fac_worst, tol, fac_witness, fac_missing),
+    )
+
+
+def reference_represent_event(gns, block, event, strict_closure=True):
+    oracle = gns.oracle
+    site = oracle.site
+    eligible: set[int] = set()
+    for l in oracle.classes.antichains_containing(frozenset(block)):
+        eligible.update(reference_words_within(oracle, site.down_set(l)))
+    idx, targets = [], []
+    for i in sorted(eligible):
+        j = oracle.index(right_multiply(oracle.words[i], event, oracle.spaces))
+        if j is None:
+            if strict_closure:
+                raise ReconstructionRefused(
+                    f"word list is not closed under multiplication by "
+                    f"{event_label(event)}; close it with the all-subsets policy"
+                )
+            continue
+        idx.append(i)
+        targets.append(j)
+    x = gns.coords[:, [i * gns.kdim + a for i in idx for a in range(gns.kdim)]]
+    y = gns.coords[:, [i * gns.kdim + a for i in targets for a in range(gns.kdim)]]
+    return linalg.map_on_span(x, y, gns.config.rank_tol)
+
+
+# -- inputs ---------------------------------------------------------------------
+
+NAMED = ["qubit_zx", "qubit_xz", "ancilla_correlated", "commuting_diagonal",
+         "diagonal_kdim2", "controlled_kdim2"]
+
+
+def named_model(name):
+    if name == "tensor_chain(3)":
+        return fixtures.tensor_chain(3)
+    if name.startswith("random_valid_model"):
+        return fixtures.random_valid_model(int(name[19:-1]))
+    return getattr(fixtures, name)()
+
+
+CASES = [*NAMED, "tensor_chain(3)", *(f"random_valid_model({s})" for s in range(12))]
+
+
+def oracles(name, policy):
+    """The model's table on its word list, that table with seeded noise on a
+    few entries (so residuals and witnesses are not all zero), and the noisy
+    table on a seeded sublist of the words (a list that is not closed)."""
+    model, site = named_model(name)
+    words = enumerate_words(site, model.spaces, policy)
+    exact = model.kernel_table(site, words)
+    rng = np.random.default_rng(len(words))
+    noisy = model.kernel_table(site, words)
+    n, k = len(words), model.kdim
+    for i, j in rng.integers(0, n, size=(3, 2)):
+        noisy.table[i, j] += 1e-3 * (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    keep = sorted(set(rng.choice(n, size=max(1, 3 * n // 4), replace=False)) | {0})
+    sub = KernelOracle(
+        site=site, classes=noisy.classes, spaces=model.spaces, kdim=k,
+        words=tuple(words[i] for i in keep), table=noisy.table[np.ix_(keep, keep)],
+    )
+    return exact, noisy, sub
+
+
+def wide_oracle():
+    """A chain (a, b) whose point a has 70 outcomes, so its masks take two
+    62-bit columns, over words that straddle the cut, with a model table."""
+    outs = tuple(f"x{i}" for i in range(70))
+    spaces = OutcomeSpaces({"a": outs, "b": ("0", "1")})
+    site = chain_site(("a", "b"))
+    dim = 2 * len(outs)
+    atoms = {
+        "a": {x: np.kron(np.diag(np.eye(len(outs))[i]), np.eye(2))
+              for i, x in enumerate(outs)},
+        "b": {x: np.kron(np.eye(len(outs)), fixtures.rotated_atoms(0.4)[x])
+              for x in ("0", "1")},
+    }
+    xi = np.kron(np.full(len(outs), len(outs) ** -0.5), [np.cos(0.3), np.sin(0.3)])
+    model = HilbertModel(dim=dim, embedding=xi[:, None].astype(complex), atoms=atoms,
+                         spaces=spaces)
+    factors_a = [None, *({x} for x in outs), set(outs[58:66]), set(outs[61:63]),
+                 set(outs) - {"x3", "x64"}, set(), {"x0", "x69"}]
+    word_list = [
+        EventWord.from_dict({**({} if fa is None else {"a": fa}),
+                             **({} if fb is None else {"b": fb})}, spaces)
+        for fa in factors_a for fb in (None, {"0"}, {"1"})
+    ]
+    return model.kernel_table(site, word_list)
+
+
+def sampled_subsets(outs):
+    """Every subset of a small outcome set; for a wide one, a fixed sample
+    on both sides of the 62-bit cut."""
+    if len(outs) <= 8:
+        return words_mod.subsets(outs)
+    picks = [(), (0,), (3,), (61,), (62,), (64,), (69,), range(58, 66), range(61, 63),
+             (0, 69), [i for i in range(70) if i not in (3, 64)], range(70)]
+    return [frozenset(outs[i] for i in p) for p in picks]
+
+
+def sampled_partitions(outs, b):
+    """Every partition of a factor; for a wide outcome set, those into
+    parts from `sampled_subsets`, so that each part has its map."""
+    if len(outs) <= 8:
+        return words_mod.partitions_of_factor(outs, b)
+    b = frozenset(b)
+    if not b:
+        return [()]
+    parts = [s for s in sampled_subsets(outs) if s and s <= b]
+    return [
+        combo for r in range(1, 4) for combo in itertools.combinations(parts, r)
+        if sum(map(len, combo)) == len(b) and frozenset().union(*combo) == b
+    ]
+
+
+# -- the slice pass ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("policy", ["all_subsets", "atoms_plus_unit"])
+@pytest.mark.parametrize("name", CASES)
+def test_slice_axioms_match_the_per_word_pass(name, policy):
+    for oracle in oracles(name, policy):
+        for config in (RunConfig(), RunConfig(axiom_tol=1e-2)):
+            got = [c.to_dict() for c in check_slice_axioms(oracle, config)]
+            want = [c.to_dict() for c in reference_slice_axioms(oracle, config)]
+            assert got == want
+
+
+def test_inconclusive_witnesses_on_a_sublist():
+    _, _, sub = oracles("random_valid_model(1)", "all_subsets")
+    add, fac = check_slice_axioms(sub)
+    assert (add.status, fac.status) == ("inconclusive", "inconclusive")
+    assert [add.witness, fac.witness] == [c.witness for c in reference_slice_axioms(sub)]
+
+
+def test_slice_axioms_across_the_62_bit_cut(monkeypatch):
+    monkeypatch.setattr(kernels, "subsets", sampled_subsets)
+    monkeypatch.setattr(kernels, "partitions_of_factor", sampled_partitions)
+    oracle = wide_oracle()
+    assert oracle.codes.shape == (len(oracle.words), 3)
+    noisy = wide_oracle()
+    # the kernel of a word with an empty factor must vanish
+    noisy.table[noisy.index(EventWord.from_dict({"a": ()}, noisy.spaces)), 0] += 1e-3
+    for o in (oracle, noisy):
+        got = [c.to_dict() for c in check_slice_axioms(o)]
+        assert got == [c.to_dict() for c in reference_slice_axioms(o)]
+    assert check_slice_axioms(noisy)[1].residual > 0.0
+
+
+# -- the maps themselves -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["tensor_chain(3)", "random_valid_model(9)"])
+def test_maps_match_word_by_word(name):
+    for oracle in oracles(name, "all_subsets"):
+        site, spaces = oracle.site, oracle.spaces
+        regions = [site.down_set(l) for l in oracle.classes.maximal_antichains]
+        for region in [*regions, (), site.points, site.points[:1]]:
+            assert oracle.words_within(region) == reference_words_within(oracle, region)
+        for t in site.points:
+            for b in words_mod.subsets(spaces.outcomes(t)):
+                ev = Event.from_dict({t: b})
+                want = [oracle.index(right_multiply(w, ev, spaces)) for w in oracle.words]
+                got = oracle.right_products(ev)
+                assert got.tolist() == [-1 if j is None else j for j in want]
+        # a two-point event at once, not as two steps
+        t, u = site.points[:2]
+        ev = Event.from_dict({t: spaces.outcomes(t)[:1], u: spaces.outcomes(u)[1:]})
+        want = [oracle.index(right_multiply(w, ev, spaces)) for w in oracle.words]
+        assert oracle.right_products(ev).tolist() == [-1 if j is None else j for j in want]
+
+
+def test_maps_across_the_62_bit_cut():
+    oracle = wide_oracle()
+    spaces = oracle.spaces
+    assert oracle.lookup(oracle.codes).tolist() == list(range(len(oracle.words)))
+    for b in sampled_subsets(spaces.outcomes("a")):
+        for ev in (Event.from_dict({"a": b}), Event.from_dict({"a": b, "b": {"1"}})):
+            want = [oracle.index(right_multiply(w, ev, spaces)) for w in oracle.words]
+            got = oracle.right_products(ev).tolist()
+            assert got == [-1 if j is None else j for j in want]
+            assert max(got) >= 0
+    for region in [(), ("a",), ("b",), ("a", "b")]:
+        assert oracle.words_within(region) == reference_words_within(oracle, region)
+
+
+def test_codes_are_the_product_table_encoding():
+    model, site = fixtures.tensor_chain(3)
+    words = enumerate_words(site, model.spaces)
+    oracle = model.kernel_table(site, words)
+    assert oracle.codes.dtype == np.int64
+    assert (oracle.codes[words.index(unit_word())] == 0b11).all()
+    merged, index = pointwise_product_table(words, model.spaces)
+    lookup = oracle.lookup(oracle.codes[:, None, :] & oracle.codes[None, :, :])
+    assert [[merged[k] for k in row] for row in index] == \
+        [[words[k] for k in row] for row in lookup]
+
+
+def test_words_off_the_site_are_never_within_it():
+    spaces = OutcomeSpaces({"t": ("0", "1"), "z": ("0", "1")})
+    site = chain_site(("t",))
+    words = [unit_word(), EventWord.from_dict({"z": {"0"}}, spaces),
+             EventWord.from_dict({"t": {"1"}, "z": {"0"}}, spaces)]
+    oracle = KernelOracle(site=site, classes=derive_classes(site), spaces=spaces, kdim=1,
+                          words=tuple(words), table=np.zeros((3, 3, 1, 1)))
+    assert oracle.words_within(site.points) == [0]
+    ev = Event.from_dict({"t": {"1"}})
+    assert oracle.right_products(ev).tolist() == [-1, 2, 2]
+
+
+# -- represented events ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["qubit_zx", "controlled_kdim2", "tensor_chain(3)",
+                                  *(f"random_valid_model({s})" for s in range(12))])
+def test_represented_events_match_word_by_word(name):
+    model, site = named_model(name)
+    gns = build_space(model.kernel_table(site, enumerate_words(site, model.spaces)))
+    atoms = represent_events(gns)
+    for t, fam in atoms.items():
+        for x, p in fam.items():
+            want = reference_represent_event(gns, {t}, Event.from_dict({t: {x}}))
+            assert p.tobytes() == want.tobytes()
+
+
+def test_represented_events_across_the_62_bit_cut(monkeypatch):
+    monkeypatch.setattr(kernels, "subsets", sampled_subsets)
+    monkeypatch.setattr(kernels, "partitions_of_factor", sampled_partitions)
+    gns = build_space(wide_oracle())
+    with pytest.raises(ReconstructionRefused, match="not closed"):
+        represent_events(gns)
+    atoms = represent_events(gns, strict_closure=False)
+    for t, fam in atoms.items():
+        for x, p in fam.items():
+            want = reference_represent_event(gns, {t}, Event.from_dict({t: {x}}), False)
+            assert p.tobytes() == want.tobytes()
+
+
+def test_no_per_word_multiplication(monkeypatch):
+    model, site = fixtures.random_valid_model(3)
+    oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-word call")
+
+    monkeypatch.setattr(words_mod, "right_multiply", forbidden)
+    monkeypatch.setattr(EventWord, "from_dict", staticmethod(forbidden))
+    monkeypatch.setattr(KernelOracle, "index", forbidden)
+    assert not any(hasattr(m, "right_multiply") for m in (kernels, recon_mod))
+    check_slice_axioms(oracle)
+    represent_events(build_space(oracle))
+
+
+def test_memoised_maps_follow_table_edits():
+    model, site = fixtures.qubit_zx()
+    oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+    assert check_slice_axioms(oracle)[0].status == "pass"
+    oracle.table[1, 1] += 0.5  # a word with an empty factor
+    assert check_slice_axioms(oracle) == reference_slice_axioms(oracle)
+    assert check_slice_axioms(oracle)[0].status == "fail"
