@@ -16,7 +16,7 @@ from . import __version__
 from .config import RunConfig
 from .kernels import check_axioms
 from .models import check_model
-from .sites import derive_classes
+from .sites import SiteSymmetry, derive_classes
 from .words import enumerate_words
 from . import serialize
 
@@ -258,11 +258,21 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
         decomp = verify_decomposition(recon, oracle, config)
         report["verification"] = decomp.to_dict()
         # idempotence: the emitted model's own table reconstructs to a
-        # unitarily equivalent model
+        # unitarily equivalent model; the model declares the oracle's
+        # symmetry elements, so its table reads their point maps
+        site_sym = SiteSymmetry(
+            tuple(oracle.symmetry),
+            {s: sym.point_map for s, sym in oracle.symmetry.items()},
+            {},
+        )
         try:
-            second = reconstruct(
-                recon.model.kernel_table(oracle.site, list(oracle.words)), config
+            table = recon.model.kernel_table(
+                oracle.site, list(oracle.words), site_sym=site_sym
             )
+        except ValueError as exc:
+            raise InputError(f"idempotence table: {exc}") from None
+        try:
+            second = reconstruct(table, config)
             morphism = build_unitary(
                 recon.model, second.model, oracle.site, list(oracle.words), config
             )

@@ -237,9 +237,8 @@ def build_unitary(
             raise EquivalenceRefused(
                 f"the {name} model is not minimal; compress it first"
             )
-    gram = linalg.hermitize(dagger(x) @ x)
-    vals, vecs, _ = linalg.psd_eigencut(gram, config.rank_tol)
-    z = vecs / np.sqrt(vals)[None, :]
+    factor = linalg.psd_eigencut(dagger(x) @ x, config.rank_tol)
+    z = factor.vectors / np.sqrt(factor.values)[None, :]
     q1 = x @ z
     q2 = y @ z
     u = q2 @ dagger(q1)

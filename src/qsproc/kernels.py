@@ -71,7 +71,8 @@ class KernelOracle:
 
     def __post_init__(self):
         n = len(self.words)
-        t = np.asarray(self.table, dtype=COMPLEX)
+        # C order keeps every row gather of the table contiguous
+        t = np.ascontiguousarray(self.table, dtype=COMPLEX)
         if t.shape != (n, n, self.kdim, self.kdim):
             raise ValueError(
                 f"table shape {t.shape} does not match {n} words of kernel "
@@ -96,10 +97,10 @@ class KernelOracle:
         return i
 
     def gram(self, indices: Sequence[int] | None = None) -> np.ndarray:
-        """Block Gram matrix over (word, initial-basis) pairs, word-major."""
-        idx = list(range(len(self.words))) if indices is None else list(indices)
-        sub = self.table[np.ix_(idx, idx)]
-        m = len(idx) * self.kdim
+        """Block Gram matrix over (word, initial-basis) pairs, word-major;
+        over all words it may be a view of the table (kdim 1)."""
+        sub = self.table if indices is None else self.table[np.ix_(indices, indices)]
+        m = sub.shape[0] * self.kdim
         return np.transpose(sub, (0, 2, 1, 3)).reshape(m, m)
 
     # -- word maps, computed once: words, site and spaces never change ------
@@ -245,23 +246,33 @@ def check_positivity(
     oracle: KernelOracle, config: RunConfig = RunConfig()
 ) -> AxiomCheck:
     """The block Gram matrix over (word, basis) pairs must be Hermitian and
-    PSD up to a relative tolerance."""
+    PSD up to a relative tolerance, read off its pivoted Cholesky factor."""
     if not oracle.words:
         raise ValueError("word list is empty")
-    vals = np.linalg.eigvalsh(linalg.hermitize(oracle.gram()))
-    return positivity_verdict(oracle, vals, config.positivity_tol)
+    factor = linalg.psd_eigencut(oracle.gram(), config.rank_tol)
+    return positivity_verdict(oracle, factor, config.positivity_tol)
 
 
-def positivity_verdict(oracle: KernelOracle, vals: np.ndarray, tol: float) -> AxiomCheck:
-    """Positivity from the spectrum `vals` (any order) of the hermitized Gram
-    matrix, relative to its largest magnitude.
+def positivity_verdict(
+    oracle: KernelOracle, factor: linalg.Eigencut, tol: float
+) -> AxiomCheck:
+    """Positivity from the Gram factor of `linalg.psd_eigencut`, relative to
+    the largest magnitude of its spectrum.
 
-    Hermitizing hides an anti-Hermitian part of the table, so the table's
-    Hermiticity defect on the same scale is a residual too."""
+    The least value of that spectrum is at most minus the factor's residual
+    bound, a lower bound on the least eigenvalue of the Gram matrix: a pass
+    is certified, a fail may be conservative.  The factor reads the Gram
+    matrix's Hermitian part, which hides an anti-Hermitian part of the
+    table, so the table's Hermiticity defect on the same scale is a residual
+    too."""
+    vals = np.concatenate([factor.values, factor.dropped])
     scale = max(float(np.max(np.abs(vals))), 1e-300)
     least = float(np.min(vals))
     residual = max(0.0, -least) / scale
-    witness = f"least eigenvalue {least:.3e} of the Gram matrix"
+    witness = (
+        f"least eigenvalue bound {least:.3e} of the rank-{factor.values.size} "
+        "Gram factor"
+    )
     defect = oracle.hermitian_defect()
     if defect / scale > residual:
         residual = defect / scale

@@ -1,16 +1,16 @@
 """Minimal realization of a kernel oracle by a quotient-space construction.
 
 The formal sums of (initial vector, word) pairs carry a nonnegative Hermitian
-form given by the kernel table.  Factoring out its null space (a
-rank-revealing eigendecomposition with a relative cutoff) yields coordinates
-in which every word acts by right multiplication on the eligible span and by
-zero on its orthogonal complement.  The same recipe reconstructs the
-controlling-algebra action and the symmetry isometries, and the subspace
-lattice of slice spans recovers the unit-projector families.
+form given by the kernel table.  Factoring out its null space (a pivoted
+Cholesky factor of the Gram matrix, cut at a relative eigenvalue) yields
+coordinates in which every word acts by right multiplication on the eligible
+span and by zero on its orthogonal complement.  The same recipe
+reconstructs the controlling-algebra action and the symmetry isometries, and
+the subspace lattice of slice spans recovers the unit-projector families.
 
-The construction is deterministic: a fixed pair ordering, a fixed eigenvector
-phase convention, and single-threaded numpy give bit-identical coordinates
-for identical inputs.
+The construction is deterministic: a fixed pair ordering, a fixed pivot rule,
+a fixed eigenvector phase convention, and single-threaded numpy give
+bit-identical coordinates for identical inputs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .config import RunConfig
-from .linalg import COMPLEX, dagger, opnorm
+from .linalg import COMPLEX, dagger
 from .kernels import (
     FAIL,
     AxiomCheck,
@@ -52,10 +52,10 @@ class GnsSpace:
     """
 
     oracle: KernelOracle
-    gram: np.ndarray
     coords: np.ndarray  # (rank, n_pairs)
     kept_eigenvalues: np.ndarray
-    dropped_eigenvalues: np.ndarray
+    dropped_eigenvalues: np.ndarray  # below the rank cut, then -residual
+    residual: float  # certified bound on the Gram factor's 2-norm residual
     config: RunConfig
 
     @property
@@ -79,36 +79,39 @@ class GnsSpace:
         return self.pair_coords([self.oracle.unit_index()])
 
     def gram_defect(self) -> float:
-        approx = dagger(self.coords) @ self.coords
-        scale = max(opnorm(self.gram), 1e-300)
-        return opnorm(approx - self.gram) / scale
+        """Bound on the 2-norm of G - C* C for the Gram matrix G and the
+        coordinates C, over the largest kept eigenvalue: the factor's
+        residual bound plus the largest factored eigenvalue the rank cut
+        dropped."""
+        cut = self.dropped_eigenvalues[:-1]
+        bound = self.residual + max(float(cut.max(initial=0.0)), 0.0)
+        scale = float(self.kept_eigenvalues[0]) if self.rank else 0.0
+        return bound / max(scale, 1e-300)
 
 
 def build_space(oracle: KernelOracle, config: RunConfig = RunConfig()) -> GnsSpace:
     """Quotient the formal sums by the kernel's null space.
 
-    Refuses when positivity (read off the spectrum of the one
-    eigendecomposition) or normalization fail: without them the form is not
-    an inner product on the quotient.  Refuses too when sigma additivity or
+    Refuses when positivity (read off the one pivoted Cholesky factor of the
+    Gram matrix) or normalization fail: without them the form is not an
+    inner product on the quotient.  Refuses too when sigma additivity or
     factorizability fail (not when the word list leaves them inconclusive):
     no measurement model has such a table, and the emitted model would not
     reproduce it.
     """
     if not oracle.words:
         raise ValueError("word list is empty")
-    gram = linalg.hermitize(oracle.gram())
-    kept, vecs, dropped = linalg.psd_eigencut(gram, config.rank_tol)
-    spectrum = np.concatenate([kept, dropped])
-    _refuse_failed(positivity_verdict(oracle, spectrum, config.positivity_tol))
+    factor = linalg.psd_eigencut(oracle.gram(), config.rank_tol)
+    _refuse_failed(positivity_verdict(oracle, factor, config.positivity_tol))
     _refuse_failed(check_normalization(oracle, config))
     _refuse_failed(*check_slice_axioms(oracle, config))
-    coords = np.sqrt(kept)[:, None] * dagger(vecs)
+    coords = np.sqrt(factor.values)[:, None] * dagger(factor.vectors)
     return GnsSpace(
         oracle=oracle,
-        gram=gram,
         coords=coords,
-        kept_eigenvalues=kept,
-        dropped_eigenvalues=dropped,
+        kept_eigenvalues=factor.values,
+        dropped_eigenvalues=factor.dropped,
+        residual=factor.residual,
         config=config,
     )
 
@@ -296,6 +299,7 @@ class ReconstructedProcess:
         return int(round(float(np.real(np.trace(self.unit_i[frozenset()])))))
 
     def provenance(self) -> dict:
+        """Size, spectrum and residual of the Gram factor (README)."""
         return {
             "rank": self.rank,
             "kdim": self.gns.kdim,

@@ -263,6 +263,25 @@ class TestReconstruct:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("from_table", [False, True])
+    def test_verify_with_symmetry(self, tmp_path, capsys, from_table):
+        # the idempotence table of a model with a symmetry reads the
+        # oracle's point maps
+        model, site, sym = fixtures.galilean_shift_fixture()
+        model_file = write(tmp_path, "model.json", serialize.model_to_json(model))
+        site_file = write(tmp_path, "site.json", serialize.site_to_json(site, sym))
+        argv = ["reconstruct", model_file, "--site", site_file, "--verify"]
+        if from_table:
+            oracle = model.kernel_table(
+                site, enumerate_words(site, model.spaces), site_sym=sym
+            )
+            argv = ["reconstruct", write(tmp_path, "table.json",
+                    serialize.oracle_to_json(oracle)), "--verify"]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verification"]["ok"] and report["idempotence"]["ok"]
+        assert set(report["model"]["symmetry"]) == {"s0", "s1", "s2"}
+
 
 class TestRoundtrip:
     def test_qubit(self, qubit_files, capsys):

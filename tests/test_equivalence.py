@@ -189,8 +189,8 @@ class TestBuildUnitary:
         assert is_minimal(m1, site, words) and is_minimal(m2, site, words)
         x = linalg.side_by_side(m1.products(site, words))
         y = linalg.side_by_side(m2.products(site, words))
-        vals, vecs, _ = linalg.psd_eigencut(linalg.hermitize(dagger(x) @ x), 1e-9)
-        z = vecs / np.sqrt(vals)[None, :]
+        factor = linalg.psd_eigencut(dagger(x) @ x, 1e-9)
+        z = factor.vectors / np.sqrt(factor.values)[None, :]
         u = (y @ z) @ dagger(x @ z)
         expected = check_model_relation(m1, m2, u, site)
         morphism = build_unitary(m1, m2, site, words)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qsproc import fixtures
+from qsproc import fixtures, linalg
 from qsproc.models import HilbertModel, check_model
 from qsproc.sites import CausalSite, chain_site
 from qsproc.words import EventWord, OutcomeSpaces, enumerate_words, unit_word
@@ -126,6 +126,16 @@ class TestKernelTable:
         words = enumerate_words(site, model.spaces)
         oracle = model.kernel_table(site, words)
         assert oracle.hermitian_defect() < 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_table_c_contiguous(self, seed):
+        # stored in C order, with the bytes of the pair-block product
+        model, site = fixtures.random_valid_model(seed)
+        words = enumerate_words(site, model.spaces)
+        oracle = model.kernel_table(site, words)
+        assert oracle.table.flags.c_contiguous
+        expected = linalg.pair_blocks(model.products(site, words))
+        assert oracle.table.tobytes() == expected.tobytes()  # C-order bytes
 
     def test_empty_site_unit_table(self):
         from qsproc.sites import CausalSite

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qsproc import fixtures
-from qsproc.kernels import check_sigma_additivity
+from qsproc.equivalence import build_unitary, minimal_modification
+from qsproc.kernels import check_positivity, check_sigma_additivity
 from qsproc.config import RunConfig
 from qsproc.linalg import dagger, opnorm
 from qsproc.models import check_model
@@ -22,6 +23,19 @@ from qsproc.sites import chain_site, derive_classes
 from qsproc.words import Event, EventWord, OutcomeSpaces, enumerate_words, unit_word
 
 from kernel_tables import oracle_from_values
+
+
+def record_solves(monkeypatch) -> list:
+    """Record the name and matrix shape of every `eigh`, `eigvalsh` and
+    `svd` call made through `np.linalg`."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def counted(a, *args, _orig=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 def regular_at_origin(recon) -> bool:
@@ -98,17 +112,26 @@ class TestBuildSpace:
             build_space(oracle)
 
     def test_one_eigendecomposition(self, monkeypatch):
+        # the Gram factor's one eigendecomposition is rank x rank; no dense
+        # solve of the N x N Gram matrix runs
         model, site = fixtures.random_valid_model(4)
         oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            def counted(*args, _orig=getattr(np.linalg, name), _name=name, **kwargs):
-                calls.append(_name)
-                return _orig(*args, **kwargs)
+        calls = record_solves(monkeypatch)
+        gns = build_space(oracle)
+        assert calls == [("eigh", (gns.rank, gns.rank))]
 
-            monkeypatch.setattr(np.linalg, name, counted)
+    def test_no_dense_gram_solve(self, monkeypatch):
+        model, site = fixtures.random_valid_model(4)
+        words = enumerate_words(site, model.spaces)
+        oracle = model.kernel_table(site, words)
+        small = minimal_modification(model, site, words)
+        big = minimal_modification(fixtures.with_untouched_ancilla(model, 2), site, words)
+        n = len(words) * model.kdim
+        calls = record_solves(monkeypatch)
+        assert check_positivity(oracle).ok
         build_space(oracle)
-        assert calls == ["eigh"]
+        build_unitary(small, big, site, words)
+        assert calls and all(shape != (n, n) for _, shape in calls)
 
     def test_empty_word_list_rejected(self):
         site = chain_site(("t",))
