@@ -16,7 +16,7 @@ from . import __version__
 from .config import RunConfig
 from .kernels import check_axioms
 from .models import check_model
-from .sites import SiteSymmetry, derive_classes
+from .sites import SiteSymmetry, check_symmetry, derive_classes
 from .words import enumerate_words
 from . import serialize
 
@@ -165,7 +165,25 @@ def _load_model_site(model_path: str, site_path: str):
     for t in site.points:
         if t not in model.spaces.spaces:
             raise InputError(f"no outcome space declared at point {t!r}")
+    if sym is not None:
+        _require_symmetry(site, sym)
     return model, site, sym
+
+
+def _require_symmetry(site, sym: SiteSymmetry) -> None:
+    """Refuse a symmetry whose maps leave the site, break its order or
+    contradict the composition table."""
+    report = check_symmetry(site, sym)
+    problems = [
+        *(f"{s!r} maps {t!r} to {sym.maps[s][t]!r}, outside the site's points"
+          for s, t in report.unknown_targets),
+        *(f"{s!r} does not preserve the order of {t!r} and {tp!r}"
+          for s, t, tp in report.monotonicity_violations),
+        *(f"{s!r} after {sp!r} is not {sym.compose[(s, sp)]!r} at {t!r}"
+          for s, sp, t in report.composition_violations),
+    ]
+    if problems:
+        raise InputError(f"symmetry element {problems[0]}")
 
 
 def _emit(report: dict, config: RunConfig) -> None:
@@ -243,6 +261,13 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
             raise
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(str(exc)) from None
+    # the symmetry the table declares, as point maps of the site
+    site_sym = SiteSymmetry(
+        tuple(oracle.symmetry),
+        {s: sym.point_map for s, sym in oracle.symmetry.items()},
+        {},
+    )
+    _require_symmetry(oracle.site, site_sym)
     try:
         recon = reconstruct(oracle, config)
     except ReconstructionRefused as exc:
@@ -260,11 +285,6 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
         # idempotence: the emitted model's own table reconstructs to a
         # unitarily equivalent model; the model declares the oracle's
         # symmetry elements, so its table reads their point maps
-        site_sym = SiteSymmetry(
-            tuple(oracle.symmetry),
-            {s: sym.point_map for s, sym in oracle.symmetry.items()},
-            {},
-        )
         try:
             table = recon.model.kernel_table(
                 oracle.site, list(oracle.words), site_sym=site_sym

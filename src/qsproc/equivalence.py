@@ -19,22 +19,13 @@ from . import linalg
 from .config import RunConfig
 from .linalg import COMPLEX, dagger, opnorm
 from .models import HilbertModel, ModelSymmetry
+from .reconstruct import span_lattice
 from .sites import CausalSite, SiteClasses, SiteSymmetry, derive_classes
 from .words import EventWord, enumerate_words, subsets
 
 
 class EquivalenceRefused(ValueError):
     """Inputs do not satisfy a precondition (non-minimal or inequivalent)."""
-
-
-def _feynman_stack(model: HilbertModel, site: CausalSite, words) -> np.ndarray:
-    """All chronological product columns, word-major (kdim columns each)."""
-    return linalg.side_by_side(model.products(site, words))
-
-
-def _stack_rank(stack: np.ndarray, rank_tol: float) -> int:
-    s = np.linalg.svd(stack, compute_uv=False)
-    return int(np.sum(linalg.svd_cut(s, rank_tol)))
 
 
 def minimal_modification(
@@ -47,85 +38,55 @@ def minimal_modification(
 ) -> HilbertModel:
     """Compress a model to the span of its chronological product vectors.
 
-    The produced model carries the canonical unit families: event units are
-    spans of products over words below some containing slice, essential units
-    are spans over words below the block itself (or, with `regular=True`,
-    meets of the slice spans, the form appropriate for regular processes).
-    The kernel table is unchanged.
+    The basis of that span comes from the Gram factor of the reconstruction
+    (`linalg.psd_eigencut`) applied to ``F F*`` for the product stack F,
+    whose nonzero spectrum is the Gram matrix's: its rank cut is the
+    reconstruction's.  The produced model carries the canonical unit
+    families of the reconstruction's span lattice (`span_lattice`) on the
+    compressed products: event units are joins of slice spans, essential
+    units are spans over words below the block itself (or, with
+    `regular=True`, meets of the slice spans, the form appropriate for
+    regular processes).  The kernel table is unchanged.
     """
     classes = classes or derive_classes(site)
     if words is None:
         words = enumerate_words(site, model.spaces, config.policy, config.cap)
-    rank_tol = config.rank_tol
-    stack = _feynman_stack(model, site, words)
-    u, s, _ = np.linalg.svd(stack, full_matrices=False)
-    w = u[:, linalg.svd_cut(s, rank_tol)]  # orthonormal basis of the minimal subspace
+    stack = linalg.side_by_side(model.products(site, words))
+    # orthonormal basis of the minimal subspace
+    w = linalg.psd_eigencut(stack @ dagger(stack), config.rank_tol).vectors
     wd = dagger(w)
-
-    word_index = {word: i for i, word in enumerate(words)}
-    kdim = model.kdim
-
-    def span_projector(eligible_words) -> np.ndarray:
-        cols = [
-            stack[:, word_index[wd_] * kdim : (word_index[wd_] + 1) * kdim]
-            for wd_ in eligible_words
-        ]
-        mat = np.hstack(cols) if cols else np.zeros((model.dim, 0), dtype=COMPLEX)
-        return linalg.projector_onto_columns(mat, rank_tol)
-
-    down = {l: site.down_set(l) for l in classes.maximal_antichains}
-    slice_proj = {
-        l: span_projector([x for x in words if set(x.support) <= down[l]])
-        for l in classes.maximal_antichains
-    }
-
-    blocks = [k for k in classes.all_nonanticipatory() if k]
-    units_p: dict[frozenset, np.ndarray] = {}
-    units_i: dict[frozenset, np.ndarray] = {}
-    for k in blocks:
-        containing = [slice_proj[l] for l in classes.antichains_containing(k)]
-        if not containing:
-            raise ValueError(f"block {sorted(k)} lies in no maximal antichain")
-        p_k = linalg.join_projectors(containing, rank_tol)
-        units_p[k] = wd @ p_k @ w
-        if regular:
-            units_i[k] = wd @ linalg.meet_projectors(containing, rank_tol) @ w
-        else:
-            kdown = site.down_set(k)
-            units_i[k] = wd @ span_projector(
-                [x for x in words if set(x.support) <= kdown]
-            ) @ w
-
-    atoms = {}
-    for t in site.points:
-        p_t = linalg.join_projectors(
-            [slice_proj[l] for l in classes.antichains_containing({t})], rank_tol
-        )
-        atoms[t] = {
-            x: wd @ model.atoms[t][x] @ p_t @ w
-            for x in model.spaces.outcomes(t)
-        }
-
-    algebra = {}
-    for k, gens in model.algebra.items():
-        kdown = site.down_set(k)
-        i_k = span_projector([x for x in words if set(x.support) <= kdown])
-        algebra[k] = tuple(wd @ g @ i_k @ w for g in gens)
-
-    symmetry = {
-        s: ModelSymmetry(v=wd @ ms.v @ w, outcome_maps=ms.outcome_maps)
-        for s, ms in model.symmetry.items()
-    }
-
+    supports = [set(x.support) for x in words]
+    lattice = span_lattice(
+        wd @ stack,
+        model.kdim,
+        lambda region: [i for i, x in enumerate(supports) if x <= region],
+        classes,
+        config.rank_tol,
+        extra=model.algebra,
+    )
+    blocks = [k for k in lattice.joins if k]
+    essential = lattice.meets if regular else lattice.spans
     return HilbertModel(
         dim=w.shape[1],
         embedding=wd @ model.embedding,
-        atoms=atoms,
+        atoms={
+            t: {
+                x: wd @ model.atoms[t][x] @ w @ lattice.joins[frozenset({t})]
+                for x in model.spaces.outcomes(t)
+            }
+            for t in site.points
+        },
         spaces=model.spaces,
-        units_p=units_p,
-        units_i=units_i,
-        algebra=algebra,
-        symmetry=symmetry,
+        units_p={k: lattice.joins[k] for k in blocks},
+        units_i={k: essential[k] for k in blocks},
+        algebra={
+            k: tuple(wd @ g @ w @ lattice.spans[k] for g in gens)
+            for k, gens in model.algebra.items()
+        },
+        symmetry={
+            s: ModelSymmetry(v=wd @ ms.v @ w, outcome_maps=ms.outcome_maps)
+            for s, ms in model.symmetry.items()
+        },
     )
 
 
@@ -218,10 +179,11 @@ def build_unitary(
 ) -> ModelMorphism:
     """Unitary sending the first minimal model onto the second.
 
-    The map matches chronological product vectors; rank deficiency in the
-    shared Gram matrix is cut at the same relative threshold as the quotient
-    construction, and the phase is fixed by matching the initial embeddings
-    directly, so the restriction to the initial space is the identity.
+    The map matches chronological product vectors through the Gram factor
+    of the first model (`linalg.psd_eigencut`), whose rank each model's
+    dimension must equal; the phase is fixed by matching the initial
+    embeddings directly, so the restriction to the initial space is the
+    identity.
     """
     tol = config.equivalence_tol
     f1, f2 = _product_stacks(m1, m2, site, words)
@@ -232,12 +194,13 @@ def build_unitary(
             f"(residual {verdict.max_residual:.3e} at {verdict.witness})"
         )
     x, y = linalg.side_by_side(f1), linalg.side_by_side(f2)
-    for name, m, stack in (("first", m1, x), ("second", m2, y)):
-        if _stack_rank(stack, config.rank_tol) != m.dim:
+    factor = linalg.psd_eigencut(dagger(x) @ x, config.rank_tol)
+    # equal tables have equal Gram ranks, and a minimal model has that dimension
+    for name, m in (("first", m1), ("second", m2)):
+        if m.dim != factor.values.size:
             raise EquivalenceRefused(
                 f"the {name} model is not minimal; compress it first"
             )
-    factor = linalg.psd_eigencut(dagger(x) @ x, config.rank_tol)
     z = factor.vectors / np.sqrt(factor.values)[None, :]
     q1 = x @ z
     q2 = y @ z

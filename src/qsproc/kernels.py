@@ -84,6 +84,7 @@ class KernelOracle:
             raise ValueError("word list contains duplicates")
         self._within: dict = {}  # region -> word indices
         self._products: dict = {}  # event -> right-product index map
+        self._transports: dict = {}  # symmetry element -> transported words
 
     # -- access -------------------------------------------------------------
 
@@ -103,7 +104,7 @@ class KernelOracle:
         m = sub.shape[0] * self.kdim
         return np.transpose(sub, (0, 2, 1, 3)).reshape(m, m)
 
-    # -- word maps, computed once: words, site and spaces never change ------
+    # -- word maps, computed once: the oracle's words never change ----------
 
     @cached_property
     def _columns(self) -> dict[str, slice]:
@@ -165,9 +166,28 @@ class KernelOracle:
             self._products[event] = found
         return self._products[event]
 
-    def hermitian_defect(self) -> float:
-        swapped = np.conjugate(np.transpose(self.table, (1, 0, 3, 2)))
-        return float(np.max(np.abs(self.table - swapped))) if self.table.size else 0.0
+    def transported(self, s: str) -> tuple[np.ndarray, np.ndarray]:
+        """The words supported within the image of symmetry element `s`, and
+        the index of each one's pull-back under `s`, -1 where the pull-back
+        is not in the word list."""
+        if s not in self._transports:
+            eligible = np.array(
+                self.words_within(self.symmetry[s].point_map.values()), dtype=int
+            )
+            images = np.array(
+                [self._index.get(self._pull_back(s, i), -1) for i in eligible],
+                dtype=int,
+            )
+            eligible.setflags(write=False)  # shared by every caller
+            images.setflags(write=False)
+            self._transports[s] = (eligible, images)
+        return self._transports[s]
+
+    def _pull_back(self, s: str, i: int) -> EventWord:
+        sym = self.symmetry[s]
+        return pull_back(
+            self.words[i], dict(sym.point_map), sym.outcome_maps, self.spaces
+        )
 
 
 # -- verdicts ----------------------------------------------------------------
@@ -250,12 +270,10 @@ def check_positivity(
     if not oracle.words:
         raise ValueError("word list is empty")
     factor = linalg.psd_eigencut(oracle.gram(), config.rank_tol)
-    return positivity_verdict(oracle, factor, config.positivity_tol)
+    return positivity_verdict(factor, config.positivity_tol)
 
 
-def positivity_verdict(
-    oracle: KernelOracle, factor: linalg.Eigencut, tol: float
-) -> AxiomCheck:
+def positivity_verdict(factor: linalg.Eigencut, tol: float) -> AxiomCheck:
     """Positivity from the Gram factor of `linalg.psd_eigencut`, relative to
     the largest magnitude of its spectrum.
 
@@ -263,7 +281,7 @@ def positivity_verdict(
     bound, a lower bound on the least eigenvalue of the Gram matrix: a pass
     is certified, a fail may be conservative.  The factor reads the Gram
     matrix's Hermitian part, which hides an anti-Hermitian part of the
-    table, so the table's Hermiticity defect on the same scale is a residual
+    table, so the factor's Hermiticity defect on the same scale is a residual
     too."""
     vals = np.concatenate([factor.values, factor.dropped])
     scale = max(float(np.max(np.abs(vals))), 1e-300)
@@ -273,7 +291,7 @@ def positivity_verdict(
         f"least eigenvalue bound {least:.3e} of the rank-{factor.values.size} "
         "Gram factor"
     )
-    defect = oracle.hermitian_defect()
+    defect = factor.hermitian_defect
     if defect / scale > residual:
         residual = defect / scale
         witness = f"Hermiticity defect {defect:.3e} of the kernel table"
@@ -441,24 +459,18 @@ def check_covariance(
         return AxiomCheck(
             "covariance", PASS, 0.0, "no symmetry declared (trivial action)", tol
         )
-    spaces = oracle.spaces
     worst, witness = 0.0, ""
     missing: str | None = None
     for s, sym in oracle.symmetry.items():
-        image = set(sym.point_map.values())
-        eligible = oracle.words_within(image)
-        tr = {}
-        for i in eligible:
-            w = pull_back(oracle.words[i], dict(sym.point_map), sym.outcome_maps, spaces)
-            j = oracle.index(w)
-            if j is None:
-                missing = missing or (
-                    f"transported word {_word_label(w)} under {s!r} is outside the word list"
-                )
-                continue
-            tr[i] = j
+        eligible, images = oracle.transported(s)
+        listed = images >= 0
+        if missing is None and not listed.all():
+            w = oracle._pull_back(s, eligible[np.argmin(listed)])
+            missing = (
+                f"transported word {_word_label(w)} under {s!r} is outside the word list"
+            )
         u = np.asarray(sym.u, dtype=COMPLEX)
-        src, dst = list(tr), list(tr.values())
+        src, dst = eligible[listed], images[listed]
         lhs = np.einsum(
             "ba,ijbc,cd->ijad", np.conjugate(u), oracle.table[np.ix_(src, src)], u,
             optimize=True,

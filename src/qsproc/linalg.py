@@ -85,6 +85,7 @@ class Eigencut(NamedTuple):
     vectors: np.ndarray  # (N, rank) orthonormal eigenvectors of `values`
     dropped: np.ndarray  # factored eigenvalues below the cut, then -residual
     residual: float  # certified bound on the 2-norm of G - L L*
+    hermitian_defect: float  # largest entry of |G - G*|
 
 
 def psd_eigencut(gram: np.ndarray, rel_tol: float) -> Eigencut:
@@ -105,7 +106,9 @@ def psd_eigencut(gram: np.ndarray, rel_tol: float) -> Eigencut:
     the smaller of its Frobenius norm and its largest absolute row sum.
     Since ``lambda_min(G) >= -residual``, `dropped` ends with ``-residual``:
     the least value of ``values`` and ``dropped`` together bounds the least
-    eigenvalue of G from below, which is how positivity reads it.
+    eigenvalue of G from below, which is how positivity reads it.  The same
+    block pass reads `hermitian_defect`, the largest entry of ``|G - G*|``,
+    which the factor of the Hermitian part cannot see.
     """
     g = asmatrix(gram)
     n = g.shape[0]
@@ -127,7 +130,7 @@ def psd_eigencut(gram: np.ndarray, rel_tol: float) -> Eigencut:
         diag[i] = -np.inf  # pivoted
         rank += 1
     rows = rows[:rank]
-    residual = _residual_bound(g, rows)
+    residual, defect = _residual_bound(g, rows)
     vals, u = np.linalg.eigh(hermitize(np.conjugate(rows) @ rows.T))  # ascending
     vals, u = vals[::-1], u[:, ::-1]
     keep = vals > rel_tol * (vals[0] if rank else 0.0)  # L* L is PSD
@@ -139,23 +142,27 @@ def psd_eigencut(gram: np.ndarray, rel_tol: float) -> Eigencut:
         vectors=vecs,
         dropped=np.append(vals[~keep], 0.0 - residual),  # no -0.0
         residual=residual,
+        hermitian_defect=defect,
     )
 
 
-def _residual_bound(g: np.ndarray, rows: np.ndarray) -> float:
+def _residual_bound(g: np.ndarray, rows: np.ndarray) -> tuple[float, float]:
     """min(Frobenius norm, largest absolute row sum) of the Hermitian part
-    of ``g - rows.T @ conj(rows)``, in row blocks of about 2^18 entries."""
+    of ``g - rows.T @ conj(rows)``, and the largest entry of ``|g - g*|``,
+    in row blocks of about 2^18 entries."""
     n = g.shape[0]
     step = max(1, (1 << 18) // max(n, 1))
-    fro2, row_sum = 0.0, 0.0
+    fro2, row_sum, defect = 0.0, 0.0, 0.0
     for start in range(0, n, step):
         blk = slice(start, start + step)
-        res = (g[blk] + dagger(g[:, blk])) / 2
+        adj = dagger(g[:, blk])
+        defect = max(defect, float(np.abs(g[blk] - adj).max()))
+        res = (g[blk] + adj) / 2
         res -= rows[:, blk].T @ np.conjugate(rows)
         mag = np.abs(res)
         fro2 += float(np.sum(mag * mag))
         row_sum = max(row_sum, float(mag.sum(axis=1).max()))
-    return min(float(np.sqrt(fro2)), row_sum)
+    return min(float(np.sqrt(fro2)), row_sum), defect
 
 
 def _phase_fix(v: np.ndarray) -> np.ndarray:

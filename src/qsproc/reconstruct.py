@@ -16,7 +16,7 @@ bit-identical coordinates for identical inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .config import RunConfig
 from .linalg import COMPLEX, dagger
 from .kernels import (
     FAIL,
+    INCONCLUSIVE,
     AxiomCheck,
     KernelOracle,
     check_covariance,
@@ -34,6 +35,7 @@ from .kernels import (
     _word_label,
 )
 from .models import HilbertModel, ModelSymmetry
+from .sites import SiteClasses
 from .words import Event, event_label
 
 
@@ -66,13 +68,20 @@ class GnsSpace:
     def kdim(self) -> int:
         return self.oracle.kdim
 
-    def pair_column(self, word_index: int, basis_index: int) -> int:
-        return word_index * self.kdim + basis_index
-
     def pair_coords(self, word_indices: Sequence[int]) -> np.ndarray:
-        idx = np.asarray(word_indices, dtype=int)
-        cols = idx[:, None] * self.kdim + np.arange(self.kdim)
-        return self.coords[:, cols.ravel()]
+        return pair_columns(self.coords, self.kdim, word_indices)
+
+    def map_on_pairs(self, sources, targets, leg=None) -> np.ndarray:
+        """Operator sending the pairs of the words `sources` to the pairs of
+        the words `targets`, zero off the span of the sources
+        (`linalg.map_on_span`).  With `leg`, pair (i, a) goes to
+        ``sum_b leg[b, a] * (targets[i], b)``: the operator acts on the
+        targets' initial-vector leg first."""
+        y = self.pair_coords(targets)
+        if leg is not None:
+            y = (y.reshape(self.rank, -1, self.kdim, 1) * leg).sum(axis=2)
+        y = y.reshape(self.rank, -1)
+        return linalg.map_on_span(self.pair_coords(sources), y, self.config.rank_tol)
 
     def initial_embedding(self) -> np.ndarray:
         """Coordinates of the embedded initial space (the unit-word pairs)."""
@@ -102,7 +111,7 @@ def build_space(oracle: KernelOracle, config: RunConfig = RunConfig()) -> GnsSpa
     if not oracle.words:
         raise ValueError("word list is empty")
     factor = linalg.psd_eigencut(oracle.gram(), config.rank_tol)
-    _refuse_failed(positivity_verdict(oracle, factor, config.positivity_tol))
+    _refuse_failed(positivity_verdict(factor, config.positivity_tol))
     _refuse_failed(check_normalization(oracle, config))
     _refuse_failed(*check_slice_axioms(oracle, config))
     coords = np.sqrt(factor.values)[:, None] * dagger(factor.vectors)
@@ -164,9 +173,7 @@ def represent_event(
             f"word list is not closed under multiplication by "
             f"{event_label(event)}; close it with the all-subsets policy"
         )
-    x = gns.pair_coords(idx[listed])
-    y = gns.pair_coords(targets[listed])
-    return linalg.map_on_span(x, y, gns.config.rank_tol)
+    return gns.map_on_pairs(idx[listed], targets[listed])
 
 
 def represent_events(
@@ -212,29 +219,10 @@ def represent_algebra(
                     f"generator {gi} of block {sorted(block)} does not commute "
                     f"with the kernel values (residual {worst:.3e})"
                 )
-            represented.append(_algebra_action(gns, idx, a))
+            # the adjoint of the adjoint generator's action on the vector leg
+            represented.append(dagger(gns.map_on_pairs(idx, idx, dagger(a))))
         out[frozenset(block)] = tuple(represented)
     return out
-
-
-def _algebra_action(gns: GnsSpace, idx: Sequence[int], a: np.ndarray) -> np.ndarray:
-    # The represented operator is the adjoint of the adjoint generator's
-    # action on the vector leg, extended by zero off the eligible span.
-    y = _vector_leg(gns, idx, dagger(a))
-    lam_star = linalg.map_on_span(gns.pair_coords(idx), y, gns.config.rank_tol)
-    return dagger(lam_star)
-
-
-def _vector_leg(gns: GnsSpace, idx: Sequence[int], op: np.ndarray) -> np.ndarray:
-    """Coordinates of the pairs of the words `idx` with `op` applied to their
-    initial-vector leg: column (i, al) is sum_b op[b, al] * pair (i, b)."""
-    k = gns.kdim
-    cols = []
-    for i in idx:
-        base = [gns.coords[:, gns.pair_column(i, b)] for b in range(k)]
-        for al in range(k):
-            cols.append(sum(op[b, al] * base[b] for b in range(k)))
-    return np.column_stack(cols) if cols else np.zeros((gns.rank, 0), dtype=COMPLEX)
 
 
 def represent_symmetry(gns: GnsSpace) -> dict[str, np.ndarray]:
@@ -247,30 +235,17 @@ def represent_symmetry(gns: GnsSpace) -> dict[str, np.ndarray]:
     are skipped.
     """
     oracle = gns.oracle
-    _refuse_failed(check_covariance(oracle, gns.config))
+    covariance = check_covariance(oracle, gns.config)
+    _refuse_failed(covariance)
+    if covariance.status == INCONCLUSIVE:  # a transported word is not listed
+        raise ReconstructionRefused(covariance.witness)
     out: dict[str, np.ndarray] = {}
-    from .words import pull_back
-
     for s, sym in oracle.symmetry.items():
         if not sym.point_map:
             continue
-        image = set(sym.point_map.values())
-        eligible = oracle.words_within(image)
-        transported = []
-        for i in eligible:
-            w = pull_back(
-                oracle.words[i], dict(sym.point_map), sym.outcome_maps, oracle.spaces
-            )
-            j = oracle.index(w)
-            if j is None:
-                raise ReconstructionRefused(
-                    f"transported word {_word_label(w)} under {s!r} "
-                    "is outside the word list"
-                )
-            transported.append(j)
-        y = _vector_leg(gns, transported, dagger(np.asarray(sym.u, dtype=COMPLEX)))
-        pulled = linalg.map_on_span(gns.pair_coords(eligible), y, gns.config.rank_tol)
-        out[s] = dagger(pulled)
+        eligible, images = oracle.transported(s)
+        u = np.asarray(sym.u, dtype=COMPLEX)
+        out[s] = dagger(gns.map_on_pairs(eligible, images, dagger(u)))
     return out
 
 
@@ -311,43 +286,70 @@ class ReconstructedProcess:
         }
 
 
-def compute_subspace_lattice(gns: GnsSpace):
-    """Slice-span projectors and the derived unit families.
+def pair_columns(columns: np.ndarray, kdim: int, word_indices) -> np.ndarray:
+    """The columns of the (word, basis) pairs of the words `word_indices` in
+    a word-major matrix with `kdim` columns per word."""
+    idx = np.asarray(word_indices, dtype=int)
+    return columns[:, (idx[:, None] * kdim + np.arange(kdim)).ravel()]
 
-    E_l projects onto the span of pairs of words supported below the slice l;
-    the block units are the lattice joins (over containing slices) and meets
-    of these, with the empty block yielding the whole space for the join and
-    the regularity-sensitive intersection for the meet.
+
+class SpanLattice(NamedTuple):
+    slices: dict[frozenset, np.ndarray]  # E_l per maximal antichain
+    joins: dict[frozenset, np.ndarray]  # per block, over containing slices
+    meets: dict[frozenset, np.ndarray]  # per block, over containing slices
+    spans: dict[frozenset, np.ndarray]  # pairs of words below the block
+
+
+def span_lattice(
+    columns: np.ndarray,
+    kdim: int,
+    within: Callable[[frozenset], Sequence[int]],
+    classes: SiteClasses,
+    rel_tol: float,
+    extra: Iterable[frozenset] = (),
+) -> SpanLattice:
+    """Slice spans of word-major pair columns and the unit families.
+
+    `within(region)` lists the words supported within a region.  E_l
+    projects onto the span of the pairs of words below the maximal antichain
+    l.  Each nonempty nonanticipatory block, and each block in `extra`, gets
+    the span of the pairs of words below itself; the former also get the
+    join and the meet of the E_l containing them.  The empty block's join is
+    the whole space and its meet that of every slice span.
     """
-    oracle = gns.oracle
-    site = oracle.site
-    r = gns.rank
-    eye = np.eye(r, dtype=COMPLEX)
-    slice_projectors: dict[frozenset, np.ndarray] = {}
-    for l in oracle.classes.maximal_antichains:
-        idx = oracle.words_within(site.down_set(l))
-        slice_projectors[l] = linalg.projector_onto_columns(
-            gns.pair_coords(idx), gns.config.rank_tol
+    site = classes.site
+
+    def span(block) -> np.ndarray:
+        idx = within(frozenset(site.down_set(block)))
+        return linalg.projector_onto_columns(
+            pair_columns(columns, kdim, idx), rel_tol
         )
-    unit_p: dict[frozenset, np.ndarray] = {frozenset(): eye}
-    unit_i: dict[frozenset, np.ndarray] = {
-        frozenset(): linalg.meet_projectors(
-            list(slice_projectors.values()), gns.config.rank_tol
-        )
-        if slice_projectors
-        else eye
-    }
-    for k in oracle.classes.all_nonanticipatory():
+
+    slices = {l: span(l) for l in classes.maximal_antichains}
+    joins = {frozenset(): np.eye(columns.shape[0], dtype=COMPLEX)}
+    meets = {frozenset(): linalg.meet_projectors(list(slices.values()), rel_tol)}
+    spans = {}
+    for k in classes.all_nonanticipatory():
         if not k:
             continue
-        containing = [slice_projectors[l] for l in oracle.classes.antichains_containing(k)]
-        if not containing:
-            raise ReconstructionRefused(
-                f"block {sorted(k)} lies in no maximal antichain"
-            )
-        unit_p[k] = linalg.join_projectors(containing, gns.config.rank_tol)
-        unit_i[k] = linalg.meet_projectors(containing, gns.config.rank_tol)
-    return slice_projectors, unit_p, unit_i
+        containing = [slices[l] for l in classes.antichains_containing(k)]
+        joins[k] = linalg.join_projectors(containing, rel_tol)
+        meets[k] = linalg.meet_projectors(containing, rel_tol)
+        spans[k] = span(k)
+    for k in extra:
+        if k not in spans:
+            spans[k] = span(k)
+    return SpanLattice(slices, joins, meets, spans)
+
+
+def compute_subspace_lattice(gns: GnsSpace) -> SpanLattice:
+    """The span lattice of the quotient coordinates: the joins are the
+    emitted model's event units and the spans its essential units."""
+    oracle = gns.oracle
+    return span_lattice(
+        gns.coords, gns.kdim, oracle.words_within, oracle.classes,
+        gns.config.rank_tol,
+    )
 
 
 def reconstruct(
@@ -364,19 +366,9 @@ def reconstruct(
     """
     gns = build_space(oracle, config)
     atoms = represent_events(gns, strict_closure)
-    slice_projectors, unit_p, unit_i = compute_subspace_lattice(gns)
+    lattice = compute_subspace_lattice(gns)
     algebra = represent_algebra(gns) if oracle.algebra else {}
     isometries = represent_symmetry(gns) if oracle.symmetry else {}
-
-    units_i_model: dict[frozenset, np.ndarray] = {}
-    for k in unit_p:
-        if not k:
-            continue
-        idx = oracle.words_within(oracle.site.down_set(k))
-        units_i_model[k] = linalg.projector_onto_columns(
-            gns.pair_coords(idx), gns.config.rank_tol
-        )
-
     symmetry = {
         s: ModelSymmetry(v=v, outcome_maps=oracle.symmetry[s].outcome_maps)
         for s, v in isometries.items()
@@ -386,17 +378,17 @@ def reconstruct(
         embedding=gns.initial_embedding(),
         atoms=atoms,
         spaces=oracle.spaces,
-        units_p=unit_p,
-        units_i=units_i_model,
+        units_p=lattice.joins,
+        units_i=lattice.spans,
         algebra=algebra,
         symmetry=symmetry,
     )
     return ReconstructedProcess(
         gns=gns,
         model=model,
-        slice_projectors=slice_projectors,
-        unit_p=unit_p,
-        unit_i=unit_i,
+        slice_projectors=lattice.slices,
+        unit_p=lattice.joins,
+        unit_i=lattice.meets,
         algebra=algebra,
         isometries=isometries,
     )

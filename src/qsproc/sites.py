@@ -268,7 +268,7 @@ def check_symmetry(site: CausalSite, sym: SiteSymmetry) -> SymmetryReport:
     unknown: list[tuple[str, str]] = []
     for s in sym.elements:
         for t, st in sym.maps[s].items():
-            if st not in site._index or t not in site._index:
+            if st not in site.points or t not in site.points:  # st may not hash
                 unknown.append((s, t))
     if unknown:
         return SymmetryReport((), (), tuple(unknown))
@@ -283,7 +283,7 @@ def check_symmetry(site: CausalSite, sym: SiteSymmetry) -> SymmetryReport:
         prod = sym.compose[(s, sp)]
         for t, spt in sym.maps[sp].items():
             lhs = sym.maps[s].get(spt)
-            rhs = sym.maps[prod].get(t)
+            rhs = sym.maps.get(prod, {}).get(t)
             if lhs != rhs:
                 comp.append((s, sp, t))
     return SymmetryReport(tuple(mono), tuple(comp), ())

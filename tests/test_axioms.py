@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qsproc import fixtures
+from qsproc import fixtures, linalg
 from qsproc.kernels import (
     FAIL,
     INCONCLUSIVE,
@@ -68,7 +68,8 @@ class TestPositivity:
         i, j = 6, 5  # {['0']@t1, ['-']@t2}, {['0']@t1, ['+']@t2}
         oracle.table[i, j] += 0.05
         oracle.table[j, i] -= 0.05
-        assert oracle.hermitian_defect() == pytest.approx(0.1)
+        factor = linalg.psd_eigencut(oracle.gram(), 1e-9)
+        assert factor.hermitian_defect == pytest.approx(0.1)
         check = check_positivity(oracle)
         assert check.status == FAIL
         assert check.witness == "Hermiticity defect 1.000e-01 of the kernel table"

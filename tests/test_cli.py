@@ -665,6 +665,72 @@ class TestInputErrors:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+class TestMalformedSymmetry:
+    """Symmetry maps that leave the site or break its order are input errors,
+    from a site file and from a kernel table alike."""
+
+    BAD_MAPS = {
+        "outside": ({"g0": "g1", "g1": "zz"}, "'s1' maps 'g1' to 'zz', outside"),
+        "swap": ({"g0": "g1", "g1": "g0"}, "'s1' does not preserve the order"),
+        "list": ({"g0": ["g1"]}, "'s1' maps 'g0' to ['g1'], outside"),
+    }
+
+    @pytest.fixture
+    def galilean(self):
+        model, site, sym = fixtures.galilean_shift_fixture()
+        oracle = model.kernel_table(
+            site, enumerate_words(site, model.spaces), site_sym=sym
+        )
+        return (
+            serialize.model_to_json(model),
+            json.loads(serialize.dumps(serialize.site_to_json(site, sym))),
+            json.loads(serialize.dumps(serialize.oracle_to_json(oracle))),
+        )
+
+    def expect_input_error(self, argv, message, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: symmetry element ")
+        assert message in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("case", sorted(BAD_MAPS))
+    @pytest.mark.parametrize("command", [
+        ["check"], ["kernels"], ["reconstruct", "--site"], ["roundtrip"],
+    ])
+    def test_site_file(self, tmp_path, capsys, galilean, case, command):
+        model, site, _ = galilean
+        bad_map, message = self.BAD_MAPS[case]
+        site["symmetries"]["s1"]["map"] = bad_map
+        model_file = write(tmp_path, "model.json", model)
+        site_file = write(tmp_path, "site.json", site)
+        argv = [command[0], model_file, *command[1:], site_file]
+        self.expect_input_error(argv, message, capsys)
+
+    @pytest.mark.parametrize("case", sorted(BAD_MAPS))
+    @pytest.mark.parametrize("verify", [[], ["--verify"]])
+    def test_kernel_table(self, tmp_path, capsys, galilean, case, verify):
+        _, _, table = galilean
+        bad_map, message = self.BAD_MAPS[case]
+        table["symmetry"]["s1"]["map"] = bad_map
+        argv = ["reconstruct", write(tmp_path, "table.json", table), *verify]
+        self.expect_input_error(argv, message, capsys)
+
+    def test_site_composition_table(self, tmp_path, capsys, galilean):
+        model, site, _ = galilean
+        site["symmetries"]["compose"]["s1"]["s1"] = "s3"  # s1 s1 is s2
+        argv = ["check", write(tmp_path, "model.json", model),
+                write(tmp_path, "site.json", site)]
+        self.expect_input_error(argv, "'s1' after 's1' is not 's3' at 'g0'", capsys)
+
+    def test_valid_maps_accepted(self, tmp_path, capsys, galilean):
+        model, site, _ = galilean
+        argv = ["check", write(tmp_path, "model.json", model),
+                write(tmp_path, "site.json", site)]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
 # -- adversarial tables ---------------------------------------------------------
 
 QUBIT_TABLE = json.loads(serialize.dumps(serialize.oracle_to_json(qubit_table())))

@@ -1,9 +1,11 @@
 """Wide-sense equivalence, minimal compression, intertwining unitaries."""
 
+import json
+
 import numpy as np
 import pytest
 
-from qsproc import fixtures, linalg
+from qsproc import cli, fixtures, linalg, serialize
 from qsproc.equivalence import (
     EquivalenceRefused,
     build_unitary,
@@ -15,7 +17,8 @@ from qsproc.config import RunConfig
 from qsproc.linalg import dagger, opnorm
 from qsproc.models import HilbertModel
 from qsproc.reconstruct import reconstruct
-from qsproc.words import enumerate_words
+from qsproc.sites import chain_site
+from qsproc.words import OutcomeSpaces, enumerate_words
 
 
 def is_minimal(model, site, words) -> bool:
@@ -26,6 +29,20 @@ def is_minimal(model, site, words) -> bool:
 
 def random_isometry(rng, n: int, m: int) -> np.ndarray:
     return linalg.random_unitary(rng, n)[:, :m]
+
+
+def eps_model(eps: float):
+    """One-point qubit with Z atoms and initial vector along (1, eps): the
+    second direction carries a Gram eigenvalue of about eps^2 times the
+    largest, below the default rank cut for eps <= 1e-5, and a singular
+    value above it."""
+    site = chain_site(("t1",))
+    xi = np.array([1.0, eps], dtype=complex) / np.hypot(1.0, eps)
+    model = HilbertModel(
+        dim=2, embedding=xi, atoms={"t1": dict(fixtures.Z_ATOMS)},
+        spaces=OutcomeSpaces({"t1": ("0", "1")}),
+    )
+    return model, site
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +96,31 @@ class TestMinimalModification:
         assert np.allclose(
             regular.units_i[k] @ regular.units_p[k], regular.units_i[k]
         )
+
+
+class TestRankAgreement:
+    """Minimal models, the reconstruction and the unitary share one rank
+    cut, on Gram eigenvalues."""
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-8])
+    def test_minimal_dimension_is_reconstructed_rank(self, eps):
+        model, site = eps_model(eps)
+        words = enumerate_words(site, model.spaces)
+        recon = reconstruct(model.kernel_table(site, words))
+        assert minimal_modification(model, site, words).dim == recon.rank == 1
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-8])
+    def test_cli_unitary_of_model_with_itself(self, tmp_path, capsys, eps):
+        model, site = eps_model(eps)
+        model_file = tmp_path / "model.json"
+        site_file = tmp_path / "site.json"
+        model_file.write_text(serialize.dumps(serialize.model_to_json(model)))
+        site_file.write_text(serialize.dumps(serialize.site_to_json(site)))
+        argv = ["equiv", "unitary", str(model_file), str(model_file), str(site_file)]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["morphism"]["ok"] is True
+        assert report["dimensions"] == {"first_minimal": 1, "second_minimal": 1}
 
 
 class TestWideEquivalence:

@@ -1,5 +1,7 @@
 """Quotient-space reconstruction of kernel oracles."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -26,12 +28,13 @@ from kernel_tables import oracle_from_values
 
 
 def record_solves(monkeypatch) -> list:
-    """Record the name and matrix shape of every `eigh`, `eigvalsh` and
-    `svd` call made through `np.linalg`."""
+    """Record the name, matrix shape and calling module of every `eigh`,
+    `eigvalsh` and `svd` call made through `np.linalg`."""
     calls = []
     for name in ("eigh", "eigvalsh", "svd"):
         def counted(a, *args, _orig=getattr(np.linalg, name), _name=name, **kwargs):
-            calls.append((_name, np.shape(a)))
+            caller = sys._getframe(1).f_globals.get("__name__")
+            calls.append((_name, np.shape(a), caller))
             return _orig(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -118,7 +121,7 @@ class TestBuildSpace:
         oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
         calls = record_solves(monkeypatch)
         gns = build_space(oracle)
-        assert calls == [("eigh", (gns.rank, gns.rank))]
+        assert calls == [("eigh", (gns.rank, gns.rank), "qsproc.linalg")]
 
     def test_no_dense_gram_solve(self, monkeypatch):
         model, site = fixtures.random_valid_model(4)
@@ -131,7 +134,25 @@ class TestBuildSpace:
         assert check_positivity(oracle).ok
         build_space(oracle)
         build_unitary(small, big, site, words)
-        assert calls and all(shape != (n, n) for _, shape in calls)
+        assert calls and all(shape != (n, n) for _, shape, _ in calls)
+
+    def test_minimal_models_take_no_svd_of_their_own(self, monkeypatch):
+        # the basis of a minimal model is the Gram factor of its dim x dim
+        # product matrix, and its spans come from the reconstruction's
+        # lattice on the compressed products: no SVD runs in `equivalence`,
+        # and none on an uncompressed product stack
+        model, site = fixtures.random_valid_model(4)
+        words = enumerate_words(site, model.spaces)
+        padded = fixtures.with_untouched_ancilla(model, 2)
+        calls = record_solves(monkeypatch)
+        small = minimal_modification(model, site, words)
+        big = minimal_modification(padded, site, words)
+        build_unitary(small, big, site, words)
+        assert small.dim == big.dim < padded.dim
+        assert not [c for c in calls if c[2] == "qsproc.equivalence"]
+        assert ("eigh", (padded.dim, padded.dim)) not in [c[:2] for c in calls]
+        svds = [shape for name, shape, _ in calls if name == "svd"]
+        assert svds and all(rows == small.dim for rows, _ in svds)
 
     def test_empty_word_list_rejected(self):
         site = chain_site(("t",))

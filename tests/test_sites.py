@@ -250,6 +250,15 @@ class TestSymmetry:
         report = check_symmetry(site, sym)
         assert report.composition_violations
 
+    def test_unknown_product_flagged(self):
+        # a composition table naming an element without a map is a violation,
+        # not a lookup error
+        site = discrete_site(("a", "b"))
+        sym = SiteSymmetry(("s",), {"s": {"a": "b", "b": "a"}}, {("s", "s"): "q"})
+        assert check_symmetry(site, sym).composition_violations == (
+            ("s", "s", "a"), ("s", "s", "b"),
+        )
+
 
 # -- property tests over random preorders -----------------------------------
 

@@ -23,7 +23,14 @@ from qsproc.kernels import (
     check_slice_axioms,
 )
 from qsproc.models import HilbertModel
-from qsproc.reconstruct import ReconstructionRefused, build_space, represent_events
+from qsproc.reconstruct import (
+    ReconstructionRefused,
+    build_space,
+    reconstruct,
+    represent_algebra,
+    represent_events,
+    represent_symmetry,
+)
 from qsproc.sites import chain_site, derive_classes
 from qsproc.words import (
     Event,
@@ -366,3 +373,106 @@ def test_memoised_maps_follow_table_edits():
     oracle.table[1, 1] += 0.5  # a word with an empty factor
     assert check_slice_axioms(oracle) == reference_slice_axioms(oracle)
     assert check_slice_axioms(oracle)[0].status == "fail"
+
+
+# -- the symmetry transport map ----------------------------------------------------
+
+
+def galilean_oracle(drop=()):
+    model, site, sym = fixtures.galilean_shift_fixture()
+    words = [w for w in enumerate_words(site, model.spaces) if event_label(w) not in drop]
+    return model.kernel_table(site, words, site_sym=sym)
+
+
+def reference_transport(oracle, s):
+    """The per-word pull-back loop that the memoised map replaced."""
+    sym = oracle.symmetry[s]
+    eligible = oracle.words_within(set(sym.point_map.values()))
+    pulled = [
+        words_mod.pull_back(oracle.words[i], dict(sym.point_map), sym.outcome_maps,
+                            oracle.spaces)
+        for i in eligible
+    ]
+    return eligible, pulled
+
+
+@pytest.mark.parametrize("drop", [(), ("{['0']@g0}",)])
+def test_transport_matches_pull_back(drop):
+    oracle = galilean_oracle(drop)
+    for s in oracle.symmetry:
+        eligible, images = oracle.transported(s)
+        want, pulled = reference_transport(oracle, s)
+        assert eligible.tolist() == want
+        assert images.tolist() == [
+            -1 if oracle.index(w) is None else oracle.index(w) for w in pulled
+        ]
+        assert not eligible.flags.writeable and not images.flags.writeable
+
+
+def test_missing_transport_witnesses():
+    oracle = galilean_oracle(("{['0']@g0}",))
+    witness = "transported word {['0']@g0} under 's1' is outside the word list"
+    check = kernels.check_covariance(oracle)
+    assert (check.status, check.witness) == ("inconclusive", witness)
+    with pytest.raises(ReconstructionRefused) as refused:
+        represent_symmetry(build_space(oracle))
+    assert str(refused.value) == witness
+
+
+def test_one_pull_back_per_word_and_element(monkeypatch):
+    # covariance and the represented symmetry read one memoised map
+    oracle = galilean_oracle()
+    calls = []
+
+    def counted(*args, _orig=words_mod.pull_back):
+        calls.append(args[0])
+        return _orig(*args)
+
+    monkeypatch.setattr(kernels, "pull_back", counted)
+    reconstruct(oracle)
+    kernels.check_covariance(oracle)
+    assert len(calls) == sum(oracle.transported(s)[0].size for s in oracle.symmetry)
+
+
+# -- maps on the initial-vector leg ------------------------------------------------
+
+
+def reference_vector_leg(gns, idx, op):
+    """The per-pair loop that the leg map of `GnsSpace.map_on_pairs`
+    replaced: column (i, al) is sum_b op[b, al] * pair (i, b)."""
+    k = gns.kdim
+    cols = []
+    for i in idx:
+        base = [gns.coords[:, i * k + b] for b in range(k)]
+        for al in range(k):
+            cols.append(sum(op[b, al] * base[b] for b in range(k)))
+    return np.column_stack(cols) if cols else np.zeros((gns.rank, 0), dtype=complex)
+
+
+def reference_leg_map(gns, sources, targets, op):
+    y = reference_vector_leg(gns, targets, op)
+    return linalg.map_on_span(gns.pair_coords(sources), y, gns.config.rank_tol)
+
+
+def test_algebra_and_symmetry_match_the_per_pair_loop():
+    model, site = fixtures.controlled_kdim2()
+    gns = build_space(model.kernel_table(site, enumerate_words(site, model.spaces)))
+    for block, gens in represent_algebra(gns).items():
+        idx = sorted(gns.oracle.words_within(site.down_set(block)))
+        for g, a in zip(gens, gns.oracle.algebra[block]):
+            want = linalg.dagger(reference_leg_map(gns, idx, idx, linalg.dagger(a)))
+            assert g.tobytes() == want.tobytes()
+    rng = np.random.default_rng(7)
+    op = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    idx = gns.oracle.words_within(site.down_set({"t1"}))
+    targets = gns.oracle.right_products(Event.from_dict({"t2": {"0"}}))[idx]
+    got = gns.map_on_pairs(idx, targets, op)
+    assert got.tobytes() == reference_leg_map(gns, idx, targets, op).tobytes()
+
+    oracle = galilean_oracle()
+    gns = build_space(oracle)
+    for s, v in represent_symmetry(gns).items():
+        eligible, images = oracle.transported(s)
+        u = np.asarray(oracle.symmetry[s].u, dtype=complex)
+        want = linalg.dagger(reference_leg_map(gns, eligible, images, linalg.dagger(u)))
+        assert v.tobytes() == want.tobytes()
