@@ -9,8 +9,9 @@ the reconstructed table with the original.
 import argparse
 import time
 
-from qsproc import check_axioms, check_model, enumerate_words, reconstruct, verify_decomposition
+from qsproc import check_axioms, check_model, enumerate_words, verify_decomposition
 from qsproc.fixtures import random_valid_model
+from qsproc.reconstruct import reconstruct
 
 
 def main():

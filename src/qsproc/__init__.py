@@ -27,12 +27,9 @@ from .words import (
     Event,
     EventWord,
     OutcomeSpaces,
-    enumerate_partitions,
     enumerate_words,
-    extend,
     pointwise_product,
     right_multiply,
-    to_chain_sequence,
     unit_word,
 )
 from .models import HilbertModel, ModelSymmetry, check_model
@@ -42,7 +39,6 @@ from .reconstruct import (
     ReconstructedProcess,
     ReconstructionRefused,
     build_space,
-    reconstruct,
     verify_decomposition,
 )
 from .equivalence import (
@@ -106,9 +102,7 @@ __all__ = [
     "classical_reduce",
     "derive_classes",
     "discrete_site",
-    "enumerate_partitions",
     "enumerate_words",
-    "extend",
     "galilean_site",
     "generate_algebra",
     "interference_witness",
@@ -117,9 +111,7 @@ __all__ = [
     "minimal_modification",
     "minkowski_site",
     "pointwise_product",
-    "reconstruct",
     "right_multiply",
-    "to_chain_sequence",
     "unit_word",
     "verify_decomposition",
     "verify_lift",

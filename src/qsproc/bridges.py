@@ -27,8 +27,10 @@ from .models import CheckEntry, HilbertModel, ModelReport, ModelSymmetry
 from .kernels import _word_label
 from .sites import CausalSite, SiteSymmetry
 from .words import (
+    POLICY_ALL_SUBSETS,
     EventWord,
     OutcomeSpaces,
+    enumerate_words,
     partitions_of_factor,
     subsets,
 )
@@ -277,9 +279,7 @@ def verify_lift(
     recon = reconstruct(oracle, config, strict_closure=False)
 
     worst_c, wit_c = 0.0, ""
-    for (la, pa), (lb, pb) in itertools.combinations(
-        recon.slice_projectors.items(), 2
-    ):
+    for (la, pa), (lb, pb) in itertools.combinations(recon.lattice.slices.items(), 2):
         r = opnorm(pa - pb)
         if r > worst_c:
             worst_c, wit_c = r, f"slice spans {sorted(la)} vs {sorted(lb)}"
@@ -287,7 +287,7 @@ def verify_lift(
 
     worst_n, wit_n = 0.0, ""
     eye = np.eye(recon.rank, dtype=COMPLEX)
-    for k, p in recon.unit_p.items():
+    for k, p in recon.lattice.joins.items():
         r = opnorm(p - eye)
         if r > worst_n:
             worst_n, wit_n = r, f"unit of block {sorted(k)}"
@@ -409,8 +409,6 @@ def classical_reduce(
     total = float(sum(measure.values()))
 
     # the kernel factorizes through pointwise products of the words
-    from .words import enumerate_words
-
     if words is None:
         words = enumerate_words(site, model.spaces, config.policy, config.cap)
     fact_res = pointwise_factorization_residual(model, site, words)
@@ -514,25 +512,17 @@ def interference_witness(
     if model.kdim != 1:
         raise ValueError("the interference witness needs a scalar initial space")
     later = [u for u in site.points if site.strictly_precedes(t_marginal, u)]
-    per_point = []
-    count = 1
-    for u in later:
-        subs = subsets(model.spaces.outcomes(u))
-        per_point.append([(u, b) for b in subs])
-        count *= len(subs)
-        if count > config.cap:
-            raise ValueError(f"later-word enumeration exceeds the cap ({config.cap})")
+    later_words = enumerate_words(
+        _subsite(site, later), model.spaces, POLICY_ALL_SUBSETS, config.cap
+    )
     outs_t = model.spaces.outcomes(t_marginal)
     partitions = partitions_of_factor(outs_t, frozenset(outs_t))
-    later_words, split_words = [], []
-    for combo in itertools.product(*per_point):
-        factors = {u: b for u, b in combo}
-        later_words.append(EventWord.from_dict(factors, model.spaces))
-        for parts in partitions:
-            split_words.extend(
-                EventWord.from_dict({**factors, t_marginal: p}, model.spaces)
-                for p in parts
-            )
+    split_words = [
+        EventWord.from_dict({**dict(w.factors), t_marginal: p}, model.spaces)
+        for w in later_words
+        for parts in partitions
+        for p in parts
+    ]
     base = _probabilities(model, site, later_words)
     split = iter(_probabilities(model, site, split_words))
     worst = 0.0

@@ -16,7 +16,7 @@ from . import __version__
 from .config import RunConfig
 from .kernels import check_axioms
 from .models import check_model
-from .sites import SiteSymmetry, check_symmetry, derive_classes
+from .sites import SiteSymmetry, derive_classes
 from .words import enumerate_words
 from . import serialize
 
@@ -165,25 +165,18 @@ def _load_model_site(model_path: str, site_path: str):
     for t in site.points:
         if t not in model.spaces.spaces:
             raise InputError(f"no outcome space declared at point {t!r}")
-    if sym is not None:
-        _require_symmetry(site, sym)
     return model, site, sym
 
 
-def _require_symmetry(site, sym: SiteSymmetry) -> None:
-    """Refuse a symmetry whose maps leave the site, break its order or
-    contradict the composition table."""
-    report = check_symmetry(site, sym)
-    problems = [
-        *(f"{s!r} maps {t!r} to {sym.maps[s][t]!r}, outside the site's points"
-          for s, t in report.unknown_targets),
-        *(f"{s!r} does not preserve the order of {t!r} and {tp!r}"
-          for s, t, tp in report.monotonicity_violations),
-        *(f"{s!r} after {sp!r} is not {sym.compose[(s, sp)]!r} at {t!r}"
-          for s, sp, t in report.composition_violations),
-    ]
-    if problems:
-        raise InputError(f"symmetry element {problems[0]}")
+def _load_oracle(model_path: str, site_path: str, config: RunConfig):
+    """A model and site file, and the model's kernel table on the configured
+    word list."""
+    model, site, sym = _load_model_site(model_path, site_path)
+    words = _word_list(site, model.spaces, config)
+    try:
+        return model, sym, model.kernel_table(site, words, site_sym=sym)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _emit(report: dict, config: RunConfig) -> None:
@@ -218,11 +211,8 @@ def _word_list(site, spaces, config: RunConfig):
 
 
 def cmd_check(args, config: RunConfig) -> int:
-    model, site, sym = _load_model_site(args.model, args.site)
-    classes = derive_classes(site)
-    model_report = check_model(model, site, classes, config, sym)
-    words = _word_list(site, model.spaces, config)
-    oracle = model.kernel_table(site, words, classes, site_sym=sym)
+    model, sym, oracle = _load_oracle(args.model, args.site, config)
+    model_report = check_model(model, oracle.site, oracle.classes, config, sym)
     axiom_report = check_axioms(oracle, config)
     # inconclusive checks (restricted word policies) are not violations
     ok = model_report.ok and not axiom_report.failed
@@ -230,7 +220,7 @@ def cmd_check(args, config: RunConfig) -> int:
         {
             "model": model_report.to_dict(),
             "axioms": axiom_report.to_dict(),
-            "words": len(words),
+            "words": len(oracle.words),
             "ok": ok,
         },
         config,
@@ -239,9 +229,7 @@ def cmd_check(args, config: RunConfig) -> int:
 
 
 def cmd_kernels(args, config: RunConfig) -> int:
-    model, site, sym = _load_model_site(args.model, args.site)
-    words = _word_list(site, model.spaces, config)
-    oracle = model.kernel_table(site, words, site_sym=sym)
+    _, _, oracle = _load_oracle(args.model, args.site, config)
     print(serialize.dumps(serialize.oracle_to_json(oracle)))
     return EXIT_OK
 
@@ -250,9 +238,7 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
     from .reconstruct import ReconstructionRefused, reconstruct, verify_decomposition
 
     if args.site:
-        model, site, sym = _load_model_site(args.source, args.site)
-        words = _word_list(site, model.spaces, config)
-        oracle = model.kernel_table(site, words, site_sym=sym)
+        _, _, oracle = _load_oracle(args.source, args.site, config)
     else:
         try:
             oracle = serialize.oracle_from_json(_load_json(args.source))
@@ -261,13 +247,6 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
             raise
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(str(exc)) from None
-    # the symmetry the table declares, as point maps of the site
-    site_sym = SiteSymmetry(
-        tuple(oracle.symmetry),
-        {s: sym.point_map for s, sym in oracle.symmetry.items()},
-        {},
-    )
-    _require_symmetry(oracle.site, site_sym)
     try:
         recon = reconstruct(oracle, config)
     except ReconstructionRefused as exc:
@@ -285,6 +264,8 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
         # idempotence: the emitted model's own table reconstructs to a
         # unitarily equivalent model; the model declares the oracle's
         # symmetry elements, so its table reads their point maps
+        maps = {s: sym.point_map for s, sym in oracle.symmetry.items()}
+        site_sym = SiteSymmetry(tuple(maps), maps, {})
         try:
             table = recon.model.kernel_table(
                 oracle.site, list(oracle.words), site_sym=site_sym
@@ -310,9 +291,7 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
 def cmd_roundtrip(args, config: RunConfig) -> int:
     from .reconstruct import ReconstructionRefused, reconstruct, verify_decomposition
 
-    model, site, sym = _load_model_site(args.model, args.site)
-    words = _word_list(site, model.spaces, config)
-    oracle = model.kernel_table(site, words, site_sym=sym)
+    model, _, oracle = _load_oracle(args.model, args.site, config)
     try:
         recon = reconstruct(oracle, config)
     except ReconstructionRefused as exc:
@@ -391,10 +370,11 @@ def cmd_lift(args, config: RunConfig) -> int:
     data = _load_json(args.field)
     try:
         devices = {
-            x: {o: serialize.matrix_from_json(m) for o, m in fam.items()}
+            x: {o: serialize.matrix_from_json(m, f"device {x!r}/{o!r}")
+                for o, m in fam.items()}
             for x, fam in data["devices"].items()
         }
-        initial = serialize.matrix_from_json(data["initial"])
+        initial = serialize.matrix_from_json(data["initial"], "initial vector")
         depth = int(data["depth"])
         spaces = {x: tuple(v) for x, v in data["spaces"].items()}
         model, site, _ = lift_process(devices, initial, depth, spaces)

@@ -33,6 +33,10 @@ from .words import (
     subsets,
 )
 
+#: Seed of the basis rotation that replaces the earliest measurements in
+#: `check_relaxation`.
+PERTURBATION_SEED = 7
+
 
 @dataclass(eq=False)
 class GeneratedAlgebra:
@@ -348,7 +352,6 @@ def check_relaxation(
     classes: SiteClasses | None = None,
     words: Sequence[EventWord] | None = None,
     config: RunConfig = RunConfig(),
-    perturbation_seed: int = 7,
 ) -> ModelReport:
     """Relaxation of the compression maps at the smallest slices.
 
@@ -387,7 +390,7 @@ def check_relaxation(
 
     # limit states must survive replacing the earliest measurements
     worst_i, wit_i = 0.0, ""
-    rng = np.random.default_rng(perturbation_seed)
+    rng = np.random.default_rng(PERTURBATION_SEED)
     for l0 in minimal:
         perturbed = _rotate_slice_atoms(model, l0, rng)
         e_l0 = span[l0]

@@ -167,15 +167,14 @@ class HilbertModel:
         site: CausalSite,
         words: Sequence[EventWord],
         base: Iterable[str] | None = None,
-        interleave_units: bool = False,
     ) -> np.ndarray:
         """Chronologically ordered products of each word's block projectors
         applied to the initial embedding (earliest applied first), stacked
         word-major: shape ``(len(words), dim, kdim)``.
 
-        With a `base` block each product ends on that block's essential-space
-        unit instead of the embedding (shape ``(len(words), dim, dim)``);
-        `interleave_units` additionally applies each block's essential unit
+        With a `base` block each product starts from that block's
+        essential-space unit instead of the embedding (shape
+        ``(len(words), dim, dim)``) and applies each block's essential unit
         after its projector, the form taken by the relaxed normalization.
 
         Shared across the list: one chain decomposition per distinct support,
@@ -199,36 +198,13 @@ class HilbertModel:
                     op = ops.get(ev)
                     if op is None:
                         op = self.block_projector(site, ev)
-                        if interleave_units:
+                        if base is not None:
                             op = self.unit_i(block) @ op
                         ops[ev] = op
                     child = node[1][ev] = (op @ node[0], {})
                 node = child
             out[n] = node[0]
         return out
-
-    def feynman(
-        self,
-        site: CausalSite,
-        word: EventWord,
-        base: Iterable[str] | None = None,
-        interleave_units: bool = False,
-    ) -> np.ndarray:
-        """The chronological product of one word (see `products`)."""
-        return self.products(site, (word,), base, interleave_units)[0]
-
-    def probability(self, site: CausalSite, word: EventWord) -> float:
-        """Probability of observing the word's events in chronological order,
-        for a scalar initial space."""
-        if self.kdim != 1:
-            raise ValueError("probabilities need a one-dimensional initial space")
-        f = self.feynman(site, word)
-        return float(np.real(dagger(f) @ f)[0, 0])
-
-    def kernel(self, site: CausalSite, b: EventWord, bp: EventWord) -> np.ndarray:
-        """Correlation kernel value: the operator on K pairing the two
-        chronological products."""
-        return dagger(self.feynman(site, b)) @ self.feynman(site, bp)
 
     def kernel_table(
         self,

@@ -15,8 +15,8 @@ bit-identical coordinates for identical inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -193,11 +193,8 @@ def represent_events(
     return atoms
 
 
-def represent_algebra(
-    gns: GnsSpace,
-    generators: Mapping[frozenset, tuple] | None = None,
-) -> dict[frozenset, tuple]:
-    """Action of the controlling algebra generators on the quotient.
+def represent_algebra(gns: GnsSpace) -> dict[frozenset, tuple]:
+    """Action of the oracle's controlling algebra generators on the quotient.
 
     Each generator acts on the initial-vector leg of the eligible pairs; the
     kernel values over eligible word pairs must commute with it up to the
@@ -205,9 +202,8 @@ def represent_algebra(
     defined on the quotient and the construction refuses.
     """
     oracle = gns.oracle
-    generators = oracle.algebra if generators is None else generators
     out: dict[frozenset, tuple] = {}
-    for block, gens in generators.items():
+    for block, gens in oracle.algebra.items():
         idx = sorted(oracle.words_within(oracle.site.down_set(block)))
         values = oracle.table[np.ix_(idx, idx)]
         represented = []
@@ -254,24 +250,22 @@ def represent_symmetry(gns: GnsSpace) -> dict[str, np.ndarray]:
 
 @dataclass(eq=False)
 class ReconstructedProcess:
+    """The quotient, the model built on it, and the span lattice of its
+    coordinates (the slice spans E_l, and per block the join and the meet of
+    the E_l containing it)."""
+
     gns: GnsSpace
     model: HilbertModel
-    slice_projectors: dict[frozenset, np.ndarray]  # E_l per maximal antichain
-    unit_p: dict[frozenset, np.ndarray]  # joins over containing slices
-    unit_i: dict[frozenset, np.ndarray]  # meets over containing slices
-    algebra: dict[frozenset, tuple] = field(default_factory=dict)
-    isometries: dict[str, np.ndarray] = field(default_factory=dict)
+    lattice: SpanLattice
 
     @property
     def rank(self) -> int:
         return self.gns.rank
 
-    def initial_projector(self) -> np.ndarray:
-        emb = self.gns.initial_embedding()
-        return emb @ dagger(emb)
-
     def origin_unit_rank(self) -> int:
-        return int(round(float(np.real(np.trace(self.unit_i[frozenset()])))))
+        """Rank of the origin's unit, the meet of every slice span."""
+        meet = self.lattice.meets[frozenset()]
+        return int(round(float(np.real(np.trace(meet)))))
 
     def provenance(self) -> dict:
         """Size, spectrum and residual of the Gram factor (README)."""
@@ -368,11 +362,12 @@ def reconstruct(
     atoms = represent_events(gns, strict_closure)
     lattice = compute_subspace_lattice(gns)
     algebra = represent_algebra(gns) if oracle.algebra else {}
-    isometries = represent_symmetry(gns) if oracle.symmetry else {}
-    symmetry = {
-        s: ModelSymmetry(v=v, outcome_maps=oracle.symmetry[s].outcome_maps)
-        for s, v in isometries.items()
-    }
+    symmetry = {}
+    if oracle.symmetry:
+        symmetry = {
+            s: ModelSymmetry(v=v, outcome_maps=oracle.symmetry[s].outcome_maps)
+            for s, v in represent_symmetry(gns).items()
+        }
     model = HilbertModel(
         dim=gns.rank,
         embedding=gns.initial_embedding(),
@@ -383,15 +378,7 @@ def reconstruct(
         algebra=algebra,
         symmetry=symmetry,
     )
-    return ReconstructedProcess(
-        gns=gns,
-        model=model,
-        slice_projectors=lattice.slices,
-        unit_p=lattice.joins,
-        unit_i=lattice.meets,
-        algebra=algebra,
-        isometries=isometries,
-    )
+    return ReconstructedProcess(gns=gns, model=model, lattice=lattice)
 
 
 @dataclass(frozen=True)
@@ -415,12 +402,11 @@ class DecompositionReport:
 
 def verify_decomposition(
     recon: ReconstructedProcess,
-    oracle: KernelOracle | None = None,
+    oracle: KernelOracle,
     config: RunConfig = RunConfig(),
 ) -> DecompositionReport:
     """Recompute the kernel table from the reconstructed model and compare it
     entrywise with the oracle."""
-    oracle = oracle or recon.gns.oracle
     tol = config.decomposition_tol
     diff = linalg.pair_blocks(recon.model.products(oracle.site, oracle.words)) \
         - oracle.table

@@ -27,6 +27,7 @@ from .sites import (
     discrete_site,
     galilean_site,
     minkowski_site,
+    require_symmetry,
 )
 from .words import EventWord, OutcomeSpaces
 
@@ -36,11 +37,15 @@ def matrix_to_json(m) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
-def matrix_from_json(data) -> np.ndarray:
-    rows = []
-    for row in data:
-        rows.append([complex(cell[0], cell[1]) for cell in row])
-    return np.asarray(rows, dtype=COMPLEX)
+def matrix_from_json(data, name: str) -> np.ndarray:
+    """A matrix of finite ``[re, im]`` pairs; `name` says which one in the
+    `ValueError` that refuses anything else."""
+    pairs = _as_pairs(data)
+    if pairs is None or pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise ValueError(f"{name} is not a matrix of [re, im] pairs")
+    if not np.isfinite(pairs).all():
+        raise ValueError(f"{name} is not finite")
+    return pairs.view(COMPLEX)[..., 0]
 
 
 def block_key(k) -> str:
@@ -90,6 +95,7 @@ def site_from_json(data: dict) -> tuple[CausalSite, SiteSymmetry | None]:
             for b, c in inner.items():
                 compose[(a, b)] = c
         sym = SiteSymmetry(tuple(maps), maps, compose)
+        require_symmetry(site, sym)
     return site, sym
 
 
@@ -172,32 +178,35 @@ def model_to_json(model: HilbertModel) -> dict:
 def model_from_json(data: dict) -> HilbertModel:
     spaces = spaces_from_json(data["spaces"])
     atoms = {
-        t: {x: matrix_from_json(m) for x, m in fam.items()}
+        t: {x: matrix_from_json(m, f"projector {t!r}/{x!r}") for x, m in fam.items()}
         for t, fam in data["projectors"].items()
     }
     units = data.get("units", {})
     units_p = {
-        block_from_key(k): matrix_from_json(m)
+        block_from_key(k): matrix_from_json(m, f"unit 'p'/{k!r}")
         for k, m in units.get("p", {}).items()
     }
     units_i = {
-        block_from_key(k): matrix_from_json(m)
+        block_from_key(k): matrix_from_json(m, f"unit 'i'/{k!r}")
         for k, m in units.get("i", {}).items()
     }
     algebra = {
-        block_from_key(k): tuple(matrix_from_json(g) for g in gens)
+        block_from_key(k): tuple(
+            matrix_from_json(g, f"algebra generator {k!r}/{i}")
+            for i, g in enumerate(gens)
+        )
         for k, gens in data.get("algebra", {}).items()
     }
     symmetry = {
         s: ModelSymmetry(
-            v=matrix_from_json(entry["v"]),
+            v=matrix_from_json(entry["v"], f"symmetry {s!r} v"),
             outcome_maps={t: dict(g) for t, g in entry["g"].items()},
         )
         for s, entry in data.get("symmetry", {}).items()
     }
     return HilbertModel(
         dim=int(data["dim"]),
-        embedding=matrix_from_json(data["embedding"]),
+        embedding=matrix_from_json(data["embedding"], "embedding"),
         atoms=atoms,
         spaces=spaces,
         units_p=units_p,
@@ -268,7 +277,7 @@ def oracle_from_json(data: dict):
         s: OracleSymmetry(
             point_map=dict(entry["map"]),
             outcome_maps={t: dict(g) for t, g in entry["g"].items()},
-            u=matrix_from_json(entry["u"]),
+            u=matrix_from_json(entry["u"], f"symmetry {s!r} u"),
         )
         for s, entry in data.get("symmetry", {}).items()
     }

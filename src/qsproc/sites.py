@@ -19,13 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-EQUIVALENT = "equivalent"
-PRECEDES = "precedes"
-SUCCEEDS = "succeeds"
-INDEPENDENT = "independent"
-
-#: Hard ceiling on antichain enumeration, overridable per call.
-DEFAULT_ANTICHAIN_CAP = 4096
+#: Hard ceiling on the nonanticipatory subsets `all_nonanticipatory` lists.
+ANTICHAIN_CAP = 4096
+#: Float coordinates this close to the light cone make `minkowski_site` refuse.
+LIGHT_CONE_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,21 +76,9 @@ class CausalSite:
     def independent(self, a: str, b: str) -> bool:
         return not self.le(a, b) and not self.le(b, a)
 
-    def classify_pair(self, a: str, b: str) -> str:
-        """Classify an ordered pair as one of `equivalent`, `precedes`
-        (a strictly before b), `succeeds`, or `independent`."""
-        ab, ba = self.le(a, b), self.le(b, a)
-        if ab and ba:
-            return EQUIVALENT
-        if ab:
-            return PRECEDES
-        if ba:
-            return SUCCEEDS
-        return INDEPENDENT
-
     def nonanticipatory_pair(self, a: str, b: str) -> bool:
         """Neither point strictly precedes the other."""
-        return self.classify_pair(a, b) in (EQUIVALENT, INDEPENDENT)
+        return self.le(a, b) == self.le(b, a)
 
     # -- derived subsets --------------------------------------------------
 
@@ -142,9 +127,10 @@ class SiteClasses:
     equivalence_classes: tuple[tuple[str, ...], ...]
     maximal_antichains: tuple[frozenset[str], ...]
 
-    def all_nonanticipatory(self, cap: int = DEFAULT_ANTICHAIN_CAP) -> list[frozenset[str]]:
+    def all_nonanticipatory(self) -> list[frozenset[str]]:
         """Every nonanticipatory subset (including the empty set), in a
-        deterministic order.  Refuses when the count would exceed `cap`."""
+        deterministic order.  Refuses when the count would exceed
+        `ANTICHAIN_CAP`."""
         site = self.site
         out: list[frozenset[str]] = [frozenset()]
         for t in site.points:
@@ -153,9 +139,9 @@ class SiteClasses:
                 if all(site.nonanticipatory_pair(t, u) for u in cur):
                     extensions.append(cur | {t})
             out.extend(extensions)
-            if len(out) > cap:
+            if len(out) > ANTICHAIN_CAP:
                 raise ValueError(
-                    f"nonanticipatory subset count exceeds the cap ({cap})"
+                    f"nonanticipatory subset count exceeds the cap ({ANTICHAIN_CAP})"
                 )
         return out
 
@@ -289,6 +275,23 @@ def check_symmetry(site: CausalSite, sym: SiteSymmetry) -> SymmetryReport:
     return SymmetryReport(tuple(mono), tuple(comp), ())
 
 
+def require_symmetry(site: CausalSite, sym: SiteSymmetry) -> None:
+    """Refuse, by a `ValueError` naming the first problem, a symmetry whose
+    maps leave the site, break its order or contradict the composition
+    table."""
+    report = check_symmetry(site, sym)
+    problems = [
+        *(f"{s!r} maps {t!r} to {sym.maps[s][t]!r}, outside the site's points"
+          for s, t in report.unknown_targets),
+        *(f"{s!r} does not preserve the order of {t!r} and {tp!r}"
+          for s, t, tp in report.monotonicity_violations),
+        *(f"{s!r} after {sp!r} is not {sym.compose[(s, sp)]!r} at {t!r}"
+          for s, sp, t in report.composition_violations),
+    ]
+    if problems:
+        raise ValueError(f"symmetry element {problems[0]}")
+
+
 # -- geometric constructors -------------------------------------------------
 
 
@@ -302,14 +305,13 @@ def minkowski_site(
     coords: Sequence[tuple],
     c=1,
     labels: Sequence[str] | None = None,
-    degeneracy_margin: float = 1e-12,
 ) -> CausalSite:
     """Site of space-time events ordered by the light cone.
 
     Each coordinate is ``(tau, r1, ..., rd)``; ``t <= t'`` holds when the
     spatial separation is within ``c * (tau' - tau)``.  Comparisons are done
     in exact rational arithmetic.  Float inputs additionally must not sit
-    within `degeneracy_margin` of the light cone (exactly lightlike pairs are
+    within `LIGHT_CONE_MARGIN` of the light cone (exactly lightlike pairs are
     allowed): near-cone float pairs almost certainly encode an intent the
     float rounding already betrayed.
     """
@@ -331,9 +333,9 @@ def minkowski_site(
         dr2 = sum((_exact(a) - _exact(b)) ** 2 for a, b in zip(ti[1:], tj[1:]))
         margin = c2 * dtau * dtau - dr2
         floaty = any(isinstance(x, float) and not float(x).is_integer() for x in ti + tj)
-        if i != j and floaty and margin != 0 and abs(margin) <= Fraction(degeneracy_margin):
+        if i != j and floaty and margin != 0 and abs(margin) <= Fraction(LIGHT_CONE_MARGIN):
             raise ValueError(
-                f"pair {labels[i]!r}, {labels[j]!r} is within {degeneracy_margin} "
+                f"pair {labels[i]!r}, {labels[j]!r} is within {LIGHT_CONE_MARGIN} "
                 "of the light cone; the causal order would be ambiguous"
             )
         leq[i][j] = dtau >= 0 and dr2 <= c2 * dtau * dtau

@@ -143,19 +143,6 @@ def unit_word() -> EventWord:
     return EventWord(())
 
 
-def extend(word: EventWord, region: Iterable[str]) -> EventWord:
-    """Extend a word from its support to a larger region by unit factors.
-
-    The canonical encoding makes this the identity; the call still validates
-    that the region really covers the support.
-    """
-    region = set(region)
-    missing = [t for t in word.support if t not in region]
-    if missing:
-        raise ValueError(f"extension region does not cover the support: {missing}")
-    return word
-
-
 def right_multiply(word: EventWord, event: Event, spaces: OutcomeSpaces) -> EventWord:
     """Multiply the word by an event over its block: intersect factors on the
     block, leave everything else unchanged.  Idempotent."""
@@ -236,20 +223,6 @@ def pointwise_product_table(
     return merged, inverse.reshape(n, n)
 
 
-def to_chain_sequence(
-    site: CausalSite, word: EventWord, spaces: OutcomeSpaces
-) -> tuple[tuple[str, ...], tuple[Event, ...]]:
-    """Decompose a word into its support region and the chronological block
-    events, earliest first."""
-    support = word.support
-    blocks = site.chain_decompose(support)
-    events = tuple(
-        Event.from_dict({t: word.factor(t, spaces) for t in sorted(block, key=site.index)})
-        for block in blocks
-    )
-    return support, events
-
-
 def enumerate_words(
     site: CausalSite,
     spaces: OutcomeSpaces,
@@ -288,27 +261,6 @@ def enumerate_words(
             )
         )
     return words
-
-
-def enumerate_partitions(
-    outcomes: Sequence[str], b: Iterable[str]
-) -> list[tuple[frozenset[str], ...]]:
-    """All partitions of the outcome set that contain `b` as a part.
-
-    For empty `b` the partitions of the full set are returned; the empty
-    event contributes the zero projector by convention, so it never appears
-    as a part.
-    """
-    full = frozenset(outcomes)
-    b = frozenset(b)
-    if not b <= full:
-        raise ValueError("event is not a subset of the outcome set")
-    rest = sorted(full - b)
-    if not b:
-        return [p for p in _set_partitions(sorted(full))]
-    return [
-        tuple((b,) + p) for p in _set_partitions(rest)
-    ]
 
 
 def _set_partitions(items: Sequence[str]) -> list[tuple[frozenset[str], ...]]:

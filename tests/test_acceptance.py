@@ -159,8 +159,8 @@ def test_criterion_6_shift_covariance():
     worst = cov.residual
     ok = cov.status == "pass"
     eye = np.eye(recon.rank)
-    for s, v in recon.isometries.items():
-        iso = opnorm(dagger(v) @ v - eye)
+    for ms in recon.model.symmetry.values():
+        iso = opnorm(dagger(ms.v) @ ms.v - eye)
         worst = max(worst, iso)
         ok = ok and iso <= 1e-9
     inter = _intertwining_residual(recon, sym)
@@ -183,7 +183,8 @@ def test_criterion_6_shift_covariance():
 
 def _intertwining_residual(recon, sym):
     worst = 0.0
-    for s, v in recon.isometries.items():
+    for s, ms in recon.model.symmetry.items():
+        v = ms.v
         for t, st in dict(sym.maps[s]).items():
             for o in recon.model.spaces.outcomes(st):
                 lhs = v @ recon.model.point_projector(t, {o})

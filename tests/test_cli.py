@@ -731,6 +731,71 @@ class TestMalformedSymmetry:
         assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
+class TestMalformedMatrix:
+    """A matrix cell that is not a finite [re, im] pair is an input error,
+    named on one line, in every file that holds matrices."""
+
+    CELLS = {
+        "nan": [float("nan"), 0.0],
+        "inf": [float("inf"), 0.0],
+        "short": [1.0],
+        "long": [1.0, 0.0, 3.0],
+        "text": "1.0",
+    }
+    MODEL_COMMANDS = [  # M the model file, S the site file
+        ["check", "M", "S"], ["kernels", "M", "S"], ["reconstruct", "M", "--site", "S"],
+        ["roundtrip", "M", "S"], ["equiv", "check", "M", "M", "S"],
+        ["equiv", "unitary", "M", "M", "S"], ["markov", "check", "M", "S"],
+        ["classical", "M", "S"],
+    ]
+
+    def runs(self, tmp_path, location, cell):
+        """The command lines reading the matrix at `location` with `cell`
+        as its first entry, and the name the refusal gives it."""
+        model, site, sym = fixtures.galilean_shift_fixture()
+        model_json = json.loads(serialize.dumps(serialize.model_to_json(model)))
+        site_file = write(tmp_path, "site.json", serialize.site_to_json(site, sym))
+        if location == "symmetry u":
+            oracle = model.kernel_table(
+                site, enumerate_words(site, model.spaces), site_sym=sym
+            )
+            table = json.loads(serialize.dumps(serialize.oracle_to_json(oracle)))
+            table["symmetry"]["s1"]["u"][0][0] = cell
+            path = write(tmp_path, "table.json", table)
+            return [["reconstruct", path], ["reconstruct", path, "--verify"]], "symmetry 's1' u"
+        if location == "device":
+            atoms, xi, spaces = fixtures.two_point_field()
+            field = {
+                "depth": 2,
+                "initial": serialize.matrix_to_json(xi[:, None]),
+                "devices": {x: {o: serialize.matrix_to_json(m) for o, m in fam.items()}
+                            for x, fam in atoms.items()},
+                "spaces": {x: list(v) for x, v in spaces.items()},
+            }
+            field["devices"]["x"]["+"][0][0] = cell
+            return [["lift", write(tmp_path, "field.json", field)]], "device 'x'/'+'"
+        if location == "projector":
+            model_json["projectors"]["g1"]["0"][0][0] = cell
+            name = "projector 'g1'/'0'"
+        else:
+            model_json["embedding"][0][0] = cell
+            name = "embedding"
+        files = {"M": write(tmp_path, "model.json", model_json), "S": site_file}
+        return [[files.get(a, a) for a in cmd] for cmd in self.MODEL_COMMANDS], name
+
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    @pytest.mark.parametrize("location", ["projector", "embedding", "device", "symmetry u"])
+    def test_exits_two_on_one_line(self, tmp_path, capsys, location, cell):
+        runs, name = self.runs(tmp_path, location, self.CELLS[cell])
+        problem = "is not finite" if cell in ("nan", "inf") else "is not a matrix"
+        for argv in runs:
+            assert cli.main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"input error: {name} {problem}")
+            assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 # -- adversarial tables ---------------------------------------------------------
 
 QUBIT_TABLE = json.loads(serialize.dumps(serialize.oracle_to_json(qubit_table())))

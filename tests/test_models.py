@@ -1,11 +1,14 @@
 """Measurement models: chronological products, kernels, validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qsproc import fixtures, linalg
+from qsproc.bridges import _probabilities, classical_reduce, interference_witness
 from qsproc.models import HilbertModel, check_model
-from qsproc.sites import CausalSite, chain_site
+from qsproc.sites import CausalSite, SiteSymmetry, chain_site
 from qsproc.words import EventWord, OutcomeSpaces, enumerate_words, unit_word
 
 
@@ -18,19 +21,34 @@ def w(model, d):
     return EventWord.from_dict(d, model.spaces)
 
 
+def product(model, site, word):
+    return model.products(site, [word])[0]
+
+
+def probability(model, site, word):
+    return _probabilities(model, site, [word])[0]
+
+
+def kernel(model, site, a, b):
+    """The kernel value of a pair: the first product's adjoint times the
+    second."""
+    fa, fb = model.products(site, [a, b])
+    return linalg.dagger(fa) @ fb
+
+
 class TestFeynman:
     def test_unit_word_is_embedding(self, qubit):
         model, site = qubit
-        assert np.allclose(model.feynman(site, unit_word()), model.embedding)
+        assert np.allclose(product(model, site, unit_word()), model.embedding)
 
     def test_two_time_product(self, qubit):
         model, site = qubit
-        f = model.feynman(site, w(model, {"t1": {"0"}, "t2": {"+"}}))
+        f = product(model, site, w(model, {"t1": {"0"}, "t2": {"+"}}))
         assert np.allclose(f.ravel(), [0.5, 0.5])
 
     def test_annihilated_branch(self, qubit):
         model, site = qubit
-        f = model.feynman(site, w(model, {"t1": {"1"}, "t2": {"+"}}))
+        f = product(model, site, w(model, {"t1": {"1"}, "t2": {"+"}}))
         assert np.allclose(f, 0.0)
 
     def test_unknown_outcome(self, qubit):
@@ -42,39 +60,42 @@ class TestFeynman:
 class TestProbability:
     def test_two_time(self, qubit):
         model, site = qubit
-        assert model.probability(site, w(model, {"t1": {"0"}, "t2": {"+"}})) == pytest.approx(0.5)
+        assert probability(model, site, w(model, {"t1": {"0"}, "t2": {"+"}})) == pytest.approx(0.5)
 
     def test_unit_is_normalized(self, qubit):
         model, site = qubit
-        assert model.probability(site, unit_word()) == pytest.approx(1.0)
+        assert probability(model, site, unit_word()) == pytest.approx(1.0)
 
     def test_orthogonal_start(self, qubit):
         model, site = qubit
-        assert model.probability(site, w(model, {"t1": {"1"}})) == pytest.approx(0.0)
+        assert probability(model, site, w(model, {"t1": {"1"}})) == pytest.approx(0.0)
 
     def test_needs_scalar_initial_space(self):
+        # the checks that read scalar probabilities refuse a wider initial space
         model, site = fixtures.diagonal_kdim2()
-        with pytest.raises(ValueError, match="one-dimensional"):
-            model.probability(site, unit_word())
+        with pytest.raises(ValueError, match="scalar initial space"):
+            classical_reduce(model, site)
+        with pytest.raises(ValueError, match="scalar initial space"):
+            interference_witness(model, site, site.points[0])
 
     def test_additivity_at_last_slot(self, qubit):
         model, site = qubit
         total = sum(
-            model.probability(site, w(model, {"t1": {"0"}, "t2": {m}}))
+            probability(model, site, w(model, {"t1": {"0"}, "t2": {m}}))
             for m in ("+", "-")
         )
         assert total == pytest.approx(
-            model.probability(site, w(model, {"t1": {"0"}}))
+            probability(model, site, w(model, {"t1": {"0"}}))
         )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_probabilities_within_unit_interval(self, seed):
         model, site = fixtures.random_valid_model(seed)
-        for word in enumerate_words(site, model.spaces):
-            p = model.probability(site, word)
+        words = enumerate_words(site, model.spaces)
+        for word, p in zip(words, _probabilities(model, site, words)):
             assert -1e-12 <= p <= 1.0 + 1e-12
             assert p == pytest.approx(
-                float(np.real(model.kernel(site, word, word)[0, 0]))
+                float(np.real(kernel(model, site, word, word)[0, 0]))
             )
 
 
@@ -83,17 +104,17 @@ class TestKernel:
         model, site = qubit
         a = w(model, {"t1": {"0"}, "t2": {"+"}})
         b = w(model, {"t1": {"1"}, "t2": {"+"}})
-        assert abs(model.kernel(site, a, b)[0, 0]) == 0.0
+        assert abs(kernel(model, site, a, b)[0, 0]) == 0.0
 
     def test_unit_pair_is_identity(self, qubit):
         model, site = qubit
-        assert np.allclose(model.kernel(site, unit_word(), unit_word()), np.eye(1))
+        assert np.allclose(kernel(model, site, unit_word(), unit_word()), np.eye(1))
 
     def test_cross_value(self, qubit):
         model, site = qubit
         a = w(model, {"t1": {"0"}})
         b = w(model, {"t1": {"0"}, "t2": {"+"}})
-        assert model.kernel(site, a, b)[0, 0] == pytest.approx(0.5)
+        assert kernel(model, site, a, b)[0, 0] == pytest.approx(0.5)
 
     def test_extension_invariance(self, qubit):
         # projective consistency: unit factors never change the kernel
@@ -102,7 +123,7 @@ class TestKernel:
         a_ext = w(model, {"t1": {"0"}, "t2": {"+", "-"}})
         assert a == a_ext
         b = w(model, {"t2": {"-"}})
-        assert np.allclose(model.kernel(site, a, b), model.kernel(site, a_ext, b))
+        assert np.allclose(kernel(model, site, a, b), kernel(model, site, a_ext, b))
 
 
 class TestKernelTable:
@@ -119,7 +140,7 @@ class TestKernelTable:
         assert len(words) == 9
         for i, a in enumerate(words):
             for j, b in enumerate(words):
-                assert np.allclose(oracle.table[i, j], model.kernel(site, a, b))
+                assert np.allclose(oracle.table[i, j], kernel(model, site, a, b))
 
     def test_hermitian_symmetry(self, qubit):
         model, site = qubit
@@ -149,6 +170,21 @@ class TestKernelTable:
         assert words == [unit_word()]
         oracle = model.kernel_table(site, words)
         assert oracle.table[0, 0, 0, 0] == pytest.approx(1.0)
+
+    def test_symmetry_leaving_the_site_refused(self):
+        # the library refuses the map itself, before any word filter reads it
+        model, site, sym = fixtures.galilean_shift_fixture()
+        words = enumerate_words(site, model.spaces)
+        oracle = model.kernel_table(site, words, site_sym=sym)
+        bad_maps = {**sym.maps, "s1": {"g0": "g1", "g1": "zz"}}
+        bad = SiteSymmetry(sym.elements, bad_maps, sym.compose)
+        message = "symmetry element 's1' maps 'g1' to 'zz', outside the site's points"
+        with pytest.raises(ValueError, match=message):
+            model.kernel_table(site, words, site_sym=bad)
+        symmetry = dict(oracle.symmetry)
+        symmetry["s1"] = dataclasses.replace(symmetry["s1"], point_map=bad_maps["s1"])
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(oracle, symmetry=symmetry)
 
 
 class TestCheckModel:

@@ -1,5 +1,6 @@
 """Quotient-space reconstruction of kernel oracles."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -43,7 +44,8 @@ def record_solves(monkeypatch) -> list:
 
 def regular_at_origin(recon) -> bool:
     """The origin's essential unit is the initial projector."""
-    return opnorm(recon.unit_i[frozenset()] - recon.initial_projector()) <= 1e-8
+    origin = recon.lattice.meets[frozenset()]
+    return opnorm(origin - recon.model.initial_projector()) <= 1e-8
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +176,7 @@ class TestRepresentedEvents:
         full = represent_event(
             gns, frozenset({"t2"}), Event.from_dict({"t2": {"+", "-"}})
         )
-        assert opnorm(full - recon.unit_p[frozenset({"t2"})]) < 1e-9
+        assert opnorm(full - recon.model.units_p[frozenset({"t2"})]) < 1e-9
 
     def test_zero_event_is_zero(self, qubit_recon):
         model, site, oracle, recon = qubit_recon
@@ -206,10 +208,8 @@ class TestRepresentedEvents:
 class TestRepresentedAlgebra:
     def test_scalar_case_trivial(self, qubit_recon):
         model, site, oracle, recon = qubit_recon
-        gns = recon.gns
-        out = represent_algebra(
-            gns, {frozenset({"t1"}): (np.eye(1),)}
-        )
+        scalar = dataclasses.replace(oracle, algebra={frozenset({"t1"}): (np.eye(1),)})
+        out = represent_algebra(build_space(scalar))
         e1 = recon.model.unit_i(frozenset({"t1"}))
         assert opnorm(out[frozenset({"t1"})][0] - e1) < 1e-9
 
@@ -218,7 +218,7 @@ class TestRepresentedAlgebra:
         words = enumerate_words(site, model.spaces)
         oracle = model.kernel_table(site, words)
         recon = reconstruct(oracle)
-        for k, gens in recon.algebra.items():
+        for k, gens in recon.model.algebra.items():
             for g in gens:
                 # multiplicative and self-adjoint on the block space
                 assert opnorm(g @ g - _square_on_block(recon, k, g)) < 1e-8
@@ -226,9 +226,9 @@ class TestRepresentedAlgebra:
         # commutes with the reconstructed events inside the block
         for t in site.points:
             k = frozenset({t})
-            if k not in recon.algebra:
+            if k not in recon.model.algebra:
                 continue
-            for g in recon.algebra[k]:
+            for g in recon.model.algebra[k]:
                 for m in recon.model.atoms[t].values():
                     assert opnorm(g @ m - m @ g) < 1e-8
 
@@ -243,8 +243,9 @@ class TestRepresentedAlgebra:
         eligible = oracle2.words_within(site2.down_set({"t1"}))
         i, j = eligible[1], eligible[2]
         oracle2.table[i, j] = np.diag([0.3, -0.1])
+        oracle2.algebra = {frozenset({"t1"}): (offdiag,)}
         with pytest.raises(ReconstructionRefused, match="commute"):
-            represent_algebra(gns2, {frozenset({"t1"}): (offdiag,)})
+            represent_algebra(gns2)
 
 
 def _square_on_block(recon, k, g):
@@ -255,13 +256,13 @@ def _square_on_block(recon, k, g):
 class TestSubspaceLattice:
     def test_full_slice_is_identity(self, qubit_recon):
         _, _, _, recon = qubit_recon
-        top = recon.slice_projectors[frozenset({"t2"})]
+        top = recon.lattice.slices[frozenset({"t2"})]
         assert opnorm(top - np.eye(recon.rank)) < 1e-9
 
     def test_monotone_in_slice_order(self, qubit_recon):
         model, site, oracle, recon = qubit_recon
-        e1 = recon.slice_projectors[frozenset({"t1"})]
-        e2 = recon.slice_projectors[frozenset({"t2"})]
+        e1 = recon.lattice.slices[frozenset({"t1"})]
+        e2 = recon.lattice.slices[frozenset({"t2"})]
         assert opnorm(e1 @ e2 - e1) < 1e-9
 
     def test_event_unit_matches_join(self, qubit_recon):
@@ -271,7 +272,7 @@ class TestSubspaceLattice:
             assembled = recon.model.point_projector(
                 t, recon.model.spaces.full(t)
             ) @ recon.model.unit_p(k)
-            assert opnorm(assembled - recon.unit_p[k]) < 1e-8
+            assert opnorm(assembled - recon.lattice.joins[k]) < 1e-8
 
     def test_equivalent_blocks_share_units(self):
         model, site = fixtures.random_valid_model(2)  # has an equivalent pair
@@ -286,8 +287,8 @@ class TestSubspaceLattice:
         ]
         assert pairs
         for a, b in pairs:
-            pa = recon.unit_p[frozenset({a})]
-            pb = recon.unit_p[frozenset({b})]
+            pa = recon.model.units_p[frozenset({a})]
+            pb = recon.model.units_p[frozenset({b})]
             assert opnorm(pa - pb) < 1e-9
 
     def test_independent_blocks_meet(self):
@@ -304,10 +305,9 @@ class TestSubspaceLattice:
         from qsproc.linalg import meet_projectors
 
         for a, b in ind_pairs:
-            met = meet_projectors(
-                [recon.unit_p[frozenset({a})], recon.unit_p[frozenset({b})]], 1e-9
-            )
-            assert opnorm(met - recon.unit_p[frozenset({a, b})]) < 1e-8
+            units = recon.model.units_p
+            met = meet_projectors([units[frozenset({a})], units[frozenset({b})]], 1e-9)
+            assert opnorm(met - units[frozenset({a, b})]) < 1e-8
 
     def test_ancilla_origin_unit_exceeds_initial_space(self):
         model, site = fixtures.ancilla_correlated()
@@ -356,13 +356,7 @@ class TestRoundTrip:
             units_p=recon.model.units_p,
             units_i=recon.model.units_i,
         )
-        bad = ReconstructedProcess(
-            gns=recon.gns,
-            model=bad_model,
-            slice_projectors=recon.slice_projectors,
-            unit_p=recon.unit_p,
-            unit_i=recon.unit_i,
-        )
+        bad = ReconstructedProcess(gns=recon.gns, model=bad_model, lattice=recon.lattice)
         assert not verify_decomposition(bad, oracle).ok
 
     def test_operator_valued_kernels_roundtrip(self):
@@ -379,7 +373,7 @@ class TestRoundTrip:
         assert verify_decomposition(recon, oracle).ok
         # the represented generator squares to the block unit and commutes
         # with the represented events
-        for k, gens in recon.algebra.items():
+        for k, gens in recon.model.algebra.items():
             g = gens[0]
             e = recon.model.unit_i(k)
             assert opnorm(g @ g - e) < 1e-8  # the generator is an involution
@@ -443,3 +437,16 @@ class TestRoundTrip:
         for t in site.points:
             for x in model.spaces.outcomes(t):
                 assert np.array_equal(a.model.atoms[t][x], b.model.atoms[t][x])
+
+
+def test_package_attribute_is_the_module():
+    import types
+
+    import qsproc
+    import qsproc.reconstruct as bound
+
+    assert isinstance(qsproc.reconstruct, types.ModuleType)
+    assert bound is sys.modules["qsproc.reconstruct"]
+    assert "reconstruct" not in qsproc.__all__
+    for name in qsproc.__all__:
+        assert getattr(qsproc, name) is not None, name

@@ -1,5 +1,6 @@
 """The scripts under `scripts/` run end to end against the library."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -38,3 +39,17 @@ def test_scripts_and_their_fixture_files(tmp_path, capsys):
         ):
             assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
     capsys.readouterr()
+
+
+def test_cli_sweep_is_deterministic(tmp_path):
+    runs = []
+    for k in range(2):
+        out = tmp_path / f"sweep{k}.json"
+        done = run_script("cli_sweep.py", str(out), "--inputs", "qubit", "galilean", "field")
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(out.read_text())["runs"])
+    # four flag sets of nine model commands on two models and one lift, and
+    # two table runs per model under the three flag sets `kernels` passes
+    assert len(runs[0]) == 4 * (2 * 9 + 1) + 3 * 2 * 2
+    assert runs[0] == runs[1]
+    assert all(run["exit"] in (0, 1, 2) for run in runs[0])

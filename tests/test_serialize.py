@@ -124,7 +124,7 @@ class TestMatrixEncoding:
     def test_round_trip(self):
         m = np.array([[0.5, -0.5j], [0.25 + 1j, 0.0]])
         assert np.allclose(
-            serialize.matrix_from_json(serialize.matrix_to_json(m)), m
+            serialize.matrix_from_json(serialize.matrix_to_json(m), "m"), m
         )
 
     def test_block_keys(self):

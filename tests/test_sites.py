@@ -7,11 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsproc import sites
 from qsproc.sites import (
-    EQUIVALENT,
-    INDEPENDENT,
-    PRECEDES,
-    SUCCEEDS,
     CausalSite,
     SiteSymmetry,
     chain_site,
@@ -66,25 +63,28 @@ class TestClassifyPair:
         site = minkowski_site([(0, 0), (1, Fraction(1, 2))], c=1)
         a, b = site.points
         assert minkowski_relation((0, 0), (1, Fraction(1, 2)))
-        assert site.classify_pair(a, b) == PRECEDES
-        assert site.classify_pair(b, a) == SUCCEEDS
+        assert site.strictly_precedes(a, b)
+        assert not site.le(b, a)
+        assert not site.nonanticipatory_pair(a, b)
 
     def test_reflexive_pair_equivalent(self):
         site = minkowski_site(DIAMOND, c=1)
         for t in site.points:
-            assert site.classify_pair(t, t) == EQUIVALENT
+            assert site.equivalent(t, t)
+            assert site.nonanticipatory_pair(t, t)
 
     def test_spacelike_independent(self):
         site = minkowski_site(DIAMOND, c=1)
         _, b, c, _ = site.points
         assert not minkowski_relation(DIAMOND[1], DIAMOND[2])
         assert not minkowski_relation(DIAMOND[2], DIAMOND[1])
-        assert site.classify_pair(b, c) == INDEPENDENT
+        assert site.independent(b, c)
+        assert site.nonanticipatory_pair(b, c)
 
     def test_unknown_point(self):
         site = chain_site(("a", "b"))
         with pytest.raises(KeyError):
-            site.classify_pair("a", "zz")
+            site.nonanticipatory_pair("a", "zz")
 
 
 class TestMinkowskiSite:
@@ -111,9 +111,9 @@ class TestMinkowskiSite:
     def test_collinear_chain_total_order(self):
         site = minkowski_site([(0, 0), (1, 0), (2, 0)], c=1)
         a, b, c = site.points
-        assert site.classify_pair(a, b) == PRECEDES
-        assert site.classify_pair(b, c) == PRECEDES
-        assert site.classify_pair(a, c) == PRECEDES
+        assert site.strictly_precedes(a, b)
+        assert site.strictly_precedes(b, c)
+        assert site.strictly_precedes(a, c)
 
     def test_near_cone_float_rejected(self):
         with pytest.raises(ValueError, match="light cone"):
@@ -122,7 +122,7 @@ class TestMinkowskiSite:
     def test_exactly_lightlike_allowed(self):
         site = minkowski_site([(0, 0), (1, 1)], c=1)
         a, b = site.points
-        assert site.classify_pair(a, b) == PRECEDES
+        assert site.strictly_precedes(a, b)
 
     def test_nonpositive_speed_rejected(self):
         with pytest.raises(ValueError):
@@ -133,7 +133,7 @@ class TestGalileanSite:
     def test_equal_times_equivalent(self):
         site = galilean_site([1, 1])
         a, b = site.points
-        assert site.classify_pair(a, b) == EQUIVALENT
+        assert site.equivalent(a, b)
 
     def test_factor_set(self):
         site = galilean_site([0, 1, 1, 2])
@@ -190,10 +190,12 @@ class TestEnumerateAntichains:
             if k:
                 assert classes.antichains_containing(k)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         classes = derive_classes(discrete_site(tuple(f"p{i}" for i in range(8))))
+        assert len(classes.all_nonanticipatory()) == 2**8
+        monkeypatch.setattr(sites, "ANTICHAIN_CAP", 10)
         with pytest.raises(ValueError, match="cap"):
-            classes.all_nonanticipatory(cap=10)
+            classes.all_nonanticipatory()
 
 
 class TestValidation:

@@ -1,23 +1,22 @@
 """Event word calculus."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsproc.sites import chain_site, minkowski_site
+from qsproc.kernels import KernelOracle
+from qsproc.sites import chain_site, derive_classes, minkowski_site
 from qsproc.words import (
     Event,
     EventWord,
     OutcomeSpaces,
-    enumerate_partitions,
     enumerate_words,
-    extend,
     partitions_of_factor,
     pointwise_product,
     pull_back,
     right_multiply,
     subsets,
-    to_chain_sequence,
     unit_word,
 )
 
@@ -27,6 +26,22 @@ SITE = chain_site(("t1", "t2"))
 
 def word(d):
     return EventWord.from_dict(d, SPACES)
+
+
+def chain_events(site, w, spaces):
+    """The word's support and its block events, earliest first, as the
+    chronological products read them."""
+    blocks = site.chain_decompose(w.support)
+    return w.support, tuple(
+        Event.from_dict({t: w.factor(t, spaces) for t in block}) for block in blocks
+    )
+
+
+def partitions_containing(outcomes, b):
+    """The partitions of the whole outcome set that have `b` as a part, or
+    all of them for an empty `b`."""
+    whole = partitions_of_factor(outcomes, outcomes)
+    return [p for p in whole if not b or frozenset(b) in p]
 
 
 class TestEventWord:
@@ -46,20 +61,26 @@ class TestEventWord:
 
 
 class TestExtend:
+    # extending a word by unit factors is the identity on its encoding
     def test_unit_word_extends_to_unit(self):
-        assert extend(unit_word(), {"t1", "t2"}) == unit_word()
+        assert word({"t1": {"0", "1"}, "t2": {"+", "-"}}) == unit_word()
 
     def test_extend_over_own_support_is_identity(self):
         w = word({"t1": {"0"}})
-        assert extend(w, {"t1"}) == w
+        assert word(dict(w.factors)) == w
 
     def test_extension_gains_nothing(self):
         w = word({"t1": {"0"}})
-        assert extend(w, {"t1", "t2"}) == w
+        assert word({"t1": {"0"}, "t2": {"+", "-"}}) == w
 
     def test_region_must_cover_support(self):
-        with pytest.raises(ValueError):
-            extend(word({"t1": {"0"}}), {"t2"})
+        words = [unit_word(), word({"t1": {"0"}}), word({"t2": {"+"}})]
+        oracle = KernelOracle(
+            site=SITE, classes=derive_classes(SITE), spaces=SPACES, kdim=1,
+            words=tuple(words), table=np.zeros((3, 3, 1, 1)),
+        )
+        assert oracle.words_within({"t2"}) == [0, 2]
+        assert oracle.words_within({"t1", "t2"}) == [0, 1, 2]
 
 
 class TestRightMultiply:
@@ -104,18 +125,18 @@ class TestPointwiseProduct:
 
 class TestChainSequence:
     def test_unit_word(self):
-        support, blocks = to_chain_sequence(SITE, unit_word(), SPACES)
+        support, blocks = chain_events(SITE, unit_word(), SPACES)
         assert support == ()
         assert blocks == ()
 
     def test_single_support(self):
-        support, blocks = to_chain_sequence(SITE, word({"t1": {"0"}}), SPACES)
+        support, blocks = chain_events(SITE, word({"t1": {"0"}}), SPACES)
         assert support == ("t1",)
         assert blocks == (Event.from_dict({"t1": {"0"}}),)
 
     def test_two_time_word(self):
         w = word({"t1": {"0"}, "t2": {"+"}})
-        support, blocks = to_chain_sequence(SITE, w, SPACES)
+        support, blocks = chain_events(SITE, w, SPACES)
         assert set(support) == {"t1", "t2"}
         assert blocks == (
             Event.from_dict({"t1": {"0"}}),
@@ -126,13 +147,13 @@ class TestChainSequence:
         site = minkowski_site([(1, 0.5), (1, -0.5)], c=1, labels=("a", "b"))
         spaces = OutcomeSpaces({"a": ("0", "1"), "b": ("0", "1")})
         w = EventWord.from_dict({"a": {"0"}, "b": {"1"}}, spaces)
-        _, blocks = to_chain_sequence(site, w, spaces)
+        _, blocks = chain_events(site, w, spaces)
         assert len(blocks) == 1
         assert set(blocks[0].block) == {"a", "b"}
 
     def test_reassembly_roundtrip(self):
         w = word({"t1": {"0"}, "t2": {"+"}})
-        _, blocks = to_chain_sequence(SITE, w, SPACES)
+        _, blocks = chain_events(SITE, w, SPACES)
         factors = [f for ev in blocks for f in ev.factors]
         assert len({t for t, _ in factors}) == len(factors)  # disjoint blocks
         assert EventWord.from_dict(dict(factors), SPACES) == w
@@ -187,15 +208,15 @@ class TestEnumerateWords:
 
 class TestPartitions:
     def test_two_outcomes_singleton(self):
-        parts = enumerate_partitions(("0", "1"), {"0"})
+        parts = partitions_containing(("0", "1"), {"0"})
         assert (frozenset({"0"}), frozenset({"1"})) in parts
 
     def test_full_event(self):
-        parts = enumerate_partitions(("0", "1"), {"0", "1"})
+        parts = partitions_containing(("0", "1"), {"0", "1"})
         assert parts == [(frozenset({"0", "1"}),)]
 
     def test_three_outcomes(self):
-        parts = enumerate_partitions(("a", "b", "c"), {"a"})
+        parts = partitions_containing(("a", "b", "c"), {"a"})
         normalized = {frozenset(p) for p in parts}
         assert normalized == {
             frozenset({frozenset({"a"}), frozenset({"b", "c"})}),
@@ -203,7 +224,7 @@ class TestPartitions:
         }
 
     def test_empty_event_partitions_identity(self):
-        parts = enumerate_partitions(("0", "1"), set())
+        parts = partitions_containing(("0", "1"), set())
         assert all(frozenset() not in p for p in parts)
         assert (frozenset({"0"}), frozenset({"1"})) in parts
 
@@ -249,7 +270,7 @@ def test_product_agrees_with_iterated_multiplication(raw):
     }
     w = EventWord.from_dict(filtered, SPACES)
     base = word({"t1": {"0"}})
-    _, blocks = to_chain_sequence(SITE, w, SPACES)
+    _, blocks = chain_events(SITE, w, SPACES)
     iterated = base
     for ev in blocks:
         iterated = right_multiply(iterated, ev, SPACES)
