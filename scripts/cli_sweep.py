@@ -3,7 +3,9 @@
 
 The sweep writes the `make_fixture_files.py` files and the Galilean,
 `controlled_kdim2`, `random_valid_model(4)` and `tensor_chain(3,
-canonical=False)` model and site files into a scratch directory.  It runs
+canonical=False)` model and site files into a scratch directory, and a
+malformed copy of the Galilean model whose symmetry `v` is 1x1 (every
+command on it exits 2).  It runs
 `check`, `kernels`, `reconstruct --site [--verify]`, `roundtrip`,
 `equiv check|unitary M M S`, `markov check` and `classical` on each model,
 and `lift` on the field file, once per flag set (none, `--format text`,
@@ -42,7 +44,8 @@ EXTRA_MODELS = {
     "random4": lambda: fixtures.random_valid_model(4) + (None,),
     "tensor_chain3": lambda: fixtures.tensor_chain(3, canonical=False) + (None,),
 }
-INPUTS = FIXTURE_FILES + tuple(EXTRA_MODELS) + ("field",)
+MALFORMED = "galilean_bad_v"
+INPUTS = FIXTURE_FILES + tuple(EXTRA_MODELS) + (MALFORMED, "field")
 
 
 def write_inputs(workdir: pathlib.Path, names) -> None:
@@ -53,10 +56,13 @@ def write_inputs(workdir: pathlib.Path, names) -> None:
             check=True, capture_output=True,
         )
     for name in names:
-        if name in EXTRA_MODELS:
-            model, site, sym = EXTRA_MODELS[name]()
-            (workdir / f"{name}_model.json").write_text(
-                serialize.dumps(serialize.model_to_json(model)))
+        base = "galilean" if name == MALFORMED else name
+        if base in EXTRA_MODELS:
+            model, site, sym = EXTRA_MODELS[base]()
+            data = serialize.model_to_json(model)
+            if name == MALFORMED:
+                data["symmetry"]["s1"]["v"] = [[[1.0, 0.0]]]
+            (workdir / f"{name}_model.json").write_text(serialize.dumps(data))
             (workdir / f"{name}_site.json").write_text(
                 serialize.dumps(serialize.site_to_json(site, sym)))
 

@@ -13,18 +13,20 @@ reduction.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import linalg
 from .config import RunConfig
 from .linalg import COMPLEX, opnorm
 from .markov import pointwise_factorization_residual
 from .models import CheckEntry, HilbertModel, ModelReport, ModelSymmetry
-from .kernels import _word_label
+from .kernels import (
+    INCONCLUSIVE, KernelOracle, OracleSymmetry, _word_label, check_covariance,
+)
 from .sites import CausalSite, SiteSymmetry
 from .words import (
     POLICY_ALL_SUBSETS,
@@ -105,7 +107,6 @@ def lift_process(
     initial: np.ndarray,
     depth: int,
     spaces: Mapping[str, Sequence[str]],
-    total_order: bool = False,
 ) -> tuple[HilbertModel, CausalSite, SiteSymmetry]:
     """Copy one family of devices onto every level of the lifted site.
 
@@ -114,7 +115,7 @@ def lift_process(
     space and on outcomes.
     """
     positions = list(field_atoms)
-    site, sym = lexicographic_site(positions, depth, total_order)
+    site, sym = lexicographic_site(positions, depth)
     initial = np.asarray(initial, dtype=COMPLEX)
     if initial.ndim == 1:
         initial = initial[:, None]
@@ -168,44 +169,50 @@ def enumerate_level_words(
     return words
 
 
-def shift_word(word: EventWord, k: int, depth: int, spaces) -> EventWord | None:
-    """Move every supported level up by k; None when the word would leave
-    the stack."""
-    out = {}
-    for t, b in word.factors:
-        l, x = split_level_point(t)
-        if l + k >= depth:
-            return None
-        out[level_point(l + k, x)] = b
-    return EventWord.from_dict(out, spaces)
-
-
 def check_ultrastationarity(
     model: HilbertModel,
     site: CausalSite,
     words: Sequence[EventWord],
     config: RunConfig = RunConfig(),
 ) -> ModelReport:
-    """Exhaustive level-shift invariance of the kernel over the word list."""
-    depth = site.meta["depth"]
-    feyn = model.products(site, words)
-    worst, wit = 0.0, ""
-    for k in range(1, depth):
-        kept, moved = [], []
-        for i, w in enumerate(words):
-            sw = shift_word(w, k, depth, model.spaces)
-            if sw is not None:
-                kept.append(i)
-                moved.append(sw)
-        f, g = feyn[kept], model.products(site, moved)
-        diff = linalg.pair_blocks(f) - linalg.pair_blocks(g)
-        r, at = linalg.worst_block(diff)
-        if r > worst:
-            a, b = (words[kept[i]] for i in at)
-            worst, wit = r, f"shift {k} on ({_word_label(a)}, {_word_label(b)})"
-    return ModelReport(
-        (CheckEntry("ultrastationarity", worst, wit, config.ultrastationarity_tol),)
-    )
+    """Exhaustive level-shift invariance of the kernel over the word list,
+    whatever symmetry the model declares (`ultrastationarity`)."""
+    oracle = dataclasses.replace(model, symmetry={}).kernel_table(site, list(words))
+    return ModelReport((_ultrastationarity(oracle, config),))
+
+
+def _ultrastationarity(oracle: KernelOracle, config: RunConfig) -> CheckEntry:
+    """Covariance of a lifted table (`check_covariance`) under the level
+    shifts of its site, each the identity on K and on outcomes.
+
+    A word list that some shift moves a word out of, in either direction, is
+    refused with a `ValueError` naming that word."""
+    meta = oracle.site.meta
+    _, sym = lexicographic_site(meta["positions"], meta["depth"])
+    shifted = dataclasses.replace(oracle, symmetry={
+        s: OracleSymmetry(
+            point_map=sym.maps[s],
+            outcome_maps={t: {o: o for o in oracle.spaces.outcomes(t)}
+                          for t in sym.maps[s]},
+            u=np.eye(oracle.kdim, dtype=COMPLEX),
+        )
+        for s in sym.elements[1:]  # shift0 is the identity
+    })
+    check = check_covariance(shifted, config)
+    if check.status == INCONCLUSIVE:
+        raise ValueError(check.witness)
+    for s, shift in shifted.symmetry.items():
+        # an injective shift: every listed word of its domain is a pull-back
+        unmatched = set(shifted.words_within(shift.point_map)).difference(
+            shifted.transported(s)[1].tolist()
+        )
+        if unmatched:
+            raise ValueError(
+                f"word {_word_label(oracle.words[min(unmatched)])} shifted by {s!r} "
+                "is outside the word list"
+            )
+    return CheckEntry("ultrastationarity", check.residual, check.witness,
+                      config.ultrastationarity_tol)
 
 
 @dataclass(frozen=True)
@@ -217,17 +224,12 @@ class LiftReport:
     decomposition: CheckEntry
 
     @property
+    def checks(self) -> tuple[CheckEntry, ...]:
+        return tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+
+    @property
     def ok(self) -> bool:
-        return all(
-            e.ok
-            for e in (
-                self.ultrastationarity,
-                self.constant_units,
-                self.level_independent_events,
-                self.narrow_units,
-                self.decomposition,
-            )
-        )
+        return all(e.ok for e in self.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -239,13 +241,7 @@ class LiftReport:
                     "witness": e.witness,
                     "tolerance": e.tolerance,
                 }
-                for e in (
-                    self.ultrastationarity,
-                    self.constant_units,
-                    self.level_independent_events,
-                    self.narrow_units,
-                    self.decomposition,
-                )
+                for e in self.checks
             ],
         }
 
@@ -260,9 +256,9 @@ def verify_lift(
 ) -> LiftReport:
     """End-to-end check of the level lift.
 
-    Builds the lifted model, checks ultrastationarity exhaustively, runs the
-    quotient reconstruction on the lifted table, and verifies that the
-    reconstructed slice units are constant across levels (hence the units are
+    Builds the lifted model and its table, checks ultrastationarity on the
+    table exhaustively, runs the quotient reconstruction on it, and verifies
+    that the reconstructed slice units are constant across levels (hence the units are
     the identity on the minimal space), that the reconstructed event
     projectors do not depend on the level, and that the reconstructed model
     reproduces the table.
@@ -273,9 +269,8 @@ def verify_lift(
     model, site, sym = lift_process(field_atoms, initial, depth, spaces)
     if words is None:
         words = enumerate_level_words(model, site, config)
-    ultra = check_ultrastationarity(model, site, words, config).entries[0]
-
     oracle = model.kernel_table(site, list(words), site_sym=sym)
+    ultra = _ultrastationarity(oracle, config)
     recon = reconstruct(oracle, config, strict_closure=False)
 
     worst_c, wit_c = 0.0, ""
@@ -398,15 +393,17 @@ def classical_reduce(
         )
 
     pts = tuple(site.points)
-    trajectories = list(
-        itertools.product(*(model.spaces.outcomes(t) for t in pts))
-    )
+    outs = [model.spaces.outcomes(t) for t in pts]
+    trajectories = list(itertools.product(*outs))
     traj_words = [
         EventWord.from_dict({t: {x} for t, x in zip(pts, traj)}, model.spaces)
         for traj in trajectories
     ]
-    measure = dict(zip(trajectories, _probabilities(model, site, traj_words)))
-    total = float(sum(measure.values()))
+    probs = _probabilities(model, site, traj_words)
+    measure = dict(zip(trajectories, probs))
+    total = float(sum(probs))
+    # the measure indexed by outcome, one axis per point
+    mass = np.array(probs).reshape([len(o) for o in outs])
 
     # the kernel factorizes through pointwise products of the words
     if words is None:
@@ -414,41 +411,33 @@ def classical_reduce(
     fact_res = pointwise_factorization_residual(model, site, words)
 
     # additivity in every argument: the measure of a cylinder with one factor
-    # enlarged is the sum over its parts
+    # enlarged is the sum over its parts, a row of the measure with that
+    # point's axis last times the subsets' indicator columns
     cylinders, sums = [], []
     for i, t in enumerate(pts):
-        outs = model.spaces.outcomes(t)
-        for rest in itertools.product(
-            *(model.spaces.outcomes(u) for u in pts if u != t)
-        ):
-            for b in subsets(outs)[1:]:
-                factors = {u: {x} for u, x in zip([p for p in pts if p != t], rest)}
+        others = pts[:i] + pts[i + 1:]
+        parts = subsets(outs[i])[1:]
+        for rest in itertools.product(*outs[:i], *outs[i + 1:]):
+            for b in parts:
+                factors = {u: {x} for u, x in zip(others, rest)}
                 factors[t] = set(b)
                 cylinders.append(EventWord.from_dict(factors, model.spaces))
-                sums.append(sum(measure[_traj_with(pts, rest, i, x)] for x in b))
+        indicator = np.array([[x in b for b in parts] for x in outs[i]], dtype=float)
+        sums.extend((np.moveaxis(mass, i, -1).reshape(-1, len(outs[i])) @ indicator).ravel())
     lhs = _probabilities(model, site, cylinders)
-    worst_add = max((abs(a - b) for a, b in zip(lhs, sums)), default=0.0)
+    worst_add = float(np.max(np.abs(np.subtract(lhs, sums)), initial=0.0))
 
     # marginal consistency against every one-point-removed sub-site
     worst_marg = 0.0
     if len(pts) > 1:
         for drop in range(len(pts)):
-            sub_pts = [p for j, p in enumerate(pts) if j != drop]
-            sub_site = _subsite(site, sub_pts)
-            sub_trajs = list(
-                itertools.product(*(model.spaces.outcomes(t) for t in sub_pts))
-            )
-            direct = _probabilities(model, sub_site, [
+            sub_pts = pts[:drop] + pts[drop + 1:]
+            direct = _probabilities(model, _subsite(site, sub_pts), [
                 EventWord.from_dict({t: {x} for t, x in zip(sub_pts, traj)}, model.spaces)
-                for traj in sub_trajs
+                for traj in itertools.product(*outs[:drop], *outs[drop + 1:])
             ])
-            for traj, p in zip(sub_trajs, direct):
-                summed = sum(
-                    v
-                    for k, v in measure.items()
-                    if tuple(x for j, x in enumerate(k) if j != drop) == traj
-                )
-                worst_marg = max(worst_marg, abs(p - summed))
+            summed = mass.sum(axis=drop).ravel()
+            worst_marg = max(worst_marg, float(np.max(np.abs(direct - summed))))
 
     return ClassicalReduction(
         measure=measure,
@@ -467,12 +456,6 @@ def _probabilities(model: HilbertModel, site: CausalSite, words) -> list[float]:
     for a scalar initial space."""
     feyn = model.products(site, words)
     return [float(p) for p in np.einsum("nak,nak->n", np.conjugate(feyn), feyn).real]
-
-
-def _traj_with(pts, rest, i, x):
-    out = list(rest)
-    out.insert(i, x)
-    return tuple(out)
 
 
 def _subsite(site: CausalSite, keep: Sequence[str]) -> CausalSite:

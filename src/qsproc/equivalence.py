@@ -10,6 +10,7 @@ the initial space.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -114,26 +115,26 @@ def check_wide_equivalence(
     config: RunConfig = RunConfig(),
 ) -> EquivalenceVerdict:
     """Entrywise comparison of the two kernel tables."""
-    f1, f2 = _product_stacks(m1, m2, site, words)
-    return _compare_tables(f1, f2, config.equivalence_tol)
+    return _compare_tables(m1, m2, site, words, config.equivalence_tol)[0]
 
 
-def _product_stacks(m1: HilbertModel, m2: HilbertModel, site: CausalSite, words):
-    """Both models' chronological products, once models whose initial spaces
-    differ are refused."""
+def _compare_tables(m1: HilbertModel, m2: HilbertModel, site: CausalSite, words, tol):
+    """Blockwise comparison of the two models' kernel tables, once models
+    whose initial spaces differ are refused; with the verdict, each model's
+    product columns (`linalg.side_by_side`) and the first one's Gram matrix
+    over (word, initial-basis) pairs, whose blocks are the kernel values."""
     if m1.kdim != m2.kdim:
         raise ValueError(
             f"initial spaces differ ({m1.kdim} vs {m2.kdim}); the tables are "
             "not comparable"
         )
-    return m1.products(site, words), m2.products(site, words)
-
-
-def _compare_tables(f1: np.ndarray, f2: np.ndarray, tol: float) -> EquivalenceVerdict:
-    """Entrywise comparison of the kernel tables of two product stacks."""
-    worst, at = linalg.worst_block(linalg.pair_blocks(f1) - linalg.pair_blocks(f2))
+    cols = [linalg.side_by_side(m.products(site, words)) for m in (m1, m2)]
+    grams = [dagger(x) @ x for x in cols]
+    n, k = len(words), m1.kdim
+    diff = (grams[0] - grams[1]).reshape(n, k, n, k).transpose(0, 2, 1, 3)
+    worst, at = linalg.worst_block(diff)
     witness = "" if at is None else f"pair (word {at[0]}, word {at[1]})"
-    return EquivalenceVerdict(worst <= tol, worst, witness, tol)
+    return EquivalenceVerdict(worst <= tol, worst, witness, tol), cols, grams[0]
 
 
 @dataclass(eq=False)
@@ -186,15 +187,13 @@ def build_unitary(
     identity.
     """
     tol = config.equivalence_tol
-    f1, f2 = _product_stacks(m1, m2, site, words)
-    verdict = _compare_tables(f1, f2, tol)
+    verdict, (x, y), gram = _compare_tables(m1, m2, site, words, tol)
     if not verdict.equivalent:
         raise EquivalenceRefused(
             f"models are not equivalent in the wide sense "
             f"(residual {verdict.max_residual:.3e} at {verdict.witness})"
         )
-    x, y = linalg.side_by_side(f1), linalg.side_by_side(f2)
-    factor = linalg.psd_eigencut(dagger(x) @ x, config.rank_tol)
+    factor = linalg.psd_eigencut(gram, config.rank_tol)
     # equal tables have equal Gram ranks, and a minimal model has that dimension
     for name, m in (("first", m1), ("second", m2)):
         if m.dim != factor.values.size:
@@ -263,13 +262,8 @@ def check_model_relation(
     morphism = _measure_morphism(np.asarray(u, dtype=COMPLEX), m_small, m_big, site, tol)
     if site_sym is not None:
         extra = _symmetry_unit_residual(m_small, site, site_sym)
-        morphism = ModelMorphism(
-            u=morphism.u,
-            isometry_residual=morphism.isometry_residual,
-            event_residual=morphism.event_residual,
-            algebra_residual=morphism.algebra_residual,
-            symmetry_residual=max(morphism.symmetry_residual, extra),
-            tolerance=tol,
+        morphism = dataclasses.replace(
+            morphism, symmetry_residual=max(morphism.symmetry_residual, extra)
         )
     return morphism
 

@@ -556,27 +556,24 @@ def check_regularity(
     minimal = oracle.classes.minimal_antichains()
     if not minimal:
         return AxiomCheck("regularity", PASS, 0.0, "empty site", tol)
+    n = len(oracle.words)
     per_slice: list[tuple[float, str]] = []
     for l in minimal:
-        down = site.down_set(l)
-        idx_l = oracle.words_within(down)
-        g_l = oracle.gram(idx_l)
-        g_pinv = linalg.pinv(g_l, config.rank_tol)
-        worst_b, wit = 0.0, ""
-        for i, b in enumerate(oracle.words):
-            # cross inner products of the centered vector against the slice span
-            cross = oracle.table[np.ix_(idx_l, [i])][:, 0]  # (m, k, k)
-            correction = np.einsum(
-                "mab,bc->mac", oracle.table[np.ix_(idx_l, [e])][:, 0],
-                oracle.table[e, i],
-            )
-            c = (cross - correction).reshape(len(idx_l) * k, k)
-            q = dagger(c) @ g_pinv @ c
-            lam = float(np.max(np.linalg.eigvalsh(linalg.hermitize(q))))
-            defect = float(np.sqrt(max(lam, 0.0)))
-            if defect > worst_b:
-                worst_b, wit = defect, _word_label(b)
-        per_slice.append((worst_b, wit))
+        idx_l = oracle.words_within(site.down_set(l))
+        g_pinv = linalg.pinv(oracle.gram(idx_l), config.rank_tol)
+        # cross inner products of every word's centered vector against the
+        # slice span, one (m k, k) matrix c per word, and each c* G^+ c
+        cross = oracle.table[idx_l] - np.einsum(
+            "mab,nbc->mnac", oracle.table[idx_l, e], oracle.table[e]
+        )
+        c = cross.transpose(0, 2, 1, 3).reshape(len(idx_l) * k, n, k)
+        gc = (g_pinv @ c.reshape(len(idx_l) * k, n * k)).reshape(c.shape)
+        q = np.einsum("rna,rnb->nab", np.conjugate(c), gc)
+        lam = np.linalg.eigvalsh((q + np.conjugate(q).transpose(0, 2, 1)) / 2)[:, -1]
+        defect = np.sqrt(np.maximum(lam, 0.0))
+        b = int(np.argmax(defect))
+        wit = _word_label(oracle.words[b]) if defect[b] > 0.0 else ""
+        per_slice.append((float(defect[b]), wit))
     best = min(per_slice, key=lambda p: p[0])
     l_min = minimal[per_slice.index(best)]
     return _verdict(

@@ -12,7 +12,6 @@ compression, wiping out any dependence on what was measured there.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -121,24 +120,14 @@ def slice_algebra(
 
 def _ordered_slices(classes: SiteClasses):
     """Maximal antichains sorted by the subset preorder when it is total;
-    None when two slices are incomparable."""
+    None when two slices are incomparable.  The preorder compares down-sets
+    by inclusion, so on a chain it is the order of their sizes."""
     slices = list(classes.maximal_antichains)
     for a, b in itertools.combinations(slices, 2):
         if not (classes.subset_le(a, b) or classes.subset_le(b, a)):
             return None
-    slices.sort(key=_chain_sort_key(classes, slices))
+    slices.sort(key=lambda l: len(classes.site.down_set(l)))
     return slices
-
-
-def _chain_sort_key(classes, slices):
-    def cmp(a, b):
-        if classes.subset_le(a, b) and not classes.subset_le(b, a):
-            return -1
-        if classes.subset_le(b, a) and not classes.subset_le(a, b):
-            return 1
-        return 0
-
-    return functools.cmp_to_key(cmp)
 
 
 def check_dynamicity(
@@ -242,12 +231,14 @@ def check_regression(
     entries.append(CheckEntry("regression", worst_r, wit_r, tol))
 
     # composition identities of the compression maps
+    basis = {
+        l: slice_algebra(model, classes, l, e_proj[l]).basis_operators() for l in slices
+    }
     worst_c, wit_c = 0.0, ""
     for i, l in enumerate(slices):
         for j in range(i, len(slices)):
             lp = slices[j]
-            alg = slice_algebra(model, classes, lp, e_proj[lp])
-            for a in alg.basis_operators():
+            for a in basis[lp]:
                 theta = e_proj[l] @ a @ e_proj[l]
                 lhs = dagger(emb) @ theta @ emb
                 rhs = dagger(emb) @ a @ emb

@@ -204,7 +204,7 @@ def model_from_json(data: dict) -> HilbertModel:
         )
         for s, entry in data.get("symmetry", {}).items()
     }
-    return HilbertModel(
+    model = HilbertModel(
         dim=int(data["dim"]),
         embedding=matrix_from_json(data["embedding"], "embedding"),
         atoms=atoms,
@@ -214,6 +214,11 @@ def model_from_json(data: dict) -> HilbertModel:
         algebra=algebra,
         symmetry=symmetry,
     )
+    if "kdim" in data and int(data["kdim"]) != model.kdim:
+        raise ValueError(
+            f'"kdim" {data["kdim"]} differs from the embedding\'s {model.kdim} columns'
+        )
+    return model
 
 
 # -- kernel tables -----------------------------------------------------------------

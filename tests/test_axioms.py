@@ -19,7 +19,7 @@ from qsproc.kernels import (
     check_sigma_additivity,
 )
 from qsproc.sites import chain_site
-from qsproc.words import EventWord, OutcomeSpaces, enumerate_words, unit_word
+from qsproc.words import EventWord, OutcomeSpaces, enumerate_words, event_label, unit_word
 
 from kernel_tables import oracle_from_values
 
@@ -236,7 +236,59 @@ class TestProjectivity:
         assert check_projectivity(oracle).status == PASS
 
 
+def regularity_per_word(oracle, rank_tol=1e-9):
+    """Reference: the regularity defect word by word, one `eigvalsh` each;
+    the best minimal slice's worst defect and word."""
+    site, e, k = oracle.site, oracle.unit_index(), oracle.kdim
+    per_slice = []
+    for l in oracle.classes.minimal_antichains():
+        idx_l = oracle.words_within(site.down_set(l))
+        g_pinv = linalg.pinv(oracle.gram(idx_l), rank_tol)
+        worst_b, wit = 0.0, None
+        for i in range(len(oracle.words)):
+            cross = oracle.table[np.ix_(idx_l, [i])][:, 0]
+            correction = np.einsum(
+                "mab,bc->mac", oracle.table[np.ix_(idx_l, [e])][:, 0], oracle.table[e, i]
+            )
+            c = (cross - correction).reshape(len(idx_l) * k, k)
+            q = linalg.dagger(c) @ g_pinv @ c
+            lam = float(np.max(np.linalg.eigvalsh(linalg.hermitize(q))))
+            defect = float(np.sqrt(max(lam, 0.0)))
+            if defect > worst_b:
+                worst_b, wit = defect, i
+        per_slice.append((worst_b, wit))
+    return min(per_slice, key=lambda p: p[0])
+
+
+REGULARITY_FIXTURES = {
+    "qubit_zx": fixtures.qubit_zx,
+    "qubit_xz": fixtures.qubit_xz,
+    "ancilla_correlated": fixtures.ancilla_correlated,
+    "controlled_kdim2": fixtures.controlled_kdim2,
+    "diagonal_kdim2": fixtures.diagonal_kdim2,
+    "commuting_chain": lambda: fixtures.commuting_diagonal(trivial_order=False),
+    "galilean": fixtures.galilean_shift_fixture,  # with its site symmetry
+    "random_valid_model(0)": lambda: fixtures.random_valid_model(0),
+    "random_valid_model(3)": lambda: fixtures.random_valid_model(3),
+    "tensor_chain(3)": lambda: fixtures.tensor_chain(3, canonical=False),
+    "tensor_chain(4)": lambda: fixtures.tensor_chain(4, canonical=False),
+}
+
+
 class TestRegularity:
+    @pytest.mark.parametrize("name", sorted(REGULARITY_FIXTURES))
+    def test_batched_matches_per_word_reference(self, name):
+        model, site, *sym = REGULARITY_FIXTURES[name]()
+        oracle = model.kernel_table(
+            site, enumerate_words(site, model.spaces), site_sym=next(iter(sym), None)
+        )
+        check = check_regularity(oracle)
+        residual, word = regularity_per_word(oracle)
+        assert check.residual == pytest.approx(residual, rel=1e-12, abs=1e-15)
+        if residual > 1e-12:  # a clear worst word is named
+            label = "e" if oracle.words[word].is_unit() else event_label(oracle.words[word])
+            assert check.witness.startswith(f"word {label} against slice")
+
     def test_aligned_qubit_regular(self, qubit_oracle):
         check = check_regularity(qubit_oracle)
         assert check.status == PASS

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qsproc import fixtures
+from qsproc import fixtures, linalg
 from qsproc.bridges import (
     ReductionRefused,
     _probabilities,
@@ -11,11 +11,13 @@ from qsproc.bridges import (
     classical_reduce,
     enumerate_level_words,
     interference_witness,
+    level_point,
     lexicographic_site,
     lift_process,
-    shift_word,
+    split_level_point,
     verify_lift,
 )
+from qsproc.kernels import check_covariance
 from qsproc.models import HilbertModel
 from qsproc.sites import check_symmetry, derive_classes
 from qsproc.words import EventWord
@@ -88,12 +90,6 @@ class TestLiftProcess:
         assert report.ok
         assert report.worst("ultrastationarity").residual <= 1e-12
 
-    def test_shift_word_leaving_stack(self):
-        atoms, xi, spaces = fixtures.two_point_field()
-        model, site, _ = lift_process(atoms, xi, 2, spaces)
-        w = EventWord.from_dict({"1:z": {"0"}}, model.spaces)
-        assert shift_word(w, 1, 2, model.spaces) is None
-
 
 class TestVerifyLift:
     def test_two_point_field_depth_three(self):
@@ -129,6 +125,99 @@ class TestVerifyLift:
         assert not report.ok
 
 
+def shifted_product_residual(model, site, words):
+    """Reference: the largest kernel gap between every word pair and the pair
+    shifted k levels up, the shifted words' products formed directly, over
+    the pairs whose shift stays in the stack."""
+    depth = site.meta["depth"]
+    feyn = model.products(site, words)
+    worst = 0.0
+    for k in range(1, depth):
+        kept, moved = [], []
+        for i, w in enumerate(words):
+            levels = [split_level_point(t) for t, _ in w.factors]
+            if all(l + k < depth for l, _ in levels):
+                kept.append(i)
+                moved.append(EventWord.from_dict(
+                    {level_point(l + k, x): b
+                     for (l, x), (_, b) in zip(levels, w.factors)},
+                    model.spaces,
+                ))
+        diff = linalg.pair_blocks(feyn[kept]) - linalg.pair_blocks(
+            model.products(site, moved))
+        worst = max(worst, linalg.worst_block(diff)[0])
+    return worst
+
+
+class TestUltrastationarity:
+    """Ultrastationarity is the covariance of the lifted table under the
+    level shifts, pinned against the shifted-word product comparison."""
+
+    ROTATED = fixtures.rotated_atoms(0.9)
+
+    def level_dependent(self, point, declare_symmetry):
+        """The depth-3 lift of the two-point field with the atoms at `point`
+        rotated (relabelled to the outcomes there)."""
+        atoms, xi, spaces = fixtures.two_point_field()
+        model, site, _ = lift_process(atoms, xi, 3, spaces)
+        bad_atoms = {t: dict(f) for t, f in model.atoms.items()}
+        outs = model.spaces.outcomes(point)
+        bad_atoms[point] = dict(zip(outs, self.ROTATED.values()))
+        bad = HilbertModel(
+            dim=2,
+            embedding=model.embedding,
+            atoms=bad_atoms,
+            spaces=model.spaces,
+            symmetry=model.symmetry if declare_symmetry else {},
+        )
+        return bad, site
+
+    @pytest.mark.parametrize("declare_symmetry", [True, False])
+    @pytest.mark.parametrize("point, residual", [
+        ("1:z", 0.7937243391123694), ("2:x", 0.11360104734654358),
+    ])
+    def test_pinned_residual_on_level_dependent_lift(self, point, residual, declare_symmetry):
+        bad, site = self.level_dependent(point, declare_symmetry)
+        words = enumerate_level_words(bad, site)
+        entry = check_ultrastationarity(bad, site, words).entries[0]
+        assert not entry.ok
+        assert entry.residual == pytest.approx(residual, rel=1e-12)
+        assert entry.residual == pytest.approx(
+            shifted_product_residual(bad, site, words), rel=1e-12)
+        assert entry.witness.startswith("'shift1' on pair (")
+
+    def test_undeclared_symmetry_is_vacuous_covariance(self):
+        # the model's own (empty) symmetry makes covariance pass; the level
+        # shifts come from the site
+        bad, site = self.level_dependent("1:z", declare_symmetry=False)
+        oracle = bad.kernel_table(site, enumerate_level_words(bad, site))
+        check = check_covariance(oracle)
+        assert check.ok and check.witness == "no symmetry declared (trivial action)"
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_matches_reference_on_the_lift(self, depth):
+        atoms, xi, spaces = fixtures.two_point_field()
+        model, site, _ = lift_process(atoms, xi, depth, spaces)
+        words = enumerate_level_words(model, site)
+        entry = check_ultrastationarity(model, site, words).entries[0]
+        assert entry.residual == shifted_product_residual(model, site, words) == 0.0
+        assert entry.witness == ""
+
+    @pytest.mark.parametrize("drop, direction", [
+        ({"0:z": {"0"}}, "transported word"),  # its shift up is listed
+        ({"2:z": {"0"}}, "shifted by 'shift1'"),  # its pull-back is listed
+    ])
+    def test_word_list_not_closed_refused(self, drop, direction):
+        atoms, xi, spaces = fixtures.two_point_field()
+        model, site, _ = lift_process(atoms, xi, 3, spaces)
+        gone = EventWord.from_dict(drop, model.spaces)
+        words = [w for w in enumerate_level_words(model, site) if w != gone]
+        with pytest.raises(ValueError, match=direction):
+            check_ultrastationarity(model, site, words)
+        with pytest.raises(ValueError, match=direction):
+            verify_lift(atoms, xi, 3, spaces, words)
+
+
 class TestClassicalReduce:
     def test_commuting_trivial_site(self):
         model, site = fixtures.commuting_diagonal()
@@ -157,6 +246,26 @@ class TestClassicalReduce:
         red = classical_reduce(model, site)
         assert red.measure[("0",)] == pytest.approx(np.cos(0.4) ** 2)
         assert red.measure[("1",)] == pytest.approx(np.sin(0.4) ** 2)
+
+    def test_unequal_outcome_counts(self):
+        # three outcomes at one point, two at the other: the measure's axes
+        # differ in length, and every cylinder and marginal still sums
+        from qsproc.sites import discrete_site
+        from qsproc.words import OutcomeSpaces
+
+        site = discrete_site(("a", "b"))
+        spaces = OutcomeSpaces({"a": ("0", "1", "2"), "b": ("u", "v")})
+        e = [np.diag(np.eye(3)[i]).astype(complex) for i in range(3)]
+        atoms = {"a": dict(zip("012", e)), "b": {"u": e[0] + e[1], "v": e[2]}}
+        xi = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+        model = HilbertModel(dim=3, embedding=xi, atoms=atoms, spaces=spaces)
+        red = classical_reduce(model, site)
+        assert red.ok
+        for (x, y), p in red.measure.items():
+            i = int(x)
+            assert p == pytest.approx(xi[i] ** 2 if (i < 2) == (y == "u") else 0.0)
+        assert red.additivity_residual <= 1e-15
+        assert red.marginal_residual <= 1e-15
 
     def test_noncommuting_refused_with_witness(self):
         model, site = fixtures.qubit_xz()

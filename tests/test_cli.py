@@ -79,6 +79,18 @@ class TestCheck:
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is False
 
+    def test_resolution_defect_exits_one(self, tmp_path, qubit_files, capsys):
+        # a declared point unit that is not the sum of the point's atoms
+        model, _ = fixtures.qubit_zx()
+        data = serialize.model_to_json(model)
+        data["units"] = {"p": {"t1": serialize.matrix_to_json(np.diag([1.0, 0.0]))}, "i": {}}
+        bad_model = write(tmp_path, "bad_model.json", data)
+        assert cli.main(["check", bad_model, qubit_files[1]]) == 1
+        report = json.loads(capsys.readouterr().out)
+        [entry] = [v for v in report["model"]["violations"] if v["condition"] == "resolution"]
+        assert entry["residual"] == pytest.approx(1.0)
+        assert entry["witness"] == "sum of the atoms at 't1'"
+
     def test_text_format(self, qubit_files, capsys):
         model_file, site_file = qubit_files
         assert cli.main(["--format", "text", "check", model_file, site_file]) == 0
@@ -794,6 +806,53 @@ class TestMalformedMatrix:
             assert captured.out == ""
             assert captured.err.startswith(f"input error: {name} {problem}")
             assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+class TestMisshapenModel:
+    """A model matrix that is not dim x dim, or a `kdim` that is not the
+    embedding's column count, is an input error named on one line by every
+    command that reads the model."""
+
+    COMMANDS = TestMalformedMatrix.MODEL_COMMANDS
+
+    def runs(self, tmp_path, location):
+        """The command lines reading a model whose `location` is misshapen,
+        and the refusal's message."""
+        one = [[[1.0, 0.0]]]  # a 1x1 matrix
+        if location == "symmetry v":
+            model, site, sym = fixtures.galilean_shift_fixture()
+        else:
+            (model, site), sym = fixtures.qubit_zx(), None
+        data = json.loads(serialize.dumps(serialize.model_to_json(model)))
+        if location == "symmetry v":
+            data["symmetry"]["s1"]["v"] = one
+            message = "symmetry 's1' v has shape (1, 1), not 2x2"
+        elif location == "algebra generator":
+            data["algebra"] = {"t1": [serialize.matrix_to_json(np.eye(2)), one]}
+            message = "algebra generator 1 of ['t1'] has shape (1, 1), not 2x2"
+        elif location == "kdim":
+            data["kdim"] = 3
+            message = '"kdim" 3 differs from the embedding\'s 1 columns'
+        else:
+            kind = location[-1]
+            data["units"] = {"p": {}, "i": {}, kind: {"t1": one}}
+            message = f"unit {kind!r} of ['t1'] has shape (1, 1), not 2x2"
+        files = {
+            "M": write(tmp_path, "model.json", data),
+            "S": write(tmp_path, "site.json", serialize.site_to_json(site, sym)),
+        }
+        return [[files.get(a, a) for a in cmd] for cmd in self.COMMANDS], message
+
+    @pytest.mark.parametrize(
+        "location", ["unit p", "unit i", "algebra generator", "symmetry v", "kdim"]
+    )
+    def test_exits_two_on_one_line(self, tmp_path, capsys, location):
+        runs, message = self.runs(tmp_path, location)
+        for argv in runs:
+            assert cli.main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"input error: {message}\n", argv
 
 
 # -- adversarial tables ---------------------------------------------------------

@@ -1,5 +1,6 @@
 """Wide-sense equivalence, minimal compression, intertwining unitaries."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -146,6 +147,22 @@ class TestWideEquivalence:
         other, _ = fixtures.diagonal_kdim2()
         with pytest.raises(ValueError, match="initial spaces"):
             check_wide_equivalence(model, other, site, words)
+
+    @pytest.mark.parametrize("builder", [fixtures.controlled_kdim2, fixtures.diagonal_kdim2])
+    def test_gram_blocks_are_the_pair_blocks(self, builder):
+        # the verdict reads the Gram matrices, pinned to the kernel tables'
+        # pair blocks bit for bit
+        model, site = builder()
+        words = enumerate_words(site, model.spaces)
+        rotation = linalg.random_unitary(np.random.default_rng(5), 2)
+        other = dataclasses.replace(model, embedding=model.embedding @ rotation)
+        ref, at = linalg.worst_block(
+            linalg.pair_blocks(model.products(site, words))
+            - linalg.pair_blocks(other.products(site, words))
+        )
+        verdict = check_wide_equivalence(model, other, site, words)
+        assert verdict.max_residual == ref > 0.0
+        assert verdict.witness == f"pair (word {at[0]}, word {at[1]})"
 
 
 class TestBuildUnitary:

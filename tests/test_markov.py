@@ -1,5 +1,7 @@
 """Conditional Markov structure: algebras, dynamicity, regression, relaxation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,12 @@ from qsproc.markov import (
     check_dynamicity,
     check_narrow_commutativity,
     check_regression,
+    _ordered_slices,
     check_relaxation,
     generate_algebra,
 )
 from qsproc.models import HilbertModel
-from qsproc.sites import chain_site
+from qsproc.sites import chain_site, derive_classes, galilean_site
 from qsproc.words import OutcomeSpaces
 
 
@@ -96,6 +99,20 @@ class TestRegression:
         model, site = chain3
         report = check_regression(model, site)
         assert report.worst("regression_composition").residual <= 1e-10
+
+    @pytest.mark.parametrize("site", [
+        chain_site(("t1", "t2", "t3", "t4")),
+        galilean_site([0, 0, 1, 2], ["a", "b", "c", "d"]),
+    ])
+    def test_slices_ordered_by_down_sets(self, site):
+        classes = derive_classes(site)
+        backwards = dataclasses.replace(
+            classes, maximal_antichains=classes.maximal_antichains[::-1]
+        )
+        slices = _ordered_slices(backwards)
+        assert slices == list(classes.maximal_antichains)
+        for a, b in zip(slices, slices[1:]):
+            assert classes.subset_le(a, b) and not classes.subset_le(b, a)
 
     def test_unit_pair_normalized(self):
         model, site = fixtures.tensor_chain(2)

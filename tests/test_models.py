@@ -273,6 +273,31 @@ class TestCheckModel:
         assert report.ok, report.to_dict()
         assert not small.is_narrow(site)
 
+    def test_resolution_of_three_outcomes(self):
+        site = chain_site(("t1", "t2"))
+        spaces = OutcomeSpaces({t: ("a", "b", "c") for t in site.points})
+        u = linalg.random_unitary(np.random.default_rng(3), 3)
+        basis = [np.diag(np.eye(3)[i]).astype(complex) for i in range(3)]
+        atoms = {
+            "t1": dict(zip("abc", basis)),
+            "t2": {x: u @ p @ linalg.dagger(u) for x, p in zip("abc", basis)},
+        }
+        model = HilbertModel(dim=3, embedding=np.eye(3)[:, :1], atoms=atoms, spaces=spaces)
+        report = check_model(model, site)
+        assert report.ok, report.to_dict()
+        assert report.worst("resolution").residual <= 1e-15
+
+    def test_resolution_defect_flagged(self, qubit):
+        # a declared point unit that the atoms do not sum to
+        model, site = qubit
+        bad = dataclasses.replace(
+            model, units_p={frozenset({"t2"}): np.diag([0.0, 1.0]).astype(complex)}
+        )
+        entry = check_model(bad, site).worst("resolution")
+        assert not entry.ok
+        assert entry.residual == pytest.approx(1.0)
+        assert entry.witness == "sum of the atoms at 't2'"
+
     def test_symmetry_covariance_entry(self):
         model, site, sym = fixtures.galilean_shift_fixture()
         report = check_model(model, site, site_sym=sym)

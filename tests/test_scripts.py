@@ -53,3 +53,15 @@ def test_cli_sweep_is_deterministic(tmp_path):
     assert len(runs[0]) == 4 * (2 * 9 + 1) + 3 * 2 * 2
     assert runs[0] == runs[1]
     assert all(run["exit"] in (0, 1, 2) for run in runs[0])
+
+
+def test_cli_sweep_raises_nothing(tmp_path):
+    # every input, the malformed model among them: each run ends in an
+    # exit code, never in an exception
+    out = tmp_path / "sweep.json"
+    done = run_script("cli_sweep.py", str(out))
+    assert done.returncode == 0, done.stderr
+    runs = json.loads(out.read_text())["runs"]
+    assert [r["argv"] for r in runs if r["exit"] == "traceback"] == []
+    malformed = [r for r in runs if "galilean_bad_v_model.json" in r["argv"]]
+    assert malformed and all(r["exit"] == 2 for r in malformed)
