@@ -12,6 +12,12 @@ and `lift` on the field file, once per flag set (none, `--format text`,
 `--policy atoms`, `--cap 3`).  Each table `kernels` prints is fed back to
 `reconstruct` and `reconstruct --verify` with the same flags.
 
+Two more malformed inputs are swept after all of those, so that the records
+of the inputs above keep their positions: the qubit model with a `units`
+block at a point outside its site (every model command exits 2), and the
+Galilean kernel table with a 2x2 symmetry `u` for its 1-dimensional initial
+space (`reconstruct` and `reconstruct --verify` exit 2).
+
 Every run records its arguments (file names relative to the scratch
 directory), its exit code and the sha256 of its stdout and stderr.  A run
 that raises records the exception's type and message as its stderr and
@@ -33,7 +39,10 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 from qsproc import cli, fixtures, serialize
+from qsproc.words import enumerate_words
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent
 FLAG_SETS = ([], ["--format", "text"], ["--policy", "atoms"], ["--cap", "3"])
@@ -45,7 +54,9 @@ EXTRA_MODELS = {
     "tensor_chain3": lambda: fixtures.tensor_chain(3, canonical=False) + (None,),
 }
 MALFORMED = "galilean_bad_v"
-INPUTS = FIXTURE_FILES + tuple(EXTRA_MODELS) + (MALFORMED, "field")
+STRAY_UNITS, BAD_TABLE = "qubit_stray_units", "galilean_bad_u"
+LATE = (STRAY_UNITS, BAD_TABLE)  # swept after every other input
+INPUTS = FIXTURE_FILES + tuple(EXTRA_MODELS) + (MALFORMED, "field") + LATE
 
 
 def write_inputs(workdir: pathlib.Path, names) -> None:
@@ -65,6 +76,19 @@ def write_inputs(workdir: pathlib.Path, names) -> None:
             (workdir / f"{name}_model.json").write_text(serialize.dumps(data))
             (workdir / f"{name}_site.json").write_text(
                 serialize.dumps(serialize.site_to_json(site, sym)))
+    if STRAY_UNITS in names:
+        model, site = fixtures.qubit_zx()
+        data = serialize.model_to_json(model)
+        data["units"] = {"p": {}, "i": {"zz": serialize.matrix_to_json(np.eye(2))}}
+        (workdir / f"{STRAY_UNITS}_model.json").write_text(serialize.dumps(data))
+        (workdir / f"{STRAY_UNITS}_site.json").write_text(
+            serialize.dumps(serialize.site_to_json(site)))
+    if BAD_TABLE in names:
+        model, site, sym = fixtures.galilean_shift_fixture()
+        words = enumerate_words(site, model.spaces)
+        data = serialize.oracle_to_json(model.kernel_table(site, words, site_sym=sym))
+        data["symmetry"]["s1"]["u"] = serialize.matrix_to_json(np.eye(2))
+        (workdir / f"{BAD_TABLE}_table.json").write_text(serialize.dumps(data))
 
 
 def run(argv: list[str]) -> tuple[dict, str]:
@@ -94,6 +118,11 @@ def sweep(names) -> list[dict]:
         for name in names:
             if name == "field":
                 records.append(run(["lift", "field.json", *flags])[0])
+                continue
+            if name == BAD_TABLE:
+                path = f"{name}_table.json"
+                for verify in ([], ["--verify"]):
+                    records.append(run(["reconstruct", path, *verify, *flags])[0])
                 continue
             model, site = f"{name}_model.json", f"{name}_site.json"
             for argv in (
@@ -131,7 +160,8 @@ def main():
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            records = sweep(args.inputs)
+            records = sweep([n for n in args.inputs if n not in LATE])
+            records += sweep([n for n in args.inputs if n in LATE])
         finally:
             os.chdir(cwd)
     out.write_text(json.dumps({"runs": records}, indent=1) + "\n")

@@ -20,9 +20,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import linalg
 from .config import RunConfig
-from .linalg import COMPLEX, opnorm
-from .markov import pointwise_factorization_residual
+from .linalg import COMPLEX
+from .markov import atom_commutators, pointwise_factorization_residual
 from .models import CheckEntry, HilbertModel, ModelReport, ModelSymmetry
 from .kernels import (
     INCONCLUSIVE, KernelOracle, OracleSymmetry, _word_label, check_covariance,
@@ -273,36 +274,35 @@ def verify_lift(
     ultra = _ultrastationarity(oracle, config)
     recon = reconstruct(oracle, config, strict_closure=False)
 
-    worst_c, wit_c = 0.0, ""
-    for (la, pa), (lb, pb) in itertools.combinations(recon.lattice.slices.items(), 2):
-        r = opnorm(pa - pb)
-        if r > worst_c:
-            worst_c, wit_c = r, f"slice spans {sorted(la)} vs {sorted(lb)}"
-    constant_units = CheckEntry("constant_slice_units", worst_c, wit_c, tol)
+    pairs = list(itertools.combinations(recon.lattice.slices.items(), 2))
+    constant_units = CheckEntry("constant_slice_units", *linalg.worst(
+        linalg.opnorms([pa - pb for (_, pa), (_, pb) in pairs]),
+        lambda i: "slice spans {} vs {}".format(*(sorted(l) for l, _ in pairs[i])),
+    ), tol)
 
-    worst_n, wit_n = 0.0, ""
+    joins = list(recon.lattice.joins.items())
     eye = np.eye(recon.rank, dtype=COMPLEX)
-    for k, p in recon.lattice.joins.items():
-        r = opnorm(p - eye)
-        if r > worst_n:
-            worst_n, wit_n = r, f"unit of block {sorted(k)}"
-    narrow_units = CheckEntry("narrow_units_on_minimal_space", worst_n, wit_n, tol)
+    narrow_units = CheckEntry("narrow_units_on_minimal_space", *linalg.worst(
+        linalg.opnorms([p - eye for _, p in joins]),
+        lambda i: f"unit of block {sorted(joins[i][0])}",
+    ), tol)
 
     # Levels with at least one level below them: the bottom copy of a finite
     # truncation has no past to draw words from, so its operators are
     # under-determined by the one-device-per-level word system, exactly as an
     # untruncated stack never is.
-    positions = site.meta["positions"]
-    informed = range(1, depth)
-    worst_l, wit_l = 0.0, ""
-    for x in positions:
-        for la, lb in itertools.combinations(informed, 2):
-            ta, tb = level_point(la, x), level_point(lb, x)
-            for o in model.spaces.outcomes(ta):
-                r = opnorm(recon.model.atoms[ta][o] - recon.model.atoms[tb][o])
-                if r > worst_l:
-                    worst_l, wit_l = r, f"atom {o!r} of {x!r} at levels {la},{lb}"
-    level_independent = CheckEntry("level_independent_events", worst_l, wit_l, tol)
+    atoms = recon.model.atoms
+    at = [
+        (o, x, la, lb)
+        for x in site.meta["positions"]
+        for la, lb in itertools.combinations(range(1, depth), 2)
+        for o in model.spaces.outcomes(level_point(la, x))
+    ]
+    level_independent = CheckEntry("level_independent_events", *linalg.worst(
+        linalg.opnorms([atoms[level_point(la, x)][o] - atoms[level_point(lb, x)][o]
+                        for o, x, la, lb in at]),
+        lambda i: "atom {!r} of {!r} at levels {},{}".format(*at[i]),
+    ), tol)
 
     decomp = verify_decomposition(recon, oracle, config)
     decomposition = CheckEntry(
@@ -373,15 +373,7 @@ def classical_reduce(
     if not model.is_narrow(site, config):
         raise ValueError("the classical reduction needs a fully normalized model")
     # full commutativity, across every pair of points regardless of relation
-    worst_comm, comm_wit = 0.0, ""
-    for a, b in itertools.combinations(site.points, 2):
-        for x, y in itertools.product(
-            model.spaces.outcomes(a), model.spaces.outcomes(b)
-        ):
-            pa, pb = model.atoms[a][x], model.atoms[b][y]
-            r = opnorm(pa @ pb - pb @ pa)
-            if r > worst_comm:
-                worst_comm, comm_wit = r, f"[{x!r}@{a!r}, {y!r}@{b!r}]"
+    worst_comm, comm_wit = atom_commutators(model, itertools.combinations(site.points, 2))
     if worst_comm > config.commutativity_tol:
         witness = _interference_obstruction(model, site, config) or (
             f"commutator {comm_wit} has norm {worst_comm:.3g}"
@@ -428,7 +420,7 @@ def classical_reduce(
     worst_add = float(np.max(np.abs(np.subtract(lhs, sums)), initial=0.0))
 
     # marginal consistency against every one-point-removed sub-site
-    worst_marg = 0.0
+    gaps = []
     if len(pts) > 1:
         for drop in range(len(pts)):
             sub_pts = pts[:drop] + pts[drop + 1:]
@@ -436,8 +428,8 @@ def classical_reduce(
                 EventWord.from_dict({t: {x} for t, x in zip(sub_pts, traj)}, model.spaces)
                 for traj in itertools.product(*outs[:drop], *outs[drop + 1:])
             ])
-            summed = mass.sum(axis=drop).ravel()
-            worst_marg = max(worst_marg, float(np.max(np.abs(direct - summed))))
+            gaps.append(np.max(np.abs(direct - mass.sum(axis=drop).ravel())))
+    worst_marg = linalg.worst(gaps)[0]
 
     return ClassicalReduction(
         measure=measure,
@@ -508,11 +500,11 @@ def interference_witness(
     ]
     base = _probabilities(model, site, later_words)
     split = iter(_probabilities(model, site, split_words))
-    worst = 0.0
+    gaps = []
     for b in base:
         for parts in partitions:
             summed = 0.0
             for _ in parts:
                 summed += next(split)
-            worst = max(worst, abs(b - summed))
-    return worst
+            gaps.append(abs(b - summed))
+    return linalg.worst(gaps)[0]

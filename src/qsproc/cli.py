@@ -165,6 +165,13 @@ def _load_model_site(model_path: str, site_path: str):
     for t in site.points:
         if t not in model.spaces.spaces:
             raise InputError(f"no outcome space declared at point {t!r}")
+    points = set(site.points)
+    for name, blocks in (("unit 'p'", model.units_p), ("unit 'i'", model.units_i),
+                         ("algebra", model.algebra)):
+        for k in blocks:
+            if not k <= points:
+                raise InputError(f"{name} block {sorted(k)} names point "
+                                 f"{min(k - points)!r}, which is not in the site")
     return model, site, sym
 
 

@@ -119,22 +119,23 @@ def check_wide_equivalence(
 
 
 def _compare_tables(m1: HilbertModel, m2: HilbertModel, site: CausalSite, words, tol):
-    """Blockwise comparison of the two models' kernel tables, once models
-    whose initial spaces differ are refused; with the verdict, each model's
-    product columns (`linalg.side_by_side`) and the first one's Gram matrix
-    over (word, initial-basis) pairs, whose blocks are the kernel values."""
+    """Blockwise comparison of the two models' kernel tables (`pair_blocks`),
+    once models whose initial spaces differ are refused; with the verdict,
+    each model's product columns and, in C order, the adjoint of the first
+    one's Gram matrix, whose Hermitian part (all a factor reads) is the same."""
     if m1.kdim != m2.kdim:
         raise ValueError(
             f"initial spaces differ ({m1.kdim} vs {m2.kdim}); the tables are "
             "not comparable"
         )
-    cols = [linalg.side_by_side(m.products(site, words)) for m in (m1, m2)]
-    grams = [dagger(x) @ x for x in cols]
-    n, k = len(words), m1.kdim
-    diff = (grams[0] - grams[1]).reshape(n, k, n, k).transpose(0, 2, 1, 3)
-    worst, at = linalg.worst_block(diff)
+    stacks = [m.products(site, words) for m in (m1, m2)]
+    tables = [linalg.pair_blocks(f) for f in stacks]
+    worst, at = linalg.worst_block(tables[0] - tables[1])
     witness = "" if at is None else f"pair (word {at[0]}, word {at[1]})"
-    return EquivalenceVerdict(worst <= tol, worst, witness, tol), cols, grams[0]
+    order = len(words) * m1.kdim
+    gram = dagger(tables[0].transpose(0, 2, 1, 3).reshape(order, order))
+    verdict = EquivalenceVerdict(worst <= tol, worst, witness, tol)
+    return verdict, [linalg.side_by_side(f) for f in stacks], gram
 
 
 @dataclass(eq=False)
@@ -208,40 +209,34 @@ def build_unitary(
 
 
 def _measure_morphism(u, m_small, m_big, site, tol) -> ModelMorphism:
-    iso = opnorm(dagger(u) @ u - np.eye(m_small.dim))
-    ev, al, sy = _relation_residuals(m_small, m_big, u, site)
-    return ModelMorphism(
-        u=u,
-        isometry_residual=float(iso),
-        event_residual=float(ev),
-        algebra_residual=float(al),
-        symmetry_residual=float(sy),
-        tolerance=tol,
-    )
-
-
-def _relation_residuals(m_small, m_big, u, site):
-    """Residuals of the modeling relations: events, algebra, symmetry."""
-    ev = 0.0
+    """`u` with the residuals of the modeling relations: isometry, events,
+    algebra, symmetry."""
+    events = []
     for t in site.points:
         p_small = m_small.unit_p({t})
         for b in subsets(m_small.spaces.outcomes(t)):
             lhs = u @ (m_small.point_projector(t, b) @ p_small)
             rhs = m_big.point_projector(t, b) @ u @ p_small
-            ev = max(ev, opnorm(lhs - rhs))
-    al = 0.0
+            events.append(lhs - rhs)
+    algebra = []
     for k, gens in m_small.algebra.items():
         gens_big = m_big.algebra.get(k, ())
         i_small = m_small.unit_i(k)
         for g_small, g_big in zip(gens, gens_big):
-            al = max(al, opnorm(u @ g_small - g_big @ u @ i_small))
-    sy = 0.0
-    for s, ms in m_small.symmetry.items():
-        if s not in m_big.symmetry:
-            continue
-        v_small, v_big = ms.v, m_big.symmetry[s].v
-        sy = max(sy, opnorm(u @ v_small - v_big @ u))
-    return ev, al, sy
+            algebra.append(u @ g_small - g_big @ u @ i_small)
+    symmetry = [
+        u @ ms.v - m_big.symmetry[s].v @ u
+        for s, ms in m_small.symmetry.items() if s in m_big.symmetry
+    ]
+    ev, al, sy = (linalg.worst(linalg.opnorms(g))[0] for g in (events, algebra, symmetry))
+    return ModelMorphism(
+        u=u,
+        isometry_residual=opnorm(dagger(u) @ u - np.eye(m_small.dim)),
+        event_residual=ev,
+        algebra_residual=al,
+        symmetry_residual=sy,
+        tolerance=tol,
+    )
 
 
 def check_model_relation(
@@ -260,22 +255,17 @@ def check_model_relation(
     """
     tol = config.equivalence_tol
     morphism = _measure_morphism(np.asarray(u, dtype=COMPLEX), m_small, m_big, site, tol)
-    if site_sym is not None:
-        extra = _symmetry_unit_residual(m_small, site, site_sym)
-        morphism = dataclasses.replace(
-            morphism, symmetry_residual=max(morphism.symmetry_residual, extra)
-        )
-    return morphism
-
-
-def _symmetry_unit_residual(model: HilbertModel, site: CausalSite, site_sym: SiteSymmetry):
-    """Transported-unit consistency of the model's own symmetry family."""
-    worst = 0.0
-    for s, ms in model.symmetry.items():
-        pmap = dict(site_sym.maps.get(s, {}))
-        for t, st in pmap.items():
-            i_t, i_st = model.unit_i({t}), model.unit_i({st})
-            p_t, p_st = model.unit_p({t}), model.unit_p({st})
-            worst = max(worst, opnorm(ms.v @ i_t - i_st @ ms.v @ i_t))
-            worst = max(worst, opnorm(ms.v @ p_t - p_st @ ms.v @ p_t))
-    return worst
+    if site_sym is None:
+        return morphism
+    # transported-unit consistency of the small model's own symmetry family
+    gaps = []
+    for s, ms in m_small.symmetry.items():
+        for t, st in dict(site_sym.maps.get(s, {})).items():
+            i_t, i_st = m_small.unit_i({t}), m_small.unit_i({st})
+            p_t, p_st = m_small.unit_p({t}), m_small.unit_p({st})
+            gaps.append(ms.v @ i_t - i_st @ ms.v @ i_t)
+            gaps.append(ms.v @ p_t - p_st @ ms.v @ p_t)
+    extra = linalg.worst(linalg.opnorms(gaps))[0]
+    return dataclasses.replace(
+        morphism, symmetry_residual=max(morphism.symmetry_residual, extra)
+    )

@@ -79,6 +79,10 @@ class KernelOracle:
                 f"dimension {self.kdim}"
             )
         self.table = t
+        for s, sym in self.symmetry.items():
+            if np.shape(sym.u) != (self.kdim, self.kdim):
+                raise ValueError(f"symmetry {s!r} u has shape {np.shape(sym.u)}, "
+                                 f"not {self.kdim}x{self.kdim}")
         if self.symmetry:
             maps = {s: sym.point_map for s, sym in self.symmetry.items()}
             require_symmetry(self.site, SiteSymmetry(tuple(maps), maps, {}))

@@ -7,7 +7,7 @@ intersections), never iteratively.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,17 +22,36 @@ def asmatrix(a) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return np.conjugate(np.transpose(a))
+    """Adjoint of a matrix, or of each matrix of a stack."""
+    return np.conjugate(np.swapaxes(a, -1, -2))
 
 
 def opnorm(a) -> float:
     """Operator norm (largest singular value); 0.0 for empty matrices."""
-    a = np.atleast_2d(np.asarray(a, dtype=COMPLEX))
-    if a.size == 0:
-        return 0.0
-    if a.size == 1:
-        return float(abs(a[0, 0]))
-    return float(np.linalg.norm(a, 2))
+    return float(opnorms(np.atleast_2d(np.asarray(a, dtype=COMPLEX))[None])[0])
+
+
+def opnorms(stack) -> np.ndarray:
+    """Operator norms of a stack of matrices, by one batched SVD; the
+    modulus for 1 x 1 matrices, which a batched SVD does not reproduce."""
+    a = np.asarray(stack, dtype=COMPLEX)
+    if not a.size:
+        return np.zeros(len(a))
+    if a.shape[-2:] == (1, 1):
+        return np.hypot(a.real, a.imag)[..., 0, 0]
+    return np.linalg.norm(a, 2, axis=(-2, -1))
+
+
+def worst(residuals, witness: Callable[[int], str] | None = None) -> tuple[float, str]:
+    """The first strict maximum of `residuals` and `witness` of its index
+    alone ("" without one), as a sweep keeping each residual above the
+    running worst finds them; (0.0, "") when no residual is positive."""
+    r = np.asarray(residuals, dtype=float).ravel()
+    r = np.where(r > 0.0, r, 0.0)  # NaN is never above the running worst
+    if not r.any():
+        return 0.0, ""
+    i = int(np.argmax(r))
+    return float(r[i]), witness(i) if witness else ""
 
 
 def side_by_side(stack: np.ndarray) -> np.ndarray:
@@ -43,8 +62,12 @@ def side_by_side(stack: np.ndarray) -> np.ndarray:
 
 def pair_blocks(stack: np.ndarray) -> np.ndarray:
     """Inner products ``F_i* F_j`` of every pair of a (n, rows, k) stack, as
-    an (n, n, k, k) array."""
-    return np.einsum("iak,jal->ijkl", np.conjugate(stack), stack, optimize=True)
+    an (n, n, k, k) view of the GEMM ``X^T conj(X)`` of its side-by-side
+    columns X: the Gram matrix ``X* X`` transposed, in the operand order
+    whose rounding the einsum ``iak,jal->ijkl`` had at any thread count."""
+    n, _, k = stack.shape
+    x = side_by_side(stack)
+    return (x.T @ np.conjugate(x)).reshape(n, k, n, k).transpose(2, 0, 3, 1)
 
 
 def worst_block(blocks: np.ndarray) -> tuple[float, tuple[int, int] | None]:
@@ -67,11 +90,11 @@ def worst_block(blocks: np.ndarray) -> tuple[float, tuple[int, int] | None]:
     return float(norms[best]), (int(rows[best]), int(cols[best]))
 
 
-def projector_defect(p: np.ndarray) -> float:
-    """How far `p` is from being an orthogonal projector: max of the
-    idempotence and Hermiticity residuals in operator norm."""
-    p = asmatrix(p)
-    return max(opnorm(p @ p - p), opnorm(p - dagger(p)))
+def projector_defect(p: np.ndarray) -> np.ndarray:
+    """How far each matrix of a stack is from being an orthogonal projector:
+    max of the idempotence and Hermiticity residuals in operator norm."""
+    p = np.asarray(p, dtype=COMPLEX)
+    return np.maximum(opnorms(p @ p - p), opnorms(p - dagger(p)))
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:

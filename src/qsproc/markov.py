@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .config import RunConfig
-from .linalg import COMPLEX, dagger, opnorm
+from .linalg import COMPLEX, dagger
 from .models import CheckEntry, HilbertModel, ModelReport
 from .sites import CausalSite, SiteClasses, derive_classes
 from .words import (
@@ -143,34 +143,30 @@ def check_dynamicity(
     """
     classes = classes or derive_classes(site)
     tol = config.membership_tol
-    entries = []
-    worst_m, wit_m = 0.0, ""
-    worst_w, wit_w = 0.0, ""
+    dists, comms, at, comm_at = [], [], [], []
     for l in classes.maximal_antichains:
         e_l = slice_projector(model, classes, l, config)
         alg = slice_algebra(model, classes, l, e_l)
+        own = [(x, t, e_l @ model.atoms[t][x] @ e_l)
+               for t in sorted(l, key=site.index) for x in model.spaces.outcomes(t)]
         for lp in classes.maximal_antichains:
             if not classes.subset_le(l, lp):
                 continue
             for ev in _slice_events(model, site, lp):
-                op = model.block_projector(site, ev)
-                compressed = e_l @ op @ e_l
-                d = alg.membership_distance(compressed)
-                if d > worst_m:
-                    worst_m, wit_m = d, (
-                        f"event {event_label(ev)} compressed to slice {sorted(l)}"
-                    )
-                for t in sorted(l, key=site.index):
-                    for x in model.spaces.outcomes(t):
-                        own = e_l @ model.atoms[t][x] @ e_l
-                        c = opnorm(compressed @ own - own @ compressed)
-                        if c > worst_w:
-                            worst_w, wit_w = c, (
-                                f"[{event_label(ev)} compressed, atom {x!r}@{t!r}]"
-                            )
-    entries.append(CheckEntry("dynamicity", worst_m, wit_m, tol))
-    entries.append(CheckEntry("weak_commutativity", worst_w, wit_w, tol))
-    return ModelReport(tuple(entries))
+                compressed = e_l @ model.block_projector(site, ev) @ e_l
+                dists.append(alg.membership_distance(compressed))
+                at.append((ev, l))
+                comms.extend(compressed @ o - o @ compressed for _, _, o in own)
+                comm_at.extend((ev, x, t) for x, t, _ in own)
+    return ModelReport((
+        CheckEntry("dynamicity", *linalg.worst(dists, lambda i: (
+            f"event {event_label(at[i][0])} compressed to slice {sorted(at[i][1])}"
+        )), tol),
+        CheckEntry("weak_commutativity", *linalg.worst(linalg.opnorms(comms), lambda i: (
+            "[{} compressed, atom {!r}@{!r}]"
+            .format(event_label(comm_at[i][0]), *comm_at[i][1:])
+        )), tol),
+    ))
 
 
 def _slice_events(model: HilbertModel, site: CausalSite, l):
@@ -234,29 +230,26 @@ def check_regression(
     basis = {
         l: slice_algebra(model, classes, l, e_proj[l]).basis_operators() for l in slices
     }
-    worst_c, wit_c = 0.0, ""
+    # each theta read on K and on every slice up to its own: the two kinds
+    # differ in shape, so their norms are taken apart and merged in order
+    on_k, on_slice, at = [], [], []
     for i, l in enumerate(slices):
-        for j in range(i, len(slices)):
-            lp = slices[j]
+        for lp in slices[i:]:
             for a in basis[lp]:
                 theta = e_proj[l] @ a @ e_proj[l]
-                lhs = dagger(emb) @ theta @ emb
-                rhs = dagger(emb) @ a @ emb
-                r = opnorm(lhs - rhs)
-                if r > worst_c:
-                    worst_c, wit_c = r, (
-                        f"initial compression through slice {sorted(l)} of an "
-                        f"operator on slice {sorted(lp)}"
-                    )
-                for i0 in range(i + 1):
-                    l0 = slices[i0]
-                    lhs2 = e_proj[l0] @ theta @ e_proj[l0]
-                    rhs2 = e_proj[l0] @ a @ e_proj[l0]
-                    r2 = opnorm(lhs2 - rhs2)
-                    if r2 > worst_c:
-                        worst_c, wit_c = r2, (
-                            f"compression to slice {sorted(l0)} through {sorted(l)}"
-                        )
+                on_k.append(dagger(emb) @ theta @ emb - dagger(emb) @ a @ emb)
+                at.append((True, l, lp))
+                for l0 in slices[: i + 1]:
+                    e0 = e_proj[l0]
+                    on_slice.append(e0 @ theta @ e0 - e0 @ a @ e0)
+                    at.append((False, l0, l))
+    first = np.array([kind for kind, _, _ in at], dtype=bool)
+    norms = np.empty(len(at))
+    norms[first], norms[~first] = linalg.opnorms(on_k), linalg.opnorms(on_slice)
+    worst_c, wit_c = linalg.worst(norms, lambda i: (
+        "initial compression through slice {} of an operator on slice {}" if at[i][0]
+        else "compression to slice {} through {}"
+    ).format(*map(sorted, at[i][1:])))
     entries.append(CheckEntry("regression_composition", worst_c, wit_c, tol))
     return ModelReport(tuple(entries))
 
@@ -298,6 +291,20 @@ def pointwise_factorization_residual(
     return linalg.worst_block(merged_kernels[index] - direct)[0]
 
 
+def atom_commutators(model: HilbertModel, point_pairs) -> tuple[float, str]:
+    """Largest commutator norm between an atom of the first point and one of
+    the second over the point pairs, with its witness ``[x@t, y@u]``."""
+    comms, at = [], []
+    for t, u in point_pairs:
+        for x, y in itertools.product(model.spaces.outcomes(t), model.spaces.outcomes(u)):
+            a, b = model.atoms[t][x], model.atoms[u][y]
+            comms.append(a @ b - b @ a)
+            at.append((x, t, y, u))
+    return linalg.worst(
+        linalg.opnorms(comms), lambda i: "[{!r}@{!r}, {!r}@{!r}]".format(*at[i])
+    )
+
+
 def check_narrow_commutativity(
     model: HilbertModel,
     site: CausalSite,
@@ -313,27 +320,21 @@ def check_narrow_commutativity(
     if not model.is_narrow(site, config):
         raise ValueError("commutativity is a narrow-sense diagnostic; "
                          "the model has nontrivial unit projectors")
-    entries = []
-    worst, wit = 0.0, ""
-    for l, lp in itertools.product(classes.maximal_antichains, repeat=2):
-        if l == lp or not classes.subset_le(l, lp):
-            continue
-        for t, tp in itertools.product(sorted(l), sorted(lp)):
-            for x, xp in itertools.product(
-                model.spaces.outcomes(t), model.spaces.outcomes(tp)
-            ):
-                a, b = model.atoms[t][x], model.atoms[tp][xp]
-                r = opnorm(a @ b - b @ a)
-                if r > worst:
-                    worst, wit = r, f"[{x!r}@{t!r}, {xp!r}@{tp!r}]"
-    entries.append(CheckEntry("narrow_commutativity", worst, wit, tol))
+    worst, wit = atom_commutators(model, [
+        (t, tp)
+        for l, lp in itertools.product(classes.maximal_antichains, repeat=2)
+        if l != lp and classes.subset_le(l, lp)
+        for t, tp in itertools.product(sorted(l), sorted(lp))
+    ])
+    entries = [CheckEntry("narrow_commutativity", worst, wit, tol)]
 
     if worst <= tol:
         if words is None:
             words = enumerate_words(site, model.spaces, config.policy, config.cap)
-        worst_f = pointwise_factorization_residual(model, site, words)
-        wit_f = "factorization through the pointwise product" if worst_f > 0.0 else ""
-        entries.append(CheckEntry("complete_factorization", worst_f, wit_f, tol))
+        entries.append(CheckEntry("complete_factorization", *linalg.worst(
+            [pointwise_factorization_residual(model, site, words)],
+            lambda _: "factorization through the pointwise product",
+        ), tol))
     return ModelReport(tuple(entries))
 
 
@@ -363,28 +364,12 @@ def check_relaxation(
         l: linalg.projector_onto_columns(c, config.rank_tol) for l, c in columns.items()
     }
     algebras = {l: slice_algebra(model, classes, l, span[l]) for l in span}
-    entries = []
-
-    worst, wit = 0.0, ""
-    for l0 in minimal:
-        e_l0 = span[l0]
-        for l in classes.maximal_antichains:
-            if not classes.subset_le(l0, l):
-                continue
-            for a in algebras[l].basis_operators():
-                r = opnorm(e_l0 @ a @ e_l0 - p0 @ a @ p0)
-                if r > worst:
-                    worst, wit = r, (
-                        f"operator on slice {sorted(l)} compressed to {sorted(l0)}"
-                    )
-    entries.append(CheckEntry("relaxation", worst, wit, tol))
-
-    # limit states must survive replacing the earliest measurements
-    worst_i, wit_i = 0.0, ""
+    gaps, moves, at = [], [], []
     rng = np.random.default_rng(PERTURBATION_SEED)
     for l0 in minimal:
-        perturbed = _rotate_slice_atoms(model, l0, rng)
         e_l0 = span[l0]
+        # limit states must survive replacing the earliest measurements
+        perturbed = _rotate_slice_atoms(model, l0, rng)
         e_l0_pert = linalg.projector_onto_columns(
             _slice_columns(perturbed, site, words, l0), config.rank_tol
         )
@@ -396,16 +381,20 @@ def check_relaxation(
             if not classes.subset_le(l0, l):
                 continue
             for a in algebras[l].basis_operators():
+                gaps.append(e_l0 @ a @ e_l0 - p0 @ a @ p0)
                 base = _limit_states(vecs, e_l0, a)
                 moved = _limit_states(vecs, e_l0_pert, a)
-                r = float(np.max(np.abs(base - moved))) if base.size else 0.0
-                if r > worst_i:
-                    worst_i, wit_i = r, (
-                        f"limit state on slice {sorted(l)} after replacing the "
-                        f"measurements on {sorted(l0)}"
-                    )
-    entries.append(CheckEntry("limit_state_independence", worst_i, wit_i, tol))
-    return ModelReport(tuple(entries))
+                moves.append(float(np.max(np.abs(base - moved))) if base.size else 0.0)
+                at.append((l, l0))
+    return ModelReport((
+        CheckEntry("relaxation", *linalg.worst(linalg.opnorms(gaps), lambda i: (
+            "operator on slice {} compressed to {}".format(*map(sorted, at[i]))
+        )), tol),
+        CheckEntry("limit_state_independence", *linalg.worst(moves, lambda i: (
+            "limit state on slice {} after replacing the measurements on {}"
+            .format(*map(sorted, at[i]))
+        )), tol),
+    ))
 
 
 def _slice_columns(model, site, words, l) -> np.ndarray:

@@ -141,12 +141,9 @@ class HilbertModel:
 
     def is_narrow(self, site: CausalSite, config: RunConfig = RunConfig()) -> bool:
         """Fully normalized: every unit projector is the identity."""
-        tol = config.projector_tol
-        eye = self.identity()
-        for t in site.points:
-            if opnorm(self.point_unit(t) - eye) > tol:
-                return False
-        return all(opnorm(p - eye) <= tol for p in self.units_p.values())
+        units = [self.point_unit(t) for t in site.points] + list(self.units_p.values())
+        gaps = np.reshape(units, (-1, self.dim, self.dim)) - self.identity()
+        return bool((linalg.opnorms(gaps) <= config.projector_tol).all())
 
     # -- chronological products and kernels ---------------------------------
 
@@ -329,46 +326,44 @@ def check_model(
     # same atoms)
     for t in site.points:
         outs = model.spaces.outcomes(t)
-        worst_p, wit_p = 0.0, ""
-        for x in outs:
-            r = linalg.projector_defect(model.atoms[t][x])
-            if r > worst_p:
-                worst_p, wit_p = r, f"atom {x!r} at {t!r}"
-        record("projector", worst_p, wit_p)
-        worst_o, wit_o = 0.0, ""
-        for x, y in itertools.combinations(outs, 2):
-            r = opnorm(model.atoms[t][x] @ model.atoms[t][y])
-            if r > worst_o:
-                worst_o, wit_o = r, f"atoms {x!r},{y!r} at {t!r}"
-        record("orthogonality", worst_o, wit_o)
+        fam = [model.atoms[t][x] for x in outs]
+        record("projector", *linalg.worst(
+            linalg.projector_defect(fam), lambda i: f"atom {outs[i]!r} at {t!r}"
+        ))
+        pairs = list(itertools.combinations(range(len(outs)), 2))
+        record("orthogonality", *linalg.worst(
+            linalg.opnorms([fam[i] @ fam[j] for i, j in pairs]),
+            lambda n: "atoms {!r},{!r} at {!r}".format(*(outs[i] for i in pairs[n]), t),
+        ))
         r = opnorm(model.point_unit(t) - model.unit_p({t}))
-        record("resolution", r, f"sum of the atoms at {t!r}" if r > 0.0 else "")
+        record("resolution", *linalg.worst([r], lambda _: f"sum of the atoms at {t!r}"))
 
     # compatibility across nonanticipatory pairs
-    worst_eq, wit_eq = 0.0, ""
-    worst_ind, wit_ind = 0.0, ""
+    prods, comms, at = [], [], []
     for a, b in itertools.combinations(site.points, 2):
-        rel_eq = site.equivalent(a, b)
-        rel_ind = site.independent(a, b)
-        if not (rel_eq or rel_ind):
+        rel = (site.equivalent(a, b), site.independent(a, b))
+        if not any(rel):
             continue
-        for ba in subsets(model.spaces.outcomes(a)):
-            pa = model.point_projector(a, ba)
-            for bb in subsets(model.spaces.outcomes(b)):
-                pb = model.point_projector(b, bb)
-                prod = pa @ pb
-                r = max(opnorm(prod - pb @ pa), linalg.projector_defect(prod))
-                wit = f"events {sorted(ba)}@{a!r}, {sorted(bb)}@{b!r}"
-                if rel_eq and r > worst_eq:
-                    worst_eq, wit_eq = r, wit
-                if rel_ind and r > worst_ind:
-                    worst_ind, wit_ind = r, wit
-    record("equivalent_compatibility", worst_eq, wit_eq)
-    record("independent_compatibility", worst_ind, wit_ind)
+        for ba, bb in itertools.product(
+            subsets(model.spaces.outcomes(a)), subsets(model.spaces.outcomes(b))
+        ):
+            pa, pb = model.point_projector(a, ba), model.point_projector(b, bb)
+            prods.append(pa @ pb)
+            comms.append(prods[-1] - pb @ pa)
+            at.append((rel, sorted(ba), a, sorted(bb), b))
+    r = np.maximum(linalg.opnorms(comms), linalg.projector_defect(
+        np.reshape(prods, (-1, model.dim, model.dim))
+    ))
+    for j, condition in enumerate(("equivalent", "independent")):
+        record(f"{condition}_compatibility", *linalg.worst(
+            np.where([rel[j] for rel, *_ in at], r, 0.0),
+            lambda i: "events {}@{!r}, {}@{!r}".format(*at[i][1:]),
+        ))
 
     # unit balance on every slice: meet of event units = join of essential units
-    worst_u, wit_u = 0.0, ""
-    for l in classes.maximal_antichains:
+    slices = list(classes.maximal_antichains)
+    gaps = []
+    for l in slices:
         blocks = _blocks_within(classes, l)
         meet = linalg.meet_projectors(
             [model.unit_p(k) for k in blocks] + [eye], config.rank_tol
@@ -377,42 +372,40 @@ def check_model(
             [model.unit_i(k) for k in blocks] + [model.initial_projector()],
             config.rank_tol,
         )
-        r = opnorm(meet - join)
-        if r > worst_u:
-            worst_u, wit_u = r, f"slice {sorted(l)}"
-    record("unit_balance", worst_u, wit_u)
+        gaps.append(meet - join)
+    record("unit_balance", *linalg.worst(
+        linalg.opnorms(gaps), lambda i: f"slice {sorted(slices[i])}"
+    ))
 
     # essential units nondecreasing
-    worst_m, wit_m = 0.0, ""
     keyset = set(model.units_i) | {frozenset({t}) for t in site.points}
-    for k, kp in itertools.product(keyset, repeat=2):
-        if not k or not kp or not classes.subset_le(k, kp):
-            continue
-        ik, ikp = model.unit_i(k), model.unit_i(kp)
-        r = opnorm(ik @ ikp - ik)
-        if r > worst_m:
-            worst_m, wit_m = r, f"{sorted(k)} <= {sorted(kp)}"
-    record("unit_monotone", worst_m, wit_m)
+    pairs = [(k, kp) for k, kp in itertools.product(keyset, repeat=2)
+             if k and kp and classes.subset_le(k, kp)]
+    record("unit_monotone", *linalg.worst(
+        linalg.opnorms([model.unit_i(k) @ model.unit_i(kp) - model.unit_i(k)
+                        for k, kp in pairs]),
+        lambda i: "{} <= {}".format(*map(sorted, pairs[i])),
+    ))
 
     # commutation with controlling algebra generators
-    worst_c, wit_c = 0.0, ""
+    comms, at = [], []
     for k, gens in model.algebra.items():
         for t in k:
             for b in subsets(model.spaces.outcomes(t)):
                 p = model.point_projector(t, b)
-                for gi, g in enumerate(gens):
-                    r = opnorm(p @ g - g @ p)
-                    if r > worst_c:
-                        worst_c, wit_c = r, f"event {sorted(b)}@{t!r} vs generator {gi} of {sorted(k)}"
-    record("algebra_commutation", worst_c, wit_c)
+                comms.extend(p @ g - g @ p for g in gens)
+                at.extend((sorted(b), t, gi, sorted(k)) for gi in range(len(gens)))
+    record("algebra_commutation", *linalg.worst(
+        linalg.opnorms(comms),
+        lambda i: "event {}@{!r} vs generator {} of {}".format(*at[i]),
+    ))
 
     # symmetry intertwining: V pi(B^s) = pi(st)(B) V P_t
-    worst_s, wit_s = 0.0, ""
+    gaps, at = [], []
     for s, ms in model.symmetry.items():
         v = np.asarray(ms.v, dtype=COMPLEX)
-        r_iso = opnorm(dagger(v) @ v - eye)
-        if r_iso > worst_s:
-            worst_s, wit_s = r_iso, f"isometry of {s!r}"
+        gaps.append(dagger(v) @ v - eye)
+        at.append(("isometry of {!r}", s))
         pmap = dict(site_sym.maps[s]) if site_sym and s in site_sym.maps else {}
         for t, st in pmap.items():
             g = ms.outcome_maps[t]
@@ -420,10 +413,11 @@ def check_model(
                 bs = frozenset(x for x in model.spaces.outcomes(t) if g[x] in b)
                 lhs = v @ model.point_projector(t, bs)
                 rhs = model.point_projector(st, b) @ v @ model.unit_p({t})
-                r = opnorm(lhs - rhs)
-                if r > worst_s:
-                    worst_s, wit_s = r, f"{s!r} at {t!r} with event {sorted(b)}"
-    record("covariance", worst_s, wit_s)
+                gaps.append(lhs - rhs)
+                at.append(("{!r} at {!r} with event {}", s, t, sorted(b)))
+    record("covariance", *linalg.worst(
+        linalg.opnorms(gaps), lambda i: at[i][0].format(*at[i][1:])
+    ))
 
     return ModelReport(tuple(entries))
 

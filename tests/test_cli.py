@@ -855,6 +855,63 @@ class TestMisshapenModel:
             assert captured.err == f"input error: {message}\n", argv
 
 
+class TestBlockOutsideSite:
+    """A `units` or `algebra` block naming a point outside the site is an
+    input error named on one line by every command that reads the model."""
+
+    COMMANDS = TestMalformedMatrix.MODEL_COMMANDS + [
+        ["reconstruct", "M", "--site", "S", "--verify"]
+    ]
+
+    @pytest.mark.parametrize("key", ["zz", "t1,zz"])
+    @pytest.mark.parametrize("kind", ["unit 'p'", "unit 'i'", "algebra"])
+    def test_exits_two_on_one_line(self, tmp_path, capsys, kind, key):
+        model, site = fixtures.qubit_zx()
+        data = json.loads(serialize.dumps(serialize.model_to_json(model)))
+        eye = serialize.matrix_to_json(np.eye(2))
+        if kind == "algebra":
+            data["algebra"] = {key: [eye]}
+        else:
+            data["units"] = {"p": {}, "i": {}, kind[-2]: {key: eye}}
+        files = {
+            "M": write(tmp_path, "model.json", data),
+            "S": write(tmp_path, "site.json", serialize.site_to_json(site)),
+        }
+        message = (
+            f"input error: {kind} block {sorted(key.split(','))} names point 'zz', "
+            "which is not in the site\n"
+        )
+        for cmd in self.COMMANDS:
+            argv = [files.get(a, a) for a in cmd]
+            assert cli.main(argv) == 2, argv
+            assert capsys.readouterr() == ("", message), argv
+
+
+class TestMisshapenTableSymmetry:
+    """A table symmetry whose `u` is not kdim x kdim is refused when the
+    table is read, naming the element."""
+
+    def table(self):
+        model, site, sym = fixtures.galilean_shift_fixture()
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces), site_sym=sym)
+        data = json.loads(serialize.dumps(serialize.oracle_to_json(oracle)))
+        assert data["kdim"] == 1
+        data["symmetry"]["s1"]["u"] = serialize.matrix_to_json(np.eye(2))
+        return data
+
+    def test_reader_refuses(self):
+        with pytest.raises(ValueError, match=r"symmetry 's1' u has shape \(2, 2\), not 1x1"):
+            serialize.oracle_from_json(self.table())
+
+    def test_reconstruct_exits_two(self, tmp_path, capsys):
+        path = write(tmp_path, "table.json", self.table())
+        for argv in (["reconstruct", path], ["reconstruct", path, "--verify"]):
+            assert cli.main(argv) == 2, argv
+            assert capsys.readouterr() == (
+                "", "input error: symmetry 's1' u has shape (2, 2), not 1x1\n"
+            )
+
+
 # -- adversarial tables ---------------------------------------------------------
 
 QUBIT_TABLE = json.loads(serialize.dumps(serialize.oracle_to_json(qubit_table())))

@@ -82,6 +82,18 @@ def test_matches_dense_reference(name):
     assert factor.residual <= 1e-13 * top
 
 
+@pytest.mark.parametrize("name", list(CASES))
+def test_adjoint_gives_the_same_factor(name):
+    # the factor reads only the Hermitian part, which G and G* share bit for
+    # bit; `build_unitary` factors the C-ordered adjoint of a transposed view
+    gram = case_oracle(name).gram()
+    factor, adjoint = linalg.psd_eigencut(gram, 1e-9), linalg.psd_eigencut(
+        linalg.dagger(gram), 1e-9
+    )
+    for got, expected in zip(adjoint, factor):
+        assert np.array_equal(got, expected)
+
+
 def test_vectors_orthonormal_and_phase_fixed():
     factor = linalg.psd_eigencut(case_oracle("random_valid_model(2)").gram(), 1e-9)
     v = factor.vectors

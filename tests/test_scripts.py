@@ -56,8 +56,8 @@ def test_cli_sweep_is_deterministic(tmp_path):
 
 
 def test_cli_sweep_raises_nothing(tmp_path):
-    # every input, the malformed model among them: each run ends in an
-    # exit code, never in an exception
+    # every input, the malformed ones among them: each run ends in an exit
+    # code, never in an exception
     out = tmp_path / "sweep.json"
     done = run_script("cli_sweep.py", str(out))
     assert done.returncode == 0, done.stderr
@@ -65,3 +65,13 @@ def test_cli_sweep_raises_nothing(tmp_path):
     assert [r["argv"] for r in runs if r["exit"] == "traceback"] == []
     malformed = [r for r in runs if "galilean_bad_v_model.json" in r["argv"]]
     assert malformed and all(r["exit"] == 2 for r in malformed)
+    # the two inputs swept last: a units block at a point outside the site
+    # under nine model commands, a 2x2 table symmetry u for kdim 1 under
+    # reconstruct [--verify], four flag sets each
+    stray = [r for r in runs if "qubit_stray_units_model.json" in r["argv"]]
+    bad_u = [r for r in runs if "galilean_bad_u_table.json" in r["argv"]]
+    assert (len(stray), len(bad_u)) == (4 * 9, 4 * 2)
+    assert runs[-len(stray) - len(bad_u):] == [
+        r for r in runs if r in stray or r in bad_u
+    ]
+    assert all(r["exit"] == 2 for r in stray + bad_u)
