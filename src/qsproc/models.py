@@ -164,26 +164,19 @@ class HilbertModel:
         self,
         site: CausalSite,
         words: Sequence[EventWord],
-        base: Iterable[str] | None = None,
     ) -> np.ndarray:
         """Chronologically ordered products of each word's block projectors
         applied to the initial embedding (earliest applied first), stacked
         word-major: shape ``(len(words), dim, kdim)``.
 
-        With a `base` block each product starts from that block's
-        essential-space unit instead of the embedding (shape
-        ``(len(words), dim, dim)``) and applies each block's essential unit
-        after its projector, the form taken by the relaxed normalization.
-
         Shared across the list: one chain decomposition per distinct support,
         one block operator per block event, and one product per shared
         chronological prefix (a trie keyed by block events).
         """
-        start = self.embedding if base is None else self.unit_i(base)
-        out = np.empty((len(words), self.dim, start.shape[1]), dtype=COMPLEX)
+        out = np.empty((len(words), self.dim, self.kdim), dtype=COMPLEX)
         chains: dict[tuple, tuple] = {}
         ops: dict[Event, np.ndarray] = {}
-        root: tuple[np.ndarray, dict] = (start, {})
+        root: tuple[np.ndarray, dict] = (self.embedding, {})
         for n, word in enumerate(words):
             blocks = chains.get(word.support)
             if blocks is None:
@@ -195,10 +188,7 @@ class HilbertModel:
                 if child is None:
                     op = ops.get(ev)
                     if op is None:
-                        op = self.block_projector(site, ev)
-                        if base is not None:
-                            op = self.unit_i(block) @ op
-                        ops[ev] = op
+                        op = ops[ev] = self.block_projector(site, ev)
                     child = node[1][ev] = (op @ node[0], {})
                 node = child
             out[n] = node[0]
@@ -378,7 +368,10 @@ def check_model(
     ))
 
     # essential units nondecreasing
-    keyset = set(model.units_i) | {frozenset({t}) for t in site.points}
+    keyset = sorted(
+        set(model.units_i) | {frozenset({t}) for t in site.points},
+        key=lambda k: sorted(map(site.index, k)),
+    )
     pairs = [(k, kp) for k, kp in itertools.product(keyset, repeat=2)
              if k and kp and classes.subset_le(k, kp)]
     record("unit_monotone", *linalg.worst(

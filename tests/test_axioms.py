@@ -1,5 +1,7 @@
 """The axiom battery on kernel oracles."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -218,13 +220,16 @@ class TestProjectivity:
         assert check.status == PASS
         assert check.residual < 1e-10
 
-    def test_sampled_comparison_is_reported(self, qubit_oracle):
-        n = len(qubit_oracle.words)
-        assert n == 16
-        sampled = check_projectivity(qubit_oracle, pair_cap=4)
-        assert sampled.status == PASS
-        assert sampled.witness.endswith("sampled 4 of 16 words")
-        assert "sampled" not in check_projectivity(qubit_oracle).witness
+    def test_model_comparison_reads_no_word(self, qubit_oracle):
+        # the nesting identity reads the model, the site and its classes
+        # alone: no word list, so no sample and no cost in the word count
+        bare = types.SimpleNamespace(
+            model=qubit_oracle.model, site=qubit_oracle.site,
+            classes=qubit_oracle.classes,
+        )
+        check = check_projectivity(qubit_oracle)
+        assert check_projectivity(bare) == check
+        assert check.status == PASS and "sampled" not in check.witness
 
     def test_wide_model_compressions(self):
         from qsproc.equivalence import minimal_modification

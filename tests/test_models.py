@@ -1,10 +1,15 @@
 """Measurement models: chronological products, kernels, validation."""
 
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qsproc
 from qsproc import fixtures, linalg
 from qsproc.bridges import _probabilities, classical_reduce, interference_witness
 from qsproc.models import HilbertModel, check_model
@@ -305,6 +310,31 @@ class TestCheckModel:
         broken, siteb, symb = fixtures.galilean_shift_fixture(broken=True)
         report_b = check_model(broken, siteb, site_sym=symb)
         assert any(e.condition == "covariance" for e in report_b.violations())
+
+    def test_unit_monotone_witness_independent_of_hash_seed(self):
+        # the compared unit blocks are frozensets, whose set order follows
+        # the string-hash seed; the residuals below tie
+        script = (
+            "from qsproc import fixtures\n"
+            "from qsproc.equivalence import minimal_modification\n"
+            "from qsproc.models import check_model\n"
+            "model, site, _ = fixtures.galilean_shift_fixture()\n"
+            "entry = check_model(minimal_modification(model, site), site)"
+            ".worst('unit_monotone')\n"
+            "print(repr(entry.residual), entry.witness)\n"
+        )
+        src = str(pathlib.Path(qsproc.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        seen = {
+            subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True,
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+                check=True, timeout=300,
+            ).stdout
+            for seed in ("1", "2")
+        }
+        assert len(seen) == 1
+        assert seen.pop().split(" ", 1)[1] == "['g0'] <= ['g1']\n"
 
 
 class TestNarrowFlag:

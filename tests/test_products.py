@@ -5,21 +5,28 @@ batched code replaced; they are kept here so that the batched code is held to
 them.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from qsproc import fixtures
+from qsproc.config import RunConfig
 from qsproc.equivalence import minimal_modification
-from qsproc.kernels import FAIL, _word_label, check_covariance, check_projectivity
+from qsproc.kernels import (
+    FAIL,
+    PASS,
+    _word_label,
+    check_covariance,
+    check_projectivity,
+)
 from qsproc.linalg import dagger, opnorm
 from qsproc.markov import (
     _ordered_slices,
     check_regression,
     slice_projector,
 )
-from qsproc.models import HilbertModel
 from qsproc.sites import chain_site, derive_classes
 from qsproc.words import (
     Event,
@@ -50,16 +57,16 @@ def reference_projectivity(oracle, pair_cap=64):
     model, site = oracle.model, oracle.site
     blocks = [frozenset()] + [frozenset({t}) for t in site.points]
     sample = oracle.words[:: max(1, len(oracle.words) // pair_cap)]
+    kernels = {}
+    for b in blocks:
+        f = np.stack([reference_product(model, site, w, b, True) for w in sample])
+        kernels[b] = np.einsum("arp,brq->abpq", np.conjugate(f), f)
     worst, witness = 0.0, ""
     for k, j in itertools.product(blocks, repeat=2):
         if not oracle.classes.subset_le(k, j) or k == j:
             continue
         ik = model.unit_i(k)
-        fj = np.stack([reference_product(model, site, w, j, True) for w in sample])
-        fk = np.stack([reference_product(model, site, w, k, True) for w in sample])
-        kj = np.einsum("arp,brq->abpq", np.conjugate(fj), fj)
-        kk = np.einsum("arp,brq->abpq", np.conjugate(fk), fk)
-        diff = np.einsum("pr,abrs,sq->abpq", ik, kj, ik) - kk
+        diff = np.einsum("pr,abrs,sq->abpq", ik, kernels[j], ik, optimize=True) - kernels[k]
         entry_max = np.abs(diff).max(axis=(2, 3))
         top = float(entry_max.max())
         dim = diff.shape[-1]
@@ -73,6 +80,55 @@ def reference_projectivity(oracle, pair_cap=64):
                     f"({_word_label(sample[a])}, {_word_label(sample[b])})"
                 )
     return worst, witness
+
+
+def word_operator(model, site, word):
+    """P_w: the word's block projectors, each followed by its block's
+    essential unit, applied to the identity.  Every base's product is
+    ``P_w`` times the base's unit."""
+    out = model.identity()
+    for block in site.chain_decompose(word.support):
+        ev = Event.from_dict({t: word.factor(t, model.spaces) for t in block})
+        out = model.unit_i(block) @ model.block_projector(site, ev) @ out
+    return out
+
+
+def unit_gap_bound(model, site):
+    """The largest ``|L| |I_k| + |I_k| |R| + |L| |R|`` over the compared base
+    pairs k < j, with ``L = I_j I_k* - I_k`` and ``R = I_j I_k - I_k``, and
+    its pair (k, j): times ``max_w |P_w|^2`` it bounds every block of the
+    compression from j to k, ``L* M I_k + I_k* M R + L* M R`` with
+    ``|M| = |P_a* P_b|``."""
+    classes = derive_classes(site)
+    blocks = [frozenset()] + [frozenset({t}) for t in site.points]
+    bound, at = 0.0, None
+    for k, j in itertools.product(blocks, repeat=2):
+        if k == j or not classes.subset_le(k, j):
+            continue
+        ik, ij = model.unit_i(k), model.unit_i(j)
+        l, r, u = opnorm(ij @ dagger(ik) - ik), opnorm(ij @ ik - ik), opnorm(ik)
+        if l * u + u * r + l * r > bound:
+            bound, at = l * u + u * r + l * r, (k, j)
+    return bound, at
+
+
+def word_norm(model, site, words):
+    """``max_w |P_w|`` over `words`."""
+    return max(opnorm(word_operator(model, site, w)) for w in words)
+
+
+def perturbed_units(model, blocks, scale=0.1, seed=3):
+    """`model` with the essential unit of each point in `blocks` moved off
+    the projectors by `scale` times a seeded complex Gaussian matrix."""
+    rng = np.random.default_rng(seed)
+    units_i = dict(model.units_i)
+    for block in blocks:
+        key = frozenset({block})
+        units_i[key] = model.unit_i(key) + scale * (
+            rng.standard_normal((model.dim, model.dim))
+            + 1j * rng.standard_normal((model.dim, model.dim))
+        )
+    return dataclasses.replace(model, units_i=units_i)
 
 
 def reference_regression(model, site, words):
@@ -139,17 +195,12 @@ def test_products_match_per_word_reference(name):
     else:
         model, site = fixtures.random_valid_model(int(name[len("random"):]))
     words = enumerate_words(site, model.spaces)
-    bases = [None, frozenset()] + [frozenset({t}) for t in site.points]
-    for base in bases:
-        # a base also interleaves the essential units
-        got = model.products(site, words, base=base)
-        ref = np.stack([
-            reference_product(model, site, w, base, base is not None) for w in words
-        ])
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= TOL
-        one = model.products(site, words[-1:], base=base)[0]
-        assert np.max(np.abs(one - ref[-1])) <= TOL
+    got = model.products(site, words)
+    ref = np.stack([reference_product(model, site, w) for w in words])
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= TOL
+    one = model.products(site, words[-1:])[0]
+    assert np.max(np.abs(one - ref[-1])) <= TOL
 
 
 def test_products_of_no_words():
@@ -200,23 +251,85 @@ def test_regression_matches_pair_formula(seed):
 @pytest.mark.parametrize("block", ["t1", "t2"])
 def test_perturbed_unit_fails_with_the_same_witness(block):
     small, site = wide_model()
-    rng = np.random.default_rng(3)
-    units_i = dict(small.units_i)
-    key = frozenset({block})
-    units_i[key] = units_i[key] + 0.1 * (
-        rng.standard_normal((small.dim, small.dim))
-        + 1j * rng.standard_normal((small.dim, small.dim))
-    )
-    bad = HilbertModel(
-        dim=small.dim, embedding=small.embedding, atoms=small.atoms,
-        spaces=small.spaces, units_p=small.units_p, units_i=units_i,
-    )
-    oracle = bad.kernel_table(site, enumerate_words(site, bad.spaces))
-    worst, witness = reference_projectivity(oracle)
+    bad = perturbed_units(small, [block])
+    words = enumerate_words(site, bad.spaces)
+    oracle = bad.kernel_table(site, words)
+    worst, witness = reference_projectivity(oracle, pair_cap=len(words))
     check = check_projectivity(oracle)
     assert check.status == FAIL
-    assert abs(check.residual - worst) <= TOL * max(1.0, worst)
-    assert check.witness == witness
+    # the identity names the base pair of the worst block, not a word pair
+    assert witness.startswith(check.witness + " on pair ")
+    assert worst <= word_norm(bad, site, words) ** 2 * check.residual
+
+
+UNIT_MODELS = {
+    **{f"random_valid_model({s})": (lambda s=s: fixtures.random_valid_model(s))
+       for s in range(12)},
+    "tensor_chain(3)": lambda: fixtures.tensor_chain(3, canonical=False),
+    **{name: getattr(fixtures, name) for name in (
+        "qubit_zx", "qubit_xz", "ancilla_correlated", "commuting_diagonal",
+        "diagonal_kdim2", "controlled_kdim2", "galilean_shift_fixture",
+    )},
+    "wide": wide_model,
+}
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("name", sorted(UNIT_MODELS))
+def test_base_products_are_the_word_operator_times_the_unit(name, perturbed):
+    model, site = UNIT_MODELS[name]()[:2]
+    if perturbed:
+        model = perturbed_units(model, site.points)
+    for w in enumerate_words(site, model.spaces):
+        op = word_operator(model, site, w)
+        for base in [frozenset()] + [frozenset({t}) for t in site.points]:
+            got = reference_product(model, site, w, base, True)
+            assert np.max(np.abs(got - op @ model.unit_i(base))) <= TOL * max(
+                1.0, float(np.abs(op).max())
+            )
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("name", sorted(UNIT_MODELS))
+def test_exhaustive_projectivity_within_the_unit_bound(name, perturbed):
+    model, site, *sym = UNIT_MODELS[name]()
+    if perturbed:
+        model = perturbed_units(model, site.points)
+    words = enumerate_words(site, model.spaces)
+    oracle = model.kernel_table(site, words, site_sym=sym[0] if sym else None)
+    worst, _ = reference_projectivity(oracle, pair_cap=len(words))
+    check = check_projectivity(oracle)
+    bound, at = unit_gap_bound(model, site)
+    assert abs(check.residual - bound) <= TOL * max(1.0, bound)
+    if at is not None:
+        assert check.witness == "compression from base {} to {}".format(
+            sorted(at[1]), sorted(at[0])
+        )
+    assert worst <= word_norm(model, site, words) ** 2 * check.residual + TOL
+    if not perturbed:
+        tol = RunConfig().axiom_tol
+        assert worst < tol and check.residual < tol
+    else:
+        assert check.status == FAIL
+
+
+@pytest.mark.parametrize("factor", [0.8, 1.25])
+def test_projectivity_near_the_tolerance(factor):
+    # a unit moved off the projectors just enough to put the residual at
+    # `factor` times the tolerance; a pass still bounds every block
+    small, site = wide_model()
+    tol = RunConfig().axiom_tol
+    words = enumerate_words(site, small.spaces)
+    slope = unit_gap_bound(perturbed_units(small, ["t1"], scale=tol), site)[0] / tol
+    bad = perturbed_units(small, ["t1"], scale=factor * tol / slope)
+    oracle = bad.kernel_table(site, words)
+    check = check_projectivity(oracle)
+    assert abs(check.residual / tol - factor) < 0.01
+    assert check.status == (FAIL if factor > 1 else PASS)
+    worst, _ = reference_projectivity(oracle, pair_cap=len(words))
+    assert worst <= word_norm(bad, site, words) ** 2 * check.residual + TOL
+    if check.status == PASS:
+        assert worst < tol
 
 
 @pytest.mark.parametrize("broken", [False, True])
