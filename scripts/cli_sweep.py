@@ -18,6 +18,13 @@ block at a point outside its site (every model command exits 2), and the
 Galilean kernel table with a 2x2 symmetry `u` for its 1-dimensional initial
 space (`reconstruct` and `reconstruct --verify` exit 2).
 
+The `REFUSED` inputs come last, after those two: copies of the qubit or
+Galilean model, the qubit kernel table or the field file with one field
+replaced by a string where an object belongs, by an integer field that is
+not a JSON integer in range, or by a table site point without an outcome
+space.  Every command on them exits 2; a model copy runs the nine model
+commands, a table copy `reconstruct [--verify]`, a field copy `lift`.
+
 Every run records its arguments (file names relative to the scratch
 directory), its exit code and the sha256 of its stdout and stderr.  A run
 that raises records the exception's type and message as its stderr and
@@ -56,7 +63,67 @@ EXTRA_MODELS = {
 MALFORMED = "galilean_bad_v"
 STRAY_UNITS, BAD_TABLE = "qubit_stray_units", "galilean_bad_u"
 LATE = (STRAY_UNITS, BAD_TABLE)  # swept after every other input
-INPUTS = FIXTURE_FILES + tuple(EXTRA_MODELS) + (MALFORMED, "field") + LATE
+# swept after LATE: name -> (valid source, path to the replaced field, value)
+REFUSED = {
+    "qubit_projectors_str": ("qubit", ("projectors",), "x"),
+    "qubit_family_str": ("qubit", ("projectors", "t1"), "x"),
+    "galilean_g_str": ("galilean", ("symmetry", "s1", "g"), "x"),
+    "qubit_kdim_float": ("qubit", ("kdim",), 1.5),
+    "qubit_kdim_bool": ("qubit", ("kdim",), True),
+    "qubit_dim_float": ("qubit", ("dim",), 2.5),
+    "qubit_word_str": ("table", ("words", 0), "x"),
+    "qubit_spaceless_point": ("table", ("site",), {
+        "points": ["t1", "t2", "a"],
+        "leq": [[True, True, False], [False, True, False], [False, False, True]],
+    }),
+    "qubit_table_kdim_float": ("table", ("kdim",), 1.5),
+    "qubit_table_kdim_bool": ("table", ("kdim",), True),
+    "qubit_count_negative": ("table", ("site",), {"kind": "chain", "count": -1}),
+    "field_devices_str": ("field", ("devices",), "x"),
+    "field_spaces_str": ("field", ("spaces",), "x"),
+    "field_depth_float": ("field", ("depth",), 2.5),
+    "field_depth_bool": ("field", ("depth",), True),
+}
+INPUTS = (FIXTURE_FILES + tuple(EXTRA_MODELS) + (MALFORMED, "field") + LATE
+          + tuple(REFUSED))
+
+
+def kind(name: str) -> str:
+    """Which files `name` has, and so which commands read it: "field",
+    "table" or "model"."""
+    source = REFUSED.get(name, (name,))[0]
+    if source == "field":
+        return "field"
+    return "table" if source in ("table", BAD_TABLE) else "model"
+
+
+def refused_files(name: str) -> dict[str, dict]:
+    """The files of a `REFUSED` input: its source's, the first with one field
+    replaced."""
+    source, path, value = REFUSED[name]
+    if source == "field":
+        atoms, xi, spaces = fixtures.two_point_field()
+        files = {f"{name}.json": {
+            "depth": 2,
+            "initial": serialize.matrix_to_json(xi[:, None]),
+            "devices": {x: {o: serialize.matrix_to_json(m) for o, m in fam.items()}
+                        for x, fam in atoms.items()},
+            "spaces": {x: list(v) for x, v in spaces.items()},
+        }}
+    elif source == "table":
+        model, site = fixtures.qubit_zx()
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+        files = {f"{name}_table.json": serialize.oracle_to_json(oracle)}
+    else:
+        model, site, sym = (fixtures.qubit_zx() + (None,) if source == "qubit"
+                            else fixtures.galilean_shift_fixture())
+        files = {f"{name}_model.json": serialize.model_to_json(model),
+                 f"{name}_site.json": serialize.site_to_json(site, sym)}
+    node = next(iter(files.values()))
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return files
 
 
 def write_inputs(workdir: pathlib.Path, names) -> None:
@@ -89,6 +156,9 @@ def write_inputs(workdir: pathlib.Path, names) -> None:
         data = serialize.oracle_to_json(model.kernel_table(site, words, site_sym=sym))
         data["symmetry"]["s1"]["u"] = serialize.matrix_to_json(np.eye(2))
         (workdir / f"{BAD_TABLE}_table.json").write_text(serialize.dumps(data))
+    for name in set(names) & set(REFUSED):
+        for file, data in refused_files(name).items():
+            (workdir / file).write_text(serialize.dumps(data))
 
 
 def run(argv: list[str]) -> tuple[dict, str]:
@@ -116,10 +186,10 @@ def sweep(names) -> list[dict]:
     records = []
     for flags in FLAG_SETS:
         for name in names:
-            if name == "field":
-                records.append(run(["lift", "field.json", *flags])[0])
+            if kind(name) == "field":
+                records.append(run(["lift", f"{name}.json", *flags])[0])
                 continue
-            if name == BAD_TABLE:
+            if kind(name) == "table":
                 path = f"{name}_table.json"
                 for verify in ([], ["--verify"]):
                     records.append(run(["reconstruct", path, *verify, *flags])[0])
@@ -160,8 +230,10 @@ def main():
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            records = sweep([n for n in args.inputs if n not in LATE])
+            last = LATE + tuple(REFUSED)
+            records = sweep([n for n in args.inputs if n not in last])
             records += sweep([n for n in args.inputs if n in LATE])
+            records += sweep([n for n in args.inputs if n in REFUSED])
         finally:
             os.chdir(cwd)
     out.write_text(json.dumps({"runs": records}, indent=1) + "\n")

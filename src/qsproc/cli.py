@@ -158,8 +158,6 @@ def _load_model_site(model_path: str, site_path: str):
     try:
         site, sym = serialize.site_from_json(_load_json(site_path))
         model = serialize.model_from_json(_load_json(model_path))
-    except InputError:
-        raise
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(str(exc)) from None
     for t in site.points:
@@ -250,8 +248,6 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
         try:
             oracle = serialize.oracle_from_json(_load_json(args.source))
             oracle.unit_index()  # the initial space sits at the unit word
-        except InputError:
-            raise
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(str(exc)) from None
     try:
@@ -378,12 +374,12 @@ def cmd_lift(args, config: RunConfig) -> int:
     try:
         devices = {
             x: {o: serialize.matrix_from_json(m, f"device {x!r}/{o!r}")
-                for o, m in fam.items()}
-            for x, fam in data["devices"].items()
+                for o, m in serialize.json_object(fam, f"device {x!r}").items()}
+            for x, fam in serialize.json_object(data["devices"], '"devices"').items()
         }
         initial = serialize.matrix_from_json(data["initial"], "initial vector")
-        depth = int(data["depth"])
-        spaces = {x: tuple(v) for x, v in data["spaces"].items()}
+        depth = serialize.json_int(data["depth"], '"depth"', 1)
+        spaces = serialize.spaces_from_json(data["spaces"]).spaces
         model, site, _ = lift_process(devices, initial, depth, spaces)
         words = enumerate_level_words(model, site, config)
     except (KeyError, ValueError, TypeError) as exc:

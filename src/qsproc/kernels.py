@@ -14,7 +14,6 @@ of a violation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -23,7 +22,8 @@ import numpy as np
 
 from . import linalg
 from .config import RunConfig
-from .linalg import COMPLEX, dagger, opnorm
+from .linalg import COMPLEX, opnorm
+from .models import unit_nesting
 from .sites import CausalSite, SiteClasses, SiteSymmetry, require_symmetry
 from .words import (
     Event,
@@ -79,6 +79,8 @@ class KernelOracle:
                 f"dimension {self.kdim}"
             )
         self.table = t
+        if missing := [p for p in self.site.points if p not in self.spaces.spaces]:
+            raise ValueError(f"no outcome space declared at point {missing[0]!r}")
         for s, sym in self.symmetry.items():
             if np.shape(sym.u) != (self.kdim, self.kdim):
                 raise ValueError(f"symmetry {s!r} u has shape {np.shape(sym.u)}, "
@@ -491,43 +493,21 @@ def check_projectivity(
     oracle: KernelOracle, config: RunConfig = RunConfig(), pair_cap: int = 64
 ) -> AxiomCheck:
     """Unit extension invariance, exact in the canonical word encoding, plus,
-    when a realizing model is attached, the consistency of base-compressed
-    kernels across comparable blocks k <= j.
-
-    Every base-compressed product is ``P_w I_b``, with ``I_b = unit_i(b)``
-    and the same ``P_w`` for every base, so block (a, b) of base j
-    compressed to k against base k is ``L* M I_k + I_k* M R + L* M R`` with
-    ``M = P_a* P_b``, ``L = I_j I_k* - I_k`` and ``R = I_j I_k - I_k``.  The
-    residual is the largest ``|L| |I_k| + |I_k| |R| + |L| |R|``: every block,
-    of every word pair, listed or not, is at most ``max_w |P_w|^2`` times it,
-    so a pass bounds every block by the tolerance when the products are
-    contractions.  It vanishes exactly when the bases nest
-    (``I_j I_k = I_j I_k* = I_k``).  It can exceed every block (with
-    projector units the unit word's block is ``-R* R``), so a fail near the
-    tolerance may overstate the kernel gap.  No word is read; `pair_cap` is
-    unused."""
+    with a realizing model, the largest `models.unit_nesting` bound
+    ``|L| |I_k| + |I_k| |R| + |L| |R|`` over the bases k < j: a pass bounds
+    every base-compressed kernel block by the tolerance when the products are
+    contractions.  No word is read; `pair_cap` is unused."""
     tol = config.axiom_tol
     model = oracle.model
     if model is None:
         return AxiomCheck(
-            "projectivity",
-            PASS,
-            0.0,
-            "extension invariance only (no realizing model attached)",
-            tol,
+            "projectivity", PASS, 0.0,
+            "extension invariance only (no realizing model attached)", tol,
         )
     blocks = [frozenset()] + [frozenset({t}) for t in oracle.site.points]
-    pairs = [
-        (k, j) for k, j in itertools.product(blocks, repeat=2)
-        if k != j and oracle.classes.subset_le(k, j)
-    ]
-    mats = []
-    for k, j in pairs:
-        ik, ij = model.unit_i(k), model.unit_i(j)
-        mats += [ij @ dagger(ik) - ik, ik, ij @ ik - ik]
-    l, u, r = linalg.opnorms(mats).reshape(-1, 3).T
+    pairs, l, u, r = unit_nesting(model, oracle.classes, blocks)
     worst, witness = linalg.worst(
-        l * u + u * r + l * r,
+        np.where([k != j for k, j in pairs], l * u + u * r + l * r, 0.0),
         lambda i: "compression from base {} to {}".format(*map(sorted, pairs[i][::-1])),
     )
     return _verdict("projectivity", worst, tol, witness)

@@ -290,10 +290,10 @@ def check_model(
     Checked, with one entry per worst offender of each condition: projector
     property and mutual orthogonality of atoms; resolution of each point unit
     by the point's atoms; compatibility (commutation and product-projector
-    property) at equivalent and independent pairs; monotonicity of the
-    essential units; the unit-balance between event units and essential units
-    on every time slice; commutation with declared algebra generators; and
-    the symmetry intertwining relations.
+    property) at equivalent and independent pairs; nesting of the essential
+    units above the initial projector (`unit_nesting`); the unit-balance
+    between event units and essential units on every time slice; commutation
+    with declared algebra generators; and the symmetry intertwining relations.
     """
     classes = classes or derive_classes(site)
     entries: list[CheckEntry] = []
@@ -367,17 +367,13 @@ def check_model(
         linalg.opnorms(gaps), lambda i: f"slice {sorted(slices[i])}"
     ))
 
-    # essential units nondecreasing
-    keyset = sorted(
-        set(model.units_i) | {frozenset({t}) for t in site.points},
+    # essential units nest above the initial projector
+    pairs, l, _, r = unit_nesting(model, classes, sorted(
+        {frozenset()} | set(model.units_i) | {frozenset({t}) for t in site.points},
         key=lambda k: sorted(map(site.index, k)),
-    )
-    pairs = [(k, kp) for k, kp in itertools.product(keyset, repeat=2)
-             if k and kp and classes.subset_le(k, kp)]
+    ))
     record("unit_monotone", *linalg.worst(
-        linalg.opnorms([model.unit_i(k) @ model.unit_i(kp) - model.unit_i(k)
-                        for k, kp in pairs]),
-        lambda i: "{} <= {}".format(*map(sorted, pairs[i])),
+        np.maximum(l, r), lambda i: "{} <= {}".format(*map(sorted, pairs[i]))
     ))
 
     # commutation with controlling algebra generators
@@ -415,13 +411,31 @@ def check_model(
     return ModelReport(tuple(entries))
 
 
+def unit_nesting(model: HilbertModel, classes: SiteClasses, blocks: Sequence[frozenset]):
+    """The pairs (k, j) of `blocks` with k <= j (k = j too) in product order,
+    and per pair the norms of ``L = I_j I_k* - I_k``, ``I_k`` and
+    ``R = I_j I_k - I_k``, where ``I_k = unit_i(k)`` (the initial projector at
+    the empty block).  L and R vanish exactly when the units nest, and at
+    k = j when the unit is a projector.  Base-compressed products are
+    ``P_w I_b``, so block (a, b) of base j compressed to k against base k is
+    ``L* M I_k + I_k* M R + L* M R`` with ``M = P_a* P_b``: at most
+    ``max_w |P_w|^2 (|L| |I_k| + |I_k| |R| + |L| |R|)``, a bound that can
+    exceed every block (with projector units the unit word's is ``-R* R``)."""
+    units = [model.unit_i(k) for k in blocks]
+    at = [(a, b) for a, b in itertools.product(range(len(blocks)), repeat=2)
+          if classes.subset_le(blocks[a], blocks[b])]
+    mats = [units[b] @ m - units[a] for a, b in at for m in (dagger(units[a]), units[a])]
+    norms = linalg.opnorms(mats + units)  # |I_k| once per block
+    l, r = norms[:len(mats)].reshape(-1, 2).T
+    u = norms[len(mats):][[a for a, _ in at]]
+    return [(blocks[a], blocks[b]) for a, b in at], l, u, r
+
+
 def _blocks_within(classes: SiteClasses, l: frozenset[str]) -> list[frozenset[str]]:
-    """Nonempty nonanticipatory subsets of a slice, kept small by going
-    through the slice's points and classes rather than the full powerset."""
-    site = classes.site
-    pts = sorted(l, key=site.index)
+    """Nonempty subsets of a slice (a slice is an antichain, so each is
+    nonanticipatory), grown through its points in site order."""
     out: list[frozenset[str]] = [frozenset()]
-    for t in pts:
+    for t in sorted(l, key=classes.site.index):
         out.extend([cur | {t} for cur in out])
-    return [k for k in out if k]
+    return out[1:]
 

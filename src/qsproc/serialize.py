@@ -48,6 +48,20 @@ def matrix_from_json(data, name: str) -> np.ndarray:
     return pairs.view(COMPLEX)[..., 0]
 
 
+def json_int(data, name: str, low: int) -> int:
+    """`data` if a JSON integer (not a bool) of at least `low`, else refused."""
+    if isinstance(data, bool) or not isinstance(data, int) or data < low:
+        raise ValueError(f"{name} must be an integer of at least {low}, not {data!r}")
+    return data
+
+
+def json_object(data, name: str) -> Mapping:
+    """`data` if a JSON object, else refused by a `ValueError` naming `name`."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{name} is not a JSON object")
+    return data
+
+
 def block_key(k) -> str:
     return ",".join(sorted(k))
 
@@ -91,8 +105,8 @@ def site_from_json(data: dict) -> tuple[CausalSite, SiteSymmetry | None]:
         raw_compose = entries.pop("compose", data.get("compose", {}))
         maps = {s: dict(entry["map"]) for s, entry in entries.items()}
         compose = {}
-        for a, inner in raw_compose.items():
-            for b, c in inner.items():
+        for a, inner in json_object(raw_compose, '"compose"').items():
+            for b, c in json_object(inner, f'"compose" {a!r}').items():
                 compose[(a, b)] = c
         sym = SiteSymmetry(tuple(maps), maps, compose)
         require_symmetry(site, sym)
@@ -108,10 +122,9 @@ def _geometric_site(data: dict) -> CausalSite:
     if kind == "galilean":
         taus = [_exactify(x) for x in data["coords"]]
         return galilean_site(taus, labels)
-    if kind == "discrete":
-        return discrete_site(labels or [f"p{i}" for i in range(int(data["count"]))])
-    if kind == "chain":
-        return chain_site(labels or [f"p{i}" for i in range(int(data["count"]))])
+    if kind in ("discrete", "chain"):
+        points = labels or [f"p{i}" for i in range(json_int(data["count"], '"count"', 0))]
+        return (discrete_site if kind == "discrete" else chain_site)(points)
     raise ValueError(f"unknown geometric site kind {kind!r}")
 
 
@@ -129,7 +142,7 @@ def spaces_to_json(spaces: OutcomeSpaces) -> dict:
 
 
 def spaces_from_json(data: Mapping) -> OutcomeSpaces:
-    return OutcomeSpaces({t: tuple(v) for t, v in data.items()})
+    return OutcomeSpaces({t: tuple(v) for t, v in json_object(data, '"spaces"').items()})
 
 
 def word_to_json(word: EventWord) -> dict:
@@ -137,7 +150,8 @@ def word_to_json(word: EventWord) -> dict:
 
 
 def word_from_json(data: Mapping, spaces: OutcomeSpaces) -> EventWord:
-    return EventWord.from_dict({t: set(v) for t, v in data.items()}, spaces)
+    factors = json_object(data, f"word {data!r}").items()
+    return EventWord.from_dict({t: set(v) for t, v in factors}, spaces)
 
 
 # -- models -----------------------------------------------------------------------
@@ -178,34 +192,36 @@ def model_to_json(model: HilbertModel) -> dict:
 def model_from_json(data: dict) -> HilbertModel:
     spaces = spaces_from_json(data["spaces"])
     atoms = {
-        t: {x: matrix_from_json(m, f"projector {t!r}/{x!r}") for x, m in fam.items()}
-        for t, fam in data["projectors"].items()
+        t: {x: matrix_from_json(m, f"projector {t!r}/{x!r}")
+            for x, m in json_object(fam, f"projectors {t!r}").items()}
+        for t, fam in json_object(data["projectors"], '"projectors"').items()
     }
-    units = data.get("units", {})
+    units = json_object(data.get("units", {}), '"units"')
     units_p = {
         block_from_key(k): matrix_from_json(m, f"unit 'p'/{k!r}")
-        for k, m in units.get("p", {}).items()
+        for k, m in json_object(units.get("p", {}), "unit 'p'").items()
     }
     units_i = {
         block_from_key(k): matrix_from_json(m, f"unit 'i'/{k!r}")
-        for k, m in units.get("i", {}).items()
+        for k, m in json_object(units.get("i", {}), "unit 'i'").items()
     }
     algebra = {
         block_from_key(k): tuple(
             matrix_from_json(g, f"algebra generator {k!r}/{i}")
             for i, g in enumerate(gens)
         )
-        for k, gens in data.get("algebra", {}).items()
+        for k, gens in json_object(data.get("algebra", {}), '"algebra"').items()
     }
     symmetry = {
         s: ModelSymmetry(
             v=matrix_from_json(entry["v"], f"symmetry {s!r} v"),
-            outcome_maps={t: dict(g) for t, g in entry["g"].items()},
+            outcome_maps={t: dict(g) for t, g in
+                          json_object(entry["g"], f"symmetry {s!r} g").items()},
         )
-        for s, entry in data.get("symmetry", {}).items()
+        for s, entry in json_object(data.get("symmetry", {}), '"symmetry"').items()
     }
     model = HilbertModel(
-        dim=int(data["dim"]),
+        dim=json_int(data["dim"], '"dim"', 1),
         embedding=matrix_from_json(data["embedding"], "embedding"),
         atoms=atoms,
         spaces=spaces,
@@ -214,7 +230,7 @@ def model_from_json(data: dict) -> HilbertModel:
         algebra=algebra,
         symmetry=symmetry,
     )
-    if "kdim" in data and int(data["kdim"]) != model.kdim:
+    if "kdim" in data and json_int(data["kdim"], '"kdim"', 1) != model.kdim:
         raise ValueError(
             f'"kdim" {data["kdim"]} differs from the embedding\'s {model.kdim} columns'
         )
@@ -257,11 +273,11 @@ def oracle_from_json(data: dict):
     site, _ = site_from_json(data["site"])
     spaces = spaces_from_json(data["spaces"])
     words = tuple(word_from_json(w, spaces) for w in data["words"])
-    kdim = int(data["kdim"])
+    kdim = json_int(data["kdim"], '"kdim"', 1)
     n = len(words)
     if not n:
         raise ValueError("the kernel table lists no words")
-    values = data["values"]
+    values = json_object(data["values"], '"values"')
     flat = []
     for key in values:
         i, j = map(int, key.split(","))
@@ -281,10 +297,11 @@ def oracle_from_json(data: dict):
     symmetry = {
         s: OracleSymmetry(
             point_map=dict(entry["map"]),
-            outcome_maps={t: dict(g) for t, g in entry["g"].items()},
+            outcome_maps={t: dict(g) for t, g in
+                          json_object(entry["g"], f"symmetry {s!r} g").items()},
             u=matrix_from_json(entry["u"], f"symmetry {s!r} u"),
         )
-        for s, entry in data.get("symmetry", {}).items()
+        for s, entry in json_object(data.get("symmetry", {}), '"symmetry"').items()
     }
     return KernelOracle(
         site=site,

@@ -912,6 +912,84 @@ class TestMisshapenTableSymmetry:
             )
 
 
+def _field_json() -> dict:
+    atoms, xi, spaces = fixtures.two_point_field()
+    return {
+        "depth": 2,
+        "initial": serialize.matrix_to_json(xi[:, None]),
+        "devices": {
+            x: {o: serialize.matrix_to_json(m) for o, m in fam.items()}
+            for x, fam in atoms.items()
+        },
+        "spaces": {x: list(v) for x, v in spaces.items()},
+    }
+
+
+def _set(key, value):
+    return lambda data: data.update({key: value})
+
+
+# the table's site with a third point "a" that has no outcome space
+SITE_WITHOUT_SPACE = {
+    "points": ["t1", "t2", "a"],
+    "leq": [[True, True, False], [False, True, False], [False, False, True]],
+}
+NOT_AN_OBJECT = "is not a JSON object"
+# (id, input, mutation, command line, message)
+MALFORMED_FIELDS = [
+    ("projectors", "model", _set("projectors", "x"), ["check", "model", "site"],
+     f'"projectors" {NOT_AN_OBJECT}'),
+    ("point family", "model", lambda d: d["projectors"].update(t1="x"),
+     ["check", "model", "site"], f"projectors 't1' {NOT_AN_OBJECT}"),
+    *[(f"symmetry g {cmd}", "galilean", lambda d: d["symmetry"]["s1"].update(g="x"),
+       [cmd, "galilean", "galilean_site"], f"symmetry 's1' g {NOT_AN_OBJECT}")
+      for cmd in ("check", "roundtrip", "classical")],
+    ("table word", "table", lambda d: d["words"].__setitem__(0, "x"),
+     ["reconstruct", "table"], f"word 'x' {NOT_AN_OBJECT}"),
+    ("devices", "field", _set("devices", "x"), ["lift", "field"],
+     f'"devices" {NOT_AN_OBJECT}'),
+    ("spaces", "field", _set("spaces", "x"), ["lift", "field"],
+     f'"spaces" {NOT_AN_OBJECT}'),
+    ("site point without space", "table", _set("site", SITE_WITHOUT_SPACE),
+     ["reconstruct", "table"], "no outcome space declared at point 'a'"),
+    *[(f"{where} kdim {v}", where, _set("kdim", v), argv,
+       f'"kdim" must be an integer of at least 1, not {v}')
+      for where, argv in (("table", ["reconstruct", "table"]),
+                          ("model", ["check", "model", "site"]))
+      for v in (1.5, True)],
+    ("model dim", "model", _set("dim", 2.5), ["check", "model", "site"],
+     '"dim" must be an integer of at least 1, not 2.5'),
+    *[(f"depth {v}", "field", _set("depth", v), ["lift", "field"],
+       f'"depth" must be an integer of at least 1, not {v}') for v in (2.5, True)],
+    ("site count", "table", _set("site", {"kind": "chain", "count": -1}),
+     ["reconstruct", "table"], '"count" must be an integer of at least 0, not -1'),
+]
+
+
+@pytest.mark.parametrize(
+    "case", MALFORMED_FIELDS, ids=[case[0] for case in MALFORMED_FIELDS]
+)
+def test_malformed_field_exits_two_on_one_line(tmp_path, capsys, case):
+    # a node that is not an object, an integer field that is not a JSON
+    # integer in range, or a table point without outcomes: named, never a
+    # traceback and never read as something else
+    _, key, mutate, argv, message = case
+    model, site = fixtures.qubit_zx()
+    galilean, gsite, gsym = fixtures.galilean_shift_fixture()
+    data = {
+        "model": serialize.model_to_json(model),
+        "site": serialize.site_to_json(site),
+        "galilean": serialize.model_to_json(galilean),
+        "galilean_site": serialize.site_to_json(gsite, gsym),
+        "table": json.loads(serialize.dumps(serialize.oracle_to_json(qubit_table()))),
+        "field": _field_json(),
+    }
+    mutate(data[key])
+    files = {name: write(tmp_path, f"{name}.json", d) for name, d in data.items()}
+    assert cli.main([files.get(a, a) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+
 # -- adversarial tables ---------------------------------------------------------
 
 QUBIT_TABLE = json.loads(serialize.dumps(serialize.oracle_to_json(qubit_table())))

@@ -336,6 +336,29 @@ class TestCheckModel:
         assert len(seen) == 1
         assert seen.pop().split(" ", 1)[1] == "['g0'] <= ['g1']\n"
 
+    def test_unit_below_the_initial_projector_flagged(self, qubit):
+        # I_t1 = 1 - P0 nests under the later identity unit and is a
+        # projector; only the empty base shows that it misses P0
+        model, site = qubit
+        bad = dataclasses.replace(
+            model, units_i={frozenset({"t1"}): np.diag([0.0, 1.0]).astype(complex)}
+        )
+        entry = check_model(bad, site).worst("unit_monotone")
+        assert not entry.ok
+        assert entry.residual == pytest.approx(1.0)
+        assert entry.witness == "[] <= ['t1']"
+
+    def test_non_hermitian_idempotent_unit_flagged(self, qubit):
+        # I_t1 = [[1, 1], [0, 0]] is idempotent and contains P0; only the
+        # I_k* term on the diagonal pair shows that it is not a projector
+        model, site = qubit
+        unit = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+        bad = dataclasses.replace(model, units_i={frozenset({"t1"}): unit})
+        entry = check_model(bad, site).worst("unit_monotone")
+        assert not entry.ok
+        assert entry.residual == pytest.approx(np.sqrt(2.0))
+        assert entry.witness == "['t1'] <= ['t1']"
+
 
 class TestNarrowFlag:
     def test_qubit_is_narrow(self, qubit):

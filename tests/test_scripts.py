@@ -1,5 +1,6 @@
 """The scripts under `scripts/` run end to end against the library."""
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -20,6 +21,15 @@ def run_script(name, *args):
         [sys.executable, str(REPO / "scripts" / name), *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+def sweep_module():
+    spec = importlib.util.spec_from_file_location(
+        "cli_sweep", REPO / "scripts" / "cli_sweep.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_scripts_and_their_fixture_files(tmp_path, capsys):
@@ -71,7 +81,13 @@ def test_cli_sweep_raises_nothing(tmp_path):
     stray = [r for r in runs if "qubit_stray_units_model.json" in r["argv"]]
     bad_u = [r for r in runs if "galilean_bad_u_table.json" in r["argv"]]
     assert (len(stray), len(bad_u)) == (4 * 9, 4 * 2)
-    assert runs[-len(stray) - len(bad_u):] == [
+    # then the refused copies: six models under nine model commands, five
+    # tables under reconstruct [--verify], four fields under lift
+    names = sweep_module().REFUSED
+    refused = [r for r in runs if any(a.startswith(n) for a in r["argv"] for n in names)]
+    assert len(refused) == 4 * (6 * 9 + 5 * 2 + 4)
+    assert runs[-len(refused):] == refused
+    assert runs[-len(refused) - len(stray) - len(bad_u):-len(refused)] == [
         r for r in runs if r in stray or r in bad_u
     ]
-    assert all(r["exit"] == 2 for r in stray + bad_u)
+    assert all(r["exit"] == 2 for r in stray + bad_u + refused)
