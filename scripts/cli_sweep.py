@@ -22,8 +22,11 @@ The `REFUSED` inputs come last, after those two: copies of the qubit or
 Galilean model, the qubit kernel table or the field file with one field
 replaced by a string where an object belongs, by an integer field that is
 not a JSON integer in range, or by a table site point without an outcome
-space.  Every command on them exits 2; a model copy runs the nine model
-commands, a table copy `reconstruct [--verify]`, a field copy `lift`.
+space.  The last two of them (`LAST`, swept after the others) are the qubit
+site with a string `"leq"` cell and the qubit model with a string where the
+outcome labels of `t1` belong.  Every command on them exits 2; a model copy
+runs the nine model commands, a table copy `reconstruct [--verify]`, a field
+copy `lift`.
 
 Every run records its arguments (file names relative to the scratch
 directory), its exit code and the sha256 of its stdout and stderr.  A run
@@ -83,7 +86,12 @@ REFUSED = {
     "field_spaces_str": ("field", ("spaces",), "x"),
     "field_depth_float": ("field", ("depth",), 2.5),
     "field_depth_bool": ("field", ("depth",), True),
+    # swept after the inputs above (`LAST`), so that their records keep their
+    # positions; a path that starts at "site" replaces a field of the site file
+    "qubit_leq_str": ("qubit", ("site", "leq", 1, 0), "false"),
+    "qubit_spaces_str": ("qubit", ("spaces", "t1"), "01"),
 }
+LAST = ("qubit_leq_str", "qubit_spaces_str")
 INPUTS = (FIXTURE_FILES + tuple(EXTRA_MODELS) + (MALFORMED, "field") + LATE
           + tuple(REFUSED))
 
@@ -120,6 +128,8 @@ def refused_files(name: str) -> dict[str, dict]:
         files = {f"{name}_model.json": serialize.model_to_json(model),
                  f"{name}_site.json": serialize.site_to_json(site, sym)}
     node = next(iter(files.values()))
+    if path[0] == "site" and source in ("qubit", "galilean"):
+        node, path = files[f"{name}_site.json"], path[1:]
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
@@ -232,8 +242,8 @@ def main():
         try:
             last = LATE + tuple(REFUSED)
             records = sweep([n for n in args.inputs if n not in last])
-            records += sweep([n for n in args.inputs if n in LATE])
-            records += sweep([n for n in args.inputs if n in REFUSED])
+            for group in (LATE, [n for n in REFUSED if n not in LAST], LAST):
+                records += sweep([n for n in args.inputs if n in group])
         finally:
             os.chdir(cwd)
     out.write_text(json.dumps({"runs": records}, indent=1) + "\n")

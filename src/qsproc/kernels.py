@@ -55,9 +55,14 @@ class OracleSymmetry:
     u: np.ndarray
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class KernelOracle:
-    """A wide-sense process: words, kernel values, symmetry declarations."""
+    """A wide-sense process: words, kernel values, symmetry declarations.
+
+    Frozen, with a read-only C-order copy of `table`, so its memos (the
+    `gram_factor` and `slice_residuals` that the axiom checks and the
+    reconstruction gates share among them) never go stale.  To edit a table,
+    build a new oracle: ``dataclasses.replace(oracle, table=edited)``."""
 
     site: CausalSite
     classes: SiteClasses
@@ -71,14 +76,14 @@ class KernelOracle:
 
     def __post_init__(self):
         n = len(self.words)
-        # C order keeps every row gather of the table contiguous
-        t = np.ascontiguousarray(self.table, dtype=COMPLEX)
+        # an owned C-order copy, never the caller's array: rows gather fast
+        t = np.array(self.table, dtype=COMPLEX, order="C")
         if t.shape != (n, n, self.kdim, self.kdim):
             raise ValueError(
                 f"table shape {t.shape} does not match {n} words of kernel "
                 f"dimension {self.kdim}"
             )
-        self.table = t
+        t.setflags(write=False)
         if missing := [p for p in self.site.points if p not in self.spaces.spaces]:
             raise ValueError(f"no outcome space declared at point {missing[0]!r}")
         for s, sym in self.symmetry.items():
@@ -88,12 +93,13 @@ class KernelOracle:
         if self.symmetry:
             maps = {s: sym.point_map for s, sym in self.symmetry.items()}
             require_symmetry(self.site, SiteSymmetry(tuple(maps), maps, {}))
-        self._index = {w: i for i, w in enumerate(self.words)}
-        if len(self._index) != n:
+        index = {w: i for i, w in enumerate(self.words)}
+        if len(index) != n:
             raise ValueError("word list contains duplicates")
-        self._within: dict = {}  # region -> word indices
-        self._products: dict = {}  # event -> right-product index map
-        self._transports: dict = {}  # symmetry element -> transported words
+        # memos: region -> word indices, event -> right-product index map,
+        # symmetry element -> transported words, rank_tol -> Gram factor
+        vars(self).update(table=t, _index=index, _within={}, _products={},
+                          _transports={}, _factors={})  # past the frozen setattr
 
     # -- access -------------------------------------------------------------
 
@@ -112,6 +118,24 @@ class KernelOracle:
         sub = self.table if indices is None else self.table[np.ix_(indices, indices)]
         m = sub.shape[0] * self.kdim
         return np.transpose(sub, (0, 2, 1, 3)).reshape(m, m)
+
+    def gram_factor(self, rank_tol: float) -> linalg.Eigencut:
+        """`linalg.psd_eigencut` of the Gram matrix, once per `rank_tol`; its
+        arrays are read-only, since the quotient space shares them."""
+        if not self.words:
+            raise ValueError("word list is empty")
+        if rank_tol not in self._factors:
+            factor = linalg.psd_eigencut(self.gram(), rank_tol)
+            for a in (factor.values, factor.vectors, factor.dropped):
+                a.setflags(write=False)
+            self._factors[rank_tol] = factor
+        return self._factors[rank_tol]
+
+    @cached_property
+    def slice_residuals(self) -> tuple[tuple, tuple]:
+        """The worst residual, witness and missing-data note of sigma
+        additivity, then of factorizability (`_slice_pass`)."""
+        return _slice_pass(self)
 
     # -- word maps, computed once: the oracle's words never change ----------
 
@@ -275,16 +299,9 @@ def check_positivity(
     oracle: KernelOracle, config: RunConfig = RunConfig()
 ) -> AxiomCheck:
     """The block Gram matrix over (word, basis) pairs must be Hermitian and
-    PSD up to a relative tolerance, read off its pivoted Cholesky factor."""
-    if not oracle.words:
-        raise ValueError("word list is empty")
-    factor = linalg.psd_eigencut(oracle.gram(), config.rank_tol)
-    return positivity_verdict(factor, config.positivity_tol)
-
-
-def positivity_verdict(factor: linalg.Eigencut, tol: float) -> AxiomCheck:
-    """Positivity from the Gram factor of `linalg.psd_eigencut`, relative to
-    the largest magnitude of its spectrum.
+    PSD up to a relative tolerance, read off the oracle's Gram factor
+    (`linalg.psd_eigencut`), relative to the largest magnitude of its
+    spectrum.
 
     The least value of that spectrum is at most minus the factor's residual
     bound, a lower bound on the least eigenvalue of the Gram matrix: a pass
@@ -292,6 +309,7 @@ def positivity_verdict(factor: linalg.Eigencut, tol: float) -> AxiomCheck:
     matrix's Hermitian part, which hides an anti-Hermitian part of the
     table, so the factor's Hermiticity defect on the same scale is a residual
     too."""
+    factor = oracle.gram_factor(config.rank_tol)
     vals = np.concatenate([factor.values, factor.dropped])
     scale = max(float(np.max(np.abs(vals))), 1e-300)
     least = float(np.min(vals))
@@ -304,7 +322,7 @@ def positivity_verdict(factor: linalg.Eigencut, tol: float) -> AxiomCheck:
     if defect / scale > residual:
         residual = defect / scale
         witness = f"Hermiticity defect {defect:.3e} of the kernel table"
-    return _verdict("positivity", residual, tol, witness)
+    return _verdict("positivity", residual, config.positivity_tol, witness)
 
 
 def check_normalization(
@@ -338,8 +356,17 @@ def check_factorizability(
 def check_slice_axioms(
     oracle: KernelOracle, config: RunConfig = RunConfig()
 ) -> tuple[AxiomCheck, AxiomCheck]:
-    """Sigma additivity and factorizability, from one pass over the maximal
-    slices.
+    """Sigma additivity and factorizability at `config.axiom_tol`, from the
+    oracle's one slice pass (`KernelOracle.slice_residuals`)."""
+    tol = config.axiom_tol
+    (add, add_wit, add_miss), (fac, fac_wit, fac_miss) = oracle.slice_residuals
+    return (_verdict("sigma_additivity", add, tol, add_wit, add_miss),
+            _verdict("factorizability", fac, tol, fac_wit, fac_miss))
+
+
+def _slice_pass(oracle: KernelOracle) -> tuple[tuple, tuple]:
+    """The worst residual, witness and missing-data note of sigma additivity
+    and of factorizability, from one pass over the maximal slices.
 
     For each point t of a slice and each event b at t, the oracle's
     right-product map of b gives the products of the slice's words.
@@ -416,11 +443,7 @@ def check_slice_axioms(
                 f"{('diagonal', 'linear')[kind]} additivity of "
                 f"{_word_label(words[p])} split at {points[tp]!r}"
             )
-    tol = config.axiom_tol
-    return (
-        _verdict("sigma_additivity", add_worst, tol, add_witness, add_missing),
-        _verdict("factorizability", fac_worst, tol, fac_witness, fac_missing),
-    )
+    return (add_worst, add_witness, add_missing), (fac_worst, fac_witness, fac_missing)
 
 
 def _additivity_residuals(table, i, parts):

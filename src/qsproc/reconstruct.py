@@ -30,8 +30,8 @@ from .kernels import (
     KernelOracle,
     check_covariance,
     check_normalization,
+    check_positivity,
     check_slice_axioms,
-    positivity_verdict,
     _word_label,
 )
 from .models import HilbertModel, ModelSymmetry
@@ -106,14 +106,13 @@ def build_space(oracle: KernelOracle, config: RunConfig = RunConfig()) -> GnsSpa
     inner product on the quotient.  Refuses too when sigma additivity or
     factorizability fail (not when the word list leaves them inconclusive):
     no measurement model has such a table, and the emitted model would not
-    reproduce it.
+    reproduce it.  The gates and the coordinates read the oracle's memos,
+    which `check_axioms` on the same oracle shares (`KernelOracle`).
     """
-    if not oracle.words:
-        raise ValueError("word list is empty")
-    factor = linalg.psd_eigencut(oracle.gram(), config.rank_tol)
-    _refuse_failed(positivity_verdict(factor, config.positivity_tol))
+    _refuse_failed(check_positivity(oracle, config))
     _refuse_failed(check_normalization(oracle, config))
     _refuse_failed(*check_slice_axioms(oracle, config))
+    factor = oracle.gram_factor(config.rank_tol)
     coords = np.sqrt(factor.values)[:, None] * dagger(factor.vectors)
     return GnsSpace(
         oracle=oracle,

@@ -62,6 +62,13 @@ def json_object(data, name: str) -> Mapping:
     return data
 
 
+def json_labels(data, point: str) -> tuple:
+    """`data`, the outcome labels at `point`, if a JSON list of strings."""
+    if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
+        raise ValueError(f"outcome labels at {point!r} are not a list of strings")
+    return tuple(data)
+
+
 def block_key(k) -> str:
     return ",".join(sorted(k))
 
@@ -94,10 +101,10 @@ def site_from_json(data: dict) -> tuple[CausalSite, SiteSymmetry | None]:
     if "kind" in data:
         site = _geometric_site(data)
     else:
-        site = CausalSite(
-            points=tuple(data["points"]),
-            leq=tuple(tuple(bool(v) for v in row) for row in data["leq"]),
-        )
+        leq = tuple(tuple(row) for row in data["leq"])
+        if not all(isinstance(v, bool) for row in leq for v in row):
+            raise ValueError('"leq" holds a cell that is not true or false')
+        site = CausalSite(points=tuple(data["points"]), leq=leq)
     sym = None
     if "symmetries" in data:
         entries = dict(data["symmetries"])
@@ -142,7 +149,8 @@ def spaces_to_json(spaces: OutcomeSpaces) -> dict:
 
 
 def spaces_from_json(data: Mapping) -> OutcomeSpaces:
-    return OutcomeSpaces({t: tuple(v) for t, v in json_object(data, '"spaces"').items()})
+    spaces = json_object(data, '"spaces"')
+    return OutcomeSpaces({t: json_labels(v, t) for t, v in spaces.items()})
 
 
 def word_to_json(word: EventWord) -> dict:
@@ -151,7 +159,7 @@ def word_to_json(word: EventWord) -> dict:
 
 def word_from_json(data: Mapping, spaces: OutcomeSpaces) -> EventWord:
     factors = json_object(data, f"word {data!r}").items()
-    return EventWord.from_dict({t: set(v) for t, v in factors}, spaces)
+    return EventWord.from_dict({t: set(json_labels(v, t)) for t, v in factors}, spaces)
 
 
 # -- models -----------------------------------------------------------------------

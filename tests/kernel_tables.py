@@ -1,5 +1,7 @@
 """Kernel oracles written out by hand, for tests that need a particular table."""
 
+import dataclasses
+
 import numpy as np
 
 from qsproc.kernels import KernelOracle
@@ -23,3 +25,11 @@ def oracle_from_values(site, spaces, words, values, kdim=1, symmetry=None):
         table=table,
         symmetry=symmetry or {},
     )
+
+
+def with_table(oracle, edit):
+    """A new oracle like `oracle` whose table is a copy of its table after
+    `edit(copy)`: an oracle's own table is read-only."""
+    table = oracle.table.copy()
+    edit(table)
+    return dataclasses.replace(oracle, table=table)

@@ -23,7 +23,7 @@ from qsproc.kernels import (
 from qsproc.sites import chain_site
 from qsproc.words import EventWord, OutcomeSpaces, enumerate_words, event_label, unit_word
 
-from kernel_tables import oracle_from_values
+from kernel_tables import oracle_from_values, with_table
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +68,12 @@ class TestPositivity:
         model, site = fixtures.qubit_zx()
         oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
         i, j = 6, 5  # {['0']@t1, ['-']@t2}, {['0']@t1, ['+']@t2}
-        oracle.table[i, j] += 0.05
-        oracle.table[j, i] -= 0.05
+
+        def anti_hermitian(table):
+            table[i, j] += 0.05
+            table[j, i] -= 0.05
+
+        oracle = with_table(oracle, anti_hermitian)
         factor = linalg.psd_eigencut(oracle.gram(), 1e-9)
         assert factor.hermitian_defect == pytest.approx(0.1)
         check = check_positivity(oracle)
@@ -107,7 +111,11 @@ class TestNormalization:
         words = enumerate_words(site, model.spaces, policy="atoms_plus_unit")
         oracle = model.kernel_table(site, words)
         e = oracle.unit_index()
-        oracle.table[e, e] = np.diag([1.0, 0.0])
+
+        def degenerate(table):
+            table[e, e] = np.diag([1.0, 0.0])
+
+        oracle = with_table(oracle, degenerate)
         assert check_normalization(oracle).status == FAIL
 
     def test_missing_unit_word(self):
@@ -138,7 +146,11 @@ class TestSigmaAdditivity:
         words = enumerate_words(site, model.spaces)
         oracle = model.kernel_table(site, words)
         idx = oracle.index(EventWord.from_dict({"t2": {"+"}}, model.spaces))
-        oracle.table[idx, idx] += 1e-3
+
+        def perturb(table):
+            table[idx, idx] += 1e-3
+
+        oracle = with_table(oracle, perturb)
         assert check_sigma_additivity(oracle).status == FAIL
 
     def test_atoms_policy_is_conclusive_for_two_outcomes(self):

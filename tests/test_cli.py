@@ -16,7 +16,7 @@ from qsproc.kernels import check_axioms
 from qsproc.models import HilbertModel
 from qsproc.words import enumerate_words
 
-from kernel_tables import oracle_from_values
+from kernel_tables import oracle_from_values, with_table
 
 
 def write(tmp_path, name, data):
@@ -144,15 +144,23 @@ class TestReconstruct:
         model, site = fixtures.qubit_zx()
         words = enumerate_words(site, model.spaces, policy="atoms_plus_unit")
         oracle = model.kernel_table(site, words)
-        oracle.table[3, 3] = -1.0
+
+        def negative(table):
+            table[3, 3] = -1.0
+
+        oracle = with_table(oracle, negative)
         table_file = write(tmp_path, "bad.json", serialize.oracle_to_json(oracle))
         assert cli.main(["reconstruct", table_file]) == 1
 
     def test_non_hermitian_table_exits_one(self, tmp_path, capsys):
         model, site = fixtures.qubit_zx()
         oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
-        oracle.table[6, 5] += 0.05
-        oracle.table[5, 6] -= 0.05
+
+        def anti_hermitian(table):
+            table[6, 5] += 0.05
+            table[5, 6] -= 0.05
+
+        oracle = with_table(oracle, anti_hermitian)
         table_file = write(tmp_path, "table.json", serialize.oracle_to_json(oracle))
         assert cli.main(["reconstruct", table_file]) == 1
         captured = capsys.readouterr()
@@ -224,7 +232,11 @@ class TestReconstruct:
         oracle = qubit_table()
         hits = trajectory_hits(oracle, [("0", "+"), ("1", "-"), ("0", "-"), ("1", "+")])
         vecs = hits @ np.array([[0.5, 0.0], [0.5, 0.0], [0.0, 0.5], [0.0, -0.5]])
-        oracle.table[:, :, 0, 0] = vecs @ vecs.T
+
+        def gram_of_vecs(table):
+            table[:, :, 0, 0] = vecs @ vecs.T
+
+        oracle = with_table(oracle, gram_of_vecs)
         table_file = write(tmp_path, "table.json", serialize.oracle_to_json(oracle))
         for verify in ([], ["--verify"]):
             assert cli.main(["reconstruct", table_file, *verify]) == 1
@@ -251,7 +263,11 @@ class TestReconstruct:
         # -3e-8, 1e-8 relative
         oracle = qubit_table()
         hits = trajectory_hits(oracle, [("0", "+"), ("1", "-")])
-        oracle.table[:, :, 0, 0] += hits @ np.diag([1e-8, -1e-8]) @ hits.T
+
+        def signed(table):
+            table[:, :, 0, 0] += hits @ np.diag([1e-8, -1e-8]) @ hits.T
+
+        oracle = with_table(oracle, signed)
         table_file = write(tmp_path, "table.json", serialize.oracle_to_json(oracle))
         assert cli.main(["reconstruct", table_file]) == 1
         assert "positivity fails" in capsys.readouterr().err
@@ -491,7 +507,11 @@ class TestConfigKeys:
     def test_normalization_tol(self, tmp_path, capsys):
         oracle = qubit_table()
         e = oracle.unit_index()
-        oracle.table[e, e] *= 1 + 1e-11
+
+        def scale_unit(table):
+            table[e, e] *= 1 + 1e-11
+
+        oracle = with_table(oracle, scale_unit)
         table_file = write(tmp_path, "table.json", serialize.oracle_to_json(oracle))
         code, _, err = self.run(tmp_path, capsys, None, ["reconstruct", table_file])
         assert code == 1
@@ -963,6 +983,19 @@ MALFORMED_FIELDS = [
        f'"depth" must be an integer of at least 1, not {v}') for v in (2.5, True)],
     ("site count", "table", _set("site", {"kind": "chain", "count": -1}),
      ["reconstruct", "table"], '"count" must be an integer of at least 0, not -1'),
+    # a "leq" cell is read as a JSON boolean, never by its truth value
+    *[(f"leq cell {v!r}", "site", lambda d, v=v: d["leq"][1].__setitem__(0, v),
+       ["check", "model", "site"], '"leq" holds a cell that is not true or false')
+      for v in ("false", 0, None)],
+    # a label list is a JSON list of strings, never a string split into its
+    # characters
+    *[(f"{where} spaces {v!r}", where, lambda d, v=v: d["spaces"].update(t1=v), argv,
+       "outcome labels at 't1' are not a list of strings")
+      for where, argv in (("model", ["check", "model", "site"]),
+                          ("table", ["reconstruct", "table"]))
+      for v in ("01", [0, 1])],
+    ("word factor string", "table", lambda d: d["words"][-1].update(t1="0"),
+     ["reconstruct", "table"], "outcome labels at 't1' are not a list of strings"),
 ]
 
 

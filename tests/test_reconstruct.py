@@ -6,9 +6,14 @@ import sys
 import numpy as np
 import pytest
 
-from qsproc import fixtures
+from qsproc import fixtures, kernels, linalg
 from qsproc.equivalence import build_unitary, minimal_modification
-from qsproc.kernels import check_positivity, check_sigma_additivity
+from qsproc.kernels import (
+    check_axioms,
+    check_factorizability,
+    check_positivity,
+    check_sigma_additivity,
+)
 from qsproc.config import RunConfig
 from qsproc.linalg import dagger, opnorm
 from qsproc.models import check_model
@@ -25,7 +30,7 @@ from qsproc.reconstruct import (
 from qsproc.sites import chain_site, derive_classes
 from qsproc.words import Event, EventWord, OutcomeSpaces, enumerate_words, unit_word
 
-from kernel_tables import oracle_from_values
+from kernel_tables import oracle_from_values, with_table
 
 
 def record_solves(monkeypatch) -> list:
@@ -112,7 +117,11 @@ class TestBuildSpace:
         model, site = fixtures.controlled_kdim2()
         oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
         assert not oracle.table[1].any()  # the word has an empty factor at t1
-        oracle.table[1, 1] = 0.5
+
+        def fill(table):
+            table[1, 1] = 0.5
+
+        oracle = with_table(oracle, fill)
         with pytest.raises(ReconstructionRefused, match="sigma additivity fails"):
             build_space(oracle)
 
@@ -124,6 +133,67 @@ class TestBuildSpace:
         calls = record_solves(monkeypatch)
         gns = build_space(oracle)
         assert calls == [("eigh", (gns.rank, gns.rank), "qsproc.linalg")]
+
+    def test_one_factor_and_one_slice_pass_per_oracle(self, monkeypatch):
+        # the axiom battery and the reconstruction gates read the oracle's
+        # memo: one Gram factor per rank_tol and one slice pass per table
+        model, site = fixtures.random_valid_model(4)
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+        calls = []
+        for module, name in ((linalg, "psd_eigencut"), (kernels, "_slice_pass")):
+            def counted(*args, _orig=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _orig(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        assert check_axioms(oracle).ok
+        reconstruct(oracle)
+        assert calls == ["psd_eigencut", "_slice_pass"]
+        fresh = model.kernel_table(site, enumerate_words(site, model.spaces))
+        calls.clear()
+        assert check_sigma_additivity(fresh).ok and check_factorizability(fresh).ok
+        assert calls == ["_slice_pass"]
+        tight = RunConfig(rank_tol=RunConfig.rank_tol / 10)
+        assert check_positivity(fresh).ok and check_positivity(fresh, tight).ok
+        build_space(fresh, tight)
+        assert calls == ["_slice_pass", "psd_eigencut", "psd_eigencut"]
+
+    def test_axiom_tol_applies_to_the_memoised_residual(self):
+        # two configs on one oracle get their own verdicts on the same bits
+        model, site = fixtures.qubit_zx()
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+
+        def perturb(table):
+            table[1, 1] += 1e-7  # a word with an empty factor
+
+        oracle = with_table(oracle, perturb)
+        residual = check_sigma_additivity(oracle).residual
+        loose, tight = RunConfig(axiom_tol=2 * residual), RunConfig(axiom_tol=residual / 2)
+        assert check_sigma_additivity(oracle, loose).ok
+        assert build_space(oracle, loose).rank
+        failed = check_sigma_additivity(oracle, tight)
+        assert failed.status == "fail" and failed.residual == residual
+        with pytest.raises(ReconstructionRefused, match="sigma additivity fails"):
+            build_space(oracle, tight)
+        assert check_sigma_additivity(oracle, loose).residual == residual
+
+    def test_the_oracle_owns_a_read_only_table(self):
+        model, site = fixtures.qubit_zx()
+        words = enumerate_words(site, model.spaces)
+        values = model.kernel_table(site, words).table.copy()
+        oracle = dataclasses.replace(model.kernel_table(site, words), table=values)
+        assert values.flags.writeable and not oracle.table.flags.writeable
+        before = oracle.table.copy()
+        assert check_positivity(oracle).ok
+        values[:] = 0.0  # the caller's array is its own
+        assert (oracle.table == before).all()
+        assert check_positivity(oracle).ok
+        with pytest.raises(ValueError, match="read-only"):
+            oracle.table[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            oracle.gram_factor(RunConfig.rank_tol).values[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            oracle.table = values
 
     def test_no_dense_gram_solve(self, monkeypatch):
         model, site = fixtures.random_valid_model(4)
@@ -242,8 +312,14 @@ class TestRepresentedAlgebra:
         # non-scalar, so it stops commuting with the off-diagonal generator
         eligible = oracle2.words_within(site2.down_set({"t1"}))
         i, j = eligible[1], eligible[2]
-        oracle2.table[i, j] = np.diag([0.3, -0.1])
-        oracle2.algebra = {frozenset({"t1"}): (offdiag,)}
+
+        def non_scalar(table):
+            table[i, j] = np.diag([0.3, -0.1])
+
+        oracle2 = dataclasses.replace(
+            with_table(oracle2, non_scalar), algebra={frozenset({"t1"}): (offdiag,)}
+        )
+        gns2 = dataclasses.replace(gns2, oracle=oracle2)
         with pytest.raises(ReconstructionRefused, match="commute"):
             represent_algebra(gns2)
 

@@ -81,12 +81,16 @@ def test_cli_sweep_raises_nothing(tmp_path):
     stray = [r for r in runs if "qubit_stray_units_model.json" in r["argv"]]
     bad_u = [r for r in runs if "galilean_bad_u_table.json" in r["argv"]]
     assert (len(stray), len(bad_u)) == (4 * 9, 4 * 2)
-    # then the refused copies: six models under nine model commands, five
-    # tables under reconstruct [--verify], four fields under lift
-    names = sweep_module().REFUSED
-    refused = [r for r in runs if any(a.startswith(n) for a in r["argv"] for n in names)]
-    assert len(refused) == 4 * (6 * 9 + 5 * 2 + 4)
+    # then the refused copies: eight models under nine model commands, five
+    # tables under reconstruct [--verify], four fields under lift; the two
+    # label-type inputs (a string "leq" cell, a string label list) come last
+    module = sweep_module()
+    refused = [r for r in runs
+               if any(a.startswith(n) for a in r["argv"] for n in module.REFUSED)]
+    assert len(refused) == 4 * (8 * 9 + 5 * 2 + 4)
     assert runs[-len(refused):] == refused
+    last = [r for r in runs if any(a.startswith(n) for a in r["argv"] for n in module.LAST)]
+    assert len(last) == 4 * 2 * 9 and runs[-len(last):] == last
     assert runs[-len(refused) - len(stray) - len(bad_u):-len(refused)] == [
         r for r in runs if r in stray or r in bad_u
     ]

@@ -43,6 +43,8 @@ from qsproc.words import (
     unit_word,
 )
 
+from kernel_tables import with_table
+
 
 def reference_words_within(oracle, region):
     region = set(region)
@@ -165,10 +167,13 @@ def oracles(name, policy):
     words = enumerate_words(site, model.spaces, policy)
     exact = model.kernel_table(site, words)
     rng = np.random.default_rng(len(words))
-    noisy = model.kernel_table(site, words)
     n, k = len(words), model.kdim
-    for i, j in rng.integers(0, n, size=(3, 2)):
-        noisy.table[i, j] += 1e-3 * (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+
+    def noise(table):
+        for i, j in rng.integers(0, n, size=(3, 2)):
+            table[i, j] += 1e-3 * (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+
+    noisy = with_table(model.kernel_table(site, words), noise)
     keep = sorted(set(rng.choice(n, size=max(1, 3 * n // 4), replace=False)) | {0})
     sub = KernelOracle(
         site=site, classes=noisy.classes, spaces=model.spaces, kdim=k,
@@ -253,9 +258,13 @@ def test_slice_axioms_across_the_62_bit_cut(monkeypatch):
     monkeypatch.setattr(kernels, "partitions_of_factor", sampled_partitions)
     oracle = wide_oracle()
     assert oracle.codes.shape == (len(oracle.words), 3)
-    noisy = wide_oracle()
     # the kernel of a word with an empty factor must vanish
-    noisy.table[noisy.index(EventWord.from_dict({"a": ()}, noisy.spaces)), 0] += 1e-3
+    empty = oracle.index(EventWord.from_dict({"a": ()}, oracle.spaces))
+
+    def perturb(table):
+        table[empty, 0] += 1e-3
+
+    noisy = with_table(wide_oracle(), perturb)
     for o in (oracle, noisy):
         got = [c.to_dict() for c in check_slice_axioms(o)]
         assert got == [c.to_dict() for c in reference_slice_axioms(o)]
@@ -370,9 +379,16 @@ def test_memoised_maps_follow_table_edits():
     model, site = fixtures.qubit_zx()
     oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
     assert check_slice_axioms(oracle)[0].status == "pass"
-    oracle.table[1, 1] += 0.5  # a word with an empty factor
-    assert check_slice_axioms(oracle) == reference_slice_axioms(oracle)
-    assert check_slice_axioms(oracle)[0].status == "fail"
+    with pytest.raises(ValueError, match="read-only"):
+        oracle.table[1, 1] += 0.5
+
+    def fill(table):
+        table[1, 1] += 0.5  # a word with an empty factor
+
+    edited = with_table(oracle, fill)
+    assert check_slice_axioms(edited) == reference_slice_axioms(edited)
+    assert check_slice_axioms(edited)[0].status == "fail"
+    assert check_slice_axioms(oracle)[0].status == "pass"
 
 
 # -- the symmetry transport map ----------------------------------------------------
