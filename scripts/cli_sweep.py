@@ -22,9 +22,11 @@ The `REFUSED` inputs come last, after those two: copies of the qubit or
 Galilean model, the qubit kernel table or the field file with one field
 replaced by a string where an object belongs, by an integer field that is
 not a JSON integer in range, or by a table site point without an outcome
-space.  The last two of them (`LAST`, swept after the others) are the qubit
-site with a string `"leq"` cell and the qubit model with a string where the
-outcome labels of `t1` belong.  Every command on them exits 2; a model copy
+space.  The last four of them (`LAST`, swept after the others) are the qubit
+site with a string `"leq"` cell, the qubit model with a string where the
+outcome labels of `t1` belong, the qubit site with a string where its list
+of points belongs, and the qubit kernel table with its entry key `"1,0"`
+spelled `"+1,0"`.  Every command on them exits 2; a model copy
 runs the nine model commands, a table copy `reconstruct [--verify]`, a field
 copy `lift`.
 
@@ -90,8 +92,13 @@ REFUSED = {
     # positions; a path that starts at "site" replaces a field of the site file
     "qubit_leq_str": ("qubit", ("site", "leq", 1, 0), "false"),
     "qubit_spaces_str": ("qubit", ("spaces", "t1"), "01"),
+    "qubit_points_str": ("qubit", ("site", "points"), "ab"),
+    # a callable value maps the field: here the key "1,0" becomes "+1,0"
+    "qubit_key_signed": ("table", ("values",), lambda values: {
+        ("+1,0" if k == "1,0" else k): v for k, v in values.items()
+    }),
 }
-LAST = ("qubit_leq_str", "qubit_spaces_str")
+LAST = ("qubit_leq_str", "qubit_spaces_str", "qubit_points_str", "qubit_key_signed")
 INPUTS = (FIXTURE_FILES + tuple(EXTRA_MODELS) + (MALFORMED, "field") + LATE
           + tuple(REFUSED))
 
@@ -132,7 +139,7 @@ def refused_files(name: str) -> dict[str, dict]:
         node, path = files[f"{name}_site.json"], path[1:]
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    node[path[-1]] = value(node[path[-1]]) if callable(value) else value
     return files
 
 

@@ -60,9 +60,10 @@ class KernelOracle:
     """A wide-sense process: words, kernel values, symmetry declarations.
 
     Frozen, with a read-only C-order copy of `table`, so its memos (the
-    `gram_factor` and `slice_residuals` that the axiom checks and the
-    reconstruction gates share among them) never go stale.  To edit a table,
-    build a new oracle: ``dataclasses.replace(oracle, table=edited)``."""
+    `cholesky` factor, its `gram_factor` cuts, the `slice_screen` and the
+    `slice_residuals` that the axiom checks and the reconstruction gates
+    share among them) never go stale.  To edit a table, build a new oracle:
+    ``dataclasses.replace(oracle, table=edited)``."""
 
     site: CausalSite
     classes: SiteClasses
@@ -97,7 +98,7 @@ class KernelOracle:
         if len(index) != n:
             raise ValueError("word list contains duplicates")
         # memos: region -> word indices, event -> right-product index map,
-        # symmetry element -> transported words, rank_tol -> Gram factor
+        # symmetry element -> transported words, rank_tol -> cut Gram factor
         vars(self).update(table=t, _index=index, _within={}, _products={},
                           _transports={}, _factors={})  # past the frozen setattr
 
@@ -119,17 +120,34 @@ class KernelOracle:
         m = sub.shape[0] * self.kdim
         return np.transpose(sub, (0, 2, 1, 3)).reshape(m, m)
 
-    def gram_factor(self, rank_tol: float) -> linalg.Eigencut:
-        """`linalg.psd_eigencut` of the Gram matrix, once per `rank_tol`; its
-        arrays are read-only, since the quotient space shares them."""
+    @cached_property
+    def cholesky(self) -> linalg.Cholesky:
+        """The one `linalg.pivoted_cholesky` factor of the Gram matrix that
+        positivity, every `gram_factor` cut and the slice screen read; its
+        arrays are read-only."""
         if not self.words:
             raise ValueError("word list is empty")
+        factor = linalg.pivoted_cholesky(self.gram())
+        for a in (factor.rows, factor.values, factor.u):
+            a.setflags(write=False)
+        return factor
+
+    def gram_factor(self, rank_tol: float) -> linalg.Eigencut:
+        """`linalg.eigencut` of the oracle's factor, once per `rank_tol`; its
+        arrays are read-only, since the quotient space shares them."""
         if rank_tol not in self._factors:
-            factor = linalg.psd_eigencut(self.gram(), rank_tol)
+            factor = linalg.eigencut(self.cholesky, rank_tol)
             for a in (factor.values, factor.vectors, factor.dropped):
                 a.setflags(write=False)
             self._factors[rank_tol] = factor
         return self._factors[rank_tol]
+
+    @cached_property
+    def slice_screen(self) -> tuple[tuple, tuple] | None:
+        """Certified bounds of sigma additivity and factorizability, each
+        with its witness, from the oracle's factor (`_slice_screen`); None
+        when the word list is not closed under the slices' products."""
+        return _slice_screen(self)
 
     @cached_property
     def slice_residuals(self) -> tuple[tuple, tuple]:
@@ -356,17 +374,157 @@ def check_factorizability(
 def check_slice_axioms(
     oracle: KernelOracle, config: RunConfig = RunConfig()
 ) -> tuple[AxiomCheck, AxiomCheck]:
-    """Sigma additivity and factorizability at `config.axiom_tol`, from the
-    oracle's one slice pass (`KernelOracle.slice_residuals`)."""
+    """Sigma additivity and factorizability at `config.axiom_tol`.
+
+    The oracle's screen (`KernelOracle.slice_screen`) decides a pass when the
+    word list is closed and both of its certified bounds are within the
+    tolerance, and reports the bounds and their witnesses.  Otherwise the
+    exact pass (`KernelOracle.slice_residuals`) runs and decides.  Both are
+    memoised independently of the config."""
     tol = config.axiom_tol
-    (add, add_wit, add_miss), (fac, fac_wit, fac_miss) = oracle.slice_residuals
+    screen = oracle.slice_screen
+    certified = screen is not None and all(r <= tol for r, _, _ in screen)
+    (add, add_wit, add_miss), (fac, fac_wit, fac_miss) = (
+        screen if certified else oracle.slice_residuals
+    )
     return (_verdict("sigma_additivity", add, tol, add_wit, add_miss),
             _verdict("factorizability", fac, tol, fac_wit, fac_miss))
 
 
+def _slice_screen(oracle: KernelOracle) -> tuple[tuple, tuple] | None:
+    """Upper bounds of the worst residuals of `_slice_pass`, each with the
+    witness of the candidate attaining it, from the oracle's factor; None
+    when some slice's words are not closed under the products by the events
+    at its points.
+
+    The factor gives each pair (word i, initial vector a) a column x_ia of
+    the coordinates X = conj(L), with ``T[i, j][a, c] = x_ia* x_jc`` to
+    within ``e = rho + delta / 2 + eta`` for every entry: the factor's
+    residual bound rho, half its Hermitian defect delta, and
+    ``eta = (q + 1)^2 eps tau``, an allowance for the rounding of the sums
+    of at most q + 1 entries that the exact pass forms (q outcomes at the
+    point; tau = mu^2 + rho + delta / 2 bounds every entry, mu the largest
+    column norm).
+
+    At a point t of a slice, i.b is the product of word i by the event b@t,
+    and f_i is the factor of word i at t.  The parts p of a partition of f_i
+    (m of them; none when f_i is empty) are distinct nonempty proper subsets
+    of f_i when m > 1, and the atoms of i.p are the i.x for x in p.  Two
+    per-word atom terms then bound every partition at once:
+
+    - the gap ``g_i = X_i - sum_(x in f_i) X_(i.x)`` (the whole X_i when
+      f_i is empty), |g_i| its largest column norm.  Linear additivity
+      ``T[c, i] - sum_p T[c, i.p]`` is ``X_c* (g_i - sum_p g_(i.p))`` to
+      within (m + 1) e per entry, so at most
+      ``mu (|g_i| + sum_p |g_(i.p)|) + (|f_i| + 1) e``;
+    - the atom defect ``d_i = T[i, i] - sum_(x in f_i) T[i.x, i.x]``, on a
+      valid table the sum of the atoms' cross terms.  Diagonal additivity
+      ``T[i, i] - sum_p T[i.p, i.p]`` is ``d_i - sum_p d_(i.p)``, so at most
+      ``|d_i|_2 + sum_p |d_(i.p)|_2 + (|f_i| + 1) kdim eta``.
+
+    Each sum over p is taken over every nonempty proper subset of f_i.
+
+    Factorizability of an event b compares ``T[i.b, j]`` with ``T[i, j.b]``
+    over the slice: the matrix ``B A* - A B*`` to within 2e, where the rows
+    of A are the slice's conjugate columns and those of B their products by
+    b.  B is the sum over x in b of the atom products B_x, plus a
+    remainder whose row (i, a) has norm at most
+    ``|g_(i.b)| + |b - f_i| |g_(i.empty)|``.  The atom terms come from one
+    thin QR ``[A, B_1, ..., B_q] = Q [R_A, R_1, ..., R_q]``: since
+    ``B_x A* - A B_x* = Q (R_x R_A* - R_A R_x*) Q*``, the Frobenius norm
+    phi_x of the small matrix bounds every entry of the large one.  phi_x
+    gets the allowance ``c eps |[A, B_1, ..., B_q]|_F^2`` for the QR's
+    rounding (c columns).  So every entry is at most
+    ``sum_(x in b) phi_x + 2 mu_l max_i |remainder_i| + 2e``, mu_l the
+    slice's largest column norm.
+
+    That is O(N_l kdim (q r)^2) per slice point, and no N_l x N_l block is
+    gathered.  The candidates the exact pass skips (a word whose
+    factor is one outcome, an event that fixes every word) are skipped here
+    too, and the witnesses have its wording.
+    """
+    if not oracle.words:
+        return None
+    factor = oracle.cholesky
+    site, spaces, n, k = oracle.site, oracle.spaces, len(oracle.words), oracle.kdim
+    eps, r = np.finfo(float).eps, factor.rows.shape[0]
+    z = factor.rows.T.reshape(n, k, r)  # row (i, a): conj(x_ia)
+    norm2 = (z.real**2 + z.imag**2).sum(axis=2)  # squared column norms, (n, k)
+    mu = float(np.sqrt(norm2.max(initial=0.0)))
+    entry = factor.residual + factor.hermitian_defect / 2
+    tau = mu * mu + entry
+    diag = oracle.table[np.arange(n), np.arange(n)]
+    add, fac = (0.0, "", None), (0.0, "", None)
+    for l in oracle.classes.maximal_antichains:
+        idx = np.array(oracle.words_within(site.down_set(l)), dtype=int)
+        if not idx.size:
+            continue
+        a = z[idx].reshape(idx.size * k, r)
+        mu_l = float(np.sqrt(norm2[idx].max()))
+        for t in sorted(l, key=site.index):
+            outs = spaces.outcomes(t)
+            q = len(outs)
+            # the empty event, the atoms, then the events the exact pass takes
+            events = [frozenset(), *(frozenset({x}) for x in outs), *subsets(outs)]
+            maps = np.array([oracle.right_products(Event.from_dict({t: b}))[idx]
+                             for b in events]).reshape(len(events), idx.size)
+            if (maps < 0).any():
+                return None
+            at = np.searchsorted(idx, maps)  # products stay in the slice
+            inside = np.array([[x in b for x in outs] for b in events[q + 1:]],
+                              dtype=bool).reshape(len(events) - q - 1, q)
+            empty, atoms, at = at[0], at[1:q + 1], at[q + 1:]
+            member = atoms != empty  # (q, N_l): x is in the word's factor
+            size = member.sum(axis=0)
+            eta = (q + 1) ** 2 * eps * tau
+            e = entry + eta
+            y = z[idx[atoms]]  # (q, N_l, k, r)
+            gap = z[idx] - (y * member[..., None, None]).sum(axis=0)
+            g = np.sqrt((gap.real**2 + gap.imag**2).sum(axis=2)).max(axis=1)
+            d = diag[idx] - (diag[idx[atoms]] * member[..., None, None]).sum(axis=0)
+            d = linalg.opnorms(d)
+            outside = (inside[:, :, None] & ~member[None]).sum(axis=1)  # |b - f_i|
+            fixed = at == np.arange(idx.size)
+            # whether b is a nonempty proper subset of f_i, per event and word
+            proper = (outside == 0) & ~fixed & inside.any(axis=1)[:, None]
+            lin = mu * (g + (g[at] * proper).sum(axis=0)) + (size + 1) * e
+            dia = d + (d[at] * proper).sum(axis=0) + (size + 1) * k * eta
+            for kind, res in enumerate((dia, lin)):
+                res = np.where(size != 1, res, 0.0)
+                i = int(np.argmax(res))
+                if res[i] > add[0]:
+                    add = (float(res[i]), (
+                        f"{('diagonal', 'linear')[kind]} additivity of "
+                        f"{_word_label(oracle.words[idx[i]])} split at {t!r}"
+                    ), None)
+            phi = np.zeros(q)
+            if r:
+                ab = np.concatenate([a, *y.reshape(q, idx.size * k, r)], axis=1)
+                rr = np.linalg.qr(ab, mode="r")
+                ra, rx = rr[:, :r], rr[:, r:].reshape(-1, q, r).transpose(1, 0, 2)
+                m = rx @ linalg.dagger(ra) - ra @ linalg.dagger(rx)
+                phi = np.sqrt((m.real**2 + m.imag**2).sum(axis=(1, 2)))
+                phi += ab.shape[1] * eps * float((ab.real**2 + ab.imag**2).sum())
+            rest = (g[at] + outside * g[empty]).max(axis=1)
+            bound = inside @ phi + 2 * mu_l * rest + 2 * e
+            bound[fixed.all(axis=1)] = 0.0  # every product is its word
+            j = int(np.argmax(bound))
+            if bound[j] > fac[0]:
+                b = events[q + 1 + j]
+                fac = (float(bound[j]), f"event {sorted(b)}@{t!r} on slice {sorted(l)}",
+                       None)
+    return add, fac
+
+
 def _slice_pass(oracle: KernelOracle) -> tuple[tuple, tuple]:
     """The worst residual, witness and missing-data note of sigma additivity
-    and of factorizability, from one pass over the maximal slices.
+    and of factorizability, from one exact pass over the maximal slices.
+
+    `check_slice_axioms` runs it only when the screen (`_slice_screen`) does
+    not certify a pass: on a word list that is not closed under the slices'
+    products, or when a bound exceeds the tolerance.  It gathers each slice's
+    N_l x N_l table block once per event, and every word's table column per
+    partition, so it costs O(N N_l kdim^2) per slice point.
 
     For each point t of a slice and each event b at t, the oracle's
     right-product map of b gives the products of the slice's words.

@@ -101,8 +101,18 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + dagger(a)) / 2.0
 
 
+class Cholesky(NamedTuple):
+    """The uncut pivoted Cholesky factor `pivoted_cholesky` returns."""
+
+    rows: np.ndarray  # (rank, N): row k is the factor's column k, G ~ rows.T conj(rows)
+    values: np.ndarray  # eigenvalues of L* L, descending
+    u: np.ndarray  # (rank, rank) their orthonormal eigenvectors
+    residual: float  # certified bound on the 2-norm of G - L L*
+    hermitian_defect: float  # largest entry of |G - G*|
+
+
 class Eigencut(NamedTuple):
-    """The rank-revealing eigendecomposition `psd_eigencut` returns."""
+    """The rank-revealing eigendecomposition `eigencut` returns."""
 
     values: np.ndarray  # kept eigenvalues, descending
     vectors: np.ndarray  # (N, rank) orthonormal eigenvectors of `values`
@@ -112,26 +122,28 @@ class Eigencut(NamedTuple):
 
 
 def psd_eigencut(gram: np.ndarray, rel_tol: float) -> Eigencut:
-    """Rank-revealing eigendecomposition of the Hermitian part of a PSD
-    matrix G, read off one pivoted Cholesky factor G ~ L L*.
+    """`eigencut` of the `pivoted_cholesky` factor of `gram`."""
+    return eigencut(pivoted_cholesky(gram), rel_tol)
+
+
+def pivoted_cholesky(gram: np.ndarray) -> Cholesky:
+    """One pivoted Cholesky factor G ~ L L* of the Hermitian part of a PSD
+    matrix G, and the eigendecomposition of L* L.
 
     The factor pivots on the largest remaining diagonal (the lowest index on
     ties) and stops once that diagonal is at most ``N * eps`` times the
     largest diagonal of G: O(N r^2) for rank r, against O(N^3) for a dense
     eigensolve (Harbrecht, Peters and Schneider, Appl. Numer. Math. 62
     (2012) 428-440).  One r x r eigendecomposition ``L* L = U diag(lam) U*``
-    then gives the eigenvalues of L L* and its eigenvectors ``L U lam^-1/2``.
-    Eigenvalues below ``rel_tol * max(eigenvalue)`` are treated as zero;
-    each kept eigenvector is phase-fixed so that its first significant
-    component is real positive.
+    then gives the eigenvalues of L L*, whose eigenvectors are
+    ``L U lam^-1/2``.
 
     `residual` bounds the 2-norm of the Hermitian residual R = G - L L* by
-    the smaller of its Frobenius norm and its largest absolute row sum.
-    Since ``lambda_min(G) >= -residual``, `dropped` ends with ``-residual``:
-    the least value of ``values`` and ``dropped`` together bounds the least
-    eigenvalue of G from below, which is how positivity reads it.  The same
-    block pass reads `hermitian_defect`, the largest entry of ``|G - G*|``,
-    which the factor of the Hermitian part cannot see.
+    the smaller of its Frobenius norm and its largest absolute row sum, so
+    ``lambda_min(G) >= -residual``.  The same block pass reads
+    `hermitian_defect`, the largest entry of ``|G - G*|``, which the factor
+    of the Hermitian part cannot see: every entry of G is that of L L* to
+    within ``residual + hermitian_defect / 2``.
     """
     g = asmatrix(gram)
     n = g.shape[0]
@@ -155,17 +167,30 @@ def psd_eigencut(gram: np.ndarray, rel_tol: float) -> Eigencut:
     rows = rows[:rank]
     residual, defect = _residual_bound(g, rows)
     vals, u = np.linalg.eigh(hermitize(np.conjugate(rows) @ rows.T))  # ascending
-    vals, u = vals[::-1], u[:, ::-1]
-    keep = vals > rel_tol * (vals[0] if rank else 0.0)  # L* L is PSD
+    return Cholesky(rows, vals[::-1], u[:, ::-1], residual, defect)
+
+
+def eigencut(factor: Cholesky, rel_tol: float) -> Eigencut:
+    """The eigendecomposition of L L* for a `pivoted_cholesky` factor, cut
+    at a relative eigenvalue.
+
+    Eigenvalues below ``rel_tol * max(eigenvalue)`` are treated as zero;
+    each kept eigenvector is phase-fixed so that its first significant
+    component is real positive.  `dropped` ends with ``-residual``: the
+    least value of ``values`` and ``dropped`` together bounds the least
+    eigenvalue of G from below, which is how positivity reads it.
+    """
+    rows, vals, u = factor.rows, factor.values, factor.u
+    keep = vals > rel_tol * (vals[0] if vals.size else 0.0)  # L* L is PSD
     vecs = (rows.T @ u[:, keep]) / np.sqrt(vals[keep])
     for j in range(vecs.shape[1]):
         vecs[:, j] = _phase_fix(vecs[:, j])
     return Eigencut(
         values=np.ascontiguousarray(vals[keep]),
         vectors=vecs,
-        dropped=np.append(vals[~keep], 0.0 - residual),  # no -0.0
-        residual=residual,
-        hermitian_defect=defect,
+        dropped=np.append(vals[~keep], 0.0 - factor.residual),  # no -0.0
+        residual=factor.residual,
+        hermitian_defect=factor.hermitian_defect,
     )
 
 

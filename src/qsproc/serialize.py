@@ -11,6 +11,7 @@ they become text.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -62,10 +63,14 @@ def json_object(data, name: str) -> Mapping:
     return data
 
 
-def json_labels(data, point: str) -> tuple:
-    """`data`, the outcome labels at `point`, if a JSON list of strings."""
+_LABELS = "outcome labels at {!r} are not a list of strings"
+
+
+def json_strings(data, refusal: str) -> tuple:
+    """`data` if a JSON list of strings, else refused with the message
+    `refusal`: a string would be read as its characters."""
     if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
-        raise ValueError(f"outcome labels at {point!r} are not a list of strings")
+        raise ValueError(refusal)
     return tuple(data)
 
 
@@ -104,7 +109,8 @@ def site_from_json(data: dict) -> tuple[CausalSite, SiteSymmetry | None]:
         leq = tuple(tuple(row) for row in data["leq"])
         if not all(isinstance(v, bool) for row in leq for v in row):
             raise ValueError('"leq" holds a cell that is not true or false')
-        site = CausalSite(points=tuple(data["points"]), leq=leq)
+        points = json_strings(data["points"], '"points" is not a list of strings')
+        site = CausalSite(points=points, leq=leq)
     sym = None
     if "symmetries" in data:
         entries = dict(data["symmetries"])
@@ -123,6 +129,8 @@ def site_from_json(data: dict) -> tuple[CausalSite, SiteSymmetry | None]:
 def _geometric_site(data: dict) -> CausalSite:
     kind = data["kind"]
     labels = data.get("labels")
+    if labels is not None:
+        labels = json_strings(labels, '"labels" is not a list of strings')
     if kind == "minkowski":
         coords = [tuple(_exactify(x) for x in p) for p in data["coords"]]
         return minkowski_site(coords, c=_exactify(data.get("c", 1)), labels=labels)
@@ -150,7 +158,9 @@ def spaces_to_json(spaces: OutcomeSpaces) -> dict:
 
 def spaces_from_json(data: Mapping) -> OutcomeSpaces:
     spaces = json_object(data, '"spaces"')
-    return OutcomeSpaces({t: json_labels(v, t) for t, v in spaces.items()})
+    return OutcomeSpaces(
+        {t: json_strings(v, _LABELS.format(t)) for t, v in spaces.items()}
+    )
 
 
 def word_to_json(word: EventWord) -> dict:
@@ -159,7 +169,9 @@ def word_to_json(word: EventWord) -> dict:
 
 def word_from_json(data: Mapping, spaces: OutcomeSpaces) -> EventWord:
     factors = json_object(data, f"word {data!r}").items()
-    return EventWord.from_dict({t: set(json_labels(v, t)) for t, v in factors}, spaces)
+    return EventWord.from_dict(
+        {t: set(json_strings(v, _LABELS.format(t))) for t, v in factors}, spaces
+    )
 
 
 # -- models -----------------------------------------------------------------------
@@ -286,18 +298,11 @@ def oracle_from_json(data: dict):
     if not n:
         raise ValueError("the kernel table lists no words")
     values = json_object(data["values"], '"values"')
-    flat = []
-    for key in values:
-        i, j = map(int, key.split(","))
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"kernel entry {key!r} is outside the {n} words")
-        flat.append(i * n + j)
-    # every pair exactly once: complete, and no two keys naming one pair
-    count = np.bincount(np.asarray(flat, dtype=np.int64), minlength=n * n)
-    if (count != 1).any():
-        i, j = divmod(int(np.argmax(count != 1)), n)
-        state = "missing" if count[i * n + j] == 0 else "given twice"
-        raise ValueError(f"kernel entry {i},{j} is {state}")
+    flat = _entry_indices(list(values), n)
+    # the keys are distinct and each spells one pair, so none is given twice
+    if flat.size != n * n:
+        i, j = divmod(int(np.argmin(np.bincount(flat, minlength=n * n))), n)
+        raise ValueError(f"kernel entry {i},{j} is missing")
     pairs = _entry_pairs(values, kdim)
     table = np.empty((n * n, kdim, kdim), dtype=COMPLEX)
     table[flat] = pairs.view(COMPLEX)[..., 0]
@@ -320,6 +325,27 @@ def oracle_from_json(data: dict):
         table=table,
         symmetry=symmetry,
     )
+
+
+_ENTRY_KEY = re.compile("(?:0|[1-9][0-9]*),(?:0|[1-9][0-9]*)")
+
+
+def _entry_indices(keys: list, n: int) -> np.ndarray:
+    """The flat index i * n + j of each ``"i,j"`` kernel-entry key, with i
+    and j below n in plain decimal: no sign, space, underscore or leading
+    zero, so that each pair has one spelling."""
+    if not all(map(_ENTRY_KEY.fullmatch, keys)):
+        key = next(k for k in keys if not _ENTRY_KEY.fullmatch(k))
+        raise ValueError(f"kernel entry {key!r} is not 'i,j' in plain decimal")
+    # one parse of the joined keys; floats hold every index below 2**53
+    # exactly, and larger ones stay large
+    ij = np.fromstring(",".join(keys), dtype=float, sep=",").reshape(len(keys), 2)
+    outside = (ij >= n).any(axis=1)
+    if outside.any():
+        raise ValueError(
+            f"kernel entry {keys[int(np.argmax(outside))]!r} is outside the {n} words"
+        )
+    return (ij[:, 0] * n + ij[:, 1]).astype(np.int64)
 
 
 def _entry_pairs(values: dict, kdim: int) -> np.ndarray:

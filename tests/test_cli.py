@@ -956,6 +956,13 @@ SITE_WITHOUT_SPACE = {
 }
 NOT_AN_OBJECT = "is not a JSON object"
 # (id, input, mutation, command line, message)
+def _rename(values: dict, key: str, new: str) -> None:
+    """Rename `key` of `values` in place, keeping the order of the keys."""
+    items = [(new if k == key else k, v) for k, v in values.items()]
+    values.clear()
+    values.update(items)
+
+
 MALFORMED_FIELDS = [
     ("projectors", "model", _set("projectors", "x"), ["check", "model", "site"],
      f'"projectors" {NOT_AN_OBJECT}'),
@@ -996,6 +1003,15 @@ MALFORMED_FIELDS = [
       for v in ("01", [0, 1])],
     ("word factor string", "table", lambda d: d["words"][-1].update(t1="0"),
      ["reconstruct", "table"], "outcome labels at 't1' are not a list of strings"),
+    # the site's points are a JSON list of strings, never a string split into
+    # its characters
+    ("site points string", "site", _set("points", "ab"), ["check", "model", "site"],
+     '"points" is not a list of strings'),
+    # a kernel-entry key is "i,j" in plain decimal, so each pair has one
+    # spelling; any other spelling of the pair 1,0 is refused, never read as it
+    *[(f"entry key {k!r}", "table", lambda d, k=k: _rename(d["values"], "1,0", k),
+       ["reconstruct", "table"], f"kernel entry {k!r} is not 'i,j' in plain decimal")
+      for k in (" 1,0", "+1,0", "01,0", "1, 0", "1_0,0")],
 ]
 
 

@@ -136,11 +136,14 @@ class TestBuildSpace:
 
     def test_one_factor_and_one_slice_pass_per_oracle(self, monkeypatch):
         # the axiom battery and the reconstruction gates read the oracle's
-        # memo: one Gram factor per rank_tol and one slice pass per table
+        # memos: one factorization per table, whatever the rank_tol, one
+        # slice screen, and at most one exact slice pass, which runs only
+        # when the screen does not certify a pass
         model, site = fixtures.random_valid_model(4)
         oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
         calls = []
-        for module, name in ((linalg, "psd_eigencut"), (kernels, "_slice_pass")):
+        for module, name in ((linalg, "pivoted_cholesky"), (kernels, "_slice_screen"),
+                             (kernels, "_slice_pass")):
             def counted(*args, _orig=getattr(module, name), _name=name):
                 calls.append(_name)
                 return _orig(*args)
@@ -148,15 +151,24 @@ class TestBuildSpace:
             monkeypatch.setattr(module, name, counted)
         assert check_axioms(oracle).ok
         reconstruct(oracle)
-        assert calls == ["psd_eigencut", "_slice_pass"]
+        assert calls == ["pivoted_cholesky", "_slice_screen"]
         fresh = model.kernel_table(site, enumerate_words(site, model.spaces))
         calls.clear()
         assert check_sigma_additivity(fresh).ok and check_factorizability(fresh).ok
-        assert calls == ["_slice_pass"]
+        assert calls == ["_slice_screen", "pivoted_cholesky"]
         tight = RunConfig(rank_tol=RunConfig.rank_tol / 10)
         assert check_positivity(fresh).ok and check_positivity(fresh, tight).ok
         build_space(fresh, tight)
-        assert calls == ["_slice_pass", "psd_eigencut", "psd_eigencut"]
+        assert calls == ["_slice_screen", "pivoted_cholesky"]
+
+        def perturb(table):
+            table[1, 1] += 1e-7  # a word with an empty factor
+
+        perturbed = with_table(fresh, perturb)
+        calls.clear()
+        assert not check_sigma_additivity(perturbed).ok
+        assert check_axioms(perturbed).failed
+        assert calls == ["_slice_screen", "pivoted_cholesky", "_slice_pass"]
 
     def test_axiom_tol_applies_to_the_memoised_residual(self):
         # two configs on one oracle get their own verdicts on the same bits

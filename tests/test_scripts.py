@@ -81,16 +81,17 @@ def test_cli_sweep_raises_nothing(tmp_path):
     stray = [r for r in runs if "qubit_stray_units_model.json" in r["argv"]]
     bad_u = [r for r in runs if "galilean_bad_u_table.json" in r["argv"]]
     assert (len(stray), len(bad_u)) == (4 * 9, 4 * 2)
-    # then the refused copies: eight models under nine model commands, five
-    # tables under reconstruct [--verify], four fields under lift; the two
-    # label-type inputs (a string "leq" cell, a string label list) come last
+    # then the refused copies: nine models under nine model commands, six
+    # tables under reconstruct [--verify], four fields under lift; the four
+    # `LAST` inputs (a string "leq" cell, a string label list, a string point
+    # list, a signed entry key) come last
     module = sweep_module()
     refused = [r for r in runs
                if any(a.startswith(n) for a in r["argv"] for n in module.REFUSED)]
-    assert len(refused) == 4 * (8 * 9 + 5 * 2 + 4)
+    assert len(refused) == 4 * (9 * 9 + 6 * 2 + 4)
     assert runs[-len(refused):] == refused
     last = [r for r in runs if any(a.startswith(n) for a in r["argv"] for n in module.LAST)]
-    assert len(last) == 4 * 2 * 9 and runs[-len(last):] == last
+    assert len(last) == 4 * (3 * 9 + 2) and runs[-len(last):] == last
     assert runs[-len(refused) - len(stray) - len(bad_u):-len(refused)] == [
         r for r in runs if r in stray or r in bad_u
     ]

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,15 @@ class TestSiteRoundTrip:
             {"kind": "galilean", "coords": [0, 1, 1]}
         )
         assert site.equivalent(site.points[1], site.points[2])
+
+    @pytest.mark.parametrize("points", ["ab", ["a", 1], None])
+    def test_points_are_a_list_of_strings(self, points):
+        # a string is not split into its characters
+        with pytest.raises(ValueError, match='"points" is not a list of strings'):
+            serialize.site_from_json({"points": points, "leq": [[True, True], [False, True]]})
+        if points is not None:  # no "labels" is no labels
+            with pytest.raises(ValueError, match='"labels" is not a list of strings'):
+                serialize.site_from_json({"kind": "chain", "count": 2, "labels": points})
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -254,6 +264,28 @@ class TestTableReader:
         data["values"]["0,0"] = serialize.matrix_to_json(data["values"]["0,0"])
         back = serialize.oracle_from_json(data)
         assert np.array_equal(back.table, oracle.table)
+
+    @pytest.mark.parametrize("spelling, key", [
+        (" 1,0", "1,0"), ("+1,0", "1,0"), ("01,0", "1,0"), ("1, 0", "1,0"),
+        ("1_0,0", "10,0"), ("1,0 ", "1,0"), ("1,00", "1,0"), ("1,0,0", "1,0"),
+    ])
+    def test_non_canonical_entry_key(self, spelling, key):
+        # each pair has one spelling: another is refused, not read as the pair
+        data = json.loads(serialize.dumps(serialize.oracle_to_json(
+            _table(*fixtures.qubit_zx()))))
+        data["values"] = {spelling if k == key else k: v for k, v in data["values"].items()}
+        message = f"kernel entry {spelling!r} is not 'i,j' in plain decimal"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            serialize.oracle_from_json(data)
+
+    def test_entry_key_outside_the_words(self):
+        data = json.loads(serialize.dumps(serialize.oracle_to_json(
+            _table(*fixtures.qubit_zx()))))
+        n = len(data["words"])
+        for key in (f"{n},0", f"0,{n}", "9" * 30 + ",0"):
+            values = dict(data["values"], **{key: data["values"]["0,0"]})
+            with pytest.raises(ValueError, match=f"kernel entry '{key}' is outside the {n} words"):
+                serialize.oracle_from_json(dict(data, values=values))
 
     def test_no_words(self):
         data = json.loads(serialize.dumps(serialize.oracle_to_json(

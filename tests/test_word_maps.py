@@ -3,16 +3,20 @@
 `reference_slice_axioms`, `reference_words_within` and
 `reference_represent_event` are the per-word loops (`right_multiply`,
 `EventWord.from_dict`, `oracle.index`) that the word codes replaced; they are
-kept here so that residuals, witnesses and projectors are held to them bit
-for bit.
+kept here so that the exact slice pass, the word maps and the projectors are
+held to them bit for bit.  `check_slice_axioms` reports the certified screen's
+bounds on a pass, so it is held to the reference by `assert_dominates`.
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsproc import fixtures, kernels, linalg, reconstruct as recon_mod, words as words_mod
+from qsproc import fixtures, kernels, linalg, reconstruct as recon_mod, serialize, words as words_mod
 from qsproc.config import RunConfig
 from qsproc.kernels import (
     KernelOracle,
@@ -20,6 +24,7 @@ from qsproc.kernels import (
     _first_worst,
     _verdict,
     _word_label,
+    check_axioms,
     check_slice_axioms,
 )
 from qsproc.models import HilbertModel
@@ -236,14 +241,115 @@ def sampled_partitions(outs, b):
 # -- the slice pass ----------------------------------------------------------------
 
 
+def exact_slice_axioms(oracle, config=RunConfig()):
+    """The records of the exact pass (`KernelOracle.slice_residuals`)."""
+    (add, add_wit, add_miss), (fac, fac_wit, fac_miss) = oracle.slice_residuals
+    tol = config.axiom_tol
+    return (_verdict("sigma_additivity", add, tol, add_wit, add_miss),
+            _verdict("factorizability", fac, tol, fac_wit, fac_miss))
+
+
+def assert_dominates(got, want):
+    """`got` (`check_slice_axioms`) against `want` (the exact pass): equal
+    verdicts, a record that does not pass equal to the exact one, and a
+    passing residual between the exact residual and the tolerance."""
+    for g, w in zip(got, want, strict=True):
+        assert (g.name, g.status, g.tolerance) == (w.name, w.status, w.tolerance)
+        if w.status == "pass":
+            assert w.residual <= g.residual <= g.tolerance
+        else:
+            assert g.to_dict() == w.to_dict()
+
+
 @pytest.mark.parametrize("policy", ["all_subsets", "atoms_plus_unit"])
 @pytest.mark.parametrize("name", CASES)
 def test_slice_axioms_match_the_per_word_pass(name, policy):
     for oracle in oracles(name, policy):
         for config in (RunConfig(), RunConfig(axiom_tol=1e-2)):
-            got = [c.to_dict() for c in check_slice_axioms(oracle, config)]
-            want = [c.to_dict() for c in reference_slice_axioms(oracle, config)]
-            assert got == want
+            want = reference_slice_axioms(oracle, config)
+            exact = exact_slice_axioms(oracle, config)
+            assert [c.to_dict() for c in exact] == [c.to_dict() for c in want]
+            assert_dominates(check_slice_axioms(oracle, config), want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(CASES),
+    at=st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)),
+    scale=st.floats(-1.5, 1.5),  # the perturbation is axiom_tol * 10**scale
+    phase=st.floats(0, 2 * np.pi),
+    hermitian=st.booleans(),
+    tol=st.sampled_from([RunConfig.axiom_tol, 1e-12, 1e-6]),
+)
+def test_the_screen_dominates_the_exact_pass(name, at, scale, phase, hermitian, tol):
+    # random valid models, and their tables perturbed at one entry by
+    # amounts on both sides of the tolerance
+    model, site = named_model(name)
+    words = enumerate_words(site, model.spaces)
+    exact = model.kernel_table(site, words)
+    i, j = (int(u * len(words)) for u in at)
+    amount = tol * 10.0**scale * np.exp(1j * phase)
+
+    def perturb(table):
+        table[i, j, 0, 0] += amount
+        if hermitian and i != j:
+            table[j, i, 0, 0] += np.conjugate(amount)
+
+    config = RunConfig(axiom_tol=tol)
+    for oracle in (exact, with_table(exact, perturb)):
+        want = exact_slice_axioms(oracle, config)
+        assert_dominates(check_slice_axioms(oracle, config), want)
+
+
+def forbid_the_exact_pass(monkeypatch):
+    def forbidden(oracle):
+        raise AssertionError("the exact slice pass ran")
+
+    monkeypatch.setattr(kernels, "_slice_pass", forbidden)
+
+
+@pytest.mark.parametrize("n, canonical", [(4, True), (5, False)])
+def test_the_exact_pass_stays_off_valid_inputs(monkeypatch, n, canonical):
+    # a valid table with full closure is certified by the screen alone, from
+    # the model and from its JSON table (through the text at 256 words, the
+    # JSON-ready dict at 1,024)
+    model, site = fixtures.tensor_chain(n, canonical=canonical)
+    oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+    data = serialize.oracle_to_json(oracle)
+    table = serialize.oracle_from_json(json.loads(serialize.dumps(data)) if n == 4 else data)
+    assert table.model is None and table.table.tobytes() == oracle.table.tobytes()
+    forbid_the_exact_pass(monkeypatch)
+    for o in (oracle, table):
+        add, fac = check_slice_axioms(o)
+        assert (add.status, fac.status) == ("pass", "pass")
+        assert check_axioms(o).ok
+        build_space(o)
+
+
+def test_the_exact_pass_runs_where_the_screen_cannot_certify(monkeypatch):
+    model, site = fixtures.tensor_chain(3)
+    words = enumerate_words(site, model.spaces)
+
+    def perturb(table):
+        table[1, 1] += 1e-7  # a word with an empty factor
+
+    perturbed = with_table(model.kernel_table(site, words), perturb)
+    sparse = model.kernel_table(site, enumerate_words(site, model.spaces, "atoms_plus_unit"))
+    assert sparse.slice_screen is None  # not closed
+    forbid_the_exact_pass(monkeypatch)
+    for o in (perturbed, sparse):
+        with pytest.raises(AssertionError, match="exact slice pass ran"):
+            check_slice_axioms(o)
+
+
+def test_the_screen_reads_a_rank_zero_factor():
+    # an all-zero table factors at rank 0: every bound is 0
+    model, site = fixtures.qubit_zx()
+    oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+    zero = with_table(oracle, lambda table: table.fill(0.0))
+    assert zero.cholesky.rows.shape[0] == 0
+    assert zero.slice_screen == ((0.0, "", None), (0.0, "", None))
+    assert check_slice_axioms(zero) == exact_slice_axioms(zero)
 
 
 def test_inconclusive_witnesses_on_a_sublist():
