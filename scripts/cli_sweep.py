@@ -37,7 +37,14 @@ that raises records the exception's type and message as its stderr and
 records; comparing the output of two source trees shows every byte of CLI
 behaviour that differs between them.
 
+With `--against OLD.json` (the records of an earlier sweep, read before
+OUT.json is written, so OLD.json may be OUT.json itself) the sweep then
+lists every run, matched by its arguments, whose exit code or stdout or
+stderr digest differs from OLD.json, or that only one of the two has, and
+exits 1 if there is any.
+
 Usage: PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python scripts/cli_sweep.py OUT.json
+       [--against OLD.json]
 """
 
 import argparse
@@ -233,6 +240,25 @@ def sweep(names) -> list[dict]:
     return records
 
 
+def differences(old: list[dict], new: list[dict]) -> list[str]:
+    """One line per run, matched by its arguments, whose exit code or
+    output digests differ between two sweeps, or that only one of them
+    has; in the order of `old`, then of `new`."""
+    before = {tuple(r["argv"]): r for r in old}
+    after = {tuple(r["argv"]): r for r in new}
+    lines = []
+    for argv in list(before) + [a for a in after if a not in before]:
+        a, b = before.get(argv), after.get(argv)
+        if a is None or b is None:
+            lines.append(f"{' '.join(argv)}: only in the {'new' if a is None else 'old'} sweep")
+            continue
+        changed = [k for k in ("exit", "stdout", "stderr") if a[k] != b[k]]
+        if changed:
+            lines.append(f"{' '.join(argv)}: {', '.join(changed)} differ"
+                         + (f" (exit {a['exit']} -> {b['exit']})" if a["exit"] != b["exit"] else ""))
+    return lines
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", help="JSON file for the run records")
@@ -240,7 +266,12 @@ def main():
         "--inputs", nargs="+", choices=INPUTS, default=list(INPUTS),
         help="inputs to sweep (default: all)",
     )
+    parser.add_argument(
+        "--against", metavar="OLD.json",
+        help="records of an earlier sweep: list the runs that differ, exit 1 if any do",
+    )
     args = parser.parse_args()
+    old = json.loads(pathlib.Path(args.against).read_text())["runs"] if args.against else None
     out = pathlib.Path(args.out).resolve()
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(pathlib.Path(tmp), args.inputs)
@@ -255,6 +286,10 @@ def main():
             os.chdir(cwd)
     out.write_text(json.dumps({"runs": records}, indent=1) + "\n")
     print(f"{len(records)} runs written to {out}")
+    if old is not None:
+        lines = differences(old, records)
+        print("\n".join(lines + [f"{len(lines)} runs differ from {args.against}"]))
+        sys.exit(1 if lines else 0)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .config import RunConfig
 from .linalg import COMPLEX, dagger, opnorm
-from .models import HilbertModel, ModelSymmetry
+from .models import HilbertModel, ModelSymmetry, ProductPlan
 from .reconstruct import span_lattice
 from .sites import CausalSite, SiteClasses, SiteSymmetry, derive_classes
 from .words import EventWord, enumerate_words, subsets
@@ -119,8 +119,9 @@ def check_wide_equivalence(
 
 
 def _compare_tables(m1: HilbertModel, m2: HilbertModel, site: CausalSite, words, tol):
-    """Blockwise comparison of the two models' kernel tables (`pair_blocks`),
-    once models whose initial spaces differ are refused; with the verdict,
+    """Blockwise comparison of the two models' kernel tables (`pair_blocks`
+    of each model's evaluation of one `ProductPlan` of the words), once
+    models whose initial spaces differ are refused; with the verdict,
     each model's product columns and, in C order, the adjoint of the first
     one's Gram matrix, whose Hermitian part (all a factor reads) is the same."""
     if m1.kdim != m2.kdim:
@@ -128,7 +129,8 @@ def _compare_tables(m1: HilbertModel, m2: HilbertModel, site: CausalSite, words,
             f"initial spaces differ ({m1.kdim} vs {m2.kdim}); the tables are "
             "not comparable"
         )
-    stacks = [m.products(site, words) for m in (m1, m2)]
+    plan = ProductPlan.walk(site, words)
+    stacks = [m.evaluate(plan) for m in (m1, m2)]
     tables = [linalg.pair_blocks(f) for f in stacks]
     worst, at = linalg.worst_block(tables[0] - tables[1])
     witness = "" if at is None else f"pair (word {at[0]}, word {at[1]})"

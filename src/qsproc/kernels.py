@@ -14,7 +14,7 @@ of a violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -23,7 +23,7 @@ import numpy as np
 from . import linalg
 from .config import RunConfig
 from .linalg import COMPLEX, opnorm
-from .models import unit_nesting
+from .models import ProductPlan, unit_nesting
 from .sites import CausalSite, SiteClasses, SiteSymmetry, require_symmetry
 from .words import (
     Event,
@@ -62,8 +62,11 @@ class KernelOracle:
     Frozen, with a read-only C-order copy of `table`, so its memos (the
     `cholesky` factor, its `gram_factor` cuts, the `slice_screen` and the
     `slice_residuals` that the axiom checks and the reconstruction gates
-    share among them) never go stale.  To edit a table, build a new oracle:
-    ``dataclasses.replace(oracle, table=edited)``."""
+    share among them, and the `plan` of its words that every model's
+    products on them are evaluated on) never go stale.  To edit a table,
+    build a new oracle: ``dataclasses.replace(oracle, table=edited)``.
+    `_plan` seeds the `plan` memo with the plan that built the table
+    (`HilbertModel.kernel_table`)."""
 
     site: CausalSite
     classes: SiteClasses
@@ -74,8 +77,9 @@ class KernelOracle:
     symmetry: Mapping[str, OracleSymmetry] = field(default_factory=dict)
     algebra: Mapping[frozenset, tuple] = field(default_factory=dict)
     model: object | None = None
+    _plan: InitVar[ProductPlan | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _plan):
         n = len(self.words)
         # an owned C-order copy, never the caller's array: rows gather fast
         t = np.array(self.table, dtype=COMPLEX, order="C")
@@ -101,6 +105,10 @@ class KernelOracle:
         # symmetry element -> transported words, rank_tol -> cut Gram factor
         vars(self).update(table=t, _index=index, _within={}, _products={},
                           _transports={}, _factors={})  # past the frozen setattr
+        if _plan is not None:
+            if _plan.site is not self.site or _plan.words != self.words:
+                raise ValueError("the product plan is not of this oracle's words")
+            vars(self)["plan"] = _plan
 
     # -- access -------------------------------------------------------------
 
@@ -141,6 +149,11 @@ class KernelOracle:
                 a.setflags(write=False)
             self._factors[rank_tol] = factor
         return self._factors[rank_tol]
+
+    @cached_property
+    def plan(self) -> ProductPlan:
+        """The chronological-product plan of the words (`ProductPlan.walk`)."""
+        return ProductPlan.walk(self.site, self.words)
 
     @cached_property
     def slice_screen(self) -> tuple[tuple, tuple] | None:

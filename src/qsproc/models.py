@@ -167,31 +167,29 @@ class HilbertModel:
     ) -> np.ndarray:
         """Chronologically ordered products of each word's block projectors
         applied to the initial embedding (earliest applied first), stacked
-        word-major: shape ``(len(words), dim, kdim)``.
+        word-major: shape ``(len(words), dim, kdim)``.  The evaluation of
+        the words' `ProductPlan`."""
+        return self.evaluate(ProductPlan.walk(site, words))
 
-        Shared across the list: one chain decomposition per distinct support,
-        one block operator per block event, and one product per shared
-        chronological prefix (a trie keyed by block events).
-        """
-        out = np.empty((len(words), self.dim, self.kdim), dtype=COMPLEX)
-        chains: dict[tuple, tuple] = {}
-        ops: dict[Event, np.ndarray] = {}
-        root: tuple[np.ndarray, dict] = (self.embedding, {})
-        for n, word in enumerate(words):
-            blocks = chains.get(word.support)
-            if blocks is None:
-                blocks = chains[word.support] = site.chain_decompose(word.support)
-            node = root
-            for block in blocks:
-                ev = Event(tuple(f for f in word.factors if f[0] in block))
-                child = node[1].get(ev)
-                if child is None:
-                    op = ops.get(ev)
-                    if op is None:
-                        op = ops[ev] = self.block_projector(site, ev)
-                    child = node[1][ev] = (op @ node[0], {})
-                node = child
-            out[n] = node[0]
+    def evaluate(self, plan: ProductPlan) -> np.ndarray:
+        """The products of the plan's words (`products`): one block operator
+        per distinct block event, then per trie depth one batched matmul of
+        the nodes' operators with their parents' states, gathered in node
+        chunks of about 2^18 operator entries."""
+        out = np.empty((len(plan.words), self.dim, self.kdim), dtype=COMPLEX)
+        ops = np.array([self.block_projector(plan.site, ev) for ev in plan.events],
+                       dtype=COMPLEX).reshape(-1, self.dim, self.dim)
+        step = max(1, (1 << 18) // (self.dim * self.dim))
+        states = self.embedding  # the root; depth 1 broadcasts it as is
+        out[plan.leaves[0][0]] = states
+        for (parents, events), (at, leaf) in zip(plan.depths, plan.leaves[1:]):
+            cur = np.empty((len(parents), self.dim, self.kdim), dtype=COMPLEX)
+            for start in range(0, len(parents), step):
+                blk = slice(start, start + step)
+                prev = states if states.ndim == 2 else states[parents[blk]]
+                np.matmul(ops[events[blk]], prev, out=cur[blk])
+            out[at] = cur[leaf]
+            states = cur
         return out
 
     def kernel_table(
@@ -207,8 +205,8 @@ class HilbertModel:
         from .kernels import KernelOracle, OracleSymmetry
 
         classes = classes or derive_classes(site)
-        feyn = self.products(site, word_list)
-        table = linalg.pair_blocks(feyn)
+        plan = ProductPlan.walk(site, word_list)
+        table = linalg.pair_blocks(self.evaluate(plan))
         sym = {}
         for s, ms in self.symmetry.items():
             if site_sym is None or s not in site_sym.maps:
@@ -222,12 +220,77 @@ class HilbertModel:
             classes=classes,
             spaces=self.spaces,
             kdim=self.kdim,
-            words=tuple(word_list),
+            words=plan.words,
             table=table,
             symmetry=sym,
             algebra={k: tuple(dagger(self.embedding) @ g @ self.embedding for g in gens)
                      for k, gens in self.algebra.items()},
             model=self,
+            _plan=plan,
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class ProductPlan:
+    """The chronological-product trie of a word list, as index arrays.
+
+    Nodes are keyed by their parent and their block event, as the words'
+    chain decompositions (`CausalSite.chain_decompose`) walk them earliest
+    block first; the unit word ends at the root, the embedding.  `events`
+    lists the distinct block events in first-seen order.  `depths[d]` holds
+    the parent (a node of depth d, the root at depth 0) and the event index
+    of each node of depth d + 1, in first-seen order; `leaves[d]` holds the
+    words that end at depth d and the node each one ends at.  Any model on
+    the same site evaluates it (`HilbertModel.evaluate`)."""
+
+    site: CausalSite
+    words: tuple[EventWord, ...]
+    events: tuple[Event, ...]
+    depths: tuple[tuple[np.ndarray, np.ndarray], ...]
+    leaves: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @classmethod
+    def walk(cls, site: CausalSite, words: Sequence[EventWord]) -> ProductPlan:
+        """One pass over the words: one chain decomposition per distinct
+        support, kept as the positions of each block's factors, and one node
+        per distinct (parent, block event)."""
+        words = tuple(words)
+        chains: dict[tuple, list] = {}  # support -> factor positions per block
+        events: dict[tuple, int] = {}  # block event factors -> event index
+        nodes: list[dict] = []  # per depth: (parent, event factors) -> node
+        depths: list[tuple[list, list]] = []  # per depth: parents, event indices
+        ends: list[list] = [[]]  # per depth: (word, node) of the words ending there
+        for n, word in enumerate(words):
+            factors = word.factors
+            support = tuple([f[0] for f in factors])
+            chain = chains.get(support)
+            if chain is None:
+                chain = chains[support] = [
+                    tuple([i for i, t in enumerate(support) if t in block])
+                    for block in site.chain_decompose(support)
+                ]
+            node = 0
+            for d, at in enumerate(chain):
+                if d == len(nodes):
+                    nodes.append({})
+                    depths.append(([], []))
+                    ends.append([])
+                key = (node, tuple([factors[i] for i in at]))
+                child = nodes[d].get(key)
+                if child is None:
+                    child = nodes[d][key] = len(nodes[d])
+                    depths[d][0].append(node)
+                    depths[d][1].append(events.setdefault(key[1], len(events)))
+                node = child
+            ends[len(chain)].append((n, node))
+        return cls(
+            site=site,
+            words=words,
+            events=tuple(map(Event, events)),
+            depths=tuple((np.array(p, dtype=np.intp), np.array(e, dtype=np.intp))
+                         for p, e in depths),
+            leaves=tuple(tuple(np.array(e, dtype=np.intp).reshape(-1, 2).T)
+                         for e in ends),
         )
 
 

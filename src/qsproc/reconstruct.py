@@ -261,11 +261,6 @@ class ReconstructedProcess:
     def rank(self) -> int:
         return self.gns.rank
 
-    def origin_unit_rank(self) -> int:
-        """Rank of the origin's unit, the meet of every slice span."""
-        meet = self.lattice.meets[frozenset()]
-        return int(round(float(np.real(np.trace(meet)))))
-
     def provenance(self) -> dict:
         """Size, spectrum and residual of the Gram factor (README)."""
         return {
@@ -407,8 +402,7 @@ def verify_decomposition(
     """Recompute the kernel table from the reconstructed model and compare it
     entrywise with the oracle."""
     tol = config.decomposition_tol
-    diff = linalg.pair_blocks(recon.model.products(oracle.site, oracle.words)) \
-        - oracle.table
+    diff = linalg.pair_blocks(recon.model.evaluate(oracle.plan)) - oracle.table
     worst, at = linalg.worst_block(diff)
     if at is None:
         return DecompositionReport(worst, "" if diff.size == 0 else "exact match", tol)

@@ -235,8 +235,11 @@ def enumerate_words(
     additivity and factorization checks); `atoms_plus_unit` restricts factors
     to single outcomes and the unit.  Order is lexicographic in site point
     order, then in subset bitmask value in outcome order.
+
+    Each choice is its canonical factor, None where it is the full space, so
+    a word is its combination's factors in point-name order.
     """
-    per_point: list[list[frozenset[str]]] = []
+    per_point: list[list[tuple[str, frozenset[str]] | None]] = []
     count = 1
     for t in site.points:
         outs = spaces.outcomes(t)
@@ -247,20 +250,18 @@ def enumerate_words(
         else:
             raise ValueError(f"unknown enumeration policy {policy!r}")
         choices.sort(key=lambda b: spaces.bitmask(t, b))
-        per_point.append(choices)
+        full = frozenset(outs)
+        per_point.append([None if b == full else (t, b) for b in choices])
         count *= len(choices)
         if count > cap:
             raise ValueError(
                 f"word enumeration would produce {count}+ words, above the cap ({cap})"
             )
-    words = []
-    for combo in itertools.product(*per_point):
-        words.append(
-            EventWord.from_dict(
-                {t: b for t, b in zip(site.points, combo)}, spaces
-            )
-        )
-    return words
+    by_name = sorted(range(len(site.points)), key=site.points.__getitem__)
+    return [
+        EventWord(tuple(filter(None, [combo[i] for i in by_name])))
+        for combo in itertools.product(*per_point)
+    ]
 
 
 def _set_partitions(items: Sequence[str]) -> list[tuple[frozenset[str], ...]]:

@@ -1,4 +1,5 @@
-"""Kernel oracles written out by hand, for tests that need a particular table."""
+"""Kernel oracles written out by hand, for tests that need a particular table,
+and readings of a reconstruction that only tests take."""
 
 import dataclasses
 
@@ -33,3 +34,10 @@ def with_table(oracle, edit):
     table = oracle.table.copy()
     edit(table)
     return dataclasses.replace(oracle, table=table)
+
+
+def origin_unit_rank(recon) -> int:
+    """Rank of the origin's unit of a reconstruction, the meet of every
+    slice span."""
+    meet = recon.lattice.meets[frozenset()]
+    return int(round(float(np.real(np.trace(meet)))))

@@ -23,6 +23,8 @@ from qsproc.bridges import classical_reduce, interference_witness, verify_lift
 from qsproc.config import RunConfig
 from qsproc.words import enumerate_words
 
+from kernel_tables import origin_unit_rank
+
 SEEDS = range(20)
 
 
@@ -248,7 +250,7 @@ def test_criterion_9_regularity_and_relaxation():
     a_reg = check_regularity(a_oracle)
     a_rel = check_relaxation(ancilla, asite)
     recon = reconstruct(a_oracle)
-    rank_excess = recon.origin_unit_rank() > recon.gns.kdim
+    rank_excess = origin_unit_rank(recon) > recon.gns.kdim
 
     ok = (
         r_reg.status == "pass"
@@ -262,7 +264,7 @@ def test_criterion_9_regularity_and_relaxation():
         "regular fixture relaxes; the correlated ancilla is caught",
         ok,
         f"regular residual {r_reg.residual:.2e}, ancilla origin rank "
-        f"{recon.origin_unit_rank()} > {recon.gns.kdim}",
+        f"{origin_unit_rank(recon)} > {recon.gns.kdim}",
     )
 
 

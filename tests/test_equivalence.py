@@ -16,7 +16,7 @@ from qsproc.equivalence import (
 )
 from qsproc.config import RunConfig
 from qsproc.linalg import dagger, opnorm
-from qsproc.models import HilbertModel
+from qsproc.models import HilbertModel, ProductPlan
 from qsproc.reconstruct import reconstruct
 from qsproc.sites import chain_site
 from qsproc.words import OutcomeSpaces, enumerate_words
@@ -226,15 +226,21 @@ class TestBuildUnitary:
         padded = fixtures.with_untouched_ancilla(model, 3)
         m1 = minimal_modification(model, site, words)
         m2 = minimal_modification(padded, site, words)
-        calls = []
+        calls, walks = [], []
 
-        def counted(self, *args, _orig=HilbertModel.products, **kwargs):
+        def counted(self, *args, _orig=HilbertModel.evaluate, **kwargs):
             calls.append(self)
             return _orig(self, *args, **kwargs)
 
-        monkeypatch.setattr(HilbertModel, "products", counted)
+        def walked(*args, _orig=ProductPlan.walk, **kwargs):
+            walks.append(args)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(HilbertModel, "evaluate", counted)
+        monkeypatch.setattr(ProductPlan, "walk", walked)
         build_unitary(m1, m2, site, words)
-        assert calls == [m1, m2]
+        # one plan of the word list, evaluated once per model
+        assert calls == [m1, m2] and len(walks) == 1
 
     @pytest.mark.parametrize("seed", [0, 4, 7])
     def test_matches_separate_stack_formula(self, seed):

@@ -7,6 +7,8 @@ them.
 
 import dataclasses
 import itertools
+import random
+import re
 
 import numpy as np
 import pytest
@@ -18,18 +20,22 @@ from qsproc.kernels import (
     FAIL,
     PASS,
     _word_label,
+    check_axioms,
     check_covariance,
     check_projectivity,
 )
-from qsproc.linalg import dagger, opnorm
+from qsproc.linalg import COMPLEX, dagger, opnorm
 from qsproc.markov import (
     _ordered_slices,
     check_regression,
     slice_projector,
 )
-from qsproc.sites import chain_site, derive_classes
+from qsproc.models import HilbertModel, ProductPlan
+from qsproc.reconstruct import reconstruct, verify_decomposition
+from qsproc.sites import CausalSite, chain_site, derive_classes
 from qsproc.words import (
     Event,
+    EventWord,
     OutcomeSpaces,
     enumerate_words,
     pointwise_product,
@@ -38,6 +44,31 @@ from qsproc.words import (
 )
 
 TOL = 1e-14
+
+
+def reference_trie_products(model, site, words):
+    """The products of a word list as a trie walked one word at a time: one
+    chain decomposition per support, one block operator per block event and
+    one ``op @ prefix`` per trie node, keyed by block events."""
+    out = np.empty((len(words), model.dim, model.kdim), dtype=COMPLEX)
+    chains, ops = {}, {}
+    root = (model.embedding, {})
+    for n, word in enumerate(words):
+        blocks = chains.get(word.support)
+        if blocks is None:
+            blocks = chains[word.support] = site.chain_decompose(word.support)
+        node = root
+        for block in blocks:
+            ev = Event(tuple(f for f in word.factors if f[0] in block))
+            child = node[1].get(ev)
+            if child is None:
+                op = ops.get(ev)
+                if op is None:
+                    op = ops[ev] = model.block_projector(site, ev)
+                child = node[1][ev] = (op @ node[0], {})
+            node = child
+        out[n] = node[0]
+    return out
 
 
 def reference_product(model, site, word, base=None, interleave_units=False):
@@ -341,3 +372,128 @@ def test_covariance_matches_pair_formula(broken):
     assert abs(check.residual - worst) <= TOL * max(1.0, worst)
     assert check.witness == witness
     assert (check.status == FAIL) == broken
+
+
+# -- the product plan against the per-word trie --------------------------------
+
+PLAN_MODELS = {
+    **{f"random_valid_model({s})": (lambda s=s: fixtures.random_valid_model(s))
+       for s in range(12)},
+    **{f"tensor_chain({n})": (lambda n=n: fixtures.tensor_chain(n, canonical=False))
+       for n in range(2, 6)},
+    "wide": wide_model,
+}
+
+
+def assert_bit_equal(got, ref):
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.array_equal(got.view(np.float64), ref.view(np.float64))
+
+
+@pytest.mark.parametrize("policy", ["all_subsets", "atoms_plus_unit"])
+@pytest.mark.parametrize("name", sorted(PLAN_MODELS))
+def test_plan_is_the_trie_bit_for_bit(name, policy):
+    model, site = PLAN_MODELS[name]()[:2]
+    words = enumerate_words(site, model.spaces, policy)
+    assert_bit_equal(model.products(site, words), reference_trie_products(model, site, words))
+
+
+def plan_inputs(words):
+    """A shuffled list, a sublist that is not closed under products, the
+    unit word alone and the empty list."""
+    shuffled = list(words)
+    random.Random(5).shuffle(shuffled)
+    return {
+        "shuffled": shuffled,
+        "sublist": [w for i, w in enumerate(words) if i % 3 == 1],
+        "unit": [w for w in words if w.is_unit()],
+        "empty": [],
+    }
+
+
+@pytest.mark.parametrize("kind", ["shuffled", "sublist", "unit", "empty"])
+@pytest.mark.parametrize("name", ["random_valid_model(3)", "tensor_chain(3)", "wide"])
+def test_plan_on_other_word_lists(name, kind):
+    model, site = PLAN_MODELS[name]()[:2]
+    words = plan_inputs(enumerate_words(site, model.spaces))[kind]
+    got = model.products(site, words)
+    assert_bit_equal(got, reference_trie_products(model, site, words))
+    assert got.shape == (len(words), model.dim, model.kdim)
+
+
+def split_chain_model():
+    """Points a < b and c independent of both: the chain of {a, b, c} is
+    [{a}, {b, c}], while {a, c} is one block, not the restriction [{a}, {c}].
+    a and b measure one qubit in rotated bases, c a second qubit."""
+    site = CausalSite(
+        points=("a", "b", "c"),
+        leq=((True, True, False), (False, True, False), (False, False, True)),
+    )
+    eye = np.eye(2, dtype=COMPLEX)
+    atoms = {
+        "a": {x: np.kron(p, eye) for x, p in fixtures.rotated_atoms(0.3).items()},
+        "b": {x: np.kron(p, eye) for x, p in fixtures.rotated_atoms(1.1).items()},
+        "c": {x: np.kron(eye, p) for x, p in fixtures.rotated_atoms(0.7).items()},
+    }
+    spaces = OutcomeSpaces({t: ("0", "1") for t in site.points})
+    embedding = np.kron([np.cos(0.4), np.sin(0.4)], [np.cos(0.9), np.sin(0.9)])
+    return HilbertModel(dim=4, embedding=embedding, atoms=atoms, spaces=spaces), site
+
+
+def test_plan_decomposes_each_support_on_its_own():
+    model, site = split_chain_model()
+    assert site.chain_decompose({"a", "b", "c"}) == (frozenset("a"), frozenset("bc"))
+    assert site.chain_decompose({"a", "c"}) == (frozenset("ac"),)
+    for policy in ("all_subsets", "atoms_plus_unit"):
+        words = enumerate_words(site, model.spaces, policy)
+        got = model.products(site, words)
+        assert_bit_equal(got, reference_trie_products(model, site, words))
+        ref = np.stack([reference_product(model, site, w) for w in words])
+        assert np.max(np.abs(got - ref)) <= TOL
+
+
+@pytest.mark.parametrize("bad", [
+    EventWord((("zz", frozenset({"0"})),)),  # a point outside the site
+    EventWord((("t1", frozenset({"q"})),)),  # an outcome outside the space
+])
+def test_plan_refuses_as_the_trie_does(bad):
+    model, site = fixtures.tensor_chain(2, canonical=False)
+    words = enumerate_words(site, model.spaces)[:5] + [bad]
+    with pytest.raises(Exception) as ref:
+        reference_trie_products(model, site, words)
+    with pytest.raises(ref.type, match=f"^{re.escape(str(ref.value))}$"):
+        model.products(site, words)
+
+
+def test_pipeline_walks_the_words_once_per_oracle(monkeypatch):
+    model, site = fixtures.random_valid_model(4)
+    walks, evaluations = [], []
+
+    def walked(*args, _orig=ProductPlan.walk):
+        walks.append(args)
+        return _orig(*args)
+
+    def evaluated(self, plan, _orig=HilbertModel.evaluate):
+        evaluations.append((self, plan))
+        return _orig(self, plan)
+
+    monkeypatch.setattr(ProductPlan, "walk", walked)
+    monkeypatch.setattr(HilbertModel, "evaluate", evaluated)
+    oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+    assert check_axioms(oracle).ok
+    recon = reconstruct(oracle)
+    assert verify_decomposition(recon, oracle).ok
+    assert len(walks) == 1
+    assert evaluations == [(model, oracle.plan), (recon.model, oracle.plan)]
+
+
+def test_oracle_takes_only_the_plan_of_its_words():
+    model, site = fixtures.random_valid_model(4)
+    words = enumerate_words(site, model.spaces)
+    oracle = model.kernel_table(site, words)
+    assert oracle.plan.words == oracle.words
+    with pytest.raises(ValueError, match="product plan"):
+        dataclasses.replace(oracle, _plan=ProductPlan.walk(site, words[:-1]))
+    # an edited oracle walks its own words again
+    edited = dataclasses.replace(oracle, table=oracle.table)
+    assert edited.plan is not oracle.plan and edited.plan.words == oracle.words

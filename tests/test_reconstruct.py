@@ -30,7 +30,7 @@ from qsproc.reconstruct import (
 from qsproc.sites import chain_site, derive_classes
 from qsproc.words import Event, EventWord, OutcomeSpaces, enumerate_words, unit_word
 
-from kernel_tables import oracle_from_values, with_table
+from kernel_tables import oracle_from_values, origin_unit_rank, with_table
 
 
 def record_solves(monkeypatch) -> list:
@@ -401,12 +401,12 @@ class TestSubspaceLattice:
         model, site = fixtures.ancilla_correlated()
         words = enumerate_words(site, model.spaces)
         recon = reconstruct(model.kernel_table(site, words))
-        assert recon.origin_unit_rank() == 2
+        assert origin_unit_rank(recon) == 2
         assert not regular_at_origin(recon)
 
     def test_regular_fixture_origin_unit(self, qubit_recon):
         _, _, _, recon = qubit_recon
-        assert recon.origin_unit_rank() == 1
+        assert origin_unit_rank(recon) == 1
         assert regular_at_origin(recon)
 
 

@@ -65,6 +65,33 @@ def test_cli_sweep_is_deterministic(tmp_path):
     assert all(run["exit"] in (0, 1, 2) for run in runs[0])
 
 
+def test_cli_sweep_against_an_earlier_sweep(tmp_path):
+    out = tmp_path / "sweep.json"
+    args = ("--inputs", "qubit", "field")
+    assert run_script("cli_sweep.py", str(out), *args).returncode == 0
+    # against itself (read before it is rewritten): no run differs
+    done = run_script("cli_sweep.py", str(out), *args, "--against", str(out))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"0 runs differ from {out}"
+    # against a copy with one stdout digest and one exit code edited, and one
+    # run left out: each is named by its arguments
+    runs = json.loads(out.read_text())["runs"]
+    runs[3]["stdout"] = "0" * 64
+    runs[5]["exit"] = 7
+    gone = runs.pop(8)
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps({"runs": runs}))
+    done = run_script("cli_sweep.py", str(tmp_path / "again.json"), *args,
+                      "--against", str(edited))
+    assert done.returncode == 1, done.stderr
+    assert done.stdout.splitlines()[1:] == [
+        f"{' '.join(runs[3]['argv'])}: stdout differ",
+        f"{' '.join(runs[5]['argv'])}: exit differ (exit 7 -> 0)",
+        f"{' '.join(gone['argv'])}: only in the new sweep",
+        f"3 runs differ from {edited}",
+    ]
+
+
 def test_cli_sweep_raises_nothing(tmp_path):
     # every input, the malformed ones among them: each run ends in an exit
     # code, never in an exception

@@ -1,13 +1,18 @@
 """Event word calculus."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsproc import fixtures
 from qsproc.kernels import KernelOracle
-from qsproc.sites import chain_site, derive_classes, minkowski_site
+from qsproc.sites import CausalSite, chain_site, derive_classes, minkowski_site
 from qsproc.words import (
+    POLICY_ALL_SUBSETS,
+    POLICY_ATOMS_PLUS_UNIT,
     Event,
     EventWord,
     OutcomeSpaces,
@@ -275,3 +280,51 @@ def test_product_agrees_with_iterated_multiplication(raw):
     for ev in blocks:
         iterated = right_multiply(iterated, ev, SPACES)
     assert iterated == pointwise_product(base, w, SPACES)
+
+
+def reference_enumeration(site, spaces, policy):
+    """Every combination of per-point choices, each validated and made
+    canonical by `EventWord.from_dict`."""
+    per_point = []
+    for t in site.points:
+        outs = spaces.outcomes(t)
+        choices = (subsets(outs) if policy == POLICY_ALL_SUBSETS
+                   else [frozenset(outs)] + [frozenset({x}) for x in outs])
+        per_point.append(sorted(choices, key=lambda b: spaces.bitmask(t, b)))
+    return [EventWord.from_dict(dict(zip(site.points, combo)), spaces)
+            for combo in itertools.product(*per_point)]
+
+
+def unordered_names():
+    """A site whose point order is not name order, with outcome spaces of
+    one, two and three labels."""
+    site = CausalSite(
+        points=("z", "b", "m"),
+        leq=((True, True, True), (False, True, False), (False, False, True)),
+    )
+    return site, OutcomeSpaces({"z": ("1", "0", "2"), "b": ("x",), "m": ("q", "p")})
+
+
+ENUMERATED = {
+    **{f"random_valid_model({s})": (lambda s=s: fixtures.random_valid_model(s))
+       for s in range(12)},
+    "tensor_chain(3)": lambda: fixtures.tensor_chain(3, canonical=False),
+    "tensor_chain(4)": lambda: fixtures.tensor_chain(4),
+    **{name: getattr(fixtures, name) for name in (
+        "qubit_zx", "qubit_xz", "ancilla_correlated", "commuting_diagonal",
+        "diagonal_kdim2", "controlled_kdim2", "galilean_shift_fixture",
+    )},
+}
+
+
+@pytest.mark.parametrize("policy", [POLICY_ALL_SUBSETS, POLICY_ATOMS_PLUS_UNIT])
+@pytest.mark.parametrize("name", sorted(ENUMERATED) + ["unordered names"])
+def test_enumeration_is_the_validated_construction(name, policy):
+    if name == "unordered names":
+        site, spaces = unordered_names()
+    else:
+        model, site = ENUMERATED[name]()[:2]
+        spaces = model.spaces
+    words = enumerate_words(site, spaces, policy)
+    assert words == reference_enumeration(site, spaces, policy)
+    assert all(list(w.factors) == sorted(w.factors) for w in words)
