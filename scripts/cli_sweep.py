@@ -18,17 +18,21 @@ block at a point outside its site (every model command exits 2), and the
 Galilean kernel table with a 2x2 symmetry `u` for its 1-dimensional initial
 space (`reconstruct` and `reconstruct --verify` exit 2).
 
-The `REFUSED` inputs come last, after those two: copies of the qubit or
+The `REFUSED` inputs come after those two: copies of the qubit or
 Galilean model, the qubit kernel table or the field file with one field
 replaced by a string where an object belongs, by an integer field that is
 not a JSON integer in range, or by a table site point without an outcome
-space.  The last four of them (`LAST`, swept after the others) are the qubit
+space.  Four of them go in `LAST`, swept after the others: the qubit
 site with a string `"leq"` cell, the qubit model with a string where the
 outcome labels of `t1` belong, the qubit site with a string where its list
 of points belongs, and the qubit kernel table with its entry key `"1,0"`
 spelled `"+1,0"`.  Every command on them exits 2; a model copy
 runs the nine model commands, a table copy `reconstruct [--verify]`, a field
-copy `lift`.
+copy `lift`.  `LAST` ends with two valid models under the nine model
+commands: a two-point chain whose first point has one outcome (`--policy
+atoms` lists each word once), and the Galilean model with a site file that
+declares no symmetry (`check`, `kernels`, `reconstruct`, `roundtrip` and
+`equiv unitary` exit 2: the model's symmetry has no site action).
 
 Every run records its arguments (file names relative to the scratch
 directory), its exit code and the sha256 of its stdout and stderr.  A run
@@ -61,7 +65,9 @@ import tempfile
 import numpy as np
 
 from qsproc import cli, fixtures, serialize
-from qsproc.words import enumerate_words
+from qsproc.models import HilbertModel
+from qsproc.sites import chain_site
+from qsproc.words import OutcomeSpaces, enumerate_words
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent
 FLAG_SETS = ([], ["--format", "text"], ["--policy", "atoms"], ["--cap", "3"])
@@ -105,9 +111,11 @@ REFUSED = {
         ("+1,0" if k == "1,0" else k): v for k, v in values.items()
     }),
 }
-LAST = ("qubit_leq_str", "qubit_spaces_str", "qubit_points_str", "qubit_key_signed")
+ONE_OUTCOME, UNACTED = "one_outcome", "galilean_unacted"
+LAST = ("qubit_leq_str", "qubit_spaces_str", "qubit_points_str", "qubit_key_signed",
+        ONE_OUTCOME, UNACTED)
 INPUTS = (FIXTURE_FILES + tuple(EXTRA_MODELS) + (MALFORMED, "field") + LATE
-          + tuple(REFUSED))
+          + tuple(REFUSED) + (ONE_OUTCOME, UNACTED))
 
 
 def kind(name: str) -> str:
@@ -180,6 +188,21 @@ def write_inputs(workdir: pathlib.Path, names) -> None:
         data = serialize.oracle_to_json(model.kernel_table(site, words, site_sym=sym))
         data["symmetry"]["s1"]["u"] = serialize.matrix_to_json(np.eye(2))
         (workdir / f"{BAD_TABLE}_table.json").write_text(serialize.dumps(data))
+    if ONE_OUTCOME in names:
+        site = chain_site(("t1", "t2"))
+        spaces = OutcomeSpaces({"t1": ("x",), "t2": ("+", "-")})
+        atoms = {"t1": {"x": np.eye(2)}, "t2": dict(fixtures.X_ATOMS)}
+        model = HilbertModel(dim=2, embedding=fixtures.KET0, atoms=atoms, spaces=spaces)
+        (workdir / f"{ONE_OUTCOME}_model.json").write_text(
+            serialize.dumps(serialize.model_to_json(model)))
+        (workdir / f"{ONE_OUTCOME}_site.json").write_text(
+            serialize.dumps(serialize.site_to_json(site)))
+    if UNACTED in names:
+        model, site, _ = fixtures.galilean_shift_fixture()
+        (workdir / f"{UNACTED}_model.json").write_text(
+            serialize.dumps(serialize.model_to_json(model)))
+        (workdir / f"{UNACTED}_site.json").write_text(
+            serialize.dumps(serialize.site_to_json(site)))
     for name in set(names) & set(REFUSED):
         for file, data in refused_files(name).items():
             (workdir / file).write_text(serialize.dumps(data))
@@ -278,7 +301,7 @@ def main():
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            last = LATE + tuple(REFUSED)
+            last = LATE + tuple(REFUSED) + LAST
             records = sweep([n for n in args.inputs if n not in last])
             for group in (LATE, [n for n in REFUSED if n not in LAST], LAST):
                 records += sweep([n for n in args.inputs if n in group])

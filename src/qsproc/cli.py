@@ -313,8 +313,9 @@ def cmd_equiv(args, config: RunConfig) -> int:
         check_wide_equivalence,
         minimal_modification,
     )
+    from .reconstruct import ReconstructionRefused
 
-    m1, site, _ = _load_model_site(args.model1, args.site)
+    m1, site, sym = _load_model_site(args.model1, args.site)
     m2, _, _ = _load_model_site(args.model2, args.site)
     if m2.kdim != m1.kdim:
         raise InputError(f"initial spaces differ ({m1.kdim} vs {m2.kdim})")
@@ -326,8 +327,14 @@ def cmd_equiv(args, config: RunConfig) -> int:
         verdict = check_wide_equivalence(m1, m2, site, words, config)
         _emit({"equivalence": verdict.to_dict()}, config)
         return EXIT_OK if verdict.equivalent else EXIT_MATH
-    mm1 = minimal_modification(m1, site, words, config=config)
-    mm2 = minimal_modification(m2, site, words, config=config)
+    try:
+        mm1, mm2 = (minimal_modification(m, site, words, config=config, site_sym=sym)
+                    for m in (m1, m2))
+    except ReconstructionRefused as exc:
+        print(f"reconstruction refused: {exc}", file=sys.stderr)
+        return EXIT_MATH
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     try:
         morphism = build_unitary(mm1, mm2, site, words, config)
     except EquivalenceRefused as exc:

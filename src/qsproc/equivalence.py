@@ -2,10 +2,10 @@
 
 Two models over the same site, outcome spaces, and initial space are
 equivalent in the wide sense when their kernel tables coincide.  The minimal
-modification of a model compresses it to the span of its chronological
-product vectors; minimal equivalent models are unitarily equivalent, and the
-unitary is pinned down by matching product vectors with the identity phase on
-the initial space.
+modification of a model is the reconstruction of its own kernel table, on
+the span of its chronological product vectors; minimal equivalent models are
+unitarily equivalent, and the unitary is pinned down by matching product
+vectors with the identity phase on the initial space.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import numpy as np
 from . import linalg
 from .config import RunConfig
 from .linalg import COMPLEX, dagger, opnorm
-from .models import HilbertModel, ModelSymmetry, ProductPlan
-from .reconstruct import span_lattice
-from .sites import CausalSite, SiteClasses, SiteSymmetry, derive_classes
+from .models import HilbertModel, ProductPlan
+from .reconstruct import reconstruct
+from .sites import CausalSite, SiteClasses, SiteSymmetry
 from .words import EventWord, enumerate_words, subsets
 
 
@@ -34,61 +34,23 @@ def minimal_modification(
     site: CausalSite,
     words: Sequence[EventWord] | None = None,
     classes: SiteClasses | None = None,
-    regular: bool = False,
     config: RunConfig = RunConfig(),
+    site_sym: SiteSymmetry | None = None,
 ) -> HilbertModel:
-    """Compress a model to the span of its chronological product vectors.
+    """The minimal modification of a model: the reconstruction of its own
+    kernel table on `words` (the configured enumeration by default).
 
-    The basis of that span comes from the Gram factor of the reconstruction
-    (`linalg.psd_eigencut`) applied to ``F F*`` for the product stack F,
-    whose nonzero spectrum is the Gram matrix's: its rank cut is the
-    reconstruction's.  The produced model carries the canonical unit
-    families of the reconstruction's span lattice (`span_lattice`) on the
-    compressed products: event units are joins of slice spans, essential
-    units are spans over words below the block itself (or, with
-    `regular=True`, meets of the slice spans, the form appropriate for
-    regular processes).  The kernel table is unchanged.
+    The table's Gram factor is read off the model's product stack
+    (`KernelOracle.cholesky`), so the quotient is the span of the
+    chronological product vectors, with the canonical unit families.  A
+    model with symmetry needs its site action `site_sym`.  Raises
+    `ReconstructionRefused` when the table fails a gate of `reconstruct`;
+    the word list need not be closed under multiplication.
     """
-    classes = classes or derive_classes(site)
     if words is None:
         words = enumerate_words(site, model.spaces, config.policy, config.cap)
-    stack = linalg.side_by_side(model.products(site, words))
-    # orthonormal basis of the minimal subspace
-    w = linalg.psd_eigencut(stack @ dagger(stack), config.rank_tol).vectors
-    wd = dagger(w)
-    supports = [set(x.support) for x in words]
-    lattice = span_lattice(
-        wd @ stack,
-        model.kdim,
-        lambda region: [i for i, x in enumerate(supports) if x <= region],
-        classes,
-        config.rank_tol,
-        extra=model.algebra,
-    )
-    blocks = [k for k in lattice.joins if k]
-    essential = lattice.meets if regular else lattice.spans
-    return HilbertModel(
-        dim=w.shape[1],
-        embedding=wd @ model.embedding,
-        atoms={
-            t: {
-                x: wd @ model.atoms[t][x] @ w @ lattice.joins[frozenset({t})]
-                for x in model.spaces.outcomes(t)
-            }
-            for t in site.points
-        },
-        spaces=model.spaces,
-        units_p={k: lattice.joins[k] for k in blocks},
-        units_i={k: essential[k] for k in blocks},
-        algebra={
-            k: tuple(wd @ g @ w @ lattice.spans[k] for g in gens)
-            for k, gens in model.algebra.items()
-        },
-        symmetry={
-            s: ModelSymmetry(v=wd @ ms.v @ w, outcome_maps=ms.outcome_maps)
-            for s, ms in model.symmetry.items()
-        },
-    )
+    oracle = model.kernel_table(site, words, classes, site_sym)
+    return reconstruct(oracle, config, strict_closure=False).model
 
 
 @dataclass(frozen=True)

@@ -83,8 +83,8 @@ def tensor_chain(
 
     `eigen_aligned_first` aligns the initial vector of the first slot with
     its measurement basis, which makes the earliest slice span collapse onto
-    the initial vector (the regular variant).  `canonical` compresses to the
-    span of the product vectors so the unit projectors are the slice spans.
+    the initial vector (the regular variant).  `canonical` replaces the model
+    by its minimal modification, whose unit projectors are the slice spans.
     """
     if angles is None:
         angles = tuple(0.3 + 0.4 * i for i in range(n))
@@ -185,7 +185,7 @@ def with_untouched_ancilla(
     The first outcome of every point absorbs the identity on the new block,
     so the extended model stays fully normalized while its product vectors
     never leave the original summand; the kernel table is unchanged and the
-    minimal compression drops the block again.
+    minimal modification drops the block again.
     """
     dim = model.dim + extra
     pad_eye = np.eye(extra, dtype=COMPLEX)

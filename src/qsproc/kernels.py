@@ -65,8 +65,10 @@ class KernelOracle:
     share among them, and the `plan` of its words that every model's
     products on them are evaluated on) never go stale.  To edit a table,
     build a new oracle: ``dataclasses.replace(oracle, table=edited)``.
-    `_plan` seeds the `plan` memo with the plan that built the table
-    (`HilbertModel.kernel_table`)."""
+    `_plan` seeds the `plan` memo with the plan that built the table, and
+    `_stack` sets `product_stack`, the side-by-side product columns the
+    table is the Gram matrix of (`HilbertModel.kernel_table`); neither is
+    a field, so an edited copy keeps neither."""
 
     site: CausalSite
     classes: SiteClasses
@@ -78,8 +80,9 @@ class KernelOracle:
     algebra: Mapping[frozenset, tuple] = field(default_factory=dict)
     model: object | None = None
     _plan: InitVar[ProductPlan | None] = None
+    _stack: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, _plan):
+    def __post_init__(self, _plan, _stack):
         n = len(self.words)
         # an owned C-order copy, never the caller's array: rows gather fast
         t = np.array(self.table, dtype=COMPLEX, order="C")
@@ -109,6 +112,13 @@ class KernelOracle:
             if _plan.site is not self.site or _plan.words != self.words:
                 raise ValueError("the product plan is not of this oracle's words")
             vars(self)["plan"] = _plan
+        if _stack is not None:
+            _stack = np.asarray(_stack, dtype=COMPLEX).view()  # kept, not copied
+            if _stack.ndim != 2 or _stack.shape[1] != n * self.kdim:
+                raise ValueError(f"product stack shape {_stack.shape} does not "
+                                 f"match {n} words of kernel dimension {self.kdim}")
+            _stack.setflags(write=False)
+        vars(self)["product_stack"] = _stack
 
     # -- access -------------------------------------------------------------
 
@@ -130,12 +140,16 @@ class KernelOracle:
 
     @cached_property
     def cholesky(self) -> linalg.Cholesky:
-        """The one `linalg.pivoted_cholesky` factor of the Gram matrix that
-        positivity, every `gram_factor` cut and the slice screen read; its
-        arrays are read-only."""
+        """The one factor of the Gram matrix that positivity, every
+        `gram_factor` cut and the slice screen read: `linalg.stack_factor`
+        of the `product_stack` when a model built the table, else
+        `linalg.pivoted_cholesky`; its arrays are read-only."""
         if not self.words:
             raise ValueError("word list is empty")
-        factor = linalg.pivoted_cholesky(self.gram())
+        if self.product_stack is None:
+            factor = linalg.pivoted_cholesky(self.gram())
+        else:
+            factor = linalg.stack_factor(self.product_stack, self.gram())
         for a in (factor.rows, factor.values, factor.u):
             a.setflags(write=False)
         return factor
@@ -331,7 +345,7 @@ def check_positivity(
 ) -> AxiomCheck:
     """The block Gram matrix over (word, basis) pairs must be Hermitian and
     PSD up to a relative tolerance, read off the oracle's Gram factor
-    (`linalg.psd_eigencut`), relative to the largest magnitude of its
+    (`KernelOracle.gram_factor`), relative to the largest magnitude of its
     spectrum.
 
     The least value of that spectrum is at most minus the factor's residual

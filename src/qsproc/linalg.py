@@ -102,7 +102,8 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 
 
 class Cholesky(NamedTuple):
-    """The uncut pivoted Cholesky factor `pivoted_cholesky` returns."""
+    """The uncut factor G ~ L L* that `pivoted_cholesky` or `stack_factor`
+    returns."""
 
     rows: np.ndarray  # (rank, N): row k is the factor's column k, G ~ rows.T conj(rows)
     values: np.ndarray  # eigenvalues of L* L, descending
@@ -170,9 +171,29 @@ def pivoted_cholesky(gram: np.ndarray) -> Cholesky:
     return Cholesky(rows, vals[::-1], u[:, ::-1], residual, defect)
 
 
+def stack_factor(columns: np.ndarray, gram: np.ndarray) -> Cholesky:
+    """The factor of the Gram matrix ``G = X* X`` of the columns X, read off
+    the thin SVD ``X = W diag(s) Vh``: ``L = X* W``, the coordinates of each
+    column in the left singular basis, so L* L is ``diag(s^2)`` to rounding
+    (u = I).
+
+    Its small directions see the conditioning of X, where a factor of G sees
+    that of G, its square (Golub and Van Loan, section 5.3).  Each column's
+    coordinates carry the rounding of its own norm, where those of the equal
+    ``diag(s) Vh`` carry that of the largest singular value.  `residual` and
+    `hermitian_defect` certify L against `gram`, the matrix the caller holds,
+    as `pivoted_cholesky` does.
+    """
+    x = asmatrix(columns)
+    w, s, _ = np.linalg.svd(x, full_matrices=False)
+    rows = np.conjugate(dagger(w) @ x)
+    residual, defect = _residual_bound(asmatrix(gram), rows)
+    return Cholesky(rows, s * s, np.eye(s.size, dtype=COMPLEX), residual, defect)
+
+
 def eigencut(factor: Cholesky, rel_tol: float) -> Eigencut:
-    """The eigendecomposition of L L* for a `pivoted_cholesky` factor, cut
-    at a relative eigenvalue.
+    """The eigendecomposition of L L* for a `pivoted_cholesky` or
+    `stack_factor` factor, cut at a relative eigenvalue.
 
     Eigenvalues below ``rel_tol * max(eigenvalue)`` are treated as zero;
     each kept eigenvector is phase-fixed so that its first significant

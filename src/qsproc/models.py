@@ -199,14 +199,16 @@ class HilbertModel:
         classes: SiteClasses | None = None,
         site_sym: SiteSymmetry | None = None,
     ):
-        """Total kernel map on a word list, packaged with the symmetry data.
+        """Total kernel map on a word list, packaged with the symmetry data
+        and with the product stack the oracle factors (`KernelOracle`).
 
         Import is deferred to avoid a cycle with the oracle module."""
         from .kernels import KernelOracle, OracleSymmetry
 
         classes = classes or derive_classes(site)
         plan = ProductPlan.walk(site, word_list)
-        table = linalg.pair_blocks(self.evaluate(plan))
+        products = self.evaluate(plan)
+        table = linalg.pair_blocks(products)
         sym = {}
         for s, ms in self.symmetry.items():
             if site_sym is None or s not in site_sym.maps:
@@ -227,6 +229,7 @@ class HilbertModel:
                      for k, gens in self.algebra.items()},
             model=self,
             _plan=plan,
+            _stack=linalg.side_by_side(products),
         )
 
 

@@ -1,8 +1,9 @@
 """Minimal realization of a kernel oracle by a quotient-space construction.
 
 The formal sums of (initial vector, word) pairs carry a nonnegative Hermitian
-form given by the kernel table.  Factoring out its null space (a pivoted
-Cholesky factor of the Gram matrix, cut at a relative eigenvalue) yields
+form given by the kernel table.  Factoring out its null space (the oracle's
+Gram factor, cut at a relative eigenvalue: from the SVD of the product stack
+when a model built the table, else a pivoted Cholesky factor) yields
 coordinates in which every word acts by right multiplication on the eligible
 span and by zero on its orthogonal complement.  The same recipe
 reconstructs the controlling-algebra action and the symmetry isometries, and
@@ -16,7 +17,7 @@ bit-identical coordinates for identical inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .kernels import (
     _word_label,
 )
 from .models import HilbertModel, ModelSymmetry
-from .sites import SiteClasses
 from .words import Event, event_label
 
 
@@ -69,7 +69,9 @@ class GnsSpace:
         return self.oracle.kdim
 
     def pair_coords(self, word_indices: Sequence[int]) -> np.ndarray:
-        return pair_columns(self.coords, self.kdim, word_indices)
+        """The columns of the pairs of the words `word_indices`."""
+        idx = np.asarray(word_indices, dtype=int)
+        return self.coords[:, (idx[:, None] * self.kdim + np.arange(self.kdim)).ravel()]
 
     def map_on_pairs(self, sources, targets, leg=None) -> np.ndarray:
         """Operator sending the pairs of the words `sources` to the pairs of
@@ -101,12 +103,12 @@ class GnsSpace:
 def build_space(oracle: KernelOracle, config: RunConfig = RunConfig()) -> GnsSpace:
     """Quotient the formal sums by the kernel's null space.
 
-    Refuses when positivity (read off the one pivoted Cholesky factor of the
-    Gram matrix) or normalization fail: without them the form is not an
-    inner product on the quotient.  Refuses too when sigma additivity or
-    factorizability fail (not when the word list leaves them inconclusive):
-    no measurement model has such a table, and the emitted model would not
-    reproduce it.  The gates and the coordinates read the oracle's memos,
+    Refuses when positivity (read off the oracle's one Gram factor,
+    `KernelOracle.cholesky`) or normalization fail: without them the form
+    is not an inner product on the quotient.  Refuses too when sigma
+    additivity or factorizability fail (not when the word list leaves them
+    inconclusive): no measurement model has such a table, and the emitted
+    model would not reproduce it.  The gates and the coordinates read the oracle's memos,
     which `check_axioms` on the same oracle shares (`KernelOracle`).
     """
     _refuse_failed(check_positivity(oracle, config))
@@ -250,8 +252,7 @@ def represent_symmetry(gns: GnsSpace) -> dict[str, np.ndarray]:
 @dataclass(eq=False)
 class ReconstructedProcess:
     """The quotient, the model built on it, and the span lattice of its
-    coordinates (the slice spans E_l, and per block the join and the meet of
-    the E_l containing it)."""
+    coordinates (`compute_subspace_lattice`)."""
 
     gns: GnsSpace
     model: HilbertModel
@@ -262,8 +263,11 @@ class ReconstructedProcess:
         return self.gns.rank
 
     def provenance(self) -> dict:
-        """Size, spectrum and residual of the Gram factor (README)."""
+        """Size, spectrum and residual of the Gram factor, and whether it was
+        read off the product stack or the Gram matrix (README)."""
         return {
+            "factor": ("gram_cholesky" if self.gns.oracle.product_stack is None
+                       else "product_stack"),
             "rank": self.rank,
             "kdim": self.gns.kdim,
             "pairs": self.gns.coords.shape[1],
@@ -274,70 +278,38 @@ class ReconstructedProcess:
         }
 
 
-def pair_columns(columns: np.ndarray, kdim: int, word_indices) -> np.ndarray:
-    """The columns of the (word, basis) pairs of the words `word_indices` in
-    a word-major matrix with `kdim` columns per word."""
-    idx = np.asarray(word_indices, dtype=int)
-    return columns[:, (idx[:, None] * kdim + np.arange(kdim)).ravel()]
-
-
 class SpanLattice(NamedTuple):
     slices: dict[frozenset, np.ndarray]  # E_l per maximal antichain
     joins: dict[frozenset, np.ndarray]  # per block, over containing slices
-    meets: dict[frozenset, np.ndarray]  # per block, over containing slices
     spans: dict[frozenset, np.ndarray]  # pairs of words below the block
 
 
-def span_lattice(
-    columns: np.ndarray,
-    kdim: int,
-    within: Callable[[frozenset], Sequence[int]],
-    classes: SiteClasses,
-    rel_tol: float,
-    extra: Iterable[frozenset] = (),
-) -> SpanLattice:
-    """Slice spans of word-major pair columns and the unit families.
+def compute_subspace_lattice(gns: GnsSpace) -> SpanLattice:
+    """Slice spans of the quotient coordinates and the unit families.
 
-    `within(region)` lists the words supported within a region.  E_l
-    projects onto the span of the pairs of words below the maximal antichain
-    l.  Each nonempty nonanticipatory block, and each block in `extra`, gets
-    the span of the pairs of words below itself; the former also get the
-    join and the meet of the E_l containing them.  The empty block's join is
-    the whole space and its meet that of every slice span.
+    E_l projects onto the span of the pairs of words below the maximal
+    antichain l.  Each nonempty nonanticipatory block gets the span of the
+    pairs of words below itself (the emitted model's essential unit) and
+    the join of the E_l containing it (its event unit); the empty block's
+    join is the whole space.
     """
-    site = classes.site
+    oracle, tol = gns.oracle, gns.config.rank_tol
+    classes, site = oracle.classes, oracle.site
 
     def span(block) -> np.ndarray:
-        idx = within(frozenset(site.down_set(block)))
-        return linalg.projector_onto_columns(
-            pair_columns(columns, kdim, idx), rel_tol
-        )
+        idx = oracle.words_within(site.down_set(block))
+        return linalg.projector_onto_columns(gns.pair_coords(idx), tol)
 
     slices = {l: span(l) for l in classes.maximal_antichains}
-    joins = {frozenset(): np.eye(columns.shape[0], dtype=COMPLEX)}
-    meets = {frozenset(): linalg.meet_projectors(list(slices.values()), rel_tol)}
+    joins = {frozenset(): np.eye(gns.rank, dtype=COMPLEX)}
     spans = {}
     for k in classes.all_nonanticipatory():
         if not k:
             continue
         containing = [slices[l] for l in classes.antichains_containing(k)]
-        joins[k] = linalg.join_projectors(containing, rel_tol)
-        meets[k] = linalg.meet_projectors(containing, rel_tol)
+        joins[k] = linalg.join_projectors(containing, tol)
         spans[k] = span(k)
-    for k in extra:
-        if k not in spans:
-            spans[k] = span(k)
-    return SpanLattice(slices, joins, meets, spans)
-
-
-def compute_subspace_lattice(gns: GnsSpace) -> SpanLattice:
-    """The span lattice of the quotient coordinates: the joins are the
-    emitted model's event units and the spans its essential units."""
-    oracle = gns.oracle
-    return span_lattice(
-        gns.coords, gns.kdim, oracle.words_within, oracle.classes,
-        gns.config.rank_tol,
-    )
+    return SpanLattice(slices, joins, spans)
 
 
 def reconstruct(

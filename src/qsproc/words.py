@@ -246,7 +246,8 @@ def enumerate_words(
         if policy == POLICY_ALL_SUBSETS:
             choices = subsets(outs)
         elif policy == POLICY_ATOMS_PLUS_UNIT:
-            choices = [frozenset(outs)] + [frozenset({x}) for x in outs]
+            # a set: a one-outcome point's atom is its unit
+            choices = list({frozenset(outs), *(frozenset({x}) for x in outs)})
         else:
             raise ValueError(f"unknown enumeration policy {policy!r}")
         choices.sort(key=lambda b: spaces.bitmask(t, b))

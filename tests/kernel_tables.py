@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 
 from qsproc.kernels import KernelOracle
-from qsproc.linalg import COMPLEX
+from qsproc.linalg import COMPLEX, meet_projectors
 from qsproc.sites import derive_classes
 
 
@@ -36,8 +36,12 @@ def with_table(oracle, edit):
     return dataclasses.replace(oracle, table=table)
 
 
+def origin_unit(recon) -> np.ndarray:
+    """The origin's unit of a reconstruction: the meet of every slice span."""
+    slices = list(recon.lattice.slices.values())
+    return meet_projectors(slices, recon.gns.config.rank_tol)
+
+
 def origin_unit_rank(recon) -> int:
-    """Rank of the origin's unit of a reconstruction, the meet of every
-    slice span."""
-    meet = recon.lattice.meets[frozenset()]
-    return int(round(float(np.real(np.trace(meet)))))
+    """Rank of the origin's unit of a reconstruction."""
+    return int(round(float(np.real(np.trace(origin_unit(recon))))))

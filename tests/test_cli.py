@@ -14,7 +14,8 @@ from qsproc import cli, equivalence, fixtures, serialize
 from qsproc.config import RunConfig
 from qsproc.kernels import check_axioms
 from qsproc.models import HilbertModel
-from qsproc.words import enumerate_words
+from qsproc.sites import chain_site, discrete_site
+from qsproc.words import OutcomeSpaces, enumerate_words
 
 from kernel_tables import oracle_from_values, with_table
 
@@ -91,6 +92,18 @@ class TestCheck:
         assert entry["residual"] == pytest.approx(1.0)
         assert entry["witness"] == "sum of the atoms at 't1'"
 
+    def test_one_outcome_point_under_atoms(self, tmp_path, capsys):
+        # the atom of a one-outcome point is its unit, listed once
+        site = chain_site(("t1", "t2"))
+        spaces = OutcomeSpaces({"t1": ("x",), "t2": ("+", "-")})
+        atoms = {"t1": {"x": np.eye(2)}, "t2": dict(fixtures.X_ATOMS)}
+        model = HilbertModel(dim=2, embedding=fixtures.KET0, atoms=atoms, spaces=spaces)
+        model_file = write(tmp_path, "model.json", serialize.model_to_json(model))
+        site_file = write(tmp_path, "site.json", serialize.site_to_json(site))
+        assert cli.main(["check", model_file, site_file, "--policy", "atoms"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is True and report["words"] == 3
+
     def test_text_format(self, qubit_files, capsys):
         model_file, site_file = qubit_files
         assert cli.main(["--format", "text", "check", model_file, site_file]) == 0
@@ -117,6 +130,7 @@ class TestReconstruct:
         report = json.loads(capsys.readouterr().out)
         assert report["model"]["dim"] == 2
         assert report["provenance"]["rank"] == 2
+        assert report["provenance"]["factor"] == "product_stack"
         assert report["verification"]["ok"] is True
 
     def test_from_table_file(self, tmp_path, capsys):
@@ -127,6 +141,8 @@ class TestReconstruct:
         assert cli.main(["reconstruct", table_file]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["model"]["dim"] == 2
+        # a table read from JSON has no product stack to factor
+        assert report["provenance"]["factor"] == "gram_cholesky"
 
     def test_unit_only_table(self, tmp_path, capsys):
         from qsproc.sites import chain_site
@@ -334,6 +350,33 @@ class TestEquiv:
         report = json.loads(capsys.readouterr().out)
         assert report["morphism"]["ok"] is True
         assert report["dimensions"] == {"first_minimal": 2, "second_minimal": 2}
+
+    def test_symmetry_without_site_action_exits_two(self, tmp_path, capsys):
+        # the minimal models carry the symmetry only with its site action,
+        # as `check` reads it
+        model, site, _ = fixtures.galilean_shift_fixture()
+        model_file = write(tmp_path, "model.json", serialize.model_to_json(model))
+        site_file = write(tmp_path, "site.json", serialize.site_to_json(site))
+        for argv in (["equiv", "unitary", model_file, model_file, site_file],
+                     ["check", model_file, site_file]):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "input error: model symmetry 's0' has no site action\n"
+
+    def test_refused_reconstruction_exits_one(self, tmp_path, capsys):
+        # Z and X devices at two unordered points: the table is not sigma
+        # additive, so the model has no minimal modification
+        site = discrete_site(("a", "b"))
+        spaces = OutcomeSpaces({"a": ("0", "1"), "b": ("+", "-")})
+        atoms = {"a": dict(fixtures.Z_ATOMS), "b": dict(fixtures.X_ATOMS)}
+        model = HilbertModel(dim=2, embedding=fixtures.KET0, atoms=atoms, spaces=spaces)
+        model_file = write(tmp_path, "model.json", serialize.model_to_json(model))
+        site_file = write(tmp_path, "site.json", serialize.site_to_json(site))
+        assert cli.main(["equiv", "unitary", model_file, model_file, site_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("reconstruction refused: sigma additivity fails")
 
     def test_inequivalent_pair(self, tmp_path, qubit_files, capsys):
         model, site = fixtures.qubit_zx()

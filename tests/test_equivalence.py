@@ -14,7 +14,6 @@ from qsproc.equivalence import (
     check_wide_equivalence,
     minimal_modification,
 )
-from qsproc.config import RunConfig
 from qsproc.linalg import dagger, opnorm
 from qsproc.models import HilbertModel, ProductPlan
 from qsproc.reconstruct import reconstruct
@@ -80,23 +79,6 @@ class TestMinimalModification:
         assert is_minimal(model, site, words)
         assert not is_minimal(padded, site, words)
         assert is_minimal(minimal_modification(padded, site, words), site, words)
-
-    def test_regular_modification(self, qubit):
-        # the regular variant swaps the essential units for slice-span meets;
-        # on a regular model both variants stay valid and table-equal
-        from qsproc.models import check_model
-
-        model, site, words = qubit
-        plain = minimal_modification(model, site, words)
-        regular = minimal_modification(model, site, words, regular=True)
-        assert check_model(regular, site, config=RunConfig(projector_tol=1e-8)).ok
-        assert check_wide_equivalence(plain, regular, site, words).equivalent
-        # regular essential unit at the origin-adjacent block is the meet of
-        # the slice spans containing it
-        k = frozenset({"t1"})
-        assert np.allclose(
-            regular.units_i[k] @ regular.units_p[k], regular.units_i[k]
-        )
 
 
 class TestRankAgreement:
@@ -304,7 +286,7 @@ class TestModelRelation:
         # shifted block's units
         model, site, sym = fixtures.galilean_shift_fixture()
         words = enumerate_words(site, model.spaces)
-        small = minimal_modification(model, site, words)
+        small = minimal_modification(model, site, words, site_sym=sym)
         report = check_model_relation(
             small, small, np.eye(small.dim), site, site_sym=sym
         )

@@ -30,7 +30,7 @@ from qsproc.reconstruct import (
 from qsproc.sites import chain_site, derive_classes
 from qsproc.words import Event, EventWord, OutcomeSpaces, enumerate_words, unit_word
 
-from kernel_tables import oracle_from_values, origin_unit_rank, with_table
+from kernel_tables import oracle_from_values, origin_unit, origin_unit_rank, with_table
 
 
 def record_solves(monkeypatch) -> list:
@@ -49,7 +49,7 @@ def record_solves(monkeypatch) -> list:
 
 def regular_at_origin(recon) -> bool:
     """The origin's essential unit is the initial projector."""
-    origin = recon.lattice.meets[frozenset()]
+    origin = origin_unit(recon)
     return opnorm(origin - recon.model.initial_projector()) <= 1e-8
 
 
@@ -126,13 +126,27 @@ class TestBuildSpace:
             build_space(oracle)
 
     def test_one_eigendecomposition(self, monkeypatch):
-        # the Gram factor's one eigendecomposition is rank x rank; no dense
-        # solve of the N x N Gram matrix runs
+        # a table without a product stack (read from JSON, or edited) gets
+        # the pivoted Cholesky factor: its one eigendecomposition is
+        # rank x rank, and no dense solve of the N x N Gram matrix runs
         model, site = fixtures.random_valid_model(4)
         oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+        table = dataclasses.replace(oracle, table=oracle.table)
+        assert table.product_stack is None
         calls = record_solves(monkeypatch)
-        gns = build_space(oracle)
+        gns = build_space(table)
         assert calls == [("eigh", (gns.rank, gns.rank), "qsproc.linalg")]
+
+    def test_one_svd_of_the_product_stack(self, monkeypatch):
+        # a model's table is factored from its dim x N k product stack: one
+        # thin SVD, no eigensolve of any order
+        model, site = fixtures.random_valid_model(4)
+        words = enumerate_words(site, model.spaces)
+        oracle = model.kernel_table(site, words)
+        assert oracle.product_stack.shape == (model.dim, len(words) * model.kdim)
+        calls = record_solves(monkeypatch)
+        build_space(oracle)
+        assert calls == [("svd", oracle.product_stack.shape, "qsproc.linalg")]
 
     def test_one_factor_and_one_slice_pass_per_oracle(self, monkeypatch):
         # the axiom battery and the reconstruction gates read the oracle's
@@ -142,8 +156,8 @@ class TestBuildSpace:
         model, site = fixtures.random_valid_model(4)
         oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
         calls = []
-        for module, name in ((linalg, "pivoted_cholesky"), (kernels, "_slice_screen"),
-                             (kernels, "_slice_pass")):
+        for module, name in ((linalg, "pivoted_cholesky"), (linalg, "stack_factor"),
+                             (kernels, "_slice_screen"), (kernels, "_slice_pass")):
             def counted(*args, _orig=getattr(module, name), _name=name):
                 calls.append(_name)
                 return _orig(*args)
@@ -151,15 +165,15 @@ class TestBuildSpace:
             monkeypatch.setattr(module, name, counted)
         assert check_axioms(oracle).ok
         reconstruct(oracle)
-        assert calls == ["pivoted_cholesky", "_slice_screen"]
+        assert calls == ["stack_factor", "_slice_screen"]
         fresh = model.kernel_table(site, enumerate_words(site, model.spaces))
         calls.clear()
         assert check_sigma_additivity(fresh).ok and check_factorizability(fresh).ok
-        assert calls == ["_slice_screen", "pivoted_cholesky"]
+        assert calls == ["_slice_screen", "stack_factor"]
         tight = RunConfig(rank_tol=RunConfig.rank_tol / 10)
         assert check_positivity(fresh).ok and check_positivity(fresh, tight).ok
         build_space(fresh, tight)
-        assert calls == ["_slice_screen", "pivoted_cholesky"]
+        assert calls == ["_slice_screen", "stack_factor"]
 
         def perturb(table):
             table[1, 1] += 1e-7  # a word with an empty factor
@@ -221,10 +235,10 @@ class TestBuildSpace:
         assert calls and all(shape != (n, n) for _, shape, _ in calls)
 
     def test_minimal_models_take_no_svd_of_their_own(self, monkeypatch):
-        # the basis of a minimal model is the Gram factor of its dim x dim
-        # product matrix, and its spans come from the reconstruction's
-        # lattice on the compressed products: no SVD runs in `equivalence`,
-        # and none on an uncompressed product stack
+        # a minimal model is the reconstruction of the model's own table:
+        # its one factor is the SVD of the model's product stack, its spans
+        # come from the quotient coordinates, and no solve runs in
+        # `equivalence`, nor any eigensolve of an uncompressed order
         model, site = fixtures.random_valid_model(4)
         words = enumerate_words(site, model.spaces)
         padded = fixtures.with_untouched_ancilla(model, 2)
@@ -234,9 +248,14 @@ class TestBuildSpace:
         build_unitary(small, big, site, words)
         assert small.dim == big.dim < padded.dim
         assert not [c for c in calls if c[2] == "qsproc.equivalence"]
-        assert ("eigh", (padded.dim, padded.dim)) not in [c[:2] for c in calls]
+        assert all(shape == (small.dim, small.dim)
+                   for name, shape, _ in calls if name != "svd")
+        # every SVD has the minimal number of rows (the unpadded model's
+        # stack too) but the padded model's stack factor
         svds = [shape for name, shape, _ in calls if name == "svd"]
-        assert svds and all(rows == small.dim for rows, _ in svds)
+        assert model.dim == small.dim
+        n = len(words) * model.kdim
+        assert [s for s in svds if s[0] != small.dim] == [(padded.dim, n)]
 
     def test_empty_word_list_rejected(self):
         site = chain_site(("t",))
@@ -276,7 +295,29 @@ class TestRepresentedEvents:
 
     def test_reconstructed_model_passes_validation(self, qubit_recon):
         model, site, oracle, recon = qubit_recon
-        assert check_model(recon.model, site, config=RunConfig(projector_tol=1e-8)).ok
+        assert check_model(recon.model, site).ok
+
+    @pytest.mark.parametrize("n, canonical, rank_tol", [
+        (4, True, RunConfig.rank_tol), (4, False, RunConfig.rank_tol),
+        (5, True, RunConfig.rank_tol), (5, False, RunConfig.rank_tol),
+        (6, False, 1e-12),
+    ])
+    def test_chain_model_from_its_product_stack_passes_validation(
+        self, n, canonical, rank_tol
+    ):
+        # the coordinates of a model's table come from its product stack, so
+        # the emitted model meets the default projector tolerance; the rank
+        # is the chain's full 2^n (the least n = 6 Gram eigenvalue is 5.4e-10
+        # of the largest, below the default cut, hence the lower rank_tol)
+        model, site = fixtures.tensor_chain(n, canonical=canonical)
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+        config = RunConfig(rank_tol=rank_tol)
+        recon = reconstruct(oracle, config)
+        assert recon.provenance()["factor"] == "product_stack"
+        assert recon.rank == 2**n
+        report = check_model(recon.model, site, config=config)
+        assert report.ok, report.violations()
+        assert verify_decomposition(recon, oracle, config).max_residual <= 1e-13
 
     def test_non_closed_word_list_refused(self):
         model, site = fixtures.qubit_zx()

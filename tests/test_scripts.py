@@ -109,17 +109,34 @@ def test_cli_sweep_raises_nothing(tmp_path):
     bad_u = [r for r in runs if "galilean_bad_u_table.json" in r["argv"]]
     assert (len(stray), len(bad_u)) == (4 * 9, 4 * 2)
     # then the refused copies: nine models under nine model commands, six
-    # tables under reconstruct [--verify], four fields under lift; the four
+    # tables under reconstruct [--verify], four fields under lift; four
     # `LAST` inputs (a string "leq" cell, a string label list, a string point
-    # list, a signed entry key) come last
+    # list, a signed entry key) come after the other copies
     module = sweep_module()
     refused = [r for r in runs
                if any(a.startswith(n) for a in r["argv"] for n in module.REFUSED)]
     assert len(refused) == 4 * (9 * 9 + 6 * 2 + 4)
-    assert runs[-len(refused):] == refused
+    # `LAST` ends with two valid models under nine model commands: the
+    # one-outcome chain, whose table `kernels` prints under the three flag
+    # sets but `--cap 3`, and the Galilean model on a site without its
+    # symmetry, whose table it never prints
+    valid = [r for r in runs if any(a.startswith(n) for a in r["argv"]
+                                    for n in (module.ONE_OUTCOME, module.UNACTED))]
+    assert len(valid) == 4 * 9 + 3 * 2 + 4 * 9
+    tail = len(refused) + len(valid)
+    assert runs[-tail:] == [r for r in runs if r in refused or r in valid]
     last = [r for r in runs if any(a.startswith(n) for a in r["argv"] for n in module.LAST)]
-    assert len(last) == 4 * (3 * 9 + 2) and runs[-len(last):] == last
-    assert runs[-len(refused) - len(stray) - len(bad_u):-len(refused)] == [
+    assert len(last) == 4 * (3 * 9 + 2) + len(valid) and runs[-len(last):] == last
+    assert runs[-tail - len(stray) - len(bad_u):-tail] == [
         r for r in runs if r in stray or r in bad_u
     ]
     assert all(r["exit"] == 2 for r in stray + bad_u + refused)
+    # each word of `--policy atoms` is listed once; a symmetry without a site
+    # action is an input error of `equiv unitary` as of `check`
+    exits = {tuple(r["argv"]): r["exit"] for r in valid}
+    model, site = (f"{module.ONE_OUTCOME}_{part}.json" for part in ("model", "site"))
+    assert exits["check", model, site, "--policy", "atoms"] == 0
+    model, site = (f"{module.UNACTED}_{part}.json" for part in ("model", "site"))
+    for flags in module.FLAG_SETS:
+        assert exits[("equiv", "unitary", model, model, site, *flags)] == 2
+        assert exits[("check", model, site, *flags)] == 2

@@ -77,7 +77,7 @@ class TestModelRoundTrip:
         model, site, sym = fixtures.galilean_shift_fixture()
         from qsproc.equivalence import minimal_modification
 
-        small = minimal_modification(model, site)
+        small = minimal_modification(model, site, site_sym=sym)
         data = serialize.model_to_json(small)
         back = serialize.model_from_json(data)
         assert set(back.units_p) == set(small.units_p)
@@ -182,8 +182,8 @@ class TestWriter:
     def test_model_bytes_match_stdlib(self):
         from qsproc.equivalence import minimal_modification
 
-        model, site, _ = fixtures.galilean_shift_fixture()
-        small = minimal_modification(model, site)
+        model, site, sym = fixtures.galilean_shift_fixture()
+        small = minimal_modification(model, site, site_sym=sym)
         data = serialize.model_to_json(small)
         assert {"units", "symmetry"} <= set(data)
         assert serialize.dumps(data) == reference_dumps(data)

@@ -184,6 +184,19 @@ class TestEnumerateWords:
         words = enumerate_words(SITE, SPACES, policy="atoms_plus_unit")
         assert len(words) == 9
 
+    def test_one_outcome_point_under_atoms_plus_unit(self):
+        # the atom of a one-outcome point is its unit: one choice, not two,
+        # and the cap applies to the distinct words
+        spaces = OutcomeSpaces({"t1": ("x",), "t2": ("0", "1")})
+        words = enumerate_words(SITE, spaces, policy="atoms_plus_unit", cap=3)
+        assert words == [
+            EventWord.from_dict({"t2": {"0"}}, spaces),
+            EventWord.from_dict({"t2": {"1"}}, spaces),
+            unit_word(),
+        ]
+        with pytest.raises(ValueError, match="cap"):
+            enumerate_words(SITE, spaces, policy="atoms_plus_unit", cap=2)
+
     def test_cap(self):
         with pytest.raises(ValueError, match="cap"):
             enumerate_words(SITE, SPACES, cap=3)
@@ -289,7 +302,7 @@ def reference_enumeration(site, spaces, policy):
     for t in site.points:
         outs = spaces.outcomes(t)
         choices = (subsets(outs) if policy == POLICY_ALL_SUBSETS
-                   else [frozenset(outs)] + [frozenset({x}) for x in outs])
+                   else {frozenset(outs)} | {frozenset({x}) for x in outs})
         per_point.append(sorted(choices, key=lambda b: spaces.bitmask(t, b)))
     return [EventWord.from_dict(dict(zip(site.points, combo)), spaces)
             for combo in itertools.product(*per_point)]
