@@ -34,6 +34,10 @@ atoms` lists each word once), and the Galilean model with a site file that
 declares no symmetry (`check`, `kernels`, `reconstruct`, `roundtrip` and
 `equiv unitary` exit 2: the model's symmetry has no site action).
 
+`FINAL` is swept after everything else: `tensor_chain(4, canonical=False)`,
+whose 256 words give a 5.9 MB `kernels` table with 3-digit entry keys, under
+the nine model commands and the table runs.
+
 Every run records its arguments (file names relative to the scratch
 directory), its exit code and the sha256 of its stdout and stderr.  A run
 that raises records the exception's type and message as its stderr and
@@ -77,6 +81,7 @@ EXTRA_MODELS = {
     "controlled_kdim2": lambda: fixtures.controlled_kdim2() + (None,),
     "random4": lambda: fixtures.random_valid_model(4) + (None,),
     "tensor_chain3": lambda: fixtures.tensor_chain(3, canonical=False) + (None,),
+    "tensor_chain4": lambda: fixtures.tensor_chain(4, canonical=False) + (None,),
 }
 MALFORMED = "galilean_bad_v"
 STRAY_UNITS, BAD_TABLE = "qubit_stray_units", "galilean_bad_u"
@@ -114,6 +119,7 @@ REFUSED = {
 ONE_OUTCOME, UNACTED = "one_outcome", "galilean_unacted"
 LAST = ("qubit_leq_str", "qubit_spaces_str", "qubit_points_str", "qubit_key_signed",
         ONE_OUTCOME, UNACTED)
+FINAL = ("tensor_chain4",)  # swept after LAST
 INPUTS = (FIXTURE_FILES + tuple(EXTRA_MODELS) + (MALFORMED, "field") + LATE
           + tuple(REFUSED) + (ONE_OUTCOME, UNACTED))
 
@@ -301,9 +307,9 @@ def main():
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            last = LATE + tuple(REFUSED) + LAST
+            last = LATE + tuple(REFUSED) + LAST + FINAL
             records = sweep([n for n in args.inputs if n not in last])
-            for group in (LATE, [n for n in REFUSED if n not in LAST], LAST):
+            for group in (LATE, [n for n in REFUSED if n not in LAST], LAST, FINAL):
                 records += sweep([n for n in args.inputs if n in group])
         finally:
             os.chdir(cwd)

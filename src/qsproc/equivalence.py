@@ -145,11 +145,13 @@ def build_unitary(
 ) -> ModelMorphism:
     """Unitary sending the first minimal model onto the second.
 
-    The map matches chronological product vectors through the Gram factor
-    of the first model (`linalg.psd_eigencut`), whose rank each model's
-    dimension must equal; the phase is fixed by matching the initial
-    embeddings directly, so the restriction to the initial space is the
-    identity.
+    The map matches chronological product vectors through the factor of
+    the first model's product stack X (`linalg.stack_factor`, cut by
+    `linalg.eigencut`), whose rank each model's dimension must equal:
+    ``u = Y V S^-1 W*`` for the thin SVD ``X = W S V*``, which sees the
+    conditioning of X, not that of its Gram matrix.  The phase is fixed by
+    matching the initial embeddings directly, so the restriction to the
+    initial space is the identity.
     """
     tol = config.equivalence_tol
     verdict, (x, y), gram = _compare_tables(m1, m2, site, words, tol)
@@ -158,7 +160,7 @@ def build_unitary(
             f"models are not equivalent in the wide sense "
             f"(residual {verdict.max_residual:.3e} at {verdict.witness})"
         )
-    factor = linalg.psd_eigencut(gram, config.rank_tol)
+    factor = linalg.eigencut(linalg.stack_factor(x, gram), config.rank_tol)
     # equal tables have equal Gram ranks, and a minimal model has that dimension
     for name, m in (("first", m1), ("second", m2)):
         if m.dim != factor.values.size:

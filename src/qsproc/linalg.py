@@ -122,11 +122,6 @@ class Eigencut(NamedTuple):
     hermitian_defect: float  # largest entry of |G - G*|
 
 
-def psd_eigencut(gram: np.ndarray, rel_tol: float) -> Eigencut:
-    """`eigencut` of the `pivoted_cholesky` factor of `gram`."""
-    return eigencut(pivoted_cholesky(gram), rel_tol)
-
-
 def pivoted_cholesky(gram: np.ndarray) -> Cholesky:
     """One pivoted Cholesky factor G ~ L L* of the Hermitian part of a PSD
     matrix G, and the eigendecomposition of L* L.

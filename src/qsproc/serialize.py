@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping, ValuesView
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Mapping
 
 import numpy as np
 
@@ -260,19 +260,55 @@ def model_from_json(data: dict) -> HilbertModel:
 # -- kernel tables -----------------------------------------------------------------
 
 
+class KernelEntries(Mapping):
+    """The ``"i,j"`` entries of an (n, n, kdim, kdim) kernel table, read only:
+    ``m["i,j"]`` is the view ``table[i, j]``, the keys run in row-major
+    order, and a key the reader would refuse (another spelling of a pair,
+    an index of n or more) is not in the mapping."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: np.ndarray):
+        self.table = table
+
+    def __len__(self) -> int:
+        return self.table.shape[0] ** 2
+
+    def __iter__(self):
+        n = self.table.shape[0]
+        return (f"{i},{j}" for i in range(n) for j in range(n))
+
+    def __getitem__(self, key):
+        if isinstance(key, str) and _ENTRY_KEY.fullmatch(key):
+            i, j = map(int, key.split(","))
+            if max(i, j) < self.table.shape[0]:
+                return self.table[i, j]
+        raise KeyError(key)
+
+    def values(self):
+        return _EntryViews(self)
+
+
+class _EntryViews(ValuesView):
+    """The entries of a `KernelEntries` in key order, read off its table
+    rather than key by key."""
+
+    def __iter__(self):
+        table = self._mapping.table
+        return iter(table.reshape((-1,) + table.shape[2:]))
+
+
 def oracle_to_json(oracle) -> dict:
-    """The table as a JSON-ready dict; each ``"i,j"`` value is the kdim × kdim
-    complex array ``oracle.table[i, j]`` (a view), which `dumps` writes as
-    nested ``[re, im]`` pairs."""
-    n, kdim = len(oracle.words), oracle.kdim
-    keys = [f"{i},{j}" for i in range(n) for j in range(n)]
-    values = dict(zip(keys, oracle.table.reshape(n * n, kdim, kdim)))
+    """The table as a JSON-ready dict.  Its ``"values"`` is a read-only
+    `KernelEntries` over ``oracle.table``, each ``"i,j"`` value the kdim ×
+    kdim complex view ``oracle.table[i, j]``, which `dumps` writes as nested
+    ``[re, im]`` pairs; to edit entries, copy it first (``dict(values)``)."""
     out = {
-        "kdim": kdim,
+        "kdim": oracle.kdim,
         "site": site_to_json(oracle.site),
         "spaces": spaces_to_json(oracle.spaces),
         "words": [word_to_json(w) for w in oracle.words],
-        "values": values,
+        "values": KernelEntries(oracle.table),
     }
     if oracle.symmetry:
         out["symmetry"] = {
@@ -397,7 +433,9 @@ def dumps(data) -> str:
     time.  Here the containers are walked the same way, but every array leaf
     only leaves a slot; afterwards the arrays of one shape at one depth are
     written together, their floats by one C-encoded ``json.dumps`` of a flat
-    list and their brackets by one cached template.
+    list and their brackets by one cached template.  A `KernelEntries` is
+    not walked at all: its table is written in key order straight from the
+    array (`_encode_entries`).
     """
     chunks: list = []
     groups: dict = {}  # (shape, level) -> (slots, arrays)
@@ -449,8 +487,33 @@ def _encode(o, level: int, chunks: list, groups: dict) -> None:
             sep = "," + inner
             _encode(o[k], level + 1, chunks, groups)
         chunks.append("\n" + "  " * level + "}")
+    elif isinstance(o, KernelEntries):
+        _encode_entries(o.table, level, chunks)
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _encode_entries(table: np.ndarray, level: int, chunks: list) -> None:
+    """The ``"i,j"``-keyed object of an (n, n, k, k) table, as the dict walk
+    writes it, in row chunks of about 2^16 entries.  Sorted ``"i,j"`` keys
+    run in the string order of i, then of j, because ``","`` sorts before
+    every digit."""
+    n, shape = table.shape[0], table.shape[2:]
+    if not n:
+        chunks.append("{}")
+        return
+    order = sorted(range(n), key=str)
+    labels = [str(i) for i in order]
+    head = ",\n" + "  " * (level + 1) + '"'
+    lead = "{" + head[1:]  # the first entry follows the brace, not a comma
+    step = max(1, (1 << 16) // n)
+    for start in range(0, n, step):
+        block = table[order[start:start + step]][:, order].reshape((-1,) + shape)
+        keys = (f'{i},{j}": ' for i in labels[start:start + step] for j in labels)
+        texts = _render(block, shape, level + 1)
+        chunks.append(lead + head.join(map(str.__add__, keys, texts)))
+        lead = head
+    chunks.append("\n" + "  " * level + "}")
 
 
 def _float_text(x: float) -> str:
@@ -472,8 +535,9 @@ def _key_text(k) -> str:
     )
 
 
-def _render(arrays: list, shape: tuple, level: int) -> list[str]:
-    """The texts of same-shape arrays written at one depth, in order."""
+def _render(arrays, shape: tuple, level: int) -> list[str]:
+    """The texts of same-shape arrays written at one depth, in order; a list
+    of them or one array stacking them."""
     z = np.asarray(arrays, dtype=COMPLEX)
     flat = np.stack((z.real, z.imag), axis=-1).ravel().tolist()
     # the C encoder spells floats as the stdlib does (repr, NaN, Infinity)

@@ -191,7 +191,8 @@ class TestReconstruct:
         model, site = fixtures.qubit_zx()
         oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
         data = serialize.oracle_to_json(oracle)
-        values, n = data["values"], len(oracle.words)
+        values = data["values"] = dict(data["values"])
+        n = len(oracle.words)
         if defect == "missing":
             del values["0,1"]
         elif defect == "negative":
@@ -210,6 +211,7 @@ class TestReconstruct:
         # a one-row entry must not broadcast over its 2x2 slot, whether the
         # entry is nonzero ("5,5") or zero ("1,1")
         data = kdim2_table()
+        data["values"] = dict(data["values"])
         data["values"][key] = data["values"][key][:1]
         table_file = write(tmp_path, "table.json", data)
         assert cli.main(["reconstruct", table_file]) == 2
@@ -218,6 +220,7 @@ class TestReconstruct:
 
     def test_non_finite_entry_exits_two(self, tmp_path, capsys):
         data = kdim2_table()
+        data["values"] = dict(data["values"])
         entry = data["values"]["5,5"].copy()
         entry[0, 0] = float("nan")
         data["values"]["5,5"] = entry
@@ -229,6 +232,7 @@ class TestReconstruct:
         # a nonzero kernel on the word with an empty factor at t1: the quotient
         # would hold a vector the emitted model's products cannot reach
         data = kdim2_table()
+        data["values"] = dict(data["values"])
         data["values"]["1,1"] = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
         table_file = write(tmp_path, "table.json", data)
         for argv in (["reconstruct", table_file], ["reconstruct", table_file, "--verify"]):
@@ -536,6 +540,7 @@ class TestConfigKeys:
         # factorizability fail at 1e-9 and hold at 1e-6, in `check` and
         # `reconstruct` alike
         data = serialize.oracle_to_json(qubit_table())
+        data["values"] = dict(data["values"])
         data["values"]["1,1"] = data["values"]["1,1"] + 1e-8
         table_file = write(tmp_path, "table.json", data)
         code, out, err = self.run(tmp_path, capsys, None, ["reconstruct", table_file])

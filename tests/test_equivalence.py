@@ -226,8 +226,9 @@ class TestBuildUnitary:
 
     @pytest.mark.parametrize("seed", [0, 4, 7])
     def test_matches_separate_stack_formula(self, seed):
-        # the formula that built each product stack separately, kept as the
-        # reference: the unitary and its residuals agree bit for bit
+        # the formula that built each product stack separately and factored
+        # the first by its SVD, kept as the reference: the unitary and its
+        # residuals agree bit for bit
         model, site = fixtures.random_valid_model(seed)
         words = enumerate_words(site, model.spaces)
         m1 = minimal_modification(model, site, words)
@@ -236,13 +237,37 @@ class TestBuildUnitary:
         assert is_minimal(m1, site, words) and is_minimal(m2, site, words)
         x = linalg.side_by_side(m1.products(site, words))
         y = linalg.side_by_side(m2.products(site, words))
-        factor = linalg.psd_eigencut(dagger(x) @ x, 1e-9)
+        factor = linalg.eigencut(linalg.stack_factor(x, dagger(x) @ x), 1e-9)
         z = factor.vectors / np.sqrt(factor.values)[None, :]
         u = (y @ z) @ dagger(x @ z)
         expected = check_model_relation(m1, m2, u, site)
         morphism = build_unitary(m1, m2, site, words)
         assert np.array_equal(morphism.u, u)
         assert morphism.to_dict() == expected.to_dict()
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_ill_conditioned_minimal_model_onto_itself(self, n):
+        # the product stack of this minimal model is ill conditioned: a
+        # unitary from a factor of its Gram matrix, whose small directions
+        # carry eps * cond(G), missed the isometry tolerance (1.1e-8 at
+        # n = 4, 2.1e-7 at n = 5); the stack's SVD sees only cond(X)
+        model, site = fixtures.tensor_chain(n, canonical=False)
+        words = enumerate_words(site, model.spaces)
+        m = minimal_modification(model, site, words)
+        morphism = build_unitary(m, m, site, words)
+        assert morphism.ok
+        assert morphism.isometry_residual < 1e-9
+
+    def test_verify_on_the_canonical_chain_table(self, tmp_path, capsys):
+        # the idempotence check of `reconstruct --verify` builds this
+        # unitary; on this table it read 1.3e-8 against 1e-8 and exited 1
+        model, site = fixtures.tensor_chain(4)
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+        table = tmp_path / "table.json"
+        table.write_text(serialize.dumps(serialize.oracle_to_json(oracle)))
+        assert cli.main(["reconstruct", str(table), "--verify"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verification"]["ok"] is True
 
 
 class TestModelRelation:

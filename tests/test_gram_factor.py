@@ -1,6 +1,6 @@
 """The pivoted Cholesky Gram factor against the dense eigensolve it replaced.
 
-`reference_eigencut` is the dense `eigh` formula `linalg.psd_eigencut` used
+`reference_eigencut` is the dense `eigh` formula the Gram eigencut used
 before the factor; it is kept here so that ranks, eigenvalues and quotient
 coordinates are held to it.  Coordinates are unique only up to a unitary
 inside an eigenspace, so within a cluster of equal eigenvalues the tests
@@ -65,7 +65,7 @@ def eigen_clusters(vals, rel_gap=1e-10):
 def test_matches_dense_reference(name):
     gram = case_oracle(name).gram()
     vals, vecs, _ = reference_eigencut(gram, 1e-9)
-    factor = linalg.psd_eigencut(gram, 1e-9)
+    factor = linalg.eigencut(linalg.pivoted_cholesky(gram), 1e-9)
     top = vals[0]
     assert factor.values.size == vals.size
     assert np.max(np.abs(factor.values - vals)) <= 1e-12 * top
@@ -85,17 +85,19 @@ def test_matches_dense_reference(name):
 @pytest.mark.parametrize("name", list(CASES))
 def test_adjoint_gives_the_same_factor(name):
     # the factor reads only the Hermitian part, which G and G* share bit for
-    # bit; `build_unitary` factors the C-ordered adjoint of a transposed view
+    # bit; `build_unitary` certifies its stack factor against the C-ordered
+    # adjoint of a transposed view
     gram = case_oracle(name).gram()
-    factor, adjoint = linalg.psd_eigencut(gram, 1e-9), linalg.psd_eigencut(
-        linalg.dagger(gram), 1e-9
+    factor, adjoint = (
+        linalg.eigencut(linalg.pivoted_cholesky(g), 1e-9) for g in (gram, linalg.dagger(gram))
     )
     for got, expected in zip(adjoint, factor):
         assert np.array_equal(got, expected)
 
 
 def test_vectors_orthonormal_and_phase_fixed():
-    factor = linalg.psd_eigencut(case_oracle("random_valid_model(2)").gram(), 1e-9)
+    gram = case_oracle("random_valid_model(2)").gram()
+    factor = linalg.eigencut(linalg.pivoted_cholesky(gram), 1e-9)
     v = factor.vectors
     assert np.max(np.abs(linalg.dagger(v) @ v - np.eye(v.shape[1]))) < 1e-12
     for j in range(v.shape[1]):
@@ -107,7 +109,7 @@ def test_rank_cut_drops_factored_eigenvalues():
     # a cut above the second eigenvalue keeps one, and `dropped` lists the
     # factored eigenvalues below it, then minus the residual bound
     gram = np.diag([4.0, 1.0, 0.25]).astype(complex)
-    factor = linalg.psd_eigencut(gram, 0.5)
+    factor = linalg.eigencut(linalg.pivoted_cholesky(gram), 0.5)
     assert factor.values.tolist() == [4.0]
     assert factor.dropped.tolist() == [1.0, 0.25, 0.0]
     assert factor.residual == 0.0
@@ -116,12 +118,12 @@ def test_rank_cut_drops_factored_eigenvalues():
 def test_residual_bounds_an_indefinite_matrix():
     # the negative direction stays in the residual: -residual <= lambda_min
     gram = np.array([[2.0, 1.0], [1.0, -1.0]], dtype=complex)
-    factor = linalg.psd_eigencut(gram, 1e-9)
+    factor = linalg.eigencut(linalg.pivoted_cholesky(gram), 1e-9)
     assert factor.dropped[-1] <= np.linalg.eigvalsh(gram).min()
 
 
 def test_zero_matrix():
-    factor = linalg.psd_eigencut(np.zeros((3, 3), dtype=complex), 1e-9)
+    factor = linalg.eigencut(linalg.pivoted_cholesky(np.zeros((3, 3), dtype=complex)), 1e-9)
     assert factor.values.size == 0 and factor.vectors.shape == (3, 0)
     assert factor.dropped.tolist() == [0.0] and factor.residual == 0.0
 

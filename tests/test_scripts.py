@@ -100,6 +100,13 @@ def test_cli_sweep_raises_nothing(tmp_path):
     assert done.returncode == 0, done.stderr
     runs = json.loads(out.read_text())["runs"]
     assert [r["argv"] for r in runs if r["exit"] == "traceback"] == []
+    # `FINAL`, the 256-word tensor chain, comes after every other input: nine
+    # model commands under four flag sets, and its table under the three
+    # flag sets `kernels` passes; the checks below read the runs before it
+    module = sweep_module()
+    final = [r for r in runs if any(a.startswith(n) for a in r["argv"] for n in module.FINAL)]
+    assert len(final) == 4 * 9 + 3 * 2 and runs[-len(final):] == final
+    runs = runs[:-len(final)]
     malformed = [r for r in runs if "galilean_bad_v_model.json" in r["argv"]]
     assert malformed and all(r["exit"] == 2 for r in malformed)
     # the two inputs swept last: a units block at a point outside the site
@@ -112,7 +119,6 @@ def test_cli_sweep_raises_nothing(tmp_path):
     # tables under reconstruct [--verify], four fields under lift; four
     # `LAST` inputs (a string "leq" cell, a string label list, a string point
     # list, a signed entry key) come after the other copies
-    module = sweep_module()
     refused = [r for r in runs
                if any(a.startswith(n) for a in r["argv"] for n in module.REFUSED)]
     assert len(refused) == 4 * (9 * 9 + 6 * 2 + 4)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -148,7 +149,7 @@ def to_lists(x):
     if isinstance(x, np.ndarray):
         z = np.asarray(x, dtype=complex)
         return np.stack((z.real, z.imag), axis=-1).tolist()
-    if isinstance(x, dict):
+    if isinstance(x, Mapping):
         return {k: to_lists(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [to_lists(v) for v in x]
@@ -164,14 +165,42 @@ def _table(model, site, sym=None):
 
 
 class TestWriter:
-    @pytest.mark.parametrize("name", ["qubit_zx", "controlled_kdim2", "tensor_chain"])
+    @pytest.mark.parametrize(
+        "name", ["qubit_zx", "controlled_kdim2", "tensor_chain", "tensor_chain4"]
+    )
     def test_oracle_bytes_match_stdlib(self, name):
         if name == "tensor_chain":
             model, site = fixtures.tensor_chain(3)
+        elif name == "tensor_chain4":  # 256 words: entry keys of 3 digits
+            model, site = fixtures.tensor_chain(4, canonical=False)
         else:
             model, site = getattr(fixtures, name)()
         data = serialize.oracle_to_json(_table(model, site))
         assert serialize.dumps(data) == reference_dumps(data)
+
+    @pytest.mark.parametrize("name", ["qubit_zx", "controlled_kdim2"])
+    def test_edited_entries_bytes_match_stdlib(self, name):
+        # signed zero, the least subnormal, a large exponent and integral
+        # floats are spelled as the stdlib spells them
+        oracle = _table(*getattr(fixtures, name)())
+        table = oracle.table.copy()
+        specials = [-0.0, 5e-324, 1e300, 2.0, -3.0, 1e16, 1e22, -1e-7]
+        for k, x in enumerate(specials):
+            table[k, k + 1] = complex(x, specials[-1 - k])
+        data = serialize.oracle_to_json(dataclasses.replace(oracle, table=table))
+        text = serialize.dumps(data)
+        assert text == reference_dumps(data)
+        assert "-0.0" in text and "5e-324" in text and "1e+22" in text
+
+    @pytest.mark.parametrize("n", [0, 1, 11, 257])
+    def test_entries_bytes_match_stdlib(self, n):
+        # a bare table at any size: empty, one key, keys of unequal length
+        # out of numeric order, and 257 rows written in two chunks
+        rng = np.random.default_rng(n)
+        table = rng.normal(size=(n, n, 1, 1)) + 1j * rng.normal(size=(n, n, 1, 1))
+        for data in (serialize.KernelEntries(table), {"values": serialize.KernelEntries(table)}):
+            assert serialize.dumps(data) == reference_dumps(data)
+        assert serialize.dumps(serialize.KernelEntries(table[:0, :0])) == "{}"
 
     def test_oracle_with_symmetry_bytes_match_stdlib(self):
         model, site, sym = fixtures.galilean_shift_fixture()
@@ -226,6 +255,56 @@ class TestWriter:
         assert serialize.dumps(data) == reference_dumps(data)
 
 
+class TestKernelEntries:
+    ORACLE = _table(*fixtures.controlled_kdim2())
+
+    def test_keys_and_views(self):
+        oracle = self.ORACLE
+        values = serialize.oracle_to_json(oracle)["values"]
+        n = len(oracle.words)
+        keys = [f"{i},{j}" for i in range(n) for j in range(n)]
+        assert len(values) == n * n and list(values) == keys
+        for key in ("0,0", "3,2", f"{n - 1},{n - 1}"):
+            i, j = map(int, key.split(","))
+            entry = values[key]
+            assert key in values
+            assert entry.base is not None and np.shares_memory(entry, oracle.table)
+            assert entry.shape == (2, 2) and np.array_equal(entry, oracle.table[i, j])
+        assert [e.tobytes() for e in values.values()] == \
+            [values[k].tobytes() for k in keys]
+        assert [k for k, _ in values.items()] == keys
+
+    def test_read_only(self):
+        values = serialize.oracle_to_json(self.ORACLE)["values"]
+        with pytest.raises(TypeError):
+            values["0,0"] = values["0,1"]
+        with pytest.raises(ValueError):
+            values["0,0"][0, 0] = 1.0
+
+    @pytest.mark.parametrize("key", [
+        " 1,0", "+1,0", "01,0", "1, 0", "1_0,0", "1,0 ", "1,00", "1,0,0",
+        "00,1", "-1,0", "16,0", "0,16", "9" * 30 + ",0", "", (1, 0), 10,
+    ])
+    def test_only_canonical_keys_are_in(self, key):
+        # the keys the reader would refuse are not in the mapping, as they
+        # were not in the dict it replaces
+        values = serialize.oracle_to_json(self.ORACLE)["values"]
+        assert key not in values
+        with pytest.raises(KeyError):
+            values[key]
+        assert values.get(key) is None
+
+    @pytest.mark.parametrize("name", ["qubit_zx", "controlled_kdim2", "tensor_chain(4)"])
+    def test_read_back_bit_for_bit(self, name):
+        if name == "tensor_chain(4)":
+            oracle = _table(*fixtures.tensor_chain(4, canonical=False))
+        else:
+            oracle = _table(*getattr(fixtures, name)())
+        back = serialize.oracle_from_json(serialize.oracle_to_json(oracle))
+        assert back.words == oracle.words
+        assert back.table.tobytes() == oracle.table.tobytes()
+
+
 class TestTableReader:
     def test_array_and_list_leaves_agree(self):
         oracle = _table(*fixtures.controlled_kdim2())
@@ -261,6 +340,7 @@ class TestTableReader:
     def test_mixed_array_and_list_leaves(self):
         oracle = _table(*fixtures.qubit_zx())
         data = serialize.oracle_to_json(oracle)
+        data["values"] = dict(data["values"])
         data["values"]["0,0"] = serialize.matrix_to_json(data["values"]["0,0"])
         back = serialize.oracle_from_json(data)
         assert np.array_equal(back.table, oracle.table)
