@@ -34,9 +34,16 @@ atoms` lists each word once), and the Galilean model with a site file that
 declares no symmetry (`check`, `kernels`, `reconstruct`, `roundtrip` and
 `equiv unitary` exit 2: the model's symmetry has no site action).
 
-`FINAL` is swept after everything else: `tensor_chain(4, canonical=False)`,
-whose 256 words give a 5.9 MB `kernels` table with 3-digit entry keys, under
-the nine model commands and the table runs.
+`FINAL` is swept after those: `tensor_chain(4, canonical=False)`, whose
+256 words give a 5.9 MB `kernels` table with 3-digit entry keys, under the
+nine model commands and the table runs.
+
+`PAIRS` is swept after everything else: `equiv check|unitary A B S` on
+three pairs of models on one site.  `controlled_kdim2` against a copy with
+its embedding rotated is not equivalent (exit 1, a `pair (word i, word j)`
+witness); the Galilean model against its `with_untouched_ancilla` copy is
+(exit 0 for both actions); `controlled_kdim2` against a copy with a
+one-dimensional initial space exits 2.
 
 Every run records its arguments (file names relative to the scratch
 directory), its exit code and the sha256 of its stdout and stderr.  A run
@@ -57,6 +64,7 @@ Usage: PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python scripts/cli_sweep.py OUT.jso
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -68,7 +76,7 @@ import tempfile
 
 import numpy as np
 
-from qsproc import cli, fixtures, serialize
+from qsproc import cli, fixtures, linalg, serialize
 from qsproc.models import HilbertModel
 from qsproc.sites import chain_site
 from qsproc.words import OutcomeSpaces, enumerate_words
@@ -120,17 +128,33 @@ ONE_OUTCOME, UNACTED = "one_outcome", "galilean_unacted"
 LAST = ("qubit_leq_str", "qubit_spaces_str", "qubit_points_str", "qubit_key_signed",
         ONE_OUTCOME, UNACTED)
 FINAL = ("tensor_chain4",)  # swept after LAST
+PAIRS = ("pair_rotated", "pair_ancilla", "pair_kdim")  # swept after FINAL
 INPUTS = (FIXTURE_FILES + tuple(EXTRA_MODELS) + (MALFORMED, "field") + LATE
-          + tuple(REFUSED) + (ONE_OUTCOME, UNACTED))
+          + tuple(REFUSED) + (ONE_OUTCOME, UNACTED) + PAIRS)
 
 
 def kind(name: str) -> str:
     """Which files `name` has, and so which commands read it: "field",
-    "table" or "model"."""
+    "table", "pair" or "model"."""
+    if name in PAIRS:
+        return "pair"
     source = REFUSED.get(name, (name,))[0]
     if source == "field":
         return "field"
     return "table" if source in ("table", BAD_TABLE) else "model"
+
+
+def pair_models(name: str):
+    """The two models, the site and its symmetry of a `PAIRS` input."""
+    if name == "pair_ancilla":
+        model, site, sym = fixtures.galilean_shift_fixture()
+        return model, fixtures.with_untouched_ancilla(model, 3), site, sym
+    model, site = fixtures.controlled_kdim2()
+    if name == "pair_rotated":
+        embedding = model.embedding @ linalg.random_unitary(np.random.default_rng(5), 2)
+    else:
+        embedding = model.embedding[:, :1]
+    return model, dataclasses.replace(model, embedding=embedding), site, None
 
 
 def refused_files(name: str) -> dict[str, dict]:
@@ -212,6 +236,12 @@ def write_inputs(workdir: pathlib.Path, names) -> None:
     for name in set(names) & set(REFUSED):
         for file, data in refused_files(name).items():
             (workdir / file).write_text(serialize.dumps(data))
+    for name in set(names) & set(PAIRS):
+        model, other, site, sym = pair_models(name)
+        for part, data in (("model", serialize.model_to_json(model)),
+                           ("other", serialize.model_to_json(other)),
+                           ("site", serialize.site_to_json(site, sym))):
+            (workdir / f"{name}_{part}.json").write_text(serialize.dumps(data))
 
 
 def run(argv: list[str]) -> tuple[dict, str]:
@@ -246,6 +276,11 @@ def sweep(names) -> list[dict]:
                 path = f"{name}_table.json"
                 for verify in ([], ["--verify"]):
                     records.append(run(["reconstruct", path, *verify, *flags])[0])
+                continue
+            if kind(name) == "pair":
+                files = [f"{name}_{part}.json" for part in ("model", "other", "site")]
+                for action in ("check", "unitary"):
+                    records.append(run(["equiv", action, *files, *flags])[0])
                 continue
             model, site = f"{name}_model.json", f"{name}_site.json"
             for argv in (
@@ -307,9 +342,10 @@ def main():
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            last = LATE + tuple(REFUSED) + LAST + FINAL
+            last = LATE + tuple(REFUSED) + LAST + FINAL + PAIRS
             records = sweep([n for n in args.inputs if n not in last])
-            for group in (LATE, [n for n in REFUSED if n not in LAST], LAST, FINAL):
+            refused = [n for n in REFUSED if n not in LAST]
+            for group in (LATE, refused, LAST, FINAL, PAIRS):
                 records += sweep([n for n in args.inputs if n in group])
         finally:
             os.chdir(cwd)

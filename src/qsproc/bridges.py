@@ -57,30 +57,21 @@ def split_level_point(t: str) -> tuple[int, str]:
 
 
 def lexicographic_site(
-    positions: Sequence[str], depth: int, total_order: bool = False
+    positions: Sequence[str], depth: int
 ) -> tuple[CausalSite, SiteSymmetry]:
     """Levels of position copies, preordered by level.
 
-    Points of one level are causally equivalent by default; `total_order`
-    instead orders them by position index, which makes every class a
-    singleton.  The returned symmetry is the truncated level-shift semigroup:
-    shift k moves level l to l + k and is undefined on levels that would
-    leave the stack, and products past the top collapse onto the empty map.
+    Points of one level are causally equivalent.  The returned symmetry is
+    the truncated level-shift semigroup: shift k moves level l to l + k and
+    is undefined on levels that would leave the stack, and products past the
+    top collapse onto the empty map.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     positions = list(positions)
     pts = [level_point(l, x) for l in range(depth) for x in positions]
-    pos_index = {x: i for i, x in enumerate(positions)}
-
-    def le(a: str, b: str) -> bool:
-        la, xa = split_level_point(a)
-        lb, xb = split_level_point(b)
-        if total_order:
-            return (la, pos_index[xa]) <= (lb, pos_index[xb])
-        return la <= lb
-
-    leq = tuple(tuple(le(a, b) for b in pts) for a in pts)
+    levels = [l for l in range(depth) for _ in positions]
+    leq = tuple(tuple(la <= lb for lb in levels) for la in levels)
     site = CausalSite(
         points=tuple(pts),
         leq=leq,
@@ -357,7 +348,6 @@ def classical_reduce(
     model: HilbertModel,
     site: CausalSite,
     config: RunConfig = RunConfig(),
-    words: Sequence[EventWord] | None = None,
 ) -> ClassicalReduction:
     """Reduce a fully commuting scalar model to a probability measure on the
     trajectory space.
@@ -398,8 +388,7 @@ def classical_reduce(
     mass = np.array(probs).reshape([len(o) for o in outs])
 
     # the kernel factorizes through pointwise products of the words
-    if words is None:
-        words = enumerate_words(site, model.spaces, config.policy, config.cap)
+    words = enumerate_words(site, model.spaces, config.policy, config.cap)
     fact_res = pointwise_factorization_residual(model, site, words)
 
     # additivity in every argument: the measure of a cylinder with one factor

@@ -260,29 +260,27 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
         "provenance": recon.provenance(),
     }
     if args.verify:
-        from .equivalence import EquivalenceRefused, build_unitary
+        from .equivalence import EquivalenceRefused, build_unitary, minimal_modification
 
         decomp = verify_decomposition(recon, oracle, config)
         report["verification"] = decomp.to_dict()
-        # idempotence: the emitted model's own table reconstructs to a
-        # unitarily equivalent model; the model declares the oracle's
-        # symmetry elements, so its table reads their point maps
+        # idempotence: the emitted model's minimal modification on the same
+        # words is unitarily equivalent to it; the model declares the
+        # oracle's symmetry elements, so its table reads their point maps
         maps = {s: sym.point_map for s, sym in oracle.symmetry.items()}
         site_sym = SiteSymmetry(tuple(maps), maps, {})
         try:
-            table = recon.model.kernel_table(
-                oracle.site, list(oracle.words), site_sym=site_sym
+            second = minimal_modification(
+                recon.model, oracle.site, oracle.words, config=config, site_sym=site_sym
             )
-        except ValueError as exc:
-            raise InputError(f"idempotence table: {exc}") from None
-        try:
-            second = reconstruct(table, config)
             morphism = build_unitary(
-                recon.model, second.model, oracle.site, list(oracle.words), config
+                recon.model, second, oracle.site, oracle.words, config
             )
         except (ReconstructionRefused, EquivalenceRefused) as exc:
             print(f"idempotence refused: {exc}", file=sys.stderr)
             return EXIT_MATH
+        except ValueError as exc:  # the emitted model's own table
+            raise InputError(f"idempotence table: {exc}") from None
         report["idempotence"] = morphism.to_dict()
         if not decomp.ok or not morphism.ok:
             _emit(report, config)

@@ -19,9 +19,9 @@ import numpy as np
 from . import linalg
 from .config import RunConfig
 from .linalg import COMPLEX, dagger, opnorm
-from .models import HilbertModel, ProductPlan
+from .models import HilbertModel
 from .reconstruct import reconstruct
-from .sites import CausalSite, SiteClasses, SiteSymmetry
+from .sites import CausalSite, SiteSymmetry
 from .words import EventWord, enumerate_words, subsets
 
 
@@ -33,7 +33,6 @@ def minimal_modification(
     model: HilbertModel,
     site: CausalSite,
     words: Sequence[EventWord] | None = None,
-    classes: SiteClasses | None = None,
     config: RunConfig = RunConfig(),
     site_sym: SiteSymmetry | None = None,
 ) -> HilbertModel:
@@ -49,7 +48,7 @@ def minimal_modification(
     """
     if words is None:
         words = enumerate_words(site, model.spaces, config.policy, config.cap)
-    oracle = model.kernel_table(site, words, classes, site_sym)
+    oracle = model.kernel_table(site, words, site_sym)
     return reconstruct(oracle, config, strict_closure=False).model
 
 
@@ -81,25 +80,24 @@ def check_wide_equivalence(
 
 
 def _compare_tables(m1: HilbertModel, m2: HilbertModel, site: CausalSite, words, tol):
-    """Blockwise comparison of the two models' kernel tables (`pair_blocks`
-    of each model's evaluation of one `ProductPlan` of the words), once
-    models whose initial spaces differ are refused; with the verdict,
-    each model's product columns and, in C order, the adjoint of the first
-    one's Gram matrix, whose Hermitian part (all a factor reads) is the same."""
+    """Blockwise comparison of the two models' kernel tables, once models
+    whose initial spaces differ are refused: the first model's oracle
+    (`HilbertModel.kernel_table`, its symmetry set aside) against the pair
+    blocks of the second model's evaluation of the oracle's `plan`; with the
+    verdict, the oracle and the second model's product columns."""
     if m1.kdim != m2.kdim:
         raise ValueError(
             f"initial spaces differ ({m1.kdim} vs {m2.kdim}); the tables are "
             "not comparable"
         )
-    plan = ProductPlan.walk(site, words)
-    stacks = [m.evaluate(plan) for m in (m1, m2)]
-    tables = [linalg.pair_blocks(f) for f in stacks]
-    worst, at = linalg.worst_block(tables[0] - tables[1])
+    if m1.symmetry:
+        m1 = dataclasses.replace(m1, symmetry={})
+    oracle = m1.kernel_table(site, words)
+    stack = m2.evaluate(oracle.plan)
+    worst, at = linalg.worst_block(oracle.table - linalg.pair_blocks(stack))
     witness = "" if at is None else f"pair (word {at[0]}, word {at[1]})"
-    order = len(words) * m1.kdim
-    gram = dagger(tables[0].transpose(0, 2, 1, 3).reshape(order, order))
     verdict = EquivalenceVerdict(worst <= tol, worst, witness, tol)
-    return verdict, [linalg.side_by_side(f) for f in stacks], gram
+    return verdict, oracle, linalg.side_by_side(stack)
 
 
 @dataclass(eq=False)
@@ -145,22 +143,22 @@ def build_unitary(
 ) -> ModelMorphism:
     """Unitary sending the first minimal model onto the second.
 
-    The map matches chronological product vectors through the factor of
-    the first model's product stack X (`linalg.stack_factor`, cut by
-    `linalg.eigencut`), whose rank each model's dimension must equal:
-    ``u = Y V S^-1 W*`` for the thin SVD ``X = W S V*``, which sees the
-    conditioning of X, not that of its Gram matrix.  The phase is fixed by
-    matching the initial embeddings directly, so the restriction to the
+    The map matches chronological product vectors through the first
+    model's kernel oracle: its product stack X and the memoised factor of X
+    (`KernelOracle.gram_factor`), whose rank each model's dimension must
+    equal: ``u = Y V S^-1 W*`` for the thin SVD ``X = W S V*``, which sees
+    the conditioning of X, not that of its Gram matrix.  The phase is fixed
+    by matching the initial embeddings directly, so the restriction to the
     initial space is the identity.
     """
     tol = config.equivalence_tol
-    verdict, (x, y), gram = _compare_tables(m1, m2, site, words, tol)
+    verdict, oracle, y = _compare_tables(m1, m2, site, words, tol)
     if not verdict.equivalent:
         raise EquivalenceRefused(
             f"models are not equivalent in the wide sense "
             f"(residual {verdict.max_residual:.3e} at {verdict.witness})"
         )
-    factor = linalg.eigencut(linalg.stack_factor(x, gram), config.rank_tol)
+    factor = oracle.gram_factor(config.rank_tol)
     # equal tables have equal Gram ranks, and a minimal model has that dimension
     for name, m in (("first", m1), ("second", m2)):
         if m.dim != factor.values.size:
@@ -168,7 +166,7 @@ def build_unitary(
                 f"the {name} model is not minimal; compress it first"
             )
     z = factor.vectors / np.sqrt(factor.values)[None, :]
-    q1 = x @ z
+    q1 = oracle.product_stack @ z
     q2 = y @ z
     u = q2 @ dagger(q1)
     return _measure_morphism(u, m1, m2, site, tol)

@@ -752,15 +752,13 @@ def check_regularity(
         gc = (g_pinv @ c.reshape(len(idx_l) * k, n * k)).reshape(c.shape)
         q = np.einsum("rna,rnb->nab", np.conjugate(c), gc)
         lam = np.linalg.eigvalsh((q + np.conjugate(q).transpose(0, 2, 1)) / 2)[:, -1]
-        defect = np.sqrt(np.maximum(lam, 0.0))
-        b = int(np.argmax(defect))
-        wit = _word_label(oracle.words[b]) if defect[b] > 0.0 else ""
-        per_slice.append((float(defect[b]), wit))
+        per_slice.append(linalg.worst(
+            np.sqrt(np.maximum(lam, 0.0)), lambda b: _word_label(oracle.words[b])
+        ))
     best = min(per_slice, key=lambda p: p[0])
     l_min = minimal[per_slice.index(best)]
-    return _verdict(
-        "regularity", best[0], tol, f"word {best[1]} against slice {sorted(l_min)}"
-    )
+    return _verdict("regularity", best[0], tol,
+                    best[1] and f"word {best[1]} against slice {sorted(l_min)}")
 
 
 def check_axioms(oracle: KernelOracle, config: RunConfig = RunConfig()) -> AxiomReport:

@@ -42,9 +42,7 @@ class GeneratedAlgebra:
     """Linear basis of the unital star-algebra generated by a finite family
     of operators compressed to a slice subspace."""
 
-    generators: tuple
     basis: np.ndarray  # (dim_algebra, n*n) orthonormal rows, vectorized
-    compression: np.ndarray  # the slice projector the generators live under
 
     @property
     def dimension(self) -> int:
@@ -77,7 +75,7 @@ def generate_algebra(generators: Sequence[np.ndarray], unit: np.ndarray) -> Gene
         if new_basis.shape[0] == basis.shape[0]:
             break
         basis = new_basis
-    return GeneratedAlgebra(tuple(generators), basis, unit)
+    return GeneratedAlgebra(basis)
 
 
 def _orthonormal_rows(rows: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
@@ -341,8 +339,6 @@ def check_narrow_commutativity(
 def check_relaxation(
     model: HilbertModel,
     site: CausalSite,
-    classes: SiteClasses | None = None,
-    words: Sequence[EventWord] | None = None,
     config: RunConfig = RunConfig(),
 ) -> ModelReport:
     """Relaxation of the compression maps at the smallest slices.
@@ -353,10 +349,9 @@ def check_relaxation(
     that slice are replaced (seeded basis rotation), only when the initial
     vector is.
     """
-    classes = classes or derive_classes(site)
+    classes = derive_classes(site)
     tol = config.membership_tol
-    if words is None:
-        words = enumerate_words(site, model.spaces, config.policy, config.cap)
+    words = enumerate_words(site, model.spaces, config.policy, config.cap)
     minimal = classes.minimal_antichains()
     p0 = model.initial_projector()
     columns = {l: _slice_columns(model, site, words, l) for l in classes.maximal_antichains}

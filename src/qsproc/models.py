@@ -94,10 +94,6 @@ class HilbertModel:
     def kdim(self) -> int:
         return self.embedding.shape[1]
 
-    @property
-    def points(self) -> tuple[str, ...]:
-        return tuple(self.atoms)
-
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=COMPLEX)
 
@@ -196,7 +192,6 @@ class HilbertModel:
         self,
         site: CausalSite,
         word_list: Sequence[EventWord],
-        classes: SiteClasses | None = None,
         site_sym: SiteSymmetry | None = None,
     ):
         """Total kernel map on a word list, packaged with the symmetry data
@@ -205,7 +200,6 @@ class HilbertModel:
         Import is deferred to avoid a cycle with the oracle module."""
         from .kernels import KernelOracle, OracleSymmetry
 
-        classes = classes or derive_classes(site)
         plan = ProductPlan.walk(site, word_list)
         products = self.evaluate(plan)
         table = linalg.pair_blocks(products)
@@ -219,7 +213,7 @@ class HilbertModel:
             )
         return KernelOracle(
             site=site,
-            classes=classes,
+            classes=derive_classes(site),
             spaces=self.spaces,
             kdim=self.kdim,
             words=plan.words,

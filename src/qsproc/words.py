@@ -85,9 +85,6 @@ class Event:
                 return b
         raise KeyError(f"event has no factor at {t!r}")
 
-    def is_unit(self, spaces: OutcomeSpaces) -> bool:
-        return all(b == spaces.full(t) for t, b in self.factors)
-
 
 @dataclass(frozen=True)
 class EventWord:

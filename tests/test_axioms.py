@@ -307,8 +307,10 @@ class TestRegularity:
             assert check.witness.startswith(f"word {label} against slice")
 
     def test_aligned_qubit_regular(self, qubit_oracle):
+        # a zero limit names no worst word (the witness read "word  against
+        # slice ['t1']", with an empty word label)
         check = check_regularity(qubit_oracle)
-        assert check.status == PASS
+        assert (check.status, check.residual, check.witness) == (PASS, 0.0, "")
 
     def test_ancilla_fails(self):
         model, site = fixtures.ancilla_correlated()
@@ -317,6 +319,7 @@ class TestRegularity:
         check = check_regularity(oracle)
         assert check.status == FAIL
         assert check.residual == pytest.approx(0.5, abs=1e-9)
+        assert check.witness == "word {['0']@t1} against slice ['t1']"
 
     def test_single_point_trivial_device(self):
         site = chain_site(("t",))

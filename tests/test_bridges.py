@@ -48,11 +48,6 @@ class TestLexicographicSite:
         assert "2:a" not in sym.maps["shift1"]
         assert sym.maps["shift1"]["1:a"] == "2:a"
 
-    def test_total_order_variant_has_singleton_classes(self):
-        site, _ = lexicographic_site(["a", "b"], 2, total_order=True)
-        classes = derive_classes(site)
-        assert all(len(c) == 1 for c in classes.equivalence_classes)
-
     def test_depth_zero_rejected(self):
         with pytest.raises(ValueError):
             lexicographic_site(["a"], 0)

@@ -245,6 +245,25 @@ class TestBuildUnitary:
         assert np.array_equal(morphism.u, u)
         assert morphism.to_dict() == expected.to_dict()
 
+    def test_declared_symmetry_is_set_aside(self):
+        # the first model's oracle is built from its copy without symmetry,
+        # so a model that declares one gives what that copy gives, bit for bit
+        model, site, sym = fixtures.galilean_shift_fixture()
+        words = enumerate_words(site, model.spaces)
+        padded = fixtures.with_untouched_ancilla(model, 3)
+
+        def plain(m):
+            return dataclasses.replace(m, symmetry={})
+
+        got, ref = (check_wide_equivalence(m, padded, site, words) for m in (model, plain(model)))
+        assert got.equivalent and got.to_dict() == ref.to_dict()
+        m1, m2 = (minimal_modification(m, site, words, site_sym=sym) for m in (model, padded))
+        assert m1.symmetry and m2.symmetry
+        # the second model declares none, so neither morphism compares one
+        got, ref = (build_unitary(m, plain(m2), site, words) for m in (m1, plain(m1)))
+        assert got.ok and got.to_dict() == ref.to_dict()
+        assert np.array_equal(got.u, ref.u)
+
     @pytest.mark.parametrize("n", [4, 5])
     def test_ill_conditioned_minimal_model_onto_itself(self, n):
         # the product stack of this minimal model is ill conditioned: a

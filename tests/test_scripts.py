@@ -100,10 +100,22 @@ def test_cli_sweep_raises_nothing(tmp_path):
     assert done.returncode == 0, done.stderr
     runs = json.loads(out.read_text())["runs"]
     assert [r["argv"] for r in runs if r["exit"] == "traceback"] == []
-    # `FINAL`, the 256-word tensor chain, comes after every other input: nine
-    # model commands under four flag sets, and its table under the three
-    # flag sets `kernels` passes; the checks below read the runs before it
+    # `PAIRS` comes after every other input: `equiv check|unitary` on three
+    # pairs under four flag sets.  The rotated pair is not equivalent (exit
+    # 1), the padded one is (exit 0), the kdim mismatch is an input error, as
+    # is `--cap 3` on all three
     module = sweep_module()
+    pairs = [r for r in runs if any(a.startswith(n) for a in r["argv"] for n in module.PAIRS)]
+    assert len(pairs) == 4 * 3 * 2 and runs[-len(pairs):] == pairs
+    expected = {"pair_rotated": 1, "pair_ancilla": 0, "pair_kdim": 2}
+    assert [r["exit"] for r in pairs] == [
+        2 if "--cap" in r["argv"] else expected[r["argv"][2][:-len("_model.json")]]
+        for r in pairs
+    ]
+    runs = runs[:-len(pairs)]
+    # `FINAL`, the 256-word tensor chain, comes next to last: nine model
+    # commands under four flag sets, and its table under the three flag sets
+    # `kernels` passes; the checks below read the runs before it
     final = [r for r in runs if any(a.startswith(n) for a in r["argv"] for n in module.FINAL)]
     assert len(final) == 4 * 9 + 3 * 2 and runs[-len(final):] == final
     runs = runs[:-len(final)]
