@@ -757,8 +757,8 @@ def check_regularity(
         ))
     best = min(per_slice, key=lambda p: p[0])
     l_min = minimal[per_slice.index(best)]
-    return _verdict("regularity", best[0], tol,
-                    best[1] and f"word {best[1]} against slice {sorted(l_min)}")
+    witness = f"word {best[1]} against slice {sorted(l_min)}" if best[1] else ""
+    return _verdict("regularity", best[0], tol, witness)
 
 
 def check_axioms(oracle: KernelOracle, config: RunConfig = RunConfig()) -> AxiomReport:
