@@ -38,12 +38,18 @@ declares no symmetry (`check`, `kernels`, `reconstruct`, `roundtrip` and
 256 words give a 5.9 MB `kernels` table with 3-digit entry keys, under the
 nine model commands and the table runs.
 
-`PAIRS` is swept after everything else: `equiv check|unitary A B S` on
+`PAIRS` is swept after `FINAL`: `equiv check|unitary A B S` on
 three pairs of models on one site.  `controlled_kdim2` against a copy with
 its embedding rotated is not equivalent (exit 1, a `pair (word i, word j)`
 witness); the Galilean model against its `with_untouched_ancilla` copy is
 (exit 0 for both actions); `controlled_kdim2` against a copy with a
 one-dimensional initial space exits 2.
+
+`OUTCOME_MAPS` is swept last of all: the Galilean kernel table with the
+outcome map g of its element `s1` made no injection, in four ways (an
+outcome missing at `g0`, the map at `g1` missing, an outcome of `g0` sent
+to `"zz"`, outside the outcomes of `g1`, and both outcomes of `g0` sent to
+`"0"`).  `reconstruct [--verify]` exits 2 on each.
 
 Every run records its arguments (file names relative to the scratch
 directory), its exit code and the sha256 of its stdout and stderr.  A run
@@ -123,12 +129,22 @@ REFUSED = {
     "qubit_key_signed": ("table", ("values",), lambda values: {
         ("+1,0" if k == "1,0" else k): v for k, v in values.items()
     }),
+    # swept last of all (`OUTCOME_MAPS`): outcome maps that are not injections
+    "galilean_table_g_short": ("galilean_table", ("symmetry", "s1", "g", "g0"),
+                               {"0": "0"}),
+    "galilean_table_g_pointless": ("galilean_table", ("symmetry", "s1", "g"), lambda g: {
+        t: m for t, m in g.items() if t != "g1"
+    }),
+    "galilean_table_g_outside": ("galilean_table", ("symmetry", "s1", "g", "g0", "1"), "zz"),
+    "galilean_table_g_merged": ("galilean_table", ("symmetry", "s1", "g", "g0", "1"), "0"),
 }
 ONE_OUTCOME, UNACTED = "one_outcome", "galilean_unacted"
 LAST = ("qubit_leq_str", "qubit_spaces_str", "qubit_points_str", "qubit_key_signed",
         ONE_OUTCOME, UNACTED)
 FINAL = ("tensor_chain4",)  # swept after LAST
 PAIRS = ("pair_rotated", "pair_ancilla", "pair_kdim")  # swept after FINAL
+OUTCOME_MAPS = ("galilean_table_g_short", "galilean_table_g_pointless",
+                "galilean_table_g_outside", "galilean_table_g_merged")  # after PAIRS
 INPUTS = (FIXTURE_FILES + tuple(EXTRA_MODELS) + (MALFORMED, "field") + LATE
           + tuple(REFUSED) + (ONE_OUTCOME, UNACTED) + PAIRS)
 
@@ -141,7 +157,7 @@ def kind(name: str) -> str:
     source = REFUSED.get(name, (name,))[0]
     if source == "field":
         return "field"
-    return "table" if source in ("table", BAD_TABLE) else "model"
+    return "table" if source in ("table", "galilean_table", BAD_TABLE) else "model"
 
 
 def pair_models(name: str):
@@ -170,9 +186,10 @@ def refused_files(name: str) -> dict[str, dict]:
                         for x, fam in atoms.items()},
             "spaces": {x: list(v) for x, v in spaces.items()},
         }}
-    elif source == "table":
-        model, site = fixtures.qubit_zx()
-        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+    elif source in ("table", "galilean_table"):
+        model, site, sym = (fixtures.qubit_zx() + (None,) if source == "table"
+                            else fixtures.galilean_shift_fixture())
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces), site_sym=sym)
         files = {f"{name}_table.json": serialize.oracle_to_json(oracle)}
     else:
         model, site, sym = (fixtures.qubit_zx() + (None,) if source == "qubit"
@@ -344,8 +361,8 @@ def main():
         try:
             last = LATE + tuple(REFUSED) + LAST + FINAL + PAIRS
             records = sweep([n for n in args.inputs if n not in last])
-            refused = [n for n in REFUSED if n not in LAST]
-            for group in (LATE, refused, LAST, FINAL, PAIRS):
+            refused = [n for n in REFUSED if n not in LAST + OUTCOME_MAPS]
+            for group in (LATE, refused, LAST, FINAL, PAIRS, OUTCOME_MAPS):
                 records += sweep([n for n in args.inputs if n in group])
         finally:
             os.chdir(cwd)

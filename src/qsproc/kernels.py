@@ -30,10 +30,13 @@ from .words import (
     EventWord,
     OutcomeSpaces,
     code_columns,
+    code_keys,
+    code_widths,
     event_label,
     factor_code,
     partitions_of_factor,
     pull_back,
+    pull_back_codes,
     subsets,
     unit_word,
     word_codes,
@@ -101,6 +104,14 @@ class KernelOracle:
         if self.symmetry:
             maps = {s: sym.point_map for s, sym in self.symmetry.items()}
             require_symmetry(self.site, SiteSymmetry(tuple(maps), maps, {}))
+        for s, sym in self.symmetry.items():
+            for p, sp in sym.point_map.items():
+                if not _is_injection(sym.outcome_maps.get(p), self.spaces.outcomes(p),
+                                     self.spaces.outcomes(sp)):
+                    raise ValueError(
+                        f"symmetry {s!r} outcome map at {p!r} is not an injection "
+                        f"of the outcomes at {p!r} into those at {sp!r}"
+                    )
         index = {w: i for i, w in enumerate(self.words)}
         if len(index) != n:
             raise ValueError("word list contains duplicates")
@@ -188,7 +199,7 @@ class KernelOracle:
     def _columns(self) -> dict[str, slice]:
         """Each point's code columns: site points first, then any other
         support point by name."""
-        extra = {t for w in self.words for t in w.support} - set(self.site.points)
+        extra = {t for w in self.words for t, _ in w.factors} - set(self.site.points)
         return code_columns(self.spaces, self.site.points + tuple(sorted(extra)))
 
     @cached_property
@@ -204,8 +215,12 @@ class KernelOracle:
         return np.array(at, dtype=bool).reshape(len(at), len(self.words)).T
 
     @cached_property
+    def _widths(self) -> list[int]:
+        return code_widths(self.spaces, list(self._columns))
+
+    @cached_property
     def _sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        keys = _row_keys(self.codes)
+        keys = code_keys(self.codes, self._widths)
         order = np.argsort(keys, kind="stable")
         return keys[order], order
 
@@ -213,7 +228,7 @@ class KernelOracle:
         """Word index of each word code (the last axis), -1 where the code
         is not a word of the list."""
         keys, order = self._sorted_keys
-        wanted = _row_keys(codes)
+        wanted = code_keys(codes, self._widths)
         if not keys.size:
             return np.full(codes.shape[:-1], -1, dtype=int)
         at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
@@ -247,21 +262,23 @@ class KernelOracle:
     def transported(self, s: str) -> tuple[np.ndarray, np.ndarray]:
         """The words supported within the image of symmetry element `s`, and
         the index of each one's pull-back under `s`, -1 where the pull-back
-        is not in the word list."""
+        is not in the word list; the pull-backs are taken on the word codes
+        (`words.pull_back_codes`)."""
         if s not in self._transports:
-            eligible = np.array(
-                self.words_within(self.symmetry[s].point_map.values()), dtype=int
-            )
-            images = np.array(
-                [self._index.get(self._pull_back(s, i), -1) for i in eligible],
-                dtype=int,
-            )
+            sym = self.symmetry[s]
+            eligible = np.array(self.words_within(sym.point_map.values()), dtype=int)
+            images = self.lookup(pull_back_codes(
+                self.codes[eligible], self._columns, sym.point_map, sym.outcome_maps,
+                self.spaces,
+            ))
             eligible.setflags(write=False)  # shared by every caller
             images.setflags(write=False)
             self._transports[s] = (eligible, images)
         return self._transports[s]
 
     def _pull_back(self, s: str, i: int) -> EventWord:
+        """The pull-back of word `i` under `s`, word by word (`pull_back`),
+        for a witness."""
         sym = self.symmetry[s]
         return pull_back(
             self.words[i], dict(sym.point_map), sym.outcome_maps, self.spaces
@@ -320,14 +337,13 @@ class AxiomReport:
         }
 
 
-def _row_keys(codes: np.ndarray) -> np.ndarray:
-    """One opaque, exactly comparable key per word code (the last axis),
-    flattened."""
-    codes = np.asarray(codes, dtype=np.int64)
-    if not codes.shape[-1]:  # no points: every code is the unit word
-        codes = np.zeros(codes.shape[:-1] + (1,), dtype=np.int64)
-    rows = np.ascontiguousarray(codes.reshape(-1, codes.shape[-1]))
-    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+def _is_injection(g, domain: Sequence[str], codomain: Sequence[str]) -> bool:
+    """Whether the mapping `g` sends `domain`, and nothing else, one to one
+    into `codomain`."""
+    if not isinstance(g, Mapping) or len(g) != len(domain):
+        return False
+    targets = [g.get(x) for x in domain]
+    return all(y in codomain for y in targets) and len(set(targets)) == len(domain)
 
 
 def _verdict(name, residual, tol, witness, missing=None) -> AxiomCheck:
@@ -599,7 +615,8 @@ def _slice_pass(oracle: KernelOracle) -> tuple[tuple, tuple]:
                         f"event {sorted(b)}@{t!r} on slice {sorted(l)}"
                     )
             # the slice's words grouped by their factor at t, first seen first
-            keys = _row_keys(oracle.codes[idx][:, oracle._columns[t]])
+            keys = code_keys(oracle.codes[idx][:, oracle._columns[t]],
+                             code_widths(spaces, [t]))
             _, first, group = np.unique(keys, return_index=True, return_inverse=True)
             for g in np.argsort(first):
                 pos = np.flatnonzero(group == g)
@@ -682,6 +699,8 @@ def check_covariance(
                 f"transported word {_word_label(w)} under {s!r} is outside the word list"
             )
         u = np.asarray(sym.u, dtype=COMPLEX)
+        if np.array_equal(images, eligible) and np.array_equal(u, np.eye(oracle.kdim)):
+            continue  # every word is its own image and u = I: the residual is 0
         src, dst = eligible[listed], images[listed]
         lhs = np.einsum(
             "ba,ijbc,cd->ijad", np.conjugate(u), oracle.table[np.ix_(src, src)], u,

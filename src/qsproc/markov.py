@@ -26,10 +26,14 @@ from .sites import CausalSite, SiteClasses, derive_classes
 from .words import (
     Event,
     EventWord,
+    code_columns,
+    code_keys,
+    code_widths,
     enumerate_words,
     event_label,
     pointwise_product_table,
     subsets,
+    word_codes,
 )
 
 #: Seed of the basis rotation that replaces the earliest measurements in
@@ -216,10 +220,7 @@ def check_regression(
     feyn = model.products(site, words)
     direct = linalg.pair_blocks(feyn)
     merged, index = pointwise_product_table(words, model.spaces)
-    nested = np.array(
-        [_nested_regression(model, site, slices, e_proj, w) for w in merged],
-        dtype=COMPLEX,
-    ).reshape(len(merged), model.kdim, model.kdim)
+    nested = _nested_stack(model, site, slices, e_proj, merged)
     worst_r, at = linalg.worst_block(nested[index] - direct)
     wit_r = "" if at is None else "regression of a word pair"
     entries.append(CheckEntry("regression", worst_r, wit_r, tol))
@@ -252,26 +253,28 @@ def check_regression(
     return ModelReport(tuple(entries))
 
 
-def _nested_regression(model, site, slices, e_proj, word) -> np.ndarray:
-    """The kernel value of a word through the nested slice compressions,
-    latest slice outermost."""
-    nested = None
-    for l in reversed(slices):
-        factors = {
-            t: word.factor(t, model.spaces)
-            for t in sorted(l, key=site.index)
-            if word.factor(t, model.spaces) != model.spaces.full(t)
-        }
-        # the slice event, padded with units: the reduced-block projector
-        # times the slice unit
-        op = model.block_projector(site, Event.from_dict(factors)) \
-            @ model.unit_p(frozenset(l))
-        if nested is None:
-            nested = op
-        else:
-            nested = op @ (e_proj[l] @ nested @ e_proj[l])
-    if nested is None:
-        nested = model.identity()
+def _nested_stack(model, site, slices, e_proj, words) -> np.ndarray:
+    """The kernel value of each word through the nested slice compressions,
+    latest slice outermost, (n, kdim, kdim), as stacked matmuls: per slice,
+    one operator per distinct slice event (its reduced-block projector, unit
+    padded, times the slice unit), indexed per word."""
+    spaces = model.spaces
+    codes = word_codes(words, spaces, site.points)
+    columns = code_columns(spaces, site.points)
+    nested = np.broadcast_to(model.identity(), (len(words), model.dim, model.dim))
+    for depth, l in enumerate(reversed(slices)):
+        pts = sorted(l, key=site.index)
+        keys = code_keys(np.hstack([codes[:, columns[t]] for t in pts]),
+                         code_widths(spaces, pts))
+        _, first, event = np.unique(keys, return_index=True, return_inverse=True)
+        unit = model.unit_p(frozenset(l))
+        ops = np.array([
+            model.block_projector(site, Event.from_dict({
+                t: b for t in pts if (b := words[f].factor(t, spaces)) != spaces.full(t)
+            })) @ unit
+            for f in first
+        ], dtype=COMPLEX).reshape(first.size, model.dim, model.dim)[event.ravel()]
+        nested = ops if depth == 0 else ops @ (e_proj[l] @ nested @ e_proj[l])
     return dagger(model.embedding) @ nested @ model.embedding
 
 

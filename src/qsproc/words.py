@@ -201,21 +201,51 @@ def factor_code(spaces: OutcomeSpaces, t: str, b: Iterable[str]) -> list[int]:
     ]
 
 
+def code_widths(spaces: OutcomeSpaces, points: Sequence[str]) -> list[int]:
+    """The bits each column of `word_codes` can set, in column order."""
+    return [
+        min(CODE_BITS, len(spaces.outcomes(t)) - shift)
+        for t in points
+        for shift in range(0, len(spaces.outcomes(t)), CODE_BITS)
+    ]
+
+
+def code_keys(codes: np.ndarray, widths: Sequence[int]) -> np.ndarray:
+    """One exactly comparable key per word code (the last axis, whose columns
+    set at most `widths` bits each), flattened; keys sort in the
+    lexicographic order of the code rows.
+
+    When the widths sum to at most 63 bits, the key is the columns packed
+    into one int64, the first column in the most significant bits.  Past
+    that, it is the row's bytes as one void, big-endian so that their order
+    is the rows' (every entry is nonnegative).
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    if sum(widths) <= 63:  # each column times 2^(the widths after it)
+        weights = [1 << sum(widths[i + 1:]) for i in range(len(widths))]
+        return (codes @ np.array(weights, dtype=np.int64)).ravel()
+    rows = codes.reshape(int(np.prod(codes.shape[:-1])), codes.shape[-1])
+    rows = np.ascontiguousarray(rows, dtype=">i8")
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+
+
 def pointwise_product_table(
     words: Sequence[EventWord], spaces: OutcomeSpaces
 ) -> tuple[list[EventWord], np.ndarray]:
-    """Distinct pointwise products over all ordered pairs of a word list, and
-    the (n, n) array giving each pair's product as an index into them.
+    """Distinct pointwise products over all ordered pairs of a word list, in
+    the lexicographic order of their codes, and the (n, n) array giving each
+    pair's product as an index into them.
 
     Pairs are intersected as word codes (`word_codes`) in one vectorized
-    step; each distinct product is built once.
+    step and told apart by their keys (`code_keys`); each distinct product
+    is built once.
     """
     n = len(words)
-    codes = word_codes(words, spaces, sorted({t for w in words for t in w.support}))
-    # the constant first column keeps rows nonempty when every word is the unit
-    masks = np.hstack([np.zeros((n, 1), dtype=np.int64), codes])
-    pairs = (masks[:, None, :] & masks[None, :, :]).reshape(n * n, -1)
-    _, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+    points = sorted({t for w in words for t in w.support})
+    codes = word_codes(words, spaces, points)
+    pairs = codes[:, None, :] & codes[None, :, :]
+    keys = code_keys(pairs, code_widths(spaces, points))
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     merged = [pointwise_product(words[f // n], words[f % n], spaces) for f in first]
     return merged, inverse.reshape(n, n)
 
@@ -321,3 +351,27 @@ def pull_back(
         g = outcome_maps[t]
         out[t] = frozenset(x for x in spaces.outcomes(t) if g[x] in b)
     return EventWord.from_dict(out, spaces)
+
+
+def pull_back_codes(
+    codes: np.ndarray,
+    columns: Mapping[str, slice],
+    point_map: Mapping[str, str],
+    outcome_maps: Mapping[str, Mapping[str, str]],
+    spaces: OutcomeSpaces,
+) -> np.ndarray:
+    """`pull_back` on word codes (`word_codes` over the points of `columns`,
+    in that order), one row per word, each word unit outside the image of
+    the map: bit x of the pulled-back code at a mapped point t is bit g_t(x)
+    of the code at its image, and every other point is unit."""
+    codes = np.asarray(codes, dtype=np.int64)
+    unit = [x for t in columns for x in factor_code(spaces, t, spaces.outcomes(t))]
+    out = np.tile(np.array(unit, dtype=np.int64), (codes.shape[0], 1))
+    for t, st in point_map.items():
+        position = {y: j for j, y in enumerate(spaces.outcomes(st))}
+        at = np.array([position[outcome_maps[t][x]] for x in spaces.outcomes(t)])
+        bits = codes[:, columns[st].start + at // CODE_BITS] >> at % CODE_BITS & 1
+        for c, start in enumerate(range(0, at.size, CODE_BITS)):
+            part = bits[:, start:start + CODE_BITS]
+            out[:, columns[t].start + c] = (part << np.arange(part.shape[1])).sum(axis=1)
+    return out

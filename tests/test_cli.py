@@ -980,6 +980,35 @@ class TestMisshapenTableSymmetry:
             )
 
 
+class TestMalformedOutcomeMaps:
+    """A table symmetry whose outcome map g at a mapped point t is not an
+    injection of the outcomes at t into those at its image is refused on one
+    line when the table is read (it raised `KeyError` or ended in a
+    covariance verdict)."""
+
+    CASES = {
+        "missing outcome": (lambda g: g.update(g0={"0": "0"}), "g0", "g1"),
+        "missing point": (lambda g: g.pop("g1"), "g1", "g2"),
+        "outside target": (lambda g: g["g0"].update({"1": "zz"}), "g0", "g1"),
+        "not injective": (lambda g: g["g0"].update({"1": "0"}), "g0", "g1"),
+    }
+
+    @pytest.mark.parametrize("verify", [[], ["--verify"]])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_reconstruct_exits_two(self, tmp_path, capsys, case, verify):
+        model, site, sym = fixtures.galilean_shift_fixture()
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces), site_sym=sym)
+        data = json.loads(serialize.dumps(serialize.oracle_to_json(oracle)))
+        edit, t, image = self.CASES[case]
+        edit(data["symmetry"]["s1"]["g"])
+        argv = ["reconstruct", write(tmp_path, "table.json", data), *verify]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", (
+            f"input error: symmetry 's1' outcome map at {t!r} is not an injection "
+            f"of the outcomes at {t!r} into those at {image!r}\n"
+        ))
+
+
 def _field_json() -> dict:
     atoms, xi, spaces = fixtures.two_point_field()
     return {

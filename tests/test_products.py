@@ -13,12 +13,13 @@ import re
 import numpy as np
 import pytest
 
-from qsproc import fixtures
+from qsproc import fixtures, linalg
 from qsproc.config import RunConfig
 from qsproc.equivalence import minimal_modification
 from qsproc.kernels import (
     FAIL,
     PASS,
+    OracleSymmetry,
     _word_label,
     check_axioms,
     check_covariance,
@@ -26,6 +27,7 @@ from qsproc.kernels import (
 )
 from qsproc.linalg import COMPLEX, dagger, opnorm
 from qsproc.markov import (
+    _nested_stack,
     _ordered_slices,
     check_regression,
     slice_projector,
@@ -41,6 +43,8 @@ from qsproc.words import (
     pointwise_product,
     pointwise_product_table,
     pull_back,
+    unit_word,
+    word_codes,
 )
 
 TOL = 1e-14
@@ -190,6 +194,38 @@ def reference_regression(model, site, words):
     return worst
 
 
+def reference_nested(model, site, slices, e_proj, word):
+    """The kernel value of one word through the nested slice compressions,
+    latest slice outermost: the per-word loop that `_nested_stack`
+    replaced."""
+    nested = None
+    for l in reversed(slices):
+        factors = {
+            t: word.factor(t, model.spaces)
+            for t in sorted(l, key=site.index)
+            if word.factor(t, model.spaces) != model.spaces.full(t)
+        }
+        op = model.block_projector(site, Event.from_dict(factors)) \
+            @ model.unit_p(frozenset(l))
+        nested = op if nested is None else op @ (e_proj[l] @ nested @ e_proj[l])
+    if nested is None:
+        nested = model.identity()
+    return dagger(model.embedding) @ nested @ model.embedding
+
+
+def reference_product_table(words, spaces):
+    """The pointwise product table keyed by `np.unique(axis=0)` on the pairs'
+    code rows, which `words.code_keys` replaced."""
+    n = len(words)
+    codes = word_codes(words, spaces, sorted({t for w in words for t in w.support}))
+    # the constant first column keeps rows nonempty when every word is the unit
+    masks = np.hstack([np.zeros((n, 1), dtype=np.int64), codes])
+    pairs = (masks[:, None, :] & masks[None, :, :]).reshape(n * n, -1)
+    _, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+    merged = [pointwise_product(words[f // n], words[f % n], spaces) for f in first]
+    return merged, inverse.reshape(n, n)
+
+
 def reference_covariance(oracle):
     """Transported kernel values compared pair by pair."""
     worst, witness = 0.0, ""
@@ -256,6 +292,73 @@ def test_pointwise_product_table_on_a_wide_outcome_space():
     merged, index = pointwise_product_table(words, spaces)
     for (i, a), (j, b) in itertools.product(enumerate(words), repeat=2):
         assert merged[index[i, j]] == pointwise_product(a, b, spaces)
+
+
+def wide_word_list(outcomes):
+    """A chain (t, u) whose point t has `outcomes` outcomes, and words with
+    factors at t on both sides of the 62-bit column cut."""
+    outs = tuple(f"x{i}" for i in range(outcomes))
+    spaces = OutcomeSpaces({"t": outs, "u": ("0", "1")})
+    picks = [(0,), (3,), (outcomes - 2,), (outcomes - 1,), range(58, outcomes - 2),
+             (0, outcomes - 1), range(0, outcomes, 2), ()]
+    words = enumerate_words(chain_site(("t", "u")), spaces, policy="atoms_plus_unit")
+    words += [EventWord.from_dict({"t": {outs[i] for i in p}, **u}, spaces)
+              for p in picks for u in ({}, {"u": {"1"}})]
+    return list(dict.fromkeys(words)), spaces
+
+
+PRODUCT_TABLE_CASES = {
+    **{f"random_valid_model({s})": s for s in (0, 3, 6, 9)},
+    "tensor_chain(3)": "chain", "unit only": "unit",
+    **{f"{q} outcomes": q for q in (61, 62, 70)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_TABLE_CASES))
+def test_pointwise_product_table_matches_unique_rows(name):
+    # the same products in the same order, and the same index, on both sides
+    # of 63 key bits (61 outcomes and two take 63 bits, 62 and two take 64)
+    case = PRODUCT_TABLE_CASES[name]
+    if case == "unit":
+        words, spaces = [unit_word()], OutcomeSpaces({"t": ("0", "1")})
+    elif case == "chain":
+        model, site = fixtures.tensor_chain(3)
+        words, spaces = enumerate_words(site, model.spaces), model.spaces
+    elif name.startswith("random"):
+        model, site = fixtures.random_valid_model(case)
+        words, spaces = enumerate_words(site, model.spaces), model.spaces
+    else:
+        words, spaces = wide_word_list(case)
+    merged, index = pointwise_product_table(words, spaces)
+    want_merged, want_index = reference_product_table(words, spaces)
+    assert merged == want_merged
+    assert index.tolist() == want_index.tolist()
+
+
+NESTED_MODELS = {
+    **{f"random_valid_model({s})": (lambda s=s: fixtures.random_valid_model(s))
+       for s in range(12)},
+    "tensor_chain(3)": lambda: fixtures.tensor_chain(3, canonical=False),
+    **{name: getattr(fixtures, name) for name in (
+        "qubit_zx", "ancilla_correlated", "controlled_kdim2", "diagonal_kdim2",
+    )},
+    "wide": wide_model,
+}
+
+
+@pytest.mark.parametrize("policy", ["all_subsets", "atoms_plus_unit"])
+@pytest.mark.parametrize("name", sorted(NESTED_MODELS))
+def test_nested_stack_is_the_per_word_loop_bit_for_bit(name, policy):
+    model, site = NESTED_MODELS[name]()
+    classes = derive_classes(site)
+    slices = _ordered_slices(classes)
+    e_proj = {l: slice_projector(model, classes, l) for l in slices}
+    merged, _ = pointwise_product_table(enumerate_words(site, model.spaces, policy),
+                                        model.spaces)
+    got = _nested_stack(model, site, slices, e_proj, merged)
+    want = np.array([reference_nested(model, site, slices, e_proj, w) for w in merged])
+    assert got.shape == (len(merged), model.kdim, model.kdim)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -372,6 +475,29 @@ def test_covariance_matches_pair_formula(broken):
     assert abs(check.residual - worst) <= TOL * max(1.0, worst)
     assert check.witness == witness
     assert (check.status == FAIL) == broken
+
+
+@pytest.mark.parametrize("unitary", [False, True])
+def test_covariance_checks_an_identity_word_map_under_a_unitary(unitary):
+    # an element that fixes every word is skipped only when u is exactly I
+    model, site = fixtures.controlled_kdim2()
+    base = model.kernel_table(site, enumerate_words(site, model.spaces))
+    u = linalg.random_unitary(np.random.default_rng(3), 2) if unitary else np.eye(2)
+    oracle = dataclasses.replace(base, symmetry={"e": OracleSymmetry(
+        point_map={t: t for t in site.points},
+        outcome_maps={t: {x: x for x in model.spaces.outcomes(t)} for t in site.points},
+        u=u,
+    )})
+    eligible, images = oracle.transported("e")
+    assert images.tolist() == eligible.tolist() == list(range(len(oracle.words)))
+    worst, witness = reference_covariance(oracle)
+    check = check_covariance(oracle)
+    assert abs(check.residual - worst) <= TOL * max(1.0, worst)
+    assert check.witness == witness
+    if unitary:
+        assert check.status == FAIL and worst > 1e-3
+    else:
+        assert (check.status, check.residual, check.witness) == (PASS, 0.0, "")
 
 
 # -- the product plan against the per-word trie --------------------------------

@@ -100,11 +100,19 @@ def test_cli_sweep_raises_nothing(tmp_path):
     assert done.returncode == 0, done.stderr
     runs = json.loads(out.read_text())["runs"]
     assert [r["argv"] for r in runs if r["exit"] == "traceback"] == []
-    # `PAIRS` comes after every other input: `equiv check|unitary` on three
-    # pairs under four flag sets.  The rotated pair is not equivalent (exit
-    # 1), the padded one is (exit 0), the kdim mismatch is an input error, as
-    # is `--cap 3` on all three
     module = sweep_module()
+    # `OUTCOME_MAPS` comes after every other input: four Galilean tables
+    # whose outcome map of 's1' is not an injection, under reconstruct
+    # [--verify] and four flag sets, each an input error
+    maps = [r for r in runs
+            if any(a.startswith(n) for a in r["argv"] for n in module.OUTCOME_MAPS)]
+    assert len(maps) == 4 * 4 * 2 and runs[-len(maps):] == maps
+    assert all(r["exit"] == 2 for r in maps)
+    runs = runs[:-len(maps)]
+    # `PAIRS` comes next to last: `equiv check|unitary` on three pairs under
+    # four flag sets.  The rotated pair is not equivalent (exit 1), the
+    # padded one is (exit 0), the kdim mismatch is an input error, as is
+    # `--cap 3` on all three
     pairs = [r for r in runs if any(a.startswith(n) for a in r["argv"] for n in module.PAIRS)]
     assert len(pairs) == 4 * 3 * 2 and runs[-len(pairs):] == pairs
     expected = {"pair_rotated": 1, "pair_ancilla": 0, "pair_kdim": 2}
@@ -113,7 +121,7 @@ def test_cli_sweep_raises_nothing(tmp_path):
         for r in pairs
     ]
     runs = runs[:-len(pairs)]
-    # `FINAL`, the 256-word tensor chain, comes next to last: nine model
+    # `FINAL`, the 256-word tensor chain, comes before `PAIRS`: nine model
     # commands under four flag sets, and its table under the three flag sets
     # `kernels` passes; the checks below read the runs before it
     final = [r for r in runs if any(a.startswith(n) for a in r["argv"] for n in module.FINAL)]

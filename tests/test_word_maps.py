@@ -8,6 +8,7 @@ held to them bit for bit.  `check_slice_axioms` reports the certified screen's
 bounds on a pass, so it is held to the reference by `assert_dominates`.
 """
 
+import dataclasses
 import itertools
 import json
 
@@ -16,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsproc import fixtures, kernels, linalg, reconstruct as recon_mod, serialize, words as words_mod
+from qsproc import bridges, fixtures, kernels, linalg, serialize, words as words_mod
+from qsproc import reconstruct as recon_mod
 from qsproc.config import RunConfig
 from qsproc.kernels import (
     KernelOracle,
+    OracleSymmetry,
     _additivity_residuals,
     _first_worst,
     _verdict,
@@ -541,9 +544,71 @@ def test_missing_transport_witnesses():
     assert str(refused.value) == witness
 
 
-def test_one_pull_back_per_word_and_element(monkeypatch):
-    # covariance and the represented symmetry read one memoised map
+def lift_oracle():
+    """The depth-3 level lift of the two-point field on its level words, with
+    the level shifts as symmetry."""
+    atoms, xi, spaces = fixtures.two_point_field()
+    model, site, sym = bridges.lift_process(atoms, xi, 3, spaces)
+    return model.kernel_table(site, bridges.enumerate_level_words(model, site),
+                              site_sym=sym)
+
+
+def swapped_oracle():
+    """The Galilean table with every outcome map swapping the labels."""
     oracle = galilean_oracle()
+    return dataclasses.replace(oracle, symmetry={
+        s: OracleSymmetry(sym.point_map, {t: {"0": "1", "1": "0"} for t in sym.point_map},
+                          sym.u)
+        for s, sym in oracle.symmetry.items()
+    })
+
+
+def reversal_oracle():
+    """A chain (a, b) of two 70-outcome points, and the map a -> b whose
+    outcome map sends x_i to y_(69-i), across the 62-bit column cut; the
+    pull-backs of every other b-word are listed."""
+    xs, ys = (tuple(f"{c}{i}" for i in range(70)) for c in "xy")
+    spaces = OutcomeSpaces({"a": xs, "b": ys})
+    site = chain_site(("a", "b"))
+    picks = [(0,), (3,), (61,), (62,), (69,), range(58, 66), (0, 69), range(0, 70, 2),
+             (), range(69)]
+    words = [unit_word(), EventWord.from_dict({"a": {"x1"}, "b": {"y1"}}, spaces)]
+    for k, p in enumerate(picks):
+        words.append(EventWord.from_dict({"b": {ys[i] for i in p}}, spaces))
+        if k % 2 == 0:
+            words.append(EventWord.from_dict({"a": {xs[69 - i] for i in p}}, spaces))
+    g = {x: ys[69 - i] for i, x in enumerate(xs)}
+    n = len(words)
+    return KernelOracle(
+        site=site, classes=derive_classes(site), spaces=spaces, kdim=1, words=tuple(words),
+        table=np.zeros((n, n, 1, 1)),
+        symmetry={"r": OracleSymmetry({"a": "b"}, {"a": g}, np.eye(1))},
+    )
+
+
+TRANSPORT_ORACLES = {"lift": lift_oracle, "swapped": swapped_oracle,
+                     "reversal": reversal_oracle}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSPORT_ORACLES))
+def test_code_transport_matches_pull_back(name):
+    oracle = TRANSPORT_ORACLES[name]()
+    listed = []
+    for s in oracle.symmetry:
+        eligible, images = oracle.transported(s)
+        want, pulled = reference_transport(oracle, s)
+        assert eligible.tolist() == want
+        assert images.tolist() == [
+            -1 if oracle.index(w) is None else oracle.index(w) for w in pulled
+        ]
+        listed.extend(images >= 0)
+    # only the reversal's list leaves images out
+    assert any(listed) and all(listed) == (name != "reversal")
+
+
+def test_no_per_word_pull_back_on_a_covariant_oracle(monkeypatch):
+    # covariance and the represented symmetry read the code transport; only
+    # a missing image's witness is pulled back word by word
     calls = []
 
     def counted(*args, _orig=words_mod.pull_back):
@@ -551,9 +616,14 @@ def test_one_pull_back_per_word_and_element(monkeypatch):
         return _orig(*args)
 
     monkeypatch.setattr(kernels, "pull_back", counted)
+    oracle = galilean_oracle()
     reconstruct(oracle)
-    kernels.check_covariance(oracle)
-    assert len(calls) == sum(oracle.transported(s)[0].size for s in oracle.symmetry)
+    assert kernels.check_covariance(oracle).status == "pass"
+    assert sum(oracle.transported(s)[0].size for s in oracle.symmetry) > 0
+    assert calls == []
+    dropped = galilean_oracle(("{['0']@g0}",))
+    assert kernels.check_covariance(dropped).status == "inconclusive"
+    assert len(calls) == 1
 
 
 # -- maps on the initial-vector leg ------------------------------------------------

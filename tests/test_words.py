@@ -16,6 +16,8 @@ from qsproc.words import (
     Event,
     EventWord,
     OutcomeSpaces,
+    code_keys,
+    code_widths,
     enumerate_words,
     partitions_of_factor,
     pointwise_product,
@@ -23,6 +25,7 @@ from qsproc.words import (
     right_multiply,
     subsets,
     unit_word,
+    word_codes,
 )
 
 SPACES = OutcomeSpaces({"t1": ("0", "1"), "t2": ("+", "-")})
@@ -341,3 +344,64 @@ def test_enumeration_is_the_validated_construction(name, policy):
     words = enumerate_words(site, spaces, policy)
     assert words == reference_enumeration(site, spaces, policy)
     assert all(list(w.factors) == sorted(w.factors) for w in words)
+
+
+# -- word-code keys ----------------------------------------------------------------
+
+
+def reference_row_keys(codes):
+    """The void-row key that packed keys replaced: each code row's bytes as
+    one void, a zero column standing in for an empty row."""
+    codes = np.asarray(codes, dtype=np.int64)
+    if not codes.shape[-1]:
+        codes = np.zeros(codes.shape[:-1] + (1,), dtype=np.int64)
+    rows = np.ascontiguousarray(codes.reshape(-1, codes.shape[-1]))
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+
+
+def seventy_outcome_codes():
+    """The codes of the atoms-plus-unit list of a chain whose first point has
+    70 outcomes: columns of 62, 8 and 2 bits."""
+    spaces = OutcomeSpaces({"t": tuple(f"x{i}" for i in range(70)), "u": ("0", "1")})
+    words = enumerate_words(chain_site(("t", "u")), spaces, POLICY_ATOMS_PLUS_UNIT)
+    return word_codes(words, spaces, ["t", "u"]), code_widths(spaces, ["t", "u"])
+
+
+def random_codes(widths, seed):
+    """60 code rows whose columns set at most `widths` bits, each row twice
+    over, with many ties in every column."""
+    rng = np.random.default_rng(seed)
+    cols = [rng.choice(rng.integers(0, 2**w, size=4), size=60) for w in widths]
+    codes = np.array(cols, dtype=np.int64).reshape(len(widths), 60).T
+    return np.vstack([codes, codes[::-1]])
+
+
+@pytest.mark.parametrize("widths", [
+    [], [1], [2, 2, 2], [62, 1], [31, 32], [1] * 63,  # packed: at most 63 bits
+    [62, 2], [1] * 64, [62, 62, 62], [62, 8, 2],  # void rows
+    "70 outcomes",
+])
+def test_keys_against_void_keys(widths):
+    if widths == "70 outcomes":
+        codes, widths = seventy_outcome_codes()
+        assert widths == [62, 8, 2]
+    else:
+        codes = random_codes(widths, len(widths) + sum(widths))
+    keys = code_keys(codes, widths)
+    assert (keys.dtype == np.int64) == (sum(widths) <= 63)
+    # two rows share a key exactly when they share their void key
+    ref = reference_row_keys(codes)
+    assert ((keys[:, None] == keys[None, :]) == (ref[:, None] == ref[None, :])).all()
+    # the keys sort in the rows' lexicographic order, first column first
+    order = np.argsort(keys, kind="stable")
+    want = np.lexsort(codes.T[::-1]) if widths else np.arange(len(codes))
+    assert order.tolist() == want.tolist()
+    # a stack of codes gives the keys of its rows, flattened
+    half = len(codes) // 2
+    stacked = code_keys(codes[:2 * half].reshape(2, half, codes.shape[1]), widths)
+    assert stacked.tobytes() == keys[:2 * half].tobytes()
+
+
+def test_packed_keys_put_the_first_column_highest():
+    codes = np.array([[1, 0, 0], [0, 3, 1], [0, 0, 1]], dtype=np.int64)
+    assert code_keys(codes, [1, 2, 1]).tolist() == [0b1000, 0b0111, 0b0001]
