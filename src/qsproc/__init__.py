@@ -32,8 +32,8 @@ from .words import (
     right_multiply,
     unit_word,
 )
-from .models import HilbertModel, ModelSymmetry, check_model
-from .kernels import AxiomReport, KernelOracle, check_axioms, check_regularity
+from .models import Check, HilbertModel, ModelSymmetry, Report, check_model
+from .kernels import KernelOracle, check_axioms, check_regularity
 from .reconstruct import (
     GnsSpace,
     ReconstructedProcess,
@@ -68,8 +68,8 @@ from .bridges import (
 from .config import RunConfig
 
 __all__ = [
-    "AxiomReport",
     "CausalSite",
+    "Check",
     "Event",
     "EventWord",
     "EquivalenceRefused",
@@ -83,6 +83,7 @@ __all__ = [
     "ReconstructedProcess",
     "ReconstructionRefused",
     "ReductionRefused",
+    "Report",
     "RunConfig",
     "SiteClasses",
     "SiteSymmetry",

@@ -24,10 +24,8 @@ from . import linalg
 from .config import RunConfig
 from .linalg import COMPLEX
 from .markov import atom_commutators, pointwise_factorization_residual
-from .models import CheckEntry, HilbertModel, ModelReport, ModelSymmetry
-from .kernels import (
-    INCONCLUSIVE, KernelOracle, OracleSymmetry, _word_label, check_covariance,
-)
+from .models import INCONCLUSIVE, Check, HilbertModel, ModelSymmetry, Report
+from .kernels import KernelOracle, OracleSymmetry, _word_label, check_covariance
 from .sites import CausalSite, SiteSymmetry
 from .words import (
     POLICY_ALL_SUBSETS,
@@ -49,11 +47,6 @@ class ReductionRefused(ValueError):
 
 def level_point(level: int, x: str) -> str:
     return f"{level}:{x}"
-
-
-def split_level_point(t: str) -> tuple[int, str]:
-    level, x = t.split(":", 1)
-    return int(level), x
 
 
 def lexicographic_site(
@@ -166,14 +159,14 @@ def check_ultrastationarity(
     site: CausalSite,
     words: Sequence[EventWord],
     config: RunConfig = RunConfig(),
-) -> ModelReport:
+) -> Report:
     """Exhaustive level-shift invariance of the kernel over the word list,
     whatever symmetry the model declares (`ultrastationarity`)."""
     oracle = dataclasses.replace(model, symmetry={}).kernel_table(site, list(words))
-    return ModelReport((_ultrastationarity(oracle, config),))
+    return Report((_ultrastationarity(oracle, config),))
 
 
-def _ultrastationarity(oracle: KernelOracle, config: RunConfig) -> CheckEntry:
+def _ultrastationarity(oracle: KernelOracle, config: RunConfig) -> Check:
     """Covariance of a lifted table (`check_covariance`) under the level
     shifts of its site, each the identity on K and on outcomes.
 
@@ -203,39 +196,18 @@ def _ultrastationarity(oracle: KernelOracle, config: RunConfig) -> CheckEntry:
                 f"word {_word_label(oracle.words[min(unmatched)])} shifted by {s!r} "
                 "is outside the word list"
             )
-    return CheckEntry("ultrastationarity", check.residual, check.witness,
-                      config.ultrastationarity_tol)
+    return Check("ultrastationarity", check.residual, check.witness,
+                 config.ultrastationarity_tol)
 
 
-@dataclass(frozen=True)
-class LiftReport:
-    ultrastationarity: CheckEntry
-    constant_units: CheckEntry
-    level_independent_events: CheckEntry
-    narrow_units: CheckEntry
-    decomposition: CheckEntry
+class LiftReport(Report):
+    """The lift's checks (`verify_lift`), each also read by its role."""
 
-    @property
-    def checks(self) -> tuple[CheckEntry, ...]:
-        return tuple(getattr(self, f.name) for f in dataclasses.fields(self))
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [
-                {
-                    "condition": e.condition,
-                    "residual": e.residual,
-                    "witness": e.witness,
-                    "tolerance": e.tolerance,
-                }
-                for e in self.checks
-            ],
-        }
+    ultrastationarity = property(lambda self: self["ultrastationarity"])
+    constant_units = property(lambda self: self["constant_slice_units"])
+    level_independent_events = property(lambda self: self["level_independent_events"])
+    narrow_units = property(lambda self: self["narrow_units_on_minimal_space"])
+    decomposition = property(lambda self: self["decomposition"])
 
 
 def verify_lift(
@@ -266,14 +238,14 @@ def verify_lift(
     recon = reconstruct(oracle, config, strict_closure=False)
 
     pairs = list(itertools.combinations(recon.lattice.slices.items(), 2))
-    constant_units = CheckEntry("constant_slice_units", *linalg.worst(
+    constant_units = Check("constant_slice_units", *linalg.worst(
         linalg.opnorms([pa - pb for (_, pa), (_, pb) in pairs]),
         lambda i: "slice spans {} vs {}".format(*(sorted(l) for l, _ in pairs[i])),
     ), tol)
 
     joins = list(recon.lattice.joins.items())
     eye = np.eye(recon.rank, dtype=COMPLEX)
-    narrow_units = CheckEntry("narrow_units_on_minimal_space", *linalg.worst(
+    narrow_units = Check("narrow_units_on_minimal_space", *linalg.worst(
         linalg.opnorms([p - eye for _, p in joins]),
         lambda i: f"unit of block {sorted(joins[i][0])}",
     ), tol)
@@ -289,23 +261,18 @@ def verify_lift(
         for la, lb in itertools.combinations(range(1, depth), 2)
         for o in model.spaces.outcomes(level_point(la, x))
     ]
-    level_independent = CheckEntry("level_independent_events", *linalg.worst(
+    level_independent = Check("level_independent_events", *linalg.worst(
         linalg.opnorms([atoms[level_point(la, x)][o] - atoms[level_point(lb, x)][o]
                         for o, x, la, lb in at]),
         lambda i: "atom {!r} of {!r} at levels {},{}".format(*at[i]),
     ), tol)
 
     decomp = verify_decomposition(recon, oracle, config)
-    decomposition = CheckEntry(
+    decomposition = Check(
         "decomposition", decomp.max_residual, decomp.witness, tol
     )
-    return LiftReport(
-        ultrastationarity=ultra,
-        constant_units=constant_units,
-        level_independent_events=level_independent,
-        narrow_units=narrow_units,
-        decomposition=decomposition,
-    )
+    return LiftReport((ultra, constant_units, level_independent, narrow_units,
+                       decomposition), "checks")
 
 
 # -- classical reduction -------------------------------------------------------

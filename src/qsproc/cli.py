@@ -9,6 +9,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -132,7 +133,7 @@ def _config_from_args(args) -> RunConfig:
     # shared flags may be absent from the namespace entirely (suppressed
     # defaults keep the subcommand position from clobbering the global one)
     config_file = getattr(args, "config", None)
-    config = RunConfig.from_file(config_file) if config_file else RunConfig()
+    config = RunConfig.from_dict(_read_json(config_file)) if config_file else RunConfig()
     overrides = {}
     policy = getattr(args, "policy", None)
     if policy:
@@ -146,11 +147,34 @@ def _config_from_args(args) -> RunConfig:
     return config
 
 
-def _load_json(path: str) -> dict:
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict, refusing a key spelled twice."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        seen: set = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"duplicate key {key!r}")
+    return out
+
+
+def _read_json(path: str):
+    """Every input file's reader: the configuration, models, sites, tables
+    and fields.  The parse makes no reference cycles, so the cyclic
+    collector pauses for it (on a 5.9 MB table it took 40% of the parse)."""
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _load_json(path: str) -> dict:
+    try:
+        return _read_json(path)
+    except (OSError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from None
 
 

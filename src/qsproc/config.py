@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
@@ -55,11 +54,6 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
         return RunConfig(**data)
-
-    @staticmethod
-    def from_file(path: str) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return RunConfig.from_dict(json.load(fh))
 
 
 def _is_number(value, types) -> bool:

@@ -23,7 +23,7 @@ import numpy as np
 from . import linalg
 from .config import RunConfig
 from .linalg import COMPLEX, opnorm
-from .models import ProductPlan, unit_nesting
+from .models import Check, ProductPlan, Report, unit_nesting
 from .sites import CausalSite, SiteClasses, SiteSymmetry, require_symmetry
 from .words import (
     Event,
@@ -41,10 +41,6 @@ from .words import (
     unit_word,
     word_codes,
 )
-
-PASS = "pass"
-FAIL = "fail"
-INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -285,58 +281,6 @@ class KernelOracle:
         )
 
 
-# -- verdicts ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AxiomCheck:
-    name: str
-    status: str  # pass / fail / inconclusive
-    residual: float
-    witness: str
-    tolerance: float
-
-    @property
-    def ok(self) -> bool:
-        return self.status == PASS
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "residual": self.residual,
-            "witness": self.witness,
-            "tolerance": self.tolerance,
-        }
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    checks: tuple[AxiomCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.status == PASS for c in self.checks)
-
-    @property
-    def failed(self) -> bool:
-        """A demonstrated violation, as opposed to missing closure data."""
-        return any(c.status == FAIL for c in self.checks)
-
-    def __getitem__(self, name: str) -> AxiomCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "failed": self.failed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-
-
 def _is_injection(g, domain: Sequence[str], codomain: Sequence[str]) -> bool:
     """Whether the mapping `g` sends `domain`, and nothing else, one to one
     into `codomain`."""
@@ -346,19 +290,12 @@ def _is_injection(g, domain: Sequence[str], codomain: Sequence[str]) -> bool:
     return all(y in codomain for y in targets) and len(set(targets)) == len(domain)
 
 
-def _verdict(name, residual, tol, witness, missing=None) -> AxiomCheck:
-    if missing:
-        return AxiomCheck(name, INCONCLUSIVE, float(residual), missing, tol)
-    status = PASS if residual <= tol else FAIL
-    return AxiomCheck(name, status, float(residual), witness, tol)
-
-
 # -- the axiom battery --------------------------------------------------------
 
 
 def check_positivity(
     oracle: KernelOracle, config: RunConfig = RunConfig()
-) -> AxiomCheck:
+) -> Check:
     """The block Gram matrix over (word, basis) pairs must be Hermitian and
     PSD up to a relative tolerance, read off the oracle's Gram factor
     (`KernelOracle.gram_factor`), relative to the largest magnitude of its
@@ -383,23 +320,23 @@ def check_positivity(
     if defect / scale > residual:
         residual = defect / scale
         witness = f"Hermiticity defect {defect:.3e} of the kernel table"
-    return _verdict("positivity", residual, config.positivity_tol, witness)
+    return Check("positivity", residual, witness, config.positivity_tol)
 
 
 def check_normalization(
     oracle: KernelOracle, config: RunConfig = RunConfig()
-) -> AxiomCheck:
+) -> Check:
     """The kernel at the unit word pair must be the identity on K."""
     e = oracle.unit_index()
     residual = opnorm(oracle.table[e, e] - np.eye(oracle.kdim))
-    return _verdict(
-        "normalization", residual, config.normalization_tol, "kernel at the unit pair"
+    return Check(
+        "normalization", residual, "kernel at the unit pair", config.normalization_tol
     )
 
 
 def check_sigma_additivity(
     oracle: KernelOracle, config: RunConfig = RunConfig()
-) -> AxiomCheck:
+) -> Check:
     """Partitioning a word's factor at any point of a maximal slice must sum
     the kernel: diagonally, and against every other word (the sesquilinear
     form implied by polarization)."""
@@ -408,7 +345,7 @@ def check_sigma_additivity(
 
 def check_factorizability(
     oracle: KernelOracle, config: RunConfig = RunConfig()
-) -> AxiomCheck:
+) -> Check:
     """Right multiplication by an event at a point of a maximal slice must
     move freely across the two kernel arguments."""
     return check_slice_axioms(oracle, config)[1]
@@ -416,7 +353,7 @@ def check_factorizability(
 
 def check_slice_axioms(
     oracle: KernelOracle, config: RunConfig = RunConfig()
-) -> tuple[AxiomCheck, AxiomCheck]:
+) -> tuple[Check, Check]:
     """Sigma additivity and factorizability at `config.axiom_tol`.
 
     The oracle's screen (`KernelOracle.slice_screen`) decides a pass when the
@@ -430,8 +367,8 @@ def check_slice_axioms(
     (add, add_wit, add_miss), (fac, fac_wit, fac_miss) = (
         screen if certified else oracle.slice_residuals
     )
-    return (_verdict("sigma_additivity", add, tol, add_wit, add_miss),
-            _verdict("factorizability", fac, tol, fac_wit, fac_miss))
+    return (Check("sigma_additivity", add, add_wit, tol, add_miss),
+            Check("factorizability", fac, fac_wit, tol, fac_miss))
 
 
 def _slice_screen(oracle: KernelOracle) -> tuple[tuple, tuple] | None:
@@ -680,14 +617,12 @@ def _first_worst(found) -> tuple[float, tuple | None]:
 
 def check_covariance(
     oracle: KernelOracle, config: RunConfig = RunConfig()
-) -> AxiomCheck:
+) -> Check:
     """Transported word pairs must reproduce the kernel conjugated by the
     initial-space isometry, for every symmetry element."""
     tol = config.axiom_tol
     if not oracle.symmetry:
-        return AxiomCheck(
-            "covariance", PASS, 0.0, "no symmetry declared (trivial action)", tol
-        )
+        return Check("covariance", 0.0, "no symmetry declared (trivial action)", tol)
     worst, witness = 0.0, ""
     missing: str | None = None
     for s, sym in oracle.symmetry.items():
@@ -713,12 +648,12 @@ def check_covariance(
                 f"{s!r} on pair ({_word_label(oracle.words[i])}, "
                 f"{_word_label(oracle.words[j])})"
             )
-    return _verdict("covariance", worst, tol, witness, missing)
+    return Check("covariance", worst, witness, tol, missing)
 
 
 def check_projectivity(
     oracle: KernelOracle, config: RunConfig = RunConfig(), pair_cap: int = 64
-) -> AxiomCheck:
+) -> Check:
     """Unit extension invariance, exact in the canonical word encoding, plus,
     with a realizing model, the largest `models.unit_nesting` bound
     ``|L| |I_k| + |I_k| |R| + |L| |R|`` over the bases k < j: a pass bounds
@@ -727,8 +662,8 @@ def check_projectivity(
     tol = config.axiom_tol
     model = oracle.model
     if model is None:
-        return AxiomCheck(
-            "projectivity", PASS, 0.0,
+        return Check(
+            "projectivity", 0.0,
             "extension invariance only (no realizing model attached)", tol,
         )
     blocks = [frozenset()] + [frozenset({t}) for t in oracle.site.points]
@@ -737,12 +672,12 @@ def check_projectivity(
         np.where([k != j for k, j in pairs], l * u + u * r + l * r, 0.0),
         lambda i: "compression from base {} to {}".format(*map(sorted, pairs[i][::-1])),
     )
-    return _verdict("projectivity", worst, tol, witness)
+    return Check("projectivity", worst, witness, tol)
 
 
 def check_regularity(
     oracle: KernelOracle, config: RunConfig = RunConfig()
-) -> AxiomCheck:
+) -> Check:
     """Asymptotic noncorrelation with the distant past.
 
     For each minimal slice, the component of every word vector orthogonal to
@@ -756,7 +691,7 @@ def check_regularity(
     k = oracle.kdim
     minimal = oracle.classes.minimal_antichains()
     if not minimal:
-        return AxiomCheck("regularity", PASS, 0.0, "empty site", tol)
+        return Check("regularity", 0.0, "empty site", tol)
     n = len(oracle.words)
     per_slice: list[tuple[float, str]] = []
     for l in minimal:
@@ -777,21 +712,21 @@ def check_regularity(
     best = min(per_slice, key=lambda p: p[0])
     l_min = minimal[per_slice.index(best)]
     witness = f"word {best[1]} against slice {sorted(l_min)}" if best[1] else ""
-    return _verdict("regularity", best[0], tol, witness)
+    return Check("regularity", best[0], witness, tol)
 
 
-def check_axioms(oracle: KernelOracle, config: RunConfig = RunConfig()) -> AxiomReport:
+def check_axioms(oracle: KernelOracle, config: RunConfig = RunConfig()) -> Report:
     positivity = check_positivity(oracle, config)
     normalization = check_normalization(oracle, config)
     additivity, factorizability = check_slice_axioms(oracle, config)
-    return AxiomReport((
+    return Report((
         positivity,
         normalization,
         additivity,
         factorizability,
         check_covariance(oracle, config),
         check_projectivity(oracle, config),
-    ))
+    ), "axioms")
 
 
 def _word_label(w: EventWord) -> str:

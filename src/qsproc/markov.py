@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .config import RunConfig
 from .linalg import COMPLEX, dagger
-from .models import CheckEntry, HilbertModel, ModelReport
+from .models import Check, HilbertModel, Report
 from .sites import CausalSite, SiteClasses, derive_classes
 from .words import (
     Event,
@@ -137,7 +137,7 @@ def check_dynamicity(
     site: CausalSite,
     classes: SiteClasses | None = None,
     config: RunConfig = RunConfig(),
-) -> ModelReport:
+) -> Report:
     """Compressions of later-slice events must stay in the slice algebra.
 
     Also records the weak-commutativity consequence: the compressed events
@@ -160,11 +160,11 @@ def check_dynamicity(
                 at.append((ev, l))
                 comms.extend(compressed @ o - o @ compressed for _, _, o in own)
                 comm_at.extend((ev, x, t) for x, t, _ in own)
-    return ModelReport((
-        CheckEntry("dynamicity", *linalg.worst(dists, lambda i: (
+    return Report((
+        Check("dynamicity", *linalg.worst(dists, lambda i: (
             f"event {event_label(at[i][0])} compressed to slice {sorted(at[i][1])}"
         )), tol),
-        CheckEntry("weak_commutativity", *linalg.worst(linalg.opnorms(comms), lambda i: (
+        Check("weak_commutativity", *linalg.worst(linalg.opnorms(comms), lambda i: (
             "[{} compressed, atom {!r}@{!r}]"
             .format(event_label(comm_at[i][0]), *comm_at[i][1:])
         )), tol),
@@ -190,7 +190,7 @@ def check_regression(
     words: Sequence[EventWord] | None = None,
     classes: SiteClasses | None = None,
     config: RunConfig = RunConfig(),
-) -> ModelReport:
+) -> Report:
     """Recompute the kernel through the nested slice compressions and compare
     with the direct value; also verify the composition identities of the
     compression maps on the slice algebras.
@@ -201,17 +201,11 @@ def check_regression(
     classes = classes or derive_classes(site)
     tol = config.membership_tol
     slices = _ordered_slices(classes)
-    entries = []
     if slices is None:
-        entries.append(
-            CheckEntry(
-                "regression",
-                float("inf"),
-                "slices are not totally ordered; the nested form is undefined",
-                tol,
-            )
-        )
-        return ModelReport(tuple(entries))
+        return Report((Check(
+            "regression", float("inf"),
+            "slices are not totally ordered; the nested form is undefined", tol,
+        ),))
     if words is None:
         words = enumerate_words(site, model.spaces, config.policy, config.cap)
     e_proj = {l: slice_projector(model, classes, l, config) for l in slices}
@@ -223,7 +217,6 @@ def check_regression(
     nested = _nested_stack(model, site, slices, e_proj, merged)
     worst_r, at = linalg.worst_block(nested[index] - direct)
     wit_r = "" if at is None else "regression of a word pair"
-    entries.append(CheckEntry("regression", worst_r, wit_r, tol))
 
     # composition identities of the compression maps
     basis = {
@@ -249,8 +242,8 @@ def check_regression(
         "initial compression through slice {} of an operator on slice {}" if at[i][0]
         else "compression to slice {} through {}"
     ).format(*map(sorted, at[i][1:])))
-    entries.append(CheckEntry("regression_composition", worst_c, wit_c, tol))
-    return ModelReport(tuple(entries))
+    return Report((Check("regression", worst_r, wit_r, tol),
+                   Check("regression_composition", worst_c, wit_c, tol)))
 
 
 def _nested_stack(model, site, slices, e_proj, words) -> np.ndarray:
@@ -312,7 +305,7 @@ def check_narrow_commutativity(
     classes: SiteClasses | None = None,
     words: Sequence[EventWord] | None = None,
     config: RunConfig = RunConfig(),
-) -> ModelReport:
+) -> Report:
     """Fully normalized dynamic models force commuting event projectors
     across comparable slices; when that holds the kernel factorizes through
     the pointwise product of the words."""
@@ -327,23 +320,23 @@ def check_narrow_commutativity(
         if l != lp and classes.subset_le(l, lp)
         for t, tp in itertools.product(sorted(l), sorted(lp))
     ])
-    entries = [CheckEntry("narrow_commutativity", worst, wit, tol)]
+    checks = [Check("narrow_commutativity", worst, wit, tol)]
 
     if worst <= tol:
         if words is None:
             words = enumerate_words(site, model.spaces, config.policy, config.cap)
-        entries.append(CheckEntry("complete_factorization", *linalg.worst(
+        checks.append(Check("complete_factorization", *linalg.worst(
             [pointwise_factorization_residual(model, site, words)],
             lambda _: "factorization through the pointwise product",
         ), tol))
-    return ModelReport(tuple(entries))
+    return Report(tuple(checks))
 
 
 def check_relaxation(
     model: HilbertModel,
     site: CausalSite,
     config: RunConfig = RunConfig(),
-) -> ModelReport:
+) -> Report:
     """Relaxation of the compression maps at the smallest slices.
 
     The compression of every slice-algebra basis operator to the smallest
@@ -384,11 +377,11 @@ def check_relaxation(
                 moved = _limit_states(vecs, e_l0_pert, a)
                 moves.append(float(np.max(np.abs(base - moved))) if base.size else 0.0)
                 at.append((l, l0))
-    return ModelReport((
-        CheckEntry("relaxation", *linalg.worst(linalg.opnorms(gaps), lambda i: (
+    return Report((
+        Check("relaxation", *linalg.worst(linalg.opnorms(gaps), lambda i: (
             "operator on slice {} compressed to {}".format(*map(sorted, at[i]))
         )), tol),
-        CheckEntry("limit_state_independence", *linalg.worst(moves, lambda i: (
+        Check("limit_state_independence", *linalg.worst(moves, lambda i: (
             "limit state on slice {} after replacing the measurements on {}"
             .format(*map(sorted, at[i]))
         )), tol),

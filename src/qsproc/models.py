@@ -291,51 +291,104 @@ class ProductPlan:
         )
 
 
-# -- validation --------------------------------------------------------------
+# -- verdicts and model validation -------------------------------------------
+
+
+PASS = "pass"
+FAIL = "fail"
+INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
-class CheckEntry:
-    condition: str
+class Check:
+    """The verdict on one condition: the worst residual found, the witness
+    attaining it, and the tolerance it is held to.  A `missing` note (data
+    the check needs but the input lacks) makes it inconclusive and stands in
+    for the witness; otherwise it passes when ``residual <= tolerance``, so
+    NaN and inf fail."""
+
+    name: str
     residual: float
     witness: str
     tolerance: float
+    missing: str | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "residual", float(self.residual))
+        if self.missing:
+            object.__setattr__(self, "witness", self.missing)
+
+    @property
+    def status(self) -> str:
+        if self.missing:
+            return INCONCLUSIVE
+        return PASS if self.residual <= self.tolerance else FAIL
 
     @property
     def ok(self) -> bool:
-        return self.residual <= self.tolerance
+        return self.status == PASS
+
+    @property
+    def condition(self) -> str:
+        """`name`, kept for perfbench until ROADMAP item 1 moves its probes
+        onto `to_dict()`."""
+        return self.name
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, "status": self.status, "residual": self.residual,
+                "witness": self.witness, "tolerance": self.tolerance}
 
 
 @dataclass(frozen=True)
-class ModelReport:
-    entries: tuple[CheckEntry, ...]
+class Report:
+    """Checks of several conditions.  `form` is the shape of `to_dict`:
+    "violations" lists the checks that do not pass (model and Markov
+    reports), "checks" lists every check (the lift), each by condition,
+    residual, witness and tolerance; "axioms" lists every check with its
+    status and adds `failed`."""
+
+    checks: tuple[Check, ...]
+    form: str = "violations"
 
     @property
     def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
+        return all(c.ok for c in self.checks)
 
-    def violations(self) -> tuple[CheckEntry, ...]:
-        return tuple(e for e in self.entries if not e.ok)
+    @property
+    def failed(self) -> bool:
+        """A demonstrated violation, as opposed to missing data."""
+        return any(c.status == FAIL for c in self.checks)
 
-    def worst(self, condition: str) -> CheckEntry | None:
-        cands = [e for e in self.entries if e.condition == condition]
-        if not cands:
-            return None
-        return max(cands, key=lambda e: e.residual)
+    @property
+    def entries(self) -> tuple[Check, ...]:
+        """`checks`, kept for perfbench until ROADMAP item 1 moves its
+        probes onto `to_dict()`."""
+        return self.checks
+
+    def violations(self) -> tuple[Check, ...]:
+        return tuple(c for c in self.checks if not c.ok)
+
+    def worst(self, name: str) -> Check | None:
+        """The first check named `name` with the largest residual."""
+        return max((c for c in self.checks if c.name == name),
+                   key=lambda c: c.residual, default=None)
+
+    def __getitem__(self, name: str) -> Check:
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [
-                {
-                    "condition": e.condition,
-                    "residual": e.residual,
-                    "witness": e.witness,
-                    "tolerance": e.tolerance,
-                }
-                for e in self.violations()
-            ],
-        }
+        if self.form == "axioms":
+            return {"ok": self.ok, "failed": self.failed,
+                    "checks": [c.to_dict() for c in self.checks]}
+        listed = self.checks if self.form == "checks" else self.violations()
+        return {"ok": self.ok, self.form: [
+            {"condition": c.name, "residual": c.residual, "witness": c.witness,
+             "tolerance": c.tolerance}
+            for c in listed
+        ]}
 
 
 def check_model(
@@ -344,7 +397,7 @@ def check_model(
     classes: SiteClasses | None = None,
     config: RunConfig = RunConfig(),
     site_sym: SiteSymmetry | None = None,
-) -> ModelReport:
+) -> Report:
     """Verify the whole contract of a measurement model.
 
     Checked, with one entry per worst offender of each condition: projector
@@ -356,12 +409,10 @@ def check_model(
     with declared algebra generators; and the symmetry intertwining relations.
     """
     classes = classes or derive_classes(site)
-    entries: list[CheckEntry] = []
+    checks: list[Check] = []
 
-    def record(condition, residual, witness):
-        entries.append(
-            CheckEntry(condition, float(residual), witness, config.projector_tol)
-        )
+    def record(name, residual, witness):
+        checks.append(Check(name, residual, witness, config.projector_tol))
 
     eye = model.identity()
 
@@ -468,7 +519,7 @@ def check_model(
         linalg.opnorms(gaps), lambda i: at[i][0].format(*at[i][1:])
     ))
 
-    return ModelReport(tuple(entries))
+    return Report(tuple(checks))
 
 
 def unit_nesting(model: HilbertModel, classes: SiteClasses, blocks: Sequence[frozenset]):

@@ -25,9 +25,6 @@ from . import linalg
 from .config import RunConfig
 from .linalg import COMPLEX, dagger
 from .kernels import (
-    FAIL,
-    INCONCLUSIVE,
-    AxiomCheck,
     KernelOracle,
     check_covariance,
     check_normalization,
@@ -35,7 +32,7 @@ from .kernels import (
     check_slice_axioms,
     _word_label,
 )
-from .models import HilbertModel, ModelSymmetry
+from .models import FAIL, INCONCLUSIVE, Check, HilbertModel, ModelSymmetry
 from .words import Event, event_label
 
 
@@ -126,7 +123,7 @@ def build_space(oracle: KernelOracle, config: RunConfig = RunConfig()) -> GnsSpa
     )
 
 
-def _refuse_failed(*checks: AxiomCheck) -> None:
+def _refuse_failed(*checks: Check) -> None:
     """Refuse the construction on the first demonstrated axiom violation; an
     inconclusive verdict (missing closure data) does not refuse."""
     for c in checks:

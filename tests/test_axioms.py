@@ -7,9 +7,6 @@ import pytest
 
 from qsproc import fixtures, linalg
 from qsproc.kernels import (
-    FAIL,
-    INCONCLUSIVE,
-    PASS,
     KernelOracle,
     check_axioms,
     check_covariance,
@@ -20,6 +17,7 @@ from qsproc.kernels import (
     check_regularity,
     check_sigma_additivity,
 )
+from qsproc.models import FAIL, INCONCLUSIVE, PASS
 from qsproc.sites import chain_site
 from qsproc.words import EventWord, OutcomeSpaces, enumerate_words, event_label, unit_word
 

@@ -14,7 +14,6 @@ from qsproc.bridges import (
     level_point,
     lexicographic_site,
     lift_process,
-    split_level_point,
     verify_lift,
 )
 from qsproc.kernels import check_covariance
@@ -130,7 +129,7 @@ def shifted_product_residual(model, site, words):
     for k in range(1, depth):
         kept, moved = [], []
         for i, w in enumerate(words):
-            levels = [split_level_point(t) for t, _ in w.factors]
+            levels = [(int(l), x) for l, x in (t.split(":", 1) for t, _ in w.factors)]
             if all(l + k < depth for l, _ in levels):
                 kept.append(i)
                 moved.append(EventWord.from_dict(
@@ -174,7 +173,7 @@ class TestUltrastationarity:
     def test_pinned_residual_on_level_dependent_lift(self, point, residual, declare_symmetry):
         bad, site = self.level_dependent(point, declare_symmetry)
         words = enumerate_level_words(bad, site)
-        entry = check_ultrastationarity(bad, site, words).entries[0]
+        entry = check_ultrastationarity(bad, site, words).checks[0]
         assert not entry.ok
         assert entry.residual == pytest.approx(residual, rel=1e-12)
         assert entry.residual == pytest.approx(
@@ -194,7 +193,7 @@ class TestUltrastationarity:
         atoms, xi, spaces = fixtures.two_point_field()
         model, site, _ = lift_process(atoms, xi, depth, spaces)
         words = enumerate_level_words(model, site)
-        entry = check_ultrastationarity(model, site, words).entries[0]
+        entry = check_ultrastationarity(model, site, words).checks[0]
         assert entry.residual == shifted_product_residual(model, site, words) == 0.0
         assert entry.witness == ""
 

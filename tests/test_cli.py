@@ -68,6 +68,12 @@ class TestCheck:
         bad = write(tmp_path, "bad.json", "{ not json")
         assert cli.main(["check", bad, qubit_files[1]]) == 2
 
+    def test_non_utf8_file_exits_two(self, tmp_path, qubit_files, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert cli.main(["check", str(bad), qubit_files[1]]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {bad}: 'utf-8' codec")
+
     def test_missing_file_exits_two(self, qubit_files):
         assert cli.main(["check", "/nonexistent.json", qubit_files[1]]) == 2
 
@@ -521,6 +527,52 @@ class TestConfig:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("configuration error:")
+
+
+class TestDuplicateKeys:
+    """Every input file goes through one reader, which refuses an object that
+    spells a key twice instead of keeping the last value."""
+
+    def test_table_entry_spelled_twice_exits_two(self, tmp_path, capsys):
+        # the first "0,1" holds a wrong value; a reader keeping the last
+        # one would reconstruct the true table and exit 0
+        text = serialize.dumps(serialize.oracle_to_json(qubit_table()))
+        assert text.count('"0,1": ') == 1
+        table_file = write(tmp_path, "table.json", text.replace(
+            '"0,1": ', '"0,1": [[[0.123, 0.0]]], "0,1": '))
+        for argv in (["reconstruct", table_file], ["reconstruct", table_file, "--verify"]):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"input error: {table_file}: duplicate key '0,1'\n"
+
+    def test_model_site_and_field_keys_spelled_twice_exit_two(self, tmp_path, capsys,
+                                                             qubit_files):
+        model_file, site_file = qubit_files
+        for name, key in (("model.json", "dim"), ("site.json", "points")):
+            path = tmp_path / name
+            text = path.read_text()
+            path.write_text(text.replace(f'"{key}": ', f'"{key}": 5, "{key}": ', 1))
+            assert cli.main(["check", model_file, site_file]) == 2
+            assert capsys.readouterr().err == f"input error: {path}: duplicate key {key!r}\n"
+            path.write_text(text)
+        field = write(tmp_path, "field.json", '{"depth": 1, "devices": {}, "depth": 2}')
+        assert cli.main(["lift", field]) == 2
+        assert capsys.readouterr().err == f"input error: {field}: duplicate key 'depth'\n"
+
+    def test_config_key_spelled_twice_exits_two(self, tmp_path, qubit_files, capsys):
+        cfg = write(tmp_path, "cfg.json", '{"cap": 50, "policy": "all_subsets", "cap": 3}')
+        assert cli.main(["--config", cfg, "check", *qubit_files]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: duplicate key 'cap'\n"
+
+    def test_nested_key_spelled_twice_is_named(self):
+        with pytest.raises(ValueError, match="duplicate key 'b'"):
+            json.loads('{"a": [{"b": 1, "c": 2, "b": 3}]}',
+                       object_pairs_hook=cli._unique_keys)
+        assert json.loads('{"a": {"b": 1}, "b": 2}',
+                          object_pairs_hook=cli._unique_keys) == {"a": {"b": 1}, "b": 2}
 
 
 class TestConfigKeys:

@@ -213,7 +213,7 @@ class TestCheckModel:
         )
         report = check_model(bad, site)
         assert not report.ok
-        assert any(e.condition == "projector" for e in report.violations())
+        assert any(e.name == "projector" for e in report.violations())
 
     def test_noncommuting_independent_pair_flagged(self):
         site = CausalSite(points=("a", "b"), leq=((True, False), (False, True)))
@@ -225,7 +225,7 @@ class TestCheckModel:
         report = check_model(model, site)
         assert not report.ok
         assert any(
-            e.condition == "independent_compatibility" for e in report.violations()
+            e.name == "independent_compatibility" for e in report.violations()
         )
 
     def test_noncommuting_equivalent_pair_flagged(self):
@@ -239,7 +239,7 @@ class TestCheckModel:
         )
         report = check_model(model, site)
         assert any(
-            e.condition == "equivalent_compatibility" for e in report.violations()
+            e.name == "equivalent_compatibility" for e in report.violations()
         )
 
     def test_narrow_unit_balance(self, qubit):
@@ -266,7 +266,7 @@ class TestCheckModel:
             units_i=units_i,
         )
         report = check_model(bad, site)
-        assert any(e.condition == "unit_balance" for e in report.violations())
+        assert any(e.name == "unit_balance" for e in report.violations())
 
     def test_wide_units_accepted(self, qubit):
         # canonical compression keeps the model valid with nontrivial units
@@ -309,7 +309,7 @@ class TestCheckModel:
         assert report.ok
         broken, siteb, symb = fixtures.galilean_shift_fixture(broken=True)
         report_b = check_model(broken, siteb, site_sym=symb)
-        assert any(e.condition == "covariance" for e in report_b.violations())
+        assert any(e.name == "covariance" for e in report_b.violations())
 
     def test_unit_monotone_witness_independent_of_hash_seed(self):
         # the compared unit blocks are frozensets, whose set order follows

@@ -17,8 +17,6 @@ from qsproc import fixtures, linalg
 from qsproc.config import RunConfig
 from qsproc.equivalence import minimal_modification
 from qsproc.kernels import (
-    FAIL,
-    PASS,
     OracleSymmetry,
     _word_label,
     check_axioms,
@@ -32,7 +30,7 @@ from qsproc.markov import (
     check_regression,
     slice_projector,
 )
-from qsproc.models import HilbertModel, ProductPlan
+from qsproc.models import FAIL, PASS, HilbertModel, ProductPlan
 from qsproc.reconstruct import reconstruct, verify_decomposition
 from qsproc.sites import CausalSite, chain_site, derive_classes
 from qsproc.words import (

@@ -503,7 +503,7 @@ def case(request):
 
 
 def entries(report):
-    return [(e.condition, e.residual, e.witness) for e in report.entries]
+    return [(e.name, e.residual, e.witness) for e in report.checks]
 
 
 # -- the checks against their sweeps ----------------------------------------------
@@ -604,7 +604,7 @@ FIELDS = {
 def test_verify_lift_matches_sweep(field, depth):
     field_atoms, initial, spaces = FIELDS[field]()
     report = verify_lift(field_atoms, initial, depth, spaces)
-    got = {e.condition: (e.residual, e.witness) for e in report.checks}
+    got = {e.name: (e.residual, e.witness) for e in report.checks}
     for condition, expected in lift_reference(field_atoms, initial, depth, spaces).items():
         assert got[condition] == expected
 
@@ -706,7 +706,7 @@ def test_worst_without_positive_residual():
 
 def test_embedding_isometry_witness_is_unconditional():
     model, site = fixtures.qubit_zx()
-    entry = check_model(model, site).entries[0]
-    assert (entry.condition, entry.residual, entry.witness) == (
+    entry = check_model(model, site).checks[0]
+    assert (entry.name, entry.residual, entry.witness) == (
         "embedding_isometry", 0.0, "initial embedding"
     )

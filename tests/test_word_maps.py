@@ -25,12 +25,11 @@ from qsproc.kernels import (
     OracleSymmetry,
     _additivity_residuals,
     _first_worst,
-    _verdict,
     _word_label,
     check_axioms,
     check_slice_axioms,
 )
-from qsproc.models import HilbertModel
+from qsproc.models import Check, HilbertModel
 from qsproc.reconstruct import (
     ReconstructionRefused,
     build_space,
@@ -122,8 +121,8 @@ def reference_slice_axioms(oracle, config=RunConfig()):
             )
     tol = config.axiom_tol
     return (
-        _verdict("sigma_additivity", add_worst, tol, add_witness, add_missing),
-        _verdict("factorizability", fac_worst, tol, fac_witness, fac_missing),
+        Check("sigma_additivity", add_worst, add_witness, tol, add_missing),
+        Check("factorizability", fac_worst, fac_witness, tol, fac_missing),
     )
 
 
@@ -248,8 +247,8 @@ def exact_slice_axioms(oracle, config=RunConfig()):
     """The records of the exact pass (`KernelOracle.slice_residuals`)."""
     (add, add_wit, add_miss), (fac, fac_wit, fac_miss) = oracle.slice_residuals
     tol = config.axiom_tol
-    return (_verdict("sigma_additivity", add, tol, add_wit, add_miss),
-            _verdict("factorizability", fac, tol, fac_wit, fac_miss))
+    return (Check("sigma_additivity", add, add_wit, tol, add_miss),
+            Check("factorizability", fac, fac_wit, tol, fac_miss))
 
 
 def assert_dominates(got, want):
