@@ -174,7 +174,7 @@ def _ultrastationarity(oracle: KernelOracle, config: RunConfig) -> Check:
     refused with a `ValueError` naming that word."""
     meta = oracle.site.meta
     _, sym = lexicographic_site(meta["positions"], meta["depth"])
-    shifted = dataclasses.replace(oracle, symmetry={
+    shifted = oracle.with_symmetry({
         s: OracleSymmetry(
             point_map=sym.maps[s],
             outcome_maps={t: {o: o for o in oracle.spaces.outcomes(t)}

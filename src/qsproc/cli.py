@@ -157,23 +157,40 @@ def _unique_keys(pairs: list) -> dict:
     return out
 
 
-def _read_json(path: str):
+def _read_json(path: str, table: bool = False):
     """Every input file's reader: the configuration, models, sites, tables
     and fields.  The parse makes no reference cycles, so the cyclic
-    collector pauses for it (on a 5.9 MB table it took 40% of the parse)."""
+    collector pauses for it (on a 5.9 MB table it took 40% of the parse).
+
+    With `table`, an object whose first key spells a kernel entry keeps
+    json's pair list (`serialize.EntryPairs`): the table's ``"values"`` go to
+    `serialize.oracle_from_json`, which refuses a repeated entry, and any
+    other such object is held to the refusal here."""
+    entries = []
+
+    def members(pairs: list):
+        if table and pairs and serialize.is_entry_key(pairs[0][0]):
+            entries.append(serialize.EntryPairs(pairs))
+            return entries[-1]
+        return _unique_keys(pairs)
+
     collecting = gc.isenabled()
     gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            data = json.load(fh, object_pairs_hook=members)
     finally:
         if collecting:
             gc.enable()
+    for e in entries:
+        if not (isinstance(data, dict) and data.get("values") is e):
+            _unique_keys(e.pairs)
+    return data
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, table: bool = False) -> dict:
     try:
-        return _read_json(path)
+        return _read_json(path, table)
     except (OSError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -270,8 +287,10 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
         _, _, oracle = _load_oracle(args.source, args.site, config)
     else:
         try:
-            oracle = serialize.oracle_from_json(_load_json(args.source))
+            oracle = serialize.oracle_from_json(_load_json(args.source, table=True))
             oracle.unit_index()  # the initial space sits at the unit word
+        except serialize.DuplicateKey as exc:  # named with its file, as at the parse
+            raise InputError(f"{args.source}: {exc}") from None
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(str(exc)) from None
     try:

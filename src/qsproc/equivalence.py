@@ -94,7 +94,7 @@ def _compare_tables(m1: HilbertModel, m2: HilbertModel, site: CausalSite, words,
         m1 = dataclasses.replace(m1, symmetry={})
     oracle = m1.kernel_table(site, words)
     stack = m2.evaluate(oracle.plan)
-    worst, at = linalg.worst_block(oracle.table - linalg.pair_blocks(stack))
+    worst, at = linalg.worst_gap(oracle.table, linalg.pair_blocks(stack))
     witness = "" if at is None else f"pair (word {at[0]}, word {at[1]})"
     verdict = EquivalenceVerdict(worst <= tol, worst, witness, tol)
     return verdict, oracle, linalg.side_by_side(stack)

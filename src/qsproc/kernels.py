@@ -14,6 +14,7 @@ of a violation.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -58,16 +59,19 @@ class OracleSymmetry:
 class KernelOracle:
     """A wide-sense process: words, kernel values, symmetry declarations.
 
-    Frozen, with a read-only C-order copy of `table`, so its memos (the
+    Frozen, with a read-only C-order `table`, so its memos (the
     `cholesky` factor, its `gram_factor` cuts, the `slice_screen` and the
     `slice_residuals` that the axiom checks and the reconstruction gates
     share among them, and the `plan` of its words that every model's
     products on them are evaluated on) never go stale.  To edit a table,
-    build a new oracle: ``dataclasses.replace(oracle, table=edited)``.
-    `_plan` seeds the `plan` memo with the plan that built the table, and
-    `_stack` sets `product_stack`, the side-by-side product columns the
-    table is the Gram matrix of (`HilbertModel.kernel_table`); neither is
-    a field, so an edited copy keeps neither."""
+    build a new oracle: ``dataclasses.replace(oracle, table=edited)``.  A
+    table that no caller can write, a read-only array that views no other
+    (the fresh one `HilbertModel.kernel_table` hands over, or another
+    oracle's), is adopted as it is; any other is copied.  `_plan` seeds the `plan` memo with the
+    plan that built the table, and `_stack` sets `product_stack`, the
+    side-by-side product columns the table is the Gram matrix of
+    (`HilbertModel.kernel_table`); neither is a field, so an edited copy
+    keeps neither."""
 
     site: CausalSite
     classes: SiteClasses
@@ -83,14 +87,17 @@ class KernelOracle:
 
     def __post_init__(self, _plan, _stack):
         n = len(self.words)
-        # an owned C-order copy, never the caller's array: rows gather fast
-        t = np.array(self.table, dtype=COMPLEX, order="C")
+        t = self.table
+        # adopted when no one can write it: read-only, and no view of another
+        if not (isinstance(t, np.ndarray) and t.base is None and not t.flags.writeable
+                and t.dtype == COMPLEX and t.flags.c_contiguous):
+            t = np.array(t, dtype=COMPLEX, order="C")  # rows gather fast
+            t.setflags(write=False)
         if t.shape != (n, n, self.kdim, self.kdim):
             raise ValueError(
                 f"table shape {t.shape} does not match {n} words of kernel "
                 f"dimension {self.kdim}"
             )
-        t.setflags(write=False)
         if missing := [p for p in self.site.points if p not in self.spaces.spaces]:
             raise ValueError(f"no outcome space declared at point {missing[0]!r}")
         for s, sym in self.symmetry.items():
@@ -156,7 +163,7 @@ class KernelOracle:
         if self.product_stack is None:
             factor = linalg.pivoted_cholesky(self.gram())
         else:
-            factor = linalg.stack_factor(self.product_stack, self.gram())
+            factor = linalg.stack_factor(self.product_stack, self.table)
         for a in (factor.rows, factor.values, factor.u):
             a.setflags(write=False)
         return factor
@@ -188,6 +195,14 @@ class KernelOracle:
         """The worst residual, witness and missing-data note of sigma
         additivity, then of factorizability (`_slice_pass`)."""
         return _slice_pass(self)
+
+    def with_symmetry(self, symmetry: Mapping[str, OracleSymmetry]) -> KernelOracle:
+        """The same words and table under another symmetry.  The new oracle
+        shares the read-only table and the word-map memos computed so far
+        (`_WORD_MEMOS`), none of which reads the symmetry."""
+        other = dataclasses.replace(self, symmetry=symmetry)
+        vars(other).update({k: v for k, v in vars(self).items() if k in _WORD_MEMOS})
+        return other
 
     # -- word maps, computed once: the oracle's words never change ----------
 
@@ -279,6 +294,11 @@ class KernelOracle:
         return pull_back(
             self.words[i], dict(sym.point_map), sym.outcome_maps, self.spaces
         )
+
+
+_WORD_MEMOS = frozenset(
+    {"codes", "_columns", "_widths", "_sorted_keys", "_unit_at", "_within", "plan"}
+)
 
 
 def _is_injection(g, domain: Sequence[str], codomain: Sequence[str]) -> bool:

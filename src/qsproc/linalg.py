@@ -60,14 +60,53 @@ def side_by_side(stack: np.ndarray) -> np.ndarray:
     return stack.transpose(1, 0, 2).reshape(rows, n * cols)
 
 
+BLOCK = 1 << 18
+"""Entries of one block of a blocked pass: the Frobenius share that
+`_residual_bound` sums at once, the operators `HilbertModel.evaluate`
+gathers at once."""
+
+STRIP = BLOCK >> 3
+"""Entries of one row strip of a pass over an N x N kernel table
+(`row_strips`): a few strips at 256 words, 8 rows at 4,096."""
+
+
+def row_strips(stop: int, width: int, start: int = 0) -> list[slice]:
+    """Consecutive slices covering rows ``start:stop`` of a C-order array
+    whose rows hold `width` entries, each of about `STRIP` entries.  No
+    slice has fewer than 4 rows unless the range itself does: a remainder
+    joins the strip before it, since a GEMM of 1 to 3 rows may round
+    otherwise than the whole GEMM, where one of 4 or more rows does not."""
+    step = max(4, STRIP // max(width, 1))
+    cuts = list(range(start, stop, step))
+    if len(cuts) > 1 and stop - cuts[-1] < 4:
+        cuts.pop()
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:] + [stop])]
+
+
 def pair_blocks(stack: np.ndarray) -> np.ndarray:
     """Inner products ``F_i* F_j`` of every pair of a (n, rows, k) stack, as
-    an (n, n, k, k) view of the GEMM ``X^T conj(X)`` of its side-by-side
-    columns X: the Gram matrix ``X* X`` transposed, in the operand order
-    whose rounding the einsum ``iak,jal->ijkl`` had at any thread count."""
+    a fresh C-order (n, n, k, k) array.  It is the GEMM ``X^T conj(X)`` of
+    the side-by-side columns X, the Gram matrix ``X* X`` transposed, in the
+    operand order whose rounding the einsum ``iak,jal->ijkl`` had at any
+    thread count; the GEMM's output is transposed back in place, strip by
+    strip, so the table is the one N x N array the call makes."""
     n, _, k = stack.shape
     x = side_by_side(stack)
-    return (x.T @ np.conjugate(x)).reshape(n, k, n, k).transpose(2, 0, 3, 1)
+    out = np.empty((n, n, k, k), dtype=COMPLEX)
+    g = out.reshape(n * k, n * k)
+    np.matmul(x.T, np.conjugate(x), out=g)
+    # g becomes its transpose, the Gram matrix; each step holds two strips,
+    # the column strip and numpy's copy of the row strip it overwrites
+    for s in row_strips(n * k, 2 * n * k):
+        g[s, s] = g[s, s].T.copy()
+        lower = g[s.stop:, s].copy()  # a column strip is read, and written, by rows
+        g[s.stop:, s] = g[s, s.stop:].T
+        g[s, s.stop:] = lower.T
+    if k > 1:  # each word's k Gram rows, (a, j, b), to its k x k blocks (j, a, b)
+        rows = out.reshape(n, k, n, k)
+        for s in row_strips(n, n * k * k):
+            out[s] = rows[s].transpose(0, 2, 1, 3).copy()
+    return out
 
 
 def worst_block(blocks: np.ndarray) -> tuple[float, tuple[int, int] | None]:
@@ -88,6 +127,49 @@ def worst_block(blocks: np.ndarray) -> tuple[float, tuple[int, int] | None]:
     norms = np.linalg.norm(blocks[rows, cols], 2, axis=(-2, -1))
     best = int(np.argmax(norms))
     return float(norms[best]), (int(rows[best]), int(cols[best]))
+
+
+def worst_gap(
+    a: np.ndarray, b: np.ndarray, index: np.ndarray | None = None
+) -> tuple[float, tuple[int, int] | None]:
+    """``worst_block(a[index] - b)``, or ``worst_block(a - b)`` without an
+    index, for (n, m, k, k) blocks b, a row strip at a time (`row_strips`):
+    the same norm and the same first block, and no N x N difference.
+
+    A strip's blocks within a factor k of the running leader's largest
+    entry are kept with their exact norms, and dropped once a later leader
+    screens them out, so the candidates of the choice are `worst_block`'s."""
+    n, m, k, _ = b.shape
+    strips = row_strips(n, m * k * k)
+    diff = np.empty((max((s.stop - s.start for s in strips), default=0), m, k, k),
+                    dtype=np.result_type(a, b))
+    # kept: flat indices, largest entries and norms of the candidates
+    top, kept = 0.0, [(np.empty(0, dtype=int), np.empty(0), np.empty(0))]
+    for s in strips:
+        d = diff[:s.stop - s.start]
+        if index is None:
+            np.subtract(a[s], b[s], out=d)
+        else:
+            np.take(a, index[s], axis=0, out=d)
+            d -= b[s]
+        entry_max = np.abs(d).max(axis=(2, 3)).ravel()
+        leader = float(entry_max.max())
+        if leader != leader:  # NaN: no block passes the screen, as in worst_block
+            top = leader
+            break
+        if leader > top:
+            top = leader
+            kept = [tuple(x[c[1] >= top / k] for x in c) for c in kept]
+        if top > 0.0 and leader >= top / k:  # a zero block never passes
+            at = np.flatnonzero(entry_max >= top / k)
+            norms = np.linalg.norm(d.reshape(-1, k, k)[at], 2, axis=(-2, -1))
+            kept.append((at + s.start * m, entry_max[at], norms))
+    if top == 0.0:
+        return 0.0, None
+    flat, entry_max, norms = (np.concatenate(c) for c in zip(*kept))
+    screened = entry_max >= top / k
+    best = int(np.argmax(norms[screened]))  # none under a NaN leader, as in worst_block
+    return float(norms[screened][best]), divmod(int(flat[screened][best]), m)
 
 
 def projector_defect(p: np.ndarray) -> np.ndarray:
@@ -161,12 +243,12 @@ def pivoted_cholesky(gram: np.ndarray) -> Cholesky:
         diag[i] = -np.inf  # pivoted
         rank += 1
     rows = rows[:rank]
-    residual, defect = _residual_bound(g, rows)
+    residual, defect = _residual_bound(g[:, :, None, None], rows)
     vals, u = np.linalg.eigh(hermitize(np.conjugate(rows) @ rows.T))  # ascending
     return Cholesky(rows, vals[::-1], u[:, ::-1], residual, defect)
 
 
-def stack_factor(columns: np.ndarray, gram: np.ndarray) -> Cholesky:
+def stack_factor(columns: np.ndarray, table: np.ndarray) -> Cholesky:
     """The factor of the Gram matrix ``G = X* X`` of the columns X, read off
     the thin SVD ``X = W diag(s) Vh``: ``L = X* W``, the coordinates of each
     column in the left singular basis, so L* L is ``diag(s^2)`` to rounding
@@ -176,13 +258,17 @@ def stack_factor(columns: np.ndarray, gram: np.ndarray) -> Cholesky:
     that of G, its square (Golub and Van Loan, section 5.3).  Each column's
     coordinates carry the rounding of its own norm, where those of the equal
     ``diag(s) Vh`` carry that of the largest singular value.  `residual` and
-    `hermitian_defect` certify L against `gram`, the matrix the caller holds,
-    as `pivoted_cholesky` does.
+    `hermitian_defect` certify L against the G the caller holds, as
+    `pivoted_cholesky` does: `table` is G itself, or an (n, n, k, k) kernel
+    table whose Gram matrix is G, read as it lies.
     """
     x = asmatrix(columns)
     w, s, _ = np.linalg.svd(x, full_matrices=False)
     rows = np.conjugate(dagger(w) @ x)
-    residual, defect = _residual_bound(asmatrix(gram), rows)
+    table = np.asarray(table, dtype=COMPLEX)
+    if table.ndim == 2:
+        table = table[:, :, None, None]
+    residual, defect = _residual_bound(table, rows)
     return Cholesky(rows, s * s, np.eye(s.size, dtype=COMPLEX), residual, defect)
 
 
@@ -210,22 +296,53 @@ def eigencut(factor: Cholesky, rel_tol: float) -> Eigencut:
     )
 
 
-def _residual_bound(g: np.ndarray, rows: np.ndarray) -> tuple[float, float]:
+def _gram_block(table: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """Rows `rows` and columns `cols` (slices with bounds) of the Gram
+    matrix of an (n, n, k, k) kernel table over (word, basis) pairs,
+    word-major: a view of the table when k = 1."""
+    k = table.shape[-1]
+    i, j = rows.start // k, cols.start // k
+    sub = table[i:-(-rows.stop // k), j:-(-cols.stop // k)]
+    g = sub.transpose(0, 2, 1, 3).reshape(sub.shape[0] * k, sub.shape[1] * k)
+    return g[rows.start - i * k:rows.stop - i * k, cols.start - j * k:cols.stop - j * k]
+
+
+def _residual_bound(table: np.ndarray, rows: np.ndarray) -> tuple[float, float]:
     """min(Frobenius norm, largest absolute row sum) of the Hermitian part
-    of ``g - rows.T @ conj(rows)``, and the largest entry of ``|g - g*|``,
-    in row blocks of about 2^18 entries."""
-    n = g.shape[0]
-    step = max(1, (1 << 18) // max(n, 1))
+    of ``G - rows.T @ conj(rows)``, for the Gram matrix G of an (n, n, k, k)
+    kernel table (`_gram_block`), and the largest entry of ``|G - G*|``.
+
+    G is read in row blocks of about `BLOCK` entries, whose squared moduli
+    are summed at once, and each block in row strips (`row_strips`): the
+    strip's rows of G, its columns (gathered by rows, then conjugated and
+    transposed) and its rows of the GEMM, in buffers every strip reuses."""
+    n = table.shape[0] * table.shape[-1]
+    whole = slice(0, n)
+    step = max(1, BLOCK // max(n, 1))
+    blocks = [row_strips(min(start + step, n), n, start) for start in range(0, n, step)]
+    height = max((s.stop - s.start for strips in blocks for s in strips), default=0)
+    one, two = np.empty((2, height * n), dtype=COMPLEX)
+    mags = np.empty(min(step, n) * n)
+    conj_rows = np.conjugate(rows)
     fro2, row_sum, defect = 0.0, 0.0, 0.0
-    for start in range(0, n, step):
-        blk = slice(start, start + step)
-        adj = dagger(g[:, blk])
-        defect = max(defect, float(np.abs(g[blk] - adj).max()))
-        res = (g[blk] + adj) / 2
-        res -= rows[:, blk].T @ np.conjugate(rows)
-        mag = np.abs(res)
-        fro2 += float(np.sum(mag * mag))
+    for strips in blocks:
+        start = strips[0].start
+        mag = mags[:(strips[-1].stop - start) * n].reshape(-1, n)
+        gaps = []
+        for s in strips:
+            h, out = s.stop - s.start, mag[s.start - start:s.stop - start]
+            g = _gram_block(table, s, whole)
+            res, adj = one[:h * n].reshape(h, n), two[:h * n].reshape(h, n)
+            col = one[:n * h].reshape(n, h)  # the strip's columns, gathered by rows
+            np.copyto(adj, np.conjugate(_gram_block(table, whole, s), out=col).T)
+            gaps.append(np.abs(np.subtract(g, adj, out=res), out=out).max())
+            np.add(g, adj, out=res)
+            res *= 0.5  # the bits of the complex division by 2, at a seventh of its cost
+            res -= np.matmul(rows[:, s].T, conj_rows, out=adj)  # adj is spent
+            np.abs(res, out=out)
+        defect = max(defect, float(np.max(gaps)))
         row_sum = max(row_sum, float(mag.sum(axis=1).max()))
+        fro2 += float(np.sum(np.multiply(mag, mag, out=mag)))
     return min(float(np.sqrt(fro2)), row_sum), defect
 
 

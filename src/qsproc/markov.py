@@ -215,7 +215,7 @@ def check_regression(
     direct = linalg.pair_blocks(feyn)
     merged, index = pointwise_product_table(words, model.spaces)
     nested = _nested_stack(model, site, slices, e_proj, merged)
-    worst_r, at = linalg.worst_block(nested[index] - direct)
+    worst_r, at = linalg.worst_gap(nested, direct, index)
     wit_r = "" if at is None else "regression of a word pair"
 
     # composition identities of the compression maps
@@ -282,7 +282,7 @@ def pointwise_factorization_residual(
     merged_kernels = np.einsum(
         "pak,al->pkl", np.conjugate(model.products(site, merged)), model.embedding
     )
-    return linalg.worst_block(merged_kernels[index] - direct)[0]
+    return linalg.worst_gap(merged_kernels, direct, index)[0]
 
 
 def atom_commutators(model: HilbertModel, point_pairs) -> tuple[float, str]:

@@ -171,11 +171,11 @@ class HilbertModel:
         """The products of the plan's words (`products`): one block operator
         per distinct block event, then per trie depth one batched matmul of
         the nodes' operators with their parents' states, gathered in node
-        chunks of about 2^18 operator entries."""
+        chunks of about `linalg.BLOCK` operator entries."""
         out = np.empty((len(plan.words), self.dim, self.kdim), dtype=COMPLEX)
         ops = np.array([self.block_projector(plan.site, ev) for ev in plan.events],
                        dtype=COMPLEX).reshape(-1, self.dim, self.dim)
-        step = max(1, (1 << 18) // (self.dim * self.dim))
+        step = max(1, linalg.BLOCK // (self.dim * self.dim))
         states = self.embedding  # the root; depth 1 broadcasts it as is
         out[plan.leaves[0][0]] = states
         for (parents, events), (at, leaf) in zip(plan.depths, plan.leaves[1:]):
@@ -201,8 +201,11 @@ class HilbertModel:
         from .kernels import KernelOracle, OracleSymmetry
 
         plan = ProductPlan.walk(site, word_list)
-        products = self.evaluate(plan)
+        columns = linalg.side_by_side(self.evaluate(plan))
+        # the products again, as a view of their columns: no second copy
+        products = columns.reshape(self.dim, len(plan.words), self.kdim).swapaxes(0, 1)
         table = linalg.pair_blocks(products)
+        table.setflags(write=False)  # the oracle adopts it
         sym = {}
         for s, ms in self.symmetry.items():
             if site_sym is None or s not in site_sym.maps:
@@ -223,7 +226,7 @@ class HilbertModel:
                      for k, gens in self.algebra.items()},
             model=self,
             _plan=plan,
-            _stack=linalg.side_by_side(products),
+            _stack=columns,
         )
 
 

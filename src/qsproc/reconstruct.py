@@ -371,10 +371,10 @@ def verify_decomposition(
     """Recompute the kernel table from the reconstructed model and compare it
     entrywise with the oracle."""
     tol = config.decomposition_tol
-    diff = linalg.pair_blocks(recon.model.evaluate(oracle.plan)) - oracle.table
-    worst, at = linalg.worst_block(diff)
+    blocks = linalg.pair_blocks(recon.model.evaluate(oracle.plan))
+    worst, at = linalg.worst_gap(blocks, oracle.table)
     if at is None:
-        return DecompositionReport(worst, "" if diff.size == 0 else "exact match", tol)
+        return DecompositionReport(worst, "" if blocks.size == 0 else "exact match", tol)
     i, j = at
     witness = f"pair ({_word_label(oracle.words[i])}, {_word_label(oracle.words[j])})"
     return DecompositionReport(worst, witness, tol)

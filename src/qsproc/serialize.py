@@ -14,7 +14,7 @@ import json
 import re
 from collections.abc import Mapping, ValuesView
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -322,6 +322,39 @@ def oracle_to_json(oracle) -> dict:
     return out
 
 
+class DuplicateKey(ValueError):
+    """A JSON object spells a key twice."""
+
+
+class EntryPairs(Mapping):
+    """A JSON object's members as json's ``(key, value)`` pair list, in file
+    order, a key possibly repeated: how the table reader (`cli._read_json`)
+    hands a kernel table's entries to `oracle_from_json`, which refuses a
+    repeated entry from the parsed indices, so that no dict of the entries
+    is built beside the list.  As a mapping, the last value of each key."""
+
+    def __init__(self, pairs: list):
+        self.pairs = pairs
+
+    @cached_property
+    def _members(self) -> dict:
+        return dict(self.pairs)
+
+    def __getitem__(self, key):
+        return self._members[key]
+
+    def __iter__(self):
+        return iter(self._members)
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+
+def is_entry_key(key: str) -> bool:
+    """Whether `key` spells a kernel entry: ``"i,j"`` in plain decimal."""
+    return _ENTRY_KEY.fullmatch(key) is not None
+
+
 def oracle_from_json(data: dict):
     from .kernels import KernelOracle, OracleSymmetry
     from .sites import derive_classes
@@ -334,12 +367,18 @@ def oracle_from_json(data: dict):
     if not n:
         raise ValueError("the kernel table lists no words")
     values = json_object(data["values"], '"values"')
-    flat = _entry_indices(list(values), n)
-    # the keys are distinct and each spells one pair, so none is given twice
+    items = values.pairs if isinstance(values, EntryPairs) else values.items()
+    keys, members = [k for k, _ in items], [m for _, m in items]
+    flat = _entry_indices(keys, n)
+    counts = np.bincount(flat, minlength=n * n)
+    if counts.max(initial=0) > 1:  # each key spells one pair: a key given twice
+        seen: set = set()
+        key = next(k for k in keys if k in seen or seen.add(k))
+        raise DuplicateKey(f"duplicate key {key!r}")
     if flat.size != n * n:
-        i, j = divmod(int(np.argmin(np.bincount(flat, minlength=n * n))), n)
+        i, j = divmod(int(np.argmin(counts)), n)
         raise ValueError(f"kernel entry {i},{j} is missing")
-    pairs = _entry_pairs(values, kdim)
+    pairs = _entry_pairs(keys, members, kdim)
     table = np.empty((n * n, kdim, kdim), dtype=COMPLEX)
     table[flat] = pairs.view(COMPLEX)[..., 0]
     table = table.reshape(n, n, kdim, kdim)
@@ -384,15 +423,23 @@ def _entry_indices(keys: list, n: int) -> np.ndarray:
     return (ij[:, 0] * n + ij[:, 1]).astype(np.int64)
 
 
-def _entry_pairs(values: dict, kdim: int) -> np.ndarray:
-    """All kernel entries, in the order of `values`, as one contiguous float
-    array of shape (entries, kdim, kdim, 2)."""
+def _entry_pairs(keys: list, members: list, kdim: int) -> np.ndarray:
+    """All kernel entries, the values of `keys` in their order, as one
+    contiguous float array of shape (entries, kdim, kdim, 2), converted a
+    chunk of entries at a time: numpy's conversion of nested lists holds a
+    record of every list it reads, six times the array at 65,536 entries."""
     want = (kdim, kdim, 2)
-    pairs = _as_pairs(list(values.values()))
-    if pairs is None or pairs.shape[1:] != want:
+    pairs = np.empty((len(members), *want))
+    for start in range(0, len(members), 1 << 12):
+        chunk = _as_pairs(members[start:start + (1 << 12)])
+        if chunk is None or chunk.shape[1:] != want:
+            pairs = None
+            break
+        pairs[start:start + len(chunk)] = chunk
+    if pairs is None:
         # one entry at a time: name the first misshapen one
         per_entry = []
-        for key, m in values.items():
+        for key, m in zip(keys, members):
             entry = _as_pairs(m)
             if entry is None or entry.shape != want:
                 raise ValueError(
@@ -402,7 +449,7 @@ def _entry_pairs(values: dict, kdim: int) -> np.ndarray:
         pairs = np.stack(per_entry)
     finite = np.isfinite(pairs).all(axis=(1, 2, 3))
     if not finite.all():
-        key = list(values)[int(np.argmin(finite))]
+        key = keys[int(np.argmin(finite))]
         raise ValueError(f"kernel entry {key} is not finite")
     return pairs
 
