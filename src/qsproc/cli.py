@@ -4,30 +4,57 @@ Exit codes: 0 when every requested check passes, 1 on a mathematical failure
 (axiom violation, refused construction), 2 on unreadable or malformed input.
 Reports are deterministic: identical inputs and configuration produce
 byte-identical output.
+
+Each handler returns its report and verdict; `main` alone prints them, and
+turns the library's refusals (exit 1) and input faults (exit 2) into one
+stderr line through `_failures`.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import sys
 
-from . import __version__
+from . import __version__, bridges, equivalence, markov, serialize
 from .config import RunConfig
 from .kernels import check_axioms
 from .models import check_model
+from .reconstruct import ReconstructionRefused, reconstruct, verify_decomposition
 from .sites import SiteSymmetry, derive_classes
 from .words import enumerate_words
-from . import serialize
 
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_INPUT = 2
 
+REFUSED = {  # each refusal of the library, as its stderr line begins
+    ReconstructionRefused: "reconstruction refused",
+    equivalence.EquivalenceRefused: "unitary construction refused",
+    bridges.ReductionRefused: "classical reduction refused",
+}
+JSON_FAULTS = (KeyError, TypeError, ValueError)  # a JSON node of the wrong shape
 
-class InputError(Exception):
-    pass
+
+class Failure(Exception):
+    """A run that ends with no report: its args are its stderr line and exit code."""
+
+
+@contextlib.contextmanager
+def _failures(prefix: str = "", refused: str | None = None,
+              faults=(OSError, ValueError)):
+    """Turn a refusal of the library raised in the block into a `Failure`
+    with exit 1, worded `refused` or as `REFUSED` words it, and any other of
+    `faults` into an input error with exit 2, its message after `prefix`.
+    A refusal is a ValueError, so it is matched first."""
+    try:
+        yield
+    except tuple(REFUSED) as exc:
+        raise Failure(f"{refused or REFUSED[type(exc)]}: {exc}", EXIT_MATH) from None
+    except faults as exc:
+        raise Failure(f"input error: {prefix}{exc}", EXIT_INPUT) from None
 
 
 def main(argv=None) -> int:
@@ -35,14 +62,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        return args.handler(args, config)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        with _failures():
+            report, ok = args.handler(args, config)
+    except Failure as exc:
+        line, code = exc.args
+        print(line, file=sys.stderr)
+        return code
+    if report is not None:
+        _emit(report, config)
+    return EXIT_OK if ok else EXIT_MATH
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,56 +108,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(required=True)
 
-    p = sub.add_parser("check", parents=[common],
-                       help="validate a model and its kernel axioms")
-    p.add_argument("model")
-    p.add_argument("site")
-    p.set_defaults(handler=cmd_check)
+    def command(name, handler, help, *positionals, actions=None):
+        """The subcommand `name`, run by `handler`: an action among
+        `actions`, if given, then `positionals`."""
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(handler=handler)
+        if actions:
+            p.add_argument("action", choices=actions)
+        for positional in positionals:
+            p.add_argument(positional)
+        return p
 
-    p = sub.add_parser("kernels", parents=[common],
-                       help="emit the kernel table of a model")
-    p.add_argument("model")
-    p.add_argument("site")
-    p.set_defaults(handler=cmd_kernels)
-
-    p = sub.add_parser("reconstruct", parents=[common],
-                       help="minimal model from a kernel table")
+    command("check", cmd_check, "validate a model and its kernel axioms", "model", "site")
+    command("kernels", cmd_kernels, "emit the kernel table of a model", "model", "site")
+    p = command("reconstruct", cmd_reconstruct, "minimal model from a kernel table")
     p.add_argument("source", help="kernel table JSON, or a model JSON with --site")
     p.add_argument("--site", help="site JSON when reconstructing from a model")
     p.add_argument("--verify", action="store_true", help="also verify the round trip")
-    p.set_defaults(handler=cmd_reconstruct)
-
-    p = sub.add_parser("roundtrip", parents=[common],
-                       help="reconstruct and compare the tables")
-    p.add_argument("model")
-    p.add_argument("site")
-    p.set_defaults(handler=cmd_roundtrip)
-
-    p = sub.add_parser("equiv", parents=[common],
-                       help="wide-sense equivalence of two models")
-    p.add_argument("action", choices=["check", "unitary"])
-    p.add_argument("model1")
-    p.add_argument("model2")
-    p.add_argument("site")
-    p.set_defaults(handler=cmd_equiv)
-
-    p = sub.add_parser("markov", parents=[common],
-                       help="dynamicity, regression, commutativity")
-    p.add_argument("action", choices=["check"])
-    p.add_argument("model")
-    p.add_argument("site")
-    p.set_defaults(handler=cmd_markov)
-
-    p = sub.add_parser("lift", parents=[common],
-                       help="level lift of a device field")
+    command("roundtrip", cmd_roundtrip, "reconstruct and compare the tables", "model", "site")
+    command("equiv", cmd_equiv, "wide-sense equivalence of two models",
+            "model1", "model2", "site", actions=["check", "unitary"])
+    command("markov", cmd_markov, "dynamicity, regression, commutativity",
+            "model", "site", actions=["check"])
+    p = command("lift", cmd_lift, "level lift of a device field")
     p.add_argument("field", help="field JSON: devices, initial vector, depth")
-    p.set_defaults(handler=cmd_lift)
-
-    p = sub.add_parser("classical", parents=[common],
-                       help="reduce a commuting model to a measure")
-    p.add_argument("model")
-    p.add_argument("site")
-    p.set_defaults(handler=cmd_classical)
+    command("classical", cmd_classical, "reduce a commuting model to a measure",
+            "model", "site")
     return parser
 
 
@@ -160,7 +168,7 @@ def _unique_keys(pairs: list) -> dict:
 def _read_json(path: str, table: bool = False):
     """Every input file's reader: the configuration, models, sites, tables
     and fields.  The parse makes no reference cycles, so the cyclic
-    collector pauses for it (on a 5.9 MB table it took 40% of the parse).
+    collector pauses for it (`_collector_paused`).
 
     With `table`, an object whose first key spells a kernel entry keeps
     json's pair list (`serialize.EntryPairs`): the table's ``"values"`` go to
@@ -174,42 +182,46 @@ def _read_json(path: str, table: bool = False):
             return entries[-1]
         return _unique_keys(pairs)
 
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, object_pairs_hook=members)
-    finally:
-        if collecting:
-            gc.enable()
+    with _collector_paused(), open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh, object_pairs_hook=members)
     for e in entries:
         if not (isinstance(data, dict) and data.get("values") is e):
             _unique_keys(e.pairs)
     return data
 
 
-def _load_json(path: str, table: bool = False) -> dict:
+@contextlib.contextmanager
+def _collector_paused():
+    """The cyclic collector paused for the block, which makes no reference
+    cycles: on a 5.9 MB table it took 40% of the parse, and after the parse
+    a young-generation pass over every container the parse made."""
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _load_json(path: str, table: bool = False) -> dict:
+    with _failures(f"{path}: "):
         return _read_json(path, table)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"{path}: {exc}") from None
 
 
 def _load_model_site(model_path: str, site_path: str):
-    try:
+    with _failures(faults=JSON_FAULTS):
         site, sym = serialize.site_from_json(_load_json(site_path))
         model = serialize.model_from_json(_load_json(model_path))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(str(exc)) from None
     for t in site.points:
         if t not in model.spaces.spaces:
-            raise InputError(f"no outcome space declared at point {t!r}")
+            raise ValueError(f"no outcome space declared at point {t!r}")
     points = set(site.points)
     for name, blocks in (("unit 'p'", model.units_p), ("unit 'i'", model.units_i),
                          ("algebra", model.algebra)):
         for k in blocks:
             if not k <= points:
-                raise InputError(f"{name} block {sorted(k)} names point "
+                raise ValueError(f"{name} block {sorted(k)} names point "
                                  f"{min(k - points)!r}, which is not in the site")
     return model, site, sym
 
@@ -218,11 +230,39 @@ def _load_oracle(model_path: str, site_path: str, config: RunConfig):
     """A model and site file, and the model's kernel table on the configured
     word list."""
     model, site, sym = _load_model_site(model_path, site_path)
-    words = _word_list(site, model.spaces, config)
-    try:
-        return model, sym, model.kernel_table(site, words, site_sym=sym)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    words = enumerate_words(site, model.spaces, config.policy, config.cap)
+    return model, sym, model.kernel_table(site, words, site_sym=sym)
+
+
+def _load_table(path: str):
+    """A kernel table file as an oracle.  The collector stays paused until
+    the parse is converted and dropped, so no collection sweeps its
+    containers; a repeated entry is named with the file, as at the parse."""
+    with _collector_paused():
+        data = _load_json(path, table=True)
+        with _failures(faults=JSON_FAULTS), \
+                _failures(f"{path}: ", faults=serialize.DuplicateKey):
+            oracle = serialize.oracle_from_json(data)
+        del data
+    oracle.unit_index()  # the initial space sits at the unit word
+    return oracle
+
+
+def _load_field(path: str, config: RunConfig):
+    """A `lift` field file's devices, initial vector, depth, spaces and level words."""
+    data = _load_json(path)
+    with _failures(faults=JSON_FAULTS):
+        devices = {
+            x: {o: serialize.matrix_from_json(m, f"device {x!r}/{o!r}")
+                for o, m in serialize.json_object(fam, f"device {x!r}").items()}
+            for x, fam in serialize.json_object(data["devices"], '"devices"').items()
+        }
+        initial = serialize.matrix_from_json(data["initial"], "initial vector")
+        depth = serialize.json_int(data["depth"], '"depth"', 1)
+        spaces = serialize.spaces_from_json(data["spaces"]).spaces
+        model, site, _ = bridges.lift_process(devices, initial, depth, spaces)
+        words = bridges.enumerate_level_words(model, site, config)
+    return devices, initial, depth, spaces, words
 
 
 def _emit(report: dict, config: RunConfig) -> None:
@@ -246,210 +286,120 @@ def _print_text(report: dict, indent: int = 0) -> None:
             print(f"{pad}{key}: {value}")
 
 
-def _word_list(site, spaces, config: RunConfig):
-    try:
-        return enumerate_words(site, spaces, config.policy, config.cap)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+# -- handlers: each returns its report, or None, and its verdict -----------------
 
 
-# -- handlers ---------------------------------------------------------------------
-
-
-def cmd_check(args, config: RunConfig) -> int:
+def cmd_check(args, config: RunConfig):
     model, sym, oracle = _load_oracle(args.model, args.site, config)
     model_report = check_model(model, oracle.site, oracle.classes, config, sym)
     axiom_report = check_axioms(oracle, config)
     # inconclusive checks (restricted word policies) are not violations
     ok = model_report.ok and not axiom_report.failed
-    _emit(
-        {
-            "model": model_report.to_dict(),
-            "axioms": axiom_report.to_dict(),
-            "words": len(oracle.words),
-            "ok": ok,
-        },
-        config,
-    )
-    return EXIT_OK if ok else EXIT_MATH
+    return {
+        "model": model_report.to_dict(),
+        "axioms": axiom_report.to_dict(),
+        "words": len(oracle.words),
+        "ok": ok,
+    }, ok
 
 
-def cmd_kernels(args, config: RunConfig) -> int:
+def cmd_kernels(args, config: RunConfig):
     _, _, oracle = _load_oracle(args.model, args.site, config)
     print(serialize.dumps(serialize.oracle_to_json(oracle)))
-    return EXIT_OK
+    return None, True
 
 
-def cmd_reconstruct(args, config: RunConfig) -> int:
-    from .reconstruct import ReconstructionRefused, reconstruct, verify_decomposition
-
+def cmd_reconstruct(args, config: RunConfig):
     if args.site:
         _, _, oracle = _load_oracle(args.source, args.site, config)
     else:
-        try:
-            oracle = serialize.oracle_from_json(_load_json(args.source, table=True))
-            oracle.unit_index()  # the initial space sits at the unit word
-        except serialize.DuplicateKey as exc:  # named with its file, as at the parse
-            raise InputError(f"{args.source}: {exc}") from None
-        except (KeyError, ValueError, TypeError) as exc:
-            raise InputError(str(exc)) from None
-    try:
-        recon = reconstruct(oracle, config)
-    except ReconstructionRefused as exc:
-        print(f"reconstruction refused: {exc}", file=sys.stderr)
-        return EXIT_MATH
+        oracle = _load_table(args.source)
+    recon = reconstruct(oracle, config)
     report = {
         "model": serialize.model_to_json(recon.model),
         "provenance": recon.provenance(),
     }
-    if args.verify:
-        from .equivalence import EquivalenceRefused, build_unitary, minimal_modification
-
-        decomp = verify_decomposition(recon, oracle, config)
-        report["verification"] = decomp.to_dict()
-        # idempotence: the emitted model's minimal modification on the same
-        # words is unitarily equivalent to it; the model declares the
-        # oracle's symmetry elements, so its table reads their point maps
-        maps = {s: sym.point_map for s, sym in oracle.symmetry.items()}
-        site_sym = SiteSymmetry(tuple(maps), maps, {})
-        try:
-            second = minimal_modification(
-                recon.model, oracle.site, oracle.words, config=config, site_sym=site_sym
-            )
-            morphism = build_unitary(
-                recon.model, second, oracle.site, oracle.words, config
-            )
-        except (ReconstructionRefused, EquivalenceRefused) as exc:
-            print(f"idempotence refused: {exc}", file=sys.stderr)
-            return EXIT_MATH
-        except ValueError as exc:  # the emitted model's own table
-            raise InputError(f"idempotence table: {exc}") from None
-        report["idempotence"] = morphism.to_dict()
-        if not decomp.ok or not morphism.ok:
-            _emit(report, config)
-            return EXIT_MATH
-    _emit(report, config)
-    return EXIT_OK
+    if not args.verify:
+        return report, True
+    decomp = verify_decomposition(recon, oracle, config)
+    report["verification"] = decomp.to_dict()
+    # idempotence: the emitted model's minimal modification on the same
+    # words is unitarily equivalent to it; the model declares the
+    # oracle's symmetry elements, so its table reads their point maps
+    maps = {s: sym.point_map for s, sym in oracle.symmetry.items()}
+    site_sym = SiteSymmetry(tuple(maps), maps, {})
+    with _failures("idempotence table: ", "idempotence refused"):
+        second = equivalence.minimal_modification(
+            recon.model, oracle.site, oracle.words, config=config, site_sym=site_sym
+        )
+        morphism = equivalence.build_unitary(
+            recon.model, second, oracle.site, oracle.words, config
+        )
+    report["idempotence"] = morphism.to_dict()
+    return report, decomp.ok and morphism.ok
 
 
-def cmd_roundtrip(args, config: RunConfig) -> int:
-    from .reconstruct import ReconstructionRefused, reconstruct, verify_decomposition
-
+def cmd_roundtrip(args, config: RunConfig):
     model, _, oracle = _load_oracle(args.model, args.site, config)
-    try:
-        recon = reconstruct(oracle, config)
-    except ReconstructionRefused as exc:
-        print(f"reconstruction refused: {exc}", file=sys.stderr)
-        return EXIT_MATH
+    recon = reconstruct(oracle, config)
     decomp = verify_decomposition(recon, oracle, config)
     shrink = {"ambient_dimension": model.dim, "minimal_dimension": recon.rank}
-    _emit({"roundtrip": decomp.to_dict(), "dimensions": shrink}, config)
-    return EXIT_OK if decomp.ok else EXIT_MATH
+    return {"roundtrip": decomp.to_dict(), "dimensions": shrink}, decomp.ok
 
 
-def cmd_equiv(args, config: RunConfig) -> int:
-    from .equivalence import (
-        EquivalenceRefused,
-        build_unitary,
-        check_wide_equivalence,
-        minimal_modification,
-    )
-    from .reconstruct import ReconstructionRefused
-
+def cmd_equiv(args, config: RunConfig):
     m1, site, sym = _load_model_site(args.model1, args.site)
     m2, _, _ = _load_model_site(args.model2, args.site)
     if m2.kdim != m1.kdim:
-        raise InputError(f"initial spaces differ ({m1.kdim} vs {m2.kdim})")
+        raise ValueError(f"initial spaces differ ({m1.kdim} vs {m2.kdim})")
     for t in site.points:
         if set(m2.spaces.outcomes(t)) != set(m1.spaces.outcomes(t)):
-            raise InputError(f"the models' outcome labels differ at point {t!r}")
-    words = _word_list(site, m1.spaces, config)
+            raise ValueError(f"the models' outcome labels differ at point {t!r}")
+    words = enumerate_words(site, m1.spaces, config.policy, config.cap)
     if args.action == "check":
-        verdict = check_wide_equivalence(m1, m2, site, words, config)
-        _emit({"equivalence": verdict.to_dict()}, config)
-        return EXIT_OK if verdict.equivalent else EXIT_MATH
-    try:
-        mm1, mm2 = (minimal_modification(m, site, words, config=config, site_sym=sym)
-                    for m in (m1, m2))
-    except ReconstructionRefused as exc:
-        print(f"reconstruction refused: {exc}", file=sys.stderr)
-        return EXIT_MATH
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    try:
-        morphism = build_unitary(mm1, mm2, site, words, config)
-    except EquivalenceRefused as exc:
-        print(f"unitary construction refused: {exc}", file=sys.stderr)
-        return EXIT_MATH
-    _emit(
-        {
-            "morphism": morphism.to_dict(),
-            "unitary": serialize.matrix_to_json(morphism.u),
-            "dimensions": {
-                "first_minimal": mm1.dim,
-                "second_minimal": mm2.dim,
-            },
-        },
-        config,
+        verdict = equivalence.check_wide_equivalence(m1, m2, site, words, config)
+        return {"equivalence": verdict.to_dict()}, verdict.equivalent
+    mm1, mm2 = (
+        equivalence.minimal_modification(m, site, words, config=config, site_sym=sym)
+        for m in (m1, m2)
     )
-    return EXIT_OK if morphism.ok else EXIT_MATH
+    morphism = equivalence.build_unitary(mm1, mm2, site, words, config)
+    return {
+        "morphism": morphism.to_dict(),
+        "unitary": serialize.matrix_to_json(morphism.u),
+        "dimensions": {
+            "first_minimal": mm1.dim,
+            "second_minimal": mm2.dim,
+        },
+    }, morphism.ok
 
 
-def cmd_markov(args, config: RunConfig) -> int:
-    from .markov import check_dynamicity, check_narrow_commutativity, check_regression
-
+def cmd_markov(args, config: RunConfig):
     model, site, _ = _load_model_site(args.model, args.site)
     classes = derive_classes(site)
-    words = _word_list(site, model.spaces, config)
-    dyn = check_dynamicity(model, site, classes, config)
+    words = enumerate_words(site, model.spaces, config.policy, config.cap)
+    dyn = markov.check_dynamicity(model, site, classes, config)
     report = {"dynamicity": dyn.to_dict()}
     ok = dyn.ok
     if dyn.ok:
-        reg = check_regression(model, site, words, classes, config)
+        reg = markov.check_regression(model, site, words, classes, config)
         report["regression"] = reg.to_dict()
         ok = ok and reg.ok
     if model.is_narrow(site, config):
-        comm = check_narrow_commutativity(model, site, classes, words, config)
+        comm = markov.check_narrow_commutativity(model, site, classes, words, config)
         report["narrow_commutativity"] = comm.to_dict()
-    _emit(report, config)
-    return EXIT_OK if ok else EXIT_MATH
+    return report, ok
 
 
-def cmd_lift(args, config: RunConfig) -> int:
-    from .bridges import enumerate_level_words, lift_process, verify_lift
-
-    data = _load_json(args.field)
-    try:
-        devices = {
-            x: {o: serialize.matrix_from_json(m, f"device {x!r}/{o!r}")
-                for o, m in serialize.json_object(fam, f"device {x!r}").items()}
-            for x, fam in serialize.json_object(data["devices"], '"devices"').items()
-        }
-        initial = serialize.matrix_from_json(data["initial"], "initial vector")
-        depth = serialize.json_int(data["depth"], '"depth"', 1)
-        spaces = serialize.spaces_from_json(data["spaces"]).spaces
-        model, site, _ = lift_process(devices, initial, depth, spaces)
-        words = enumerate_level_words(model, site, config)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(str(exc)) from None
-    report = verify_lift(devices, initial, depth, spaces, words, config)
-    _emit({"lift": report.to_dict()}, config)
-    return EXIT_OK if report.ok else EXIT_MATH
+def cmd_lift(args, config: RunConfig):
+    report = bridges.verify_lift(*_load_field(args.field, config), config)
+    return {"lift": report.to_dict()}, report.ok
 
 
-def cmd_classical(args, config: RunConfig) -> int:
-    from .bridges import ReductionRefused, classical_reduce
-
+def cmd_classical(args, config: RunConfig):
     model, site, _ = _load_model_site(args.model, args.site)
-    try:
-        reduction = classical_reduce(model, site, config)
-    except ReductionRefused as exc:
-        print(f"classical reduction refused: {exc}", file=sys.stderr)
-        return EXIT_MATH
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    _emit({"classical": reduction.to_dict()}, config)
-    return EXIT_OK if reduction.ok else EXIT_MATH
+    reduction = bridges.classical_reduce(model, site, config)
+    return {"classical": reduction.to_dict()}, reduction.ok
 
 
 if __name__ == "__main__":

@@ -100,6 +100,12 @@ class KernelOracle:
             )
         if missing := [p for p in self.site.points if p not in self.spaces.spaces]:
             raise ValueError(f"no outcome space declared at point {missing[0]!r}")
+        points = set(self.site.points)
+        for w in self.words:
+            if not points.issuperset(w.support):
+                off = next(t for t in w.support if t not in points)
+                raise ValueError(f"word {event_label(w)} names point {off!r}, "
+                                 "which is not in the site")
         for s, sym in self.symmetry.items():
             if np.shape(sym.u) != (self.kdim, self.kdim):
                 raise ValueError(f"symmetry {s!r} u has shape {np.shape(sym.u)}, "
@@ -161,7 +167,7 @@ class KernelOracle:
         if not self.words:
             raise ValueError("word list is empty")
         if self.product_stack is None:
-            factor = linalg.pivoted_cholesky(self.gram())
+            factor = linalg.pivoted_cholesky(self.table)
         else:
             factor = linalg.stack_factor(self.product_stack, self.table)
         for a in (factor.rows, factor.values, factor.u):
@@ -208,10 +214,8 @@ class KernelOracle:
 
     @cached_property
     def _columns(self) -> dict[str, slice]:
-        """Each point's code columns: site points first, then any other
-        support point by name."""
-        extra = {t for w in self.words for t, _ in w.factors} - set(self.site.points)
-        return code_columns(self.spaces, self.site.points + tuple(sorted(extra)))
+        """Each site point's code columns."""
+        return code_columns(self.spaces, self.site.points)
 
     @cached_property
     def codes(self) -> np.ndarray:
@@ -259,13 +263,9 @@ class KernelOracle:
         -1 where the product is not in the word list."""
         if event not in self._products:
             codes = self.codes.copy()
-            listed = True
             for t, b in event.factors:
-                if t in self._columns:
-                    codes[:, self._columns[t]] &= factor_code(self.spaces, t, b)
-                elif b != self.spaces.full(t):
-                    listed = False  # no word of the list has a factor at t
-            found = self.lookup(codes) if listed else np.full(len(self.words), -1)
+                codes[:, self._columns[t]] &= factor_code(self.spaces, t, b)
+            found = self.lookup(codes)
             found.setflags(write=False)  # shared by every caller
             self._products[event] = found
         return self._products[event]

@@ -204,7 +204,7 @@ class Eigencut(NamedTuple):
     hermitian_defect: float  # largest entry of |G - G*|
 
 
-def pivoted_cholesky(gram: np.ndarray) -> Cholesky:
+def pivoted_cholesky(table: np.ndarray) -> Cholesky:
     """One pivoted Cholesky factor G ~ L L* of the Hermitian part of a PSD
     matrix G, and the eigendecomposition of L* L.
 
@@ -222,10 +222,16 @@ def pivoted_cholesky(gram: np.ndarray) -> Cholesky:
     `hermitian_defect`, the largest entry of ``|G - G*|``, which the factor
     of the Hermitian part cannot see: every entry of G is that of L L* to
     within ``residual + hermitian_defect / 2``.
+
+    `table` is G itself, or an (n, n, k, k) kernel table whose Gram matrix
+    is G, read as it lies (`_gram_block`): the pivots' rows and columns, then
+    the strips of the residual bound.
     """
-    g = asmatrix(gram)
-    n = g.shape[0]
-    diag = np.real(g.diagonal()).copy()
+    table = _as_table(table)
+    n = table.shape[0] * table.shape[-1]
+    whole = slice(0, n)
+    on_diagonal = table[np.arange(table.shape[0]), np.arange(table.shape[0])]
+    diag = np.real(on_diagonal.diagonal(axis1=1, axis2=2)).flatten()  # a copy
     floor = n * np.finfo(float).eps * float(diag.max(initial=0.0))
     rows = np.empty((min(n, 16), n), dtype=COMPLEX)  # row k: factor column k
     rank = 0
@@ -235,7 +241,9 @@ def pivoted_cholesky(gram: np.ndarray) -> Cholesky:
             break
         if rank == rows.shape[0]:
             rows = np.concatenate([rows, np.empty_like(rows)])
-        col = (g[:, i] + np.conjugate(g[i])) / 2
+        pivot = slice(i, i + 1)
+        col = (_gram_block(table, whole, pivot)[:, 0]
+               + np.conjugate(_gram_block(table, pivot, whole)[0])) / 2
         col -= rows[:rank].T @ np.conjugate(rows[:rank, i])
         col /= np.sqrt(diag[i])
         rows[rank] = col
@@ -243,7 +251,7 @@ def pivoted_cholesky(gram: np.ndarray) -> Cholesky:
         diag[i] = -np.inf  # pivoted
         rank += 1
     rows = rows[:rank]
-    residual, defect = _residual_bound(g[:, :, None, None], rows)
+    residual, defect = _residual_bound(table, rows)
     vals, u = np.linalg.eigh(hermitize(np.conjugate(rows) @ rows.T))  # ascending
     return Cholesky(rows, vals[::-1], u[:, ::-1], residual, defect)
 
@@ -265,10 +273,7 @@ def stack_factor(columns: np.ndarray, table: np.ndarray) -> Cholesky:
     x = asmatrix(columns)
     w, s, _ = np.linalg.svd(x, full_matrices=False)
     rows = np.conjugate(dagger(w) @ x)
-    table = np.asarray(table, dtype=COMPLEX)
-    if table.ndim == 2:
-        table = table[:, :, None, None]
-    residual, defect = _residual_bound(table, rows)
+    residual, defect = _residual_bound(_as_table(table), rows)
     return Cholesky(rows, s * s, np.eye(s.size, dtype=COMPLEX), residual, defect)
 
 
@@ -294,6 +299,15 @@ def eigencut(factor: Cholesky, rel_tol: float) -> Eigencut:
         residual=factor.residual,
         hermitian_defect=factor.hermitian_defect,
     )
+
+
+def _as_table(table) -> np.ndarray:
+    """A Gram matrix G as the (N, N, 1, 1) kernel table whose Gram matrix it
+    is; an (n, n, k, k) table as it is."""
+    t = np.asarray(table, dtype=COMPLEX)
+    if t.ndim not in (2, 4):
+        raise ValueError(f"expected a matrix or a kernel table, got shape {t.shape}")
+    return t[:, :, None, None] if t.ndim == 2 else t
 
 
 def _gram_block(table: np.ndarray, rows: slice, cols: slice) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report shape, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsproc import cli, equivalence, fixtures, serialize
+from qsproc import cli, equivalence, fixtures, linalg, serialize
 from qsproc.config import RunConfig
 from qsproc.kernels import check_axioms
 from qsproc.models import HilbertModel
@@ -115,6 +116,28 @@ class TestCheck:
         assert cli.main(["--format", "text", "check", model_file, site_file]) == 0
         out = capsys.readouterr().out
         assert "ok: True" in out
+
+
+class TestPipeline:
+    def test_handlers_return_the_report_that_main_alone_prints(self, qubit_files, capsys):
+        # a handler prints nothing and returns (report, ok); main emits the
+        # report and maps ok to exit 0 or 1
+        model_file, site_file = qubit_files
+        for argv in (["check", model_file, site_file],
+                     ["reconstruct", model_file, "--site", site_file, "--verify"],
+                     ["roundtrip", model_file, site_file],
+                     ["markov", "check", model_file, site_file]):
+            args = cli.build_parser().parse_args(argv)
+            report, ok = args.handler(args, RunConfig())
+            assert capsys.readouterr() == ("", "")
+            assert cli.main(argv) == (0 if ok else 1)
+            header = {"version": cli.__version__, "config": RunConfig().to_dict()}
+            assert capsys.readouterr().out == serialize.dumps({**header, **report}) + "\n"
+
+    def test_kernels_prints_its_table_and_reports_nothing(self, qubit_files, capsys):
+        args = cli.build_parser().parse_args(["kernels", *qubit_files])
+        assert args.handler(args, RunConfig()) == (None, True)
+        assert json.loads(capsys.readouterr().out)["kdim"] == 1
 
 
 class TestKernels:
@@ -283,6 +306,16 @@ class TestReconstruct:
         assert captured.out == ""
         assert captured.err == "idempotence refused: models are not equivalent\n"
 
+    def test_word_off_the_site_exits_two(self, tmp_path, capsys):
+        # the qubit table with its site cut to t1: its words still name t2
+        data = serialize.oracle_to_json(qubit_table())
+        data["site"] = {"points": ["t1"], "leq": [[True]]}
+        table_file = write(tmp_path, "table.json", data)
+        for verify in ([], ["--verify"]):
+            assert cli.main(["reconstruct", table_file, *verify]) == 2
+            assert capsys.readouterr() == ("", "input error: word {[]@t1, []@t2} names "
+                                               "point 't2', which is not in the site\n")
+
     def test_positivity_tol_from_config(self, tmp_path, capsys):
         # a signed classical measure, +1e-8 on the trajectory (0,+) and -1e-8
         # on (1,-): every linear axiom holds, and the least Gram eigenvalue is
@@ -400,6 +433,19 @@ class TestEquiv:
         model_file, site_file = qubit_files
         assert cli.main(["equiv", "check", model_file, other_file, site_file]) == 1
 
+    def test_inequivalent_unitary_refused_on_one_line(self, tmp_path, capsys):
+        # controlled_kdim2 against a copy with its embedding rotated
+        model, site = fixtures.controlled_kdim2()
+        u = linalg.random_unitary(np.random.default_rng(5), 2)
+        rotated = dataclasses.replace(model, embedding=model.embedding @ u)
+        files = [write(tmp_path, f"{name}.json", serialize.model_to_json(m))
+                 for name, m in (("model", model), ("rotated", rotated))]
+        site_file = write(tmp_path, "site.json", serialize.site_to_json(site))
+        assert cli.main(["equiv", "unitary", *files, site_file]) == 1
+        assert capsys.readouterr() == ("", (
+            "unitary construction refused: models are not equivalent in the wide "
+            "sense (residual 2.396e-01 at pair (word 5, word 5))\n"))
+
 
 class TestMarkov:
     def test_qubit_fails_dynamicity(self, qubit_files, capsys):
@@ -480,7 +526,10 @@ class TestClassical:
     def test_noncommuting_refused(self, tmp_path, qubit_files, capsys):
         model_file, site_file = qubit_files
         assert cli.main(["classical", model_file, site_file]) == 1
-        assert "refused" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", (
+            "classical reduction refused: the model does not commute, so its "
+            "distribution is not additive: commutator ['0'@'t1', '+'@'t2'] has norm "
+            "0.5\n"))
 
     def test_cap_reaches_the_library(self, tmp_path, capsys):
         model, site = fixtures.commuting_diagonal()

@@ -267,6 +267,24 @@ def test_the_streamed_passes_hold_at_most_one_table():
     assert peak <= 0.25 * size
 
 
+def test_a_stackless_factor_reads_the_table_as_it_lies():
+    # a kdim-2 table with no product stack (as read from JSON) is factored
+    # from its (n, n, 2, 2) array, never from a transposed N x N copy, and
+    # to the bits of the factor of its Gram matrix
+    model, site = fixtures.tensor_chain(4, canonical=False)[:2]
+    two = np.linalg.qr(np.random.default_rng(3).standard_normal((16, 2)))[0]
+    model = dataclasses.replace(model, embedding=two)
+    oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+    stackless = dataclasses.replace(oracle, table=oracle.table)
+    assert stackless.product_stack is None and stackless.table is oracle.table
+    size = stackless.table.nbytes
+    peak, factor = transient(lambda: stackless.cholesky)
+    assert len(oracle.words) == 256 and size == 4 << 20 and peak <= 1.1 * size
+    on_gram = linalg.pivoted_cholesky(stackless.gram())
+    for got, want in zip(factor, on_gram):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 # -- which tables an oracle adopts ----------------------------------------------------
 
 

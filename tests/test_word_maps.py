@@ -428,16 +428,21 @@ def test_codes_are_the_product_table_encoding():
         [[words[k] for k in row] for row in lookup]
 
 
-def test_words_off_the_site_are_never_within_it():
+def test_a_word_off_the_site_is_refused():
+    # a word names only points of the site, so the word codes have a column
+    # for every point a word names
     spaces = OutcomeSpaces({"t": ("0", "1"), "z": ("0", "1")})
     site = chain_site(("t",))
-    words = [unit_word(), EventWord.from_dict({"z": {"0"}}, spaces),
+    words = [unit_word(), EventWord.from_dict({"t": {"1"}}, spaces),
              EventWord.from_dict({"t": {"1"}, "z": {"0"}}, spaces)]
+    with pytest.raises(ValueError, match=r"^word \{\['1'\]@t, \['0'\]@z\} names point "
+                                         r"'z', which is not in the site$"):
+        KernelOracle(site=site, classes=derive_classes(site), spaces=spaces, kdim=1,
+                     words=tuple(words), table=np.zeros((3, 3, 1, 1)))
     oracle = KernelOracle(site=site, classes=derive_classes(site), spaces=spaces, kdim=1,
-                          words=tuple(words), table=np.zeros((3, 3, 1, 1)))
-    assert oracle.words_within(site.points) == [0]
-    ev = Event.from_dict({"t": {"1"}})
-    assert oracle.right_products(ev).tolist() == [-1, 2, 2]
+                          words=tuple(words[:2]), table=np.zeros((2, 2, 1, 1)))
+    assert list(oracle._columns) == ["t"]
+    assert oracle.right_products(Event.from_dict({"t": {"1"}})).tolist() == [1, 1]
 
 
 # -- represented events ------------------------------------------------------------
