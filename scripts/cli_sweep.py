@@ -92,10 +92,10 @@ FLAG_SETS = ([], ["--format", "text"], ["--policy", "atoms"], ["--cap", "3"])
 FIXTURE_FILES = ("qubit", "chain", "commuting")
 EXTRA_MODELS = {
     "galilean": fixtures.galilean_shift_fixture,
-    "controlled_kdim2": lambda: fixtures.controlled_kdim2() + (None,),
-    "random4": lambda: fixtures.random_valid_model(4) + (None,),
-    "tensor_chain3": lambda: fixtures.tensor_chain(3, canonical=False) + (None,),
-    "tensor_chain4": lambda: fixtures.tensor_chain(4, canonical=False) + (None,),
+    "controlled_kdim2": fixtures.controlled_kdim2,
+    "random4": lambda: fixtures.random_valid_model(4),
+    "tensor_chain3": lambda: fixtures.tensor_chain(3, canonical=False),
+    "tensor_chain4": lambda: fixtures.tensor_chain(4, canonical=False),
 }
 MALFORMED = "galilean_bad_v"
 STRAY_UNITS, BAD_TABLE = "qubit_stray_units", "galilean_bad_u"
@@ -161,16 +161,16 @@ def kind(name: str) -> str:
 
 
 def pair_models(name: str):
-    """The two models, the site and its symmetry of a `PAIRS` input."""
+    """The two models and the site of a `PAIRS` input."""
     if name == "pair_ancilla":
-        model, site, sym = fixtures.galilean_shift_fixture()
-        return model, fixtures.with_untouched_ancilla(model, 3), site, sym
+        model, site = fixtures.galilean_shift_fixture()
+        return model, fixtures.with_untouched_ancilla(model, 3), site
     model, site = fixtures.controlled_kdim2()
     if name == "pair_rotated":
         embedding = model.embedding @ linalg.random_unitary(np.random.default_rng(5), 2)
     else:
         embedding = model.embedding[:, :1]
-    return model, dataclasses.replace(model, embedding=embedding), site, None
+    return model, dataclasses.replace(model, embedding=embedding), site
 
 
 def refused_files(name: str) -> dict[str, dict]:
@@ -187,15 +187,15 @@ def refused_files(name: str) -> dict[str, dict]:
             "spaces": {x: list(v) for x, v in spaces.items()},
         }}
     elif source in ("table", "galilean_table"):
-        model, site, sym = (fixtures.qubit_zx() + (None,) if source == "table"
-                            else fixtures.galilean_shift_fixture())
-        oracle = model.kernel_table(site, enumerate_words(site, model.spaces), site_sym=sym)
+        model, site = (fixtures.qubit_zx() if source == "table"
+                       else fixtures.galilean_shift_fixture())
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
         files = {f"{name}_table.json": serialize.oracle_to_json(oracle)}
     else:
-        model, site, sym = (fixtures.qubit_zx() + (None,) if source == "qubit"
-                            else fixtures.galilean_shift_fixture())
+        model, site = (fixtures.qubit_zx() if source == "qubit"
+                       else fixtures.galilean_shift_fixture())
         files = {f"{name}_model.json": serialize.model_to_json(model),
-                 f"{name}_site.json": serialize.site_to_json(site, sym)}
+                 f"{name}_site.json": serialize.site_to_json(site)}
     node = next(iter(files.values()))
     if path[0] == "site" and source in ("qubit", "galilean"):
         node, path = files[f"{name}_site.json"], path[1:]
@@ -215,13 +215,13 @@ def write_inputs(workdir: pathlib.Path, names) -> None:
     for name in names:
         base = "galilean" if name == MALFORMED else name
         if base in EXTRA_MODELS:
-            model, site, sym = EXTRA_MODELS[base]()
+            model, site = EXTRA_MODELS[base]()
             data = serialize.model_to_json(model)
             if name == MALFORMED:
                 data["symmetry"]["s1"]["v"] = [[[1.0, 0.0]]]
             (workdir / f"{name}_model.json").write_text(serialize.dumps(data))
             (workdir / f"{name}_site.json").write_text(
-                serialize.dumps(serialize.site_to_json(site, sym)))
+                serialize.dumps(serialize.site_to_json(site)))
     if STRAY_UNITS in names:
         model, site = fixtures.qubit_zx()
         data = serialize.model_to_json(model)
@@ -230,9 +230,9 @@ def write_inputs(workdir: pathlib.Path, names) -> None:
         (workdir / f"{STRAY_UNITS}_site.json").write_text(
             serialize.dumps(serialize.site_to_json(site)))
     if BAD_TABLE in names:
-        model, site, sym = fixtures.galilean_shift_fixture()
+        model, site = fixtures.galilean_shift_fixture()
         words = enumerate_words(site, model.spaces)
-        data = serialize.oracle_to_json(model.kernel_table(site, words, site_sym=sym))
+        data = serialize.oracle_to_json(model.kernel_table(site, words))
         data["symmetry"]["s1"]["u"] = serialize.matrix_to_json(np.eye(2))
         (workdir / f"{BAD_TABLE}_table.json").write_text(serialize.dumps(data))
     if ONE_OUTCOME in names:
@@ -245,19 +245,19 @@ def write_inputs(workdir: pathlib.Path, names) -> None:
         (workdir / f"{ONE_OUTCOME}_site.json").write_text(
             serialize.dumps(serialize.site_to_json(site)))
     if UNACTED in names:
-        model, site, _ = fixtures.galilean_shift_fixture()
+        model, site = fixtures.galilean_shift_fixture()
         (workdir / f"{UNACTED}_model.json").write_text(
             serialize.dumps(serialize.model_to_json(model)))
         (workdir / f"{UNACTED}_site.json").write_text(
-            serialize.dumps(serialize.site_to_json(site)))
+            serialize.dumps(serialize.site_to_json(site, symmetry=False)))
     for name in set(names) & set(REFUSED):
         for file, data in refused_files(name).items():
             (workdir / file).write_text(serialize.dumps(data))
     for name in set(names) & set(PAIRS):
-        model, other, site, sym = pair_models(name)
+        model, other, site = pair_models(name)
         for part, data in (("model", serialize.model_to_json(model)),
                            ("other", serialize.model_to_json(other)),
-                           ("site", serialize.site_to_json(site, sym))):
+                           ("site", serialize.site_to_json(site))):
             (workdir / f"{name}_{part}.json").write_text(serialize.dumps(data))
 
 

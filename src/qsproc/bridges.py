@@ -26,6 +26,7 @@ from .linalg import COMPLEX
 from .markov import atom_commutators, pointwise_factorization_residual
 from .models import INCONCLUSIVE, Check, HilbertModel, ModelSymmetry, Report
 from .kernels import KernelOracle, OracleSymmetry, _word_label, check_covariance
+from .reconstruct import reconstruct, verify_decomposition
 from .sites import CausalSite, SiteSymmetry
 from .words import (
     POLICY_ALL_SUBSETS,
@@ -49,12 +50,10 @@ def level_point(level: int, x: str) -> str:
     return f"{level}:{x}"
 
 
-def lexicographic_site(
-    positions: Sequence[str], depth: int
-) -> tuple[CausalSite, SiteSymmetry]:
+def lexicographic_site(positions: Sequence[str], depth: int) -> CausalSite:
     """Levels of position copies, preordered by level.
 
-    Points of one level are causally equivalent.  The returned symmetry is
+    Points of one level are causally equivalent.  The site's symmetry is
     the truncated level-shift semigroup: shift k moves level l to l + k and
     is undefined on levels that would leave the stack, and products past the
     top collapse onto the empty map.
@@ -65,11 +64,6 @@ def lexicographic_site(
     pts = [level_point(l, x) for l in range(depth) for x in positions]
     levels = [l for l in range(depth) for _ in positions]
     leq = tuple(tuple(la <= lb for lb in levels) for la in levels)
-    site = CausalSite(
-        points=tuple(pts),
-        leq=leq,
-        meta={"kind": "level_lift", "depth": depth, "positions": tuple(positions)},
-    )
     elements = [f"shift{k}" for k in range(depth + 1)]
     maps = {}
     for k in range(depth + 1):
@@ -83,8 +77,12 @@ def lexicographic_site(
         for a in range(depth + 1)
         for b in range(depth + 1)
     }
-    sym = SiteSymmetry(tuple(elements), maps, compose)
-    return site, sym
+    return CausalSite(
+        points=tuple(pts),
+        leq=leq,
+        meta={"kind": "level_lift", "depth": depth, "positions": tuple(positions)},
+        symmetry=SiteSymmetry(tuple(elements), maps, compose),
+    )
 
 
 def lift_process(
@@ -92,7 +90,7 @@ def lift_process(
     initial: np.ndarray,
     depth: int,
     spaces: Mapping[str, Sequence[str]],
-) -> tuple[HilbertModel, CausalSite, SiteSymmetry]:
+) -> tuple[HilbertModel, CausalSite]:
     """Copy one family of devices onto every level of the lifted site.
 
     The lifted model is constant along levels, fully normalized whenever the
@@ -100,7 +98,8 @@ def lift_process(
     space and on outcomes.
     """
     positions = list(field_atoms)
-    site, sym = lexicographic_site(positions, depth)
+    site = lexicographic_site(positions, depth)
+    sym = site.symmetry
     initial = np.asarray(initial, dtype=COMPLEX)
     if initial.ndim == 1:
         initial = initial[:, None]
@@ -125,7 +124,7 @@ def lift_process(
         spaces=OutcomeSpaces(lifted_spaces),
         symmetry=model_sym,
     )
-    return model, site, sym
+    return model, site
 
 
 def enumerate_level_words(
@@ -173,7 +172,7 @@ def _ultrastationarity(oracle: KernelOracle, config: RunConfig) -> Check:
     A word list that some shift moves a word out of, in either direction, is
     refused with a `ValueError` naming that word."""
     meta = oracle.site.meta
-    _, sym = lexicographic_site(meta["positions"], meta["depth"])
+    sym = lexicographic_site(meta["positions"], meta["depth"]).symmetry
     shifted = oracle.with_symmetry({
         s: OracleSymmetry(
             point_map=sym.maps[s],
@@ -227,13 +226,11 @@ def verify_lift(
     projectors do not depend on the level, and that the reconstructed model
     reproduces the table.
     """
-    from .reconstruct import reconstruct, verify_decomposition
-
     tol = config.decomposition_tol
-    model, site, sym = lift_process(field_atoms, initial, depth, spaces)
+    model, site = lift_process(field_atoms, initial, depth, spaces)
     if words is None:
         words = enumerate_level_words(model, site, config)
-    oracle = model.kernel_table(site, list(words), site_sym=sym)
+    oracle = model.kernel_table(site, list(words))
     ultra = _ultrastationarity(oracle, config)
     recon = reconstruct(oracle, config, strict_closure=False)
 

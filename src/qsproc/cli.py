@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import gc
 import json
 import sys
@@ -211,7 +212,7 @@ def _load_json(path: str, table: bool = False) -> dict:
 
 def _load_model_site(model_path: str, site_path: str):
     with _failures(faults=JSON_FAULTS):
-        site, sym = serialize.site_from_json(_load_json(site_path))
+        site = serialize.site_from_json(_load_json(site_path))
         model = serialize.model_from_json(_load_json(model_path))
     for t in site.points:
         if t not in model.spaces.spaces:
@@ -223,15 +224,15 @@ def _load_model_site(model_path: str, site_path: str):
             if not k <= points:
                 raise ValueError(f"{name} block {sorted(k)} names point "
                                  f"{min(k - points)!r}, which is not in the site")
-    return model, site, sym
+    return model, site
 
 
 def _load_oracle(model_path: str, site_path: str, config: RunConfig):
     """A model and site file, and the model's kernel table on the configured
     word list."""
-    model, site, sym = _load_model_site(model_path, site_path)
+    model, site = _load_model_site(model_path, site_path)
     words = enumerate_words(site, model.spaces, config.policy, config.cap)
-    return model, sym, model.kernel_table(site, words, site_sym=sym)
+    return model, model.kernel_table(site, words)
 
 
 def _load_table(path: str):
@@ -260,7 +261,7 @@ def _load_field(path: str, config: RunConfig):
         initial = serialize.matrix_from_json(data["initial"], "initial vector")
         depth = serialize.json_int(data["depth"], '"depth"', 1)
         spaces = serialize.spaces_from_json(data["spaces"]).spaces
-        model, site, _ = bridges.lift_process(devices, initial, depth, spaces)
+        model, site = bridges.lift_process(devices, initial, depth, spaces)
         words = bridges.enumerate_level_words(model, site, config)
     return devices, initial, depth, spaces, words
 
@@ -290,8 +291,8 @@ def _print_text(report: dict, indent: int = 0) -> None:
 
 
 def cmd_check(args, config: RunConfig):
-    model, sym, oracle = _load_oracle(args.model, args.site, config)
-    model_report = check_model(model, oracle.site, oracle.classes, config, sym)
+    model, oracle = _load_oracle(args.model, args.site, config)
+    model_report = check_model(model, oracle.site, oracle.classes, config)
     axiom_report = check_axioms(oracle, config)
     # inconclusive checks (restricted word policies) are not violations
     ok = model_report.ok and not axiom_report.failed
@@ -304,14 +305,14 @@ def cmd_check(args, config: RunConfig):
 
 
 def cmd_kernels(args, config: RunConfig):
-    _, _, oracle = _load_oracle(args.model, args.site, config)
+    _, oracle = _load_oracle(args.model, args.site, config)
     print(serialize.dumps(serialize.oracle_to_json(oracle)))
     return None, True
 
 
 def cmd_reconstruct(args, config: RunConfig):
     if args.site:
-        _, _, oracle = _load_oracle(args.source, args.site, config)
+        _, oracle = _load_oracle(args.source, args.site, config)
     else:
         oracle = _load_table(args.source)
     recon = reconstruct(oracle, config)
@@ -327,11 +328,10 @@ def cmd_reconstruct(args, config: RunConfig):
     # words is unitarily equivalent to it; the model declares the
     # oracle's symmetry elements, so its table reads their point maps
     maps = {s: sym.point_map for s, sym in oracle.symmetry.items()}
-    site_sym = SiteSymmetry(tuple(maps), maps, {})
+    site = dataclasses.replace(oracle.site, symmetry=SiteSymmetry(tuple(maps), maps, {}))
     with _failures("idempotence table: ", "idempotence refused"):
-        second = equivalence.minimal_modification(
-            recon.model, oracle.site, oracle.words, config=config, site_sym=site_sym
-        )
+        second = equivalence.minimal_modification(recon.model, site, oracle.words,
+                                                  config=config)
         morphism = equivalence.build_unitary(
             recon.model, second, oracle.site, oracle.words, config
         )
@@ -340,7 +340,7 @@ def cmd_reconstruct(args, config: RunConfig):
 
 
 def cmd_roundtrip(args, config: RunConfig):
-    model, _, oracle = _load_oracle(args.model, args.site, config)
+    model, oracle = _load_oracle(args.model, args.site, config)
     recon = reconstruct(oracle, config)
     decomp = verify_decomposition(recon, oracle, config)
     shrink = {"ambient_dimension": model.dim, "minimal_dimension": recon.rank}
@@ -348,8 +348,8 @@ def cmd_roundtrip(args, config: RunConfig):
 
 
 def cmd_equiv(args, config: RunConfig):
-    m1, site, sym = _load_model_site(args.model1, args.site)
-    m2, _, _ = _load_model_site(args.model2, args.site)
+    m1, site = _load_model_site(args.model1, args.site)
+    m2, _ = _load_model_site(args.model2, args.site)
     if m2.kdim != m1.kdim:
         raise ValueError(f"initial spaces differ ({m1.kdim} vs {m2.kdim})")
     for t in site.points:
@@ -360,7 +360,7 @@ def cmd_equiv(args, config: RunConfig):
         verdict = equivalence.check_wide_equivalence(m1, m2, site, words, config)
         return {"equivalence": verdict.to_dict()}, verdict.equivalent
     mm1, mm2 = (
-        equivalence.minimal_modification(m, site, words, config=config, site_sym=sym)
+        equivalence.minimal_modification(m, site, words, config=config)
         for m in (m1, m2)
     )
     morphism = equivalence.build_unitary(mm1, mm2, site, words, config)
@@ -375,7 +375,7 @@ def cmd_equiv(args, config: RunConfig):
 
 
 def cmd_markov(args, config: RunConfig):
-    model, site, _ = _load_model_site(args.model, args.site)
+    model, site = _load_model_site(args.model, args.site)
     classes = derive_classes(site)
     words = enumerate_words(site, model.spaces, config.policy, config.cap)
     dyn = markov.check_dynamicity(model, site, classes, config)
@@ -397,7 +397,7 @@ def cmd_lift(args, config: RunConfig):
 
 
 def cmd_classical(args, config: RunConfig):
-    model, site, _ = _load_model_site(args.model, args.site)
+    model, site = _load_model_site(args.model, args.site)
     reduction = bridges.classical_reduce(model, site, config)
     return {"classical": reduction.to_dict()}, reduction.ok
 

@@ -21,7 +21,7 @@ from .config import RunConfig
 from .linalg import COMPLEX, dagger, opnorm
 from .models import HilbertModel
 from .reconstruct import reconstruct
-from .sites import CausalSite, SiteSymmetry
+from .sites import CausalSite
 from .words import EventWord, enumerate_words, subsets
 
 
@@ -34,7 +34,6 @@ def minimal_modification(
     site: CausalSite,
     words: Sequence[EventWord] | None = None,
     config: RunConfig = RunConfig(),
-    site_sym: SiteSymmetry | None = None,
 ) -> HilbertModel:
     """The minimal modification of a model: the reconstruction of its own
     kernel table on `words` (the configured enumeration by default).
@@ -42,13 +41,13 @@ def minimal_modification(
     The table's Gram factor is read off the model's product stack
     (`KernelOracle.cholesky`), so the quotient is the span of the
     chronological product vectors, with the canonical unit families.  A
-    model with symmetry needs its site action `site_sym`.  Raises
+    model with symmetry needs the site's action on it.  Raises
     `ReconstructionRefused` when the table fails a gate of `reconstruct`;
     the word list need not be closed under multiplication.
     """
     if words is None:
         words = enumerate_words(site, model.spaces, config.policy, config.cap)
-    oracle = model.kernel_table(site, words, site_sym)
+    oracle = model.kernel_table(site, words)
     return reconstruct(oracle, config, strict_closure=False).model
 
 
@@ -209,7 +208,6 @@ def check_model_relation(
     u: np.ndarray,
     site: CausalSite,
     config: RunConfig = RunConfig(),
-    site_sym: SiteSymmetry | None = None,
 ) -> ModelMorphism:
     """Measure how well `u` realizes the first model inside the second.
 
@@ -219,12 +217,12 @@ def check_model_relation(
     """
     tol = config.equivalence_tol
     morphism = _measure_morphism(np.asarray(u, dtype=COMPLEX), m_small, m_big, site, tol)
-    if site_sym is None:
+    if site.symmetry is None:
         return morphism
     # transported-unit consistency of the small model's own symmetry family
     gaps = []
     for s, ms in m_small.symmetry.items():
-        for t, st in dict(site_sym.maps.get(s, {})).items():
+        for t, st in site.symmetry.maps.get(s, {}).items():
             i_t, i_st = m_small.unit_i({t}), m_small.unit_i({st})
             p_t, p_st = m_small.unit_p({t}), m_small.unit_p({st})
             gaps.append(ms.v @ i_t - i_st @ ms.v @ i_t)

@@ -6,12 +6,14 @@ seed and announce it in the model metadata they attach.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
+from .equivalence import minimal_modification
 from .linalg import COMPLEX, dagger
 from .models import HilbertModel, ModelSymmetry
 from .sites import (
@@ -110,24 +112,19 @@ def tensor_chain(
     xi = _kron_all([v[:, None] for v in states])[:, 0]
     model = HilbertModel(dim=2**n, embedding=xi, atoms=atoms, spaces=spaces)
     if canonical:
-        from .equivalence import minimal_modification
-
         model = minimal_modification(model, site)
     return model, site
 
 
-def galilean_shift_fixture(
-    broken: bool = False,
-) -> tuple[HilbertModel, CausalSite, SiteSymmetry]:
+def galilean_shift_fixture(broken: bool = False) -> tuple[HilbertModel, CausalSite]:
     """Three Galilean times with one qubit device repeated at every time and
-    the truncated forward time shift as symmetry.
+    the truncated forward time shift as the site's symmetry.
 
     The repeated family makes the kernel shift-invariant with the identity
     acting on the initial space; `broken` replaces the last time's device,
     which kills covariance without touching anything else.
     """
     labels = ("g0", "g1", "g2")
-    site = galilean_site([0, 1, 2], labels)
     spaces = OutcomeSpaces({t: ("0", "1") for t in labels})
     fam = rotated_atoms(0.4)
     atoms = {t: dict(fam) for t in labels}
@@ -145,7 +142,8 @@ def galilean_shift_fixture(
         for a in range(4)
         for b in range(4)
     }
-    sym = SiteSymmetry(elements, maps, compose)
+    site = dataclasses.replace(galilean_site([0, 1, 2], labels),
+                               symmetry=SiteSymmetry(elements, maps, compose))
     model_sym = {
         s: ModelSymmetry(
             v=np.eye(2, dtype=COMPLEX),
@@ -157,7 +155,7 @@ def galilean_shift_fixture(
     model = HilbertModel(
         dim=2, embedding=xi, atoms=atoms, spaces=spaces, symmetry=model_sym
     )
-    return model, site, sym
+    return model, site
 
 
 def ancilla_correlated() -> tuple[HilbertModel, CausalSite]:

@@ -136,15 +136,16 @@ def worst_gap(
     index, for (n, m, k, k) blocks b, a row strip at a time (`row_strips`):
     the same norm and the same first block, and no N x N difference.
 
-    A strip's blocks within a factor k of the running leader's largest
-    entry are kept with their exact norms, and dropped once a later leader
-    screens them out, so the candidates of the choice are `worst_block`'s."""
+    A strip's `worst_block` is kept only when its norm is strictly above
+    the best so far, or is the first NaN (an infinite entry's), so an
+    earlier strip wins a tie.  A block of the maximal norm M has an entry
+    of at least M/k, at least the whole array's screen bound, so the
+    screen of its own strip passes it too."""
     n, m, k, _ = b.shape
     strips = row_strips(n, m * k * k)
     diff = np.empty((max((s.stop - s.start for s in strips), default=0), m, k, k),
                     dtype=np.result_type(a, b))
-    # kept: flat indices, largest entries and norms of the candidates
-    top, kept = 0.0, [(np.empty(0, dtype=int), np.empty(0), np.empty(0))]
+    best, at = 0.0, None
     for s in strips:
         d = diff[:s.stop - s.start]
         if index is None:
@@ -152,24 +153,10 @@ def worst_gap(
         else:
             np.take(a, index[s], axis=0, out=d)
             d -= b[s]
-        entry_max = np.abs(d).max(axis=(2, 3)).ravel()
-        leader = float(entry_max.max())
-        if leader != leader:  # NaN: no block passes the screen, as in worst_block
-            top = leader
-            break
-        if leader > top:
-            top = leader
-            kept = [tuple(x[c[1] >= top / k] for x in c) for c in kept]
-        if top > 0.0 and leader >= top / k:  # a zero block never passes
-            at = np.flatnonzero(entry_max >= top / k)
-            norms = np.linalg.norm(d.reshape(-1, k, k)[at], 2, axis=(-2, -1))
-            kept.append((at + s.start * m, entry_max[at], norms))
-    if top == 0.0:
-        return 0.0, None
-    flat, entry_max, norms = (np.concatenate(c) for c in zip(*kept))
-    screened = entry_max >= top / k
-    best = int(np.argmax(norms[screened]))  # none under a NaN leader, as in worst_block
-    return float(norms[screened][best]), divmod(int(flat[screened][best]), m)
+        norm, where = worst_block(d)
+        if not norm <= best and best == best:  # the first NaN stays, as argmax keeps it
+            best, at = norm, (where[0] + s.start, where[1])
+    return best, at
 
 
 def projector_defect(p: np.ndarray) -> np.ndarray:

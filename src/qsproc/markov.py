@@ -12,6 +12,7 @@ compression, wiping out any dependence on what was measured there.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -409,13 +410,4 @@ def _rotate_slice_atoms(model: HilbertModel, l0, rng) -> HilbertModel:
     atoms = {t: dict(fam) for t, fam in model.atoms.items()}
     for t in l0:
         atoms[t] = {x: u @ m @ dagger(u) for x, m in model.atoms[t].items()}
-    return HilbertModel(
-        dim=model.dim,
-        embedding=model.embedding,
-        atoms=atoms,
-        spaces=model.spaces,
-        units_p=model.units_p,
-        units_i=model.units_i,
-        algebra=model.algebra,
-        symmetry=model.symmetry,
-    )
+    return dataclasses.replace(model, atoms=atoms)

@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .config import RunConfig
 from .linalg import COMPLEX, dagger, opnorm
-from .sites import CausalSite, SiteClasses, SiteSymmetry, derive_classes
+from .sites import CausalSite, SiteClasses, derive_classes
 from .words import (
     Event,
     EventWord,
@@ -192,10 +192,11 @@ class HilbertModel:
         self,
         site: CausalSite,
         word_list: Sequence[EventWord],
-        site_sym: SiteSymmetry | None = None,
     ):
         """Total kernel map on a word list, packaged with the symmetry data
         and with the product stack the oracle factors (`KernelOracle`).
+        Each model symmetry element takes its point map from the site's
+        action (`CausalSite.symmetry`), and is refused without one.
 
         Import is deferred to avoid a cycle with the oracle module."""
         from .kernels import KernelOracle, OracleSymmetry
@@ -206,14 +207,14 @@ class HilbertModel:
         products = columns.reshape(self.dim, len(plan.words), self.kdim).swapaxes(0, 1)
         table = linalg.pair_blocks(products)
         table.setflags(write=False)  # the oracle adopts it
-        sym = {}
-        for s, ms in self.symmetry.items():
-            if site_sym is None or s not in site_sym.maps:
-                raise ValueError(f"model symmetry {s!r} has no site action")
-            u = dagger(self.embedding) @ ms.v @ self.embedding
-            sym[s] = OracleSymmetry(
-                point_map=dict(site_sym.maps[s]), outcome_maps=ms.outcome_maps, u=u
-            )
+        if unacted := _unacted(self, site):
+            raise ValueError(unacted)
+        sym = {
+            s: OracleSymmetry(point_map=dict(site.symmetry.maps[s]),
+                              outcome_maps=ms.outcome_maps,
+                              u=dagger(self.embedding) @ ms.v @ self.embedding)
+            for s, ms in self.symmetry.items()
+        }
         return KernelOracle(
             site=site,
             classes=derive_classes(site),
@@ -399,7 +400,6 @@ def check_model(
     site: CausalSite,
     classes: SiteClasses | None = None,
     config: RunConfig = RunConfig(),
-    site_sym: SiteSymmetry | None = None,
 ) -> Report:
     """Verify the whole contract of a measurement model.
 
@@ -409,13 +409,15 @@ def check_model(
     property) at equivalent and independent pairs; nesting of the essential
     units above the initial projector (`unit_nesting`); the unit-balance
     between event units and essential units on every time slice; commutation
-    with declared algebra generators; and the symmetry intertwining relations.
+    with declared algebra generators; and the symmetry intertwining relations
+    at the site's action (`CausalSite.symmetry`), inconclusive when a model
+    symmetry element has none.
     """
     classes = classes or derive_classes(site)
     checks: list[Check] = []
 
-    def record(name, residual, witness):
-        checks.append(Check(name, residual, witness, config.projector_tol))
+    def record(name, residual, witness, missing=None):
+        checks.append(Check(name, residual, witness, config.projector_tol, missing))
 
     eye = model.identity()
 
@@ -509,7 +511,7 @@ def check_model(
         v = np.asarray(ms.v, dtype=COMPLEX)
         gaps.append(dagger(v) @ v - eye)
         at.append(("isometry of {!r}", s))
-        pmap = dict(site_sym.maps[s]) if site_sym and s in site_sym.maps else {}
+        pmap = site.symmetry.maps.get(s, {}) if site.symmetry else {}
         for t, st in pmap.items():
             g = ms.outcome_maps[t]
             for b in subsets(model.spaces.outcomes(st)):
@@ -520,9 +522,17 @@ def check_model(
                 at.append(("{!r} at {!r} with event {}", s, t, sorted(b)))
     record("covariance", *linalg.worst(
         linalg.opnorms(gaps), lambda i: at[i][0].format(*at[i][1:])
-    ))
+    ), _unacted(model, site))
 
     return Report(tuple(checks))
+
+
+def _unacted(model: HilbertModel, site: CausalSite) -> str | None:
+    """The note on the first model symmetry element the site does not act
+    by, if any."""
+    acted = site.symmetry.maps if site.symmetry else {}
+    return next((f"model symmetry {s!r} has no site action"
+                 for s in model.symmetry if s not in acted), None)
 
 
 def unit_nesting(model: HilbertModel, classes: SiteClasses, blocks: Sequence[frozenset]):

@@ -10,6 +10,7 @@ they become text.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from collections.abc import Mapping, ValuesView
@@ -19,16 +20,17 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .kernels import KernelOracle, OracleSymmetry
 from .linalg import COMPLEX
 from .models import HilbertModel, ModelSymmetry
 from .sites import (
     CausalSite,
     SiteSymmetry,
     chain_site,
+    derive_classes,
     discrete_site,
     galilean_site,
     minkowski_site,
-    require_symmetry,
 )
 from .words import EventWord, OutcomeSpaces
 
@@ -85,12 +87,15 @@ def block_from_key(s: str) -> frozenset[str]:
 # -- sites ----------------------------------------------------------------------
 
 
-def site_to_json(site: CausalSite, sym: SiteSymmetry | None = None) -> dict:
+def site_to_json(site: CausalSite, symmetry: bool = True) -> dict:
+    """The site's points and relation, and its symmetry unless `symmetry`
+    is false (a kernel table's site: the table declares its own)."""
     out = {
         "points": list(site.points),
         "leq": [[bool(v) for v in row] for row in site.leq],
     }
-    if sym is not None:
+    sym = site.symmetry
+    if symmetry and sym is not None:
         if "compose" in sym.elements:
             raise ValueError('"compose" is a reserved symmetry-element name')
         entries: dict = {s: {"map": dict(sym.maps[s])} for s in sym.elements}
@@ -102,7 +107,8 @@ def site_to_json(site: CausalSite, sym: SiteSymmetry | None = None) -> dict:
     return out
 
 
-def site_from_json(data: dict) -> tuple[CausalSite, SiteSymmetry | None]:
+def site_from_json(data: dict) -> CausalSite:
+    """A site, with the action its ``"symmetries"`` block declares."""
     if "kind" in data:
         site = _geometric_site(data)
     else:
@@ -111,7 +117,6 @@ def site_from_json(data: dict) -> tuple[CausalSite, SiteSymmetry | None]:
             raise ValueError('"leq" holds a cell that is not true or false')
         points = json_strings(data["points"], '"points" is not a list of strings')
         site = CausalSite(points=points, leq=leq)
-    sym = None
     if "symmetries" in data:
         entries = dict(data["symmetries"])
         # the composition table may sit inside the symmetry block or beside it
@@ -121,9 +126,8 @@ def site_from_json(data: dict) -> tuple[CausalSite, SiteSymmetry | None]:
         for a, inner in json_object(raw_compose, '"compose"').items():
             for b, c in json_object(inner, f'"compose" {a!r}').items():
                 compose[(a, b)] = c
-        sym = SiteSymmetry(tuple(maps), maps, compose)
-        require_symmetry(site, sym)
-    return site, sym
+        site = dataclasses.replace(site, symmetry=SiteSymmetry(tuple(maps), maps, compose))
+    return site
 
 
 def _geometric_site(data: dict) -> CausalSite:
@@ -305,7 +309,7 @@ def oracle_to_json(oracle) -> dict:
     ``[re, im]`` pairs; to edit entries, copy it first (``dict(values)``)."""
     out = {
         "kdim": oracle.kdim,
-        "site": site_to_json(oracle.site),
+        "site": site_to_json(oracle.site, symmetry=False),
         "spaces": spaces_to_json(oracle.spaces),
         "words": [word_to_json(w) for w in oracle.words],
         "values": KernelEntries(oracle.table),
@@ -355,11 +359,8 @@ def is_entry_key(key: str) -> bool:
     return _ENTRY_KEY.fullmatch(key) is not None
 
 
-def oracle_from_json(data: dict):
-    from .kernels import KernelOracle, OracleSymmetry
-    from .sites import derive_classes
-
-    site, _ = site_from_json(data["site"])
+def oracle_from_json(data: dict) -> KernelOracle:
+    site = site_from_json(data["site"])
     spaces = spaces_from_json(data["spaces"])
     words = tuple(word_from_json(w, spaces) for w in data["words"])
     kdim = json_int(data["kdim"], '"kdim"', 1)

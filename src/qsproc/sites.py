@@ -32,11 +32,15 @@ class CausalSite:
     `leq[i][j]` states that ``points[i] <= points[j]``.  The relation must be
     reflexive and transitively closed; a non-closed input is rejected rather
     than silently closed, to catch mistakes in hand-written fixtures.
+    `symmetry`, when given, is the semigroup acting on the points, refused
+    by `require_symmetry` unless its maps stay on the site, keep its order
+    and compose as declared.
     """
 
     points: tuple[str, ...]
     leq: tuple[tuple[bool, ...], ...]
     meta: Mapping[str, object] = field(default_factory=dict, compare=False)
+    symmetry: SiteSymmetry | None = field(default=None, compare=False)
 
     def __post_init__(self):
         n = len(self.points)
@@ -55,6 +59,8 @@ class CausalSite:
                     f"but not {self.points[i]!r} <= {self.points[k]!r}"
                 )
         object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.points)})
+        if self.symmetry is not None:
+            require_symmetry(self, self.symmetry)
 
     # -- basic relation queries ------------------------------------------
 
@@ -231,65 +237,45 @@ class SiteSymmetry:
     compose: Mapping[tuple[str, str], str]
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    monotonicity_violations: tuple[tuple[str, str, str], ...]  # (s, t, t')
-    composition_violations: tuple[tuple[str, str, str], ...]  # (s, s', t)
-    unknown_targets: tuple[tuple[str, str], ...]  # (s, t)
-
-    @property
-    def ok(self) -> bool:
-        return not (
-            self.monotonicity_violations
-            or self.composition_violations
-            or self.unknown_targets
-        )
-
-
-def check_symmetry(site: CausalSite, sym: SiteSymmetry) -> SymmetryReport:
+def check_symmetry(site: CausalSite, sym: SiteSymmetry) -> list[str]:
     """Diagnose a symmetry action: every map must preserve and reflect the
-    relation on its domain, and maps must compose per the semigroup table."""
-    mono: list[tuple[str, str, str]] = []
-    comp: list[tuple[str, str, str]] = []
-    unknown: list[tuple[str, str]] = []
-    for s in sym.elements:
-        for t, st in sym.maps[s].items():
-            if st not in site.points or t not in site.points:  # st may not hash
-                unknown.append((s, t))
+    relation on its domain, and maps must compose per the semigroup table.
+    One line per problem: the maps that leave the site's points, and only
+    those when there are any; else the order and then the composition
+    violations."""
+    unknown = [
+        f"symmetry element {s!r} maps {t!r} to {st!r}, outside the site's points"
+        for s in sym.elements
+        for t, st in sym.maps[s].items()
+        if st not in site.points or t not in site.points  # st may not hash
+    ]
     if unknown:
-        return SymmetryReport((), (), tuple(unknown))
+        return unknown
+    problems = []
     for s in sym.elements:
         m = sym.maps[s]
         for t, tp in itertools.product(m, repeat=2):
             if site.le(t, tp) != site.le(m[t], m[tp]):
-                mono.append((s, t, tp))
+                problems.append(f"symmetry element {s!r} does not preserve the "
+                                f"order of {t!r} and {tp!r}")
     for s, sp in itertools.product(sym.elements, repeat=2):
         if (s, sp) not in sym.compose:
             continue
         prod = sym.compose[(s, sp)]
         for t, spt in sym.maps[sp].items():
-            lhs = sym.maps[s].get(spt)
-            rhs = sym.maps.get(prod, {}).get(t)
-            if lhs != rhs:
-                comp.append((s, sp, t))
-    return SymmetryReport(tuple(mono), tuple(comp), ())
+            if sym.maps[s].get(spt) != sym.maps.get(prod, {}).get(t):
+                problems.append(f"symmetry element {s!r} after {sp!r} is not "
+                                f"{prod!r} at {t!r}")
+    return problems
 
 
 def require_symmetry(site: CausalSite, sym: SiteSymmetry) -> None:
-    """Refuse, by a `ValueError` naming the first problem, a symmetry whose
-    maps leave the site, break its order or contradict the composition
-    table."""
-    report = check_symmetry(site, sym)
-    problems = [
-        *(f"{s!r} maps {t!r} to {sym.maps[s][t]!r}, outside the site's points"
-          for s, t in report.unknown_targets),
-        *(f"{s!r} does not preserve the order of {t!r} and {tp!r}"
-          for s, t, tp in report.monotonicity_violations),
-        *(f"{s!r} after {sp!r} is not {sym.compose[(s, sp)]!r} at {t!r}"
-          for s, sp, t in report.composition_violations),
-    ]
+    """Refuse, by a `ValueError` naming the first problem `check_symmetry`
+    finds, a symmetry whose maps leave the site, break its order or
+    contradict the composition table."""
+    problems = check_symmetry(site, sym)
     if problems:
-        raise ValueError(f"symmetry element {problems[0]}")
+        raise ValueError(problems[0])
 
 
 # -- geometric constructors -------------------------------------------------

@@ -153,9 +153,9 @@ def test_criterion_5_classical_bridge():
 
 
 def test_criterion_6_shift_covariance():
-    model, site, sym = fixtures.galilean_shift_fixture()
+    model, site = fixtures.galilean_shift_fixture()
     words = enumerate_words(site, model.spaces)
-    oracle = model.kernel_table(site, words, site_sym=sym)
+    oracle = model.kernel_table(site, words)
     cov = check_covariance(oracle, RunConfig(axiom_tol=1e-9))
     recon = reconstruct(oracle)
     worst = cov.residual
@@ -165,14 +165,12 @@ def test_criterion_6_shift_covariance():
         iso = opnorm(dagger(ms.v) @ ms.v - eye)
         worst = max(worst, iso)
         ok = ok and iso <= 1e-9
-    inter = _intertwining_residual(recon, sym)
+    inter = _intertwining_residual(recon, site.symmetry)
     worst = max(worst, inter)
     ok = ok and inter <= 1e-9
 
-    broken, siteb, symb = fixtures.galilean_shift_fixture(broken=True)
-    oracleb = broken.kernel_table(
-        siteb, enumerate_words(siteb, broken.spaces), site_sym=symb
-    )
+    broken, siteb = fixtures.galilean_shift_fixture(broken=True)
+    oracleb = broken.kernel_table(siteb, enumerate_words(siteb, broken.spaces))
     flagged = check_covariance(oracleb).status == "fail"
     ok = ok and flagged
     line(

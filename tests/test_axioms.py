@@ -206,15 +206,15 @@ class TestCovariance:
         assert check_covariance(qubit_oracle).status == PASS
 
     def test_shift_covariant_fixture(self):
-        model, site, sym = fixtures.galilean_shift_fixture()
+        model, site = fixtures.galilean_shift_fixture()
         words = enumerate_words(site, model.spaces)
-        oracle = model.kernel_table(site, words, site_sym=sym)
+        oracle = model.kernel_table(site, words)
         assert check_covariance(oracle).status == PASS
 
     def test_broken_fixture_fails(self):
-        model, site, sym = fixtures.galilean_shift_fixture(broken=True)
+        model, site = fixtures.galilean_shift_fixture(broken=True)
         words = enumerate_words(site, model.spaces)
-        oracle = model.kernel_table(site, words, site_sym=sym)
+        oracle = model.kernel_table(site, words)
         assert check_covariance(oracle).status == FAIL
 
 
@@ -293,10 +293,8 @@ REGULARITY_FIXTURES = {
 class TestRegularity:
     @pytest.mark.parametrize("name", sorted(REGULARITY_FIXTURES))
     def test_batched_matches_per_word_reference(self, name):
-        model, site, *sym = REGULARITY_FIXTURES[name]()
-        oracle = model.kernel_table(
-            site, enumerate_words(site, model.spaces), site_sym=next(iter(sym), None)
-        )
+        model, site = REGULARITY_FIXTURES[name]()
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
         check = check_regularity(oracle)
         residual, word = regularity_per_word(oracle)
         assert check.residual == pytest.approx(residual, rel=1e-12, abs=1e-15)

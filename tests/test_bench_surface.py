@@ -53,7 +53,7 @@ def run_stages():
     assert not markov.check_dynamicity(model, site).ok
     atoms, initial, spaces = fixtures.two_point_field()
     assert bridges.verify_lift(atoms, initial, 1, spaces).ok
-    lifted, lsite, _ = bridges.lift_process(atoms, initial, 2, spaces)
+    lifted, lsite = bridges.lift_process(atoms, initial, 2, spaces)
     lwords = bridges.enumerate_level_words(lifted, lsite)
     assert bridges.check_ultrastationarity(lifted, lsite, lwords).ok
     padded = fixtures.with_untouched_ancilla(model, 1)
@@ -83,6 +83,24 @@ def test_probes_read_every_stage():
             value = metrics[f"{stage}.residual_over_tol"]
             assert math.isfinite(value) and value >= 0.0, stage
     assert metrics["kernels.check_projectivity.words"] == n_words
+
+
+def test_tracer_rebinds_module_level_imports():
+    # `verify_lift` calls `reconstruct` and `verify_decomposition` through
+    # the names bridges imported, so their spans open only if those rebind
+    before = (bridges.reconstruct, bridges.verify_decomposition)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert bridges.reconstruct is recon.reconstruct is not before[0]
+        assert bridges.verify_decomposition is recon.verify_decomposition is not before[1]
+        atoms, initial, spaces = fixtures.two_point_field()
+        assert bridges.verify_lift(atoms, initial, 1, spaces).ok
+    finally:
+        tracer.uninstall()
+    assert (bridges.reconstruct, bridges.verify_decomposition) == before
+    names = [s.name for s in tracer.spans]
+    assert {"reconstruct.reconstruct", "reconstruct.verify_decomposition"} <= set(names)
 
 
 def test_tracer_leaves_the_library_as_it_found_it():

@@ -24,13 +24,13 @@ from qsproc.words import EventWord
 
 class TestLexicographicSite:
     def test_depth_one_all_equivalent(self):
-        site, _ = lexicographic_site(["a", "b"], 1)
+        site = lexicographic_site(["a", "b"], 1)
         for s in site.points:
             for t in site.points:
                 assert site.equivalent(s, t)
 
     def test_level_sets_are_the_slices(self):
-        site, _ = lexicographic_site(["a", "b"], 2)
+        site = lexicographic_site(["a", "b"], 2)
         classes = derive_classes(site)
         assert set(classes.maximal_antichains) == {
             frozenset({"0:a", "0:b"}),
@@ -38,12 +38,11 @@ class TestLexicographicSite:
         }
 
     def test_shift_symmetry_monotone(self):
-        site, sym = lexicographic_site(["a", "b"], 3)
-        report = check_symmetry(site, sym)
-        assert report.ok
+        site = lexicographic_site(["a", "b"], 3)
+        assert check_symmetry(site, site.symmetry) == []
 
     def test_top_level_leaves_shift_domain(self):
-        _, sym = lexicographic_site(["a"], 3)
+        sym = lexicographic_site(["a"], 3).symmetry
         assert "2:a" not in sym.maps["shift1"]
         assert sym.maps["shift1"]["1:a"] == "2:a"
 
@@ -55,7 +54,7 @@ class TestLexicographicSite:
 class TestLiftProcess:
     def test_depth_one_single_device(self):
         atoms, xi, spaces = fixtures.two_point_field()
-        model, site, sym = lift_process(
+        model, site = lift_process(
             {"z": atoms["z"]}, xi, 1, {"z": spaces["z"]}
         )
         w = EventWord.from_dict({"0:z": {"0"}}, model.spaces)
@@ -65,20 +64,20 @@ class TestLiftProcess:
         # device x at the lower level acts first even though the devices are
         # indexed the other way round
         atoms, xi, spaces = fixtures.two_point_field()
-        model, site, _ = lift_process(atoms, xi, 2, spaces)
+        model, site = lift_process(atoms, xi, 2, spaces)
         w = EventWord.from_dict({"0:x": {"+"}, "1:z": {"1"}}, model.spaces)
         expected = fixtures.Z_ATOMS["1"] @ fixtures.X_ATOMS["+"] @ xi[:, None]
         assert np.allclose(model.products(site, [w])[0], expected)
 
     def test_quasiconstant_along_levels(self):
         atoms, xi, spaces = fixtures.two_point_field()
-        model, site, _ = lift_process(atoms, xi, 3, spaces)
+        model, site = lift_process(atoms, xi, 3, spaces)
         for l in range(3):
             assert np.allclose(model.atoms[f"{l}:z"]["0"], atoms["z"]["0"])
 
     def test_ultrastationarity_exhaustive(self):
         atoms, xi, spaces = fixtures.two_point_field()
-        model, site, _ = lift_process(atoms, xi, 3, spaces)
+        model, site = lift_process(atoms, xi, 3, spaces)
         words = enumerate_level_words(model, site)
         report = check_ultrastationarity(model, site, words)
         assert report.ok
@@ -104,7 +103,7 @@ class TestVerifyLift:
 
     def test_level_dependent_devices_flagged(self):
         atoms, xi, spaces = fixtures.two_point_field()
-        model, site, sym = lift_process(atoms, xi, 3, spaces)
+        model, site = lift_process(atoms, xi, 3, spaces)
         bad_atoms = {t: dict(f) for t, f in model.atoms.items()}
         bad_atoms["1:z"] = fixtures.rotated_atoms(0.9)
         bad = HilbertModel(
@@ -153,7 +152,7 @@ class TestUltrastationarity:
         """The depth-3 lift of the two-point field with the atoms at `point`
         rotated (relabelled to the outcomes there)."""
         atoms, xi, spaces = fixtures.two_point_field()
-        model, site, _ = lift_process(atoms, xi, 3, spaces)
+        model, site = lift_process(atoms, xi, 3, spaces)
         bad_atoms = {t: dict(f) for t, f in model.atoms.items()}
         outs = model.spaces.outcomes(point)
         bad_atoms[point] = dict(zip(outs, self.ROTATED.values()))
@@ -191,7 +190,7 @@ class TestUltrastationarity:
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_matches_reference_on_the_lift(self, depth):
         atoms, xi, spaces = fixtures.two_point_field()
-        model, site, _ = lift_process(atoms, xi, depth, spaces)
+        model, site = lift_process(atoms, xi, depth, spaces)
         words = enumerate_level_words(model, site)
         entry = check_ultrastationarity(model, site, words).checks[0]
         assert entry.residual == shifted_product_residual(model, site, words) == 0.0
@@ -203,7 +202,7 @@ class TestUltrastationarity:
     ])
     def test_word_list_not_closed_refused(self, drop, direction):
         atoms, xi, spaces = fixtures.two_point_field()
-        model, site, _ = lift_process(atoms, xi, 3, spaces)
+        model, site = lift_process(atoms, xi, 3, spaces)
         gone = EventWord.from_dict(drop, model.spaces)
         words = [w for w in enumerate_level_words(model, site) if w != gone]
         with pytest.raises(ValueError, match=direction):

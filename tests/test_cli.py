@@ -354,14 +354,12 @@ class TestReconstruct:
     def test_verify_with_symmetry(self, tmp_path, capsys, from_table):
         # the idempotence table of a model with a symmetry reads the
         # oracle's point maps
-        model, site, sym = fixtures.galilean_shift_fixture()
+        model, site = fixtures.galilean_shift_fixture()
         model_file = write(tmp_path, "model.json", serialize.model_to_json(model))
-        site_file = write(tmp_path, "site.json", serialize.site_to_json(site, sym))
+        site_file = write(tmp_path, "site.json", serialize.site_to_json(site))
         argv = ["reconstruct", model_file, "--site", site_file, "--verify"]
         if from_table:
-            oracle = model.kernel_table(
-                site, enumerate_words(site, model.spaces), site_sym=sym
-            )
+            oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
             argv = ["reconstruct", write(tmp_path, "table.json",
                     serialize.oracle_to_json(oracle)), "--verify"]
         assert cli.main(argv) == 0
@@ -397,9 +395,9 @@ class TestEquiv:
     def test_symmetry_without_site_action_exits_two(self, tmp_path, capsys):
         # the minimal models carry the symmetry only with its site action,
         # as `check` reads it
-        model, site, _ = fixtures.galilean_shift_fixture()
+        model, site = fixtures.galilean_shift_fixture()
         model_file = write(tmp_path, "model.json", serialize.model_to_json(model))
-        site_file = write(tmp_path, "site.json", serialize.site_to_json(site))
+        site_file = write(tmp_path, "site.json", serialize.site_to_json(site, symmetry=False))
         for argv in (["equiv", "unitary", model_file, model_file, site_file],
                      ["check", model_file, site_file]):
             assert cli.main(argv) == 2
@@ -858,13 +856,11 @@ class TestMalformedSymmetry:
 
     @pytest.fixture
     def galilean(self):
-        model, site, sym = fixtures.galilean_shift_fixture()
-        oracle = model.kernel_table(
-            site, enumerate_words(site, model.spaces), site_sym=sym
-        )
+        model, site = fixtures.galilean_shift_fixture()
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
         return (
             serialize.model_to_json(model),
-            json.loads(serialize.dumps(serialize.site_to_json(site, sym))),
+            json.loads(serialize.dumps(serialize.site_to_json(site))),
             json.loads(serialize.dumps(serialize.oracle_to_json(oracle))),
         )
 
@@ -933,13 +929,11 @@ class TestMalformedMatrix:
     def runs(self, tmp_path, location, cell):
         """The command lines reading the matrix at `location` with `cell`
         as its first entry, and the name the refusal gives it."""
-        model, site, sym = fixtures.galilean_shift_fixture()
+        model, site = fixtures.galilean_shift_fixture()
         model_json = json.loads(serialize.dumps(serialize.model_to_json(model)))
-        site_file = write(tmp_path, "site.json", serialize.site_to_json(site, sym))
+        site_file = write(tmp_path, "site.json", serialize.site_to_json(site))
         if location == "symmetry u":
-            oracle = model.kernel_table(
-                site, enumerate_words(site, model.spaces), site_sym=sym
-            )
+            oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
             table = json.loads(serialize.dumps(serialize.oracle_to_json(oracle)))
             table["symmetry"]["s1"]["u"][0][0] = cell
             path = write(tmp_path, "table.json", table)
@@ -989,9 +983,9 @@ class TestMisshapenModel:
         and the refusal's message."""
         one = [[[1.0, 0.0]]]  # a 1x1 matrix
         if location == "symmetry v":
-            model, site, sym = fixtures.galilean_shift_fixture()
+            model, site = fixtures.galilean_shift_fixture()
         else:
-            (model, site), sym = fixtures.qubit_zx(), None
+            model, site = fixtures.qubit_zx()
         data = json.loads(serialize.dumps(serialize.model_to_json(model)))
         if location == "symmetry v":
             data["symmetry"]["s1"]["v"] = one
@@ -1008,7 +1002,7 @@ class TestMisshapenModel:
             message = f"unit {kind!r} of ['t1'] has shape (1, 1), not 2x2"
         files = {
             "M": write(tmp_path, "model.json", data),
-            "S": write(tmp_path, "site.json", serialize.site_to_json(site, sym)),
+            "S": write(tmp_path, "site.json", serialize.site_to_json(site)),
         }
         return [[files.get(a, a) for a in cmd] for cmd in self.COMMANDS], message
 
@@ -1061,8 +1055,8 @@ class TestMisshapenTableSymmetry:
     table is read, naming the element."""
 
     def table(self):
-        model, site, sym = fixtures.galilean_shift_fixture()
-        oracle = model.kernel_table(site, enumerate_words(site, model.spaces), site_sym=sym)
+        model, site = fixtures.galilean_shift_fixture()
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
         data = json.loads(serialize.dumps(serialize.oracle_to_json(oracle)))
         assert data["kdim"] == 1
         data["symmetry"]["s1"]["u"] = serialize.matrix_to_json(np.eye(2))
@@ -1097,8 +1091,8 @@ class TestMalformedOutcomeMaps:
     @pytest.mark.parametrize("verify", [[], ["--verify"]])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_reconstruct_exits_two(self, tmp_path, capsys, case, verify):
-        model, site, sym = fixtures.galilean_shift_fixture()
-        oracle = model.kernel_table(site, enumerate_words(site, model.spaces), site_sym=sym)
+        model, site = fixtures.galilean_shift_fixture()
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
         data = json.loads(serialize.dumps(serialize.oracle_to_json(oracle)))
         edit, t, image = self.CASES[case]
         edit(data["symmetry"]["s1"]["g"])
@@ -1202,12 +1196,12 @@ def test_malformed_field_exits_two_on_one_line(tmp_path, capsys, case):
     # traceback and never read as something else
     _, key, mutate, argv, message = case
     model, site = fixtures.qubit_zx()
-    galilean, gsite, gsym = fixtures.galilean_shift_fixture()
+    galilean, gsite = fixtures.galilean_shift_fixture()
     data = {
         "model": serialize.model_to_json(model),
         "site": serialize.site_to_json(site),
         "galilean": serialize.model_to_json(galilean),
-        "galilean_site": serialize.site_to_json(gsite, gsym),
+        "galilean_site": serialize.site_to_json(gsite),
         "table": json.loads(serialize.dumps(serialize.oracle_to_json(qubit_table()))),
         "field": _field_json(),
     }

@@ -248,7 +248,7 @@ class TestBuildUnitary:
     def test_declared_symmetry_is_set_aside(self):
         # the first model's oracle is built from its copy without symmetry,
         # so a model that declares one gives what that copy gives, bit for bit
-        model, site, sym = fixtures.galilean_shift_fixture()
+        model, site = fixtures.galilean_shift_fixture()
         words = enumerate_words(site, model.spaces)
         padded = fixtures.with_untouched_ancilla(model, 3)
 
@@ -257,7 +257,7 @@ class TestBuildUnitary:
 
         got, ref = (check_wide_equivalence(m, padded, site, words) for m in (model, plain(model)))
         assert got.equivalent and got.to_dict() == ref.to_dict()
-        m1, m2 = (minimal_modification(m, site, words, site_sym=sym) for m in (model, padded))
+        m1, m2 = (minimal_modification(m, site, words) for m in (model, padded))
         assert m1.symmetry and m2.symmetry
         # the second model declares none, so neither morphism compares one
         got, ref = (build_unitary(m, plain(m2), site, words) for m in (m1, plain(m1)))
@@ -328,12 +328,10 @@ class TestModelRelation:
     def test_symmetry_transport_relations(self):
         # the shift isometries must carry each block's units into the
         # shifted block's units
-        model, site, sym = fixtures.galilean_shift_fixture()
+        model, site = fixtures.galilean_shift_fixture()
         words = enumerate_words(site, model.spaces)
-        small = minimal_modification(model, site, words, site_sym=sym)
-        report = check_model_relation(
-            small, small, np.eye(small.dim), site, site_sym=sym
-        )
+        small = minimal_modification(model, site, words)
+        report = check_model_relation(small, small, np.eye(small.dim), site)
         assert report.ok
         assert report.symmetry_residual <= 1e-9
 

@@ -49,9 +49,9 @@ CASES.update({f"tensor_chain({n})": lambda n=n: fixtures.tensor_chain(n, canonic
 
 
 def case_oracle(name):
-    model, site, *sym = CASES[name]()
+    model, site = CASES[name]()
     words = enumerate_words(site, model.spaces)
-    return model.kernel_table(site, words, site_sym=sym[0] if sym else None)
+    return model.kernel_table(site, words)
 
 
 def eigen_clusters(vals, rel_gap=1e-10):

@@ -178,14 +178,15 @@ class TestKernelTable:
 
     def test_symmetry_leaving_the_site_refused(self):
         # the library refuses the map itself, before any word filter reads it
-        model, site, sym = fixtures.galilean_shift_fixture()
+        model, site = fixtures.galilean_shift_fixture()
         words = enumerate_words(site, model.spaces)
-        oracle = model.kernel_table(site, words, site_sym=sym)
+        oracle = model.kernel_table(site, words)
+        sym = site.symmetry
         bad_maps = {**sym.maps, "s1": {"g0": "g1", "g1": "zz"}}
         bad = SiteSymmetry(sym.elements, bad_maps, sym.compose)
         message = "symmetry element 's1' maps 'g1' to 'zz', outside the site's points"
         with pytest.raises(ValueError, match=message):
-            model.kernel_table(site, words, site_sym=bad)
+            dataclasses.replace(site, symmetry=bad)
         symmetry = dict(oracle.symmetry)
         symmetry["s1"] = dataclasses.replace(symmetry["s1"], point_map=bad_maps["s1"])
         with pytest.raises(ValueError, match=message):
@@ -304,12 +305,45 @@ class TestCheckModel:
         assert entry.witness == "sum of the atoms at 't2'"
 
     def test_symmetry_covariance_entry(self):
-        model, site, sym = fixtures.galilean_shift_fixture()
-        report = check_model(model, site, site_sym=sym)
+        model, site = fixtures.galilean_shift_fixture()
+        report = check_model(model, site)
         assert report.ok
-        broken, siteb, symb = fixtures.galilean_shift_fixture(broken=True)
-        report_b = check_model(broken, siteb, site_sym=symb)
+        broken, siteb = fixtures.galilean_shift_fixture(broken=True)
+        report_b = check_model(broken, siteb)
         assert any(e.name == "covariance" for e in report_b.violations())
+
+    @staticmethod
+    def swapped_v():
+        """The Galilean model with the Pauli X, which does not intertwine
+        the shifted devices, as the isometry of 's1'."""
+        model, site = fixtures.galilean_shift_fixture()
+        symmetry = dict(model.symmetry)
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        symmetry["s1"] = dataclasses.replace(symmetry["s1"], v=x)
+        return dataclasses.replace(model, symmetry=symmetry), site
+
+    def test_covariance_fails_at_the_site_action(self):
+        bad, site = self.swapped_v()
+        entry = check_model(bad, site)["covariance"]
+        assert entry.status == "fail"
+        assert entry.residual == pytest.approx(0.6967067093471655, rel=1e-9)
+        assert entry.witness == "'s1' at 'g0' with event ['0']"
+
+    @pytest.mark.parametrize("acted, missing", [((), "s0"), (("s0",), "s1")])
+    def test_covariance_without_a_site_action_is_inconclusive(self, acted, missing):
+        # an element the site does not act by leaves its intertwining
+        # unchecked, so the verdict cannot be a pass
+        bad, site = self.swapped_v()
+        maps = {s: site.symmetry.maps[s] for s in acted}
+        unacted = dataclasses.replace(
+            site, symmetry=SiteSymmetry(tuple(maps), maps, {}) if acted else None)
+        report = check_model(bad, unacted)
+        entry = report["covariance"]
+        assert entry.status == "inconclusive"
+        assert entry.witness == f"model symmetry {missing!r} has no site action"
+        assert not report.ok and not report.failed
+        with pytest.raises(ValueError, match=f"^model symmetry {missing!r} has no site"):
+            bad.kernel_table(unacted, enumerate_words(unacted, bad.spaces))
 
     def test_unit_monotone_witness_independent_of_hash_seed(self):
         # the compared unit blocks are frozensets, whose set order follows
@@ -319,8 +353,8 @@ class TestCheckModel:
             "from qsproc import fixtures\n"
             "from qsproc.equivalence import minimal_modification\n"
             "from qsproc.models import check_model\n"
-            "model, site, sym = fixtures.galilean_shift_fixture()\n"
-            "small = minimal_modification(model, site, site_sym=sym)\n"
+            "model, site = fixtures.galilean_shift_fixture()\n"
+            "small = minimal_modification(model, site)\n"
             "entry = check_model(small, site)"
             ".worst('unit_monotone')\n"
             "print(repr(entry.residual), entry.witness)\n"

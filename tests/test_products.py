@@ -424,11 +424,11 @@ def test_base_products_are_the_word_operator_times_the_unit(name, perturbed):
 @pytest.mark.parametrize("perturbed", [False, True])
 @pytest.mark.parametrize("name", sorted(UNIT_MODELS))
 def test_exhaustive_projectivity_within_the_unit_bound(name, perturbed):
-    model, site, *sym = UNIT_MODELS[name]()
+    model, site = UNIT_MODELS[name]()
     if perturbed:
         model = perturbed_units(model, site.points)
     words = enumerate_words(site, model.spaces)
-    oracle = model.kernel_table(site, words, site_sym=sym[0] if sym else None)
+    oracle = model.kernel_table(site, words)
     worst, _ = reference_projectivity(oracle, pair_cap=len(words))
     check = check_projectivity(oracle)
     bound, at = unit_gap_bound(model, site)
@@ -466,8 +466,8 @@ def test_projectivity_near_the_tolerance(factor):
 
 @pytest.mark.parametrize("broken", [False, True])
 def test_covariance_matches_pair_formula(broken):
-    model, site, sym = fixtures.galilean_shift_fixture(broken=broken)
-    oracle = model.kernel_table(site, enumerate_words(site, model.spaces), site_sym=sym)
+    model, site = fixtures.galilean_shift_fixture(broken=broken)
+    oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
     worst, witness = reference_covariance(oracle)
     check = check_covariance(oracle)
     assert abs(check.residual - worst) <= TOL * max(1.0, worst)

@@ -74,7 +74,7 @@ def projector_defect_reference(p):
     return max(opnorm(p @ p - p), opnorm(p - dagger(p)))
 
 
-def check_model_reference(model, site, site_sym=None, config=RunConfig()):
+def check_model_reference(model, site, config=RunConfig()):
     """(condition, residual, witness) of every `check_model` entry."""
     classes = derive_classes(site)
     entries = []
@@ -162,7 +162,7 @@ def check_model_reference(model, site, site_sym=None, config=RunConfig()):
         r_iso = opnorm(dagger(v) @ v - eye)
         if r_iso > worst_s:
             worst_s, wit_s = r_iso, f"isometry of {s!r}"
-        pmap = dict(site_sym.maps[s]) if site_sym and s in site_sym.maps else {}
+        pmap = dict(site.symmetry.maps.get(s, {})) if site.symmetry else {}
         for t, st in pmap.items():
             g = ms.outcome_maps[t]
             for b in subsets(model.spaces.outcomes(st)):
@@ -341,9 +341,9 @@ def relaxation_reference(model, site, config=RunConfig()):
 def lift_reference(field_atoms, initial, depth, spaces, config=RunConfig()):
     """The constant-unit, narrow-unit and level-independence entries of
     `verify_lift`."""
-    model, site, sym = lift_process(field_atoms, initial, depth, spaces)
+    model, site = lift_process(field_atoms, initial, depth, spaces)
     words = enumerate_level_words(model, site, config)
-    oracle = model.kernel_table(site, list(words), site_sym=sym)
+    oracle = model.kernel_table(site, list(words))
     recon = reconstruct(oracle, config, strict_closure=False)
     worst_c, wit_c = 0.0, ""
     for (la, pa), (lb, pb) in itertools.combinations(recon.lattice.slices.items(), 2):
@@ -436,7 +436,7 @@ def classical_reference(model, site, config=RunConfig()):
     return worst_marg
 
 
-def relation_reference(m_small, m_big, u, site, site_sym=None):
+def relation_reference(m_small, m_big, u, site):
     """(isometry, event, algebra, symmetry) residuals of `check_model_relation`."""
     iso = opnorm(dagger(u) @ u - np.eye(m_small.dim))
     ev = 0.0
@@ -457,9 +457,9 @@ def relation_reference(m_small, m_big, u, site, site_sym=None):
         if s not in m_big.symmetry:
             continue
         sy = max(sy, opnorm(u @ ms.v - m_big.symmetry[s].v @ u))
-    if site_sym is not None:
+    if site.symmetry is not None:
         for s, ms in m_small.symmetry.items():
-            for t, st in dict(site_sym.maps.get(s, {})).items():
+            for t, st in dict(site.symmetry.maps.get(s, {})).items():
                 i_t, i_st = m_small.unit_i({t}), m_small.unit_i({st})
                 p_t, p_st = m_small.unit_p({t}), m_small.unit_p({st})
                 sy = max(sy, opnorm(ms.v @ i_t - i_st @ ms.v @ i_t))
@@ -481,19 +481,18 @@ def noncommuting_discrete():
 
 
 MODELS = {
-    **{f"random_valid_model({s})": (lambda s=s: fixtures.random_valid_model(s) + (None,))
+    **{f"random_valid_model({s})": (lambda s=s: fixtures.random_valid_model(s))
        for s in range(12)},
-    **{f"tensor_chain({n})": (lambda n=n: fixtures.tensor_chain(n) + (None,))
-       for n in (2, 3, 4)},
-    "qubit_zx": lambda: fixtures.qubit_zx() + (None,),
-    "qubit_xz": lambda: fixtures.qubit_xz() + (None,),
+    **{f"tensor_chain({n})": (lambda n=n: fixtures.tensor_chain(n)) for n in (2, 3, 4)},
+    "qubit_zx": fixtures.qubit_zx,
+    "qubit_xz": fixtures.qubit_xz,
     "galilean": fixtures.galilean_shift_fixture,
     "galilean_broken": lambda: fixtures.galilean_shift_fixture(broken=True),
-    "ancilla_correlated": lambda: fixtures.ancilla_correlated() + (None,),
-    "commuting_diagonal": lambda: fixtures.commuting_diagonal() + (None,),
-    "diagonal_kdim2": lambda: fixtures.diagonal_kdim2() + (None,),
-    "controlled_kdim2": lambda: fixtures.controlled_kdim2() + (None,),
-    "noncommuting_discrete": lambda: noncommuting_discrete() + (None,),
+    "ancilla_correlated": fixtures.ancilla_correlated,
+    "commuting_diagonal": fixtures.commuting_diagonal,
+    "diagonal_kdim2": fixtures.diagonal_kdim2,
+    "controlled_kdim2": fixtures.controlled_kdim2,
+    "noncommuting_discrete": noncommuting_discrete,
 }
 
 
@@ -510,15 +509,15 @@ def entries(report):
 
 
 def test_check_model_matches_sweep(case):
-    model, site, sym = case
-    expected = check_model_reference(model, site, sym)
-    assert entries(check_model(model, site, site_sym=sym)) == expected
+    model, site = case
+    expected = check_model_reference(model, site)
+    assert entries(check_model(model, site)) == expected
 
 
 def test_unit_monotone_agrees_with_the_parent_formula(case):
     # the nesting adds the initial projector and the I_k* term; on these
     # models (Hermitian units above P0) it moves the residual by rounding only
-    model, site, _ = case
+    model, site = case
     classes, tol = derive_classes(site), RunConfig().projector_tol
     new, _ = unit_monotone_reference(model, site, classes)
     old, _ = unit_monotone_parent(model, site, classes)
@@ -527,12 +526,12 @@ def test_unit_monotone_agrees_with_the_parent_formula(case):
 
 
 def test_check_dynamicity_matches_sweep(case):
-    model, site, _ = case
+    model, site = case
     assert entries(check_dynamicity(model, site)) == dynamicity_reference(model, site)
 
 
 def test_check_regression_composition_matches_sweep(case):
-    model, site, _ = case
+    model, site = case
     if _ordered_slices(derive_classes(site)) is None:
         pytest.skip("slices not totally ordered: no composition entry")
     report = check_regression(model, site)
@@ -540,7 +539,7 @@ def test_check_regression_composition_matches_sweep(case):
 
 
 def test_check_narrow_commutativity_matches_sweep(case):
-    model, site, _ = case
+    model, site = case
     if not model.is_narrow(site):
         with pytest.raises(ValueError, match="narrow-sense"):
             check_narrow_commutativity(model, site)
@@ -550,12 +549,12 @@ def test_check_narrow_commutativity_matches_sweep(case):
 
 
 def test_check_relaxation_matches_sweep(case):
-    model, site, _ = case
+    model, site = case
     assert entries(check_relaxation(model, site)) == relaxation_reference(model, site)
 
 
 def test_classical_reduce_matches_sweep(case):
-    model, site, _ = case
+    model, site = case
     if model.kdim != 1 or not model.is_narrow(site):
         return  # refused before either sweep
     expected = classical_reference(model, site)
@@ -567,7 +566,7 @@ def test_classical_reduce_matches_sweep(case):
 
 
 def test_interference_witness_matches_sweep(case):
-    model, site, _ = case
+    model, site = case
     if model.kdim != 1:
         return
     for t in site.points:
@@ -575,17 +574,17 @@ def test_interference_witness_matches_sweep(case):
 
 
 def test_check_model_relation_matches_sweep(case):
-    model, site, sym = case
+    model, site = case
     padded = fixtures.with_untouched_ancilla(model, 2)
     inclusion = np.zeros((padded.dim, model.dim), dtype=COMPLEX)
     inclusion[: model.dim] = np.eye(model.dim)
     z = np.random.default_rng(3).standard_normal((padded.dim, model.dim, 2))
     rotated = np.linalg.qr(z[..., 0] + 1j * z[..., 1])[0]
     for u in (inclusion, rotated):
-        m = check_model_relation(model, padded, u, site, site_sym=sym)
+        m = check_model_relation(model, padded, u, site)
         got = (m.isometry_residual, m.event_residual, m.algebra_residual,
                m.symmetry_residual)
-        assert got == relation_reference(model, padded, u, site, sym)
+        assert got == relation_reference(model, padded, u, site)
 
 
 FIELDS = {

@@ -21,17 +21,17 @@ class TestSiteRoundTrip:
     def test_explicit_relation(self):
         site = chain_site(("a", "b", "c"))
         data = serialize.site_to_json(site)
-        back, sym = serialize.site_from_json(data)
+        back = serialize.site_from_json(data)
         assert back.points == site.points
         assert back.leq == site.leq
-        assert sym is None
+        assert back.symmetry is None
 
     def test_symmetry_attached(self):
-        model, site, sym = fixtures.galilean_shift_fixture()
-        data = serialize.site_to_json(site, sym)
-        back, sym_back = serialize.site_from_json(data)
+        model, site = fixtures.galilean_shift_fixture()
+        data = serialize.site_to_json(site)
+        sym_back = serialize.site_from_json(data).symmetry
         assert sym_back is not None
-        assert dict(sym_back.maps["s1"]) == dict(sym.maps["s1"])
+        assert dict(sym_back.maps["s1"]) == dict(site.symmetry.maps["s1"])
         assert sym_back.compose[("s1", "s1")] == "s2"
 
     def test_geometric_minkowski(self):
@@ -40,12 +40,12 @@ class TestSiteRoundTrip:
             "c": 1,
             "coords": [[0, 0], [1, "1/2"], [1, "-1/2"], [2, 0]],
         }
-        site, _ = serialize.site_from_json(data)
+        site = serialize.site_from_json(data)
         classes = derive_classes(site)
         assert len(classes.maximal_antichains) == 3
 
     def test_geometric_galilean(self):
-        site, _ = serialize.site_from_json(
+        site = serialize.site_from_json(
             {"kind": "galilean", "coords": [0, 1, 1]}
         )
         assert site.equivalent(site.points[1], site.points[2])
@@ -75,10 +75,10 @@ class TestModelRoundTrip:
                 assert np.allclose(back.atoms[t][x], model.atoms[t][x])
 
     def test_units_algebra_symmetry(self):
-        model, site, sym = fixtures.galilean_shift_fixture()
+        model, site = fixtures.galilean_shift_fixture()
         from qsproc.equivalence import minimal_modification
 
-        small = minimal_modification(model, site, site_sym=sym)
+        small = minimal_modification(model, site)
         data = serialize.model_to_json(small)
         back = serialize.model_from_json(data)
         assert set(back.units_p) == set(small.units_p)
@@ -111,14 +111,24 @@ class TestWordsAndOracle:
         assert np.allclose(back.table, oracle.table)
 
     def test_oracle_with_symmetry(self):
-        model, site, sym = fixtures.galilean_shift_fixture()
+        model, site = fixtures.galilean_shift_fixture()
         words = enumerate_words(site, model.spaces, policy="atoms_plus_unit")
-        oracle = model.kernel_table(site, words, site_sym=sym)
+        oracle = model.kernel_table(site, words)
         back = serialize.oracle_from_json(serialize.oracle_to_json(oracle))
         assert set(back.symmetry) == set(oracle.symmetry)
         from qsproc.kernels import check_covariance
 
         assert check_covariance(back).status == "pass"
+
+    def test_table_site_declares_no_symmetries(self):
+        # the table's own "symmetry" block, with the maps of its words, is
+        # the only symmetry a table file declares
+        model, site = fixtures.galilean_shift_fixture()
+        assert "symmetries" in serialize.site_to_json(site)
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+        data = serialize.oracle_to_json(oracle)
+        assert "symmetries" not in data["site"]
+        assert set(data["symmetry"]) == set(site.symmetry.elements)
 
     def test_dumps_deterministic(self):
         model, site = fixtures.qubit_zx()
@@ -160,8 +170,8 @@ def reference_dumps(x) -> str:
     return json.dumps(to_lists(x), sort_keys=True, indent=2)
 
 
-def _table(model, site, sym=None):
-    return model.kernel_table(site, enumerate_words(site, model.spaces), site_sym=sym)
+def _table(model, site):
+    return model.kernel_table(site, enumerate_words(site, model.spaces))
 
 
 class TestWriter:
@@ -203,16 +213,16 @@ class TestWriter:
         assert serialize.dumps(serialize.KernelEntries(table[:0, :0])) == "{}"
 
     def test_oracle_with_symmetry_bytes_match_stdlib(self):
-        model, site, sym = fixtures.galilean_shift_fixture()
-        data = serialize.oracle_to_json(_table(model, site, sym))
+        model, site = fixtures.galilean_shift_fixture()
+        data = serialize.oracle_to_json(_table(model, site))
         assert "symmetry" in data
         assert serialize.dumps(data) == reference_dumps(data)
 
     def test_model_bytes_match_stdlib(self):
         from qsproc.equivalence import minimal_modification
 
-        model, site, sym = fixtures.galilean_shift_fixture()
-        small = minimal_modification(model, site, site_sym=sym)
+        model, site = fixtures.galilean_shift_fixture()
+        small = minimal_modification(model, site)
         data = serialize.model_to_json(small)
         assert {"units", "symmetry"} <= set(data)
         assert serialize.dumps(data) == reference_dumps(data)

@@ -220,7 +220,7 @@ class TestValidation:
 class TestSymmetry:
     def test_identity_valid(self):
         site = chain_site(("a", "b", "c"))
-        assert check_symmetry(site, trivial_symmetry(site)).ok
+        assert check_symmetry(site, trivial_symmetry(site)) == []
 
     def test_cyclic_shift_on_trivial_preorder(self):
         site = discrete_site(("a", "b", "c"))
@@ -230,36 +230,59 @@ class TestSymmetry:
             maps,
             {("id", "id"): "id", ("id", "r"): "r", ("r", "id"): "r"},
         )
-        assert check_symmetry(site, sym).ok
+        assert check_symmetry(site, sym) == []
 
     def test_order_reversal_flagged(self):
         site = chain_site(("a", "b", "c"))
         maps = {"s": {"a": "b", "b": "c", "c": "a"}}
         sym = SiteSymmetry(("s",), maps, {})
-        report = check_symmetry(site, sym)
-        assert not report.ok
-        assert report.monotonicity_violations
+        problems = check_symmetry(site, sym)
+        assert problems[0] == "symmetry element 's' does not preserve the order of 'a' and 'c'"
+        assert all("does not preserve the order" in p for p in problems)
 
     def test_partial_map_monotone(self):
         site = chain_site(("a", "b", "c"))
         sym = SiteSymmetry(("s",), {"s": {"a": "b", "b": "c"}}, {})
-        assert check_symmetry(site, sym).ok
+        assert check_symmetry(site, sym) == []
 
     def test_composition_violation(self):
         site = discrete_site(("a", "b"))
         maps = {"s": {"a": "b", "b": "a"}, "id": {"a": "a", "b": "b"}}
         sym = SiteSymmetry(("id", "s"), maps, {("s", "s"): "s"})
-        report = check_symmetry(site, sym)
-        assert report.composition_violations
+        assert check_symmetry(site, sym) == [
+            "symmetry element 's' after 's' is not 's' at 'a'",
+            "symmetry element 's' after 's' is not 's' at 'b'",
+        ]
 
     def test_unknown_product_flagged(self):
         # a composition table naming an element without a map is a violation,
         # not a lookup error
         site = discrete_site(("a", "b"))
         sym = SiteSymmetry(("s",), {"s": {"a": "b", "b": "a"}}, {("s", "s"): "q"})
-        assert check_symmetry(site, sym).composition_violations == (
-            ("s", "s", "a"), ("s", "s", "b"),
-        )
+        assert check_symmetry(site, sym) == [
+            "symmetry element 's' after 's' is not 'q' at 'a'",
+            "symmetry element 's' after 's' is not 'q' at 'b'",
+        ]
+
+    def test_unknown_targets_come_alone(self):
+        # a map leaving the site is named first, and the order and
+        # composition checks, which would look the stray point up, are skipped
+        site = chain_site(("a", "b"))
+        maps = {"s": {"a": "b", "b": "a"}, "t": {"a": "zz"}}
+        sym = SiteSymmetry(("s", "t"), maps, {("s", "s"): "t"})
+        assert check_symmetry(site, sym) == [
+            "symmetry element 't' maps 'a' to 'zz', outside the site's points"
+        ]
+        with pytest.raises(ValueError, match="^symmetry element 't' maps 'a' to 'zz'"):
+            sites.require_symmetry(site, sym)
+
+    def test_the_site_refuses_a_symmetry_that_breaks_its_order(self):
+        site = chain_site(("a", "b", "c"))
+        sym = SiteSymmetry(("s",), {"s": {"a": "b", "b": "c", "c": "a"}}, {})
+        with pytest.raises(ValueError, match="^symmetry element 's' does not preserve"):
+            CausalSite(site.points, site.leq, symmetry=sym)
+        acted = CausalSite(site.points, site.leq, symmetry=trivial_symmetry(site))
+        assert acted == site and hash(acted) == hash(site)
 
 
 # -- property tests over random preorders -----------------------------------
@@ -361,7 +384,7 @@ def test_join_characterizes_strict_order(site):
 def test_monotone_maps_preserve_antichains(site):
     # the identity is monotone; so is any automorphism generated by sorting
     sym = trivial_symmetry(site)
-    assert check_symmetry(site, sym).ok
+    assert check_symmetry(site, sym) == []
     classes = derive_classes(site)
     m = sym.maps["id"]
     for k in classes.all_nonanticipatory():
@@ -375,8 +398,9 @@ def test_shift_sends_antichains_into_slices():
     # antichain lands inside some maximal antichain
     from qsproc.fixtures import galilean_shift_fixture
 
-    _, site, sym = galilean_shift_fixture()
-    assert check_symmetry(site, sym).ok
+    _, site = galilean_shift_fixture()
+    sym = site.symmetry
+    assert check_symmetry(site, sym) == []
     classes = derive_classes(site)
     for s in ("s1", "s2"):
         m = dict(sym.maps[s])

@@ -189,6 +189,18 @@ def test_worst_gap_returns_what_worst_block_does(name, a, b):
         assert got[1] == (1, 2)
 
 
+def test_worst_gap_keeps_the_first_strip_of_a_tied_norm():
+    # norm 5 in two strips; the earlier block's largest entry, 4, is below
+    # the later one's, so the later strip raises the screen's bound
+    a = np.zeros((259, 64, 2, 2), dtype=complex)
+    a[5, 7] = [[3, 4], [0, 0]]
+    a[200, 1] = [[5, 0], [0, 0]]
+    strips = linalg.row_strips(259, 64 * 4)
+    assert [s for s in strips if s.start <= 5 < s.stop] != [
+        s for s in strips if s.start <= 200 < s.stop]
+    assert linalg.worst_gap(a, np.zeros_like(a)) == linalg.worst_block(a) == (5.0, (5, 7))
+
+
 def test_worst_gap_gathers_the_indexed_rows():
     rng = np.random.default_rng(5)
     values = rng.standard_normal((30, 2, 2)) + 1j * rng.standard_normal((30, 2, 2))

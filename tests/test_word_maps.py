@@ -508,9 +508,9 @@ def test_memoised_maps_follow_table_edits():
 
 
 def galilean_oracle(drop=()):
-    model, site, sym = fixtures.galilean_shift_fixture()
+    model, site = fixtures.galilean_shift_fixture()
     words = [w for w in enumerate_words(site, model.spaces) if event_label(w) not in drop]
-    return model.kernel_table(site, words, site_sym=sym)
+    return model.kernel_table(site, words)
 
 
 def reference_transport(oracle, s):
@@ -552,9 +552,8 @@ def lift_oracle():
     """The depth-3 level lift of the two-point field on its level words, with
     the level shifts as symmetry."""
     atoms, xi, spaces = fixtures.two_point_field()
-    model, site, sym = bridges.lift_process(atoms, xi, 3, spaces)
-    return model.kernel_table(site, bridges.enumerate_level_words(model, site),
-                              site_sym=sym)
+    model, site = bridges.lift_process(atoms, xi, 3, spaces)
+    return model.kernel_table(site, bridges.enumerate_level_words(model, site))
 
 
 def swapped_oracle():
