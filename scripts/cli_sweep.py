@@ -45,11 +45,18 @@ witness); the Galilean model against its `with_untouched_ancilla` copy is
 (exit 0 for both actions); `controlled_kdim2` against a copy with a
 one-dimensional initial space exits 2.
 
-`OUTCOME_MAPS` is swept last of all: the Galilean kernel table with the
+`OUTCOME_MAPS` is swept after `PAIRS`: the Galilean kernel table with the
 outcome map g of its element `s1` made no injection, in four ways (an
 outcome missing at `g0`, the map at `g1` missing, an outcome of `g0` sent
 to `"zz"`, outside the outcomes of `g1`, and both outcomes of `g0` sent to
 `"0"`).  `reconstruct [--verify]` exits 2 on each.
+
+`UNREAD_MAPS` is swept last of all: two Galilean kernel tables whose
+`"site"` declares a `"symmetries"` block, one with a new element `q`
+(`g0` to `g2`) and one with an `s1` (`g0` to `g2`) that contradicts the
+table's own map of `s1`, under `reconstruct [--verify]`; and the Galilean
+model with the map at `g0` removed from the outcome maps of `s1`, under
+the nine model commands.  Every command on them exits 2.
 
 Every run records its arguments (file names relative to the scratch
 directory), its exit code and the sha256 of its stdout and stderr.  A run
@@ -137,6 +144,15 @@ REFUSED = {
     }),
     "galilean_table_g_outside": ("galilean_table", ("symmetry", "s1", "g", "g0", "1"), "zz"),
     "galilean_table_g_merged": ("galilean_table", ("symmetry", "s1", "g", "g0", "1"), "0"),
+    # swept after those (`UNREAD_MAPS`): maps a table site or a model command
+    # did not read
+    "galilean_table_site_q": ("galilean_table", ("site", "symmetries"),
+                              {"q": {"map": {"g0": "g2"}}}),
+    "galilean_table_site_s1": ("galilean_table", ("site", "symmetries"),
+                               {"s1": {"map": {"g0": "g2"}}}),
+    "galilean_g0_unmapped": ("galilean", ("symmetry", "s1", "g"), lambda g: {
+        t: m for t, m in g.items() if t != "g0"
+    }),
 }
 ONE_OUTCOME, UNACTED = "one_outcome", "galilean_unacted"
 LAST = ("qubit_leq_str", "qubit_spaces_str", "qubit_points_str", "qubit_key_signed",
@@ -145,6 +161,8 @@ FINAL = ("tensor_chain4",)  # swept after LAST
 PAIRS = ("pair_rotated", "pair_ancilla", "pair_kdim")  # swept after FINAL
 OUTCOME_MAPS = ("galilean_table_g_short", "galilean_table_g_pointless",
                 "galilean_table_g_outside", "galilean_table_g_merged")  # after PAIRS
+UNREAD_MAPS = ("galilean_table_site_q", "galilean_table_site_s1",
+               "galilean_g0_unmapped")  # after OUTCOME_MAPS
 INPUTS = (FIXTURE_FILES + tuple(EXTRA_MODELS) + (MALFORMED, "field") + LATE
           + tuple(REFUSED) + (ONE_OUTCOME, UNACTED) + PAIRS)
 
@@ -361,8 +379,8 @@ def main():
         try:
             last = LATE + tuple(REFUSED) + LAST + FINAL + PAIRS
             records = sweep([n for n in args.inputs if n not in last])
-            refused = [n for n in REFUSED if n not in LAST + OUTCOME_MAPS]
-            for group in (LATE, refused, LAST, FINAL, PAIRS, OUTCOME_MAPS):
+            refused = [n for n in REFUSED if n not in LAST + OUTCOME_MAPS + UNREAD_MAPS]
+            for group in (LATE, refused, LAST, FINAL, PAIRS, OUTCOME_MAPS, UNREAD_MAPS):
                 records += sweep([n for n in args.inputs if n in group])
         finally:
             os.chdir(cwd)

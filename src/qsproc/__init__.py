@@ -32,7 +32,7 @@ from .words import (
     right_multiply,
     unit_word,
 )
-from .models import Check, HilbertModel, ModelSymmetry, Report, check_model
+from .models import Check, HilbertModel, Report, SymmetryRep, check_model
 from .kernels import KernelOracle, check_axioms, check_regularity
 from .reconstruct import (
     GnsSpace,
@@ -78,7 +78,6 @@ __all__ = [
     "HilbertModel",
     "KernelOracle",
     "ModelMorphism",
-    "ModelSymmetry",
     "OutcomeSpaces",
     "ReconstructedProcess",
     "ReconstructionRefused",
@@ -87,6 +86,7 @@ __all__ = [
     "RunConfig",
     "SiteClasses",
     "SiteSymmetry",
+    "SymmetryRep",
     "build_space",
     "build_unitary",
     "chain_site",

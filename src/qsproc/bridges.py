@@ -24,8 +24,8 @@ from . import linalg
 from .config import RunConfig
 from .linalg import COMPLEX
 from .markov import atom_commutators, pointwise_factorization_residual
-from .models import INCONCLUSIVE, Check, HilbertModel, ModelSymmetry, Report
-from .kernels import KernelOracle, OracleSymmetry, _word_label, check_covariance
+from .models import INCONCLUSIVE, Check, HilbertModel, Report, SymmetryRep
+from .kernels import KernelOracle, _word_label, check_covariance
 from .reconstruct import reconstruct, verify_decomposition
 from .sites import CausalSite, SiteSymmetry
 from .words import (
@@ -111,18 +111,14 @@ def lift_process(
             t = level_point(l, x)
             atoms[t] = {o: np.asarray(m, dtype=COMPLEX) for o, m in field_atoms[x].items()}
             lifted_spaces[t] = tuple(spaces[x])
-    model_sym = {}
-    for s in sym.elements:
-        outcome_maps = {
-            t: {o: o for o in lifted_spaces[t]} for t in sym.maps[s]
-        }
-        model_sym[s] = ModelSymmetry(v=np.eye(dim, dtype=COMPLEX), outcome_maps=outcome_maps)
     model = HilbertModel(
         dim=dim,
         embedding=initial,
         atoms=atoms,
         spaces=OutcomeSpaces(lifted_spaces),
-        symmetry=model_sym,
+        symmetry={s: SymmetryRep({t: {o: o for o in lifted_spaces[t]} for t in sym.maps[s]},
+                                 np.eye(dim, dtype=COMPLEX))
+                  for s in sym.elements},
     )
     return model, site
 
@@ -167,27 +163,23 @@ def check_ultrastationarity(
 
 def _ultrastationarity(oracle: KernelOracle, config: RunConfig) -> Check:
     """Covariance of a lifted table (`check_covariance`) under the level
-    shifts of its site, each the identity on K and on outcomes.
+    shifts its site carries (`lexicographic_site`), each the identity on K
+    and on outcomes.
 
     A word list that some shift moves a word out of, in either direction, is
     refused with a `ValueError` naming that word."""
-    meta = oracle.site.meta
-    sym = lexicographic_site(meta["positions"], meta["depth"]).symmetry
+    sym = oracle.site.symmetry
     shifted = oracle.with_symmetry({
-        s: OracleSymmetry(
-            point_map=sym.maps[s],
-            outcome_maps={t: {o: o for o in oracle.spaces.outcomes(t)}
-                          for t in sym.maps[s]},
-            u=np.eye(oracle.kdim, dtype=COMPLEX),
-        )
+        s: SymmetryRep({t: {o: o for o in oracle.spaces.outcomes(t)} for t in sym.maps[s]},
+                       np.eye(oracle.kdim, dtype=COMPLEX))
         for s in sym.elements[1:]  # shift0 is the identity
     })
     check = check_covariance(shifted, config)
     if check.status == INCONCLUSIVE:
         raise ValueError(check.witness)
-    for s, shift in shifted.symmetry.items():
+    for s in shifted.symmetry:
         # an injective shift: every listed word of its domain is a pull-back
-        unmatched = set(shifted.words_within(shift.point_map)).difference(
+        unmatched = set(shifted.words_within(sym.maps[s])).difference(
             shifted.transported(s)[1].tolist()
         )
         if unmatched:

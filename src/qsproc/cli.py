@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import gc
 import json
 import sys
 
 from . import __version__, bridges, equivalence, markov, serialize
 from .config import RunConfig
-from .kernels import check_axioms
-from .models import check_model
+from .kernels import check_axioms, require_on_site
+from .models import check_model, require_representation
 from .reconstruct import ReconstructionRefused, reconstruct, verify_decomposition
-from .sites import SiteSymmetry, derive_classes
+from .sites import derive_classes
 from .words import enumerate_words
 
 EXIT_OK = 0
@@ -214,9 +213,7 @@ def _load_model_site(model_path: str, site_path: str):
     with _failures(faults=JSON_FAULTS):
         site = serialize.site_from_json(_load_json(site_path))
         model = serialize.model_from_json(_load_json(model_path))
-    for t in site.points:
-        if t not in model.spaces.spaces:
-            raise ValueError(f"no outcome space declared at point {t!r}")
+    require_on_site(site, model.spaces, ())
     points = set(site.points)
     for name, blocks in (("unit 'p'", model.units_p), ("unit 'i'", model.units_i),
                          ("algebra", model.algebra)):
@@ -224,6 +221,11 @@ def _load_model_site(model_path: str, site_path: str):
             if not k <= points:
                 raise ValueError(f"{name} block {sorted(k)} names point "
                                  f"{min(k - points)!r}, which is not in the site")
+    # an element the site does not act by is left to the command: `check`
+    # reports its covariance inconclusive, a kernel table refuses it
+    acted = site.symmetry.maps if site.symmetry else {}
+    require_representation({s: r for s, r in model.symmetry.items() if s in acted},
+                           "model", model.dim, site, model.spaces)
     return model, site
 
 
@@ -325,12 +327,9 @@ def cmd_reconstruct(args, config: RunConfig):
     decomp = verify_decomposition(recon, oracle, config)
     report["verification"] = decomp.to_dict()
     # idempotence: the emitted model's minimal modification on the same
-    # words is unitarily equivalent to it; the model declares the
-    # oracle's symmetry elements, so its table reads their point maps
-    maps = {s: sym.point_map for s, sym in oracle.symmetry.items()}
-    site = dataclasses.replace(oracle.site, symmetry=SiteSymmetry(tuple(maps), maps, {}))
+    # words is unitarily equivalent to it
     with _failures("idempotence table: ", "idempotence refused"):
-        second = equivalence.minimal_modification(recon.model, site, oracle.words,
+        second = equivalence.minimal_modification(recon.model, oracle.site, oracle.words,
                                                   config=config)
         morphism = equivalence.build_unitary(
             recon.model, second, oracle.site, oracle.words, config

@@ -188,7 +188,7 @@ def _measure_morphism(u, m_small, m_big, site, tol) -> ModelMorphism:
         for g_small, g_big in zip(gens, gens_big):
             algebra.append(u @ g_small - g_big @ u @ i_small)
     symmetry = [
-        u @ ms.v - m_big.symmetry[s].v @ u
+        u @ ms.op - m_big.symmetry[s].op @ u
         for s, ms in m_small.symmetry.items() if s in m_big.symmetry
     ]
     ev, al, sy = (linalg.worst(linalg.opnorms(g))[0] for g in (events, algebra, symmetry))
@@ -225,8 +225,8 @@ def check_model_relation(
         for t, st in site.symmetry.maps.get(s, {}).items():
             i_t, i_st = m_small.unit_i({t}), m_small.unit_i({st})
             p_t, p_st = m_small.unit_p({t}), m_small.unit_p({st})
-            gaps.append(ms.v @ i_t - i_st @ ms.v @ i_t)
-            gaps.append(ms.v @ p_t - p_st @ ms.v @ p_t)
+            gaps.append(ms.op @ i_t - i_st @ ms.op @ i_t)
+            gaps.append(ms.op @ p_t - p_st @ ms.op @ p_t)
     extra = linalg.worst(linalg.opnorms(gaps))[0]
     return dataclasses.replace(
         morphism, symmetry_residual=max(morphism.symmetry_residual, extra)

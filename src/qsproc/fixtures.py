@@ -15,7 +15,7 @@ import numpy as np
 from . import linalg
 from .equivalence import minimal_modification
 from .linalg import COMPLEX, dagger
-from .models import HilbertModel, ModelSymmetry
+from .models import HilbertModel, SymmetryRep
 from .sites import (
     CausalSite,
     SiteSymmetry,
@@ -145,10 +145,7 @@ def galilean_shift_fixture(broken: bool = False) -> tuple[HilbertModel, CausalSi
     site = dataclasses.replace(galilean_site([0, 1, 2], labels),
                                symmetry=SiteSymmetry(elements, maps, compose))
     model_sym = {
-        s: ModelSymmetry(
-            v=np.eye(2, dtype=COMPLEX),
-            outcome_maps={t: {"0": "0", "1": "1"} for t in maps[s]},
-        )
+        s: SymmetryRep({t: {"0": "0", "1": "1"} for t in maps[s]}, np.eye(2, dtype=COMPLEX))
         for s in elements
     }
     xi = np.array([np.cos(0.9), np.sin(0.9)], dtype=COMPLEX)
@@ -208,9 +205,7 @@ def with_untouched_ancilla(
             for k, gens in model.algebra.items()
         },
         symmetry={
-            s: ModelSymmetry(
-                v=_direct_sum(ms.v, pad_eye), outcome_maps=ms.outcome_maps
-            )
+            s: SymmetryRep(ms.outcome_maps, _direct_sum(ms.op, pad_eye))
             for s, ms in model.symmetry.items()
         },
     )

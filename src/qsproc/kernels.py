@@ -24,8 +24,9 @@ import numpy as np
 from . import linalg
 from .config import RunConfig
 from .linalg import COMPLEX, opnorm
-from .models import Check, ProductPlan, Report, unit_nesting
-from .sites import CausalSite, SiteClasses, SiteSymmetry, require_symmetry
+from .models import Check, ProductPlan, Report, SymmetryRep, unit_nesting
+from .models import require_representation
+from .sites import CausalSite, SiteClasses
 from .words import (
     Event,
     EventWord,
@@ -42,17 +43,6 @@ from .words import (
     unit_word,
     word_codes,
 )
-
-
-@dataclass(frozen=True)
-class OracleSymmetry:
-    """Symmetry data attached to a kernel table: the (possibly partial)
-    point map, the per-point outcome injections, and the unitary part on the
-    initial space."""
-
-    point_map: Mapping[str, str]
-    outcome_maps: Mapping[str, Mapping[str, str]]
-    u: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +69,7 @@ class KernelOracle:
     kdim: int
     words: tuple[EventWord, ...]
     table: np.ndarray  # (n, n, kdim, kdim)
-    symmetry: Mapping[str, OracleSymmetry] = field(default_factory=dict)
+    symmetry: Mapping[str, SymmetryRep] = field(default_factory=dict)
     algebra: Mapping[frozenset, tuple] = field(default_factory=dict)
     model: object | None = None
     _plan: InitVar[ProductPlan | None] = None
@@ -98,29 +88,8 @@ class KernelOracle:
                 f"table shape {t.shape} does not match {n} words of kernel "
                 f"dimension {self.kdim}"
             )
-        if missing := [p for p in self.site.points if p not in self.spaces.spaces]:
-            raise ValueError(f"no outcome space declared at point {missing[0]!r}")
-        points = set(self.site.points)
-        for w in self.words:
-            if not points.issuperset(w.support):
-                off = next(t for t in w.support if t not in points)
-                raise ValueError(f"word {event_label(w)} names point {off!r}, "
-                                 "which is not in the site")
-        for s, sym in self.symmetry.items():
-            if np.shape(sym.u) != (self.kdim, self.kdim):
-                raise ValueError(f"symmetry {s!r} u has shape {np.shape(sym.u)}, "
-                                 f"not {self.kdim}x{self.kdim}")
-        if self.symmetry:
-            maps = {s: sym.point_map for s, sym in self.symmetry.items()}
-            require_symmetry(self.site, SiteSymmetry(tuple(maps), maps, {}))
-        for s, sym in self.symmetry.items():
-            for p, sp in sym.point_map.items():
-                if not _is_injection(sym.outcome_maps.get(p), self.spaces.outcomes(p),
-                                     self.spaces.outcomes(sp)):
-                    raise ValueError(
-                        f"symmetry {s!r} outcome map at {p!r} is not an injection "
-                        f"of the outcomes at {p!r} into those at {sp!r}"
-                    )
+        require_on_site(self.site, self.spaces, self.words)
+        require_representation(self.symmetry, "table", self.kdim, self.site, self.spaces)
         index = {w: i for i, w in enumerate(self.words)}
         if len(index) != n:
             raise ValueError("word list contains duplicates")
@@ -202,7 +171,7 @@ class KernelOracle:
         additivity, then of factorizability (`_slice_pass`)."""
         return _slice_pass(self)
 
-    def with_symmetry(self, symmetry: Mapping[str, OracleSymmetry]) -> KernelOracle:
+    def with_symmetry(self, symmetry: Mapping[str, SymmetryRep]) -> KernelOracle:
         """The same words and table under another symmetry.  The new oracle
         shares the read-only table and the word-map memos computed so far
         (`_WORD_MEMOS`), none of which reads the symmetry."""
@@ -276,11 +245,11 @@ class KernelOracle:
         is not in the word list; the pull-backs are taken on the word codes
         (`words.pull_back_codes`)."""
         if s not in self._transports:
-            sym = self.symmetry[s]
-            eligible = np.array(self.words_within(sym.point_map.values()), dtype=int)
+            action = self.site.symmetry.maps[s]
+            eligible = np.array(self.words_within(action.values()), dtype=int)
             images = self.lookup(pull_back_codes(
-                self.codes[eligible], self._columns, sym.point_map, sym.outcome_maps,
-                self.spaces,
+                self.codes[eligible], self._columns, action,
+                self.symmetry[s].outcome_maps, self.spaces,
             ))
             eligible.setflags(write=False)  # shared by every caller
             images.setflags(write=False)
@@ -290,10 +259,8 @@ class KernelOracle:
     def _pull_back(self, s: str, i: int) -> EventWord:
         """The pull-back of word `i` under `s`, word by word (`pull_back`),
         for a witness."""
-        sym = self.symmetry[s]
-        return pull_back(
-            self.words[i], dict(sym.point_map), sym.outcome_maps, self.spaces
-        )
+        return pull_back(self.words[i], dict(self.site.symmetry.maps[s]),
+                         self.symmetry[s].outcome_maps, self.spaces)
 
 
 _WORD_MEMOS = frozenset(
@@ -301,13 +268,17 @@ _WORD_MEMOS = frozenset(
 )
 
 
-def _is_injection(g, domain: Sequence[str], codomain: Sequence[str]) -> bool:
-    """Whether the mapping `g` sends `domain`, and nothing else, one to one
-    into `codomain`."""
-    if not isinstance(g, Mapping) or len(g) != len(domain):
-        return False
-    targets = [g.get(x) for x in domain]
-    return all(y in codomain for y in targets) and len(set(targets)) == len(domain)
+def require_on_site(site: CausalSite, spaces: OutcomeSpaces,
+                    words: Iterable[EventWord]) -> None:
+    """Refuse a site point without an outcome space, then a word naming a
+    point outside the site: the oracle's refusals before its symmetry's."""
+    if missing := [p for p in site.points if p not in spaces.spaces]:
+        raise ValueError(f"no outcome space declared at point {missing[0]!r}")
+    points = set(site.points)
+    if (w := next((w for w in words if not points.issuperset(w.support)), None)) is not None:
+        off = next(t for t in w.support if t not in points)
+        raise ValueError(f"word {event_label(w)} names point {off!r}, "
+                         "which is not in the site")
 
 
 # -- the axiom battery --------------------------------------------------------
@@ -653,7 +624,7 @@ def check_covariance(
             missing = (
                 f"transported word {_word_label(w)} under {s!r} is outside the word list"
             )
-        u = np.asarray(sym.u, dtype=COMPLEX)
+        u = np.asarray(sym.op, dtype=COMPLEX)
         if np.array_equal(images, eligible) and np.array_equal(u, np.eye(oracle.kdim)):
             continue  # every word is its own image and u = I: the residual is 0
         src, dst = eligible[listed], images[listed]

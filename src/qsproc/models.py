@@ -31,12 +31,15 @@ from .words import (
 
 
 @dataclass(frozen=True)
-class ModelSymmetry:
-    """Action of one semigroup element on the model: an isometry of H and,
-    per source point, the outcome injection into the image point's space."""
+class SymmetryRep:
+    """How one element of the site's semigroup (`CausalSite.symmetry`, the
+    only holder of its point map) is represented: per source point, the
+    injection of its outcomes into the image point's, and the operator `op`,
+    an isometry of H (dim x dim) on a model, the unitary part on K (kdim x
+    kdim) on a kernel table."""
 
-    v: np.ndarray
     outcome_maps: Mapping[str, Mapping[str, str]]
+    op: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +51,7 @@ class HilbertModel:
     units_p: Mapping[frozenset, np.ndarray] = field(default_factory=dict)
     units_i: Mapping[frozenset, np.ndarray] = field(default_factory=dict)
     algebra: Mapping[frozenset, tuple] = field(default_factory=dict)
-    symmetry: Mapping[str, ModelSymmetry] = field(default_factory=dict)
+    symmetry: Mapping[str, SymmetryRep] = field(default_factory=dict)
 
     def __post_init__(self):
         emb = np.asarray(self.embedding, dtype=COMPLEX)
@@ -85,8 +88,7 @@ class HilbertModel:
             )
             for k, gens in self.algebra.items()
         })
-        for s, ms in self.symmetry.items():
-            square(f"symmetry {s!r} v", ms.v)
+        require_representation(self.symmetry, "model", self.dim)
 
     # -- basic structure ---------------------------------------------------
 
@@ -195,11 +197,13 @@ class HilbertModel:
     ):
         """Total kernel map on a word list, packaged with the symmetry data
         and with the product stack the oracle factors (`KernelOracle`).
-        Each model symmetry element takes its point map from the site's
-        action (`CausalSite.symmetry`), and is refused without one.
+        Each model symmetry element is represented on K by ``E* v E`` and
+        acts on the site by the site's map (`CausalSite.symmetry`); an
+        element the site does not act by is refused
+        (`require_representation`).
 
         Import is deferred to avoid a cycle with the oracle module."""
-        from .kernels import KernelOracle, OracleSymmetry
+        from .kernels import KernelOracle
 
         plan = ProductPlan.walk(site, word_list)
         columns = linalg.side_by_side(self.evaluate(plan))
@@ -207,12 +211,9 @@ class HilbertModel:
         products = columns.reshape(self.dim, len(plan.words), self.kdim).swapaxes(0, 1)
         table = linalg.pair_blocks(products)
         table.setflags(write=False)  # the oracle adopts it
-        if unacted := _unacted(self, site):
-            raise ValueError(unacted)
+        require_representation(self.symmetry, "model", self.dim, site)
         sym = {
-            s: OracleSymmetry(point_map=dict(site.symmetry.maps[s]),
-                              outcome_maps=ms.outcome_maps,
-                              u=dagger(self.embedding) @ ms.v @ self.embedding)
+            s: SymmetryRep(ms.outcome_maps, dagger(self.embedding) @ ms.op @ self.embedding)
             for s, ms in self.symmetry.items()
         }
         return KernelOracle(
@@ -508,7 +509,7 @@ def check_model(
     # symmetry intertwining: V pi(B^s) = pi(st)(B) V P_t
     gaps, at = [], []
     for s, ms in model.symmetry.items():
-        v = np.asarray(ms.v, dtype=COMPLEX)
+        v = np.asarray(ms.op, dtype=COMPLEX)
         gaps.append(dagger(v) @ v - eye)
         at.append(("isometry of {!r}", s))
         pmap = site.symmetry.maps.get(s, {}) if site.symmetry else {}
@@ -520,19 +521,52 @@ def check_model(
                 rhs = model.point_projector(st, b) @ v @ model.unit_p({t})
                 gaps.append(lhs - rhs)
                 at.append(("{!r} at {!r} with event {}", s, t, sorted(b)))
+    # the first element the site does not act by leaves its relations unchecked
+    unacted = check_representation(model.symmetry, "model", model.dim, site)
     record("covariance", *linalg.worst(
         linalg.opnorms(gaps), lambda i: at[i][0].format(*at[i][1:])
-    ), _unacted(model, site))
+    ), unacted[0] if unacted else None)
 
     return Report(tuple(checks))
 
 
-def _unacted(model: HilbertModel, site: CausalSite) -> str | None:
-    """The note on the first model symmetry element the site does not act
-    by, if any."""
-    acted = site.symmetry.maps if site.symmetry else {}
-    return next((f"model symmetry {s!r} has no site action"
-                 for s in model.symmetry if s not in acted), None)
+def check_representation(reps: Mapping[str, SymmetryRep], holder: str, dim: int,
+                         site: CausalSite | None = None,
+                         spaces: OutcomeSpaces | None = None) -> list[str]:
+    """The problems of the symmetry representation `reps` of a `holder`
+    ("model" or "table"), in the order they are refused: an operator that is
+    not dim x dim (a model's "v", a table's "u"); given the site, an element
+    it does not act by; given the spaces too, an outcome map at a point the
+    site maps that is not an injection into the outcomes at its image."""
+    op = {"model": "v", "table": "u"}[holder]
+    problems = [f"symmetry {s!r} {op} has shape {np.shape(r.op)}, not {dim}x{dim}"
+                for s, r in reps.items() if np.shape(r.op) != (dim, dim)]
+    maps = site.symmetry.maps if site is not None and site.symmetry else {}
+    if site is not None:
+        problems += [f"{holder} symmetry {s!r} has no site action"
+                     for s in reps if s not in maps]
+    if spaces is not None:
+        problems += [f"symmetry {s!r} outcome map at {t!r} is not an injection "
+                     f"of the outcomes at {t!r} into those at {st!r}"
+                     for s, r in reps.items() for t, st in maps.get(s, {}).items()
+                     if not _is_injection(r.outcome_maps.get(t), spaces.outcomes(t),
+                                          spaces.outcomes(st))]
+    return problems
+
+
+def require_representation(reps, holder, dim, site=None, spaces=None) -> None:
+    """Refuse the first problem `check_representation` finds by a `ValueError`."""
+    if problems := check_representation(reps, holder, dim, site, spaces):
+        raise ValueError(problems[0])
+
+
+def _is_injection(g, domain: Sequence[str], codomain: Sequence[str]) -> bool:
+    """Whether the mapping `g` sends `domain`, and nothing else, one to one
+    into `codomain`."""
+    if not isinstance(g, Mapping) or len(g) != len(domain):
+        return False
+    targets = [g.get(x) for x in domain]
+    return all(y in codomain for y in targets) and len(set(targets)) == len(domain)
 
 
 def unit_nesting(model: HilbertModel, classes: SiteClasses, blocks: Sequence[frozenset]):

@@ -32,7 +32,7 @@ from .kernels import (
     check_slice_axioms,
     _word_label,
 )
-from .models import FAIL, INCONCLUSIVE, Check, HilbertModel, ModelSymmetry
+from .models import FAIL, INCONCLUSIVE, Check, HilbertModel, SymmetryRep
 from .words import Event, event_label
 
 
@@ -235,10 +235,10 @@ def represent_symmetry(gns: GnsSpace) -> dict[str, np.ndarray]:
         raise ReconstructionRefused(covariance.witness)
     out: dict[str, np.ndarray] = {}
     for s, sym in oracle.symmetry.items():
-        if not sym.point_map:
+        if not oracle.site.symmetry.maps[s]:
             continue
         eligible, images = oracle.transported(s)
-        u = np.asarray(sym.u, dtype=COMPLEX)
+        u = np.asarray(sym.op, dtype=COMPLEX)
         out[s] = dagger(gns.map_on_pairs(eligible, images, dagger(u)))
     return out
 
@@ -325,12 +325,8 @@ def reconstruct(
     atoms = represent_events(gns, strict_closure)
     lattice = compute_subspace_lattice(gns)
     algebra = represent_algebra(gns) if oracle.algebra else {}
-    symmetry = {}
-    if oracle.symmetry:
-        symmetry = {
-            s: ModelSymmetry(v=v, outcome_maps=oracle.symmetry[s].outcome_maps)
-            for s, v in represent_symmetry(gns).items()
-        }
+    symmetry = {s: SymmetryRep(oracle.symmetry[s].outcome_maps, v)
+                for s, v in represent_symmetry(gns).items()} if oracle.symmetry else {}
     model = HilbertModel(
         dim=gns.rank,
         embedding=gns.initial_embedding(),

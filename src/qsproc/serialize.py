@@ -20,9 +20,9 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .kernels import KernelOracle, OracleSymmetry
+from .kernels import KernelOracle, require_on_site
 from .linalg import COMPLEX
-from .models import HilbertModel, ModelSymmetry
+from .models import HilbertModel, SymmetryRep, require_representation
 from .sites import (
     CausalSite,
     SiteSymmetry,
@@ -89,7 +89,8 @@ def block_from_key(s: str) -> frozenset[str]:
 
 def site_to_json(site: CausalSite, symmetry: bool = True) -> dict:
     """The site's points and relation, and its symmetry unless `symmetry`
-    is false (a kernel table's site: the table declares its own)."""
+    is false (a kernel table's site: the table's ``"symmetry"`` block holds
+    the maps of its elements)."""
     out = {
         "points": list(site.points),
         "leq": [[bool(v) for v in row] for row in site.leq],
@@ -205,7 +206,7 @@ def model_to_json(model: HilbertModel) -> dict:
     if model.symmetry:
         out["symmetry"] = {
             s: {
-                "v": matrix_to_json(ms.v),
+                "v": matrix_to_json(ms.op),
                 "g": {t: dict(g) for t, g in ms.outcome_maps.items()},
             }
             for s, ms in model.symmetry.items()
@@ -237,8 +238,8 @@ def model_from_json(data: dict) -> HilbertModel:
         for k, gens in json_object(data.get("algebra", {}), '"algebra"').items()
     }
     symmetry = {
-        s: ModelSymmetry(
-            v=matrix_from_json(entry["v"], f"symmetry {s!r} v"),
+        s: SymmetryRep(
+            op=matrix_from_json(entry["v"], f"symmetry {s!r} v"),
             outcome_maps={t: dict(g) for t, g in
                           json_object(entry["g"], f"symmetry {s!r} g").items()},
         )
@@ -317,9 +318,9 @@ def oracle_to_json(oracle) -> dict:
     if oracle.symmetry:
         out["symmetry"] = {
             s: {
-                "map": dict(sym.point_map),
+                "map": dict(oracle.site.symmetry.maps[s]),
                 "g": {t: dict(g) for t, g in sym.outcome_maps.items()},
-                "u": matrix_to_json(sym.u),
+                "u": matrix_to_json(sym.op),
             }
             for s, sym in oracle.symmetry.items()
         }
@@ -360,6 +361,12 @@ def is_entry_key(key: str) -> bool:
 
 
 def oracle_from_json(data: dict) -> KernelOracle:
+    """A kernel table, whose site acts by the maps of its ``"symmetry"``
+    block, with no composition table: a ``"symmetries"`` block in its
+    ``"site"`` is refused."""
+    if isinstance(data["site"], Mapping) and "symmetries" in data["site"]:
+        raise ValueError('a kernel table declares its symmetry in "symmetry" only, '
+                         'not in a "symmetries" block of its "site"')
     site = site_from_json(data["site"])
     spaces = spaces_from_json(data["spaces"])
     words = tuple(word_from_json(w, spaces) for w in data["words"])
@@ -383,15 +390,19 @@ def oracle_from_json(data: dict) -> KernelOracle:
     table = np.empty((n * n, kdim, kdim), dtype=COMPLEX)
     table[flat] = pairs.view(COMPLEX)[..., 0]
     table = table.reshape(n, n, kdim, kdim)
-    symmetry = {
-        s: OracleSymmetry(
-            point_map=dict(entry["map"]),
+    maps, symmetry = {}, {}
+    for s, entry in json_object(data.get("symmetry", {}), '"symmetry"').items():
+        maps[s] = dict(entry["map"])
+        symmetry[s] = SymmetryRep(
             outcome_maps={t: dict(g) for t, g in
                           json_object(entry["g"], f"symmetry {s!r} g").items()},
-            u=matrix_from_json(entry["u"], f"symmetry {s!r} u"),
+            op=matrix_from_json(entry["u"], f"symmetry {s!r} u"),
         )
-        for s, entry in json_object(data.get("symmetry", {}), '"symmetry"').items()
-    }
+    if symmetry:
+        # the oracle refuses these before its site's maps
+        require_on_site(site, spaces, words)
+        require_representation(symmetry, "table", kdim)
+        site = dataclasses.replace(site, symmetry=SiteSymmetry(tuple(maps), maps, {}))
     return KernelOracle(
         site=site,
         classes=derive_classes(site),

@@ -162,7 +162,7 @@ def test_criterion_6_shift_covariance():
     ok = cov.status == "pass"
     eye = np.eye(recon.rank)
     for ms in recon.model.symmetry.values():
-        iso = opnorm(dagger(ms.v) @ ms.v - eye)
+        iso = opnorm(dagger(ms.op) @ ms.op - eye)
         worst = max(worst, iso)
         ok = ok and iso <= 1e-9
     inter = _intertwining_residual(recon, site.symmetry)
@@ -184,7 +184,7 @@ def test_criterion_6_shift_covariance():
 def _intertwining_residual(recon, sym):
     worst = 0.0
     for s, ms in recon.model.symmetry.items():
-        v = ms.v
+        v = ms.op
         for t, st in dict(sym.maps[s]).items():
             for o in recon.model.spaces.outcomes(st):
                 lhs = v @ recon.model.point_projector(t, {o})

@@ -1104,6 +1104,62 @@ class TestMalformedOutcomeMaps:
         ))
 
 
+class TestTableSiteSymmetries:
+    """A kernel table's site with a "symmetries" block is refused on one
+    line: the table declares its symmetry in its "symmetry" block only (the
+    site block was validated, then never read)."""
+
+    @pytest.mark.parametrize("verify", [[], ["--verify"]])
+    @pytest.mark.parametrize("entry", [{"q": {"map": {"g0": "g2"}}},
+                                       {"s1": {"map": {"g0": "g2"}}}])
+    def test_reconstruct_exits_two(self, tmp_path, capsys, entry, verify):
+        model, site = fixtures.galilean_shift_fixture()
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+        data = json.loads(serialize.dumps(serialize.oracle_to_json(oracle)))
+        data["site"]["symmetries"] = entry
+        argv = ["reconstruct", write(tmp_path, "table.json", data), *verify]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", (
+            'input error: a kernel table declares its symmetry in "symmetry" only, '
+            'not in a "symmetries" block of its "site"\n'
+        ))
+
+
+class TestMalformedModelOutcomeMaps:
+    """A model outcome map at a point the site maps that is not an injection
+    is refused on one line by every command that reads the model, whether
+    or not it builds a kernel table (markov check, classical and equiv check
+    build none)."""
+
+    @pytest.mark.parametrize("command", TestMalformedMatrix.MODEL_COMMANDS)
+    def test_exits_two_on_one_line(self, tmp_path, capsys, command):
+        model, site = fixtures.galilean_shift_fixture()
+        data = json.loads(serialize.dumps(serialize.model_to_json(model)))
+        del data["symmetry"]["s1"]["g"]["g0"]
+        files = {"M": write(tmp_path, "model.json", data),
+                 "S": write(tmp_path, "site.json", serialize.site_to_json(site))}
+        argv = [files.get(a, a) for a in command]
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr() == ("", (
+            "input error: symmetry 's1' outcome map at 'g0' is not an injection "
+            "of the outcomes at 'g0' into those at 'g1'\n"
+        ))
+
+    def test_element_without_site_action_left_to_the_command(self, tmp_path, capsys):
+        # on a site that does not act by 's1', its outcome maps are not read:
+        # `check` refuses the element itself, `markov check` runs
+        model, site = fixtures.galilean_shift_fixture()
+        data = json.loads(serialize.dumps(serialize.model_to_json(model)))
+        del data["symmetry"]["s1"]["g"]["g0"]
+        model_file = write(tmp_path, "model.json", data)
+        site_file = write(tmp_path, "site.json", serialize.site_to_json(site, symmetry=False))
+        assert cli.main(["check", model_file, site_file]) == 2
+        assert capsys.readouterr() == (
+            "", "input error: model symmetry 's0' has no site action\n")
+        assert cli.main(["markov", "check", model_file, site_file]) == 0
+        assert capsys.readouterr().err == ""
+
+
 def _field_json() -> dict:
     atoms, xi, spaces = fixtures.two_point_field()
     return {

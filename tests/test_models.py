@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qsproc
-from qsproc import fixtures, linalg
+from qsproc import fixtures, linalg, serialize
 from qsproc.bridges import _probabilities, classical_reduce, interference_witness
 from qsproc.models import HilbertModel, check_model
 from qsproc.sites import CausalSite, SiteSymmetry, chain_site
@@ -187,10 +187,11 @@ class TestKernelTable:
         message = "symmetry element 's1' maps 'g1' to 'zz', outside the site's points"
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(site, symmetry=bad)
-        symmetry = dict(oracle.symmetry)
-        symmetry["s1"] = dataclasses.replace(symmetry["s1"], point_map=bad_maps["s1"])
+        # a table's maps act on its site, so the table reader refuses them too
+        table = serialize.oracle_to_json(oracle)
+        table["symmetry"]["s1"]["map"] = bad_maps["s1"]
         with pytest.raises(ValueError, match=message):
-            dataclasses.replace(oracle, symmetry=symmetry)
+            serialize.oracle_from_json(table)
 
 
 class TestCheckModel:
@@ -319,7 +320,7 @@ class TestCheckModel:
         model, site = fixtures.galilean_shift_fixture()
         symmetry = dict(model.symmetry)
         x = np.array([[0, 1], [1, 0]], dtype=complex)
-        symmetry["s1"] = dataclasses.replace(symmetry["s1"], v=x)
+        symmetry["s1"] = dataclasses.replace(symmetry["s1"], op=x)
         return dataclasses.replace(model, symmetry=symmetry), site
 
     def test_covariance_fails_at_the_site_action(self):

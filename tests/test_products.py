@@ -17,7 +17,6 @@ from qsproc import fixtures, linalg
 from qsproc.config import RunConfig
 from qsproc.equivalence import minimal_modification
 from qsproc.kernels import (
-    OracleSymmetry,
     _word_label,
     check_axioms,
     check_covariance,
@@ -30,9 +29,9 @@ from qsproc.markov import (
     check_regression,
     slice_projector,
 )
-from qsproc.models import FAIL, PASS, HilbertModel, ProductPlan
+from qsproc.models import FAIL, PASS, HilbertModel, ProductPlan, SymmetryRep
 from qsproc.reconstruct import reconstruct, verify_decomposition
-from qsproc.sites import CausalSite, chain_site, derive_classes
+from qsproc.sites import CausalSite, SiteSymmetry, chain_site, derive_classes
 from qsproc.words import (
     Event,
     EventWord,
@@ -228,13 +227,14 @@ def reference_covariance(oracle):
     """Transported kernel values compared pair by pair."""
     worst, witness = 0.0, ""
     for s, sym in oracle.symmetry.items():
+        point_map = oracle.site.symmetry.maps[s]
         tr = {}
-        for i in oracle.words_within(set(sym.point_map.values())):
-            w = pull_back(oracle.words[i], dict(sym.point_map), sym.outcome_maps, oracle.spaces)
+        for i in oracle.words_within(set(point_map.values())):
+            w = pull_back(oracle.words[i], dict(point_map), sym.outcome_maps, oracle.spaces)
             if oracle.index(w) is not None:
                 tr[i] = oracle.index(w)
         for i, j in itertools.product(tr, repeat=2):
-            r = opnorm(dagger(sym.u) @ oracle.table[i, j] @ sym.u - oracle.table[tr[i], tr[j]])
+            r = opnorm(dagger(sym.op) @ oracle.table[i, j] @ sym.op - oracle.table[tr[i], tr[j]])
             if r > worst:
                 worst, witness = r, (
                     f"{s!r} on pair ({_word_label(oracle.words[i])}, "
@@ -481,11 +481,14 @@ def test_covariance_checks_an_identity_word_map_under_a_unitary(unitary):
     model, site = fixtures.controlled_kdim2()
     base = model.kernel_table(site, enumerate_words(site, model.spaces))
     u = linalg.random_unitary(np.random.default_rng(3), 2) if unitary else np.eye(2)
-    oracle = dataclasses.replace(base, symmetry={"e": OracleSymmetry(
-        point_map={t: t for t in site.points},
-        outcome_maps={t: {x: x for x in model.spaces.outcomes(t)} for t in site.points},
-        u=u,
-    )})
+    maps = {"e": {t: t for t in site.points}}
+    oracle = dataclasses.replace(
+        base, site=dataclasses.replace(site, symmetry=SiteSymmetry(("e",), maps, {})),
+        symmetry={"e": SymmetryRep(
+            outcome_maps={t: {x: x for x in model.spaces.outcomes(t)} for t in site.points},
+            op=u,
+        )},
+    )
     eligible, images = oracle.transported("e")
     assert images.tolist() == eligible.tolist() == list(range(len(oracle.words)))
     worst, witness = reference_covariance(oracle)

@@ -158,7 +158,7 @@ def check_model_reference(model, site, config=RunConfig()):
 
     worst_s, wit_s = 0.0, ""
     for s, ms in model.symmetry.items():
-        v = np.asarray(ms.v, dtype=COMPLEX)
+        v = np.asarray(ms.op, dtype=COMPLEX)
         r_iso = opnorm(dagger(v) @ v - eye)
         if r_iso > worst_s:
             worst_s, wit_s = r_iso, f"isometry of {s!r}"
@@ -456,14 +456,14 @@ def relation_reference(m_small, m_big, u, site):
     for s, ms in m_small.symmetry.items():
         if s not in m_big.symmetry:
             continue
-        sy = max(sy, opnorm(u @ ms.v - m_big.symmetry[s].v @ u))
+        sy = max(sy, opnorm(u @ ms.op - m_big.symmetry[s].op @ u))
     if site.symmetry is not None:
         for s, ms in m_small.symmetry.items():
             for t, st in dict(site.symmetry.maps.get(s, {})).items():
                 i_t, i_st = m_small.unit_i({t}), m_small.unit_i({st})
                 p_t, p_st = m_small.unit_p({t}), m_small.unit_p({st})
-                sy = max(sy, opnorm(ms.v @ i_t - i_st @ ms.v @ i_t))
-                sy = max(sy, opnorm(ms.v @ p_t - p_st @ ms.v @ p_t))
+                sy = max(sy, opnorm(ms.op @ i_t - i_st @ ms.op @ i_t))
+                sy = max(sy, opnorm(ms.op @ p_t - p_st @ ms.op @ p_t))
     return float(iso), float(ev), float(al), float(sy)
 
 

@@ -129,6 +129,23 @@ class TestWordsAndOracle:
         data = serialize.oracle_to_json(oracle)
         assert "symmetries" not in data["site"]
         assert set(data["symmetry"]) == set(site.symmetry.elements)
+        # its site acts by the maps of that block, and by nothing else
+        back = serialize.oracle_from_json(data)
+        assert back.site.symmetry.maps == {s: dict(site.symmetry.maps[s])
+                                           for s in site.symmetry.elements}
+
+    @pytest.mark.parametrize("entry", [{"q": {"map": {"g0": "g2"}}},
+                                       {"s1": {"map": {"g0": "g2"}}}])
+    def test_table_site_symmetries_refused(self, entry):
+        # a "symmetries" block in the table's site, a new element or one that
+        # contradicts the table's own map of s1, would never be read
+        model, site = fixtures.galilean_shift_fixture()
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+        data = serialize.oracle_to_json(oracle)
+        data["site"]["symmetries"] = entry
+        with pytest.raises(ValueError, match='^a kernel table declares its symmetry in '
+                                             '"symmetry" only'):
+            serialize.oracle_from_json(data)
 
     def test_dumps_deterministic(self):
         model, site = fixtures.qubit_zx()

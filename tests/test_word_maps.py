@@ -22,14 +22,13 @@ from qsproc import reconstruct as recon_mod
 from qsproc.config import RunConfig
 from qsproc.kernels import (
     KernelOracle,
-    OracleSymmetry,
     _additivity_residuals,
     _first_worst,
     _word_label,
     check_axioms,
     check_slice_axioms,
 )
-from qsproc.models import Check, HilbertModel
+from qsproc.models import Check, HilbertModel, SymmetryRep
 from qsproc.reconstruct import (
     ReconstructionRefused,
     build_space,
@@ -38,7 +37,7 @@ from qsproc.reconstruct import (
     represent_events,
     represent_symmetry,
 )
-from qsproc.sites import chain_site, derive_classes
+from qsproc.sites import SiteSymmetry, chain_site, derive_classes
 from qsproc.words import (
     Event,
     EventWord,
@@ -515,11 +514,11 @@ def galilean_oracle(drop=()):
 
 def reference_transport(oracle, s):
     """The per-word pull-back loop that the memoised map replaced."""
-    sym = oracle.symmetry[s]
-    eligible = oracle.words_within(set(sym.point_map.values()))
+    point_map = oracle.site.symmetry.maps[s]
+    eligible = oracle.words_within(set(point_map.values()))
     pulled = [
-        words_mod.pull_back(oracle.words[i], dict(sym.point_map), sym.outcome_maps,
-                            oracle.spaces)
+        words_mod.pull_back(oracle.words[i], dict(point_map),
+                            oracle.symmetry[s].outcome_maps, oracle.spaces)
         for i in eligible
     ]
     return eligible, pulled
@@ -560,8 +559,8 @@ def swapped_oracle():
     """The Galilean table with every outcome map swapping the labels."""
     oracle = galilean_oracle()
     return dataclasses.replace(oracle, symmetry={
-        s: OracleSymmetry(sym.point_map, {t: {"0": "1", "1": "0"} for t in sym.point_map},
-                          sym.u)
+        s: SymmetryRep({t: {"0": "1", "1": "0"} for t in oracle.site.symmetry.maps[s]},
+                       sym.op)
         for s, sym in oracle.symmetry.items()
     })
 
@@ -572,7 +571,8 @@ def reversal_oracle():
     pull-backs of every other b-word are listed."""
     xs, ys = (tuple(f"{c}{i}" for i in range(70)) for c in "xy")
     spaces = OutcomeSpaces({"a": xs, "b": ys})
-    site = chain_site(("a", "b"))
+    site = dataclasses.replace(chain_site(("a", "b")),
+                               symmetry=SiteSymmetry(("r",), {"r": {"a": "b"}}, {}))
     picks = [(0,), (3,), (61,), (62,), (69,), range(58, 66), (0, 69), range(0, 70, 2),
              (), range(69)]
     words = [unit_word(), EventWord.from_dict({"a": {"x1"}, "b": {"y1"}}, spaces)]
@@ -585,8 +585,15 @@ def reversal_oracle():
     return KernelOracle(
         site=site, classes=derive_classes(site), spaces=spaces, kdim=1, words=tuple(words),
         table=np.zeros((n, n, 1, 1)),
-        symmetry={"r": OracleSymmetry({"a": "b"}, {"a": g}, np.eye(1))},
+        symmetry={"r": SymmetryRep({"a": g}, np.eye(1))},
     )
+
+
+def test_element_without_a_site_action_refused():
+    # the site holds every point map: an element it does not act by has none
+    oracle = reversal_oracle()
+    with pytest.raises(ValueError, match="^table symmetry 'q' has no site action$"):
+        dataclasses.replace(oracle, symmetry={**oracle.symmetry, "q": oracle.symmetry["r"]})
 
 
 TRANSPORT_ORACLES = {"lift": lift_oracle, "swapped": swapped_oracle,
@@ -668,6 +675,6 @@ def test_algebra_and_symmetry_match_the_per_pair_loop():
     gns = build_space(oracle)
     for s, v in represent_symmetry(gns).items():
         eligible, images = oracle.transported(s)
-        u = np.asarray(oracle.symmetry[s].u, dtype=complex)
+        u = np.asarray(oracle.symmetry[s].op, dtype=complex)
         want = linalg.dagger(reference_leg_map(gns, eligible, images, linalg.dagger(u)))
         assert v.tobytes() == want.tobytes()
