@@ -51,12 +51,18 @@ outcome missing at `g0`, the map at `g1` missing, an outcome of `g0` sent
 to `"zz"`, outside the outcomes of `g1`, and both outcomes of `g0` sent to
 `"0"`).  `reconstruct [--verify]` exits 2 on each.
 
-`UNREAD_MAPS` is swept last of all: two Galilean kernel tables whose
-`"site"` declares a `"symmetries"` block, one with a new element `q`
+`UNREAD_MAPS` is swept after `OUTCOME_MAPS`: two Galilean kernel tables
+whose `"site"` declares a `"symmetries"` block, one with a new element `q`
 (`g0` to `g2`) and one with an `s1` (`g0` to `g2`) that contradicts the
 table's own map of `s1`, under `reconstruct [--verify]`; and the Galilean
 model with the map at `g0` removed from the outcome maps of `s1`, under
 the nine model commands.  Every command on them exits 2.
+
+`PAIR_LISTS` is swept last of all: a JSON pair list where a symmetry map
+object belongs, as the map of `s1` in the Galilean site file and as the
+outcome map of `s1` at `g0` in the Galilean model file, each under the nine
+model commands, and as that outcome map in the Galilean kernel table,
+under `reconstruct [--verify]`.  Every command on them exits 2.
 
 Every run records its arguments (file names relative to the scratch
 directory), its exit code and the sha256 of its stdout and stderr.  A run
@@ -153,6 +159,12 @@ REFUSED = {
     "galilean_g0_unmapped": ("galilean", ("symmetry", "s1", "g"), lambda g: {
         t: m for t, m in g.items() if t != "g0"
     }),
+    # swept after those (`PAIR_LISTS`): pair lists where a map object belongs
+    "galilean_site_map_pairs": ("galilean", ("site", "symmetries", "s1", "map"),
+                                [["g0", "g1"], ["g1", "g2"]]),
+    "galilean_g_pairs": ("galilean", ("symmetry", "s1", "g", "g0"), [["0", "0"], ["1", "1"]]),
+    "galilean_table_g_pairs": ("galilean_table", ("symmetry", "s1", "g", "g0"),
+                               [["0", "0"], ["1", "1"]]),
 }
 ONE_OUTCOME, UNACTED = "one_outcome", "galilean_unacted"
 LAST = ("qubit_leq_str", "qubit_spaces_str", "qubit_points_str", "qubit_key_signed",
@@ -163,6 +175,8 @@ OUTCOME_MAPS = ("galilean_table_g_short", "galilean_table_g_pointless",
                 "galilean_table_g_outside", "galilean_table_g_merged")  # after PAIRS
 UNREAD_MAPS = ("galilean_table_site_q", "galilean_table_site_s1",
                "galilean_g0_unmapped")  # after OUTCOME_MAPS
+PAIR_LISTS = ("galilean_site_map_pairs", "galilean_g_pairs",
+              "galilean_table_g_pairs")  # after UNREAD_MAPS
 INPUTS = (FIXTURE_FILES + tuple(EXTRA_MODELS) + (MALFORMED, "field") + LATE
           + tuple(REFUSED) + (ONE_OUTCOME, UNACTED) + PAIRS)
 
@@ -379,8 +393,10 @@ def main():
         try:
             last = LATE + tuple(REFUSED) + LAST + FINAL + PAIRS
             records = sweep([n for n in args.inputs if n not in last])
-            refused = [n for n in REFUSED if n not in LAST + OUTCOME_MAPS + UNREAD_MAPS]
-            for group in (LATE, refused, LAST, FINAL, PAIRS, OUTCOME_MAPS, UNREAD_MAPS):
+            refused = [n for n in REFUSED
+                       if n not in LAST + OUTCOME_MAPS + UNREAD_MAPS + PAIR_LISTS]
+            for group in (LATE, refused, LAST, FINAL, PAIRS, OUTCOME_MAPS, UNREAD_MAPS,
+                          PAIR_LISTS):
                 records += sweep([n for n in args.inputs if n in group])
         finally:
             os.chdir(cwd)

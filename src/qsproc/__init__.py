@@ -14,11 +14,9 @@ __version__ = "0.1.0"
 
 from .sites import (
     CausalSite,
-    SiteClasses,
     SiteSymmetry,
     chain_site,
     check_symmetry,
-    derive_classes,
     discrete_site,
     galilean_site,
     minkowski_site,
@@ -84,7 +82,6 @@ __all__ = [
     "ReductionRefused",
     "Report",
     "RunConfig",
-    "SiteClasses",
     "SiteSymmetry",
     "SymmetryRep",
     "build_space",
@@ -101,7 +98,6 @@ __all__ = [
     "check_symmetry",
     "check_wide_equivalence",
     "classical_reduce",
-    "derive_classes",
     "discrete_site",
     "enumerate_words",
     "galilean_site",

@@ -23,7 +23,6 @@ from .config import RunConfig
 from .kernels import check_axioms, require_on_site
 from .models import check_model, require_representation
 from .reconstruct import ReconstructionRefused, reconstruct, verify_decomposition
-from .sites import derive_classes
 from .words import enumerate_words
 
 EXIT_OK = 0
@@ -294,7 +293,7 @@ def _print_text(report: dict, indent: int = 0) -> None:
 
 def cmd_check(args, config: RunConfig):
     model, oracle = _load_oracle(args.model, args.site, config)
-    model_report = check_model(model, oracle.site, oracle.classes, config)
+    model_report = check_model(model, oracle.site, config)
     axiom_report = check_axioms(oracle, config)
     # inconclusive checks (restricted word policies) are not violations
     ok = model_report.ok and not axiom_report.failed
@@ -375,17 +374,16 @@ def cmd_equiv(args, config: RunConfig):
 
 def cmd_markov(args, config: RunConfig):
     model, site = _load_model_site(args.model, args.site)
-    classes = derive_classes(site)
     words = enumerate_words(site, model.spaces, config.policy, config.cap)
-    dyn = markov.check_dynamicity(model, site, classes, config)
+    dyn = markov.check_dynamicity(model, site, config)
     report = {"dynamicity": dyn.to_dict()}
     ok = dyn.ok
     if dyn.ok:
-        reg = markov.check_regression(model, site, words, classes, config)
+        reg = markov.check_regression(model, site, words, config)
         report["regression"] = reg.to_dict()
         ok = ok and reg.ok
     if model.is_narrow(site, config):
-        comm = markov.check_narrow_commutativity(model, site, classes, words, config)
+        comm = markov.check_narrow_commutativity(model, site, words, config)
         report["narrow_commutativity"] = comm.to_dict()
     return report, ok
 

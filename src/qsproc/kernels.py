@@ -26,7 +26,7 @@ from .config import RunConfig
 from .linalg import COMPLEX, opnorm
 from .models import Check, ProductPlan, Report, SymmetryRep, unit_nesting
 from .models import require_representation
-from .sites import CausalSite, SiteClasses
+from .sites import CausalSite
 from .words import (
     Event,
     EventWord,
@@ -64,7 +64,6 @@ class KernelOracle:
     keeps neither."""
 
     site: CausalSite
-    classes: SiteClasses
     spaces: OutcomeSpaces
     kdim: int
     words: tuple[EventWord, ...]
@@ -426,7 +425,7 @@ def _slice_screen(oracle: KernelOracle) -> tuple[tuple, tuple] | None:
     tau = mu * mu + entry
     diag = oracle.table[np.arange(n), np.arange(n)]
     add, fac = (0.0, "", None), (0.0, "", None)
-    for l in oracle.classes.maximal_antichains:
+    for l in site.maximal_antichains:
         idx = np.array(oracle.words_within(site.down_set(l)), dtype=int)
         if not idx.size:
             continue
@@ -508,7 +507,7 @@ def _slice_pass(oracle: KernelOracle) -> tuple[tuple, tuple]:
     site, spaces, table = oracle.site, oracle.spaces, oracle.table
     add_worst, add_witness, add_missing = 0.0, "", None
     fac_worst, fac_witness, fac_missing = 0.0, "", None
-    for l in oracle.classes.maximal_antichains:
+    for l in site.maximal_antichains:
         idx = np.array(oracle.words_within(site.down_set(l)), dtype=int)
         if not idx.size:
             continue
@@ -658,7 +657,7 @@ def check_projectivity(
             "extension invariance only (no realizing model attached)", tol,
         )
     blocks = [frozenset()] + [frozenset({t}) for t in oracle.site.points]
-    pairs, l, u, r = unit_nesting(model, oracle.classes, blocks)
+    pairs, l, u, r = unit_nesting(model, oracle.site, blocks)
     worst, witness = linalg.worst(
         np.where([k != j for k, j in pairs], l * u + u * r + l * r, 0.0),
         lambda i: "compression from base {} to {}".format(*map(sorted, pairs[i][::-1])),
@@ -680,7 +679,7 @@ def check_regularity(
     tol = config.regularity_tol
     e = oracle.unit_index()
     k = oracle.kdim
-    minimal = oracle.classes.minimal_antichains()
+    minimal = site.minimal_antichains()
     if not minimal:
         return Check("regularity", 0.0, "empty site", tol)
     n = len(oracle.words)

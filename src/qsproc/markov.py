@@ -23,7 +23,7 @@ from . import linalg
 from .config import RunConfig
 from .linalg import COMPLEX, dagger
 from .models import Check, HilbertModel, Report
-from .sites import CausalSite, SiteClasses, derive_classes
+from .sites import CausalSite
 from .words import (
     Event,
     EventWord,
@@ -94,10 +94,9 @@ def _orthonormal_rows(rows: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
 
 
 def slice_projector(
-    model: HilbertModel, classes: SiteClasses, l, config: RunConfig = RunConfig()
+    model: HilbertModel, site: CausalSite, l, config: RunConfig = RunConfig()
 ) -> np.ndarray:
     """Meet of the block event units inside a slice."""
-    site = classes.site
     pts = sorted(l, key=site.index)
     units = [model.unit_p(frozenset({t})) for t in pts]
     blocks = [frozenset(c) for r in range(2, len(pts) + 1)
@@ -107,36 +106,35 @@ def slice_projector(
 
 
 def slice_algebra(
-    model: HilbertModel, classes: SiteClasses, l, e_l: np.ndarray
+    model: HilbertModel, site: CausalSite, l, e_l: np.ndarray
 ) -> GeneratedAlgebra:
     """Algebra generated on the slice subspace by the compressed event
     projectors of the slice and the controlling-algebra generators."""
     gens = []
-    for t in sorted(l, key=classes.site.index):
+    for t in sorted(l, key=site.index):
         for x in model.spaces.outcomes(t):
             gens.append(e_l @ model.atoms[t][x] @ e_l)
     for k, ops in model.algebra.items():
-        if classes.subset_le(k, l) and classes.subset_le(l, k):
+        if site.subset_le(k, l) and site.subset_le(l, k):
             gens.extend(e_l @ g @ e_l for g in ops)
     return generate_algebra(gens, e_l)
 
 
-def _ordered_slices(classes: SiteClasses):
+def _ordered_slices(site: CausalSite):
     """Maximal antichains sorted by the subset preorder when it is total;
     None when two slices are incomparable.  The preorder compares down-sets
     by inclusion, so on a chain it is the order of their sizes."""
-    slices = list(classes.maximal_antichains)
+    slices = list(site.maximal_antichains)
     for a, b in itertools.combinations(slices, 2):
-        if not (classes.subset_le(a, b) or classes.subset_le(b, a)):
+        if not (site.subset_le(a, b) or site.subset_le(b, a)):
             return None
-    slices.sort(key=lambda l: len(classes.site.down_set(l)))
+    slices.sort(key=lambda l: len(site.down_set(l)))
     return slices
 
 
 def check_dynamicity(
     model: HilbertModel,
     site: CausalSite,
-    classes: SiteClasses | None = None,
     config: RunConfig = RunConfig(),
 ) -> Report:
     """Compressions of later-slice events must stay in the slice algebra.
@@ -144,16 +142,15 @@ def check_dynamicity(
     Also records the weak-commutativity consequence: the compressed events
     commute with the slice's own event projectors.
     """
-    classes = classes or derive_classes(site)
     tol = config.membership_tol
     dists, comms, at, comm_at = [], [], [], []
-    for l in classes.maximal_antichains:
-        e_l = slice_projector(model, classes, l, config)
-        alg = slice_algebra(model, classes, l, e_l)
+    for l in site.maximal_antichains:
+        e_l = slice_projector(model, site, l, config)
+        alg = slice_algebra(model, site, l, e_l)
         own = [(x, t, e_l @ model.atoms[t][x] @ e_l)
                for t in sorted(l, key=site.index) for x in model.spaces.outcomes(t)]
-        for lp in classes.maximal_antichains:
-            if not classes.subset_le(l, lp):
+        for lp in site.maximal_antichains:
+            if not site.subset_le(l, lp):
                 continue
             for ev in _slice_events(model, site, lp):
                 compressed = e_l @ model.block_projector(site, ev) @ e_l
@@ -189,7 +186,6 @@ def check_regression(
     model: HilbertModel,
     site: CausalSite,
     words: Sequence[EventWord] | None = None,
-    classes: SiteClasses | None = None,
     config: RunConfig = RunConfig(),
 ) -> Report:
     """Recompute the kernel through the nested slice compressions and compare
@@ -199,9 +195,8 @@ def check_regression(
     Needs the slices to form a chain; otherwise the verdict is recorded as a
     composition failure with an explanatory witness.
     """
-    classes = classes or derive_classes(site)
     tol = config.membership_tol
-    slices = _ordered_slices(classes)
+    slices = _ordered_slices(site)
     if slices is None:
         return Report((Check(
             "regression", float("inf"),
@@ -209,7 +204,7 @@ def check_regression(
         ),))
     if words is None:
         words = enumerate_words(site, model.spaces, config.policy, config.cap)
-    e_proj = {l: slice_projector(model, classes, l, config) for l in slices}
+    e_proj = {l: slice_projector(model, site, l, config) for l in slices}
     emb = model.embedding
 
     feyn = model.products(site, words)
@@ -221,7 +216,7 @@ def check_regression(
 
     # composition identities of the compression maps
     basis = {
-        l: slice_algebra(model, classes, l, e_proj[l]).basis_operators() for l in slices
+        l: slice_algebra(model, site, l, e_proj[l]).basis_operators() for l in slices
     }
     # each theta read on K and on every slice up to its own: the two kinds
     # differ in shape, so their norms are taken apart and merged in order
@@ -303,22 +298,20 @@ def atom_commutators(model: HilbertModel, point_pairs) -> tuple[float, str]:
 def check_narrow_commutativity(
     model: HilbertModel,
     site: CausalSite,
-    classes: SiteClasses | None = None,
     words: Sequence[EventWord] | None = None,
     config: RunConfig = RunConfig(),
 ) -> Report:
     """Fully normalized dynamic models force commuting event projectors
     across comparable slices; when that holds the kernel factorizes through
     the pointwise product of the words."""
-    classes = classes or derive_classes(site)
     tol = config.commutativity_tol
     if not model.is_narrow(site, config):
         raise ValueError("commutativity is a narrow-sense diagnostic; "
                          "the model has nontrivial unit projectors")
     worst, wit = atom_commutators(model, [
         (t, tp)
-        for l, lp in itertools.product(classes.maximal_antichains, repeat=2)
-        if l != lp and classes.subset_le(l, lp)
+        for l, lp in itertools.product(site.maximal_antichains, repeat=2)
+        if l != lp and site.subset_le(l, lp)
         for t, tp in itertools.product(sorted(l), sorted(lp))
     ])
     checks = [Check("narrow_commutativity", worst, wit, tol)]
@@ -346,16 +339,15 @@ def check_relaxation(
     that slice are replaced (seeded basis rotation), only when the initial
     vector is.
     """
-    classes = derive_classes(site)
     tol = config.membership_tol
     words = enumerate_words(site, model.spaces, config.policy, config.cap)
-    minimal = classes.minimal_antichains()
+    minimal = site.minimal_antichains()
     p0 = model.initial_projector()
-    columns = {l: _slice_columns(model, site, words, l) for l in classes.maximal_antichains}
+    columns = {l: _slice_columns(model, site, words, l) for l in site.maximal_antichains}
     span = {
         l: linalg.projector_onto_columns(c, config.rank_tol) for l, c in columns.items()
     }
-    algebras = {l: slice_algebra(model, classes, l, span[l]) for l in span}
+    algebras = {l: slice_algebra(model, site, l, span[l]) for l in span}
     gaps, moves, at = [], [], []
     rng = np.random.default_rng(PERTURBATION_SEED)
     for l0 in minimal:
@@ -369,8 +361,8 @@ def check_relaxation(
         cols = columns[l0]
         norms = np.linalg.norm(cols, axis=0)
         vecs = cols[:, norms >= 1e-12] / norms[norms >= 1e-12]
-        for l in classes.maximal_antichains:
-            if not classes.subset_le(l0, l):
+        for l in site.maximal_antichains:
+            if not site.subset_le(l0, l):
                 continue
             for a in algebras[l].basis_operators():
                 gaps.append(e_l0 @ a @ e_l0 - p0 @ a @ p0)

@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .config import RunConfig
 from .linalg import COMPLEX, dagger, opnorm
-from .sites import CausalSite, SiteClasses, derive_classes
+from .sites import CausalSite
 from .words import (
     Event,
     EventWord,
@@ -218,7 +218,6 @@ class HilbertModel:
         }
         return KernelOracle(
             site=site,
-            classes=derive_classes(site),
             spaces=self.spaces,
             kdim=self.kdim,
             words=plan.words,
@@ -399,7 +398,6 @@ class Report:
 def check_model(
     model: HilbertModel,
     site: CausalSite,
-    classes: SiteClasses | None = None,
     config: RunConfig = RunConfig(),
 ) -> Report:
     """Verify the whole contract of a measurement model.
@@ -412,9 +410,9 @@ def check_model(
     between event units and essential units on every time slice; commutation
     with declared algebra generators; and the symmetry intertwining relations
     at the site's action (`CausalSite.symmetry`), inconclusive when a model
-    symmetry element has none.
+    symmetry element has none or an outcome map that is not an injection
+    (`check_representation`).
     """
-    classes = classes or derive_classes(site)
     checks: list[Check] = []
 
     def record(name, residual, witness, missing=None):
@@ -468,10 +466,10 @@ def check_model(
         ))
 
     # unit balance on every slice: meet of event units = join of essential units
-    slices = list(classes.maximal_antichains)
+    slices = list(site.maximal_antichains)
     gaps = []
     for l in slices:
-        blocks = _blocks_within(classes, l)
+        blocks = _blocks_within(site, l)
         meet = linalg.meet_projectors(
             [model.unit_p(k) for k in blocks] + [eye], config.rank_tol
         )
@@ -485,7 +483,7 @@ def check_model(
     ))
 
     # essential units nest above the initial projector
-    pairs, l, _, r = unit_nesting(model, classes, sorted(
+    pairs, l, _, r = unit_nesting(model, site, sorted(
         {frozenset()} | set(model.units_i) | {frozenset({t}) for t in site.points},
         key=lambda k: sorted(map(site.index, k)),
     ))
@@ -506,14 +504,18 @@ def check_model(
         lambda i: "event {}@{!r} vs generator {} of {}".format(*at[i]),
     ))
 
-    # symmetry intertwining: V pi(B^s) = pi(st)(B) V P_t
+    # symmetry intertwining: V pi(B^s) = pi(st)(B) V P_t; an element the site
+    # does not act by, or with an outcome map that is no injection, leaves
+    # its relations unchecked
+    problems = check_representation(model.symmetry, "model", model.dim, site, model.spaces)
     gaps, at = [], []
     for s, ms in model.symmetry.items():
         v = np.asarray(ms.op, dtype=COMPLEX)
         gaps.append(dagger(v) @ v - eye)
         at.append(("isometry of {!r}", s))
-        pmap = site.symmetry.maps.get(s, {}) if site.symmetry else {}
-        for t, st in pmap.items():
+        if check_representation({s: ms}, "model", model.dim, site, model.spaces):
+            continue
+        for t, st in site.symmetry.maps[s].items():
             g = ms.outcome_maps[t]
             for b in subsets(model.spaces.outcomes(st)):
                 bs = frozenset(x for x in model.spaces.outcomes(t) if g[x] in b)
@@ -521,11 +523,9 @@ def check_model(
                 rhs = model.point_projector(st, b) @ v @ model.unit_p({t})
                 gaps.append(lhs - rhs)
                 at.append(("{!r} at {!r} with event {}", s, t, sorted(b)))
-    # the first element the site does not act by leaves its relations unchecked
-    unacted = check_representation(model.symmetry, "model", model.dim, site)
     record("covariance", *linalg.worst(
         linalg.opnorms(gaps), lambda i: at[i][0].format(*at[i][1:])
-    ), unacted[0] if unacted else None)
+    ), problems[0] if problems else None)
 
     return Report(tuple(checks))
 
@@ -569,7 +569,7 @@ def _is_injection(g, domain: Sequence[str], codomain: Sequence[str]) -> bool:
     return all(y in codomain for y in targets) and len(set(targets)) == len(domain)
 
 
-def unit_nesting(model: HilbertModel, classes: SiteClasses, blocks: Sequence[frozenset]):
+def unit_nesting(model: HilbertModel, site: CausalSite, blocks: Sequence[frozenset]):
     """The pairs (k, j) of `blocks` with k <= j (k = j too) in product order,
     and per pair the norms of ``L = I_j I_k* - I_k``, ``I_k`` and
     ``R = I_j I_k - I_k``, where ``I_k = unit_i(k)`` (the initial projector at
@@ -581,7 +581,7 @@ def unit_nesting(model: HilbertModel, classes: SiteClasses, blocks: Sequence[fro
     exceed every block (with projector units the unit word's is ``-R* R``)."""
     units = [model.unit_i(k) for k in blocks]
     at = [(a, b) for a, b in itertools.product(range(len(blocks)), repeat=2)
-          if classes.subset_le(blocks[a], blocks[b])]
+          if site.subset_le(blocks[a], blocks[b])]
     mats = [units[b] @ m - units[a] for a, b in at for m in (dagger(units[a]), units[a])]
     norms = linalg.opnorms(mats + units)  # |I_k| once per block
     l, r = norms[:len(mats)].reshape(-1, 2).T
@@ -589,11 +589,11 @@ def unit_nesting(model: HilbertModel, classes: SiteClasses, blocks: Sequence[fro
     return [(blocks[a], blocks[b]) for a, b in at], l, u, r
 
 
-def _blocks_within(classes: SiteClasses, l: frozenset[str]) -> list[frozenset[str]]:
+def _blocks_within(site: CausalSite, l: frozenset[str]) -> list[frozenset[str]]:
     """Nonempty subsets of a slice (a slice is an antichain, so each is
     nonanticipatory), grown through its points in site order."""
     out: list[frozenset[str]] = [frozenset()]
-    for t in sorted(l, key=classes.site.index):
+    for t in sorted(l, key=site.index):
         out.extend([cur | {t} for cur in out])
     return out[1:]
 

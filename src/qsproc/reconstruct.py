@@ -143,7 +143,7 @@ def eligible_for_block(oracle: KernelOracle, block) -> list[int]:
     site = oracle.site
     return sorted(set().union(*(
         oracle.words_within(site.down_set(l))
-        for l in oracle.classes.antichains_containing(block)
+        for l in site.antichains_containing(block)
     )))
 
 
@@ -291,19 +291,19 @@ def compute_subspace_lattice(gns: GnsSpace) -> SpanLattice:
     join is the whole space.
     """
     oracle, tol = gns.oracle, gns.config.rank_tol
-    classes, site = oracle.classes, oracle.site
+    site = oracle.site
 
     def span(block) -> np.ndarray:
         idx = oracle.words_within(site.down_set(block))
         return linalg.projector_onto_columns(gns.pair_coords(idx), tol)
 
-    slices = {l: span(l) for l in classes.maximal_antichains}
+    slices = {l: span(l) for l in site.maximal_antichains}
     joins = {frozenset(): np.eye(gns.rank, dtype=COMPLEX)}
     spans = {}
-    for k in classes.all_nonanticipatory():
+    for k in site.all_nonanticipatory():
         if not k:
             continue
-        containing = [slices[l] for l in classes.antichains_containing(k)]
+        containing = [slices[l] for l in site.antichains_containing(k)]
         joins[k] = linalg.join_projectors(containing, tol)
         spans[k] = span(k)
     return SpanLattice(slices, joins, spans)

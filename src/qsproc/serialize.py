@@ -27,7 +27,6 @@ from .sites import (
     CausalSite,
     SiteSymmetry,
     chain_site,
-    derive_classes,
     discrete_site,
     galilean_site,
     minkowski_site,
@@ -119,10 +118,11 @@ def site_from_json(data: dict) -> CausalSite:
         points = json_strings(data["points"], '"points" is not a list of strings')
         site = CausalSite(points=points, leq=leq)
     if "symmetries" in data:
-        entries = dict(data["symmetries"])
+        entries = dict(json_object(data["symmetries"], '"symmetries"'))
         # the composition table may sit inside the symmetry block or beside it
         raw_compose = entries.pop("compose", data.get("compose", {}))
-        maps = {s: dict(entry["map"]) for s, entry in entries.items()}
+        maps = {s: dict(json_object(entry["map"], f"symmetry {s!r} map"))
+                for s, entry in entries.items()}
         compose = {}
         for a, inner in json_object(raw_compose, '"compose"').items():
             for b, c in json_object(inner, f'"compose" {a!r}').items():
@@ -180,6 +180,12 @@ def word_from_json(data: Mapping, spaces: OutcomeSpaces) -> EventWord:
 
 
 # -- models -----------------------------------------------------------------------
+
+
+def _outcome_maps(entry, s: str) -> dict:
+    """The per-point outcome maps ``"g"`` of the symmetry entry of element `s`."""
+    return {t: dict(json_object(g, f"symmetry {s!r} g at {t!r}"))
+            for t, g in json_object(entry["g"], f"symmetry {s!r} g").items()}
 
 
 def model_to_json(model: HilbertModel) -> dict:
@@ -240,8 +246,7 @@ def model_from_json(data: dict) -> HilbertModel:
     symmetry = {
         s: SymmetryRep(
             op=matrix_from_json(entry["v"], f"symmetry {s!r} v"),
-            outcome_maps={t: dict(g) for t, g in
-                          json_object(entry["g"], f"symmetry {s!r} g").items()},
+            outcome_maps=_outcome_maps(entry, s),
         )
         for s, entry in json_object(data.get("symmetry", {}), '"symmetry"').items()
     }
@@ -392,10 +397,9 @@ def oracle_from_json(data: dict) -> KernelOracle:
     table = table.reshape(n, n, kdim, kdim)
     maps, symmetry = {}, {}
     for s, entry in json_object(data.get("symmetry", {}), '"symmetry"').items():
-        maps[s] = dict(entry["map"])
+        maps[s] = dict(json_object(entry["map"], f"symmetry {s!r} map"))
         symmetry[s] = SymmetryRep(
-            outcome_maps={t: dict(g) for t, g in
-                          json_object(entry["g"], f"symmetry {s!r} g").items()},
+            outcome_maps=_outcome_maps(entry, s),
             op=matrix_from_json(entry["u"], f"symmetry {s!r} u"),
         )
     if symmetry:
@@ -405,7 +409,6 @@ def oracle_from_json(data: dict) -> KernelOracle:
         site = dataclasses.replace(site, symmetry=SiteSymmetry(tuple(maps), maps, {}))
     return KernelOracle(
         site=site,
-        classes=derive_classes(site),
         spaces=spaces,
         kdim=kdim,
         words=words,

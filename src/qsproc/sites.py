@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 #: Hard ceiling on the nonanticipatory subsets `all_nonanticipatory` lists.
@@ -34,7 +35,8 @@ class CausalSite:
     than silently closed, to catch mistakes in hand-written fixtures.
     `symmetry`, when given, is the semigroup acting on the points, refused
     by `require_symmetry` unless its maps stay on the site, keep its order
-    and compose as declared.
+    and compose as declared.  Its equivalence classes and maximal
+    antichains are computed on first use, once per site.
     """
 
     points: tuple[str, ...]
@@ -119,30 +121,33 @@ class CausalSite:
         blocks.reverse()
         return tuple(blocks)
 
+    # -- the order structure, computed once per site -----------------------
 
-@dataclass(frozen=True)
-class SiteClasses:
-    """Equivalence classes and the antichain structure of a site.
+    @cached_property
+    def equivalence_classes(self) -> tuple[tuple[str, ...], ...]:
+        """The factor set, each class listed in point order."""
+        seen: set[str] = set()
+        classes: list[tuple[str, ...]] = []
+        for t in self.points:
+            if t not in seen:
+                classes.append(tuple(u for u in self.points if self.equivalent(t, u)))
+                seen.update(classes[-1])
+        return tuple(classes)
 
-    `equivalence_classes` is the factor set (each class listed in point
-    order); `maximal_antichains` is the complete list of maximal
-    nonanticipatory subsets (the time slices).
-    """
-
-    site: CausalSite
-    equivalence_classes: tuple[tuple[str, ...], ...]
-    maximal_antichains: tuple[frozenset[str], ...]
+    @cached_property
+    def maximal_antichains(self) -> tuple[frozenset[str], ...]:
+        """Every maximal nonanticipatory subset (the time slices)."""
+        return tuple(_maximal_antichains(self))
 
     def all_nonanticipatory(self) -> list[frozenset[str]]:
         """Every nonanticipatory subset (including the empty set), in a
         deterministic order.  Refuses when the count would exceed
         `ANTICHAIN_CAP`."""
-        site = self.site
         out: list[frozenset[str]] = [frozenset()]
-        for t in site.points:
+        for t in self.points:
             extensions = []
             for cur in out:
-                if all(site.nonanticipatory_pair(t, u) for u in cur):
+                if all(self.nonanticipatory_pair(t, u) for u in cur):
                     extensions.append(cur | {t})
             out.extend(extensions)
             if len(out) > ANTICHAIN_CAP:
@@ -157,7 +162,7 @@ class SiteClasses:
         """Preorder on nonanticipatory subsets: every point of j lies below
         some point of j'."""
         j, jp = set(j), set(jp)
-        return all(any(self.site.le(a, b) for b in jp) for a in j)
+        return all(any(self.le(a, b) for b in jp) for a in j)
 
     def antichains_containing(self, k: Iterable[str]) -> list[frozenset[str]]:
         k = frozenset(k)
@@ -176,23 +181,6 @@ class SiteClasses:
             if not below:
                 out.append(l)
         return out
-
-
-def derive_classes(site: CausalSite) -> SiteClasses:
-    """Compute the factor set and all maximal nonanticipatory subsets."""
-    seen: set[str] = set()
-    classes: list[tuple[str, ...]] = []
-    for t in site.points:
-        if t in seen:
-            continue
-        cls = tuple(u for u in site.points if site.equivalent(t, u))
-        seen.update(cls)
-        classes.append(cls)
-    return SiteClasses(
-        site=site,
-        equivalence_classes=tuple(classes),
-        maximal_antichains=tuple(_maximal_antichains(site)),
-    )
 
 
 def _maximal_antichains(site: CausalSite) -> list[frozenset[str]]:

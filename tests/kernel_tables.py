@@ -7,7 +7,6 @@ import numpy as np
 
 from qsproc.kernels import KernelOracle
 from qsproc.linalg import COMPLEX, meet_projectors
-from qsproc.sites import derive_classes
 
 
 def oracle_from_values(site, spaces, words, values, kdim=1, symmetry=None):
@@ -19,7 +18,6 @@ def oracle_from_values(site, spaces, words, values, kdim=1, symmetry=None):
         table[i, j] = np.asarray(v, dtype=COMPLEX).reshape(kdim, kdim)
     return KernelOracle(
         site=site,
-        classes=derive_classes(site),
         spaces=spaces,
         kdim=kdim,
         words=tuple(words),

@@ -96,7 +96,6 @@ class TestNormalization:
     def test_scaled_table_fails(self, qubit_oracle):
         doubled = KernelOracle(
             site=qubit_oracle.site,
-            classes=qubit_oracle.classes,
             spaces=qubit_oracle.spaces,
             kdim=1,
             words=qubit_oracle.words,
@@ -231,12 +230,9 @@ class TestProjectivity:
         assert check.residual < 1e-10
 
     def test_model_comparison_reads_no_word(self, qubit_oracle):
-        # the nesting identity reads the model, the site and its classes
-        # alone: no word list, so no sample and no cost in the word count
-        bare = types.SimpleNamespace(
-            model=qubit_oracle.model, site=qubit_oracle.site,
-            classes=qubit_oracle.classes,
-        )
+        # the nesting identity reads the model and the site alone: no word
+        # list, so no sample and no cost in the word count
+        bare = types.SimpleNamespace(model=qubit_oracle.model, site=qubit_oracle.site)
         check = check_projectivity(qubit_oracle)
         assert check_projectivity(bare) == check
         assert check.status == PASS and "sampled" not in check.witness
@@ -256,7 +252,7 @@ def regularity_per_word(oracle, rank_tol=1e-9):
     the best minimal slice's worst defect and word."""
     site, e, k = oracle.site, oracle.unit_index(), oracle.kdim
     per_slice = []
-    for l in oracle.classes.minimal_antichains():
+    for l in oracle.site.minimal_antichains():
         idx_l = oracle.words_within(site.down_set(l))
         g_pinv = linalg.pinv(oracle.gram(idx_l), rank_tol)
         worst_b, wit = 0.0, None

@@ -18,7 +18,7 @@ from qsproc.bridges import (
 )
 from qsproc.kernels import check_covariance
 from qsproc.models import HilbertModel
-from qsproc.sites import check_symmetry, derive_classes
+from qsproc.sites import check_symmetry
 from qsproc.words import EventWord
 
 
@@ -31,8 +31,7 @@ class TestLexicographicSite:
 
     def test_level_sets_are_the_slices(self):
         site = lexicographic_site(["a", "b"], 2)
-        classes = derive_classes(site)
-        assert set(classes.maximal_antichains) == {
+        assert set(site.maximal_antichains) == {
             frozenset({"0:a", "0:b"}),
             frozenset({"1:a", "1:b"}),
         }

@@ -971,6 +971,46 @@ class TestMalformedMatrix:
             assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
+class TestMapNotAnObject:
+    """A pair list or a string where a symmetry's point map or outcome map
+    belongs is an input error naming the node on one line, in a site, a
+    model and a kernel table file alike."""
+
+    VALUES = {
+        "site map": (("site", "symmetries", "s1", "map"), [["g0", "g1"], ["g1", "g2"]]),
+        "site map string": (("site", "symmetries", "s1", "map"), "ab"),
+        "model g": (("model", "symmetry", "s1", "g", "g0"), [["0", "0"], ["1", "1"]]),
+        "table map": (("table", "symmetry", "s1", "map"), [["g0", "g1"], ["g1", "g2"]]),
+        "table g": (("table", "symmetry", "s1", "g", "g0"), [["0", "0"], ["1", "1"]]),
+    }
+
+    def runs(self, tmp_path, case):
+        """The command lines reading the file with the replaced node."""
+        model, site = fixtures.galilean_shift_fixture()
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+        files = {"model": serialize.model_to_json(model),
+                 "site": serialize.site_to_json(site),
+                 "table": serialize.oracle_to_json(oracle)}
+        (name, *path, last), value = self.VALUES[case]
+        node = files[name]
+        for key in path:
+            node = node[key]
+        node[last] = value
+        paths = {kind[0].upper(): write(tmp_path, f"{kind}.json", data)
+                 for kind, data in files.items()}
+        if name == "table":
+            return [["reconstruct", paths["T"]], ["reconstruct", paths["T"], "--verify"]]
+        return [[paths.get(a, a) for a in cmd] for cmd in TestMalformedMatrix.MODEL_COMMANDS]
+
+    @pytest.mark.parametrize("case", sorted(VALUES))
+    def test_exits_two_naming_the_node(self, tmp_path, capsys, case):
+        node = "g at 'g0'" if case.endswith(" g") else "map"
+        for argv in self.runs(tmp_path, case):
+            assert cli.main(argv) == 2, argv
+            assert capsys.readouterr() == (
+                "", f"input error: symmetry 's1' {node} is not a JSON object\n")
+
+
 class TestMisshapenModel:
     """A model matrix that is not dim x dim, or a `kdim` that is not the
     embedding's column count, is an input error named on one line by every

@@ -22,7 +22,6 @@ from qsproc import fixtures, linalg, serialize
 from qsproc.config import RunConfig
 from qsproc.kernels import KernelOracle, check_positivity
 from qsproc.reconstruct import build_space
-from qsproc.sites import derive_classes
 from qsproc.words import enumerate_words
 
 
@@ -141,7 +140,6 @@ def oracle_of_gram(gram, kdim):
     table = gram.reshape(n, kdim, n, kdim).transpose(0, 2, 1, 3)
     return KernelOracle(
         site=_WORDS_SITE,
-        classes=derive_classes(_WORDS_SITE),
         spaces=_WORDS_MODEL.spaces,
         kdim=kdim,
         words=_WORDS[:n],

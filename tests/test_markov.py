@@ -1,7 +1,5 @@
 """Conditional Markov structure: algebras, dynamicity, regression, relaxation."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,7 @@ from qsproc.markov import (
     generate_algebra,
 )
 from qsproc.models import HilbertModel
-from qsproc.sites import chain_site, derive_classes, galilean_site
+from qsproc.sites import CausalSite, chain_site, galilean_site
 from qsproc.words import OutcomeSpaces
 
 
@@ -105,14 +103,15 @@ class TestRegression:
         galilean_site([0, 0, 1, 2], ["a", "b", "c", "d"]),
     ])
     def test_slices_ordered_by_down_sets(self, site):
-        classes = derive_classes(site)
-        backwards = dataclasses.replace(
-            classes, maximal_antichains=classes.maximal_antichains[::-1]
-        )
+        # the same site with its points listed latest first lists its
+        # slices backwards
+        backwards = CausalSite(points=site.points[::-1],
+                               leq=tuple(row[::-1] for row in site.leq[::-1]))
+        assert backwards.maximal_antichains == site.maximal_antichains[::-1]
         slices = _ordered_slices(backwards)
-        assert slices == list(classes.maximal_antichains)
+        assert slices == list(site.maximal_antichains)
         for a, b in zip(slices, slices[1:]):
-            assert classes.subset_le(a, b) and not classes.subset_le(b, a)
+            assert site.subset_le(a, b) and not site.subset_le(b, a)
 
     def test_unit_pair_normalized(self):
         model, site = fixtures.tensor_chain(2)

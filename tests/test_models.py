@@ -346,6 +346,23 @@ class TestCheckModel:
         with pytest.raises(ValueError, match=f"^model symmetry {missing!r} has no site"):
             bad.kernel_table(unacted, enumerate_words(unacted, bad.spaces))
 
+    @pytest.mark.parametrize("element, image", [("s1", "g1"), ("s2", "g2")])
+    def test_covariance_with_a_partial_outcome_map_is_inconclusive(self, element, image):
+        # an element whose outcome maps miss a point the site maps leaves its
+        # relations unchecked; the other elements' are still checked
+        bad, site = self.swapped_v()
+        symmetry = dict(bad.symmetry)
+        g = {t: m for t, m in symmetry[element].outcome_maps.items() if t != "g0"}
+        symmetry[element] = dataclasses.replace(symmetry[element], outcome_maps=g)
+        report = check_model(dataclasses.replace(bad, symmetry=symmetry), site)
+        entry = report["covariance"]
+        assert entry.status == "inconclusive"
+        assert entry.witness == (f"symmetry {element!r} outcome map at 'g0' is not an "
+                                 f"injection of the outcomes at 'g0' into those at {image!r}")
+        assert not report.ok and not report.failed
+        # the swapped v of s1 breaks its relations, checked unless s1 is skipped
+        assert (entry.residual > 0.5) == (element == "s2")
+
     def test_unit_monotone_witness_independent_of_hash_seed(self):
         # the compared unit blocks are frozensets, whose set order follows
         # the string-hash seed; the residuals of ['g0'] <= ['g1'] and

@@ -31,7 +31,7 @@ from qsproc.markov import (
 )
 from qsproc.models import FAIL, PASS, HilbertModel, ProductPlan, SymmetryRep
 from qsproc.reconstruct import reconstruct, verify_decomposition
-from qsproc.sites import CausalSite, SiteSymmetry, chain_site, derive_classes
+from qsproc.sites import CausalSite, SiteSymmetry, chain_site
 from qsproc.words import (
     Event,
     EventWord,
@@ -95,7 +95,7 @@ def reference_projectivity(oracle, pair_cap=64):
         kernels[b] = np.einsum("arp,brq->abpq", np.conjugate(f), f)
     worst, witness = 0.0, ""
     for k, j in itertools.product(blocks, repeat=2):
-        if not oracle.classes.subset_le(k, j) or k == j:
+        if not oracle.site.subset_le(k, j) or k == j:
             continue
         ik = model.unit_i(k)
         diff = np.einsum("pr,abrs,sq->abpq", ik, kernels[j], ik, optimize=True) - kernels[k]
@@ -131,11 +131,10 @@ def unit_gap_bound(model, site):
     its pair (k, j): times ``max_w |P_w|^2`` it bounds every block of the
     compression from j to k, ``L* M I_k + I_k* M R + L* M R`` with
     ``|M| = |P_a* P_b|``."""
-    classes = derive_classes(site)
     blocks = [frozenset()] + [frozenset({t}) for t in site.points]
     bound, at = 0.0, None
     for k, j in itertools.product(blocks, repeat=2):
-        if k == j or not classes.subset_le(k, j):
+        if k == j or not site.subset_le(k, j):
             continue
         ik, ij = model.unit_i(k), model.unit_i(j)
         l, r, u = opnorm(ij @ dagger(ik) - ik), opnorm(ij @ ik - ik), opnorm(ik)
@@ -165,11 +164,10 @@ def perturbed_units(model, blocks, scale=0.1, seed=3):
 
 def reference_regression(model, site, words):
     """Direct kernel against the nested slice form, pair by pair."""
-    classes = derive_classes(site)
-    slices = _ordered_slices(classes)
+    slices = _ordered_slices(site)
     if slices is None:
         return float("inf")
-    e_proj = {l: slice_projector(model, classes, l) for l in slices}
+    e_proj = {l: slice_projector(model, site, l) for l in slices}
     emb = model.embedding
     worst = 0.0
     for b, bp in itertools.product(words, repeat=2):
@@ -348,9 +346,8 @@ NESTED_MODELS = {
 @pytest.mark.parametrize("name", sorted(NESTED_MODELS))
 def test_nested_stack_is_the_per_word_loop_bit_for_bit(name, policy):
     model, site = NESTED_MODELS[name]()
-    classes = derive_classes(site)
-    slices = _ordered_slices(classes)
-    e_proj = {l: slice_projector(model, classes, l) for l in slices}
+    slices = _ordered_slices(site)
+    e_proj = {l: slice_projector(model, site, l) for l in slices}
     merged, _ = pointwise_product_table(enumerate_words(site, model.spaces, policy),
                                         model.spaces)
     got = _nested_stack(model, site, slices, e_proj, merged)

@@ -27,7 +27,7 @@ from qsproc.reconstruct import (
     represent_events,
     verify_decomposition,
 )
-from qsproc.sites import chain_site, derive_classes
+from qsproc.sites import chain_site
 from qsproc.words import Event, EventWord, OutcomeSpaces, enumerate_words, unit_word
 
 from kernel_tables import oracle_from_values, origin_unit, origin_unit_rank, with_table
@@ -405,12 +405,11 @@ class TestSubspaceLattice:
 
     def test_equivalent_blocks_share_units(self):
         model, site = fixtures.random_valid_model(2)  # has an equivalent pair
-        classes = derive_classes(site)
         words = enumerate_words(site, model.spaces)
         recon = reconstruct(model.kernel_table(site, words))
         pairs = [
             (a, b)
-            for cls in classes.equivalence_classes
+            for cls in site.equivalence_classes
             if len(cls) > 1
             for a, b in [(cls[0], cls[1])]
         ]

@@ -43,7 +43,7 @@ from qsproc.markov import (
 )
 from qsproc.models import HilbertModel, _blocks_within, check_model
 from qsproc.reconstruct import reconstruct
-from qsproc.sites import derive_classes, discrete_site
+from qsproc.sites import discrete_site
 from qsproc.words import (
     POLICY_ALL_SUBSETS,
     POLICY_ATOMS_PLUS_UNIT,
@@ -76,7 +76,6 @@ def projector_defect_reference(p):
 
 def check_model_reference(model, site, config=RunConfig()):
     """(condition, residual, witness) of every `check_model` entry."""
-    classes = derive_classes(site)
     entries = []
 
     def record(condition, residual, witness):
@@ -127,8 +126,8 @@ def check_model_reference(model, site, config=RunConfig()):
     record("independent_compatibility", worst_ind, wit_ind)
 
     worst_u, wit_u = 0.0, ""
-    for l in classes.maximal_antichains:
-        blocks = _blocks_within(classes, l)
+    for l in site.maximal_antichains:
+        blocks = _blocks_within(site, l)
         meet = linalg.meet_projectors(
             [model.unit_p(k) for k in blocks] + [eye], config.rank_tol
         )
@@ -141,7 +140,7 @@ def check_model_reference(model, site, config=RunConfig()):
             worst_u, wit_u = r, f"slice {sorted(l)}"
     record("unit_balance", worst_u, wit_u)
 
-    record("unit_monotone", *unit_monotone_reference(model, site, classes))
+    record("unit_monotone", *unit_monotone_reference(model, site))
 
     worst_c, wit_c = 0.0, ""
     for k, gens in model.algebra.items():
@@ -176,7 +175,7 @@ def check_model_reference(model, site, config=RunConfig()):
     return entries
 
 
-def unit_monotone_reference(model, site, classes):
+def unit_monotone_reference(model, site):
     """The nesting of the essential units above the initial projector: the
     larger of |I_j I_k* - I_k| and |I_j I_k - I_k| over the blocks k <= j."""
     blocks = sorted(
@@ -185,7 +184,7 @@ def unit_monotone_reference(model, site, classes):
     )
     worst, wit = 0.0, ""
     for k, j in itertools.product(blocks, repeat=2):
-        if not classes.subset_le(k, j):
+        if not site.subset_le(k, j):
             continue
         ik, ij = model.unit_i(k), model.unit_i(j)
         r = max(opnorm(ij @ dagger(ik) - ik), opnorm(ij @ ik - ik))
@@ -194,13 +193,13 @@ def unit_monotone_reference(model, site, classes):
     return worst, wit
 
 
-def unit_monotone_parent(model, site, classes):
+def unit_monotone_parent(model, site):
     """The entry's earlier formula: |I_k I_j - I_k| over the nonempty blocks
     k <= j, without the initial projector and the I_k* term."""
     worst, wit = 0.0, ""
     keyset = set(model.units_i) | {frozenset({t}) for t in site.points}
     for k, kp in itertools.product(keyset, repeat=2):
-        if not k or not kp or not classes.subset_le(k, kp):
+        if not k or not kp or not site.subset_le(k, kp):
             continue
         ik, ikp = model.unit_i(k), model.unit_i(kp)
         r = opnorm(ik @ ikp - ik)
@@ -210,14 +209,13 @@ def unit_monotone_parent(model, site, classes):
 
 
 def dynamicity_reference(model, site, config=RunConfig()):
-    classes = derive_classes(site)
     worst_m, wit_m = 0.0, ""
     worst_w, wit_w = 0.0, ""
-    for l in classes.maximal_antichains:
-        e_l = slice_projector(model, classes, l, config)
-        alg = slice_algebra(model, classes, l, e_l)
-        for lp in classes.maximal_antichains:
-            if not classes.subset_le(l, lp):
+    for l in site.maximal_antichains:
+        e_l = slice_projector(model, site, l, config)
+        alg = slice_algebra(model, site, l, e_l)
+        for lp in site.maximal_antichains:
+            if not site.subset_le(l, lp):
                 continue
             for ev in _slice_events(model, site, lp):
                 op = model.block_projector(site, ev)
@@ -240,12 +238,11 @@ def dynamicity_reference(model, site, config=RunConfig()):
 
 def composition_reference(model, site, config=RunConfig()):
     """The `regression_composition` entry of `check_regression`."""
-    classes = derive_classes(site)
-    slices = _ordered_slices(classes)
-    e_proj = {l: slice_projector(model, classes, l, config) for l in slices}
+    slices = _ordered_slices(site)
+    e_proj = {l: slice_projector(model, site, l, config) for l in slices}
     emb = model.embedding
     basis = {
-        l: slice_algebra(model, classes, l, e_proj[l]).basis_operators() for l in slices
+        l: slice_algebra(model, site, l, e_proj[l]).basis_operators() for l in slices
     }
     worst_c, wit_c = 0.0, ""
     for i, l in enumerate(slices):
@@ -274,10 +271,9 @@ def composition_reference(model, site, config=RunConfig()):
 
 
 def narrow_commutativity_reference(model, site):
-    classes = derive_classes(site)
     worst, wit = 0.0, ""
-    for l, lp in itertools.product(classes.maximal_antichains, repeat=2):
-        if l == lp or not classes.subset_le(l, lp):
+    for l, lp in itertools.product(site.maximal_antichains, repeat=2):
+        if l == lp or not site.subset_le(l, lp):
             continue
         for t, tp in itertools.product(sorted(l), sorted(lp)):
             for x, xp in itertools.product(
@@ -291,20 +287,19 @@ def narrow_commutativity_reference(model, site):
 
 
 def relaxation_reference(model, site, config=RunConfig()):
-    classes = derive_classes(site)
     words = enumerate_words(site, model.spaces, config.policy, config.cap)
-    minimal = classes.minimal_antichains()
+    minimal = site.minimal_antichains()
     p0 = model.initial_projector()
-    columns = {l: _slice_columns(model, site, words, l) for l in classes.maximal_antichains}
+    columns = {l: _slice_columns(model, site, words, l) for l in site.maximal_antichains}
     span = {
         l: linalg.projector_onto_columns(c, config.rank_tol) for l, c in columns.items()
     }
-    algebras = {l: slice_algebra(model, classes, l, span[l]) for l in span}
+    algebras = {l: slice_algebra(model, site, l, span[l]) for l in span}
     worst, wit = 0.0, ""
     for l0 in minimal:
         e_l0 = span[l0]
-        for l in classes.maximal_antichains:
-            if not classes.subset_le(l0, l):
+        for l in site.maximal_antichains:
+            if not site.subset_le(l0, l):
                 continue
             for a in algebras[l].basis_operators():
                 r = opnorm(e_l0 @ a @ e_l0 - p0 @ a @ p0)
@@ -323,8 +318,8 @@ def relaxation_reference(model, site, config=RunConfig()):
         cols = columns[l0]
         norms = np.linalg.norm(cols, axis=0)
         vecs = cols[:, norms >= 1e-12] / norms[norms >= 1e-12]
-        for l in classes.maximal_antichains:
-            if not classes.subset_le(l0, l):
+        for l in site.maximal_antichains:
+            if not site.subset_le(l0, l):
                 continue
             for a in algebras[l].basis_operators():
                 base = _limit_states(vecs, e_l0, a)
@@ -518,9 +513,9 @@ def test_unit_monotone_agrees_with_the_parent_formula(case):
     # the nesting adds the initial projector and the I_k* term; on these
     # models (Hermitian units above P0) it moves the residual by rounding only
     model, site = case
-    classes, tol = derive_classes(site), RunConfig().projector_tol
-    new, _ = unit_monotone_reference(model, site, classes)
-    old, _ = unit_monotone_parent(model, site, classes)
+    tol = RunConfig().projector_tol
+    new, _ = unit_monotone_reference(model, site)
+    old, _ = unit_monotone_parent(model, site)
     assert (new <= tol) == (old <= tol)
     assert abs(new - old) <= 1e-15
 
@@ -532,7 +527,7 @@ def test_check_dynamicity_matches_sweep(case):
 
 def test_check_regression_composition_matches_sweep(case):
     model, site = case
-    if _ordered_slices(derive_classes(site)) is None:
+    if _ordered_slices(site) is None:
         pytest.skip("slices not totally ordered: no composition entry")
     report = check_regression(model, site)
     assert entries(report)[1] == composition_reference(model, site)

@@ -101,7 +101,16 @@ def test_cli_sweep_raises_nothing(tmp_path):
     runs = json.loads(out.read_text())["runs"]
     assert [r["argv"] for r in runs if r["exit"] == "traceback"] == []
     module = sweep_module()
-    # `UNREAD_MAPS` comes after every other input: two Galilean tables whose
+    # `PAIR_LISTS` comes after every other input: a pair list as the map of
+    # 's1' in the Galilean site file and as its outcome map at 'g0' in the
+    # model file, under the nine model commands, and in the table, under
+    # reconstruct [--verify], four flag sets each, each an input error
+    pair_lists = [r for r in runs
+                  if any(a.startswith(n) for a in r["argv"] for n in module.PAIR_LISTS)]
+    assert len(pair_lists) == 4 * (2 * 9 + 2) and runs[-len(pair_lists):] == pair_lists
+    assert all(r["exit"] == 2 for r in pair_lists)
+    runs = runs[:-len(pair_lists)]
+    # `UNREAD_MAPS` comes before it: two Galilean tables whose
     # site declares "symmetries" under reconstruct [--verify], and the
     # Galilean model with no outcome map of 's1' at 'g0' under the nine model
     # commands, four flag sets each, each an input error

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qsproc import fixtures, serialize
-from qsproc.sites import chain_site, derive_classes
+from qsproc.sites import chain_site
 from qsproc.words import EventWord, enumerate_words
 
 
@@ -41,8 +41,7 @@ class TestSiteRoundTrip:
             "coords": [[0, 0], [1, "1/2"], [1, "-1/2"], [2, 0]],
         }
         site = serialize.site_from_json(data)
-        classes = derive_classes(site)
-        assert len(classes.maximal_antichains) == 3
+        assert len(site.maximal_antichains) == 3
 
     def test_geometric_galilean(self):
         site = serialize.site_from_json(
@@ -62,6 +61,37 @@ class TestSiteRoundTrip:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             serialize.site_from_json({"kind": "weird", "coords": []})
+
+
+class TestSymmetryMapNodes:
+    """A symmetry's point map and its outcome maps are JSON objects: a pair
+    list or a string in their place is refused, naming the node."""
+
+    NOT_OBJECTS = {"pairs": [["g0", "g1"], ["g1", "g2"]], "string": "ab"}
+    NODES = {  # the file, the path to the node, and the node's name
+        "site symmetries": ("site", ("symmetries",), '"symmetries"'),
+        "site map": ("site", ("symmetries", "s1", "map"), "symmetry 's1' map"),
+        "model g": ("model", ("symmetry", "s1", "g", "g0"), "symmetry 's1' g at 'g0'"),
+        "table map": ("table", ("symmetry", "s1", "map"), "symmetry 's1' map"),
+        "table g": ("table", ("symmetry", "s1", "g", "g0"), "symmetry 's1' g at 'g0'"),
+    }
+    READERS = {"site": serialize.site_from_json, "model": serialize.model_from_json,
+               "table": serialize.oracle_from_json}
+
+    @pytest.mark.parametrize("value", sorted(NOT_OBJECTS))
+    @pytest.mark.parametrize("case", sorted(NODES))
+    def test_refused_naming_the_node(self, case, value):
+        model, site = fixtures.galilean_shift_fixture()
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+        files = {"site": serialize.site_to_json(site), "model": serialize.model_to_json(model),
+                 "table": serialize.oracle_to_json(oracle)}
+        kind, (*path, last), name = self.NODES[case]
+        node = files[kind]
+        for key in path:
+            node = node[key]
+        node[last] = self.NOT_OBJECTS[value]
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} is not a JSON object$"):
+            self.READERS[kind](files[kind])
 
 
 class TestModelRoundTrip:

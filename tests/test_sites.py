@@ -7,17 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsproc import sites
+from qsproc import fixtures, sites
+from qsproc.kernels import check_axioms
+from qsproc.models import check_model
+from qsproc.reconstruct import reconstruct, verify_decomposition
 from qsproc.sites import (
     CausalSite,
     SiteSymmetry,
     chain_site,
     check_symmetry,
-    derive_classes,
     discrete_site,
     galilean_site,
     minkowski_site,
 )
+from qsproc.words import enumerate_words
 
 
 def is_nonanticipatory(site, pts) -> bool:
@@ -99,14 +102,13 @@ class TestMinkowskiSite:
 
     def test_diamond_maximal_antichains(self):
         site = minkowski_site(DIAMOND, c=1)
-        classes = derive_classes(site)
         p = site.points
         expected = {
             frozenset({p[0]}),
             frozenset({p[1], p[2]}),
             frozenset({p[3]}),
         }
-        assert set(classes.maximal_antichains) == expected
+        assert set(site.maximal_antichains) == expected
 
     def test_collinear_chain_total_order(self):
         site = minkowski_site([(0, 0), (1, 0), (2, 0)], c=1)
@@ -137,14 +139,12 @@ class TestGalileanSite:
 
     def test_factor_set(self):
         site = galilean_site([0, 1, 1, 2])
-        classes = derive_classes(site)
-        assert len(classes.equivalence_classes) == 3
+        assert len(site.equivalence_classes) == 3
 
     def test_single_time_one_class(self):
         site = galilean_site([5, 5, 5])
-        classes = derive_classes(site)
-        assert len(classes.equivalence_classes) == 1
-        assert classes.maximal_antichains == (frozenset(site.points),)
+        assert len(site.equivalence_classes) == 1
+        assert site.maximal_antichains == (frozenset(site.points),)
 
 
 class TestChainDecompose:
@@ -174,28 +174,42 @@ class TestChainDecompose:
 
 class TestEnumerateAntichains:
     def test_singleton_site(self):
-        classes = derive_classes(chain_site(("a",)))
-        assert classes.maximal_antichains == (frozenset({"a"}),)
+        site = chain_site(("a",))
+        assert site.maximal_antichains == (frozenset({"a"}),)
 
     def test_total_order_singletons(self):
-        classes = derive_classes(chain_site(tuple("abcd")))
-        assert set(classes.maximal_antichains) == {
+        site = chain_site(tuple("abcd"))
+        assert set(site.maximal_antichains) == {
             frozenset({t}) for t in "abcd"
         }
 
     def test_every_block_in_some_slice(self):
         site = minkowski_site(DIAMOND, c=1)
-        classes = derive_classes(site)
-        for k in classes.all_nonanticipatory():
+        for k in site.all_nonanticipatory():
             if k:
-                assert classes.antichains_containing(k)
+                assert site.antichains_containing(k)
 
     def test_cap(self, monkeypatch):
-        classes = derive_classes(discrete_site(tuple(f"p{i}" for i in range(8))))
-        assert len(classes.all_nonanticipatory()) == 2**8
+        site = discrete_site(tuple(f"p{i}" for i in range(8)))
+        assert len(site.all_nonanticipatory()) == 2**8
         monkeypatch.setattr(sites, "ANTICHAIN_CAP", 10)
         with pytest.raises(ValueError, match="cap"):
-            classes.all_nonanticipatory()
+            site.all_nonanticipatory()
+
+    def test_each_site_derives_its_slices_once(self, monkeypatch):
+        # the model check, the kernel table, the axioms, the reconstruction
+        # and its verification all read the one site's slices
+        calls = []
+        derive = sites._maximal_antichains
+        monkeypatch.setattr(sites, "_maximal_antichains",
+                            lambda site: calls.append(site) or derive(site))
+        model, site = fixtures.tensor_chain(3)
+        assert check_model(model, site).ok
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+        assert not check_axioms(oracle).failed
+        assert verify_decomposition(reconstruct(oracle), oracle).ok
+        assert len(calls) == 1 and calls[0] is site
+        assert site.maximal_antichains is site.maximal_antichains
 
 
 class TestValidation:
@@ -312,7 +326,6 @@ def preorders(max_points=5):
 @settings(max_examples=50, deadline=None)
 @given(preorders(max_points=5))
 def test_maximal_antichains_match_brute_force(site):
-    classes = derive_classes(site)
     n = len(site.points)
     nonanticipatory = [
         frozenset(c)
@@ -323,13 +336,12 @@ def test_maximal_antichains_match_brute_force(site):
     maximal = {
         a for a in nonanticipatory if not any(a < b for b in nonanticipatory)
     }
-    assert set(classes.maximal_antichains) == maximal
+    assert set(site.maximal_antichains) == maximal
 
 
 @settings(max_examples=50, deadline=None)
 @given(preorders(max_points=5))
 def test_all_nonanticipatory_matches_brute_force(site):
-    classes = derive_classes(site)
     n = len(site.points)
     expected = {
         frozenset(c)
@@ -337,7 +349,7 @@ def test_all_nonanticipatory_matches_brute_force(site):
         for c in itertools.combinations(site.points, r)
         if is_nonanticipatory(site, c)
     }
-    assert set(classes.all_nonanticipatory()) == expected
+    assert set(site.all_nonanticipatory()) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -354,7 +366,6 @@ def test_chain_decompose_partitions(site):
 @settings(max_examples=60, deadline=None)
 @given(preorders())
 def test_chain_blocks_strictly_ordered(site):
-    classes = derive_classes(site)
     blocks = site.chain_decompose(site.points)
     for earlier, later in zip(blocks, blocks[1:]):
         assert strictly_after(site, later, earlier)
@@ -371,8 +382,7 @@ def test_chain_decompose_idempotent(site):
 @settings(max_examples=40, deadline=None)
 @given(preorders(max_points=4))
 def test_join_characterizes_strict_order(site):
-    classes = derive_classes(site)
-    antichains = [k for k in classes.all_nonanticipatory() ]
+    antichains = [k for k in site.all_nonanticipatory() ]
     for j, jp in itertools.product(antichains, repeat=2):
         strict = strictly_after(site, j, jp)
         via_join = bool(j) and join(site, j, jp) == j and not (j & jp)
@@ -385,9 +395,8 @@ def test_monotone_maps_preserve_antichains(site):
     # the identity is monotone; so is any automorphism generated by sorting
     sym = trivial_symmetry(site)
     assert check_symmetry(site, sym) == []
-    classes = derive_classes(site)
     m = sym.maps["id"]
-    for k in classes.all_nonanticipatory():
+    for k in site.all_nonanticipatory():
         image = frozenset(m[t] for t in k)
         assert is_nonanticipatory(site, image)
 
@@ -401,15 +410,14 @@ def test_shift_sends_antichains_into_slices():
     _, site = galilean_shift_fixture()
     sym = site.symmetry
     assert check_symmetry(site, sym) == []
-    classes = derive_classes(site)
     for s in ("s1", "s2"):
         m = dict(sym.maps[s])
-        for k in classes.all_nonanticipatory():
+        for k in site.all_nonanticipatory():
             if not all(t in m for t in k):
                 continue
             image = frozenset(m[t] for t in k)
             assert is_nonanticipatory(site, image)
-        for l in classes.maximal_antichains:
+        for l in site.maximal_antichains:
             if all(t in m for t in l):
                 image = frozenset(m[t] for t in l)
-                assert any(image <= lp for lp in classes.maximal_antichains)
+                assert any(image <= lp for lp in site.maximal_antichains)

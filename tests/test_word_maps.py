@@ -37,7 +37,7 @@ from qsproc.reconstruct import (
     represent_events,
     represent_symmetry,
 )
-from qsproc.sites import SiteSymmetry, chain_site, derive_classes
+from qsproc.sites import SiteSymmetry, chain_site
 from qsproc.words import (
     Event,
     EventWord,
@@ -64,7 +64,7 @@ def reference_slice_axioms(oracle, config=RunConfig()):
     site, spaces, table = oracle.site, oracle.spaces, oracle.table
     add_worst, add_witness, add_missing = 0.0, "", None
     fac_worst, fac_witness, fac_missing = 0.0, "", None
-    for l in oracle.classes.maximal_antichains:
+    for l in oracle.site.maximal_antichains:
         idx = np.array(reference_words_within(oracle, site.down_set(l)), dtype=int)
         if not idx.size:
             continue
@@ -129,7 +129,7 @@ def reference_represent_event(gns, block, event, strict_closure=True):
     oracle = gns.oracle
     site = oracle.site
     eligible: set[int] = set()
-    for l in oracle.classes.antichains_containing(frozenset(block)):
+    for l in oracle.site.antichains_containing(frozenset(block)):
         eligible.update(reference_words_within(oracle, site.down_set(l)))
     idx, targets = [], []
     for i in sorted(eligible):
@@ -182,7 +182,7 @@ def oracles(name, policy):
     noisy = with_table(model.kernel_table(site, words), noise)
     keep = sorted(set(rng.choice(n, size=max(1, 3 * n // 4), replace=False)) | {0})
     sub = KernelOracle(
-        site=site, classes=noisy.classes, spaces=model.spaces, kdim=k,
+        site=site, spaces=model.spaces, kdim=k,
         words=tuple(words[i] for i in keep), table=noisy.table[np.ix_(keep, keep)],
     )
     return exact, noisy, sub
@@ -385,7 +385,7 @@ def test_slice_axioms_across_the_62_bit_cut(monkeypatch):
 def test_maps_match_word_by_word(name):
     for oracle in oracles(name, "all_subsets"):
         site, spaces = oracle.site, oracle.spaces
-        regions = [site.down_set(l) for l in oracle.classes.maximal_antichains]
+        regions = [site.down_set(l) for l in oracle.site.maximal_antichains]
         for region in [*regions, (), site.points, site.points[:1]]:
             assert oracle.words_within(region) == reference_words_within(oracle, region)
         for t in site.points:
@@ -436,9 +436,9 @@ def test_a_word_off_the_site_is_refused():
              EventWord.from_dict({"t": {"1"}, "z": {"0"}}, spaces)]
     with pytest.raises(ValueError, match=r"^word \{\['1'\]@t, \['0'\]@z\} names point "
                                          r"'z', which is not in the site$"):
-        KernelOracle(site=site, classes=derive_classes(site), spaces=spaces, kdim=1,
+        KernelOracle(site=site, spaces=spaces, kdim=1,
                      words=tuple(words), table=np.zeros((3, 3, 1, 1)))
-    oracle = KernelOracle(site=site, classes=derive_classes(site), spaces=spaces, kdim=1,
+    oracle = KernelOracle(site=site, spaces=spaces, kdim=1,
                           words=tuple(words[:2]), table=np.zeros((2, 2, 1, 1)))
     assert list(oracle._columns) == ["t"]
     assert oracle.right_products(Event.from_dict({"t": {"1"}})).tolist() == [1, 1]
@@ -583,7 +583,7 @@ def reversal_oracle():
     g = {x: ys[69 - i] for i, x in enumerate(xs)}
     n = len(words)
     return KernelOracle(
-        site=site, classes=derive_classes(site), spaces=spaces, kdim=1, words=tuple(words),
+        site=site, spaces=spaces, kdim=1, words=tuple(words),
         table=np.zeros((n, n, 1, 1)),
         symmetry={"r": SymmetryRep({"a": g}, np.eye(1))},
     )

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qsproc import fixtures
 from qsproc.kernels import KernelOracle
-from qsproc.sites import CausalSite, chain_site, derive_classes, minkowski_site
+from qsproc.sites import CausalSite, chain_site, minkowski_site
 from qsproc.words import (
     POLICY_ALL_SUBSETS,
     POLICY_ATOMS_PLUS_UNIT,
@@ -84,7 +84,7 @@ class TestExtend:
     def test_region_must_cover_support(self):
         words = [unit_word(), word({"t1": {"0"}}), word({"t2": {"+"}})]
         oracle = KernelOracle(
-            site=SITE, classes=derive_classes(SITE), spaces=SPACES, kdim=1,
+            site=SITE, spaces=SPACES, kdim=1,
             words=tuple(words), table=np.zeros((3, 3, 1, 1)),
         )
         assert oracle.words_within({"t2"}) == [0, 2]
