@@ -33,7 +33,7 @@ def main():
         print(
             f"{seed:>4} {len(site.points):>4} {model.dim:>4} {len(words):>6} "
             f"{recon.rank:>5} {'ok' if axioms.ok else 'FAIL':>7} "
-            f"{decomp.max_residual:>10.2e} {time.time() - t0:>5.2f}s"
+            f"{decomp.residual:>10.2e} {time.time() - t0:>5.2f}s"
         )
         assert axioms.ok and decomp.ok
 

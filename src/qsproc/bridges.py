@@ -256,12 +256,8 @@ def verify_lift(
         lambda i: "atom {!r} of {!r} at levels {},{}".format(*at[i]),
     ), tol)
 
-    decomp = verify_decomposition(recon, oracle, config)
-    decomposition = Check(
-        "decomposition", decomp.max_residual, decomp.witness, tol
-    )
     return LiftReport((ultra, constant_units, level_independent, narrow_units,
-                       decomposition), "checks")
+                       verify_decomposition(recon, oracle, config)), "checks")
 
 
 # -- classical reduction -------------------------------------------------------

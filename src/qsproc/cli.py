@@ -21,7 +21,7 @@ import sys
 from . import __version__, bridges, equivalence, markov, serialize
 from .config import RunConfig
 from .kernels import check_axioms, require_on_site
-from .models import check_model, require_representation
+from .models import Check, check_model, require_representation
 from .reconstruct import ReconstructionRefused, reconstruct, verify_decomposition
 from .words import enumerate_words
 
@@ -288,6 +288,13 @@ def _print_text(report: dict, indent: int = 0) -> None:
             print(f"{pad}{key}: {value}")
 
 
+def _reproduces(check: Check, verdict: str = "ok") -> dict:
+    """A check that a model reproduces a table (`verify_decomposition`,
+    `check_wide_equivalence`) as reports write it, its pass under `verdict`."""
+    return {verdict: check.ok, "max_residual": check.residual,
+            "witness": check.witness, "tolerance": check.tolerance}
+
+
 # -- handlers: each returns its report, or None, and its verdict -----------------
 
 
@@ -324,15 +331,13 @@ def cmd_reconstruct(args, config: RunConfig):
     if not args.verify:
         return report, True
     decomp = verify_decomposition(recon, oracle, config)
-    report["verification"] = decomp.to_dict()
-    # idempotence: the emitted model's minimal modification on the same
-    # words is unitarily equivalent to it
+    report["verification"] = _reproduces(decomp)
+    # idempotence: the emitted model is unitarily equivalent to its minimal
+    # modification, both read off its kernel oracle on the table's plan
     with _failures("idempotence table: ", "idempotence refused"):
-        second = equivalence.minimal_modification(recon.model, oracle.site, oracle.words,
-                                                  config=config)
-        morphism = equivalence.build_unitary(
-            recon.model, second, oracle.site, oracle.words, config
-        )
+        emitted = recon.model.kernel_oracle(oracle.plan)
+        second = reconstruct(emitted, config, strict_closure=False).model
+        morphism = equivalence.intertwine(recon.model, second, emitted, config)
     report["idempotence"] = morphism.to_dict()
     return report, decomp.ok and morphism.ok
 
@@ -342,7 +347,7 @@ def cmd_roundtrip(args, config: RunConfig):
     recon = reconstruct(oracle, config)
     decomp = verify_decomposition(recon, oracle, config)
     shrink = {"ambient_dimension": model.dim, "minimal_dimension": recon.rank}
-    return {"roundtrip": decomp.to_dict(), "dimensions": shrink}, decomp.ok
+    return {"roundtrip": _reproduces(decomp), "dimensions": shrink}, decomp.ok
 
 
 def cmd_equiv(args, config: RunConfig):
@@ -356,7 +361,7 @@ def cmd_equiv(args, config: RunConfig):
     words = enumerate_words(site, m1.spaces, config.policy, config.cap)
     if args.action == "check":
         verdict = equivalence.check_wide_equivalence(m1, m2, site, words, config)
-        return {"equivalence": verdict.to_dict()}, verdict.equivalent
+        return {"equivalence": _reproduces(verdict, "equivalent")}, verdict.ok
     mm1, mm2 = (
         equivalence.minimal_modification(m, site, words, config=config)
         for m in (m1, m2)

@@ -19,8 +19,9 @@ import numpy as np
 from . import linalg
 from .config import RunConfig
 from .linalg import COMPLEX, dagger, opnorm
-from .models import HilbertModel
-from .reconstruct import reconstruct
+from .kernels import KernelOracle
+from .models import Check, HilbertModel
+from .reconstruct import _kernel_gap, reconstruct
 from .sites import CausalSite
 from .words import EventWord, enumerate_words, subsets
 
@@ -47,43 +48,21 @@ def minimal_modification(
     """
     if words is None:
         words = enumerate_words(site, model.spaces, config.policy, config.cap)
-    oracle = model.kernel_table(site, words)
-    return reconstruct(oracle, config, strict_closure=False).model
+    return reconstruct(model.kernel_table(site, words), config, strict_closure=False).model
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
-    equivalent: bool
-    max_residual: float
-    witness: str
-    tolerance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "equivalent": self.equivalent,
-            "max_residual": self.max_residual,
-            "witness": self.witness,
-            "tolerance": self.tolerance,
-        }
+def check_wide_equivalence(m1: HilbertModel, m2: HilbertModel, site: CausalSite,
+                           words: Sequence[EventWord], config: RunConfig = RunConfig()) -> Check:
+    """Whether the two kernel tables coincide, block by block: the check
+    "equivalence" holds the largest operator norm of a k x k block of their
+    difference, and the word pair of the first block attaining it."""
+    return _equivalence(m2, _first_oracle(m1, m2, site, words), config)[0]
 
 
-def check_wide_equivalence(
-    m1: HilbertModel,
-    m2: HilbertModel,
-    site: CausalSite,
-    words: Sequence[EventWord],
-    config: RunConfig = RunConfig(),
-) -> EquivalenceVerdict:
-    """Entrywise comparison of the two kernel tables."""
-    return _compare_tables(m1, m2, site, words, config.equivalence_tol)[0]
-
-
-def _compare_tables(m1: HilbertModel, m2: HilbertModel, site: CausalSite, words, tol):
-    """Blockwise comparison of the two models' kernel tables, once models
-    whose initial spaces differ are refused: the first model's oracle
-    (`HilbertModel.kernel_table`, its symmetry set aside) against the pair
-    blocks of the second model's evaluation of the oracle's `plan`; with the
-    verdict, the oracle and the second model's product columns."""
+def _first_oracle(m1: HilbertModel, m2: HilbertModel, site: CausalSite, words):
+    """The first model's kernel oracle (`HilbertModel.kernel_table`), its
+    symmetry set aside, once models whose initial spaces differ are
+    refused."""
     if m1.kdim != m2.kdim:
         raise ValueError(
             f"initial spaces differ ({m1.kdim} vs {m2.kdim}); the tables are "
@@ -91,12 +70,15 @@ def _compare_tables(m1: HilbertModel, m2: HilbertModel, site: CausalSite, words,
         )
     if m1.symmetry:
         m1 = dataclasses.replace(m1, symmetry={})
-    oracle = m1.kernel_table(site, words)
-    stack = m2.evaluate(oracle.plan)
-    worst, at = linalg.worst_gap(oracle.table, linalg.pair_blocks(stack))
+    return m1.kernel_table(site, words)
+
+
+def _equivalence(m2: HilbertModel, oracle: KernelOracle, config: RunConfig):
+    """Whether `m2` reproduces the table of `oracle` (`_kernel_gap`), as the
+    check "equivalence", and the products of `m2` on the oracle's plan."""
+    worst, at, products = _kernel_gap(m2, oracle)
     witness = "" if at is None else f"pair (word {at[0]}, word {at[1]})"
-    verdict = EquivalenceVerdict(worst <= tol, worst, witness, tol)
-    return verdict, oracle, linalg.side_by_side(stack)
+    return Check("equivalence", worst, witness, config.equivalence_tol), products
 
 
 @dataclass(eq=False)
@@ -112,15 +94,8 @@ class ModelMorphism:
 
     @property
     def ok(self) -> bool:
-        return (
-            max(
-                self.isometry_residual,
-                self.event_residual,
-                self.algebra_residual,
-                self.symmetry_residual,
-            )
-            <= self.tolerance
-        )
+        return max(self.isometry_residual, self.event_residual,
+                   self.algebra_residual, self.symmetry_residual) <= self.tolerance
 
     def to_dict(self) -> dict:
         return {
@@ -133,29 +108,33 @@ class ModelMorphism:
         }
 
 
-def build_unitary(
-    m1: HilbertModel,
-    m2: HilbertModel,
-    site: CausalSite,
-    words: Sequence[EventWord],
-    config: RunConfig = RunConfig(),
-) -> ModelMorphism:
-    """Unitary sending the first minimal model onto the second.
+def build_unitary(m1: HilbertModel, m2: HilbertModel, site: CausalSite,
+                  words: Sequence[EventWord], config: RunConfig = RunConfig()) -> ModelMorphism:
+    """Unitary sending the first minimal model onto the second on `words`:
+    `intertwine` through the first model's kernel oracle, its symmetry set
+    aside."""
+    return intertwine(m1, m2, _first_oracle(m1, m2, site, words), config)
 
-    The map matches chronological product vectors through the first
-    model's kernel oracle: its product stack X and the memoised factor of X
+
+def intertwine(m1: HilbertModel, m2: HilbertModel, oracle: KernelOracle,
+               config: RunConfig = RunConfig()) -> ModelMorphism:
+    """Unitary sending the first minimal model onto the second, read off
+    `oracle`, the kernel oracle of the first on some words (its symmetry may
+    be set aside); refused unless the second reproduces its table.
+
+    The map matches chronological product vectors through the oracle: its
+    product stack X and the memoised factor of X
     (`KernelOracle.gram_factor`), whose rank each model's dimension must
     equal: ``u = Y V S^-1 W*`` for the thin SVD ``X = W S V*``, which sees
     the conditioning of X, not that of its Gram matrix.  The phase is fixed
     by matching the initial embeddings directly, so the restriction to the
     initial space is the identity.
     """
-    tol = config.equivalence_tol
-    verdict, oracle, y = _compare_tables(m1, m2, site, words, tol)
-    if not verdict.equivalent:
+    check, products = _equivalence(m2, oracle, config)
+    if not check.ok:
         raise EquivalenceRefused(
             f"models are not equivalent in the wide sense "
-            f"(residual {verdict.max_residual:.3e} at {verdict.witness})"
+            f"(residual {check.residual:.3e} at {check.witness})"
         )
     factor = oracle.gram_factor(config.rank_tol)
     # equal tables have equal Gram ranks, and a minimal model has that dimension
@@ -166,9 +145,9 @@ def build_unitary(
             )
     z = factor.vectors / np.sqrt(factor.values)[None, :]
     q1 = oracle.product_stack @ z
-    q2 = y @ z
+    q2 = linalg.side_by_side(products) @ z
     u = q2 @ dagger(q1)
-    return _measure_morphism(u, m1, m2, site, tol)
+    return _measure_morphism(u, m1, m2, oracle.site, config.equivalence_tol)
 
 
 def _measure_morphism(u, m_small, m_big, site, tol) -> ModelMorphism:

@@ -190,34 +190,34 @@ class HilbertModel:
             states = cur
         return out
 
-    def kernel_table(
-        self,
-        site: CausalSite,
-        word_list: Sequence[EventWord],
-    ):
-        """Total kernel map on a word list, packaged with the symmetry data
-        and with the product stack the oracle factors (`KernelOracle`).
-        Each model symmetry element is represented on K by ``E* v E`` and
-        acts on the site by the site's map (`CausalSite.symmetry`); an
-        element the site does not act by is refused
-        (`require_representation`).
+    def kernel_table(self, site: CausalSite, word_list: Sequence[EventWord]):
+        """Total kernel map on a word list: `kernel_oracle` of the words'
+        `ProductPlan`."""
+        return self.kernel_oracle(ProductPlan.walk(site, word_list))
+
+    def kernel_oracle(self, plan: ProductPlan):
+        """The kernel table on the words of `plan`, packaged with the
+        symmetry data and with the product stack the oracle factors
+        (`KernelOracle`), whose `plan` is `plan` itself.  Each model symmetry
+        element is represented on K by ``E* v E`` and acts on the site by the
+        site's map (`CausalSite.symmetry`); an element the site does not act
+        by is refused (`require_representation`).
 
         Import is deferred to avoid a cycle with the oracle module."""
         from .kernels import KernelOracle
 
-        plan = ProductPlan.walk(site, word_list)
         columns = linalg.side_by_side(self.evaluate(plan))
         # the products again, as a view of their columns: no second copy
         products = columns.reshape(self.dim, len(plan.words), self.kdim).swapaxes(0, 1)
         table = linalg.pair_blocks(products)
         table.setflags(write=False)  # the oracle adopts it
-        require_representation(self.symmetry, "model", self.dim, site)
+        require_representation(self.symmetry, "model", self.dim, plan.site)
         sym = {
             s: SymmetryRep(ms.outcome_maps, dagger(self.embedding) @ ms.op @ self.embedding)
             for s, ms in self.symmetry.items()
         }
         return KernelOracle(
-            site=site,
+            site=plan.site,
             spaces=self.spaces,
             kdim=self.kdim,
             words=plan.words,
@@ -337,6 +337,12 @@ class Check:
         """`name`, kept for perfbench until ROADMAP item 1 moves its probes
         onto `to_dict()`."""
         return self.name
+
+    @property
+    def max_residual(self) -> float:
+        """`residual`, kept for perfbench: its round-trip gate and probes
+        read it."""
+        return self.residual
 
     def to_dict(self) -> dict:
         return {"name": self.name, "status": self.status, "residual": self.residual,

@@ -340,37 +340,30 @@ def reconstruct(
     return ReconstructedProcess(gns=gns, model=model, lattice=lattice)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    max_residual: float
-    witness: str
-    tolerance: float
-
-    @property
-    def ok(self) -> bool:
-        return self.max_residual <= self.tolerance
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "max_residual": self.max_residual,
-            "witness": self.witness,
-            "tolerance": self.tolerance,
-        }
+def _kernel_gap(model: HilbertModel, oracle: KernelOracle):
+    """Whether `model` reproduces the table of `oracle`, the one comparison
+    that verification and wide equivalence make: the model's products on the
+    oracle's `plan`, and the largest operator norm of a k x k block of
+    ``oracle.table`` minus their pair blocks (`linalg.worst_gap`), with the
+    first block attaining it (None when the tables agree exactly).  Returns
+    that norm, that block and the products."""
+    products = model.evaluate(oracle.plan)
+    worst, at = linalg.worst_gap(oracle.table, linalg.pair_blocks(products))
+    return worst, at, products
 
 
 def verify_decomposition(
     recon: ReconstructedProcess,
     oracle: KernelOracle,
     config: RunConfig = RunConfig(),
-) -> DecompositionReport:
+) -> Check:
     """Recompute the kernel table from the reconstructed model and compare it
-    entrywise with the oracle."""
-    tol = config.decomposition_tol
-    blocks = linalg.pair_blocks(recon.model.evaluate(oracle.plan))
-    worst, at = linalg.worst_gap(blocks, oracle.table)
-    if at is None:
-        return DecompositionReport(worst, "" if blocks.size == 0 else "exact match", tol)
-    i, j = at
-    witness = f"pair ({_word_label(oracle.words[i])}, {_word_label(oracle.words[j])})"
-    return DecompositionReport(worst, witness, tol)
+    with the oracle's, block by block (`_kernel_gap`): the check
+    "decomposition" holds the largest operator norm of a k x k block of the
+    difference, and the word pair of the first block attaining it."""
+    worst, at, _ = _kernel_gap(recon.model, oracle)
+    witness = "exact match"
+    if at is not None:
+        i, j = at
+        witness = f"pair ({_word_label(oracle.words[i])}, {_word_label(oracle.words[j])})"
+    return Check("decomposition", worst, witness, config.decomposition_tol)

@@ -109,10 +109,14 @@ def site_to_json(site: CausalSite, symmetry: bool = True) -> dict:
 
 def site_from_json(data: dict) -> CausalSite:
     """A site, with the action its ``"symmetries"`` block declares."""
+    data = json_object(data, "the site")
     if "kind" in data:
         site = _geometric_site(data)
     else:
-        leq = tuple(tuple(row) for row in data["leq"])
+        leq = data["leq"]
+        if not isinstance(leq, list) or not all(isinstance(row, list) for row in leq):
+            raise ValueError('"leq" is not a list of rows')
+        leq = tuple(tuple(row) for row in leq)
         if not all(isinstance(v, bool) for row in leq for v in row):
             raise ValueError('"leq" holds a cell that is not true or false')
         points = json_strings(data["points"], '"points" is not a list of strings')
@@ -121,8 +125,7 @@ def site_from_json(data: dict) -> CausalSite:
         entries = dict(json_object(data["symmetries"], '"symmetries"'))
         # the composition table may sit inside the symmetry block or beside it
         raw_compose = entries.pop("compose", data.get("compose", {}))
-        maps = {s: dict(json_object(entry["map"], f"symmetry {s!r} map"))
-                for s, entry in entries.items()}
+        maps = {s: _point_map(entry, s) for s, entry in entries.items()}
         compose = {}
         for a, inner in json_object(raw_compose, '"compose"').items():
             for b, c in json_object(inner, f'"compose" {a!r}').items():
@@ -182,8 +185,15 @@ def word_from_json(data: Mapping, spaces: OutcomeSpaces) -> EventWord:
 # -- models -----------------------------------------------------------------------
 
 
+def _point_map(entry, s: str) -> dict:
+    """The point map ``"map"`` of the symmetry entry of element `s`."""
+    entry = json_object(entry, f"symmetry {s!r}")
+    return dict(json_object(entry["map"], f"symmetry {s!r} map"))
+
+
 def _outcome_maps(entry, s: str) -> dict:
     """The per-point outcome maps ``"g"`` of the symmetry entry of element `s`."""
+    entry = json_object(entry, f"symmetry {s!r}")
     return {t: dict(json_object(g, f"symmetry {s!r} g at {t!r}"))
             for t, g in json_object(entry["g"], f"symmetry {s!r} g").items()}
 
@@ -221,6 +231,7 @@ def model_to_json(model: HilbertModel) -> dict:
 
 
 def model_from_json(data: dict) -> HilbertModel:
+    data = json_object(data, "the model")
     spaces = spaces_from_json(data["spaces"])
     atoms = {
         t: {x: matrix_from_json(m, f"projector {t!r}/{x!r}")
@@ -244,10 +255,8 @@ def model_from_json(data: dict) -> HilbertModel:
         for k, gens in json_object(data.get("algebra", {}), '"algebra"').items()
     }
     symmetry = {
-        s: SymmetryRep(
-            op=matrix_from_json(entry["v"], f"symmetry {s!r} v"),
-            outcome_maps=_outcome_maps(entry, s),
-        )
+        s: SymmetryRep(outcome_maps=_outcome_maps(entry, s),  # refuses a non-object
+                       op=matrix_from_json(entry["v"], f"symmetry {s!r} v"))
         for s, entry in json_object(data.get("symmetry", {}), '"symmetry"').items()
     }
     model = HilbertModel(
@@ -369,11 +378,14 @@ def oracle_from_json(data: dict) -> KernelOracle:
     """A kernel table, whose site acts by the maps of its ``"symmetry"``
     block, with no composition table: a ``"symmetries"`` block in its
     ``"site"`` is refused."""
-    if isinstance(data["site"], Mapping) and "symmetries" in data["site"]:
+    data = json_object(data, "the kernel table")
+    if "symmetries" in json_object(data["site"], '"site"'):
         raise ValueError('a kernel table declares its symmetry in "symmetry" only, '
                          'not in a "symmetries" block of its "site"')
     site = site_from_json(data["site"])
     spaces = spaces_from_json(data["spaces"])
+    if not isinstance(data["words"], list):
+        raise ValueError('"words" is not a list')
     words = tuple(word_from_json(w, spaces) for w in data["words"])
     kdim = json_int(data["kdim"], '"kdim"', 1)
     n = len(words)
@@ -397,7 +409,7 @@ def oracle_from_json(data: dict) -> KernelOracle:
     table = table.reshape(n, n, kdim, kdim)
     maps, symmetry = {}, {}
     for s, entry in json_object(data.get("symmetry", {}), '"symmetry"').items():
-        maps[s] = dict(json_object(entry["map"], f"symmetry {s!r} map"))
+        maps[s] = _point_map(entry, s)
         symmetry[s] = SymmetryRep(
             outcome_maps=_outcome_maps(entry, s),
             op=matrix_from_json(entry["u"], f"symmetry {s!r} u"),

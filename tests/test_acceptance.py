@@ -83,8 +83,8 @@ def test_criterion_2_roundtrip_on_random_models(random_battery):
     worst = 0.0
     ok = True
     for seed, model, site, oracle, axioms, recon, decomp in random_battery:
-        worst = max(worst, decomp.max_residual)
-        ok = ok and decomp.max_residual <= 1e-8 and recon.rank <= model.dim
+        worst = max(worst, decomp.residual)
+        ok = ok and decomp.residual <= 1e-8 and recon.rank <= model.dim
     line(
         2,
         "reconstruction reproduces every table at most at ambient dimension",

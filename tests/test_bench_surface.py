@@ -32,7 +32,7 @@ PROBED = (
     "kernels.check_projectivity", "reconstruct.build_space",
     "reconstruct.verify_decomposition", "markov.check_dynamicity",
     "bridges.verify_lift", "bridges.lift_process", "equivalence.build_unitary",
-    "bridges.classical_reduce",
+    "equivalence.check_wide_equivalence", "bridges.classical_reduce",
 )
 
 
@@ -59,6 +59,7 @@ def run_stages():
     padded = fixtures.with_untouched_ancilla(model, 1)
     m1, m2 = (equivalence.minimal_modification(m, site, words) for m in (model, padded))
     assert equivalence.build_unitary(m1, m2, site, words).ok
+    assert equivalence.check_wide_equivalence(m1, m2, site, words).ok
     commuting, csite = fixtures.commuting_diagonal()
     assert bridges.classical_reduce(commuting, csite).ok
     return len(words)

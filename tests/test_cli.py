@@ -299,7 +299,7 @@ class TestReconstruct:
         def refuse(*args, **kwargs):
             raise equivalence.EquivalenceRefused("models are not equivalent")
 
-        monkeypatch.setattr(equivalence, "build_unitary", refuse)
+        monkeypatch.setattr(equivalence, "intertwine", refuse)
         good = write(tmp_path, "good.json", serialize.oracle_to_json(qubit_table()))
         assert cli.main(["reconstruct", good, "--verify"]) == 1
         captured = capsys.readouterr()
@@ -973,15 +973,31 @@ class TestMalformedMatrix:
 
 class TestMapNotAnObject:
     """A pair list or a string where a symmetry's point map or outcome map
-    belongs is an input error naming the node on one line, in a site, a
-    model and a kernel table file alike."""
+    belongs, or a JSON container of the wrong kind where a symmetry entry, a
+    table's site or words, a site's relation or a whole table belongs, is an
+    input error naming the node on one line, in a site, a model and a kernel
+    table file alike."""
 
-    VALUES = {
-        "site map": (("site", "symmetries", "s1", "map"), [["g0", "g1"], ["g1", "g2"]]),
-        "site map string": (("site", "symmetries", "s1", "map"), "ab"),
-        "model g": (("model", "symmetry", "s1", "g", "g0"), [["0", "0"], ["1", "1"]]),
-        "table map": (("table", "symmetry", "s1", "map"), [["g0", "g1"], ["g1", "g2"]]),
-        "table g": (("table", "symmetry", "s1", "g", "g0"), [["0", "0"], ["1", "1"]]),
+    ENTRY = "symmetry 's1' is not a JSON object"
+    VALUES = {  # the path to the node, its value, and the refusal
+        "site map": (("site", "symmetries", "s1", "map"), [["g0", "g1"], ["g1", "g2"]],
+                     "symmetry 's1' map is not a JSON object"),
+        "site map string": (("site", "symmetries", "s1", "map"), "ab",
+                            "symmetry 's1' map is not a JSON object"),
+        "model g": (("model", "symmetry", "s1", "g", "g0"), [["0", "0"], ["1", "1"]],
+                    "symmetry 's1' g at 'g0' is not a JSON object"),
+        "table map": (("table", "symmetry", "s1", "map"), [["g0", "g1"], ["g1", "g2"]],
+                      "symmetry 's1' map is not a JSON object"),
+        "table g": (("table", "symmetry", "s1", "g", "g0"), [["0", "0"], ["1", "1"]],
+                    "symmetry 's1' g at 'g0' is not a JSON object"),
+        "site entry": (("site", "symmetries", "s1"), [["map", {"g0": "g1"}]], ENTRY),
+        "model entry": (("model", "symmetry", "s1"), [["g", {}], ["v", [[[1.0, 0.0]]]]],
+                        ENTRY),
+        "table entry": (("table", "symmetry", "s1"), [["map", {"g0": "g1"}]], ENTRY),
+        "table site": (("table", "site"), [["points", ["g0"]]], '"site" is not a JSON object'),
+        "table root": (("table",), [["kdim", 1]], "the kernel table is not a JSON object"),
+        "table words": (("table", "words"), 3, '"words" is not a list'),
+        "site leq": (("site", "leq"), 3, '"leq" is not a list of rows'),
     }
 
     def runs(self, tmp_path, case):
@@ -991,12 +1007,15 @@ class TestMapNotAnObject:
         files = {"model": serialize.model_to_json(model),
                  "site": serialize.site_to_json(site),
                  "table": serialize.oracle_to_json(oracle)}
-        (name, *path, last), value = self.VALUES[case]
-        node = files[name]
-        for key in path:
-            node = node[key]
-        node[last] = value
-        paths = {kind[0].upper(): write(tmp_path, f"{kind}.json", data)
+        (name, *path), value, _ = self.VALUES[case]
+        if path:
+            node = files[name]
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        else:
+            files[name] = value
+        paths = {kind[0].upper(): write(tmp_path, f"{kind}.json", serialize.dumps(data))
                  for kind, data in files.items()}
         if name == "table":
             return [["reconstruct", paths["T"]], ["reconstruct", paths["T"], "--verify"]]
@@ -1004,11 +1023,10 @@ class TestMapNotAnObject:
 
     @pytest.mark.parametrize("case", sorted(VALUES))
     def test_exits_two_naming_the_node(self, tmp_path, capsys, case):
-        node = "g at 'g0'" if case.endswith(" g") else "map"
+        message = self.VALUES[case][2]
         for argv in self.runs(tmp_path, case):
             assert cli.main(argv) == 2, argv
-            assert capsys.readouterr() == (
-                "", f"input error: symmetry 's1' {node} is not a JSON object\n")
+            assert capsys.readouterr() == ("", f"input error: {message}\n")
 
 
 class TestMisshapenModel:

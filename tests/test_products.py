@@ -7,13 +7,14 @@ them.
 
 import dataclasses
 import itertools
+import json
 import random
 import re
 
 import numpy as np
 import pytest
 
-from qsproc import fixtures, linalg
+from qsproc import cli, fixtures, linalg, serialize
 from qsproc.config import RunConfig
 from qsproc.equivalence import minimal_modification
 from qsproc.kernels import (
@@ -609,6 +610,40 @@ def test_pipeline_walks_the_words_once_per_oracle(monkeypatch):
     assert verify_decomposition(recon, oracle).ok
     assert len(walks) == 1
     assert evaluations == [(model, oracle.plan), (recon.model, oracle.plan)]
+
+
+def test_reconstruct_verify_walks_its_words_once(tmp_path, monkeypatch, capsys):
+    # `reconstruct TABLE --verify` walked the words three times (the table's
+    # plan, then the emitted model's table twice), formed four tables of
+    # pair blocks and factored the emitted model's product stack twice; its
+    # idempotence check now reads one oracle of the emitted model, built on
+    # the table's plan
+    model, site = fixtures.tensor_chain(2, canonical=False)
+    oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+    table = tmp_path / "table.json"
+    table.write_text(serialize.dumps(serialize.oracle_to_json(oracle)))
+    walks, calls = [], []
+
+    def walked(site, words, _orig=ProductPlan.walk):
+        walks.append(len(words))
+        return _orig(site, words)
+
+    def counted(name, _orig):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return _orig(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(ProductPlan, "walk", walked)
+    for name in ("pair_blocks", "stack_factor", "_residual_bound"):
+        monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
+    assert cli.main(["reconstruct", str(table), "--verify"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verification"]["ok"] and report["idempotence"]["ok"]
+    assert walks == [16]
+    assert calls.count("stack_factor") == 1
+    assert calls.count("_residual_bound") == 2
+    assert calls.count("pair_blocks") <= 3
 
 
 def test_oracle_takes_only_the_plan_of_its_words():

@@ -317,7 +317,7 @@ class TestRepresentedEvents:
         assert recon.rank == 2**n
         report = check_model(recon.model, site, config=config)
         assert report.ok, report.violations()
-        assert verify_decomposition(recon, oracle, config).max_residual <= 1e-13
+        assert verify_decomposition(recon, oracle, config).residual <= 1e-13
 
     def test_non_closed_word_list_refused(self):
         model, site = fixtures.qubit_zx()

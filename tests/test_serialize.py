@@ -64,33 +64,61 @@ class TestSiteRoundTrip:
 
 
 class TestSymmetryMapNodes:
-    """A symmetry's point map and its outcome maps are JSON objects: a pair
-    list or a string in their place is refused, naming the node."""
+    """A symmetry's entry, point map and outcome maps, and a table's site,
+    are JSON objects: a pair list or a string in their place is refused,
+    naming the node.  So are a table, site or model whose root is no object,
+    and a table's words or a site's relation that is no list."""
 
     NOT_OBJECTS = {"pairs": [["g0", "g1"], ["g1", "g2"]], "string": "ab"}
     NODES = {  # the file, the path to the node, and the node's name
         "site symmetries": ("site", ("symmetries",), '"symmetries"'),
+        "site entry": ("site", ("symmetries", "s1"), "symmetry 's1'"),
         "site map": ("site", ("symmetries", "s1", "map"), "symmetry 's1' map"),
+        "model entry": ("model", ("symmetry", "s1"), "symmetry 's1'"),
         "model g": ("model", ("symmetry", "s1", "g", "g0"), "symmetry 's1' g at 'g0'"),
+        "table entry": ("table", ("symmetry", "s1"), "symmetry 's1'"),
         "table map": ("table", ("symmetry", "s1", "map"), "symmetry 's1' map"),
         "table g": ("table", ("symmetry", "s1", "g", "g0"), "symmetry 's1' g at 'g0'"),
+        "table site": ("table", ("site",), '"site"'),
     }
     READERS = {"site": serialize.site_from_json, "model": serialize.model_from_json,
                "table": serialize.oracle_from_json}
 
+    @staticmethod
+    def files():
+        model, site = fixtures.galilean_shift_fixture()
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+        return {"site": serialize.site_to_json(site), "model": serialize.model_to_json(model),
+                "table": serialize.oracle_to_json(oracle)}
+
     @pytest.mark.parametrize("value", sorted(NOT_OBJECTS))
     @pytest.mark.parametrize("case", sorted(NODES))
     def test_refused_naming_the_node(self, case, value):
-        model, site = fixtures.galilean_shift_fixture()
-        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
-        files = {"site": serialize.site_to_json(site), "model": serialize.model_to_json(model),
-                 "table": serialize.oracle_to_json(oracle)}
+        files = self.files()
         kind, (*path, last), name = self.NODES[case]
         node = files[kind]
         for key in path:
             node = node[key]
         node[last] = self.NOT_OBJECTS[value]
         with pytest.raises(ValueError, match=f"^{re.escape(name)} is not a JSON object$"):
+            self.READERS[kind](files[kind])
+
+    @pytest.mark.parametrize("value", sorted(NOT_OBJECTS))
+    @pytest.mark.parametrize("kind,name", [("site", "the site"), ("model", "the model"),
+                                           ("table", "the kernel table")])
+    def test_root_refused(self, kind, name, value):
+        with pytest.raises(ValueError, match=f"^{name} is not a JSON object$"):
+            self.READERS[kind](self.NOT_OBJECTS[value])
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("table", "words", 3), ("table", "words", {"g0": ["0"]}),
+        ("site", "leq", 3), ("site", "leq", {"g0": [True]}), ("site", "leq", [3]),
+    ])
+    def test_not_a_list_refused(self, kind, key, value):
+        files = self.files()
+        files[kind][key] = value
+        message = {"words": '"words" is not a list', "leq": '"leq" is not a list of rows'}
+        with pytest.raises(ValueError, match=f"^{re.escape(message[key])}$"):
             self.READERS[kind](files[kind])
 
 

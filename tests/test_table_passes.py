@@ -229,7 +229,7 @@ def test_verify_decomposition_keeps_the_one_shot_bits(name):
     report = verify_decomposition(recon, oracle)
     stack = recon.model.evaluate(oracle.plan)
     worst, at = linalg.worst_block(pair_blocks_reference(stack) - oracle.table)
-    assert report.max_residual == worst
+    assert report.residual == worst
     assert (at is None) == (report.witness == "exact match")
 
 
@@ -238,10 +238,11 @@ def test_table_comparisons_keep_the_one_shot_bits(name):
     model, site = caller_model(name)
     words = enumerate_words(site, model.spaces, POLICY_ALL_SUBSETS)
     other = dataclasses.replace(model, embedding=-model.embedding)
-    verdict, oracle, _ = equivalence._compare_tables(model, other, site, words, 1e-9)
+    verdict = equivalence.check_wide_equivalence(model, other, site, words)
+    oracle = model.kernel_table(site, words)
     worst, _ = linalg.worst_block(
         oracle.table - pair_blocks_reference(other.evaluate(oracle.plan)))
-    assert verdict.max_residual == worst
+    assert verdict.residual == worst
     merged, index = markov.pointwise_product_table(words, model.spaces)
     direct = pair_blocks_reference(model.products(site, words))
     kernels = np.einsum("pak,al->pkl", np.conjugate(model.products(site, merged)),
