@@ -133,15 +133,15 @@ def enumerate_level_words(
     per_level = []
     count = 1
     for l in range(depth):
-        choices: list[tuple[str, frozenset[str]] | None] = [None]
-        for x in positions:
-            t = level_point(l, x)
-            outs = model.spaces.outcomes(t)
-            choices.extend((t, b) for b in subsets(outs) if b != frozenset(outs))
-        per_level.append(choices)
-        count *= len(choices)
+        points = [level_point(l, x) for x in positions]
+        # counted against the cap before any subset is built
+        count *= 1 + sum(2 ** len(model.spaces.outcomes(t)) - 1 for t in points)
         if count > config.cap:
             raise ValueError(f"level word enumeration exceeds the cap ({config.cap})")
+        per_level.append([None, *(
+            (t, b) for t in points for b in subsets(model.spaces.outcomes(t))
+            if b != model.spaces.full(t)
+        )])
     words = []
     for combo in itertools.product(*per_level):
         factors = {t: b for entry in combo if entry is not None for t, b in [entry]}

@@ -33,7 +33,6 @@ from .words import (
     OutcomeSpaces,
     code_columns,
     code_keys,
-    code_widths,
     event_label,
     factor_code,
     partitions_of_factor,
@@ -187,23 +186,12 @@ class KernelOracle:
 
     @cached_property
     def codes(self) -> np.ndarray:
-        """The words as per-point outcome bitmasks (`words.word_codes`)."""
+        """The words as rows of outcome-membership bits (`words.word_codes`)."""
         return word_codes(self.words, self.spaces, list(self._columns))
 
     @cached_property
-    def _unit_at(self) -> np.ndarray:
-        """Whether each word is unit at each point, (n, points)."""
-        unit = self.codes == word_codes([unit_word()], self.spaces, list(self._columns))
-        at = [unit[:, c].all(axis=1) for c in self._columns.values()]
-        return np.array(at, dtype=bool).reshape(len(at), len(self.words)).T
-
-    @cached_property
-    def _widths(self) -> list[int]:
-        return code_widths(self.spaces, list(self._columns))
-
-    @cached_property
     def _sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        keys = code_keys(self.codes, self._widths)
+        keys = code_keys(self.codes)
         order = np.argsort(keys, kind="stable")
         return keys[order], order
 
@@ -211,7 +199,7 @@ class KernelOracle:
         """Word index of each word code (the last axis), -1 where the code
         is not a word of the list."""
         keys, order = self._sorted_keys
-        wanted = code_keys(codes, self._widths)
+        wanted = code_keys(codes)
         if not keys.size:
             return np.full(codes.shape[:-1], -1, dtype=int)
         at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
@@ -221,8 +209,10 @@ class KernelOracle:
         """Indices of the words supported within `region`, in list order."""
         region = frozenset(region)
         if region not in self._within:
-            outside = [k for k, t in enumerate(self._columns) if t not in region]
-            keep = self._unit_at[:, outside].all(axis=1)
+            # unit outside the region: every outcome there is a member
+            outside = [k for t, c in self._columns.items() if t not in region
+                       for k in range(c.start, c.stop)]
+            keep = self.codes[:, outside].all(axis=1)
             self._within[region] = np.flatnonzero(keep).tolist()
         return list(self._within[region])
 
@@ -263,7 +253,7 @@ class KernelOracle:
 
 
 _WORD_MEMOS = frozenset(
-    {"codes", "_columns", "_widths", "_sorted_keys", "_unit_at", "_within", "plan"}
+    {"codes", "_columns", "_sorted_keys", "_within", "plan"}
 )
 
 
@@ -542,8 +532,7 @@ def _slice_pass(oracle: KernelOracle) -> tuple[tuple, tuple]:
                         f"event {sorted(b)}@{t!r} on slice {sorted(l)}"
                     )
             # the slice's words grouped by their factor at t, first seen first
-            keys = code_keys(oracle.codes[idx][:, oracle._columns[t]],
-                             code_widths(spaces, [t]))
+            keys = code_keys(oracle.codes[idx][:, oracle._columns[t]])
             _, first, group = np.unique(keys, return_index=True, return_inverse=True)
             for g in np.argsort(first):
                 pos = np.flatnonzero(group == g)

@@ -29,7 +29,6 @@ from .words import (
     EventWord,
     code_columns,
     code_keys,
-    code_widths,
     enumerate_words,
     event_label,
     pointwise_product_table,
@@ -253,8 +252,7 @@ def _nested_stack(model, site, slices, e_proj, words) -> np.ndarray:
     nested = np.broadcast_to(model.identity(), (len(words), model.dim, model.dim))
     for depth, l in enumerate(reversed(slices)):
         pts = sorted(l, key=site.index)
-        keys = code_keys(np.hstack([codes[:, columns[t]] for t in pts]),
-                         code_widths(spaces, pts))
+        keys = code_keys(np.hstack([codes[:, columns[t]] for t in pts]))
         _, first, event = np.unique(keys, return_index=True, return_inverse=True)
         unit = model.unit_p(frozenset(l))
         ops = np.array([

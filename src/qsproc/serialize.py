@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 from collections.abc import Mapping, ValuesView
 from fractions import Fraction
@@ -140,10 +141,15 @@ def _geometric_site(data: dict) -> CausalSite:
     if labels is not None:
         labels = json_strings(labels, '"labels" is not a list of strings')
     if kind == "minkowski":
-        coords = [tuple(_exactify(x) for x in p) for p in data["coords"]]
-        return minkowski_site(coords, c=_exactify(data.get("c", 1)), labels=labels)
+        coords = [
+            tuple(_coordinate(x, f'"coords" point {i} coordinate {k}')
+                  for k, x in enumerate(_json_list(p, f'"coords" point {i}')))
+            for i, p in enumerate(_json_list(data["coords"], '"coords"'))
+        ]
+        return minkowski_site(coords, c=_coordinate(data.get("c", 1), '"c"'), labels=labels)
     if kind == "galilean":
-        taus = [_exactify(x) for x in data["coords"]]
+        taus = [_coordinate(x, f'"coords" entry {i}')
+                for i, x in enumerate(_json_list(data["coords"], '"coords"'))]
         return galilean_site(taus, labels)
     if kind in ("discrete", "chain"):
         points = labels or [f"p{i}" for i in range(json_int(data["count"], '"count"', 0))]
@@ -151,10 +157,25 @@ def _geometric_site(data: dict) -> CausalSite:
     raise ValueError(f"unknown geometric site kind {kind!r}")
 
 
-def _exactify(x):
+def _json_list(data, name: str) -> list:
+    if not isinstance(data, list):
+        raise ValueError(f"{name} is not a list")
+    return data
+
+
+def _coordinate(x, name: str):
+    """A geometric site's coordinate or speed: a finite JSON number that is
+    not a bool, as given, or a fraction string, as its exact `Fraction`;
+    anything else is refused, naming `name`."""
     if isinstance(x, str):
-        return Fraction(x)
-    return x
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    elif (isinstance(x, int) and not isinstance(x, bool)
+          or isinstance(x, float) and math.isfinite(x)):
+        return x
+    raise ValueError(f"{name} is not a finite number or a fraction string: {x!r}")
 
 
 # -- words and spaces -------------------------------------------------------------

@@ -15,6 +15,7 @@ and level-lifted processes with per-position devices share one calculus.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -25,7 +26,7 @@ from .sites import CausalSite
 
 POLICY_ALL_SUBSETS = "all_subsets"
 POLICY_ATOMS_PLUS_UNIT = "atoms_plus_unit"
-CODE_BITS = 62  # outcome bits per word-code column, so masks stay nonnegative
+KEY_ROWS = 1 << 16  # code rows per int64 key slice (`code_keys`)
 
 
 @dataclass(frozen=True)
@@ -161,80 +162,69 @@ def pointwise_product(a: EventWord, b: EventWord, spaces: OutcomeSpaces) -> Even
 def word_codes(
     words: Sequence[EventWord], spaces: OutcomeSpaces, points: Sequence[str]
 ) -> np.ndarray:
-    """The words as an int64 array of per-point outcome bitmasks in `points`
-    order, full where a word is unit, one row per word.
-
-    A point's mask is cut into 62-bit columns, lowest outcomes first
-    (`code_columns`), so every entry is nonnegative.  Every support point of
-    every word must be among `points`.
-    """
+    """The words as rows of outcome-membership bits, one bool column per
+    outcome of each point of `points` (`code_columns`): point order, then
+    outcome order, all True where a word is unit.  Every support point of
+    every word must be among `points`."""
     columns = code_columns(spaces, points)
-    unit = [x for t in points for x in factor_code(spaces, t, spaces.outcomes(t))]
-    cut: dict = {}  # (point, factor) -> its columns
+    unit = [True] * sum(len(spaces.outcomes(t)) for t in points)
+    member: dict = {}  # (point, factor) -> its columns
     rows = []
     for w in words:
         row = list(unit)
         for t, b in w.factors:
-            if (t, b) not in cut:
-                cut[t, b] = factor_code(spaces, t, b)
-            row[columns[t]] = cut[t, b]
+            if (t, b) not in member:
+                member[t, b] = factor_code(spaces, t, b)
+            row[columns[t]] = member[t, b]
         rows.append(row)
-    return np.array(rows, dtype=np.int64).reshape(len(words), len(unit))
+    return np.array(rows, dtype=bool).reshape(len(words), len(unit))
 
 
 def code_columns(spaces: OutcomeSpaces, points: Sequence[str]) -> dict[str, slice]:
-    """Each point's columns in `word_codes`: one per 62 outcomes."""
+    """Each point's columns in `word_codes`: one per outcome."""
     out, start = {}, 0
     for t in points:
-        width = -(-len(spaces.outcomes(t)) // CODE_BITS)
-        out[t] = slice(start, start + width)
-        start += width
+        out[t] = slice(start, start + len(spaces.outcomes(t)))
+        start = out[t].stop
     return out
 
 
-def factor_code(spaces: OutcomeSpaces, t: str, b: Iterable[str]) -> list[int]:
-    """The bitmask of a factor at `t`, cut into the columns of `word_codes`."""
-    mask = spaces.bitmask(t, b)
-    return [
-        mask >> shift & (2**CODE_BITS - 1)
-        for shift in range(0, len(spaces.outcomes(t)), CODE_BITS)
-    ]
+def factor_code(spaces: OutcomeSpaces, t: str, b: Iterable[str]) -> list[bool]:
+    """The membership of each outcome at `t` in the factor `b`."""
+    b = frozenset(b)
+    return [x in b for x in spaces.outcomes(t)]
 
 
-def code_widths(spaces: OutcomeSpaces, points: Sequence[str]) -> list[int]:
-    """The bits each column of `word_codes` can set, in column order."""
-    return [
-        min(CODE_BITS, len(spaces.outcomes(t)) - shift)
-        for t in points
-        for shift in range(0, len(spaces.outcomes(t)), CODE_BITS)
-    ]
+def code_keys(codes: np.ndarray) -> np.ndarray:
+    """One exactly comparable key per word code (the last axis), flattened;
+    keys sort in the lexicographic order of the code rows, False first.
 
-
-def code_keys(codes: np.ndarray, widths: Sequence[int]) -> np.ndarray:
-    """One exactly comparable key per word code (the last axis, whose columns
-    set at most `widths` bits each), flattened; keys sort in the
-    lexicographic order of the code rows.
-
-    When the widths sum to at most 63 bits, the key is the columns packed
-    into one int64, the first column in the most significant bits.  Past
-    that, it is the row's bytes as one void, big-endian so that their order
-    is the rows' (every entry is nonnegative).
+    Up to 63 columns, the key is the row read as one int64, the first column
+    most significant.  Past that, it is the row's `np.packbits` bytes as one
+    void, which sorts the same way.
     """
-    codes = np.asarray(codes, dtype=np.int64)
-    if sum(widths) <= 63:  # each column times 2^(the widths after it)
-        weights = [1 << sum(widths[i + 1:]) for i in range(len(widths))]
-        return (codes @ np.array(weights, dtype=np.int64)).ravel()
-    rows = codes.reshape(int(np.prod(codes.shape[:-1])), codes.shape[-1])
-    rows = np.ascontiguousarray(rows, dtype=">i8")
-    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+    codes = np.asarray(codes, dtype=bool)
+    rows = codes.reshape(math.prod(codes.shape[:-1]), codes.shape[-1])
+    if rows.shape[1] <= 63:
+        # matmul copies its bool operand to int64: a slice at a time, so that
+        # the copy stays small beside a pair table's codes
+        weights = 1 << np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+        keys = np.empty(rows.shape[0], dtype=np.int64)
+        for at in range(0, rows.shape[0], KEY_ROWS):
+            np.matmul(rows[at:at + KEY_ROWS], weights, out=keys[at:at + KEY_ROWS])
+        return keys
+    packed = np.packbits(rows, axis=1)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
 def pointwise_product_table(
     words: Sequence[EventWord], spaces: OutcomeSpaces
 ) -> tuple[list[EventWord], np.ndarray]:
     """Distinct pointwise products over all ordered pairs of a word list, in
-    the lexicographic order of their codes, and the (n, n) array giving each
-    pair's product as an index into them.
+    the lexicographic order of their codes (`word_codes` over the supported
+    points in name order: point by point, outcome 0 first, a member after a
+    non-member), and the (n, n) array giving each pair's product as an index
+    into them.
 
     Pairs are intersected as word codes (`word_codes`) in one vectorized
     step and told apart by their keys (`code_keys`); each distinct product
@@ -244,7 +234,7 @@ def pointwise_product_table(
     points = sorted({t for w in words for t in w.support})
     codes = word_codes(words, spaces, points)
     pairs = codes[:, None, :] & codes[None, :, :]
-    keys = code_keys(pairs, code_widths(spaces, points))
+    keys = code_keys(pairs)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     merged = [pointwise_product(words[f // n], words[f % n], spaces) for f in first]
     return merged, inverse.reshape(n, n)
@@ -266,25 +256,25 @@ def enumerate_words(
     Each choice is its canonical factor, None where it is the full space, so
     a word is its combination's factors in point-name order.
     """
+    if policy not in (POLICY_ALL_SUBSETS, POLICY_ATOMS_PLUS_UNIT):
+        raise ValueError(f"unknown enumeration policy {policy!r}")
+    every = policy == POLICY_ALL_SUBSETS
     per_point: list[list[tuple[str, frozenset[str]] | None]] = []
     count = 1
     for t in site.points:
         outs = spaces.outcomes(t)
-        if policy == POLICY_ALL_SUBSETS:
-            choices = subsets(outs)
-        elif policy == POLICY_ATOMS_PLUS_UNIT:
-            # a set: a one-outcome point's atom is its unit
-            choices = list({frozenset(outs), *(frozenset({x}) for x in outs)})
-        else:
-            raise ValueError(f"unknown enumeration policy {policy!r}")
-        choices.sort(key=lambda b: spaces.bitmask(t, b))
-        full = frozenset(outs)
-        per_point.append([None if b == full else (t, b) for b in choices])
-        count *= len(choices)
+        # counted against the cap before they are built: q outcomes have 2^q
+        # subsets, and a one-outcome point's atom is its unit
+        count *= 2 ** len(outs) if every else len(outs) + (len(outs) > 1)
         if count > cap:
             raise ValueError(
                 f"word enumeration would produce {count}+ words, above the cap ({cap})"
             )
+        choices = (subsets(outs) if every
+                   else list({frozenset(outs), *(frozenset({x}) for x in outs)}))
+        choices.sort(key=lambda b: spaces.bitmask(t, b))
+        full = frozenset(outs)
+        per_point.append([None if b == full else (t, b) for b in choices])
     by_name = sorted(range(len(site.points)), key=site.points.__getitem__)
     return [
         EventWord(tuple(filter(None, [combo[i] for i in by_name])))
@@ -362,16 +352,11 @@ def pull_back_codes(
 ) -> np.ndarray:
     """`pull_back` on word codes (`word_codes` over the points of `columns`,
     in that order), one row per word, each word unit outside the image of
-    the map: bit x of the pulled-back code at a mapped point t is bit g_t(x)
-    of the code at its image, and every other point is unit."""
-    codes = np.asarray(codes, dtype=np.int64)
-    unit = [x for t in columns for x in factor_code(spaces, t, spaces.outcomes(t))]
-    out = np.tile(np.array(unit, dtype=np.int64), (codes.shape[0], 1))
+    the map: the column of outcome x at a mapped point t is the column of
+    g_t(x) at its image, and every other point is unit."""
+    codes = np.asarray(codes, dtype=bool)
+    out = np.ones(codes.shape, dtype=bool)
     for t, st in point_map.items():
-        position = {y: j for j, y in enumerate(spaces.outcomes(st))}
-        at = np.array([position[outcome_maps[t][x]] for x in spaces.outcomes(t)])
-        bits = codes[:, columns[st].start + at // CODE_BITS] >> at % CODE_BITS & 1
-        for c, start in enumerate(range(0, at.size, CODE_BITS)):
-            part = bits[:, start:start + CODE_BITS]
-            out[:, columns[t].start + c] = (part << np.arange(part.shape[1])).sum(axis=1)
+        column = {y: j for j, y in enumerate(spaces.outcomes(st), columns[st].start)}
+        out[:, columns[t]] = codes[:, [column[outcome_maps[t][x]] for x in spaces.outcomes(t)]]
     return out

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qsproc import fixtures, linalg
+from qsproc import bridges, fixtures, linalg
 from qsproc.bridges import (
     ReductionRefused,
     _probabilities,
@@ -81,6 +81,20 @@ class TestLiftProcess:
         report = check_ultrastationarity(model, site, words)
         assert report.ok
         assert report.worst("ultrastationarity").residual <= 1e-12
+
+
+def test_level_words_refused_before_building_a_wide_point(monkeypatch):
+    # a 30-outcome position has 2^30 subsets: the choices are counted first
+    def narrow_only(outs, _orig=bridges.subsets):
+        assert len(outs) < 30, "the subsets of a 30-outcome point were built"
+        return _orig(outs)
+
+    monkeypatch.setattr(bridges, "subsets", narrow_only)
+    outs = tuple(f"x{i}" for i in range(30))
+    atoms = {"a": {x: np.diag(np.eye(30)[i]) for i, x in enumerate(outs)}}
+    model, site = lift_process(atoms, np.eye(30)[0], 2, {"a": outs})
+    with pytest.raises(ValueError, match=r"^level word enumeration exceeds the cap \(20000\)$"):
+        enumerate_level_words(model, site)
 
 
 class TestVerifyLift:

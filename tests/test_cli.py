@@ -979,6 +979,10 @@ class TestMapNotAnObject:
     table file alike."""
 
     ENTRY = "symmetry 's1' is not a JSON object"
+    GALILEAN = {"kind": "galilean", "labels": ["g0", "g1", "g2"]}
+    MINKOWSKI = {"kind": "minkowski", "labels": ["g0", "g1", "g2"],
+                 "coords": [[0], [1], [2]]}
+    NOT_A_COORDINATE = " is not a finite number or a fraction string: "
     VALUES = {  # the path to the node, its value, and the refusal
         "site map": (("site", "symmetries", "s1", "map"), [["g0", "g1"], ["g1", "g2"]],
                      "symmetry 's1' map is not a JSON object"),
@@ -998,6 +1002,18 @@ class TestMapNotAnObject:
         "table root": (("table",), [["kdim", 1]], "the kernel table is not a JSON object"),
         "table words": (("table", "words"), 3, '"words" is not a list'),
         "site leq": (("site", "leq"), 3, '"leq" is not a list of rows'),
+        # a geometric site's coordinates and speed
+        "site coords zero denominator": (("site",), {**GALILEAN, "coords": ["1/0", 1, 2]},
+                                         '"coords" entry 0' + NOT_A_COORDINATE + "'1/0'"),
+        "site coords bool": (("site",), {**GALILEAN, "coords": [True, 2, 3]},
+                             '"coords" entry 0' + NOT_A_COORDINATE + "True"),
+        "site coords nan": (("site",), {**GALILEAN, "coords": [0, float("nan"), 2]},
+                            '"coords" entry 1' + NOT_A_COORDINATE + "nan"),
+        "site coords number": (("site",), {**GALILEAN, "coords": 3}, '"coords" is not a list'),
+        "site minkowski point": (("site",), {**MINKOWSKI, "coords": [[0], 3, [2]]},
+                                 '"coords" point 1 is not a list'),
+        "site minkowski speed": (("site",), {**MINKOWSKI, "c": "x"},
+                                 '"c"' + NOT_A_COORDINATE + "'x'"),
     }
 
     def runs(self, tmp_path, case):

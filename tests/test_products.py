@@ -293,7 +293,7 @@ def test_pointwise_product_table_on_a_wide_outcome_space():
 
 def wide_word_list(outcomes):
     """A chain (t, u) whose point t has `outcomes` outcomes, and words with
-    factors at t on both sides of the 62-bit column cut."""
+    factors at t on both sides of outcome 62."""
     outs = tuple(f"x{i}" for i in range(outcomes))
     spaces = OutcomeSpaces({"t": outs, "u": ("0", "1")})
     picks = [(0,), (3,), (outcomes - 2,), (outcomes - 1,), range(58, outcomes - 2),
@@ -314,7 +314,7 @@ PRODUCT_TABLE_CASES = {
 @pytest.mark.parametrize("name", sorted(PRODUCT_TABLE_CASES))
 def test_pointwise_product_table_matches_unique_rows(name):
     # the same products in the same order, and the same index, on both sides
-    # of 63 key bits (61 outcomes and two take 63 bits, 62 and two take 64)
+    # of 63 key columns (61 outcomes and two take 63 columns, 62 and two 64)
     case = PRODUCT_TABLE_CASES[name]
     if case == "unit":
         words, spaces = [unit_word()], OutcomeSpaces({"t": ("0", "1")})

@@ -5,6 +5,7 @@ import json
 import math
 import re
 from collections.abc import Mapping
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -57,6 +58,45 @@ class TestSiteRoundTrip:
         if points is not None:  # no "labels" is no labels
             with pytest.raises(ValueError, match='"labels" is not a list of strings'):
                 serialize.site_from_json({"kind": "chain", "count": 2, "labels": points})
+
+    GALILEAN = {"kind": "galilean", "labels": ["t1", "t2"]}
+    MINKOWSKI = {"kind": "minkowski", "labels": ["t1", "t2"], "coords": [[0], [1]]}
+    NOT_A_COORDINATE = "is not a finite number or a fraction string: "
+    BAD_COORDINATES = {  # the site, and its refusal
+        "zero denominator": ({**GALILEAN, "coords": ["1/0", 1]},
+                             '"coords" entry 0 ' + NOT_A_COORDINATE + "'1/0'"),
+        "bool": ({**GALILEAN, "coords": [True, 2]},
+                 '"coords" entry 0 ' + NOT_A_COORDINATE + "True"),
+        "nan": ({**GALILEAN, "coords": [0, float("nan")]},
+                '"coords" entry 1 ' + NOT_A_COORDINATE + "nan"),
+        "infinity": ({**GALILEAN, "coords": [0, float("inf")]},
+                     '"coords" entry 1 ' + NOT_A_COORDINATE + "inf"),
+        "list entry": ({**GALILEAN, "coords": [0, [1]]},
+                       '"coords" entry 1 ' + NOT_A_COORDINATE + "[1]"),
+        "coords number": ({**GALILEAN, "coords": 3}, '"coords" is not a list'),
+        "coords string": ({**MINKOWSKI, "coords": "01"}, '"coords" is not a list'),
+        "minkowski point": ({**MINKOWSKI, "coords": [[0], 3]}, '"coords" point 1 is not a list'),
+        "minkowski coordinate": ({**MINKOWSKI, "coords": [[0, "x"], [1, 0]]},
+                                 '"coords" point 0 coordinate 1 ' + NOT_A_COORDINATE + "'x'"),
+        "speed": ({**MINKOWSKI, "c": "x"}, '"c" ' + NOT_A_COORDINATE + "'x'"),
+        "speed bool": ({**MINKOWSKI, "c": True}, '"c" ' + NOT_A_COORDINATE + "True"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_COORDINATES))
+    def test_bad_coordinate_refused_naming_its_node(self, case):
+        data, message = self.BAD_COORDINATES[case]
+        with pytest.raises(ValueError) as refused:
+            serialize.site_from_json(data)
+        assert str(refused.value) == message
+
+    def test_coordinates_as_given_or_exact(self):
+        # numbers are kept as given, fraction strings read exactly
+        site = serialize.site_from_json({**self.GALILEAN, "coords": ["1/3", 0.5]})
+        assert site.meta["tau"] == {"t1": Fraction(1, 3), "t2": 0.5}
+        site = serialize.site_from_json({**self.MINKOWSKI, "coords": [[0, 0], [2, "3/2"]],
+                                         "c": "1/1"})
+        assert site.meta["coords"]["t2"] == (2, Fraction(3, 2))
+        assert site.leq == ((True, True), (False, True))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -337,11 +337,10 @@ def test_another_oracles_table_is_shared(chain_oracle):
 
 def test_with_symmetry_shares_the_table_and_the_word_maps(chain_oracle):
     chain_oracle.words_within(chain_oracle.site.points[:1])
-    _ = chain_oracle.plan, chain_oracle._sorted_keys, chain_oracle._unit_at
+    _ = chain_oracle.plan, chain_oracle._sorted_keys
     other = chain_oracle.with_symmetry({})
     assert other.table is chain_oracle.table
-    for memo in ("codes", "_columns", "_widths", "_sorted_keys", "_unit_at", "_within",
-                 "plan"):
+    for memo in ("codes", "_columns", "_sorted_keys", "_within", "plan"):
         assert vars(other)[memo] is vars(chain_oracle)[memo], memo
     assert other.symmetry == {} and other.model is chain_oracle.model
 

@@ -189,8 +189,9 @@ def oracles(name, policy):
 
 
 def wide_oracle():
-    """A chain (a, b) whose point a has 70 outcomes, so its masks take two
-    62-bit columns, over words that straddle the cut, with a model table."""
+    """A chain (a, b) whose point a has 70 outcomes, so its codes take 72
+    columns and their keys are packed bytes, over words whose factors
+    straddle outcome 62, with a model table."""
     outs = tuple(f"x{i}" for i in range(70))
     spaces = OutcomeSpaces({"a": outs, "b": ("0", "1")})
     site = chain_site(("a", "b"))
@@ -216,7 +217,7 @@ def wide_oracle():
 
 def sampled_subsets(outs):
     """Every subset of a small outcome set; for a wide one, a fixed sample
-    on both sides of the 62-bit cut."""
+    on both sides of outcome 62."""
     if len(outs) <= 8:
         return words_mod.subsets(outs)
     picks = [(), (0,), (3,), (61,), (62,), (64,), (69,), range(58, 66), range(61, 63),
@@ -364,7 +365,7 @@ def test_slice_axioms_across_the_62_bit_cut(monkeypatch):
     monkeypatch.setattr(kernels, "subsets", sampled_subsets)
     monkeypatch.setattr(kernels, "partitions_of_factor", sampled_partitions)
     oracle = wide_oracle()
-    assert oracle.codes.shape == (len(oracle.words), 3)
+    assert oracle.codes.shape == (len(oracle.words), 72)
     # the kernel of a word with an empty factor must vanish
     empty = oracle.index(EventWord.from_dict({"a": ()}, oracle.spaces))
 
@@ -419,8 +420,9 @@ def test_codes_are_the_product_table_encoding():
     model, site = fixtures.tensor_chain(3)
     words = enumerate_words(site, model.spaces)
     oracle = model.kernel_table(site, words)
-    assert oracle.codes.dtype == np.int64
-    assert (oracle.codes[words.index(unit_word())] == 0b11).all()
+    assert oracle.codes.dtype == bool
+    assert oracle.codes.shape == (len(words), 6)
+    assert oracle.codes[words.index(unit_word())].all()
     merged, index = pointwise_product_table(words, model.spaces)
     lookup = oracle.lookup(oracle.codes[:, None, :] & oracle.codes[None, :, :])
     assert [[merged[k] for k in row] for row in index] == \
@@ -567,8 +569,8 @@ def swapped_oracle():
 
 def reversal_oracle():
     """A chain (a, b) of two 70-outcome points, and the map a -> b whose
-    outcome map sends x_i to y_(69-i), across the 62-bit column cut; the
-    pull-backs of every other b-word are listed."""
+    outcome map sends x_i to y_(69-i), across outcome 62; the pull-backs of
+    every other b-word are listed."""
     xs, ys = (tuple(f"{c}{i}" for i in range(70)) for c in "xy")
     spaces = OutcomeSpaces({"a": xs, "b": ys})
     site = dataclasses.replace(chain_site(("a", "b")),
@@ -589,6 +591,35 @@ def reversal_oracle():
     )
 
 
+def injected_oracle():
+    """A chain (a, b, c) of 66, 70 and 2 outcomes, and the map a -> b, c -> c
+    whose outcome maps send x_i to y_(3i+7 mod 70), an injection that misses
+    four outcomes of b, and swap the labels at c.  The words' factors at b
+    straddle outcome 62; the pull-backs of every other word are listed."""
+    xs, ys = tuple(f"x{i}" for i in range(66)), tuple(f"y{i}" for i in range(70))
+    spaces = OutcomeSpaces({"a": xs, "b": ys, "c": ("0", "1")})
+    point_map = {"a": "b", "c": "c"}
+    site = dataclasses.replace(chain_site(("a", "b", "c")),
+                               symmetry=SiteSymmetry(("w",), {"w": point_map}, {}))
+    g = {"a": {x: ys[(3 * i + 7) % 70] for i, x in enumerate(xs)}, "c": {"0": "1", "1": "0"}}
+    hit = [ys.index(y) for y in g["a"].values()]
+    picks = [(62,), (61, 63), range(58, 66), (0, 69), range(0, 70, 2), hit,
+             range(63, 70), (), hit[40:]]
+    words = [unit_word(), EventWord.from_dict({"a": {"x1"}, "b": {"y1"}}, spaces)]
+    for k, p in enumerate(picks):
+        for at_c in ({}, {"c": {"1"}}):
+            w = EventWord.from_dict({"b": {ys[i] for i in p}, **at_c}, spaces)
+            words.append(w)
+            if k % 2 == 0:
+                words.append(words_mod.pull_back(w, point_map, g, spaces))
+    words = list(dict.fromkeys(words))
+    n = len(words)
+    return KernelOracle(
+        site=site, spaces=spaces, kdim=1, words=tuple(words),
+        table=np.zeros((n, n, 1, 1)), symmetry={"w": SymmetryRep(g, np.eye(1))},
+    )
+
+
 def test_element_without_a_site_action_refused():
     # the site holds every point map: an element it does not act by has none
     oracle = reversal_oracle()
@@ -597,7 +628,7 @@ def test_element_without_a_site_action_refused():
 
 
 TRANSPORT_ORACLES = {"lift": lift_oracle, "swapped": swapped_oracle,
-                     "reversal": reversal_oracle}
+                     "reversal": reversal_oracle, "injected": injected_oracle}
 
 
 @pytest.mark.parametrize("name", sorted(TRANSPORT_ORACLES))
@@ -612,8 +643,8 @@ def test_code_transport_matches_pull_back(name):
             -1 if oracle.index(w) is None else oracle.index(w) for w in pulled
         ]
         listed.extend(images >= 0)
-    # only the reversal's list leaves images out
-    assert any(listed) and all(listed) == (name != "reversal")
+    # only the reversal's and the injection's lists leave images out
+    assert any(listed) and all(listed) == (name not in ("reversal", "injected"))
 
 
 def test_no_per_word_pull_back_on_a_covariant_oracle(monkeypatch):

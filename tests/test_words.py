@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsproc import fixtures
+from qsproc import words as words_mod
 from qsproc.kernels import KernelOracle
 from qsproc.sites import CausalSite, chain_site, minkowski_site
 from qsproc.words import (
@@ -17,7 +18,6 @@ from qsproc.words import (
     EventWord,
     OutcomeSpaces,
     code_keys,
-    code_widths,
     enumerate_words,
     partitions_of_factor,
     pointwise_product,
@@ -204,6 +204,21 @@ class TestEnumerateWords:
         with pytest.raises(ValueError, match="cap"):
             enumerate_words(SITE, SPACES, cap=3)
 
+    @pytest.mark.parametrize("policy, count", [("all_subsets", 4 * 2**30),
+                                               ("atoms_plus_unit", 3 * 31)])
+    def test_cap_refuses_before_building_a_wide_point(self, monkeypatch, policy, count):
+        # 2^30 subsets would take hours: the choices are counted first
+        def narrow_only(outs, _orig=words_mod.subsets):
+            assert len(outs) < 30, "the subsets of a 30-outcome point were built"
+            return _orig(outs)
+
+        monkeypatch.setattr(words_mod, "subsets", narrow_only)
+        spaces = OutcomeSpaces({"s": ("0", "1"), "t": tuple(f"x{i}" for i in range(30))})
+        cap = 20_000 if policy == "all_subsets" else 90
+        with pytest.raises(ValueError, match=rf"^word enumeration would produce {count}\+ "
+                                             rf"words, above the cap \({cap}\)$"):
+            enumerate_words(chain_site(("s", "t")), spaces, policy, cap)
+
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             enumerate_words(SITE, SPACES, policy="everything")
@@ -350,58 +365,70 @@ def test_enumeration_is_the_validated_construction(name, policy):
 
 
 def reference_row_keys(codes):
-    """The void-row key that packed keys replaced: each code row's bytes as
-    one void, a zero column standing in for an empty row."""
-    codes = np.asarray(codes, dtype=np.int64)
+    """Each code row's bytes as one void, a zero column standing in for an
+    empty row: one byte per column, so byte order is the rows' order."""
+    codes = np.asarray(codes, dtype=np.uint8)
     if not codes.shape[-1]:
-        codes = np.zeros(codes.shape[:-1] + (1,), dtype=np.int64)
+        codes = np.zeros(codes.shape[:-1] + (1,), dtype=np.uint8)
     rows = np.ascontiguousarray(codes.reshape(-1, codes.shape[-1]))
-    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
 
 
 def seventy_outcome_codes():
     """The codes of the atoms-plus-unit list of a chain whose first point has
-    70 outcomes: columns of 62, 8 and 2 bits."""
+    70 outcomes: 72 columns."""
     spaces = OutcomeSpaces({"t": tuple(f"x{i}" for i in range(70)), "u": ("0", "1")})
     words = enumerate_words(chain_site(("t", "u")), spaces, POLICY_ATOMS_PLUS_UNIT)
-    return word_codes(words, spaces, ["t", "u"]), code_widths(spaces, ["t", "u"])
+    return word_codes(words, spaces, ["t", "u"])
 
 
 def random_codes(widths, seed):
-    """60 code rows whose columns set at most `widths` bits, each row twice
-    over, with many ties in every column."""
+    """60 code rows over points of `widths` outcomes, each point's columns
+    drawn from 4 factors, each row twice over, with many ties at every
+    point."""
     rng = np.random.default_rng(seed)
-    cols = [rng.choice(rng.integers(0, 2**w, size=4), size=60) for w in widths]
-    codes = np.array(cols, dtype=np.int64).reshape(len(widths), 60).T
+    parts = [rng.integers(0, 2, size=(4, w)).astype(bool)[rng.integers(0, 4, size=60)]
+             for w in widths]
+    codes = np.hstack([np.zeros((60, 0), dtype=bool), *parts])
     return np.vstack([codes, codes[::-1]])
 
 
-@pytest.mark.parametrize("widths", [
-    [], [1], [2, 2, 2], [62, 1], [31, 32], [1] * 63,  # packed: at most 63 bits
-    [62, 2], [1] * 64, [62, 62, 62], [62, 8, 2],  # void rows
+@pytest.mark.parametrize("widths", [  # each point's outcome count
+    [], [1], [2, 2, 2], [62, 1], [31, 32], [1] * 63,  # one int64: at most 63 columns
+    [62, 2], [1] * 64, [62, 62, 62], [62, 8, 2],  # packed bytes
     "70 outcomes",
 ])
 def test_keys_against_void_keys(widths):
     if widths == "70 outcomes":
-        codes, widths = seventy_outcome_codes()
-        assert widths == [62, 8, 2]
+        codes = seventy_outcome_codes()
+        assert codes.dtype == bool and codes.shape[1] == 72
     else:
         codes = random_codes(widths, len(widths) + sum(widths))
-    keys = code_keys(codes, widths)
-    assert (keys.dtype == np.int64) == (sum(widths) <= 63)
+    keys = code_keys(codes)
+    assert (keys.dtype == np.int64) == (codes.shape[1] <= 63)
     # two rows share a key exactly when they share their void key
     ref = reference_row_keys(codes)
     assert ((keys[:, None] == keys[None, :]) == (ref[:, None] == ref[None, :])).all()
     # the keys sort in the rows' lexicographic order, first column first
     order = np.argsort(keys, kind="stable")
-    want = np.lexsort(codes.T[::-1]) if widths else np.arange(len(codes))
+    want = np.lexsort(codes.T[::-1]) if codes.shape[1] else np.arange(len(codes))
     assert order.tolist() == want.tolist()
     # a stack of codes gives the keys of its rows, flattened
     half = len(codes) // 2
-    stacked = code_keys(codes[:2 * half].reshape(2, half, codes.shape[1]), widths)
+    stacked = code_keys(codes[:2 * half].reshape(2, half, codes.shape[1]))
     assert stacked.tobytes() == keys[:2 * half].tobytes()
 
 
+def test_int64_keys_in_slices(monkeypatch):
+    # the int64 keys are formed a slice of rows at a time
+    codes = random_codes([3, 5, 2], 7).reshape(4, 30, 10)
+    whole = code_keys(codes)
+    monkeypatch.setattr(words_mod, "KEY_ROWS", 7)
+    assert code_keys(codes).tobytes() == whole.tobytes()
+    assert code_keys(codes[:0]).shape == (0,)
+
+
 def test_packed_keys_put_the_first_column_highest():
-    codes = np.array([[1, 0, 0], [0, 3, 1], [0, 0, 1]], dtype=np.int64)
-    assert code_keys(codes, [1, 2, 1]).tolist() == [0b1000, 0b0111, 0b0001]
+    codes = np.array([[1, 0, 0, 0], [0, 1, 1, 1], [0, 0, 0, 1]], dtype=bool)
+    assert code_keys(codes).tolist() == [0b1000, 0b0111, 0b0001]
+    assert code_keys(np.ones((1, 63), dtype=bool)).tolist() == [2**63 - 1]
