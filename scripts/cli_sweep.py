@@ -58,11 +58,18 @@ table's own map of `s1`, under `reconstruct [--verify]`; and the Galilean
 model with the map at `g0` removed from the outcome maps of `s1`, under
 the nine model commands.  Every command on them exits 2.
 
-`PAIR_LISTS` is swept last of all: a JSON pair list where a symmetry map
+`PAIR_LISTS` is swept after `UNREAD_MAPS`: a JSON pair list where a symmetry map
 object belongs, as the map of `s1` in the Galilean site file and as the
 outcome map of `s1` at `g0` in the Galilean model file, each under the nine
 model commands, and as that outcome map in the Galilean kernel table,
 under `reconstruct [--verify]`.  Every command on them exits 2.
+
+`WRITER` is swept after `PAIR_LISTS`: `kernels` alone on
+`tensor_chain(5, canonical=False)`, whose 1,024 words give a 94 MB table
+that the writer renders in 16 chunks of 64 rows, so that a comparison of
+sweeps covers the bytes of a table written in many chunks.  (The canonical
+chain's model file is not used: its minimal modification rounds
+differently at one and two BLAS threads.)
 
 Every run records its arguments (file names relative to the scratch
 directory), its exit code and the sha256 of its stdout and stderr.  A run
@@ -109,6 +116,7 @@ EXTRA_MODELS = {
     "random4": lambda: fixtures.random_valid_model(4),
     "tensor_chain3": lambda: fixtures.tensor_chain(3, canonical=False),
     "tensor_chain4": lambda: fixtures.tensor_chain(4, canonical=False),
+    "tensor_chain5": lambda: fixtures.tensor_chain(5, canonical=False),
 }
 MALFORMED = "galilean_bad_v"
 STRAY_UNITS, BAD_TABLE = "qubit_stray_units", "galilean_bad_u"
@@ -177,15 +185,19 @@ UNREAD_MAPS = ("galilean_table_site_q", "galilean_table_site_s1",
                "galilean_g0_unmapped")  # after OUTCOME_MAPS
 PAIR_LISTS = ("galilean_site_map_pairs", "galilean_g_pairs",
               "galilean_table_g_pairs")  # after UNREAD_MAPS
+WRITER = ("tensor_chain5",)  # after PAIR_LISTS, under `kernels` alone
 INPUTS = (FIXTURE_FILES + tuple(EXTRA_MODELS) + (MALFORMED, "field") + LATE
           + tuple(REFUSED) + (ONE_OUTCOME, UNACTED) + PAIRS)
 
 
 def kind(name: str) -> str:
     """Which files `name` has, and so which commands read it: "field",
-    "table", "pair" or "model"."""
+    "table", "pair", "model", or "kernels" (a model and site that only
+    `kernels` reads)."""
     if name in PAIRS:
         return "pair"
+    if name in WRITER:
+        return "kernels"
     source = REFUSED.get(name, (name,))[0]
     if source == "field":
         return "field"
@@ -326,6 +338,10 @@ def sweep(names) -> list[dict]:
                 for verify in ([], ["--verify"]):
                     records.append(run(["reconstruct", path, *verify, *flags])[0])
                 continue
+            if kind(name) == "kernels":
+                records.append(run(["kernels", f"{name}_model.json", f"{name}_site.json",
+                                    *flags])[0])
+                continue
             if kind(name) == "pair":
                 files = [f"{name}_{part}.json" for part in ("model", "other", "site")]
                 for action in ("check", "unitary"):
@@ -391,12 +407,12 @@ def main():
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            last = LATE + tuple(REFUSED) + LAST + FINAL + PAIRS
+            last = LATE + tuple(REFUSED) + LAST + FINAL + PAIRS + WRITER
             records = sweep([n for n in args.inputs if n not in last])
             refused = [n for n in REFUSED
                        if n not in LAST + OUTCOME_MAPS + UNREAD_MAPS + PAIR_LISTS]
             for group in (LATE, refused, LAST, FINAL, PAIRS, OUTCOME_MAPS, UNREAD_MAPS,
-                          PAIR_LISTS):
+                          PAIR_LISTS, WRITER):
                 records += sweep([n for n in args.inputs if n in group])
         finally:
             os.chdir(cwd)

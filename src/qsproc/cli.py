@@ -330,12 +330,14 @@ def cmd_reconstruct(args, config: RunConfig):
     }
     if not args.verify:
         return report, True
-    decomp = verify_decomposition(recon, oracle, config)
-    report["verification"] = _reproduces(decomp)
-    # idempotence: the emitted model is unitarily equivalent to its minimal
-    # modification, both read off its kernel oracle on the table's plan
+    # the emitted model's oracle on the table's plan: the verification reads
+    # its table, and idempotence (the emitted model is unitarily equivalent
+    # to its minimal modification) reads both off it
     with _failures("idempotence table: ", "idempotence refused"):
         emitted = recon.model.kernel_oracle(oracle.plan)
+    decomp = verify_decomposition(recon, oracle, config, emitted)
+    report["verification"] = _reproduces(decomp)
+    with _failures("idempotence table: ", "idempotence refused"):
         second = reconstruct(emitted, config, strict_closure=False).model
         morphism = equivalence.intertwine(recon.model, second, emitted, config)
     report["idempotence"] = morphism.to_dict()

@@ -17,6 +17,7 @@ import re
 from collections.abc import Mapping, ValuesView
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -456,34 +457,70 @@ _ENTRY_KEY = re.compile("(?:0|[1-9][0-9]*),(?:0|[1-9][0-9]*)")
 def _entry_indices(keys: list, n: int) -> np.ndarray:
     """The flat index i * n + j of each ``"i,j"`` kernel-entry key, with i
     and j below n in plain decimal: no sign, space, underscore or leading
-    zero, so that each pair has one spelling."""
-    if not all(map(_ENTRY_KEY.fullmatch, keys)):
-        key = next(k for k in keys if not _ENTRY_KEY.fullmatch(k))
-        raise ValueError(f"kernel entry {key!r} is not 'i,j' in plain decimal")
-    # one parse of the joined keys; floats hold every index below 2**53
-    # exactly, and larger ones stay large
-    ij = np.fromstring(",".join(keys), dtype=float, sep=",").reshape(len(keys), 2)
-    outside = (ij >= n).any(axis=1)
-    if outside.any():
-        raise ValueError(
-            f"kernel entry {keys[int(np.argmax(outside))]!r} is outside the {n} words"
-        )
-    return (ij[:, 0] * n + ij[:, 1]).astype(np.int64)
+    zero, so that each pair has one spelling.  The keys are read a chunk at
+    a time (`_key_pairs`); a malformed key anywhere is named before a key
+    outside the n words."""
+    width = len(str(n - 1))
+    flat = np.empty(len(keys), dtype=np.int64)
+    outside = None
+    for start in range(0, len(keys), 1 << 16):
+        ij = _key_pairs(keys[start:start + (1 << 16)], width)
+        if ij is None:
+            key = next(k for k in keys[start:] if not _ENTRY_KEY.fullmatch(k))
+            raise ValueError(f"kernel entry {key!r} is not 'i,j' in plain decimal")
+        far = (ij >= n).any(axis=1)
+        if outside is None and far.any():
+            outside = keys[start + int(np.argmax(far))]
+        flat[start:start + len(ij)] = ij[:, 0] * n + ij[:, 1]
+    if outside is not None:
+        raise ValueError(f"kernel entry {outside!r} is outside the {n} words")
+    return flat
+
+
+def _key_pairs(keys: list, width: int) -> np.ndarray | None:
+    """The (i, j) of each ``"i,j"`` key as int64 rows, an index of more
+    than `width` digits read as 10**width; None unless every key is two
+    plain decimals joined by one comma.  The keys are checked as the bytes
+    of their ``";"``-joined text: ASCII digits, commas and separators only,
+    2m - 1 cuts (commas and separators) for m keys with a comma at every
+    other one, so that each key holds one comma and no separator, and no
+    empty part or leading zero."""
+    try:
+        text = ";".join(keys).encode("ascii")
+    except (TypeError, UnicodeEncodeError):
+        return None
+    b = np.frombuffer(text, dtype=np.uint8)
+    comma, sep = b == ord(","), b == ord(";")
+    cuts = np.flatnonzero(comma | sep)
+    if (len(cuts) != 2 * len(keys) - 1 or not comma[cuts[0::2]].all()
+            or not (comma | sep | ((b >= ord("0")) & (b <= ord("9")))).all()):
+        return None
+    starts = np.append(0, cuts + 1)
+    sizes = np.append(cuts, len(b)) - starts
+    if not sizes.all() or ((b[starts] == ord("0")) & (sizes > 1)).any():
+        return None
+    if (sizes > width).any():  # too long for int64, perhaps, and outside anyway
+        return np.array([[min(int(p), 10**width) for p in k.split(",")] for k in keys])
+    return np.fromstring(text.replace(b";", b","), dtype=np.int64, sep=",").reshape(-1, 2)
 
 
 def _entry_pairs(keys: list, members: list, kdim: int) -> np.ndarray:
     """All kernel entries, the values of `keys` in their order, as one
     contiguous float array of shape (entries, kdim, kdim, 2), converted a
-    chunk of entries at a time: numpy's conversion of nested lists holds a
-    record of every list it reads, six times the array at 65,536 entries."""
+    chunk of 2^16 entries at a time: nested lists of numbers, as a table
+    file holds them, are flattened in bulk (`_flat_pairs`), any others
+    (complex arrays, say) go through numpy's conversion."""
     want = (kdim, kdim, 2)
     pairs = np.empty((len(members), *want))
-    for start in range(0, len(members), 1 << 12):
-        chunk = _as_pairs(members[start:start + (1 << 12)])
-        if chunk is None or chunk.shape[1:] != want:
+    for start in range(0, len(members), 1 << 16):
+        chunk = members[start:start + (1 << 16)]
+        block = _flat_pairs(chunk, want)
+        if block is None:
+            block = _as_pairs(chunk)
+        if block is None or block.shape[1:] != want:
             pairs = None
             break
-        pairs[start:start + len(chunk)] = chunk
+        pairs[start:start + len(block)] = block
     if pairs is None:
         # one entry at a time: name the first misshapen one
         per_entry = []
@@ -500,6 +537,24 @@ def _entry_pairs(keys: list, members: list, kdim: int) -> np.ndarray:
         key = keys[int(np.argmin(finite))]
         raise ValueError(f"kernel entry {key} is not finite")
     return pairs
+
+
+def _flat_pairs(entries: list, want: tuple) -> np.ndarray | None:
+    """The entries as one array of shape (entries, *want), when each is
+    `want` deep in lists of the lengths `want` gives, around numbers that
+    numpy reads as such (as `_as_pairs` reads them); else None.  The lists
+    are flattened a level at a time, each level's lengths checked as one
+    set."""
+    level = entries
+    try:
+        for size in want:
+            if set(map(list.__len__, level)) != {size}:  # a TypeError if not a list
+                return None
+            level = list(chain.from_iterable(level))
+        flat = np.asarray(level)  # a ValueError if a leaf is a sequence
+    except (TypeError, ValueError):
+        return None
+    return flat.reshape(-1, *want) if flat.dtype.kind in "biuf" else None
 
 
 def _as_pairs(m) -> np.ndarray | None:
@@ -525,8 +580,9 @@ def dumps(data) -> str:
     complex values (what `matrix_to_json` gives for a matrix).
 
     With `indent` set the stdlib encodes in pure Python, one float at a
-    time.  Here the containers are walked the same way, but every array leaf
-    only leaves a slot; afterwards the arrays of one shape at one depth are
+    time.  Here the containers are walked the same way, but every array leaf,
+    and every matrix of ``[re, im]`` float lists (`_pair_matrix`), only
+    leaves a slot; afterwards the arrays of one shape at one depth are
     written together, their floats by one C-encoded ``json.dumps`` of a flat
     list and their brackets by one cached template.  A `KernelEntries` is
     not walked at all: its table is written in key order straight from the
@@ -541,7 +597,10 @@ def dumps(data) -> str:
     return "".join(chunks)
 
 
-def _encode(o, level: int, chunks: list, groups: dict) -> None:
+def _encode(o, level: int, chunks: list, groups: dict | None) -> None:
+    """Append the text of `o` at depth `level` to `chunks`, leaving a slot in
+    `groups` for each array leaf, and for each list that `_pair_matrix`
+    reads as one; with no `groups` (`_template`), every list is walked."""
     if isinstance(o, np.ndarray):
         slots, arrays = groups.setdefault((o.shape, level), ([], []))
         slots.append(len(chunks))
@@ -562,6 +621,9 @@ def _encode(o, level: int, chunks: list, groups: dict) -> None:
     elif isinstance(o, (list, tuple)):
         if not o:
             chunks.append("[]")
+            return
+        if groups is not None and (matrix := _pair_matrix(o)) is not None:
+            _encode(matrix, level, chunks, groups)
             return
         inner = "\n" + "  " * (level + 1)
         sep = "[" + inner
@@ -592,23 +654,56 @@ def _encode_entries(table: np.ndarray, level: int, chunks: list) -> None:
     """The ``"i,j"``-keyed object of an (n, n, k, k) table, as the dict walk
     writes it, in row chunks of about 2^16 entries.  Sorted ``"i,j"`` keys
     run in the string order of i, then of j, because ``","`` sorts before
-    every digit."""
+    every digit.
+
+    A valid table is mostly exact zeros (projectivity: K(w, w') = 0 when w
+    and w' take disjoint outcomes at a point), so each chunk renders only
+    its distinct entries, matched by their bits (``-0.0`` is not ``0.0``),
+    and gathers their texts."""
     n, shape = table.shape[0], table.shape[2:]
     if not n:
         chunks.append("{}")
         return
     order = sorted(range(n), key=str)
     labels = [str(i) for i in order]
+    columns = [j + '": ' for j in labels]
     head = ",\n" + "  " * (level + 1) + '"'
     lead = "{" + head[1:]  # the first entry follows the brace, not a comma
     step = max(1, (1 << 16) // n)
     for start in range(0, n, step):
         block = table[order[start:start + step]][:, order].reshape((-1,) + shape)
-        keys = (f'{i},{j}": ' for i in labels[start:start + step] for j in labels)
-        texts = _render(block, shape, level + 1)
-        chunks.append(lead + head.join(map(str.__add__, keys, texts)))
+        bits = block.reshape(len(block), -1).view(f"V{block[0].nbytes}")  # an entry's bytes
+        distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
+        texts = _render(distinct.view(block.dtype).reshape((-1,) + shape), shape, level + 1)
+        rows = labels[start:start + step]
+        pieces = [None] * (3 * len(block))
+        for r, i in enumerate(rows):  # head and row label, column label, entry
+            pieces[3 * r * n:3 * (r + 1) * n:3] = [head + i + ","] * n
+        pieces[0] = lead + rows[0] + ","
+        pieces[1::3] = columns * len(rows)
+        pieces[2::3] = map(texts.__getitem__, inverse.ravel().tolist())
+        chunks.append("".join(pieces))
         lead = head
     chunks.append("\n" + "  " * level + "}")
+
+
+def _pair_matrix(o) -> np.ndarray | None:
+    """A list of equal-length rows of ``[re, im]`` pairs of floats (what
+    `matrix_to_json` gives) as the complex array of those pairs, which
+    `dumps` writes as it writes an array leaf; else None.  Every number
+    must be a float, so that an int keeps its spelling."""
+    if type(o) is not list or type(o[0]) is not list:
+        return None
+    try:
+        if len(set(map(list.__len__, o))) != 1:
+            return None
+        cells = list(chain.from_iterable(o))
+        if (set(map(list.__len__, cells)) != {2}
+                or set(map(type, chain.from_iterable(cells))) != {float}):
+            return None
+    except TypeError:  # a row or a cell that is not a list
+        return None
+    return np.array(cells).view(COMPLEX).reshape(len(o), -1)
 
 
 def _float_text(x: float) -> str:
@@ -646,5 +741,5 @@ def _template(shape: tuple, level: int) -> str:
     each float and a closing NUL to split on: the list walk of zeros, whose
     brackets, commas and indents never contain ``0.0``."""
     chunks: list = []
-    _encode(np.zeros(shape + (2,)).tolist(), level, chunks, {})
+    _encode(np.zeros(shape + (2,)).tolist(), level, chunks, None)
     return "%s".join("".join(chunks).split("0.0")) + "\0"

@@ -20,6 +20,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 #: Hard ceiling on the nonanticipatory subsets `all_nonanticipatory` lists.
 ANTICHAIN_CAP = 4096
 #: Float coordinates this close to the light cone make `minkowski_site` refuse.
@@ -53,13 +55,13 @@ class CausalSite:
         for i in range(n):
             if not self.leq[i][i]:
                 raise ValueError(f"relation is not reflexive at {self.points[i]!r}")
-        for i, j, k in itertools.product(range(n), repeat=3):
-            if self.leq[i][j] and self.leq[j][k] and not self.leq[i][k]:
-                raise ValueError(
-                    "relation is not transitively closed: "
-                    f"{self.points[i]!r} <= {self.points[j]!r} <= {self.points[k]!r} "
-                    f"but not {self.points[i]!r} <= {self.points[k]!r}"
-                )
+        bad = _transitivity_violation(self.leq)
+        if bad is not None:
+            i, j, k = (self.points[x] for x in bad)
+            raise ValueError(
+                f"relation is not transitively closed: {i!r} <= {j!r} <= {k!r} "
+                f"but not {i!r} <= {k!r}"
+            )
         object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.points)})
         if self.symmetry is not None:
             require_symmetry(self, self.symmetry)
@@ -205,6 +207,22 @@ def _maximal_antichains(site: CausalSite) -> list[frozenset[str]]:
 
     grow(frozenset(), list(site.points))
     return collected
+
+
+def _transitivity_violation(leq) -> tuple[int, int, int] | None:
+    """The first (i, j, k), in `itertools.product` order, with i <= j <= k
+    but not i <= k, or None.  One matrix product counts the j linking each
+    pair (i, k), in float32: a sum of ones is never rounded to zero."""
+    le = np.array(leq, dtype=bool).reshape(len(leq), len(leq))
+    ones = le.astype(np.float32)
+    links = ones @ ones > 0
+    bad_rows = np.flatnonzero((links & ~le).any(axis=1))
+    if not bad_rows.size:
+        return None
+    i = int(bad_rows[0])
+    missing = le & ~le[i]  # row j: the k with j <= k but not i <= k
+    j = int(np.flatnonzero(le[i] & missing.any(axis=1))[0])
+    return i, j, int(np.flatnonzero(missing[j])[0])
 
 
 # -- symmetries ------------------------------------------------------------

@@ -643,7 +643,7 @@ def test_reconstruct_verify_walks_its_words_once(tmp_path, monkeypatch, capsys):
     assert walks == [16]
     assert calls.count("stack_factor") == 1
     assert calls.count("_residual_bound") == 2
-    assert calls.count("pair_blocks") <= 3
+    assert calls.count("pair_blocks") == 2
 
 
 def test_oracle_takes_only_the_plan_of_its_words():

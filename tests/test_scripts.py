@@ -101,10 +101,16 @@ def test_cli_sweep_raises_nothing(tmp_path):
     runs = json.loads(out.read_text())["runs"]
     assert [r["argv"] for r in runs if r["exit"] == "traceback"] == []
     module = sweep_module()
-    # `PAIR_LISTS` comes after every other input: a pair list as the map of
-    # 's1' in the Galilean site file and as its outcome map at 'g0' in the
-    # model file, under the nine model commands, and in the table, under
-    # reconstruct [--verify], four flag sets each, each an input error
+    # `WRITER` comes after every other input: `kernels` on a 1,024-word
+    # model under four flag sets, `--cap 3` an input error
+    writer = [r for r in runs if any(a.startswith(n) for a in r["argv"] for n in module.WRITER)]
+    assert [r["argv"][0] for r in writer] == ["kernels"] * 4 and runs[-4:] == writer
+    assert [r["exit"] for r in writer] == [0, 0, 0, 2]
+    runs = runs[:-4]
+    # `PAIR_LISTS` comes before it: a pair list as the map of 's1' in the
+    # Galilean site file and as its outcome map at 'g0' in the model file,
+    # under the nine model commands, and in the table, under reconstruct
+    # [--verify], four flag sets each, each an input error
     pair_lists = [r for r in runs
                   if any(a.startswith(n) for a in r["argv"] for n in module.PAIR_LISTS)]
     assert len(pair_lists) == 4 * (2 * 9 + 2) and runs[-len(pair_lists):] == pair_lists

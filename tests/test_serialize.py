@@ -27,6 +27,12 @@ class TestSiteRoundTrip:
         assert back.leq == site.leq
         assert back.symmetry is None
 
+    def test_large_chain_site(self):
+        # 2,000 points: the transitivity check is one matrix product
+        site = serialize.site_from_json({"kind": "chain", "count": 2000})
+        assert len(site.points) == 2000 and site.points[-1] == "p1999"
+        assert site.leq[0][1999] and not site.leq[1999][0]
+
     def test_symmetry_attached(self):
         model, site = fixtures.galilean_shift_fixture()
         data = serialize.site_to_json(site)
@@ -327,6 +333,41 @@ class TestWriter:
             assert serialize.dumps(data) == reference_dumps(data)
         assert serialize.dumps(serialize.KernelEntries(table[:0, :0])) == "{}"
 
+    def test_repeated_entries_and_signed_zeros_bytes_match_stdlib(self):
+        # the writer renders each distinct entry of a chunk once, matched by
+        # bits: -0.0 and 0.0 (and NaN) repeat in one chunk, and stay apart
+        rng = np.random.default_rng(3)
+        values = np.array([0.0, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), 1.5,
+                           complex(0.5, -2.0), complex(math.nan, 0.0)])
+        table = values[rng.integers(0, len(values), size=(40, 40, 1, 1))]
+        data = {"values": serialize.KernelEntries(table)}
+        text = serialize.dumps(data)
+        assert text == reference_dumps(data)
+        pad = "\n" + " " * 10
+        for re_im in ("0.0", "-0.0"), ("-0.0", "0.0"), ("-0.0", "-0.0"), ("NaN", "0.0"):
+            assert pad + (","+ pad).join(re_im) + "\n" in text
+
+    def test_repeated_kdim2_blocks_bytes_match_stdlib(self):
+        # three distinct 2 x 2 blocks, one of them all -0.0, over 3,600 entries
+        rng = np.random.default_rng(4)
+        blocks = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        blocks[0] = complex(-0.0, -0.0)
+        table = blocks[rng.integers(0, 3, size=(60, 60))]
+        data = {"values": serialize.KernelEntries(table)}
+        assert serialize.dumps(data) == reference_dumps(data)
+
+    def test_report_matrix_with_an_integer_cell_bytes_match_stdlib(self):
+        # a matrix of [re, im] floats is written as an array; one that holds
+        # an int or a bool is walked, so the int keeps its spelling
+        model, _ = fixtures.controlled_kdim2()
+        data = serialize.model_to_json(model)
+        data["embedding"][0][1][0] = 1
+        data["embedding"][1][0][1] = False
+        data["extra"] = [[[0.0, 1.0]], [[2.0, -0.0], [3.0, 4.0]]]  # ragged rows
+        text = serialize.dumps(data)
+        assert text == reference_dumps(data)
+        assert "\n        1,\n" in text and "\n        false\n" in text
+
     def test_oracle_with_symmetry_bytes_match_stdlib(self):
         model, site = fixtures.galilean_shift_fixture()
         data = serialize.oracle_to_json(_table(model, site))
@@ -491,6 +532,134 @@ class TestTableReader:
             values = dict(data["values"], **{key: data["values"]["0,0"]})
             with pytest.raises(ValueError, match=f"kernel entry '{key}' is outside the {n} words"):
                 serialize.oracle_from_json(dict(data, values=values))
+
+    @pytest.mark.parametrize("spelling", [
+        "1,0\n", "1\n,0", "\uff11,0", "1,\u0660", "1;0", "1,0;0,1", ",0", "1,", "1,,0", "",
+    ])
+    def test_unreadable_entry_key(self, spelling):
+        # a newline, a non-ASCII digit or a separator of the bulk key check
+        # is refused with the message the per-key check gives
+        data = json.loads(serialize.dumps(serialize.oracle_to_json(
+            _table(*fixtures.qubit_zx()))))
+        data["values"] = {spelling if k == "1,0" else k: v for k, v in data["values"].items()}
+        with pytest.raises(ValueError) as info:
+            serialize.oracle_from_json(data)
+        assert str(info.value) == f"kernel entry {spelling!r} is not 'i,j' in plain decimal"
+
+    @pytest.mark.parametrize("key", [
+        "1" * 25 + ",0", "0," + "9" * 19, "0,1" + "0" * 19, "0,16", "0," + "1" * 3,
+    ])
+    def test_long_entry_index_is_outside(self, key):
+        data = json.loads(serialize.dumps(serialize.oracle_to_json(
+            _table(*fixtures.qubit_zx()))))
+        n = len(data["words"])
+        data["values"][key] = data["values"]["0,0"]
+        with pytest.raises(ValueError) as info:
+            serialize.oracle_from_json(data)
+        assert str(info.value) == f"kernel entry {key!r} is outside the {n} words"
+
+    def test_first_bad_key_in_file_order_is_named(self):
+        # 257 words: keys in two chunks.  A malformed key is named before an
+        # outside one, wherever each is; of two, the first in file order
+        n = 257
+        keys = [f"{x // n},{x % n}" for x in range(n * n)]
+        cases = [
+            ({5: "300,0", 66000: "1,02"}, "'1,02' is not 'i,j' in plain decimal"),
+            ({70: "0,01", 66000: "1,02"}, "'0,01' is not 'i,j' in plain decimal"),
+            ({5: "300,0", 66001: "0,257"}, "'300,0' is outside the 257 words"),
+            ({66001: "0,257", 66002: "257,0"}, "'0,257' is outside the 257 words"),
+        ]
+        for bad, message in cases:
+            edited = list(keys)
+            for x, key in bad.items():
+                edited[x] = key
+            with pytest.raises(ValueError) as info:
+                serialize._entry_indices(edited, n)
+            assert str(info.value) == f"kernel entry {message}"
+        assert serialize._entry_indices(keys, n).tolist() == list(range(n * n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.integers(0, 150), st.integers(0, 150)).map(lambda ij: "%d,%d" % ij),
+        st.text(alphabet="0123456789,;\n\uff11 +", max_size=7),
+    ), min_size=1, max_size=8), st.integers(1, 120))
+    def test_entry_keys_read_as_the_per_key_reference(self, keys, n):
+        # the bulk key reader against the per-key regex and int parse: the
+        # same indices, or the same refusal of the same key
+        def reference():
+            for k in keys:
+                if not re.fullmatch("(?:0|[1-9][0-9]*),(?:0|[1-9][0-9]*)", k):
+                    return f"kernel entry {k!r} is not 'i,j' in plain decimal"
+            ij = [tuple(map(int, k.split(","))) for k in keys]
+            for k, (i, j) in zip(keys, ij):
+                if max(i, j) >= n:
+                    return f"kernel entry {k!r} is outside the {n} words"
+            return [i * n + j for i, j in ij]
+
+        try:
+            got = serialize._entry_indices(keys, n).tolist()
+        except ValueError as exc:
+            got = str(exc)
+        assert got == reference()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_entry_cells_read_as_the_per_entry_reference(self, data):
+        # the bulk cell reader against numpy's conversion of each entry: the
+        # same numbers, or the same refusal of the same entry
+        kdim = data.draw(st.sampled_from([1, 2]))
+        odd = st.sampled_from([0, -1, True, 2**63, 2**64, None, "1"])
+        leaf = st.one_of(st.floats(width=32), st.floats(width=32), st.floats(width=32), odd)
+        shaped = st.lists(st.lists(st.lists(leaf, min_size=2, max_size=2),
+                                   min_size=kdim, max_size=kdim), min_size=kdim, max_size=kdim)
+        ragged = st.lists(st.lists(st.lists(leaf, min_size=1, max_size=3),
+                                   min_size=1, max_size=2), min_size=1, max_size=2)
+        members = data.draw(st.lists(shaped | shaped | ragged, min_size=1, max_size=3))
+        keys = [f"0,{j}" for j in range(len(members))]
+
+        def reference():
+            entries = [serialize._as_pairs(m) for m in members]
+            for key, e in zip(keys, entries):
+                if e is None or e.shape != (kdim, kdim, 2):
+                    return f"kernel entry {key} is not a {kdim}x{kdim} matrix of [re, im] pairs"
+            for key, e in zip(keys, entries):
+                if not np.isfinite(e).all():
+                    return f"kernel entry {key} is not finite"
+            return np.stack(entries).tolist()
+
+        try:
+            got = serialize._entry_pairs(keys, members, kdim).tolist()
+        except ValueError as exc:
+            got = str(exc)
+        assert got == reference()
+
+    @pytest.mark.parametrize("cell", [
+        ["0.5", 0.0], [None, 0.0], [0.0], [0.0, 0.0, 0.0], [[0.0], 0.0], [0.0, 2**64], 0.0,
+    ])
+    def test_misshapen_cell(self, cell):
+        data = json.loads(serialize.dumps(serialize.oracle_to_json(
+            _table(*fixtures.controlled_kdim2()))))
+        data["values"]["1,2"][1][0] = cell
+        with pytest.raises(ValueError) as info:
+            serialize.oracle_from_json(data)
+        assert str(info.value) == "kernel entry 1,2 is not a 2x2 matrix of [re, im] pairs"
+
+    def test_misshapen_row(self):
+        data = json.loads(serialize.dumps(serialize.oracle_to_json(
+            _table(*fixtures.controlled_kdim2()))))
+        data["values"]["0,3"][1].append([0.0, 0.0])
+        data["values"]["3,0"] = [[0.0, 0.0], [0.0, 0.0]]
+        with pytest.raises(ValueError) as info:
+            serialize.oracle_from_json(data)
+        assert str(info.value) == "kernel entry 0,3 is not a 2x2 matrix of [re, im] pairs"
+
+    def test_int_and_bool_cells_are_numbers(self):
+        oracle = _table(*fixtures.controlled_kdim2())
+        data = json.loads(serialize.dumps(serialize.oracle_to_json(oracle)))
+        data["values"]["0,1"] = [[[1, False], [0, -2]], [[True, 3], [2**63, 0.5]]]
+        table = oracle.table.copy()
+        table[0, 1] = [[1, -2j], [1 + 3j, 2.0**63 + 0.5j]]
+        assert np.array_equal(serialize.oracle_from_json(data).table, table)
 
     def test_no_words(self):
         data = json.loads(serialize.dumps(serialize.oracle_to_json(

@@ -1,6 +1,7 @@
 """Order structure of finite causal sites."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -226,6 +227,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="transitively"):
             CausalSite(points=("a", "b", "c"), leq=leq)
 
+    @pytest.mark.parametrize("pairs, triple", [
+        # (a, c, d) and (b, a, c): the first point decides, not the middle
+        # or the last
+        ({"ac", "cd", "ba"}, "acd"),
+        # (a, b, d) and (a, c, d): then the middle one
+        ({"ab", "bd", "ac", "cd"}, "abd"),
+        # (a, b, c) and (a, b, d): then the last one
+        ({"ab", "bc", "bd"}, "abc"),
+    ])
+    def test_first_transitivity_violation_named(self, pairs, triple):
+        points = ("a", "b", "c", "d")
+        leq = tuple(tuple(s == t or s + t in pairs for t in points) for s in points)
+        i, j, k = (repr(t) for t in triple)
+        message = f"relation is not transitively closed: {i} <= {j} <= {k} but not {i} <= {k}"
+        with pytest.raises(ValueError) as info:
+            CausalSite(points=points, leq=leq)
+        assert str(info.value) == message
+
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             CausalSite(points=("a", "a"), leq=((True, True), (True, True)))
@@ -321,6 +340,27 @@ def preorders(max_points=5):
         )
 
     return build()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+def test_transitivity_refusal_matches_the_triple_loop(bits):
+    # any reflexive relation: refused, naming the first violating triple in
+    # `itertools.product` order, exactly when the triple loop finds one
+    n = math.isqrt(len(bits))
+    leq = tuple(tuple(bits[i * n + j] or i == j for j in range(n)) for i in range(n))
+    points = tuple(f"p{i}" for i in range(n))
+    first = next(((i, j, k) for i, j, k in itertools.product(range(n), repeat=3)
+                  if leq[i][j] and leq[j][k] and not leq[i][k]), None)
+    if first is None:
+        assert CausalSite(points=points, leq=leq).leq == leq
+        return
+    i, j, k = (repr(points[x]) for x in first)
+    with pytest.raises(ValueError) as info:
+        CausalSite(points=points, leq=leq)
+    assert str(info.value) == (
+        f"relation is not transitively closed: {i} <= {j} <= {k} but not {i} <= {k}")
 
 
 @settings(max_examples=50, deadline=None)
