@@ -18,11 +18,16 @@ import gc
 import json
 import sys
 
-from . import __version__, bridges, equivalence, markov, serialize
+from . import __version__, bridges, equivalence, linalg, markov, serialize
 from .config import RunConfig
 from .kernels import check_axioms, require_on_site
 from .models import Check, check_model, require_representation
-from .reconstruct import ReconstructionRefused, reconstruct, verify_decomposition
+from .reconstruct import (
+    ReconstructionRefused,
+    _decomposition_check,
+    reconstruct,
+    verify_decomposition,
+)
 from .words import enumerate_words
 
 EXIT_OK = 0
@@ -330,12 +335,14 @@ def cmd_reconstruct(args, config: RunConfig):
     }
     if not args.verify:
         return report, True
-    # the emitted model's oracle on the table's plan: the verification reads
-    # its table, and idempotence (the emitted model is unitarily equivalent
-    # to its minimal modification) reads both off it
+    # the emitted model's oracle on the table's plan: the verification
+    # compares its table with the source's, as `verify_decomposition` would
+    # compare the model's, and idempotence (the emitted model is unitarily
+    # equivalent to its minimal modification) reads both off it
     with _failures("idempotence table: ", "idempotence refused"):
         emitted = recon.model.kernel_oracle(oracle.plan)
-    decomp = verify_decomposition(recon, oracle, config, emitted)
+    decomp = _decomposition_check(
+        oracle, *linalg.worst_gap(oracle.table, emitted.table), config)
     report["verification"] = _reproduces(decomp)
     with _failures("idempotence table: ", "idempotence refused"):
         second = reconstruct(emitted, config, strict_closure=False).model

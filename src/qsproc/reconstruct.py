@@ -356,18 +356,19 @@ def verify_decomposition(
     recon: ReconstructedProcess,
     oracle: KernelOracle,
     config: RunConfig = RunConfig(),
-    emitted: KernelOracle | None = None,
 ) -> Check:
     """Recompute the kernel table from the reconstructed model and compare it
-    with the oracle's, block by block (`_kernel_gap`), or compare the table
-    of `emitted`, the model's oracle on ``oracle.plan`` when the caller has
-    built it (`linalg.worst_gap`): the check "decomposition" holds the
-    largest operator norm of a k x k block of the difference, and the word
-    pair of the first block attaining it."""
-    if emitted is None:
-        worst, at, _ = _kernel_gap(recon.model, oracle)
-    else:
-        worst, at = linalg.worst_gap(oracle.table, emitted.table)
+    with the oracle's, block by block (`_kernel_gap`), as the check
+    "decomposition" (`_decomposition_check`)."""
+    worst, at, _ = _kernel_gap(recon.model, oracle)
+    return _decomposition_check(oracle, worst, at, config)
+
+
+def _decomposition_check(oracle: KernelOracle, worst: float, at, config: RunConfig) -> Check:
+    """The check "decomposition" of a model's table against the table of
+    `oracle`, from `linalg.worst_gap` of the two: `worst`, the largest
+    operator norm of a k x k block of the difference, and the word pair of
+    `at`, the first block attaining it (None when the tables agree)."""
     witness = "exact match"
     if at is not None:
         i, j = at

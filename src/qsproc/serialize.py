@@ -500,27 +500,24 @@ def _key_pairs(keys: list, width: int) -> np.ndarray | None:
     if not sizes.all() or ((b[starts] == ord("0")) & (sizes > 1)).any():
         return None
     if (sizes > width).any():  # too long for int64, perhaps, and outside anyway
-        return np.array([[min(int(p), 10**width) for p in k.split(",")] for k in keys])
+        return np.array([[10**width if len(p) > width else int(p) for p in k.split(",")]
+                         for k in keys])
     return np.fromstring(text.replace(b";", b","), dtype=np.int64, sep=",").reshape(-1, 2)
 
 
 def _entry_pairs(keys: list, members: list, kdim: int) -> np.ndarray:
     """All kernel entries, the values of `keys` in their order, as one
     contiguous float array of shape (entries, kdim, kdim, 2), converted a
-    chunk of 2^16 entries at a time: nested lists of numbers, as a table
-    file holds them, are flattened in bulk (`_flat_pairs`), any others
-    (complex arrays, say) go through numpy's conversion."""
+    chunk of entries at a time: numpy's conversion of nested lists holds a
+    record of every list it reads, six times the array at 65,536 entries."""
     want = (kdim, kdim, 2)
     pairs = np.empty((len(members), *want))
-    for start in range(0, len(members), 1 << 16):
-        chunk = members[start:start + (1 << 16)]
-        block = _flat_pairs(chunk, want)
-        if block is None:
-            block = _as_pairs(chunk)
-        if block is None or block.shape[1:] != want:
+    for start in range(0, len(members), 1 << 12):
+        chunk = _as_pairs(members[start:start + (1 << 12)])
+        if chunk is None or chunk.shape[1:] != want:
             pairs = None
             break
-        pairs[start:start + len(block)] = block
+        pairs[start:start + len(chunk)] = chunk
     if pairs is None:
         # one entry at a time: name the first misshapen one
         per_entry = []
@@ -537,24 +534,6 @@ def _entry_pairs(keys: list, members: list, kdim: int) -> np.ndarray:
         key = keys[int(np.argmin(finite))]
         raise ValueError(f"kernel entry {key} is not finite")
     return pairs
-
-
-def _flat_pairs(entries: list, want: tuple) -> np.ndarray | None:
-    """The entries as one array of shape (entries, *want), when each is
-    `want` deep in lists of the lengths `want` gives, around numbers that
-    numpy reads as such (as `_as_pairs` reads them); else None.  The lists
-    are flattened a level at a time, each level's lengths checked as one
-    set."""
-    level = entries
-    try:
-        for size in want:
-            if set(map(list.__len__, level)) != {size}:  # a TypeError if not a list
-                return None
-            level = list(chain.from_iterable(level))
-        flat = np.asarray(level)  # a ValueError if a leaf is a sequence
-    except (TypeError, ValueError):
-        return None
-    return flat.reshape(-1, *want) if flat.dtype.kind in "biuf" else None
 
 
 def _as_pairs(m) -> np.ndarray | None:
@@ -654,12 +633,7 @@ def _encode_entries(table: np.ndarray, level: int, chunks: list) -> None:
     """The ``"i,j"``-keyed object of an (n, n, k, k) table, as the dict walk
     writes it, in row chunks of about 2^16 entries.  Sorted ``"i,j"`` keys
     run in the string order of i, then of j, because ``","`` sorts before
-    every digit.
-
-    A valid table is mostly exact zeros (projectivity: K(w, w') = 0 when w
-    and w' take disjoint outcomes at a point), so each chunk renders only
-    its distinct entries, matched by their bits (``-0.0`` is not ``0.0``),
-    and gathers their texts."""
+    every digit."""
     n, shape = table.shape[0], table.shape[2:]
     if not n:
         chunks.append("{}")
@@ -672,19 +646,31 @@ def _encode_entries(table: np.ndarray, level: int, chunks: list) -> None:
     step = max(1, (1 << 16) // n)
     for start in range(0, n, step):
         block = table[order[start:start + step]][:, order].reshape((-1,) + shape)
-        bits = block.reshape(len(block), -1).view(f"V{block[0].nbytes}")  # an entry's bytes
-        distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
-        texts = _render(distinct.view(block.dtype).reshape((-1,) + shape), shape, level + 1)
         rows = labels[start:start + step]
         pieces = [None] * (3 * len(block))
         for r, i in enumerate(rows):  # head and row label, column label, entry
             pieces[3 * r * n:3 * (r + 1) * n:3] = [head + i + ","] * n
         pieces[0] = lead + rows[0] + ","
         pieces[1::3] = columns * len(rows)
-        pieces[2::3] = map(texts.__getitem__, inverse.ravel().tolist())
+        pieces[2::3] = _entry_texts(block, shape, level + 1)
         chunks.append("".join(pieces))
         lead = head
     chunks.append("\n" + "  " * level + "}")
+
+
+def _entry_texts(block: np.ndarray, shape: tuple, level: int) -> list[str]:
+    """The texts of a chunk of entries (`_render`).  A chunk that is mostly
+    zero entries, as a valid table's chunks are (projectivity: K(w, w') = 0
+    when w and w' take disjoint outcomes at a point), renders only its
+    distinct entries, matched by their bits (``-0.0`` is not ``0.0``), and
+    gathers their texts; in any other chunk the sort that finds them would
+    cost more than it saves."""
+    if 2 * np.count_nonzero(block.reshape(len(block), -1).any(axis=1)) >= len(block):
+        return _render(block, shape, level)
+    bits = block.reshape(len(block), -1).view(f"V{block[0].nbytes}")  # an entry's bytes
+    distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
+    texts = _render(distinct.view(block.dtype).reshape((-1,) + shape), shape, level)
+    return list(map(texts.__getitem__, inverse.ravel().tolist()))
 
 
 def _pair_matrix(o) -> np.ndarray | None:

@@ -334,12 +334,13 @@ class TestWriter:
         assert serialize.dumps(serialize.KernelEntries(table[:0, :0])) == "{}"
 
     def test_repeated_entries_and_signed_zeros_bytes_match_stdlib(self):
-        # the writer renders each distinct entry of a chunk once, matched by
-        # bits: -0.0 and 0.0 (and NaN) repeat in one chunk, and stay apart
+        # a chunk of mostly zero entries renders each distinct entry once,
+        # matched by bits: -0.0 and 0.0 (and NaN) repeat in one chunk, and
+        # stay apart
         rng = np.random.default_rng(3)
         values = np.array([0.0, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), 1.5,
                            complex(0.5, -2.0), complex(math.nan, 0.0)])
-        table = values[rng.integers(0, len(values), size=(40, 40, 1, 1))]
+        table = values[rng.choice(len(values), size=(40, 40, 1, 1), p=[.6, .1, .1, .1, .04, .03, .03])]
         data = {"values": serialize.KernelEntries(table)}
         text = serialize.dumps(data)
         assert text == reference_dumps(data)
@@ -347,12 +348,24 @@ class TestWriter:
         for re_im in ("0.0", "-0.0"), ("-0.0", "0.0"), ("-0.0", "-0.0"), ("NaN", "0.0"):
             assert pad + (","+ pad).join(re_im) + "\n" in text
 
-    def test_repeated_kdim2_blocks_bytes_match_stdlib(self):
-        # three distinct 2 x 2 blocks, one of them all -0.0, over 3,600 entries
+    @pytest.mark.parametrize("zero_share", [0.9, 0.1])
+    def test_repeated_kdim2_blocks_bytes_match_stdlib(self, zero_share):
+        # three distinct 2 x 2 blocks over 3,600 entries, one all -0.0 and
+        # one all 0.0: the chunk mostly zero (each distinct block rendered
+        # once) or mostly not (every block rendered)
         rng = np.random.default_rng(4)
         blocks = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
-        blocks[0] = complex(-0.0, -0.0)
-        table = blocks[rng.integers(0, 3, size=(60, 60))]
+        blocks[0], blocks[1] = complex(-0.0, -0.0), 0.0
+        p = [zero_share / 2, zero_share / 2, 1 - zero_share]
+        table = blocks[rng.choice(3, size=(60, 60), p=p)]
+        data = {"values": serialize.KernelEntries(table)}
+        assert serialize.dumps(data) == reference_dumps(data)
+
+    def test_distinct_entries_bytes_match_stdlib(self):
+        # no entry repeats: every entry rendered, in chunks of 2^16 entries
+        rng = np.random.default_rng(5)
+        table = rng.normal(size=(300, 300, 1, 1)) + 1j * rng.normal(size=(300, 300, 1, 1))
+        table[0, :100] = 0.0
         data = {"values": serialize.KernelEntries(table)}
         assert serialize.dumps(data) == reference_dumps(data)
 
@@ -548,6 +561,7 @@ class TestTableReader:
 
     @pytest.mark.parametrize("key", [
         "1" * 25 + ",0", "0," + "9" * 19, "0,1" + "0" * 19, "0,16", "0," + "1" * 3,
+        "0," + "1" * 5000,  # past the digits Python converts to an int
     ])
     def test_long_entry_index_is_outside(self, key):
         data = json.loads(serialize.dumps(serialize.oracle_to_json(
@@ -609,7 +623,9 @@ class TestTableReader:
         # same numbers, or the same refusal of the same entry
         kdim = data.draw(st.sampled_from([1, 2]))
         odd = st.sampled_from([0, -1, True, 2**63, 2**64, None, "1"])
-        leaf = st.one_of(st.floats(width=32), st.floats(width=32), st.floats(width=32), odd)
+        # a leaf is mostly a number; a list leaf, of any one length, is refused
+        listed = st.lists(st.floats(width=32), max_size=2)
+        leaf = st.one_of(st.floats(width=32), st.floats(width=32), st.floats(width=32), odd, listed)
         shaped = st.lists(st.lists(st.lists(leaf, min_size=2, max_size=2),
                                    min_size=kdim, max_size=kdim), min_size=kdim, max_size=kdim)
         ragged = st.lists(st.lists(st.lists(leaf, min_size=1, max_size=3),
@@ -643,6 +659,20 @@ class TestTableReader:
         with pytest.raises(ValueError) as info:
             serialize.oracle_from_json(data)
         assert str(info.value) == "kernel entry 1,2 is not a 2x2 matrix of [re, im] pairs"
+
+    @pytest.mark.parametrize("wrap", [
+        lambda re, im: [[re], [im]], lambda re, im: [[], []], lambda re, im: [[re, im], [re, im]],
+    ])
+    def test_every_cell_misshapen_alike(self, wrap):
+        # every cell of the table misshapen the same way: still refused, the
+        # first entry in file order named
+        data = json.loads(serialize.dumps(serialize.oracle_to_json(
+            _table(*fixtures.controlled_kdim2()))))
+        data["values"] = {k: [[wrap(*cell) for cell in row] for row in v]
+                          for k, v in data["values"].items()}
+        with pytest.raises(ValueError) as info:
+            serialize.oracle_from_json(data)
+        assert str(info.value) == "kernel entry 0,0 is not a 2x2 matrix of [re, im] pairs"
 
     def test_misshapen_row(self):
         data = json.loads(serialize.dumps(serialize.oracle_to_json(

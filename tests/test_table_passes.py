@@ -234,6 +234,21 @@ def test_verify_decomposition_keeps_the_one_shot_bits(name):
 
 
 @pytest.mark.parametrize("name", CALLER_MODELS)
+def test_reconstruct_verify_reports_verify_decomposition(name, tmp_path, capsys):
+    # `reconstruct TABLE --verify` compares the emitted model's table with
+    # the source's: the same check, bit for bit, as `verify_decomposition`
+    # on the table it read
+    model, site = caller_model(name)
+    oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+    path = tmp_path / "table.json"
+    path.write_text(serialize.dumps(serialize.oracle_to_json(oracle)))
+    assert cli.main(["reconstruct", str(path), "--verify"]) == 0
+    report = json.loads(capsys.readouterr().out)["verification"]
+    table = cli._load_table(str(path))
+    assert report == cli._reproduces(verify_decomposition(reconstruct(table), table))
+
+
+@pytest.mark.parametrize("name", CALLER_MODELS)
 def test_table_comparisons_keep_the_one_shot_bits(name):
     model, site = caller_model(name)
     words = enumerate_words(site, model.spaces, POLICY_ALL_SUBSETS)
