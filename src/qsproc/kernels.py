@@ -659,34 +659,42 @@ def check_regularity(
 ) -> Check:
     """Asymptotic noncorrelation with the distant past.
 
-    For each minimal slice, the component of every word vector orthogonal to
-    the initial space inside the slice span is computed exactly through the
-    Gram matrix; the limit over the slice net is the minimum over the minimal
-    slices.  A zero limit says the slice spans shrink to the initial space.
+    Read in the quotient coordinates ``X = sqrt(lam) V*`` of the oracle's
+    `gram_factor`, with no Gram submatrix.  For each minimal slice, E_l
+    projects onto the span of the words below it, cut at `rank_tol` as a
+    pseudo-inverse of their Gram matrix is, and E_l - P0 onto its excess
+    over the initial space (the unit word's span).  A word's defect is the
+    largest singular value of B* X_w, for B the eigenvectors of E_l - P0
+    above 1/2 (a projector to rounding); the limit over the slice net is
+    the minimum over the minimal slices.  A zero limit says the slice
+    spans shrink to the initial space.
     """
     site = oracle.site
     tol = config.regularity_tol
-    e = oracle.unit_index()
-    k = oracle.kdim
     minimal = site.minimal_antichains()
     if not minimal:
         return Check("regularity", 0.0, "empty site", tol)
-    n = len(oracle.words)
+    factor = oracle.gram_factor(config.rank_tol)
+    v, root, k = factor.vectors, np.sqrt(factor.values), oracle.kdim
+
+    def coords(words) -> np.ndarray:
+        """The columns of X of the words, (rank, len(words) k)."""
+        rows = (np.asarray(words, dtype=np.intp)[:, None] * k + np.arange(k)).ravel()
+        return root[:, None] * np.conjugate(v[rows]).T
+
+    x_e = coords([oracle.unit_index()])
+    p0 = x_e @ linalg.dagger(x_e)
     per_slice: list[tuple[float, str]] = []
     for l in minimal:
-        idx_l = oracle.words_within(site.down_set(l))
-        g_pinv = linalg.pinv(oracle.gram(idx_l), config.rank_tol)
-        # cross inner products of every word's centered vector against the
-        # slice span, one (m k, k) matrix c per word, and each c* G^+ c
-        cross = oracle.table[idx_l] - np.einsum(
-            "mab,nbc->mnac", oracle.table[idx_l, e], oracle.table[e]
-        )
-        c = cross.transpose(0, 2, 1, 3).reshape(len(idx_l) * k, n, k)
-        gc = (g_pinv @ c.reshape(len(idx_l) * k, n * k)).reshape(c.shape)
-        q = np.einsum("rna,rnb->nab", np.conjugate(c), gc)
-        lam = np.linalg.eigvalsh((q + np.conjugate(q).transpose(0, 2, 1)) / 2)[:, -1]
+        x_l = coords(oracle.words_within(site.down_set(l)))
+        vals, vecs = np.linalg.eigh(linalg.hermitize(x_l @ linalg.dagger(x_l)))
+        q = vecs[:, vals > config.rank_tol * vals.max(initial=0.0)]
+        vals, vecs = np.linalg.eigh(linalg.hermitize(q @ linalg.dagger(q) - p0))
+        b = vecs[:, vals > 0.5]
+        # the adjoint of each word's B* X_w is its k rows of V sqrt(lam) B
+        xb = (v @ (root[:, None] * b)).reshape(len(oracle.words), k, b.shape[1])
         per_slice.append(linalg.worst(
-            np.sqrt(np.maximum(lam, 0.0)), lambda b: _word_label(oracle.words[b])
+            linalg.opnorms(xb), lambda w: _word_label(oracle.words[w])
         ))
     best = min(per_slice, key=lambda p: p[0])
     l_min = minimal[per_slice.index(best)]

@@ -22,7 +22,7 @@ import numpy as np
 from . import linalg
 from .config import RunConfig
 from .linalg import COMPLEX, dagger
-from .models import Check, HilbertModel, Report
+from .models import Check, HilbertModel, Report, slice_projector
 from .sites import CausalSite
 from .words import (
     Event,
@@ -90,18 +90,6 @@ def _orthonormal_rows(rows: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
 
 
 # -- model-level structure ----------------------------------------------------
-
-
-def slice_projector(
-    model: HilbertModel, site: CausalSite, l, config: RunConfig = RunConfig()
-) -> np.ndarray:
-    """Meet of the block event units inside a slice."""
-    pts = sorted(l, key=site.index)
-    units = [model.unit_p(frozenset({t})) for t in pts]
-    blocks = [frozenset(c) for r in range(2, len(pts) + 1)
-              for c in itertools.combinations(pts, r)]
-    units += [model.unit_p(k) for k in blocks if k in model.units_p]
-    return linalg.meet_projectors(units + [model.identity()], config.rank_tol)
 
 
 def slice_algebra(
@@ -341,7 +329,10 @@ def check_relaxation(
     words = enumerate_words(site, model.spaces, config.policy, config.cap)
     minimal = site.minimal_antichains()
     p0 = model.initial_projector()
-    columns = {l: _slice_columns(model, site, words, l) for l in site.maximal_antichains}
+    stack = model.products(site, words)  # one evaluation; each slice reads its words
+    below = {l: [i for i, w in enumerate(words) if set(w.support) <= down]
+             for l in site.maximal_antichains for down in [site.down_set(l)]}
+    columns = {l: linalg.side_by_side(stack[i]) for l, i in below.items()}
     span = {
         l: linalg.projector_onto_columns(c, config.rank_tol) for l, c in columns.items()
     }
@@ -352,9 +343,9 @@ def check_relaxation(
         e_l0 = span[l0]
         # limit states must survive replacing the earliest measurements
         perturbed = _rotate_slice_atoms(model, l0, rng)
-        e_l0_pert = linalg.projector_onto_columns(
-            _slice_columns(perturbed, site, words, l0), config.rank_tol
-        )
+        e_l0_pert = linalg.projector_onto_columns(linalg.side_by_side(
+            perturbed.products(site, [words[i] for i in below[l0]])
+        ), config.rank_tol)
         # unit vectors reachable by measurements on the slice
         cols = columns[l0]
         norms = np.linalg.norm(cols, axis=0)
@@ -377,14 +368,6 @@ def check_relaxation(
             .format(*map(sorted, at[i]))
         )), tol),
     ))
-
-
-def _slice_columns(model, site, words, l) -> np.ndarray:
-    """Chronological product columns of the words supported below a slice."""
-    down = site.down_set(l)
-    return linalg.side_by_side(
-        model.products(site, [w for w in words if set(w.support) <= down])
-    )
 
 
 def _limit_states(vecs, e_l0, a) -> np.ndarray:

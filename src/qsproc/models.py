@@ -475,15 +475,11 @@ def check_model(
     slices = list(site.maximal_antichains)
     gaps = []
     for l in slices:
-        blocks = _blocks_within(site, l)
-        meet = linalg.meet_projectors(
-            [model.unit_p(k) for k in blocks] + [eye], config.rank_tol
-        )
         join = linalg.join_projectors(
-            [model.unit_i(k) for k in blocks] + [model.initial_projector()],
+            [model.unit_i(k) for k in _blocks_within(site, l)] + [model.initial_projector()],
             config.rank_tol,
         )
-        gaps.append(meet - join)
+        gaps.append(slice_projector(model, site, l, config) - join)
     record("unit_balance", *linalg.worst(
         linalg.opnorms(gaps), lambda i: f"slice {sorted(slices[i])}"
     ))
@@ -593,6 +589,17 @@ def unit_nesting(model: HilbertModel, site: CausalSite, blocks: Sequence[frozens
     l, r = norms[:len(mats)].reshape(-1, 2).T
     u = norms[len(mats):][[a for a, _ in at]]
     return [(blocks[a], blocks[b]) for a, b in at], l, u, r
+
+
+def slice_projector(
+    model: HilbertModel, site: CausalSite, l, config: RunConfig = RunConfig()
+) -> np.ndarray:
+    """The slice unit E_l: the meet of the event units of every block within
+    the slice (`_blocks_within`) and the identity."""
+    return linalg.meet_projectors(
+        [model.unit_p(k) for k in _blocks_within(site, l)] + [model.identity()],
+        config.rank_tol,
+    )
 
 
 def _blocks_within(site: CausalSite, l: frozenset[str]) -> list[frozenset[str]]:

@@ -247,24 +247,33 @@ class TestProjectivity:
         assert check_projectivity(oracle).status == PASS
 
 
-def regularity_per_word(oracle, rank_tol=1e-9):
-    """Reference: the regularity defect word by word, one `eigvalsh` each;
-    the best minimal slice's worst defect and word."""
+def regularity_defects(oracle, l, rank_tol=1e-9):
+    """Reference: the regularity defect of every word against the slice l,
+    through the pseudo-inverse of the slice's Gram matrix, one `eigvalsh`
+    each."""
     site, e, k = oracle.site, oracle.unit_index(), oracle.kdim
+    idx_l = oracle.words_within(site.down_set(l))
+    g_pinv = linalg.pinv(oracle.gram(idx_l), rank_tol)
+    defects = []
+    for i in range(len(oracle.words)):
+        cross = oracle.table[np.ix_(idx_l, [i])][:, 0]
+        correction = np.einsum(
+            "mab,bc->mac", oracle.table[np.ix_(idx_l, [e])][:, 0], oracle.table[e, i]
+        )
+        c = (cross - correction).reshape(len(idx_l) * k, k)
+        q = linalg.dagger(c) @ g_pinv @ c
+        lam = float(np.max(np.linalg.eigvalsh(linalg.hermitize(q))))
+        defects.append(float(np.sqrt(max(lam, 0.0))))
+    return defects
+
+
+def regularity_per_word(oracle, rank_tol=1e-9):
+    """Reference: the best minimal slice's worst defect and word
+    (`regularity_defects`)."""
     per_slice = []
     for l in oracle.site.minimal_antichains():
-        idx_l = oracle.words_within(site.down_set(l))
-        g_pinv = linalg.pinv(oracle.gram(idx_l), rank_tol)
         worst_b, wit = 0.0, None
-        for i in range(len(oracle.words)):
-            cross = oracle.table[np.ix_(idx_l, [i])][:, 0]
-            correction = np.einsum(
-                "mab,bc->mac", oracle.table[np.ix_(idx_l, [e])][:, 0], oracle.table[e, i]
-            )
-            c = (cross - correction).reshape(len(idx_l) * k, k)
-            q = linalg.dagger(c) @ g_pinv @ c
-            lam = float(np.max(np.linalg.eigvalsh(linalg.hermitize(q))))
-            defect = float(np.sqrt(max(lam, 0.0)))
+        for i, defect in enumerate(regularity_defects(oracle, l, rank_tol)):
             if defect > worst_b:
                 worst_b, wit = defect, i
         per_slice.append((worst_b, wit))
@@ -294,9 +303,14 @@ class TestRegularity:
         check = check_regularity(oracle)
         residual, word = regularity_per_word(oracle)
         assert check.residual == pytest.approx(residual, rel=1e-12, abs=1e-15)
-        if residual > 1e-12:  # a clear worst word is named
-            label = "e" if oracle.words[word].is_unit() else event_label(oracle.words[word])
-            assert check.witness.startswith(f"word {label} against slice")
+        if residual > 1e-12:  # a worst word is named: no order between tied ones
+            named = [(i, l) for l in site.minimal_antichains()
+                     for i, w in enumerate(oracle.words)
+                     if check.witness == "word {} against slice {}".format(
+                         "e" if w.is_unit() else event_label(w), sorted(l))]
+            assert len(named) == 1
+            (i, l), = named
+            assert regularity_defects(oracle, l)[i] == pytest.approx(residual, rel=1e-12)
 
     def test_aligned_qubit_regular(self, qubit_oracle):
         # a zero limit names no worst word (the witness read "word  against

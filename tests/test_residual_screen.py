@@ -32,7 +32,6 @@ from qsproc.markov import (
     _limit_states,
     _ordered_slices,
     _rotate_slice_atoms,
-    _slice_columns,
     _slice_events,
     check_dynamicity,
     check_narrow_commutativity,
@@ -284,6 +283,15 @@ def narrow_commutativity_reference(model, site):
                 if r > worst:
                     worst, wit = r, f"[{x!r}@{t!r}, {xp!r}@{tp!r}]"
     return ("narrow_commutativity", worst, wit)
+
+
+def _slice_columns(model, site, words, l):
+    """Chronological product columns of the words supported below a slice,
+    evaluated on those words alone."""
+    down = site.down_set(l)
+    return linalg.side_by_side(
+        model.products(site, [w for w in words if set(w.support) <= down])
+    )
 
 
 def relaxation_reference(model, site, config=RunConfig()):

@@ -16,9 +16,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qsproc import cli, equivalence, fixtures, linalg, markov, serialize
+from qsproc import cli, equivalence, fixtures, kernels, linalg, markov, serialize
 from qsproc.config import RunConfig
 from qsproc.reconstruct import reconstruct, verify_decomposition
+from qsproc.sites import discrete_site
 from qsproc.words import POLICY_ALL_SUBSETS, enumerate_words
 
 from kernel_tables import with_table
@@ -293,6 +294,19 @@ def test_the_streamed_passes_hold_at_most_one_table():
     rows = oracle.cholesky.rows
     peak, _ = transient(lambda: linalg._residual_bound(oracle.table, rows))
     assert peak <= 0.25 * size
+
+
+def test_regularity_reads_the_factor_not_the_table():
+    # 1,024 words in one slice of a discrete site: a Gram submatrix of the
+    # slice and its pseudo-inverse would hold six 16 MB arrays
+    model, site = fixtures.tensor_chain(5, canonical=False)[:2]
+    site = discrete_site(site.points)
+    config = RunConfig()
+    oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+    oracle.gram_factor(config.rank_tol)
+    peak, check = transient(lambda: kernels.check_regularity(oracle, config))
+    assert len(oracle.words) == 1024 and len(site.minimal_antichains()) == 1
+    assert check.residual > config.regularity_tol and peak < 8 << 20
 
 
 def test_a_stackless_factor_reads_the_table_as_it_lies():
