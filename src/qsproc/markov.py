@@ -36,11 +36,6 @@ from .words import (
     word_codes,
 )
 
-#: Seed of the basis rotation that replaces the earliest measurements in
-#: `check_relaxation`.
-PERTURBATION_SEED = 7
-
-
 @dataclass(eq=False)
 class GeneratedAlgebra:
     """Linear basis of the unital star-algebra generated by a finite family
@@ -63,26 +58,29 @@ class GeneratedAlgebra:
         return [row.reshape(n, n) for row in self.basis]
 
 
-def generate_algebra(generators: Sequence[np.ndarray], unit: np.ndarray) -> GeneratedAlgebra:
+def generate_algebra(
+    generators: Sequence[np.ndarray], unit: np.ndarray, rel_tol: float = RunConfig.rank_tol
+) -> GeneratedAlgebra:
     """Close a generator list under products and adjoints until the linear
-    span stabilizes; the unit (the ambient compression) is always included."""
+    span stabilizes, each span cut at `rel_tol` (`linalg.svd_cut`); the unit
+    (the ambient compression) is always included."""
     unit = np.asarray(unit, dtype=COMPLEX)
     n = unit.shape[0]
     ops = [unit] + [np.asarray(g, dtype=COMPLEX) for g in generators]
     ops += [dagger(g) for g in ops[1:]]
-    basis = _orthonormal_rows(np.array([o.reshape(-1) for o in ops]))
+    basis = _orthonormal_rows(np.array([o.reshape(-1) for o in ops]), rel_tol)
     while True:
         current = [row.reshape(n, n) for row in basis]
         products = [a @ b for a, b in itertools.product(current, repeat=2)]
         stacked = np.vstack([basis] + [p.reshape(1, -1) for p in products])
-        new_basis = _orthonormal_rows(stacked)
+        new_basis = _orthonormal_rows(stacked, rel_tol)
         if new_basis.shape[0] == basis.shape[0]:
             break
         basis = new_basis
     return GeneratedAlgebra(basis)
 
 
-def _orthonormal_rows(rows: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
+def _orthonormal_rows(rows: np.ndarray, rel_tol: float) -> np.ndarray:
     if rows.size == 0:
         return rows.reshape(0, rows.shape[-1] if rows.ndim == 2 else 0)
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
@@ -93,10 +91,12 @@ def _orthonormal_rows(rows: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
 
 
 def slice_algebra(
-    model: HilbertModel, site: CausalSite, l, e_l: np.ndarray
+    model: HilbertModel, site: CausalSite, l, e_l: np.ndarray,
+    config: RunConfig = RunConfig(),
 ) -> GeneratedAlgebra:
     """Algebra generated on the slice subspace by the compressed event
-    projectors of the slice and the controlling-algebra generators."""
+    projectors of the slice and the controlling-algebra generators, closed
+    at `rank_tol`."""
     gens = []
     for t in sorted(l, key=site.index):
         for x in model.spaces.outcomes(t):
@@ -104,7 +104,7 @@ def slice_algebra(
     for k, ops in model.algebra.items():
         if site.subset_le(k, l) and site.subset_le(l, k):
             gens.extend(e_l @ g @ e_l for g in ops)
-    return generate_algebra(gens, e_l)
+    return generate_algebra(gens, e_l, config.rank_tol)
 
 
 def _ordered_slices(site: CausalSite):
@@ -133,7 +133,7 @@ def check_dynamicity(
     dists, comms, at, comm_at = [], [], [], []
     for l in site.maximal_antichains:
         e_l = slice_projector(model, site, l, config)
-        alg = slice_algebra(model, site, l, e_l)
+        alg = slice_algebra(model, site, l, e_l, config)
         own = [(x, t, e_l @ model.atoms[t][x] @ e_l)
                for t in sorted(l, key=site.index) for x in model.spaces.outcomes(t)]
         for lp in site.maximal_antichains:
@@ -203,7 +203,8 @@ def check_regression(
 
     # composition identities of the compression maps
     basis = {
-        l: slice_algebra(model, site, l, e_proj[l]).basis_operators() for l in slices
+        l: slice_algebra(model, site, l, e_proj[l], config).basis_operators()
+        for l in slices
     }
     # each theta read on K and on every slice up to its own: the two kinds
     # differ in shape, so their norms are taken apart and merged in order
@@ -322,8 +323,8 @@ def check_relaxation(
     The compression of every slice-algebra basis operator to the smallest
     slice must agree with its initial-space compression, and the limit states
     seen through the smallest slice must not move when the measurements on
-    that slice are replaced (seeded basis rotation), only when the initial
-    vector is.
+    that slice are replaced (a basis rotation seeded by `config.seed`), only
+    when the initial vector is.
     """
     tol = config.membership_tol
     words = enumerate_words(site, model.spaces, config.policy, config.cap)
@@ -336,9 +337,9 @@ def check_relaxation(
     span = {
         l: linalg.projector_onto_columns(c, config.rank_tol) for l, c in columns.items()
     }
-    algebras = {l: slice_algebra(model, site, l, span[l]) for l in span}
+    algebras = {l: slice_algebra(model, site, l, span[l], config) for l in span}
     gaps, moves, at = [], [], []
-    rng = np.random.default_rng(PERTURBATION_SEED)
+    rng = np.random.default_rng(config.seed)
     for l0 in minimal:
         e_l0 = span[l0]
         # limit states must survive replacing the earliest measurements
@@ -346,10 +347,12 @@ def check_relaxation(
         e_l0_pert = linalg.projector_onto_columns(linalg.side_by_side(
             perturbed.products(site, [words[i] for i in below[l0]])
         ), config.rank_tol)
-        # unit vectors reachable by measurements on the slice
+        # unit vectors reachable by measurements on the slice, of columns
+        # longer than rank_tol times the longest
         cols = columns[l0]
         norms = np.linalg.norm(cols, axis=0)
-        vecs = cols[:, norms >= 1e-12] / norms[norms >= 1e-12]
+        kept = norms > config.rank_tol * norms.max(initial=0.0)
+        vecs = cols[:, kept] / norms[kept]
         for l in site.maximal_antichains:
             if not site.subset_le(l0, l):
                 continue

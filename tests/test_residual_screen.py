@@ -28,7 +28,6 @@ from qsproc.config import RunConfig
 from qsproc.equivalence import check_model_relation
 from qsproc.linalg import COMPLEX, dagger
 from qsproc.markov import (
-    PERTURBATION_SEED,
     _limit_states,
     _ordered_slices,
     _rotate_slice_atoms,
@@ -302,7 +301,7 @@ def relaxation_reference(model, site, config=RunConfig()):
     span = {
         l: linalg.projector_onto_columns(c, config.rank_tol) for l, c in columns.items()
     }
-    algebras = {l: slice_algebra(model, site, l, span[l]) for l in span}
+    algebras = {l: slice_algebra(model, site, l, span[l], config) for l in span}
     worst, wit = 0.0, ""
     for l0 in minimal:
         e_l0 = span[l0]
@@ -316,7 +315,7 @@ def relaxation_reference(model, site, config=RunConfig()):
                         f"operator on slice {sorted(l)} compressed to {sorted(l0)}"
                     )
     worst_i, wit_i = 0.0, ""
-    rng = np.random.default_rng(PERTURBATION_SEED)
+    rng = np.random.default_rng(config.seed)
     for l0 in minimal:
         perturbed = _rotate_slice_atoms(model, l0, rng)
         e_l0 = span[l0]
@@ -325,7 +324,8 @@ def relaxation_reference(model, site, config=RunConfig()):
         )
         cols = columns[l0]
         norms = np.linalg.norm(cols, axis=0)
-        vecs = cols[:, norms >= 1e-12] / norms[norms >= 1e-12]
+        kept = norms > config.rank_tol * norms.max()
+        vecs = cols[:, kept] / norms[kept]
         for l in site.maximal_antichains:
             if not site.subset_le(l0, l):
                 continue
