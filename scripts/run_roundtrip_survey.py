@@ -2,8 +2,9 @@
 """Survey the seeded random-model battery through the full pipeline.
 
 For every seed the script validates the model, checks the kernel axioms on
-the complete word table, reconstructs the minimal realization, and compares
-the reconstructed table with the original.
+the complete word table, reconstructs the minimal realization, compares
+the reconstructed table with the original, and validates the emitted model
+(its worst `check_model` residual is printed beside the round trip's).
 """
 
 import argparse
@@ -20,7 +21,7 @@ def main():
     args = parser.parse_args()
 
     print(f"{'seed':>4} {'pts':>4} {'dim':>4} {'words':>6} {'rank':>5} "
-          f"{'axioms':>7} {'roundtrip':>10} {'time':>6}")
+          f"{'axioms':>7} {'roundtrip':>10} {'emitted':>9} {'time':>6}")
     for seed in range(args.seeds):
         t0 = time.time()
         model, site = random_valid_model(seed)
@@ -30,12 +31,14 @@ def main():
         axioms = check_axioms(oracle)
         recon = reconstruct(oracle)
         decomp = verify_decomposition(recon, oracle)
+        emitted = check_model(recon.model, site)
         print(
             f"{seed:>4} {len(site.points):>4} {model.dim:>4} {len(words):>6} "
             f"{recon.rank:>5} {'ok' if axioms.ok else 'FAIL':>7} "
-            f"{decomp.residual:>10.2e} {time.time() - t0:>5.2f}s"
+            f"{decomp.residual:>10.2e} "
+            f"{max(c.residual for c in emitted.checks):>9.2e} {time.time() - t0:>5.2f}s"
         )
-        assert axioms.ok and decomp.ok
+        assert axioms.ok and decomp.ok and emitted.ok
 
 
 if __name__ == "__main__":

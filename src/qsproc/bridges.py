@@ -306,9 +306,10 @@ def classical_reduce(
 
     Verifies the factorization of the kernel through pointwise products, the
     additivity of the induced set function in every argument, and the
-    consistency of the marginals with the measures computed on every one-point
-    sub-site.  Noncommuting models are refused, carrying the interference
-    witness that names the obstruction.
+    consistency of the marginals with the measures of the words that drop
+    one point (the full-factor cylinders of the additivity pass).
+    Noncommuting models are refused, carrying the interference witness that
+    names the obstruction.
     """
     if model.kdim != 1:
         raise ValueError("the classical reduction needs a scalar initial space")
@@ -346,30 +347,28 @@ def classical_reduce(
     # additivity in every argument: the measure of a cylinder with one factor
     # enlarged is the sum over its parts, a row of the measure with that
     # point's axis last times the subsets' indicator columns
-    cylinders, sums = [], []
+    cylinders, sums, full = [], [], []
     for i, t in enumerate(pts):
         others = pts[:i] + pts[i + 1:]
-        parts = subsets(outs[i])[1:]
+        parts = subsets(outs[i])[1:]  # the full factor last
+        full.append([])
         for rest in itertools.product(*outs[:i], *outs[i + 1:]):
             for b in parts:
                 factors = {u: {x} for u, x in zip(others, rest)}
                 factors[t] = set(b)
                 cylinders.append(EventWord.from_dict(factors, model.spaces))
+            full[i].append(len(cylinders) - 1)
         indicator = np.array([[x in b for b in parts] for x in outs[i]], dtype=float)
         sums.extend((np.moveaxis(mass, i, -1).reshape(-1, len(outs[i])) @ indicator).ravel())
-    lhs = _probabilities(model, site, cylinders)
-    worst_add = float(np.max(np.abs(np.subtract(lhs, sums)), initial=0.0))
+    lhs = np.array(_probabilities(model, site, cylinders))
+    worst_add = float(np.max(np.abs(lhs - sums), initial=0.0))
 
-    # marginal consistency against every one-point-removed sub-site
+    # marginal consistency: with its full factor, a cylinder of point t is
+    # the word that the site without t measures
     gaps = []
-    if len(pts) > 1:
+    if len(pts) > 1:  # a one-point site has no smaller one
         for drop in range(len(pts)):
-            sub_pts = pts[:drop] + pts[drop + 1:]
-            direct = _probabilities(model, _subsite(site, sub_pts), [
-                EventWord.from_dict({t: {x} for t, x in zip(sub_pts, traj)}, model.spaces)
-                for traj in itertools.product(*outs[:drop], *outs[drop + 1:])
-            ])
-            gaps.append(np.max(np.abs(direct - mass.sum(axis=drop).ravel())))
+            gaps.append(np.max(np.abs(lhs[full[drop]] - mass.sum(axis=drop).ravel())))
     worst_marg = linalg.worst(gaps)[0]
 
     return ClassicalReduction(

@@ -348,15 +348,22 @@ def cmd_reconstruct(args, config: RunConfig):
         second = reconstruct(emitted, config, strict_closure=False).model
         morphism = equivalence.intertwine(recon.model, second, emitted, config)
     report["idempotence"] = morphism.to_dict()
-    return report, decomp.ok and morphism.ok
+    ok = decomp.ok and morphism.ok
+    if args.site:  # a model input: its emitted model must be a model
+        emitted_model = check_model(recon.model, oracle.site, config)
+        report["emitted_model"] = emitted_model.to_dict()
+        ok = ok and emitted_model.ok
+    return report, ok
 
 
 def cmd_roundtrip(args, config: RunConfig):
     model, oracle = _load_oracle(args.model, args.site, config)
     recon = reconstruct(oracle, config)
     decomp = verify_decomposition(recon, oracle, config)
+    emitted_model = check_model(recon.model, oracle.site, config)
     shrink = {"ambient_dimension": model.dim, "minimal_dimension": recon.rank}
-    return {"roundtrip": _reproduces(decomp), "dimensions": shrink}, decomp.ok
+    return {"roundtrip": _reproduces(decomp), "dimensions": shrink,
+            "emitted_model": emitted_model.to_dict()}, decomp.ok and emitted_model.ok
 
 
 def cmd_equiv(args, config: RunConfig):

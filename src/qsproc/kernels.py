@@ -660,14 +660,12 @@ def check_regularity(
     """Asymptotic noncorrelation with the distant past.
 
     Read in the quotient coordinates ``X = sqrt(lam) V*`` of the oracle's
-    `gram_factor`, with no Gram submatrix.  For each minimal slice, E_l
-    projects onto the span of the words below it, cut at `rank_tol` as a
-    pseudo-inverse of their Gram matrix is, and E_l - P0 onto its excess
-    over the initial space (the unit word's span).  A word's defect is the
-    largest singular value of B* X_w, for B the eigenvectors of E_l - P0
-    above 1/2 (a projector to rounding); the limit over the slice net is
-    the minimum over the minimal slices.  A zero limit says the slice
-    spans shrink to the initial space.
+    `gram_factor`.  Per minimal slice, E_l projects onto the span of the
+    words below it, cut at `rank_tol` as a pseudo-inverse of their Gram
+    matrix is; B, the eigenvectors of E_l - P0 above 1/2, spans its excess
+    over the unit word's span, and a word's defect is the largest singular
+    value of B* X_w.  The limit over the slice net is the minimum over the
+    minimal slices; zero says the slice spans shrink to the initial space.
     """
     site = oracle.site
     tol = config.regularity_tol
@@ -675,24 +673,19 @@ def check_regularity(
     if not minimal:
         return Check("regularity", 0.0, "empty site", tol)
     factor = oracle.gram_factor(config.rank_tol)
-    v, root, k = factor.vectors, np.sqrt(factor.values), oracle.kdim
-
-    def coords(words) -> np.ndarray:
-        """The columns of X of the words, (rank, len(words) k)."""
-        rows = (np.asarray(words, dtype=np.intp)[:, None] * k + np.arange(k)).ravel()
-        return root[:, None] * np.conjugate(v[rows]).T
-
-    x_e = coords([oracle.unit_index()])
+    v, root = factor.vectors, np.sqrt(factor.values)[:, None]
+    rows = np.arange(v.shape[0]).reshape(len(oracle.words), oracle.kdim)  # of V, by word
+    x_e = root * linalg.dagger(v[rows[oracle.unit_index()]])
     p0 = x_e @ linalg.dagger(x_e)
     per_slice: list[tuple[float, str]] = []
     for l in minimal:
-        x_l = coords(oracle.words_within(site.down_set(l)))
+        x_l = root * linalg.dagger(v[rows[oracle.words_within(site.down_set(l))].ravel()])
         vals, vecs = np.linalg.eigh(linalg.hermitize(x_l @ linalg.dagger(x_l)))
         q = vecs[:, vals > config.rank_tol * vals.max(initial=0.0)]
         vals, vecs = np.linalg.eigh(linalg.hermitize(q @ linalg.dagger(q) - p0))
         b = vecs[:, vals > 0.5]
         # the adjoint of each word's B* X_w is its k rows of V sqrt(lam) B
-        xb = (v @ (root[:, None] * b)).reshape(len(oracle.words), k, b.shape[1])
+        xb = (v @ (root * b)).reshape(*rows.shape, b.shape[1])
         per_slice.append(linalg.worst(
             linalg.opnorms(xb), lambda w: _word_label(oracle.words[w])
         ))

@@ -58,9 +58,8 @@ class GeneratedAlgebra:
         return [row.reshape(n, n) for row in self.basis]
 
 
-def generate_algebra(
-    generators: Sequence[np.ndarray], unit: np.ndarray, rel_tol: float = RunConfig.rank_tol
-) -> GeneratedAlgebra:
+def generate_algebra(generators: Sequence[np.ndarray], unit: np.ndarray,
+                     rel_tol: float = RunConfig.rank_tol) -> GeneratedAlgebra:
     """Close a generator list under products and adjoints until the linear
     span stabilizes, each span cut at `rel_tol` (`linalg.svd_cut`); the unit
     (the ambient compression) is always included."""
@@ -91,8 +90,7 @@ def _orthonormal_rows(rows: np.ndarray, rel_tol: float) -> np.ndarray:
 
 
 def slice_algebra(
-    model: HilbertModel, site: CausalSite, l, e_l: np.ndarray,
-    config: RunConfig = RunConfig(),
+    model: HilbertModel, site: CausalSite, l, e_l: np.ndarray, config: RunConfig = RunConfig()
 ) -> GeneratedAlgebra:
     """Algebra generated on the slice subspace by the compressed event
     projectors of the slice and the controlling-algebra generators, closed
@@ -203,8 +201,7 @@ def check_regression(
 
     # composition identities of the compression maps
     basis = {
-        l: slice_algebra(model, site, l, e_proj[l], config).basis_operators()
-        for l in slices
+        l: slice_algebra(model, site, l, e_proj[l], config).basis_operators() for l in slices
     }
     # each theta read on K and on every slice up to its own: the two kinds
     # differ in shape, so their norms are taken apart and merged in order
@@ -347,8 +344,7 @@ def check_relaxation(
         e_l0_pert = linalg.projector_onto_columns(linalg.side_by_side(
             perturbed.products(site, [words[i] for i in below[l0]])
         ), config.rank_tol)
-        # unit vectors reachable by measurements on the slice, of columns
-        # longer than rank_tol times the longest
+        # unit vectors reachable by measurements on the slice, above the floor
         cols = columns[l0]
         norms = np.linalg.norm(cols, axis=0)
         kept = norms > config.rank_tol * norms.max(initial=0.0)

@@ -375,6 +375,46 @@ class TestRoundtrip:
         report = json.loads(capsys.readouterr().out)
         assert report["roundtrip"]["ok"] is True
         assert report["dimensions"]["minimal_dimension"] == 2
+        assert report["emitted_model"] == {"ok": True, "violations": []}
+
+    def test_an_emitted_model_that_is_no_model_exits_one(self, tmp_path, capsys):
+        # at the defaults the 4,096-word chain reconstructs at rank 63: the
+        # emitted model reproduces the table, but its atoms are no projectors
+        # (`reconstruct --verify` refuses its idempotence table already)
+        model, site = fixtures.tensor_chain(6, canonical=False)[:2]
+        model_file = write(tmp_path, "model.json", serialize.model_to_json(model))
+        site_file = write(tmp_path, "site.json", serialize.site_to_json(site))
+        assert cli.main(["roundtrip", model_file, site_file]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["roundtrip"]["ok"] is True
+        assert report["dimensions"]["minimal_dimension"] == 63
+        emitted = report["emitted_model"]
+        assert emitted["ok"] is False
+        assert {v["condition"] for v in emitted["violations"]} == {
+            "projector", "orthogonality"}
+        assert max(v["residual"] for v in emitted["violations"]) > 0.1
+
+    def test_reconstruct_verify_checks_the_emitted_model(self, tmp_path, qubit_files,
+                                                         capsys):
+        model_file, site_file = qubit_files
+        argv = ["reconstruct", model_file, "--site", site_file, "--verify"]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["emitted_model"] == {"ok": True, "violations": []}
+        # a rounded emitted model fails a projector_tol below its rounding
+        model, site = fixtures.tensor_chain(3, canonical=False)[:2]
+        argv[1] = write(tmp_path, "chain.json", serialize.model_to_json(model))
+        argv[3] = write(tmp_path, "chain_site.json", serialize.site_to_json(site))
+        config = write(tmp_path, "config.json", '{"projector_tol": 1e-300}')
+        assert cli.main([*argv, "--config", config]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["verification"]["ok"] and report["idempotence"]["ok"]
+        assert report["emitted_model"]["ok"] is False
+
+    def test_a_table_input_is_not_gated(self, tmp_path, capsys):
+        table_file = write(tmp_path, "table.json", serialize.oracle_to_json(qubit_table()))
+        assert cli.main(["reconstruct", table_file, "--verify"]) == 0
+        assert "emitted_model" not in json.loads(capsys.readouterr().out)
 
 
 class TestEquiv:
