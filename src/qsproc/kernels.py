@@ -674,16 +674,17 @@ def check_regularity(
         return Check("regularity", 0.0, "empty site", tol)
     factor = oracle.gram_factor(config.rank_tol)
     v, root = factor.vectors, np.sqrt(factor.values)[:, None]
-    rows = np.arange(v.shape[0]).reshape(len(oracle.words), oracle.kdim)  # of V, by word
+    rows = np.arange(v.shape[0]).reshape(len(oracle.words), oracle.kdim)  # V rows by word
     x_e = root * linalg.dagger(v[rows[oracle.unit_index()]])
-    p0 = x_e @ linalg.dagger(x_e)
     per_slice: list[tuple[float, str]] = []
     for l in minimal:
         x_l = root * linalg.dagger(v[rows[oracle.words_within(site.down_set(l))].ravel()])
-        vals, vecs = np.linalg.eigh(linalg.hermitize(x_l @ linalg.dagger(x_l)))
-        q = vecs[:, vals > config.rank_tol * vals.max(initial=0.0)]
-        vals, vecs = np.linalg.eigh(linalg.hermitize(q @ linalg.dagger(q) - p0))
-        b = vecs[:, vals > 0.5]
+        q, sv, _ = np.linalg.svd(x_l, full_matrices=False)
+        q = q[:, linalg.svd_cut(sv * sv, config.rank_tol)]  # E_l = q q*
+        # E_l - P0 in the basis q, as the unit word's span lies in E_l's
+        qe = linalg.dagger(q) @ x_e
+        vals, vecs = np.linalg.eigh(linalg.hermitize(np.eye(len(qe)) - qe @ linalg.dagger(qe)))
+        b = q @ vecs[:, vals > 0.5]
         # the adjoint of each word's B* X_w is its k rows of V sqrt(lam) B
         xb = (v @ (root * b)).reshape(*rows.shape, b.shape[1])
         per_slice.append(linalg.worst(
