@@ -22,12 +22,10 @@ from .sites import (
     minkowski_site,
 )
 from .words import (
-    Event,
     EventWord,
     OutcomeSpaces,
     enumerate_words,
     pointwise_product,
-    right_multiply,
     unit_word,
 )
 from .models import Check, HilbertModel, Report, SymmetryRep, check_model
@@ -68,7 +66,6 @@ from .config import RunConfig
 __all__ = [
     "CausalSite",
     "Check",
-    "Event",
     "EventWord",
     "EquivalenceRefused",
     "GeneratedAlgebra",
@@ -108,7 +105,6 @@ __all__ = [
     "minimal_modification",
     "minkowski_site",
     "pointwise_product",
-    "right_multiply",
     "unit_word",
     "verify_decomposition",
     "verify_lift",

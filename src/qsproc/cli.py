@@ -344,16 +344,22 @@ def cmd_reconstruct(args, config: RunConfig):
     decomp = _decomposition_check(
         oracle, *linalg.worst_gap(oracle.table, emitted.table), config)
     report["verification"] = _reproduces(decomp)
-    with _failures("idempotence table: ", "idempotence refused"):
-        second = reconstruct(emitted, config, strict_closure=False).model
-        morphism = equivalence.intertwine(recon.model, second, emitted, config)
-    report["idempotence"] = morphism.to_dict()
-    ok = decomp.ok and morphism.ok
+    ok = decomp.ok
     if args.site:  # a model input: its emitted model must be a model
         emitted_model = check_model(recon.model, oracle.site, config)
         report["emitted_model"] = emitted_model.to_dict()
         ok = ok and emitted_model.ok
-    return report, ok
+    with _failures("idempotence table: ", "idempotence refused"):
+        try:
+            second = reconstruct(emitted, config, strict_closure=False).model
+            morphism = equivalence.intertwine(recon.model, second, emitted, config)
+        except tuple(REFUSED):
+            # a refusal on an emitted non-model is its symptom: report the cause
+            if not args.site or emitted_model.ok:
+                raise
+            return report, False
+    report["idempotence"] = morphism.to_dict()
+    return report, ok and morphism.ok
 
 
 def cmd_roundtrip(args, config: RunConfig):

@@ -28,7 +28,6 @@ from .models import Check, ProductPlan, Report, SymmetryRep, unit_nesting
 from .models import require_representation
 from .sites import CausalSite
 from .words import (
-    Event,
     EventWord,
     OutcomeSpaces,
     code_columns,
@@ -216,9 +215,10 @@ class KernelOracle:
             self._within[region] = np.flatnonzero(keep).tolist()
         return list(self._within[region])
 
-    def right_products(self, event: Event) -> np.ndarray:
-        """Index of each word's right product by `event` (`right_multiply`),
-        -1 where the product is not in the word list."""
+    def right_products(self, event: EventWord) -> np.ndarray:
+        """Index of each word's right product by the block event `event`
+        (`pointwise_product`), -1 where the product is not in the word
+        list."""
         if event not in self._products:
             codes = self.codes.copy()
             for t, b in event.factors:
@@ -426,8 +426,10 @@ def _slice_screen(oracle: KernelOracle) -> tuple[tuple, tuple] | None:
             q = len(outs)
             # the empty event, the atoms, then the events the exact pass takes
             events = [frozenset(), *(frozenset({x}) for x in outs), *subsets(outs)]
-            maps = np.array([oracle.right_products(Event.from_dict({t: b}))[idx]
-                             for b in events]).reshape(len(events), idx.size)
+            full = frozenset(outs)  # its event is the unit word
+            maps = np.array([
+                oracle.right_products(EventWord(((t, b),) if b != full else ()))[idx]
+                for b in events]).reshape(len(events), idx.size)
             if (maps < 0).any():
                 return None
             at = np.searchsorted(idx, maps)  # products stay in the slice
@@ -510,9 +512,9 @@ def _slice_pass(oracle: KernelOracle) -> tuple[tuple, tuple]:
         mods = np.empty(block.shape)
         for tp, t in enumerate(points):
             outs = spaces.outcomes(t)
-            maps = {}
+            maps, full = {}, frozenset(outs)  # the full factor's event is the unit word
             for b in subsets(outs):
-                maps[b] = oracle.right_products(Event.from_dict({t: b}))[idx]
+                maps[b] = oracle.right_products(EventWord(((t, b),) if b != full else ()))[idx]
                 if (maps[b] < 0).any():
                     fac_missing = fac_missing or (
                         f"{_word_label(words[np.argmax(maps[b] < 0)])} multiplied by "

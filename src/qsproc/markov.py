@@ -25,7 +25,6 @@ from .linalg import COMPLEX, dagger
 from .models import Check, HilbertModel, Report, slice_projector
 from .sites import CausalSite
 from .words import (
-    Event,
     EventWord,
     code_columns,
     code_keys,
@@ -162,9 +161,9 @@ def _slice_events(model: HilbertModel, site: CausalSite, l):
     for t in pts:
         per_point.append([(t, b) for b in subsets(model.spaces.outcomes(t))])
     for combo in itertools.product(*per_point):
-        factors = {t: b for t, b in combo if b != model.spaces.full(t)}
-        if factors:
-            yield Event.from_dict(factors)
+        event = EventWord.from_dict(dict(combo), model.spaces)
+        if not event.is_unit():
+            yield event
 
 
 def check_regression(
@@ -242,9 +241,8 @@ def _nested_stack(model, site, slices, e_proj, words) -> np.ndarray:
         _, first, event = np.unique(keys, return_index=True, return_inverse=True)
         unit = model.unit_p(frozenset(l))
         ops = np.array([
-            model.block_projector(site, Event.from_dict({
-                t: b for t in pts if (b := words[f].factor(t, spaces)) != spaces.full(t)
-            })) @ unit
+            model.block_projector(site, EventWord.from_dict(
+                {t: words[f].factor(t, spaces) for t in pts}, spaces)) @ unit
             for f in first
         ], dtype=COMPLEX).reshape(first.size, model.dim, model.dim)[event.ravel()]
         nested = ops if depth == 0 else ops @ (e_proj[l] @ nested @ e_proj[l])

@@ -22,12 +22,7 @@ from . import linalg
 from .config import RunConfig
 from .linalg import COMPLEX, dagger, opnorm
 from .sites import CausalSite
-from .words import (
-    Event,
-    EventWord,
-    OutcomeSpaces,
-    subsets,
-)
+from .words import EventWord, OutcomeSpaces, subsets
 
 
 @dataclass(frozen=True)
@@ -145,15 +140,15 @@ class HilbertModel:
 
     # -- chronological products and kernels ---------------------------------
 
-    def block_projector(self, site: CausalSite, event: Event) -> np.ndarray:
+    def block_projector(self, site: CausalSite, event: EventWord) -> np.ndarray:
         """Assembled projector of a block event: the product of the factor
         projectors in site point order, times the block unit when one is
         declared.  Valid models make the factors commute, so the order is a
         convention, not a choice."""
         out = self.identity()
-        for t in sorted(event.block, key=site.index):
-            out = out @ self.point_projector(t, event.factor(t))
-        k = frozenset(event.block)
+        for t in sorted(event.support, key=site.index):
+            out = out @ self.point_projector(t, event.factor(t, self.spaces))
+        k = frozenset(event.support)
         if k in self.units_p:
             out = out @ self.units_p[k]
         return out
@@ -246,7 +241,7 @@ class ProductPlan:
 
     site: CausalSite
     words: tuple[EventWord, ...]
-    events: tuple[Event, ...]
+    events: tuple[EventWord, ...]
     depths: tuple[tuple[np.ndarray, np.ndarray], ...]
     leaves: tuple[tuple[np.ndarray, np.ndarray], ...]
 
@@ -287,7 +282,7 @@ class ProductPlan:
         return cls(
             site=site,
             words=words,
-            events=tuple(map(Event, events)),
+            events=tuple(map(EventWord, events)),
             depths=tuple((np.array(p, dtype=np.intp), np.array(e, dtype=np.intp))
                          for p, e in depths),
             leaves=tuple(tuple(np.array(e, dtype=np.intp).reshape(-1, 2).T)

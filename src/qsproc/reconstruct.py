@@ -33,7 +33,7 @@ from .kernels import (
     _word_label,
 )
 from .models import FAIL, INCONCLUSIVE, Check, HilbertModel, SymmetryRep
-from .words import Event, event_label
+from .words import EventWord, event_label
 
 
 class ReconstructionRefused(ValueError):
@@ -150,7 +150,7 @@ def eligible_for_block(oracle: KernelOracle, block) -> list[int]:
 def represent_event(
     gns: GnsSpace,
     block,
-    event: Event,
+    event: EventWord,
     strict_closure: bool = True,
 ) -> np.ndarray:
     """Projector of an event over a block: right multiplication on the
@@ -181,12 +181,10 @@ def represent_events(
     oracle = gns.oracle
     atoms: dict[str, dict[str, np.ndarray]] = {}
     for t in oracle.site.points:
-        fam = {}
-        for x in oracle.spaces.outcomes(t):
-            fam[x] = represent_event(
-                gns, frozenset({t}), Event.from_dict({t: {x}}),
-                strict_closure=strict_closure,
-            )
+        fam, outs = {}, oracle.spaces.outcomes(t)
+        for x in outs:  # a one-outcome point's atom is its unit word
+            atom = EventWord(((t, frozenset({x})),) if len(outs) > 1 else ())
+            fam[x] = represent_event(gns, frozenset({t}), atom, strict_closure=strict_closure)
         atoms[t] = fam
     return atoms
 

@@ -125,6 +125,8 @@ def site_from_json(data: dict) -> CausalSite:
         site = CausalSite(points=points, leq=leq)
     if "symmetries" in data:
         entries = dict(json_object(data["symmetries"], '"symmetries"'))
+        if "compose" in entries and "compose" in data:
+            raise ValueError('"compose" is given both inside "symmetries" and beside it')
         # the composition table may sit inside the symmetry block or beside it
         raw_compose = entries.pop("compose", data.get("compose", {}))
         maps = {s: _point_map(entry, s) for s, entry in entries.items()}

@@ -63,37 +63,13 @@ class OutcomeSpaces:
 
 
 @dataclass(frozen=True)
-class Event:
-    """An event over a block of mutually nonanticipatory points.
-
-    The factor map covers the whole block; full factors are retained because
-    the block an event lives over is part of its identity.
-    """
-
-    factors: tuple[tuple[str, frozenset[str]], ...]
-
-    @staticmethod
-    def from_dict(factors: Mapping[str, Iterable[str]]) -> "Event":
-        return Event(tuple(sorted((t, frozenset(b)) for t, b in factors.items())))
-
-    @property
-    def block(self) -> tuple[str, ...]:
-        return tuple(t for t, _ in self.factors)
-
-    def factor(self, t: str) -> frozenset[str]:
-        for u, b in self.factors:
-            if u == t:
-                return b
-        raise KeyError(f"event has no factor at {t!r}")
-
-
-@dataclass(frozen=True)
 class EventWord:
     """A finitely supported choice of events, unit outside the support.
 
     The canonical form stores only non-unit factors, sorted by point, so
     words compare and hash by their mathematical content and unit extension
-    is the identity on the encoding.
+    is the identity on the encoding.  An event over a block is the word
+    supported on it; a full factor there is the unit.
     """
 
     factors: tuple[tuple[str, frozenset[str]], ...]
@@ -133,7 +109,7 @@ def subsets(outs: Sequence[str]) -> list[frozenset[str]]:
             for c in itertools.combinations(outs, r)]
 
 
-def event_label(event: Event | EventWord) -> str:
+def event_label(event: EventWord) -> str:
     return "{" + ", ".join(f"{sorted(b)}@{t}" for t, b in event.factors) + "}"
 
 
@@ -141,18 +117,10 @@ def unit_word() -> EventWord:
     return EventWord(())
 
 
-def right_multiply(word: EventWord, event: Event, spaces: OutcomeSpaces) -> EventWord:
-    """Multiply the word by an event over its block: intersect factors on the
-    block, leave everything else unchanged.  Idempotent."""
-    out = dict(word.factors)
-    for t, b in event.factors:
-        out[t] = word.factor(t, spaces) & b
-    return EventWord.from_dict(out, spaces)
-
-
 def pointwise_product(a: EventWord, b: EventWord, spaces: OutcomeSpaces) -> EventWord:
     """Intersection at every point; the support stays within the union of
-    supports."""
+    supports.  With `b` an event over a block, this is right multiplication
+    by it: idempotent, and unchanged off the block."""
     out = dict(a.factors)
     for t, fb in b.factors:
         out[t] = a.factor(t, spaces) & fb

@@ -380,7 +380,6 @@ class TestRoundtrip:
     def test_an_emitted_model_that_is_no_model_exits_one(self, tmp_path, capsys):
         # at the defaults the 4,096-word chain reconstructs at rank 63: the
         # emitted model reproduces the table, but its atoms are no projectors
-        # (`reconstruct --verify` refuses its idempotence table already)
         model, site = fixtures.tensor_chain(6, canonical=False)[:2]
         model_file = write(tmp_path, "model.json", serialize.model_to_json(model))
         site_file = write(tmp_path, "site.json", serialize.site_to_json(site))
@@ -393,6 +392,16 @@ class TestRoundtrip:
         assert {v["condition"] for v in emitted["violations"]} == {
             "projector", "orthogonality"}
         assert max(v["residual"] for v in emitted["violations"]) > 0.1
+        # `reconstruct --verify` refuses the idempotence table of that
+        # non-model: it reports the failed model check in place of the step
+        argv = ["reconstruct", model_file, "--site", site_file, "--verify"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["verification"]["ok"] is True
+        assert report["emitted_model"] == emitted
+        assert "idempotence" not in report
 
     def test_reconstruct_verify_checks_the_emitted_model(self, tmp_path, qubit_files,
                                                          capsys):

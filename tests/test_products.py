@@ -34,7 +34,6 @@ from qsproc.models import FAIL, PASS, HilbertModel, ProductPlan, SymmetryRep
 from qsproc.reconstruct import reconstruct, verify_decomposition
 from qsproc.sites import CausalSite, SiteSymmetry, chain_site
 from qsproc.words import (
-    Event,
     EventWord,
     OutcomeSpaces,
     enumerate_words,
@@ -61,7 +60,7 @@ def reference_trie_products(model, site, words):
             blocks = chains[word.support] = site.chain_decompose(word.support)
         node = root
         for block in blocks:
-            ev = Event(tuple(f for f in word.factors if f[0] in block))
+            ev = EventWord(tuple(f for f in word.factors if f[0] in block))
             child = node[1].get(ev)
             if child is None:
                 op = ops.get(ev)
@@ -77,7 +76,8 @@ def reference_product(model, site, word, base=None, interleave_units=False):
     """One word's chronological product, block by block."""
     out = np.array(model.embedding if base is None else model.unit_i(base))
     for block in site.chain_decompose(word.support):
-        ev = Event.from_dict({t: word.factor(t, model.spaces) for t in block})
+        ev = EventWord.from_dict(
+            {t: word.factor(t, model.spaces) for t in block}, model.spaces)
         out = model.block_projector(site, ev) @ out
         if interleave_units:
             out = model.unit_i(block) @ out
@@ -121,7 +121,8 @@ def word_operator(model, site, word):
     ``P_w`` times the base's unit."""
     out = model.identity()
     for block in site.chain_decompose(word.support):
-        ev = Event.from_dict({t: word.factor(t, model.spaces) for t in block})
+        ev = EventWord.from_dict(
+            {t: word.factor(t, model.spaces) for t in block}, model.spaces)
         out = model.unit_i(block) @ model.block_projector(site, ev) @ out
     return out
 
@@ -181,8 +182,8 @@ def reference_regression(model, site, words):
                 for t in sorted(l, key=site.index)
                 if prod.factor(t, model.spaces) != model.spaces.full(t)
             }
-            op = model.block_projector(site, Event.from_dict(factors)) \
-                @ model.unit_p(frozenset(l))
+            ev = EventWord.from_dict(factors, model.spaces)
+            op = model.block_projector(site, ev) @ model.unit_p(frozenset(l))
             nested = op if nested is None else op @ (e_proj[l] @ nested @ e_proj[l])
         if nested is None:
             nested = model.identity()
@@ -201,8 +202,8 @@ def reference_nested(model, site, slices, e_proj, word):
             for t in sorted(l, key=site.index)
             if word.factor(t, model.spaces) != model.spaces.full(t)
         }
-        op = model.block_projector(site, Event.from_dict(factors)) \
-            @ model.unit_p(frozenset(l))
+        ev = EventWord.from_dict(factors, model.spaces)
+        op = model.block_projector(site, ev) @ model.unit_p(frozenset(l))
         nested = op if nested is None else op @ (e_proj[l] @ nested @ e_proj[l])
     if nested is None:
         nested = model.identity()

@@ -28,7 +28,7 @@ from qsproc.reconstruct import (
     verify_decomposition,
 )
 from qsproc.sites import chain_site
-from qsproc.words import Event, EventWord, OutcomeSpaces, enumerate_words, unit_word
+from qsproc.words import EventWord, OutcomeSpaces, enumerate_words, unit_word
 
 from kernel_tables import oracle_from_values, origin_unit, origin_unit_rank, with_table
 
@@ -275,14 +275,14 @@ class TestRepresentedEvents:
         model, site, oracle, recon = qubit_recon
         gns = recon.gns
         full = represent_event(
-            gns, frozenset({"t2"}), Event.from_dict({"t2": {"+", "-"}})
+            gns, frozenset({"t2"}), EventWord.from_dict({"t2": {"+", "-"}}, model.spaces)
         )
         assert opnorm(full - recon.model.units_p[frozenset({"t2"})]) < 1e-9
 
     def test_zero_event_is_zero(self, qubit_recon):
         model, site, oracle, recon = qubit_recon
         zero = represent_event(
-            recon.gns, frozenset({"t2"}), Event.from_dict({"t2": set()})
+            recon.gns, frozenset({"t2"}), EventWord.from_dict({"t2": set()}, model.spaces)
         )
         assert opnorm(zero) < 1e-10
 

@@ -41,6 +41,16 @@ class TestSiteRoundTrip:
         assert dict(sym_back.maps["s1"]) == dict(site.symmetry.maps["s1"])
         assert sym_back.compose[("s1", "s1")] == "s2"
 
+    def test_composition_table_given_twice_refused(self):
+        # inside "symmetries" and beside it: reading one would drop the other
+        _, site = fixtures.galilean_shift_fixture()
+        data = serialize.site_to_json(site)
+        assert "compose" in data["symmetries"]
+        data["compose"] = {"s0": {"s0": "bogus"}}
+        with pytest.raises(ValueError, match='^"compose" is given both inside "symmetries" '
+                                             'and beside it$'):
+            serialize.site_from_json(data)
+
     def test_geometric_minkowski(self):
         data = {
             "kind": "minkowski",

@@ -1,7 +1,7 @@
 """The oracle's array word maps against the per-word formulas they replaced.
 
 `reference_slice_axioms`, `reference_words_within` and
-`reference_represent_event` are the per-word loops (`right_multiply`,
+`reference_represent_event` are the per-word loops (`pointwise_product`,
 `EventWord.from_dict`, `oracle.index`) that the word codes replaced; they are
 kept here so that the exact slice pass, the word maps and the projectors are
 held to them bit for bit.  `check_slice_axioms` reports the certified screen's
@@ -39,13 +39,12 @@ from qsproc.reconstruct import (
 )
 from qsproc.sites import SiteSymmetry, chain_site
 from qsproc.words import (
-    Event,
     EventWord,
     OutcomeSpaces,
     enumerate_words,
     event_label,
+    pointwise_product,
     pointwise_product_table,
-    right_multiply,
     unit_word,
 )
 
@@ -75,8 +74,8 @@ def reference_slice_axioms(oracle, config=RunConfig()):
             outs = spaces.outcomes(t)
             maps = {}
             for b in kernels.subsets(outs):
-                ev = Event.from_dict({t: b})
-                mapped = [oracle.index(right_multiply(w, ev, spaces)) for w in words]
+                ev = EventWord.from_dict({t: b}, spaces)
+                mapped = [oracle.index(pointwise_product(w, ev, spaces)) for w in words]
                 maps[b] = np.array([-1 if j is None else j for j in mapped], dtype=int)
                 if None in mapped:
                     fac_missing = fac_missing or (
@@ -133,7 +132,7 @@ def reference_represent_event(gns, block, event, strict_closure=True):
         eligible.update(reference_words_within(oracle, site.down_set(l)))
     idx, targets = [], []
     for i in sorted(eligible):
-        j = oracle.index(right_multiply(oracle.words[i], event, oracle.spaces))
+        j = oracle.index(pointwise_product(oracle.words[i], event, oracle.spaces))
         if j is None:
             if strict_closure:
                 raise ReconstructionRefused(
@@ -391,14 +390,15 @@ def test_maps_match_word_by_word(name):
             assert oracle.words_within(region) == reference_words_within(oracle, region)
         for t in site.points:
             for b in words_mod.subsets(spaces.outcomes(t)):
-                ev = Event.from_dict({t: b})
-                want = [oracle.index(right_multiply(w, ev, spaces)) for w in oracle.words]
+                ev = EventWord.from_dict({t: b}, spaces)
+                want = [oracle.index(pointwise_product(w, ev, spaces)) for w in oracle.words]
                 got = oracle.right_products(ev)
                 assert got.tolist() == [-1 if j is None else j for j in want]
         # a two-point event at once, not as two steps
         t, u = site.points[:2]
-        ev = Event.from_dict({t: spaces.outcomes(t)[:1], u: spaces.outcomes(u)[1:]})
-        want = [oracle.index(right_multiply(w, ev, spaces)) for w in oracle.words]
+        ev = EventWord.from_dict(
+            {t: spaces.outcomes(t)[:1], u: spaces.outcomes(u)[1:]}, spaces)
+        want = [oracle.index(pointwise_product(w, ev, spaces)) for w in oracle.words]
         assert oracle.right_products(ev).tolist() == [-1 if j is None else j for j in want]
 
 
@@ -407,8 +407,9 @@ def test_maps_across_the_62_bit_cut():
     spaces = oracle.spaces
     assert oracle.lookup(oracle.codes).tolist() == list(range(len(oracle.words)))
     for b in sampled_subsets(spaces.outcomes("a")):
-        for ev in (Event.from_dict({"a": b}), Event.from_dict({"a": b, "b": {"1"}})):
-            want = [oracle.index(right_multiply(w, ev, spaces)) for w in oracle.words]
+        for ev in (EventWord.from_dict({"a": b}, spaces),
+                   EventWord.from_dict({"a": b, "b": {"1"}}, spaces)):
+            want = [oracle.index(pointwise_product(w, ev, spaces)) for w in oracle.words]
             got = oracle.right_products(ev).tolist()
             assert got == [-1 if j is None else j for j in want]
             assert max(got) >= 0
@@ -443,7 +444,7 @@ def test_a_word_off_the_site_is_refused():
     oracle = KernelOracle(site=site, spaces=spaces, kdim=1,
                           words=tuple(words[:2]), table=np.zeros((2, 2, 1, 1)))
     assert list(oracle._columns) == ["t"]
-    assert oracle.right_products(Event.from_dict({"t": {"1"}})).tolist() == [1, 1]
+    assert oracle.right_products(EventWord.from_dict({"t": {"1"}}, spaces)).tolist() == [1, 1]
 
 
 # -- represented events ------------------------------------------------------------
@@ -457,7 +458,8 @@ def test_represented_events_match_word_by_word(name):
     atoms = represent_events(gns)
     for t, fam in atoms.items():
         for x, p in fam.items():
-            want = reference_represent_event(gns, {t}, Event.from_dict({t: {x}}))
+            atom = EventWord.from_dict({t: {x}}, model.spaces)
+            want = reference_represent_event(gns, {t}, atom)
             assert p.tobytes() == want.tobytes()
 
 
@@ -470,7 +472,8 @@ def test_represented_events_across_the_62_bit_cut(monkeypatch):
     atoms = represent_events(gns, strict_closure=False)
     for t, fam in atoms.items():
         for x, p in fam.items():
-            want = reference_represent_event(gns, {t}, Event.from_dict({t: {x}}), False)
+            atom = EventWord.from_dict({t: {x}}, gns.oracle.spaces)
+            want = reference_represent_event(gns, {t}, atom, False)
             assert p.tobytes() == want.tobytes()
 
 
@@ -481,10 +484,10 @@ def test_no_per_word_multiplication(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("per-word call")
 
-    monkeypatch.setattr(words_mod, "right_multiply", forbidden)
+    monkeypatch.setattr(words_mod, "pointwise_product", forbidden)
     monkeypatch.setattr(EventWord, "from_dict", staticmethod(forbidden))
     monkeypatch.setattr(KernelOracle, "index", forbidden)
-    assert not any(hasattr(m, "right_multiply") for m in (kernels, recon_mod))
+    assert not any(hasattr(m, "pointwise_product") for m in (kernels, recon_mod))
     check_slice_axioms(oracle)
     represent_events(build_space(oracle))
 
@@ -698,7 +701,7 @@ def test_algebra_and_symmetry_match_the_per_pair_loop():
     rng = np.random.default_rng(7)
     op = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     idx = gns.oracle.words_within(site.down_set({"t1"}))
-    targets = gns.oracle.right_products(Event.from_dict({"t2": {"0"}}))[idx]
+    targets = gns.oracle.right_products(EventWord.from_dict({"t2": {"0"}}, model.spaces))[idx]
     got = gns.map_on_pairs(idx, targets, op)
     assert got.tobytes() == reference_leg_map(gns, idx, targets, op).tobytes()
 

@@ -14,7 +14,6 @@ from qsproc.sites import CausalSite, chain_site, minkowski_site
 from qsproc.words import (
     POLICY_ALL_SUBSETS,
     POLICY_ATOMS_PLUS_UNIT,
-    Event,
     EventWord,
     OutcomeSpaces,
     code_keys,
@@ -22,7 +21,6 @@ from qsproc.words import (
     partitions_of_factor,
     pointwise_product,
     pull_back,
-    right_multiply,
     subsets,
     unit_word,
     word_codes,
@@ -41,7 +39,8 @@ def chain_events(site, w, spaces):
     chronological products read them."""
     blocks = site.chain_decompose(w.support)
     return w.support, tuple(
-        Event.from_dict({t: w.factor(t, spaces) for t in block}) for block in blocks
+        EventWord.from_dict({t: w.factor(t, spaces) for t in block}, spaces)
+        for block in blocks
     )
 
 
@@ -93,24 +92,24 @@ class TestExtend:
 
 class TestRightMultiply:
     def test_unit_times_full_event(self):
-        ev = Event.from_dict({"t1": {"0", "1"}})
-        assert right_multiply(unit_word(), ev, SPACES) == unit_word()
+        ev = EventWord.from_dict({"t1": {"0", "1"}}, SPACES)
+        assert pointwise_product(unit_word(), ev, SPACES) == unit_word()
 
     def test_zero_event_gives_empty_factor(self):
-        ev = Event.from_dict({"t1": set()})
-        out = right_multiply(word({"t1": {"0"}}), ev, SPACES)
+        ev = EventWord.from_dict({"t1": set()}, SPACES)
+        out = pointwise_product(word({"t1": {"0"}}), ev, SPACES)
         assert out.factor("t1", SPACES) == frozenset()
 
     def test_disjoint_singletons_intersect_to_empty(self):
-        ev = Event.from_dict({"t1": {"1"}})
-        out = right_multiply(word({"t1": {"0"}}), ev, SPACES)
+        ev = EventWord.from_dict({"t1": {"1"}}, SPACES)
+        out = pointwise_product(word({"t1": {"0"}}), ev, SPACES)
         assert out.factor("t1", SPACES) == frozenset()
 
     def test_idempotent(self):
-        ev = Event.from_dict({"t2": {"+"}})
+        ev = EventWord.from_dict({"t2": {"+"}}, SPACES)
         w = word({"t1": {"0"}})
-        once = right_multiply(w, ev, SPACES)
-        assert right_multiply(once, ev, SPACES) == once
+        once = pointwise_product(w, ev, SPACES)
+        assert pointwise_product(once, ev, SPACES) == once
 
 
 class TestPointwiseProduct:
@@ -140,15 +139,15 @@ class TestChainSequence:
     def test_single_support(self):
         support, blocks = chain_events(SITE, word({"t1": {"0"}}), SPACES)
         assert support == ("t1",)
-        assert blocks == (Event.from_dict({"t1": {"0"}}),)
+        assert blocks == (EventWord.from_dict({"t1": {"0"}}, SPACES),)
 
     def test_two_time_word(self):
         w = word({"t1": {"0"}, "t2": {"+"}})
         support, blocks = chain_events(SITE, w, SPACES)
         assert set(support) == {"t1", "t2"}
         assert blocks == (
-            Event.from_dict({"t1": {"0"}}),
-            Event.from_dict({"t2": {"+"}}),
+            EventWord.from_dict({"t1": {"0"}}, SPACES),
+            EventWord.from_dict({"t2": {"+"}}, SPACES),
         )
 
     def test_independent_pair_single_block(self):
@@ -157,7 +156,7 @@ class TestChainSequence:
         w = EventWord.from_dict({"a": {"0"}, "b": {"1"}}, spaces)
         _, blocks = chain_events(site, w, spaces)
         assert len(blocks) == 1
-        assert set(blocks[0].block) == {"a", "b"}
+        assert set(blocks[0].support) == {"a", "b"}
 
     def test_reassembly_roundtrip(self):
         w = word({"t1": {"0"}, "t2": {"+"}})
@@ -309,7 +308,7 @@ def test_product_agrees_with_iterated_multiplication(raw):
     _, blocks = chain_events(SITE, w, SPACES)
     iterated = base
     for ev in blocks:
-        iterated = right_multiply(iterated, ev, SPACES)
+        iterated = pointwise_product(iterated, ev, SPACES)
     assert iterated == pointwise_product(base, w, SPACES)
 
 
