@@ -18,13 +18,14 @@ import gc
 import json
 import sys
 
-from . import __version__, bridges, equivalence, linalg, markov, serialize
+from . import __version__, bridges, equivalence, markov, serialize
 from .config import RunConfig
 from .kernels import check_axioms, require_on_site
 from .models import Check, check_model, require_representation
 from .reconstruct import (
     ReconstructionRefused,
     _decomposition_check,
+    _stack_gap,
     reconstruct,
     verify_decomposition,
 )
@@ -341,8 +342,9 @@ def cmd_reconstruct(args, config: RunConfig):
     # equivalent to its minimal modification) reads both off it
     with _failures("idempotence table: ", "idempotence refused"):
         emitted = recon.model.kernel_oracle(oracle.plan)
-    decomp = _decomposition_check(
-        oracle, *linalg.worst_gap(oracle.table, emitted.table), config)
+    decomp = _decomposition_check(oracle, *_stack_gap(
+        oracle, emitted.product_stack, config.decomposition_tol, lambda: emitted.table),
+        config)
     report["verification"] = _reproduces(decomp)
     ok = decomp.ok
     if args.site:  # a model input: its emitted model must be a model

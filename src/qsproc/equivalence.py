@@ -21,7 +21,7 @@ from .config import RunConfig
 from .linalg import COMPLEX, dagger, opnorm
 from .kernels import KernelOracle
 from .models import Check, HilbertModel
-from .reconstruct import _kernel_gap, reconstruct
+from .reconstruct import _BOUND_WITNESS, _kernel_gap, reconstruct
 from .sites import CausalSite
 from .words import EventWord, enumerate_words, subsets
 
@@ -76,9 +76,12 @@ def _first_oracle(m1: HilbertModel, m2: HilbertModel, site: CausalSite, words):
 def _equivalence(m2: HilbertModel, oracle: KernelOracle, config: RunConfig):
     """Whether `m2` reproduces the table of `oracle` (`_kernel_gap`), as the
     check "equivalence", and the products of `m2` on the oracle's plan."""
-    worst, at, products = _kernel_gap(m2, oracle)
-    witness = "" if at is None else f"pair (word {at[0]}, word {at[1]})"
-    return Check("equivalence", worst, witness, config.equivalence_tol), products
+    tol = config.equivalence_tol
+    worst, at, products = _kernel_gap(m2, oracle, tol)
+    witness = "" if not worst else _BOUND_WITNESS
+    if at is not None:
+        witness = f"pair (word {at[0]}, word {at[1]})"
+    return Check("equivalence", worst, witness, tol), products
 
 
 @dataclass(eq=False)

@@ -135,7 +135,7 @@ class KernelOracle:
         if self.product_stack is None:
             factor = linalg.pivoted_cholesky(self.table)
         else:
-            factor = linalg.stack_factor(self.product_stack, self.table)
+            factor = linalg.stack_factor(self.product_stack)
         for a in (factor.rows, factor.values, factor.u):
             a.setflags(write=False)
         return factor

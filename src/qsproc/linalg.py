@@ -159,6 +159,66 @@ def worst_gap(
     return best, at
 
 
+QR_ENTRIES = 9216
+"""Entries, rows x (columns - 1), from which OpenBLAS threads the level-2
+kernels of an unblocked QR: a QR of fewer keeps its bits at any thread
+count (OpenBLAS 0.3.31, measured at 1, 2 and 4 threads)."""
+
+
+def gram_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """A certified upper bound on ``|A* A - B* B|_2`` for two stacks of
+    columns, A (p x M) and B (q x M), with nothing of order M^2 formed:
+    O(M (p + q)^2).
+
+    With C = [A; B] and J = diag(I_p, -I_q) the difference is C* J C.  The
+    thin QR C* = Q R (`_stacked_r`) gives ``C* J C = Q (R J R*) Q*``, so its
+    2-norm is the largest |eigenvalue| of the c x c matrix R J R*, c = p + q.
+    Nothing is squared: eigenvalues read off C C* come out at about sqrt(eps)
+    when the Gram matrices agree, since J C C* is then nilpotent.
+
+    The allowance ``c eps |C|_F^2`` covers the QR's backward error, the
+    product R J R* and its eigensolve, as `kernels._slice_screen` allows for
+    its QR.  Bit-identical stacks give 0.0; a non-finite entry gives inf."""
+    if a.shape == b.shape and np.array_equal(a, b):
+        return 0.0
+    fro2 = float((a.real**2 + a.imag**2).sum() + (b.real**2 + b.imag**2).sum())
+    if not fro2 < np.inf:
+        return np.inf
+    p, c = a.shape[0], a.shape[0] + b.shape[0]
+    r = _stacked_r(a, b)
+    ra, rb = r[:, :p], r[:, p:]
+    eig = np.linalg.eigvalsh(ra @ dagger(ra) - rb @ dagger(rb))
+    return float(np.abs(eig).max(initial=0.0)) + c * np.finfo(float).eps * fro2
+
+
+def _stacked_r(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The triangular factor R of the thin QR of ``[A; B]*``, streamed over
+    strips of columns: each step is the QR of the last R over the next
+    strip's rows, of fewer than `QR_ENTRIES` entries while c <= 68
+    columns, so R keeps its bits at any BLAS thread count; past that the
+    strips are c rows high, at twice the cost of one QR at most."""
+    c, m = a.shape[0] + b.shape[0], a.shape[1]
+    height = max((QR_ENTRIES - 1) // max(c - 1, 1) - c, c, 1)
+    r = np.zeros((0, c), dtype=COMPLEX)
+    for start in range(0, m, height):
+        s = slice(start, start + height)
+        strip = dagger(np.concatenate([a[:, s], b[:, s]]))
+        r = np.linalg.qr(np.concatenate([r, strip]), mode="r")
+    return r
+
+
+def gemm_rounding(columns: np.ndarray, k: int = 1) -> float:
+    """A bound on the rounding of every k x k block of the Gram matrix
+    ``X* X`` that one GEMM of the d x (n k) columns X forms (`pair_blocks`),
+    word i's block of columns X_i: an entry's products and sums round by at
+    most ``(d + 2) eps |x_p| |x_q|`` (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 3.6), so a block's 2-norm by at most
+    ``(d + 2) eps max_i |X_i|_F^2``, whatever the number of words."""
+    x = np.asarray(columns)
+    words = (x.real**2 + x.imag**2).sum(axis=0).reshape(-1, k).sum(axis=1)
+    return (x.shape[0] + 2) * np.finfo(float).eps * float(words.max(initial=0.0))
+
+
 def projector_defect(p: np.ndarray) -> np.ndarray:
     """How far each matrix of a stack is from being an orthogonal projector:
     max of the idempotence and Hermiticity residuals in operator norm."""
@@ -178,7 +238,7 @@ class Cholesky(NamedTuple):
     values: np.ndarray  # eigenvalues of L* L, descending
     u: np.ndarray  # (rank, rank) their orthonormal eigenvectors
     residual: float  # certified bound on the 2-norm of G - L L*
-    hermitian_defect: float  # largest entry of |G - G*|
+    hermitian_defect: float  # largest entry of |G - G*|, or a bound on it
 
 
 class Eigencut(NamedTuple):
@@ -188,7 +248,7 @@ class Eigencut(NamedTuple):
     vectors: np.ndarray  # (N, rank) orthonormal eigenvectors of `values`
     dropped: np.ndarray  # factored eigenvalues below the cut, then -residual
     residual: float  # certified bound on the 2-norm of G - L L*
-    hermitian_defect: float  # largest entry of |G - G*|
+    hermitian_defect: float  # largest entry of |G - G*|, or a bound on it
 
 
 def pivoted_cholesky(table: np.ndarray) -> Cholesky:
@@ -243,7 +303,7 @@ def pivoted_cholesky(table: np.ndarray) -> Cholesky:
     return Cholesky(rows, vals[::-1], u[:, ::-1], residual, defect)
 
 
-def stack_factor(columns: np.ndarray, table: np.ndarray) -> Cholesky:
+def stack_factor(columns: np.ndarray) -> Cholesky:
     """The factor of the Gram matrix ``G = X* X`` of the columns X, read off
     the thin SVD ``X = W diag(s) Vh``: ``L = X* W``, the coordinates of each
     column in the left singular basis, so L* L is ``diag(s^2)`` to rounding
@@ -252,16 +312,21 @@ def stack_factor(columns: np.ndarray, table: np.ndarray) -> Cholesky:
     Its small directions see the conditioning of X, where a factor of G sees
     that of G, its square (Golub and Van Loan, section 5.3).  Each column's
     coordinates carry the rounding of its own norm, where those of the equal
-    ``diag(s) Vh`` carry that of the largest singular value.  `residual` and
-    `hermitian_defect` certify L against the G the caller holds, as
-    `pivoted_cholesky` does: `table` is G itself, or an (n, n, k, k) kernel
-    table whose Gram matrix is G, read as it lies.
+    ``diag(s) Vh`` carry that of the largest singular value.
+
+    The certificate is read off the stack, for the table that one GEMM of X
+    forms (`pair_blocks`), and no table is read: `residual` is the `gram_gap`
+    of X and ``W* X`` plus the table's rounding in 2-norm (`gemm_rounding`
+    of X as one block), and `hermitian_defect` is twice the rounding bound
+    of one entry, an a-priori bound on the table's ``|G - G*|``.
     """
     x = asmatrix(columns)
     w, s, _ = np.linalg.svd(x, full_matrices=False)
-    rows = np.conjugate(dagger(w) @ x)
-    residual, defect = _residual_bound(_as_table(table), rows)
-    return Cholesky(rows, s * s, np.eye(s.size, dtype=COMPLEX), residual, defect)
+    coords = dagger(w) @ x
+    residual = gram_gap(x, coords) + gemm_rounding(x, max(x.shape[1], 1))
+    defect = 2 * gemm_rounding(x)
+    return Cholesky(np.conjugate(coords), s * s, np.eye(s.size, dtype=COMPLEX),
+                    residual, defect)
 
 
 def eigencut(factor: Cholesky, rel_tol: float) -> Eigencut:

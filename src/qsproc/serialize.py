@@ -123,6 +123,8 @@ def site_from_json(data: dict) -> CausalSite:
             raise ValueError('"leq" holds a cell that is not true or false')
         points = json_strings(data["points"], '"points" is not a list of strings')
         site = CausalSite(points=points, leq=leq)
+    if "compose" in data and "symmetries" not in data:
+        raise ValueError('"compose" is given with no "symmetries" to compose')
     if "symmetries" in data:
         entries = dict(json_object(data["symmetries"], '"symmetries"'))
         if "compose" in entries and "compose" in data:

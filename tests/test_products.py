@@ -618,7 +618,10 @@ def test_reconstruct_verify_walks_its_words_once(tmp_path, monkeypatch, capsys):
     # plan, then the emitted model's table twice), formed four tables of
     # pair blocks and factored the emitted model's product stack twice; its
     # idempotence check now reads one oracle of the emitted model, built on
-    # the table's plan
+    # the table's plan.  The emitted model's factor and the idempotence
+    # comparison are certified off product stacks (`linalg.gram_gap`): the
+    # one table of pair blocks is the emitted model's, compared block by
+    # block only with the source table, which has no stack
     model, site = fixtures.tensor_chain(2, canonical=False)
     oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
     table = tmp_path / "table.json"
@@ -636,15 +639,16 @@ def test_reconstruct_verify_walks_its_words_once(tmp_path, monkeypatch, capsys):
         return call
 
     monkeypatch.setattr(ProductPlan, "walk", walked)
-    for name in ("pair_blocks", "stack_factor", "_residual_bound"):
+    for name in ("pair_blocks", "stack_factor", "_residual_bound", "gram_gap", "worst_gap"):
         monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
     assert cli.main(["reconstruct", str(table), "--verify"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["verification"]["ok"] and report["idempotence"]["ok"]
     assert walks == [16]
-    assert calls.count("stack_factor") == 1
-    assert calls.count("_residual_bound") == 2
-    assert calls.count("pair_blocks") == 2
+    # the source's factor, the emitted model's table, the verification, the
+    # emitted model's factor and its certificate, then idempotence
+    assert calls == ["_residual_bound", "pair_blocks", "worst_gap", "stack_factor",
+                     "gram_gap", "gram_gap"]
 
 
 def test_oracle_takes_only_the_plan_of_its_words():

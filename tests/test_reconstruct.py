@@ -21,6 +21,7 @@ from qsproc.reconstruct import (
     ReconstructionRefused,
     build_space,
     compute_subspace_lattice,
+    eligible_for_block,
     reconstruct,
     represent_algebra,
     represent_event,
@@ -139,14 +140,17 @@ class TestBuildSpace:
 
     def test_one_svd_of_the_product_stack(self, monkeypatch):
         # a model's table is factored from its dim x N k product stack: one
-        # thin SVD, no eigensolve of any order
+        # thin SVD, and the certificate's one eigensolve, of the order of the
+        # stack and its coordinates side by side (`linalg.gram_gap`)
         model, site = fixtures.random_valid_model(4)
         words = enumerate_words(site, model.spaces)
         oracle = model.kernel_table(site, words)
         assert oracle.product_stack.shape == (model.dim, len(words) * model.kdim)
         calls = record_solves(monkeypatch)
         build_space(oracle)
-        assert calls == [("svd", oracle.product_stack.shape, "qsproc.linalg")]
+        c = model.dim + min(oracle.product_stack.shape)
+        assert calls == [("svd", oracle.product_stack.shape, "qsproc.linalg"),
+                         ("eigvalsh", (c, c), "qsproc.linalg")]
 
     def test_one_factor_and_one_slice_pass_per_oracle(self, monkeypatch):
         # the axiom battery and the reconstruction gates read the oracle's
@@ -248,8 +252,13 @@ class TestBuildSpace:
         build_unitary(small, big, site, words)
         assert small.dim == big.dim < padded.dim
         assert not [c for c in calls if c[2] == "qsproc.equivalence"]
+        # the certificates' eigensolves (`linalg.gram_gap`) are of two
+        # stacks side by side: a stack and its coordinates, or two minimal
+        # models' stacks, twice the minimal order but the padded model's
+        gaps = [shape for name, shape, _ in calls if name == "eigvalsh"]
+        assert gaps == [(2 * small.dim,) * 2, (2 * padded.dim,) * 2, (2 * small.dim,) * 2]
         assert all(shape == (small.dim, small.dim)
-                   for name, shape, _ in calls if name != "svd")
+                   for name, shape, _ in calls if name not in ("svd", "eigvalsh"))
         # every SVD has the minimal number of rows (the unpadded model's
         # stack too) but the padded model's stack factor
         svds = [shape for name, shape, _ in calls if name == "svd"]
@@ -317,7 +326,15 @@ class TestRepresentedEvents:
         assert recon.rank == 2**n
         report = check_model(recon.model, site, config=config)
         assert report.ok, report.violations()
-        assert verify_decomposition(recon, oracle, config).residual <= 1e-13
+        # a pass reports the certified bound, at or above the worst block
+        reference, _ = linalg.worst_gap(
+            oracle.table, linalg.pair_blocks(recon.model.evaluate(oracle.plan)))
+        check = verify_decomposition(recon, oracle, config)
+        assert reference <= 1e-13
+        assert reference <= check.residual <= min(check.tolerance, 1e-10)
+        # the slice screen certifies on the stack certificate: no exact pass
+        assert all(bound <= 1e-10 for bound, _, _ in oracle.slice_screen)
+        assert "slice_residuals" not in vars(oracle)
 
     def test_non_closed_word_list_refused(self):
         model, site = fixtures.qubit_zx()
@@ -326,6 +343,51 @@ class TestRepresentedEvents:
         gns = build_space(oracle)
         with pytest.raises(ReconstructionRefused, match="closed"):
             represent_events(gns)
+
+    @pytest.mark.parametrize("name,policy,strict", [
+        ("tensor_chain(3)", "all_subsets", True), ("controlled_kdim2", "all_subsets", True),
+        ("random_valid_model(4)", "all_subsets", True),
+        ("galilean_shift_fixture", "all_subsets", True),
+        ("random_valid_model(4)", "atoms_plus_unit", False),
+        ("qubit_zx", "atoms_plus_unit", False),
+    ])
+    def test_one_pseudo_inverse_per_point_and_listed_words(
+        self, name, policy, strict, monkeypatch
+    ):
+        # the atoms are each atom's `represent_event`, bit for bit, with one
+        # pseudo-inverse per point and set of listed eligible words
+        if name == "tensor_chain(3)":
+            model, site = fixtures.tensor_chain(3, canonical=False)[:2]
+        elif name.startswith("random"):
+            model, site = fixtures.random_valid_model(4)[:2]
+        else:
+            model, site = getattr(fixtures, name)()[:2]
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces, policy))
+        gns = build_space(oracle)
+        want, masks = {}, set()
+        for t in site.points:
+            outs = model.spaces.outcomes(t)
+            want[t] = {}
+            for x in outs:
+                atom = EventWord(((t, frozenset({x})),) if len(outs) > 1 else ())
+                want[t][x] = represent_event(gns, frozenset({t}), atom, strict)
+                listed = oracle.right_products(atom)[
+                    eligible_for_block(oracle, frozenset({t}))] >= 0
+                masks.add((t, listed.tobytes()))
+        calls = []
+
+        def counted(*args, _orig=linalg.pinv):
+            calls.append(args[0].shape)
+            return _orig(*args)
+
+        monkeypatch.setattr(linalg, "pinv", counted)
+        got = represent_events(gns, strict)
+        assert len(calls) == len(masks) <= len(site.points) * (1 if strict else 2)
+        assert got.keys() == want.keys()
+        for t in want:
+            assert got[t].keys() == want[t].keys()
+            for x in want[t]:
+                assert got[t][x].tobytes() == want[t][x].tobytes()
 
 
 class TestRepresentedAlgebra:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qsproc import fixtures, serialize
+from qsproc import cli, fixtures, serialize
 from qsproc.sites import chain_site
 from qsproc.words import EventWord, enumerate_words
 
@@ -50,6 +50,21 @@ class TestSiteRoundTrip:
         with pytest.raises(ValueError, match='^"compose" is given both inside "symmetries" '
                                              'and beside it$'):
             serialize.site_from_json(data)
+
+    def test_composition_table_without_symmetries_refused(self, tmp_path, capsys):
+        # a top-level "compose" with no "symmetries" block was dropped unread
+        model, site = fixtures.tensor_chain(2, canonical=False)
+        data = serialize.site_to_json(site)
+        assert "symmetries" not in data
+        data["compose"] = {"s0": {"s0": "s0"}}
+        with pytest.raises(ValueError, match='^"compose" is given with no "symmetries" '
+                                             'to compose$'):
+            serialize.site_from_json(data)
+        model_path, site_path = tmp_path / "model.json", tmp_path / "site.json"
+        model_path.write_text(serialize.dumps(serialize.model_to_json(model)))
+        site_path.write_text(json.dumps(data))
+        assert cli.main(["check", str(model_path), str(site_path)]) == 2
+        assert '"compose" is given with no "symmetries"' in capsys.readouterr().err
 
     def test_geometric_minkowski(self):
         data = {

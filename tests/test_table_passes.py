@@ -18,7 +18,7 @@ import pytest
 
 from qsproc import cli, equivalence, fixtures, kernels, linalg, markov, serialize
 from qsproc.config import RunConfig
-from qsproc.reconstruct import reconstruct, verify_decomposition
+from qsproc.reconstruct import _BOUND_WITNESS, reconstruct, verify_decomposition
 from qsproc.sites import discrete_site
 from qsproc.words import POLICY_ALL_SUBSETS, enumerate_words
 
@@ -138,14 +138,17 @@ def test_residual_bound_of_a_non_finite_oracle(bad):
                     residual_bound_reference(edited.gram(), rows))
 
 
-def test_stack_factor_reads_the_table_as_its_gram_matrix():
+def test_stack_factor_certifies_the_table_from_the_stack():
+    # the stack factor reads no table: its certificate, from the stack
+    # alone, bounds the residual measured on the (n, n, 2, 2) table, which
+    # reads as its Gram matrix does
     model, site = fixtures.controlled_kdim2()
     oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
     assert oracle.kdim == 2
-    on_table = linalg.stack_factor(oracle.product_stack, oracle.table)
-    on_gram = linalg.stack_factor(oracle.product_stack, oracle.gram())
-    assert (on_table.residual, on_table.hermitian_defect) == (
-        on_gram.residual, on_gram.hermitian_defect)
+    factor = linalg.stack_factor(oracle.product_stack)
+    on_table = linalg._residual_bound(oracle.table, factor.rows)
+    assert on_table == linalg._residual_bound(linalg._as_table(oracle.gram()), factor.rows)
+    assert factor.residual >= on_table[0] and factor.hermitian_defect >= on_table[1]
 
 
 # -- the table-vs-stack comparisons ---------------------------------------------------
@@ -230,8 +233,10 @@ def test_verify_decomposition_keeps_the_one_shot_bits(name):
     report = verify_decomposition(recon, oracle)
     stack = recon.model.evaluate(oracle.plan)
     worst, at = linalg.worst_block(pair_blocks_reference(stack) - oracle.table)
-    assert report.residual == worst
-    assert (at is None) == (report.witness == "exact match")
+    assert linalg.worst_gap(oracle.table, linalg.pair_blocks(stack)) == (worst, at)
+    # a pass is certified by the Gram-gap bound, at or above the worst block
+    assert worst <= report.residual <= report.tolerance
+    assert report.witness == _BOUND_WITNESS
 
 
 @pytest.mark.parametrize("name", CALLER_MODELS)
@@ -256,9 +261,12 @@ def test_table_comparisons_keep_the_one_shot_bits(name):
     other = dataclasses.replace(model, embedding=-model.embedding)
     verdict = equivalence.check_wide_equivalence(model, other, site, words)
     oracle = model.kernel_table(site, words)
-    worst, _ = linalg.worst_block(
-        oracle.table - pair_blocks_reference(other.evaluate(oracle.plan)))
-    assert verdict.residual == worst
+    products = other.evaluate(oracle.plan)
+    worst, at = linalg.worst_block(oracle.table - pair_blocks_reference(products))
+    assert linalg.worst_gap(oracle.table, linalg.pair_blocks(products)) == (worst, at)
+    # equal tables of unequal stacks: a pass is certified by the Gram-gap
+    # bound, at or above the worst block
+    assert worst <= verdict.residual <= verdict.tolerance
     merged, index = markov.pointwise_product_table(words, model.spaces)
     direct = pair_blocks_reference(model.products(site, words))
     kernels = np.einsum("pak,al->pkl", np.conjugate(model.products(site, merged)),
