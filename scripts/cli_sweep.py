@@ -71,6 +71,12 @@ sweeps covers the bytes of a table written in many chunks.  (The canonical
 chain's model file is not used: its minimal modification rounds
 differently at one and two BLAS threads.)
 
+`HASHED` is swept after `WRITER`: `random_valid_model(0)`, whose two
+points have three outcomes each, under the nine model commands and the
+table runs, so that a comparison of sweeps under two string-hash seeds
+covers events of three outcomes, whose atom sums round by the order they
+are added in.
+
 Every run records its arguments (file names relative to the scratch
 directory), its exit code and the sha256 of its stdout and stderr.  A run
 that raises records the exception's type and message as its stderr and
@@ -117,6 +123,7 @@ EXTRA_MODELS = {
     "tensor_chain3": lambda: fixtures.tensor_chain(3, canonical=False),
     "tensor_chain4": lambda: fixtures.tensor_chain(4, canonical=False),
     "tensor_chain5": lambda: fixtures.tensor_chain(5, canonical=False),
+    "random0": lambda: fixtures.random_valid_model(0),
 }
 MALFORMED = "galilean_bad_v"
 STRAY_UNITS, BAD_TABLE = "qubit_stray_units", "galilean_bad_u"
@@ -186,6 +193,7 @@ UNREAD_MAPS = ("galilean_table_site_q", "galilean_table_site_s1",
 PAIR_LISTS = ("galilean_site_map_pairs", "galilean_g_pairs",
               "galilean_table_g_pairs")  # after UNREAD_MAPS
 WRITER = ("tensor_chain5",)  # after PAIR_LISTS, under `kernels` alone
+HASHED = ("random0",)  # after WRITER
 INPUTS = (FIXTURE_FILES + tuple(EXTRA_MODELS) + (MALFORMED, "field") + LATE
           + tuple(REFUSED) + (ONE_OUTCOME, UNACTED) + PAIRS)
 
@@ -407,12 +415,12 @@ def main():
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            last = LATE + tuple(REFUSED) + LAST + FINAL + PAIRS + WRITER
+            last = LATE + tuple(REFUSED) + LAST + FINAL + PAIRS + WRITER + HASHED
             records = sweep([n for n in args.inputs if n not in last])
             refused = [n for n in REFUSED
                        if n not in LAST + OUTCOME_MAPS + UNREAD_MAPS + PAIR_LISTS]
             for group in (LATE, refused, LAST, FINAL, PAIRS, OUTCOME_MAPS, UNREAD_MAPS,
-                          PAIR_LISTS, WRITER):
+                          PAIR_LISTS, WRITER, HASHED):
                 records += sweep([n for n in args.inputs if n in group])
         finally:
             os.chdir(cwd)

@@ -39,7 +39,6 @@ from .words import (
     pull_back_codes,
     subsets,
     unit_word,
-    word_codes,
 )
 
 
@@ -87,7 +86,7 @@ class KernelOracle:
             )
         require_on_site(self.site, self.spaces, self.words)
         require_representation(self.symmetry, "table", self.kdim, self.site, self.spaces)
-        index = {w: i for i, w in enumerate(self.words)}
+        index = dict(zip(self.words, range(n)))
         if len(index) != n:
             raise ValueError("word list contains duplicates")
         # memos: region -> word indices, event -> right-product index map,
@@ -185,8 +184,23 @@ class KernelOracle:
 
     @cached_property
     def codes(self) -> np.ndarray:
-        """The words as rows of outcome-membership bits (`words.word_codes`)."""
-        return word_codes(self.words, self.spaces, list(self._columns))
+        """The words as rows of outcome-membership bits (`words.word_codes`),
+        read off the product trie of `plan`: each distinct block event's row
+        once, then per depth the AND of the parents' rows with the nodes'
+        events' rows, placed at the words that end there."""
+        plan, columns = self.plan, self._columns
+        width = sum(len(self.spaces.outcomes(t)) for t in columns)
+        events = np.ones((len(plan.events), width), dtype=bool)
+        for e, event in enumerate(plan.events):
+            for t, b in event.factors:
+                events[e, columns[t]] = factor_code(self.spaces, t, b)
+        out = np.empty((len(self.words), width), dtype=bool)
+        rows = np.ones((1, width), dtype=bool)  # the root: the unit word
+        out[plan.leaves[0][0]] = rows
+        for (parents, at), (ends, node) in zip(plan.depths, plan.leaves[1:]):
+            rows = rows[parents] & events[at]
+            out[ends] = rows[node]
+        return out
 
     @cached_property
     def _sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
@@ -258,13 +272,16 @@ _WORD_MEMOS = frozenset(
 
 
 def require_on_site(site: CausalSite, spaces: OutcomeSpaces,
-                    words: Iterable[EventWord]) -> None:
+                    words: Sequence[EventWord]) -> None:
     """Refuse a site point without an outcome space, then a word naming a
-    point outside the site: the oracle's refusals before its symmetry's."""
+    point outside the site: the oracle's refusals before its symmetry's.
+    The words' points are one union over their factors; only a refusal
+    looks for the first word that names an outside point."""
     if missing := [p for p in site.points if p not in spaces.spaces]:
         raise ValueError(f"no outcome space declared at point {missing[0]!r}")
     points = set(site.points)
-    if (w := next((w for w in words if not points.issuperset(w.support)), None)) is not None:
+    if not points.issuperset(t for t, _ in set().union(*[w.factors for w in words])):
+        w = next(w for w in words if not points.issuperset(w.support))
         off = next(t for t in w.support if t not in points)
         raise ValueError(f"word {event_label(w)} names point {off!r}, "
                          "which is not in the site")
@@ -648,7 +665,8 @@ def check_projectivity(
             "extension invariance only (no realizing model attached)", tol,
         )
     blocks = [frozenset()] + [frozenset({t}) for t in oracle.site.points]
-    pairs, l, u, r = unit_nesting(model, oracle.site, blocks)
+    pairs, mats, read = unit_nesting(model, oracle.site, blocks)
+    l, u, r = read(linalg.opnorms(mats))
     worst, witness = linalg.worst(
         np.where([k != j for k, j in pairs], l * u + u * r + l * r, 0.0),
         lambda i: "compression from base {} to {}".format(*map(sorted, pairs[i][::-1])),

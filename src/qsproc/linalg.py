@@ -219,11 +219,13 @@ def gemm_rounding(columns: np.ndarray, k: int = 1) -> float:
     return (x.shape[0] + 2) * np.finfo(float).eps * float(words.max(initial=0.0))
 
 
-def projector_defect(p: np.ndarray) -> np.ndarray:
-    """How far each matrix of a stack is from being an orthogonal projector:
-    max of the idempotence and Hermiticity residuals in operator norm."""
+def projector_gaps(p) -> np.ndarray:
+    """How far each matrix of a stack is from being an orthogonal projector,
+    as matrices: the idempotence residuals ``p p - p``, then the Hermiticity
+    residuals ``p - p*``.  The larger operator norm of a matrix's two is its
+    projector defect."""
     p = np.asarray(p, dtype=COMPLEX)
-    return np.maximum(opnorms(p @ p - p), opnorms(p - dagger(p)))
+    return np.concatenate([p @ p - p, p - dagger(p)])
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:

@@ -28,11 +28,12 @@ from .words import (
     EventWord,
     code_columns,
     code_keys,
+    code_words,
     enumerate_words,
     event_label,
+    pointwise_product_codes,
     pointwise_product_table,
     subsets,
-    word_codes,
 )
 
 @dataclass(eq=False)
@@ -193,8 +194,8 @@ def check_regression(
 
     feyn = model.products(site, words)
     direct = linalg.pair_blocks(feyn)
-    merged, index = pointwise_product_table(words, model.spaces)
-    nested = _nested_stack(model, site, slices, e_proj, merged)
+    merged, points, index = pointwise_product_codes(words, model.spaces)
+    nested = _nested_stack(model, site, slices, e_proj, merged, points)
     worst_r, at = linalg.worst_gap(nested, direct, index)
     wit_r = "" if at is None else "regression of a word pair"
 
@@ -226,24 +227,24 @@ def check_regression(
                    Check("regression_composition", worst_c, wit_c, tol)))
 
 
-def _nested_stack(model, site, slices, e_proj, words) -> np.ndarray:
+def _nested_stack(model, site, slices, e_proj, codes, points) -> np.ndarray:
     """The kernel value of each word through the nested slice compressions,
     latest slice outermost, (n, kdim, kdim), as stacked matmuls: per slice,
     one operator per distinct slice event (its reduced-block projector, unit
-    padded, times the slice unit), indexed per word."""
+    padded, times the slice unit), indexed per word.  The words are given as
+    codes over `points` (`words.word_codes`), unit at every other point."""
     spaces = model.spaces
-    codes = word_codes(words, spaces, site.points)
-    columns = code_columns(spaces, site.points)
-    nested = np.broadcast_to(model.identity(), (len(words), model.dim, model.dim))
+    columns = code_columns(spaces, points)
+    nested = np.broadcast_to(model.identity(), (len(codes), model.dim, model.dim))
     for depth, l in enumerate(reversed(slices)):
-        pts = sorted(l, key=site.index)
-        keys = code_keys(np.hstack([codes[:, columns[t]] for t in pts]))
-        _, first, event = np.unique(keys, return_index=True, return_inverse=True)
+        pts = [t for t in sorted(l, key=site.index) if t in columns]
+        at = [k for t in pts for k in range(columns[t].start, columns[t].stop)]
+        _, first, event = np.unique(code_keys(codes[:, at]), return_index=True,
+                                    return_inverse=True)
         unit = model.unit_p(frozenset(l))
         ops = np.array([
-            model.block_projector(site, EventWord.from_dict(
-                {t: words[f].factor(t, spaces) for t in pts}, spaces)) @ unit
-            for f in first
+            model.block_projector(site, e) @ unit
+            for e in code_words(codes[first][:, at], spaces, pts)
         ], dtype=COMPLEX).reshape(first.size, model.dim, model.dim)[event.ravel()]
         nested = ops if depth == 0 else ops @ (e_proj[l] @ nested @ e_proj[l])
     return dagger(model.embedding) @ nested @ model.embedding

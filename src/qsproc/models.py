@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .config import RunConfig
-from .linalg import COMPLEX, dagger, opnorm
+from .linalg import COMPLEX, dagger
 from .sites import CausalSite
 from .words import EventWord, OutcomeSpaces, subsets
 
@@ -98,14 +98,16 @@ class HilbertModel:
         return self.embedding @ dagger(self.embedding)
 
     def point_projector(self, t: str, b: Iterable[str]) -> np.ndarray:
-        """Projector of the event `b` at point `t` (sum of atoms)."""
+        """Projector of the event `b` at point `t`: the sum of its atoms in
+        outcome order, so that its rounding follows no hash order."""
         fam = self.atoms[t]
+        b = frozenset(b)
+        if unknown := sorted(b.difference(fam)):
+            raise KeyError(f"unknown outcome {unknown[0]!r} at point {t!r}")
         out = np.zeros((self.dim, self.dim), dtype=COMPLEX)
-        for x in frozenset(b):
-            try:
+        for x in self.spaces.outcomes(t):
+            if x in b:
                 out += fam[x]
-            except KeyError:
-                raise KeyError(f"unknown outcome {x!r} at point {t!r}") from None
         return out
 
     def point_unit(self, t: str) -> np.ndarray:
@@ -413,39 +415,54 @@ def check_model(
     at the site's action (`CausalSite.symmetry`), inconclusive when a model
     symmetry element has none or an outcome map that is not an injection
     (`check_representation`).
-    """
-    checks: list[Check] = []
 
-    def record(name, residual, witness, missing=None):
-        checks.append(Check(name, residual, witness, config.projector_tol, missing))
+    Every condition's residual matrices are queued first; their operator
+    norms are taken in one `linalg.opnorms` call per matrix shape, and each
+    entry then reads its worst (`linalg.worst`) off its own norms.
+    """
+    mats: list[np.ndarray] = []  # every residual matrix, normed together below
+    reads = []  # per check: its name, how it reads the norms, its missing note
+
+    def queue(stack) -> slice:
+        """Queue residual matrices; the slice of the norms they will get."""
+        start = len(mats)
+        mats.extend(stack)
+        return slice(start, len(mats))
+
+    def record(name, read, missing=None):
+        reads.append((name, read, missing))
 
     eye = model.identity()
 
-    record(
-        "embedding_isometry",
-        opnorm(dagger(model.embedding) @ model.embedding - np.eye(model.kdim)),
-        "initial embedding",
-    )
+    iso = queue([dagger(model.embedding) @ model.embedding - np.eye(model.kdim)])
+    record("embedding_isometry", lambda n: (n[iso][0], "initial embedding"))
 
     # per-point families: Hermitian idempotent atoms, mutually orthogonal,
     # resolving the point unit (every partition of the unit event sums the
-    # same atoms)
-    for t in site.points:
+    # same atoms); one call per point, so that each reader keeps its point
+    def family(t):
         outs = model.spaces.outcomes(t)
         fam = [model.atoms[t][x] for x in outs]
-        record("projector", *linalg.worst(
-            linalg.projector_defect(fam), lambda i: f"atom {outs[i]!r} at {t!r}"
-        ))
+        defect = queue(linalg.projector_gaps(fam))
         pairs = list(itertools.combinations(range(len(outs)), 2))
-        record("orthogonality", *linalg.worst(
-            linalg.opnorms([fam[i] @ fam[j] for i, j in pairs]),
-            lambda n: "atoms {!r},{!r} at {!r}".format(*(outs[i] for i in pairs[n]), t),
+        ortho = queue([fam[i] @ fam[j] for i, j in pairs])
+        unit = queue([model.point_unit(t) - model.unit_p({t})])
+        record("projector", lambda n: linalg.worst(
+            np.maximum(*n[defect].reshape(2, -1)), lambda i: f"atom {outs[i]!r} at {t!r}"
         ))
-        r = opnorm(model.point_unit(t) - model.unit_p({t}))
-        record("resolution", *linalg.worst([r], lambda _: f"sum of the atoms at {t!r}"))
+        record("orthogonality", lambda n: linalg.worst(
+            n[ortho],
+            lambda k: "atoms {!r},{!r} at {!r}".format(*(outs[i] for i in pairs[k]), t),
+        ))
+        record("resolution", lambda n: linalg.worst(
+            n[unit], lambda _: f"sum of the atoms at {t!r}"
+        ))
+
+    for t in site.points:
+        family(t)
 
     # compatibility across nonanticipatory pairs
-    prods, comms, at = [], [], []
+    prods, comms, compat_at = [], [], []
     for a, b in itertools.combinations(site.points, 2):
         rel = (site.equivalent(a, b), site.independent(a, b))
         if not any(rel):
@@ -456,60 +473,63 @@ def check_model(
             pa, pb = model.point_projector(a, ba), model.point_projector(b, bb)
             prods.append(pa @ pb)
             comms.append(prods[-1] - pb @ pa)
-            at.append((rel, sorted(ba), a, sorted(bb), b))
-    r = np.maximum(linalg.opnorms(comms), linalg.projector_defect(
-        np.reshape(prods, (-1, model.dim, model.dim))
-    ))
+            compat_at.append((rel, sorted(ba), a, sorted(bb), b))
+    comm = queue(comms)
+    defect = queue(linalg.projector_gaps(np.reshape(prods, (-1, model.dim, model.dim))))
     for j, condition in enumerate(("equivalent", "independent")):
-        record(f"{condition}_compatibility", *linalg.worst(
-            np.where([rel[j] for rel, *_ in at], r, 0.0),
-            lambda i: "events {}@{!r}, {}@{!r}".format(*at[i][1:]),
+        record(f"{condition}_compatibility", lambda n, j=j: linalg.worst(
+            np.where([rel[j] for rel, *_ in compat_at],
+                     np.maximum(n[comm], np.maximum(*n[defect].reshape(2, -1))), 0.0),
+            lambda i: "events {}@{!r}, {}@{!r}".format(*compat_at[i][1:]),
         ))
 
     # unit balance on every slice: meet of event units = join of essential units
     slices = list(site.maximal_antichains)
-    gaps = []
-    for l in slices:
-        join = linalg.join_projectors(
+    balance = queue([
+        slice_projector(model, site, l, config) - linalg.join_projectors(
             [model.unit_i(k) for k in _blocks_within(site, l)] + [model.initial_projector()],
             config.rank_tol,
         )
-        gaps.append(slice_projector(model, site, l, config) - join)
-    record("unit_balance", *linalg.worst(
-        linalg.opnorms(gaps), lambda i: f"slice {sorted(slices[i])}"
+        for l in slices
+    ])
+    record("unit_balance", lambda n: linalg.worst(
+        n[balance], lambda i: f"slice {sorted(slices[i])}"
     ))
 
     # essential units nest above the initial projector
-    pairs, l, _, r = unit_nesting(model, site, sorted(
+    nest_pairs, nest_mats, nest_read = unit_nesting(model, site, sorted(
         {frozenset()} | set(model.units_i) | {frozenset({t}) for t in site.points},
         key=lambda k: sorted(map(site.index, k)),
     ))
-    record("unit_monotone", *linalg.worst(
-        np.maximum(l, r), lambda i: "{} <= {}".format(*map(sorted, pairs[i]))
+    nest = queue(nest_mats)
+    record("unit_monotone", lambda n: linalg.worst(
+        np.maximum(*nest_read(n[nest])[::2]),  # |L| and |R|
+        lambda i: "{} <= {}".format(*map(sorted, nest_pairs[i])),
     ))
 
     # commutation with controlling algebra generators
-    comms, at = [], []
+    gens_comms, gens_at = [], []
     for k, gens in model.algebra.items():
         for t in k:
             for b in subsets(model.spaces.outcomes(t)):
                 p = model.point_projector(t, b)
-                comms.extend(p @ g - g @ p for g in gens)
-                at.extend((sorted(b), t, gi, sorted(k)) for gi in range(len(gens)))
-    record("algebra_commutation", *linalg.worst(
-        linalg.opnorms(comms),
-        lambda i: "event {}@{!r} vs generator {} of {}".format(*at[i]),
+                gens_comms.extend(p @ g - g @ p for g in gens)
+                gens_at.extend((sorted(b), t, gi, sorted(k)) for gi in range(len(gens)))
+    gens_norms = queue(gens_comms)
+    record("algebra_commutation", lambda n: linalg.worst(
+        n[gens_norms],
+        lambda i: "event {}@{!r} vs generator {} of {}".format(*gens_at[i]),
     ))
 
     # symmetry intertwining: V pi(B^s) = pi(st)(B) V P_t; an element the site
     # does not act by, or with an outcome map that is no injection, leaves
     # its relations unchecked
     problems = check_representation(model.symmetry, "model", model.dim, site, model.spaces)
-    gaps, at = [], []
+    sym_gaps, sym_at = [], []
     for s, ms in model.symmetry.items():
         v = np.asarray(ms.op, dtype=COMPLEX)
-        gaps.append(dagger(v) @ v - eye)
-        at.append(("isometry of {!r}", s))
+        sym_gaps.append(dagger(v) @ v - eye)
+        sym_at.append(("isometry of {!r}", s))
         if check_representation({s: ms}, "model", model.dim, site, model.spaces):
             continue
         for t, st in site.symmetry.maps[s].items():
@@ -518,13 +538,22 @@ def check_model(
                 bs = frozenset(x for x in model.spaces.outcomes(t) if g[x] in b)
                 lhs = v @ model.point_projector(t, bs)
                 rhs = model.point_projector(st, b) @ v @ model.unit_p({t})
-                gaps.append(lhs - rhs)
-                at.append(("{!r} at {!r} with event {}", s, t, sorted(b)))
-    record("covariance", *linalg.worst(
-        linalg.opnorms(gaps), lambda i: at[i][0].format(*at[i][1:])
+                sym_gaps.append(lhs - rhs)
+                sym_at.append(("{!r} at {!r} with event {}", s, t, sorted(b)))
+    sym = queue(sym_gaps)
+    record("covariance", lambda n: linalg.worst(
+        n[sym], lambda i: sym_at[i][0].format(*sym_at[i][1:])
     ), problems[0] if problems else None)
 
-    return Report(tuple(checks))
+    # one operator-norm pass per matrix shape; each norm keeps its bits, as
+    # the batched SVD takes the matrices one by one
+    norms = np.zeros(len(mats))
+    shapes = [m.shape for m in mats]
+    for shape in dict.fromkeys(shapes):
+        at = [i for i, m in enumerate(shapes) if m == shape]
+        norms[at] = linalg.opnorms([mats[i] for i in at])
+    return Report(tuple(Check(name, *read(norms), config.projector_tol, missing)
+                        for name, read, missing in reads))
 
 
 def check_representation(reps: Mapping[str, SymmetryRep], holder: str, dim: int,
@@ -568,10 +597,12 @@ def _is_injection(g, domain: Sequence[str], codomain: Sequence[str]) -> bool:
 
 def unit_nesting(model: HilbertModel, site: CausalSite, blocks: Sequence[frozenset]):
     """The pairs (k, j) of `blocks` with k <= j (k = j too) in product order,
-    and per pair the norms of ``L = I_j I_k* - I_k``, ``I_k`` and
-    ``R = I_j I_k - I_k``, where ``I_k = unit_i(k)`` (the initial projector at
-    the empty block).  L and R vanish exactly when the units nest, and at
-    k = j when the unit is a projector.  Base-compressed products are
+    the matrices whose operator norms measure them (``L = I_j I_k* - I_k``
+    and ``R = I_j I_k - I_k`` per pair, then ``I_k`` per block, where
+    ``I_k = unit_i(k)``, the initial projector at the empty block), and a
+    reader that takes those norms to per-pair arrays |L|, |I_k| and |R|.  L
+    and R vanish exactly when the units nest, and at k = j when the unit is
+    a projector.  Base-compressed products are
     ``P_w I_b``, so block (a, b) of base j compressed to k against base k is
     ``L* M I_k + I_k* M R + L* M R`` with ``M = P_a* P_b``: at most
     ``max_w |P_w|^2 (|L| |I_k| + |I_k| |R| + |L| |R|)``, a bound that can
@@ -580,10 +611,12 @@ def unit_nesting(model: HilbertModel, site: CausalSite, blocks: Sequence[frozens
     at = [(a, b) for a, b in itertools.product(range(len(blocks)), repeat=2)
           if site.subset_le(blocks[a], blocks[b])]
     mats = [units[b] @ m - units[a] for a, b in at for m in (dagger(units[a]), units[a])]
-    norms = linalg.opnorms(mats + units)  # |I_k| once per block
-    l, r = norms[:len(mats)].reshape(-1, 2).T
-    u = norms[len(mats):][[a for a, _ in at]]
-    return [(blocks[a], blocks[b]) for a, b in at], l, u, r
+
+    def read(norms):
+        l, r = norms[:len(mats)].reshape(-1, 2).T
+        return l, norms[len(mats):][[a for a, _ in at]], r  # |I_k| once per block
+
+    return [(blocks[a], blocks[b]) for a, b in at], mats + units, read
 
 
 def slice_projector(

@@ -185,27 +185,45 @@ def code_keys(codes: np.ndarray) -> np.ndarray:
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
-def pointwise_product_table(
-    words: Sequence[EventWord], spaces: OutcomeSpaces
-) -> tuple[list[EventWord], np.ndarray]:
-    """Distinct pointwise products over all ordered pairs of a word list, in
-    the lexicographic order of their codes (`word_codes` over the supported
-    points in name order: point by point, outcome 0 first, a member after a
-    non-member), and the (n, n) array giving each pair's product as an index
-    into them.
+def code_words(
+    codes: np.ndarray, spaces: OutcomeSpaces, points: Sequence[str]
+) -> list[EventWord]:
+    """The canonical word of each row of `codes` (`word_codes` over
+    `points`)."""
+    columns = code_columns(spaces, points)
+    return [
+        EventWord.from_dict({t: [x for x, m in zip(spaces.outcomes(t), row[c]) if m]
+                             for t, c in columns.items()}, spaces)
+        for row in np.asarray(codes, dtype=bool).tolist()
+    ]
 
-    Pairs are intersected as word codes (`word_codes`) in one vectorized
-    step and told apart by their keys (`code_keys`); each distinct product
-    is built once.
-    """
+
+def pointwise_product_codes(
+    words: Sequence[EventWord], spaces: OutcomeSpaces
+) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """Distinct pointwise products over all ordered pairs of a word list, as
+    word codes over the supported points in name order (`word_codes`), in the
+    lexicographic order of those codes (point by point, outcome 0 first, a
+    member after a non-member); those points; and the (n, n) array giving
+    each pair's product as an index into the codes.
+
+    Pairs are intersected as word codes in one vectorized step and told apart
+    by their keys (`code_keys`)."""
     n = len(words)
     points = sorted({t for w in words for t in w.support})
     codes = word_codes(words, spaces, points)
-    pairs = codes[:, None, :] & codes[None, :, :]
-    keys = code_keys(pairs)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    merged = [pointwise_product(words[f // n], words[f % n], spaces) for f in first]
-    return merged, inverse.reshape(n, n)
+    pairs = (codes[:, None, :] & codes[None, :, :]).reshape(n * n, codes.shape[1])
+    _, first, inverse = np.unique(code_keys(pairs), return_index=True, return_inverse=True)
+    return pairs[first], points, inverse.reshape(n, n)
+
+
+def pointwise_product_table(
+    words: Sequence[EventWord], spaces: OutcomeSpaces
+) -> tuple[list[EventWord], np.ndarray]:
+    """`pointwise_product_codes` with each distinct product as its word
+    (`code_words`)."""
+    codes, points, index = pointwise_product_codes(words, spaces)
+    return code_words(codes, spaces, points), index
 
 
 def enumerate_words(

@@ -1,9 +1,15 @@
 """Conditional Markov structure: algebras, dynamicity, regression, relaxation."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from qsproc import fixtures
+import qsproc
+from qsproc import fixtures, serialize
 from qsproc.equivalence import minimal_modification
 from qsproc.markov import (
     check_dynamicity,
@@ -203,3 +209,30 @@ class TestRelaxation:
         )
         report = check_relaxation(model, site)
         assert report.ok, report.to_dict()
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_markov_check_independent_of_hash_seed(tmp_path, seed):
+    # an event of three or more outcomes sums its atoms; summed in set order,
+    # which follows the string-hash seed, the rounding moved from run to run
+    model, site = fixtures.random_valid_model(seed)
+    assert max(len(model.spaces.outcomes(t)) for t in site.points) >= 3
+    files = {"model.json": serialize.model_to_json(model),
+             "site.json": serialize.site_to_json(site)}
+    for name, data in files.items():
+        (tmp_path / name).write_text(serialize.dumps(data))
+    script = "import sys\nfrom qsproc import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+    src = str(pathlib.Path(qsproc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    runs = {
+        (done.returncode, done.stdout, done.stderr)
+        for hash_seed in ("1", "2")
+        for done in [subprocess.run(
+            [sys.executable, "-c", script, "markov", "check", *files],
+            capture_output=True, text=True, cwd=tmp_path, timeout=300,
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path),
+        )]
+    }
+    assert len(runs) == 1
+    code, stdout, _ = runs.pop()
+    assert code in (0, 1) and stdout

@@ -38,6 +38,7 @@ from qsproc.words import (
     OutcomeSpaces,
     enumerate_words,
     pointwise_product,
+    pointwise_product_codes,
     pointwise_product_table,
     pull_back,
     unit_word,
@@ -350,9 +351,10 @@ def test_nested_stack_is_the_per_word_loop_bit_for_bit(name, policy):
     model, site = NESTED_MODELS[name]()
     slices = _ordered_slices(site)
     e_proj = {l: slice_projector(model, site, l) for l in slices}
-    merged, _ = pointwise_product_table(enumerate_words(site, model.spaces, policy),
-                                        model.spaces)
-    got = _nested_stack(model, site, slices, e_proj, merged)
+    words = enumerate_words(site, model.spaces, policy)
+    codes, points, _ = pointwise_product_codes(words, model.spaces)
+    merged, _ = pointwise_product_table(words, model.spaces)
+    got = _nested_stack(model, site, slices, e_proj, codes, points)
     want = np.array([reference_nested(model, site, slices, e_proj, w) for w in merged])
     assert got.shape == (len(merged), model.kdim, model.kdim)
     assert got.tobytes() == want.tobytes()

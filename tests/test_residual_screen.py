@@ -511,8 +511,17 @@ def entries(report):
 # -- the checks against their sweeps ----------------------------------------------
 
 
-def test_check_model_matches_sweep(case):
-    model, site = case
+CHECK_MODEL_CASES = {
+    **MODELS,
+    **{f"random_valid_model({s})": (lambda s=s: fixtures.random_valid_model(s))
+       for s in range(12, 40)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_MODEL_CASES))
+def test_check_model_matches_sweep(name):
+    # every norm of the one batched pass is the norm of its matrix alone
+    model, site = CHECK_MODEL_CASES[name]()
     expected = check_model_reference(model, site)
     assert entries(check_model(model, site)) == expected
 
@@ -674,14 +683,16 @@ def test_opnorms_of_empty_stacks():
     assert linalg.opnorms(np.zeros((4, 0, 2))).tolist() == [0.0] * 4
 
 
-def test_projector_defect_takes_stacks():
+def test_projector_gaps_take_stacks():
     rng = np.random.default_rng(1)
     stack = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
     stack[0] = np.diag([1.0, 0.0, 1.0])
-    got = linalg.projector_defect(stack)
+    gaps = linalg.projector_gaps(stack)
+    assert gaps.shape == (12, 3, 3)
+    got = np.maximum(*linalg.opnorms(gaps).reshape(2, -1))
     assert got.tolist() == [projector_defect_reference(p) for p in stack]
     assert got[0] == 0.0
-    assert linalg.projector_defect(stack[1]) == got[1]
+    assert np.maximum(*linalg.opnorms(linalg.projector_gaps(stack[1:2]))) == got[1]
 
 
 def test_worst_first_maximum_wins():

@@ -101,8 +101,15 @@ def test_cli_sweep_raises_nothing(tmp_path):
     runs = json.loads(out.read_text())["runs"]
     assert [r["argv"] for r in runs if r["exit"] == "traceback"] == []
     module = sweep_module()
-    # `WRITER` comes after every other input: `kernels` on a 1,024-word
-    # model under four flag sets, `--cap 3` an input error
+    # `HASHED` comes after every other input: the nine model commands on a
+    # model with three outcomes per point, and the table runs of the three
+    # flag sets whose `kernels` prints a table; `--cap 3` an input error
+    hashed = [r for r in runs if any(a.startswith(n) for a in r["argv"] for n in module.HASHED)]
+    assert len(hashed) == 3 * (9 + 2) + 9 and runs[-len(hashed):] == hashed
+    assert [r["exit"] for r in hashed[-9:]] == [2] * 9
+    runs = runs[:-len(hashed)]
+    # `WRITER` comes before it: `kernels` on a 1,024-word model under four
+    # flag sets, `--cap 3` an input error
     writer = [r for r in runs if any(a.startswith(n) for a in r["argv"] for n in module.WRITER)]
     assert [r["argv"][0] for r in writer] == ["kernels"] * 4 and runs[-4:] == writer
     assert [r["exit"] for r in writer] == [0, 0, 0, 2]

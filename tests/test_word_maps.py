@@ -430,6 +430,71 @@ def test_codes_are_the_product_table_encoding():
         [[words[k] for k in row] for row in lookup]
 
 
+def stackless_json_oracle():
+    """The Galilean table written as JSON and read back: no product stack,
+    and no plan until its codes walk one."""
+    oracle = galilean_oracle()
+    text = serialize.dumps(serialize.oracle_to_json(oracle))
+    return serialize.oracle_from_json(json.loads(text))
+
+
+def model_oracle(make, policy="all_subsets", order=slice(None)):
+    model, site = make()
+    return model.kernel_table(site, enumerate_words(site, model.spaces, policy)[order])
+
+
+CODE_CASES = {
+    "tensor_chain(3) all_subsets": lambda: model_oracle(fixtures.tensor_chain),
+    "tensor_chain(3) atoms_plus_unit": lambda: model_oracle(
+        fixtures.tensor_chain, "atoms_plus_unit"),
+    "tensor_chain(3) reversed": lambda: model_oracle(
+        fixtures.tensor_chain, order=slice(None, None, -1)),
+    "galilean atoms_plus_unit": lambda: model_oracle(
+        fixtures.galilean_shift_fixture, "atoms_plus_unit"),
+    "level words": lambda: lift_oracle(),
+    "stackless json table": stackless_json_oracle,
+    "70 outcomes": lambda: wide_oracle(),
+    **{f"random_valid_model({s}) {policy}": (
+        lambda s=s, policy=policy: model_oracle(lambda: fixtures.random_valid_model(s),
+                                                policy))
+       for s in range(40) for policy in ("all_subsets", "atoms_plus_unit")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CODE_CASES))
+def test_trie_codes_are_word_codes(name):
+    # the codes read off the product trie are the word-by-word encoding
+    oracle = CODE_CASES[name]()
+    want = words_mod.word_codes(oracle.words, oracle.spaces, oracle.site.points)
+    assert oracle.codes.dtype == want.dtype == bool
+    assert oracle.codes.shape == want.shape
+    assert (oracle.codes == want).all()
+
+
+@pytest.mark.parametrize("make", [fixtures.tensor_chain, fixtures.galilean_shift_fixture])
+def test_the_pipeline_builds_no_word_codes(monkeypatch, make):
+    # kernel table, axiom battery, reconstruction and its verification read
+    # the codes off the product trie; the word-by-word encoder is not called
+    calls = []
+    encode = words_mod.word_codes
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return encode(*args, **kwargs)
+
+    for module in (words_mod, kernels, recon_mod, bridges):
+        if hasattr(module, "word_codes"):
+            monkeypatch.setattr(module, "word_codes", spy)
+    model, site = make()
+    oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+    assert check_axioms(oracle).ok
+    recon = reconstruct(oracle)
+    assert recon_mod.verify_decomposition(recon, oracle).ok
+    assert calls == []
+    pointwise_product_table(oracle.words, oracle.spaces)  # the spy is live
+    assert len(calls) == 1
+
+
 def test_a_word_off_the_site_is_refused():
     # a word names only points of the site, so the word codes have a column
     # for every point a word names
