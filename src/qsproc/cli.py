@@ -20,15 +20,9 @@ import sys
 
 from . import __version__, bridges, equivalence, markov, serialize
 from .config import RunConfig
-from .kernels import check_axioms, require_on_site
+from .kernels import require_on_site
 from .models import Check, check_model, require_representation
-from .reconstruct import (
-    ReconstructionRefused,
-    _decomposition_check,
-    _stack_gap,
-    reconstruct,
-    verify_decomposition,
-)
+from .reconstruct import Pipeline, ReconstructionRefused
 from .words import enumerate_words
 
 EXIT_OK = 0
@@ -235,11 +229,10 @@ def _load_model_site(model_path: str, site_path: str):
 
 
 def _load_oracle(model_path: str, site_path: str, config: RunConfig):
-    """A model and site file, and the model's kernel table on the configured
-    word list."""
+    """The kernel table of a model and site file on the configured word list."""
     model, site = _load_model_site(model_path, site_path)
     words = enumerate_words(site, model.spaces, config.policy, config.cap)
-    return model, model.kernel_table(site, words)
+    return model.kernel_table(site, words)
 
 
 def _load_table(path: str):
@@ -305,73 +298,44 @@ def _reproduces(check: Check, verdict: str = "ok") -> dict:
 
 
 def cmd_check(args, config: RunConfig):
-    model, oracle = _load_oracle(args.model, args.site, config)
-    model_report = check_model(model, oracle.site, config)
-    axiom_report = check_axioms(oracle, config)
+    oracle = _load_oracle(args.model, args.site, config)
+    model_report = check_model(oracle.model, oracle.site, config)
+    axioms = Pipeline(oracle, config).axioms
     # inconclusive checks (restricted word policies) are not violations
-    ok = model_report.ok and not axiom_report.failed
-    return {
-        "model": model_report.to_dict(),
-        "axioms": axiom_report.to_dict(),
-        "words": len(oracle.words),
-        "ok": ok,
-    }, ok
+    ok = model_report.ok and not axioms.failed
+    return {"model": model_report.to_dict(), "axioms": axioms.to_dict(),
+            "words": len(oracle.words), "ok": ok}, ok
 
 
 def cmd_kernels(args, config: RunConfig):
-    _, oracle = _load_oracle(args.model, args.site, config)
+    oracle = _load_oracle(args.model, args.site, config)
     print(serialize.dumps(serialize.oracle_to_json(oracle)))
     return None, True
 
 
 def cmd_reconstruct(args, config: RunConfig):
-    if args.site:
-        _, oracle = _load_oracle(args.source, args.site, config)
-    else:
-        oracle = _load_table(args.source)
-    recon = reconstruct(oracle, config)
-    report = {
-        "model": serialize.model_to_json(recon.model),
-        "provenance": recon.provenance(),
-    }
+    run = Pipeline(_load_oracle(args.source, args.site, config) if args.site
+                   else _load_table(args.source), config)
+    report = {"model": serialize.model_to_json(run.recon.model),
+              "provenance": run.recon.provenance()}
     if not args.verify:
         return report, True
-    # the emitted model's oracle on the table's plan: the verification
-    # compares its table with the source's, as `verify_decomposition` would
-    # compare the model's, and idempotence (the emitted model is unitarily
-    # equivalent to its minimal modification) reads both off it
+    report["verification"] = _reproduces(run.verification)
+    if run.emitted_model is not None:  # a model input: its emitted model must be a model
+        report["emitted_model"] = run.emitted_model.to_dict()
     with _failures("idempotence table: ", "idempotence refused"):
-        emitted = recon.model.kernel_oracle(oracle.plan)
-    decomp = _decomposition_check(oracle, *_stack_gap(
-        oracle, emitted.product_stack, config.decomposition_tol, lambda: emitted.table),
-        config)
-    report["verification"] = _reproduces(decomp)
-    ok = decomp.ok
-    if args.site:  # a model input: its emitted model must be a model
-        emitted_model = check_model(recon.model, oracle.site, config)
-        report["emitted_model"] = emitted_model.to_dict()
-        ok = ok and emitted_model.ok
-    with _failures("idempotence table: ", "idempotence refused"):
-        try:
-            second = reconstruct(emitted, config, strict_closure=False).model
-            morphism = equivalence.intertwine(recon.model, second, emitted, config)
-        except tuple(REFUSED):
-            # a refusal on an emitted non-model is its symptom: report the cause
-            if not args.site or emitted_model.ok:
-                raise
-            return report, False
-    report["idempotence"] = morphism.to_dict()
-    return report, ok and morphism.ok
+        morphism = run.idempotence  # None: the failed emitted model is the cause
+    if morphism is not None:
+        report["idempotence"] = morphism.to_dict()
+    return report, all(c.ok for c in (run.verification, run.emitted_model, morphism) if c)
 
 
 def cmd_roundtrip(args, config: RunConfig):
-    model, oracle = _load_oracle(args.model, args.site, config)
-    recon = reconstruct(oracle, config)
-    decomp = verify_decomposition(recon, oracle, config)
-    emitted_model = check_model(recon.model, oracle.site, config)
-    shrink = {"ambient_dimension": model.dim, "minimal_dimension": recon.rank}
-    return {"roundtrip": _reproduces(decomp), "dimensions": shrink,
-            "emitted_model": emitted_model.to_dict()}, decomp.ok and emitted_model.ok
+    run = Pipeline(_load_oracle(args.model, args.site, config), config)
+    shrink = {"ambient_dimension": run.oracle.model.dim, "minimal_dimension": run.recon.rank}
+    ok = run.verification.ok and run.emitted_model.ok
+    return {"roundtrip": _reproduces(run.verification), "dimensions": shrink,
+            "emitted_model": run.emitted_model.to_dict()}, ok
 
 
 def cmd_equiv(args, config: RunConfig):

@@ -320,7 +320,7 @@ def check_relaxation(
     slice must agree with its initial-space compression, and the limit states
     seen through the smallest slice must not move when the measurements on
     that slice are replaced (a basis rotation seeded by `config.seed`), only
-    when the initial vector is.
+    when the initial vector is (one draw per slice: a sample, not a supremum).
     """
     tol = config.membership_tol
     words = enumerate_words(site, model.spaces, config.policy, config.cap)
@@ -336,7 +336,7 @@ def check_relaxation(
     algebras = {l: slice_algebra(model, site, l, span[l], config) for l in span}
     gaps, moves, at = [], [], []
     rng = np.random.default_rng(config.seed)
-    for l0 in minimal:
+    for k, l0 in enumerate(minimal):
         e_l0 = span[l0]
         # limit states must survive replacing the earliest measurements
         perturbed = _rotate_slice_atoms(model, l0, rng)
@@ -356,14 +356,15 @@ def check_relaxation(
                 base = _limit_states(vecs, e_l0, a)
                 moved = _limit_states(vecs, e_l0_pert, a)
                 moves.append(float(np.max(np.abs(base - moved))) if base.size else 0.0)
-                at.append((l, l0))
+                at.append((l, l0, k))
     return Report((
         Check("relaxation", *linalg.worst(linalg.opnorms(gaps), lambda i: (
-            "operator on slice {} compressed to {}".format(*map(sorted, at[i]))
+            "operator on slice {} compressed to {}".format(*map(sorted, at[i][:2]))
         )), tol),
         Check("limit_state_independence", *linalg.worst(moves, lambda i: (
-            "limit state on slice {} after replacing the measurements on {}"
-            .format(*map(sorted, at[i]))
+            "limit state on slice {} after replacing the measurements on {} by "
+            "random rotation {} of seed {}: one sample, not a supremum"
+            .format(*map(sorted, at[i][:2]), at[i][2], config.seed)
         )), tol),
     ))
 

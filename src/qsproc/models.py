@@ -12,6 +12,7 @@ product of two such products.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -433,6 +434,7 @@ def check_model(
         reads.append((name, read, missing))
 
     eye = model.identity()
+    projector = functools.cache(model.point_projector)  # each (point, event) once
 
     iso = queue([dagger(model.embedding) @ model.embedding - np.eye(model.kdim)])
     record("embedding_isometry", lambda n: (n[iso][0], "initial embedding"))
@@ -446,7 +448,7 @@ def check_model(
         defect = queue(linalg.projector_gaps(fam))
         pairs = list(itertools.combinations(range(len(outs)), 2))
         ortho = queue([fam[i] @ fam[j] for i, j in pairs])
-        unit = queue([model.point_unit(t) - model.unit_p({t})])
+        unit = queue([projector(t, model.spaces.full(t)) - model.unit_p({t})])
         record("projector", lambda n: linalg.worst(
             np.maximum(*n[defect].reshape(2, -1)), lambda i: f"atom {outs[i]!r} at {t!r}"
         ))
@@ -470,7 +472,7 @@ def check_model(
         for ba, bb in itertools.product(
             subsets(model.spaces.outcomes(a)), subsets(model.spaces.outcomes(b))
         ):
-            pa, pb = model.point_projector(a, ba), model.point_projector(b, bb)
+            pa, pb = projector(a, ba), projector(b, bb)
             prods.append(pa @ pb)
             comms.append(prods[-1] - pb @ pa)
             compat_at.append((rel, sorted(ba), a, sorted(bb), b))
@@ -512,7 +514,7 @@ def check_model(
     for k, gens in model.algebra.items():
         for t in k:
             for b in subsets(model.spaces.outcomes(t)):
-                p = model.point_projector(t, b)
+                p = projector(t, b)
                 gens_comms.extend(p @ g - g @ p for g in gens)
                 gens_at.extend((sorted(b), t, gi, sorted(k)) for gi in range(len(gens)))
     gens_norms = queue(gens_comms)
@@ -536,8 +538,8 @@ def check_model(
             g = ms.outcome_maps[t]
             for b in subsets(model.spaces.outcomes(st)):
                 bs = frozenset(x for x in model.spaces.outcomes(t) if g[x] in b)
-                lhs = v @ model.point_projector(t, bs)
-                rhs = model.point_projector(st, b) @ v @ model.unit_p({t})
+                lhs = v @ projector(t, bs)
+                rhs = projector(st, b) @ v @ model.unit_p({t})
                 sym_gaps.append(lhs - rhs)
                 sym_at.append(("{!r} at {!r} with event {}", s, t, sorted(b)))
     sym = queue(sym_gaps)

@@ -21,6 +21,7 @@ words and more they do with the thread count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -30,13 +31,14 @@ from .config import RunConfig
 from .linalg import COMPLEX, dagger
 from .kernels import (
     KernelOracle,
+    check_axioms,
     check_covariance,
     check_normalization,
     check_positivity,
     check_slice_axioms,
     _word_label,
 )
-from .models import FAIL, INCONCLUSIVE, Check, HilbertModel, SymmetryRep
+from .models import FAIL, INCONCLUSIVE, Check, HilbertModel, Report, SymmetryRep, check_model
 from .words import EventWord, event_label
 
 
@@ -389,31 +391,61 @@ def _stack_gap(oracle: KernelOracle, columns: np.ndarray, tol: float, blocks):
     return linalg.worst_gap(oracle.table, blocks())
 
 
-def verify_decomposition(
-    recon: ReconstructedProcess,
-    oracle: KernelOracle,
-    config: RunConfig = RunConfig(),
-) -> Check:
+# the witness of a pass that `_stack_gap` certifies without a block
+_BOUND_WITNESS = "every pair, by the certified 2-norm of the Gram gap"
+
+
+def verify_decomposition(recon: ReconstructedProcess, oracle: KernelOracle,
+                         config: RunConfig = RunConfig()) -> Check:
     """Recompute the kernel table from the reconstructed model and compare it
-    with the oracle's (`_kernel_gap`), as the check "decomposition"
-    (`_decomposition_check`)."""
+    with the oracle's (`_kernel_gap`), as the check "decomposition", whose
+    witness names the first block attaining the worst, if one was searched."""
     tol = config.decomposition_tol
     worst, at, _ = _kernel_gap(recon.model, oracle, tol)
-    return _decomposition_check(oracle, worst, at, config)
-
-
-_BOUND_WITNESS = "every pair, by the certified 2-norm of the Gram gap"
-"""The witness of a pass that `_stack_gap` certifies without a block."""
-
-
-def _decomposition_check(oracle: KernelOracle, worst: float, at, config: RunConfig) -> Check:
-    """The check "decomposition" of a model's table against the table of
-    `oracle`, from `_stack_gap` of the two: `worst`, a bound on every k x k
-    block of the difference or the largest operator norm of one, and the
-    word pair of `at`, the first block attaining it (None on a certified
-    pass, or when the tables agree)."""
     witness = _BOUND_WITNESS if worst else "exact match"
     if at is not None:
-        i, j = at
-        witness = f"pair ({_word_label(oracle.words[i])}, {_word_label(oracle.words[j])})"
-    return Check("decomposition", worst, witness, config.decomposition_tol)
+        witness = "pair ({}, {})".format(*(_word_label(oracle.words[i]) for i in at))
+    return Check("decomposition", worst, witness, tol)
+
+
+@dataclass(eq=False)
+class Pipeline:
+    """The reconstruction theorem's chain on one oracle: each stage runs once,
+    on its first read, and looks its function up only then."""
+
+    oracle: KernelOracle
+    config: RunConfig = RunConfig()
+
+    @cached_property
+    def axioms(self) -> Report:
+        return check_axioms(self.oracle, self.config)
+
+    @cached_property
+    def recon(self) -> ReconstructedProcess:
+        return reconstruct(self.oracle, self.config)
+
+    @cached_property
+    def verification(self) -> Check:
+        return verify_decomposition(self.recon, self.oracle, self.config)
+
+    @cached_property
+    def emitted_model(self) -> Report | None:
+        """`check_model` of the emitted model; None unless a model built the oracle."""
+        if self.oracle.model is not None:
+            return check_model(self.recon.model, self.oracle.site, self.config)
+
+    @cached_property
+    def idempotence(self):
+        """`intertwine` of the emitted model and its minimal modification on the
+        source's plan; None when refused on an emitted model that fails its
+        check, the cause to report.  Deferred import: the modules cycle."""
+        from .equivalence import EquivalenceRefused, intertwine
+
+        emitted = self.recon.model.kernel_oracle(self.oracle.plan)
+        try:
+            second = reconstruct(emitted, self.config, strict_closure=False).model
+            return intertwine(self.recon.model, second, emitted, self.config)
+        except (ReconstructionRefused, EquivalenceRefused):
+            if self.emitted_model is None or self.emitted_model.ok:
+                raise
+            return None

@@ -1,20 +1,24 @@
 """Command-line surface: exit codes, report shape, determinism."""
 
+import ast
 import contextlib
 import dataclasses
 import io
 import json
+import pathlib
 import re
+import sys
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsproc import cli, equivalence, fixtures, linalg, serialize
+from qsproc import cli, equivalence, fixtures, linalg, models, reconstruct, serialize
 from qsproc.config import RunConfig
 from qsproc.kernels import check_axioms
-from qsproc.models import HilbertModel
+from qsproc.models import HilbertModel, ProductPlan
 from qsproc.sites import chain_site, discrete_site
 from qsproc.words import OutcomeSpaces, enumerate_words
 
@@ -134,10 +138,94 @@ class TestPipeline:
             header = {"version": cli.__version__, "config": RunConfig().to_dict()}
             assert capsys.readouterr().out == serialize.dumps({**header, **report}) + "\n"
 
+    def test_cli_names_no_private_library_name(self):
+        # neither `from .x import _name` nor `module._name` of a qsproc module
+        tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+        modules = {k for k, v in vars(cli).items()
+                   if isinstance(v, types.ModuleType) and v.__name__.startswith("qsproc")}
+
+        def private(name):
+            return name.startswith("_") and not name.endswith("__")
+
+        named = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 and (node.level or (node.module or "").startswith("qsproc"))
+                 for a in node.names if private(a.name)]
+        named += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and private(node.attr)]
+        assert named == []
+
     def test_kernels_prints_its_table_and_reports_nothing(self, qubit_files, capsys):
         args = cli.build_parser().parse_args(["kernels", *qubit_files])
         assert args.handler(args, RunConfig()) == (None, True)
         assert json.loads(capsys.readouterr().out)["kdim"] == 1
+
+
+class TestStageCounts:
+    """How often each stage of the pipeline runs per command, each stage
+    function counted wherever a qsproc module holds it, as perfbench's
+    tracer rebinds it; `ProductPlan.walk` records its word counts."""
+
+    @pytest.fixture(scope="class")
+    def chain_files(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("chain")
+        model, site = fixtures.tensor_chain(4, canonical=False)[:2]
+        oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+        return (write(tmp_path, "model.json", serialize.model_to_json(model)),
+                write(tmp_path, "site.json", serialize.site_to_json(site)),
+                write(tmp_path, "table.json", serialize.oracle_to_json(oracle)))
+
+    @staticmethod
+    def run(monkeypatch, capsys, argv) -> dict:
+        calls = {}
+
+        def counted(name, fn, record=lambda args: None):
+            calls[name] = []
+
+            def call(*args, **kwargs):
+                calls[name].append(record(args))
+                return fn(*args, **kwargs)
+            return call
+
+        for fn in (reconstruct.reconstruct, models.check_model, equivalence.intertwine):
+            wrapper = counted(fn.__name__, fn)
+            for name, module in list(sys.modules.items()):
+                if name.startswith("qsproc."):
+                    for key, value in list(vars(module).items()):
+                        if value is fn:
+                            monkeypatch.setattr(module, key, wrapper)
+        monkeypatch.setattr(HilbertModel, "kernel_oracle",
+                            counted("kernel_oracle", HilbertModel.kernel_oracle))
+        monkeypatch.setattr(ProductPlan, "walk", staticmethod(
+            counted("walk", ProductPlan.walk, lambda args: len(args[1]))))
+        cli.main(argv)
+        assert "error" not in capsys.readouterr().err
+        return {name: len(c) if name != "walk" else c for name, c in calls.items()}
+
+    def test_check_reconstructs_nothing(self, chain_files, monkeypatch, capsys):
+        model_file, site_file, _ = chain_files
+        counts = self.run(monkeypatch, capsys, ["check", model_file, site_file])
+        assert (counts["reconstruct"], counts["walk"]) == (0, [256])
+
+    def test_roundtrip_builds_one_oracle_and_no_unitary(self, chain_files, monkeypatch,
+                                                        capsys):
+        model_file, site_file, _ = chain_files
+        counts = self.run(monkeypatch, capsys, ["roundtrip", model_file, site_file])
+        assert counts["intertwine"] == 0
+        assert (counts["kernel_oracle"], counts["walk"]) == (1, [256])
+
+    def test_table_verify_runs_two_reconstructions(self, chain_files, monkeypatch, capsys):
+        table_file = chain_files[2]
+        counts = self.run(monkeypatch, capsys, ["reconstruct", table_file, "--verify"])
+        assert counts == {"reconstruct": 2, "check_model": 0, "intertwine": 1,
+                          "kernel_oracle": 1, "walk": [256]}
+
+    def test_model_verify_checks_the_emitted_model_once(self, chain_files, monkeypatch,
+                                                        capsys):
+        model_file, site_file, _ = chain_files
+        argv = ["reconstruct", model_file, "--site", site_file, "--verify"]
+        counts = self.run(monkeypatch, capsys, argv)
+        assert (counts["check_model"], counts["walk"]) == (1, [256])
 
 
 class TestKernels:

@@ -22,7 +22,6 @@ from qsproc.equivalence import check_wide_equivalence
 from qsproc.kernels import _word_label, check_axioms
 from qsproc.reconstruct import (
     _BOUND_WITNESS,
-    _decomposition_check,
     _stack_gap,
     reconstruct,
     verify_decomposition,
@@ -103,7 +102,11 @@ def test_bit_identical_stacks_are_an_exact_match():
     assert linalg.gram_gap(oracle.product_stack, oracle.product_stack.copy()) == 0.0
     worst, at = _stack_gap(oracle, oracle.product_stack.copy(), 0.0, None)
     assert (worst, at) == (0.0, None)
-    assert _decomposition_check(oracle, worst, at, RunConfig()).witness == "exact match"
+    # the source model in place of the emitted one: its products are the stack
+    own = dataclasses.replace(reconstruct(oracle), model=model)
+    assert verify_decomposition(own, oracle).to_dict() == {
+        "name": "decomposition", "status": "pass", "residual": 0.0,
+        "witness": "exact match", "tolerance": RunConfig().decomposition_tol}
     verdict = check_wide_equivalence(model, model, site, words)
     assert (verdict.residual, verdict.witness) == (0.0, "")
 

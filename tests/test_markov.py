@@ -10,6 +10,7 @@ import pytest
 
 import qsproc
 from qsproc import fixtures, serialize
+from qsproc.config import RunConfig
 from qsproc.equivalence import minimal_modification
 from qsproc.markov import (
     check_dynamicity,
@@ -193,6 +194,18 @@ class TestRelaxation:
         assert not report.ok
         assert report.worst("relaxation").residual > 0.1
         assert report.worst("limit_state_independence").residual > 0.1
+
+    def test_independence_is_reported_as_one_seeded_sample(self):
+        # one rotation per smallest slice: the residual is that draw's, so the
+        # witness names the draw and its seed and does not read as a supremum
+        model, site = fixtures.ancilla_correlated()
+        for seed, residual in ((0, 0.252), (1, 0.410), (7, 0.701)):
+            report = check_relaxation(model, site, RunConfig(seed=seed))
+            check = report["limit_state_independence"]
+            assert check.residual == pytest.approx(residual, abs=1e-3)
+            assert check.witness == (
+                "limit state on slice ['t1'] after replacing the measurements on "
+                f"['t1'] by random rotation 0 of seed {seed}: one sample, not a supremum")
 
     def test_trivial_device_trivially_relaxes(self):
         site = chain_site(("t1", "t2"))

@@ -205,6 +205,25 @@ class TestCheckModel:
             report = check_model(model, site)
             assert report.ok, report.to_dict()
 
+    def test_each_point_projector_is_formed_once(self, monkeypatch):
+        # the resolution, compatibility, algebra and covariance sections read
+        # one projector per (point, event); only the unit methods
+        # (`point_unit`) form a point's unit again
+        formed = []
+        point_projector = HilbertModel.point_projector
+
+        def spy(model, t, b):
+            formed.append((sys._getframe(1).f_code.co_name, t, frozenset(b)))
+            return point_projector(model, t, b)
+
+        monkeypatch.setattr(HilbertModel, "point_projector", spy)
+        for model, site in (fixtures.controlled_kdim2(), fixtures.galilean_shift_fixture(),
+                            fixtures.random_valid_model(0)[:2]):
+            formed.clear()
+            check_model(model, site)
+            read = [(t, b) for caller, t, b in formed if caller != "point_unit"]
+            assert read and len(set(read)) == len(read)
+
     def test_broken_projector_flagged(self, qubit):
         model, site = qubit
         atoms = {t: dict(f) for t, f in model.atoms.items()}

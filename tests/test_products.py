@@ -621,9 +621,10 @@ def test_reconstruct_verify_walks_its_words_once(tmp_path, monkeypatch, capsys):
     # pair blocks and factored the emitted model's product stack twice; its
     # idempotence check now reads one oracle of the emitted model, built on
     # the table's plan.  The emitted model's factor and the idempotence
-    # comparison are certified off product stacks (`linalg.gram_gap`): the
-    # one table of pair blocks is the emitted model's, compared block by
-    # block only with the source table, which has no stack
+    # comparison are certified off product stacks (`linalg.gram_gap`).  The
+    # emitted model's pair blocks are formed twice: by `verify_decomposition`,
+    # compared block by block with the source table, which has no stack,
+    # and by the idempotence oracle
     model, site = fixtures.tensor_chain(2, canonical=False)
     oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
     table = tmp_path / "table.json"
@@ -647,10 +648,10 @@ def test_reconstruct_verify_walks_its_words_once(tmp_path, monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["verification"]["ok"] and report["idempotence"]["ok"]
     assert walks == [16]
-    # the source's factor, the emitted model's table, the verification, the
-    # emitted model's factor and its certificate, then idempotence
-    assert calls == ["_residual_bound", "pair_blocks", "worst_gap", "stack_factor",
-                     "gram_gap", "gram_gap"]
+    # the source's factor, the verification, the emitted model's table, its
+    # factor and the factor's certificate, then idempotence
+    assert calls == ["_residual_bound", "pair_blocks", "worst_gap", "pair_blocks",
+                     "stack_factor", "gram_gap", "gram_gap"]
 
 
 def test_oracle_takes_only_the_plan_of_its_words():
