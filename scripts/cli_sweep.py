@@ -77,6 +77,10 @@ table runs, so that a comparison of sweeps under two string-hash seeds
 covers events of three outcomes, whose atom sums round by the order they
 are added in.
 
+`FAMILYLESS` is swept after `HASHED`: the qubit model with the projector
+family of its site point `t2` removed, under the nine model commands.  Every
+command on it exits 2.
+
 Every run records its arguments (file names relative to the scratch
 directory), its exit code and the sha256 of its stdout and stderr.  A run
 that raises records the exception's type and message as its stderr and
@@ -180,6 +184,10 @@ REFUSED = {
     "galilean_g_pairs": ("galilean", ("symmetry", "s1", "g", "g0"), [["0", "0"], ["1", "1"]]),
     "galilean_table_g_pairs": ("galilean_table", ("symmetry", "s1", "g", "g0"),
                                [["0", "0"], ["1", "1"]]),
+    # swept after HASHED (`FAMILYLESS`): a model with no projector family at t2
+    "qubit_t2_familyless": ("qubit", ("projectors",), lambda families: {
+        t: fam for t, fam in families.items() if t != "t2"
+    }),
 }
 ONE_OUTCOME, UNACTED = "one_outcome", "galilean_unacted"
 LAST = ("qubit_leq_str", "qubit_spaces_str", "qubit_points_str", "qubit_key_signed",
@@ -194,6 +202,7 @@ PAIR_LISTS = ("galilean_site_map_pairs", "galilean_g_pairs",
               "galilean_table_g_pairs")  # after UNREAD_MAPS
 WRITER = ("tensor_chain5",)  # after PAIR_LISTS, under `kernels` alone
 HASHED = ("random0",)  # after WRITER
+FAMILYLESS = ("qubit_t2_familyless",)  # after HASHED
 INPUTS = (FIXTURE_FILES + tuple(EXTRA_MODELS) + (MALFORMED, "field") + LATE
           + tuple(REFUSED) + (ONE_OUTCOME, UNACTED) + PAIRS)
 
@@ -417,10 +426,10 @@ def main():
         try:
             last = LATE + tuple(REFUSED) + LAST + FINAL + PAIRS + WRITER + HASHED
             records = sweep([n for n in args.inputs if n not in last])
-            refused = [n for n in REFUSED
-                       if n not in LAST + OUTCOME_MAPS + UNREAD_MAPS + PAIR_LISTS]
+            refused = [n for n in REFUSED if n not in
+                       LAST + OUTCOME_MAPS + UNREAD_MAPS + PAIR_LISTS + FAMILYLESS]
             for group in (LATE, refused, LAST, FINAL, PAIRS, OUTCOME_MAPS, UNREAD_MAPS,
-                          PAIR_LISTS, WRITER, HASHED):
+                          PAIR_LISTS, WRITER, HASHED, FAMILYLESS):
                 records += sweep([n for n in args.inputs if n in group])
         finally:
             os.chdir(cwd)

@@ -22,7 +22,7 @@ from . import __version__, bridges, equivalence, markov, serialize
 from .config import RunConfig
 from .kernels import require_on_site
 from .models import Check, check_model, require_representation
-from .reconstruct import Pipeline, ReconstructionRefused
+from .reconstruct import ReconstructionRefused
 from .words import enumerate_words
 
 EXIT_OK = 0
@@ -213,6 +213,8 @@ def _load_model_site(model_path: str, site_path: str):
         site = serialize.site_from_json(_load_json(site_path))
         model = serialize.model_from_json(_load_json(model_path))
     require_on_site(site, model.spaces, ())
+    if missing := [t for t in site.points if t not in model.atoms]:
+        raise ValueError(f"no projector family declared at point {missing[0]!r}")
     points = set(site.points)
     for name, blocks in (("unit 'p'", model.units_p), ("unit 'i'", model.units_i),
                          ("algebra", model.algebra)):
@@ -300,7 +302,7 @@ def _reproduces(check: Check, verdict: str = "ok") -> dict:
 def cmd_check(args, config: RunConfig):
     oracle = _load_oracle(args.model, args.site, config)
     model_report = check_model(oracle.model, oracle.site, config)
-    axioms = Pipeline(oracle, config).axioms
+    axioms = equivalence.Pipeline(oracle, config).axioms
     # inconclusive checks (restricted word policies) are not violations
     ok = model_report.ok and not axioms.failed
     return {"model": model_report.to_dict(), "axioms": axioms.to_dict(),
@@ -314,8 +316,8 @@ def cmd_kernels(args, config: RunConfig):
 
 
 def cmd_reconstruct(args, config: RunConfig):
-    run = Pipeline(_load_oracle(args.source, args.site, config) if args.site
-                   else _load_table(args.source), config)
+    run = equivalence.Pipeline(_load_oracle(args.source, args.site, config) if args.site
+                               else _load_table(args.source), config)
     report = {"model": serialize.model_to_json(run.recon.model),
               "provenance": run.recon.provenance()}
     if not args.verify:
@@ -331,7 +333,7 @@ def cmd_reconstruct(args, config: RunConfig):
 
 
 def cmd_roundtrip(args, config: RunConfig):
-    run = Pipeline(_load_oracle(args.model, args.site, config), config)
+    run = equivalence.Pipeline(_load_oracle(args.model, args.site, config), config)
     shrink = {"ambient_dimension": run.oracle.model.dim, "minimal_dimension": run.recon.rank}
     ok = run.verification.ok and run.emitted_model.ok
     return {"roundtrip": _reproduces(run.verification), "dimensions": shrink,

@@ -5,13 +5,16 @@ equivalent in the wide sense when their kernel tables coincide.  The minimal
 modification of a model is the reconstruction of its own kernel table, on
 the span of its chronological product vectors; minimal equivalent models are
 unitarily equivalent, and the unitary is pinned down by matching product
-vectors with the identity phase on the initial space.
+vectors with the identity phase on the initial space.  `Pipeline` runs the
+reconstruction theorem's chain on one oracle, and closes it with that
+unitary between the emitted model and its own minimal modification.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -19,9 +22,10 @@ import numpy as np
 from . import linalg
 from .config import RunConfig
 from .linalg import COMPLEX, dagger, opnorm
-from .kernels import KernelOracle
-from .models import Check, HilbertModel
-from .reconstruct import _BOUND_WITNESS, _kernel_gap, reconstruct
+from .kernels import KernelOracle, check_axioms
+from .models import Check, HilbertModel, Report, check_model
+from .reconstruct import (_BOUND_WITNESS, ReconstructedProcess, ReconstructionRefused,
+                          _kernel_gap, reconstruct, verify_decomposition)
 from .sites import CausalSite
 from .words import EventWord, enumerate_words, subsets
 
@@ -151,6 +155,47 @@ def intertwine(m1: HilbertModel, m2: HilbertModel, oracle: KernelOracle,
     q2 = linalg.side_by_side(products) @ z
     u = q2 @ dagger(q1)
     return _measure_morphism(u, m1, m2, oracle.site, config.equivalence_tol)
+
+
+@dataclass(eq=False)
+class Pipeline:
+    """The reconstruction theorem's chain on one oracle: each stage runs once,
+    on its first read, and looks its function up only then."""
+
+    oracle: KernelOracle
+    config: RunConfig = RunConfig()
+
+    @cached_property
+    def axioms(self) -> Report:
+        return check_axioms(self.oracle, self.config)
+
+    @cached_property
+    def recon(self) -> ReconstructedProcess:
+        return reconstruct(self.oracle, self.config)
+
+    @cached_property
+    def verification(self) -> Check:
+        return verify_decomposition(self.recon, self.oracle, self.config)
+
+    @cached_property
+    def emitted_model(self) -> Report | None:
+        """`check_model` of the emitted model; None unless a model built the oracle."""
+        if self.oracle.model is not None:
+            return check_model(self.recon.model, self.oracle.site, self.config)
+
+    @cached_property
+    def idempotence(self):
+        """`intertwine` of the emitted model and its minimal modification on the
+        source's plan; None when refused on an emitted model that fails its
+        check, the cause to report."""
+        emitted = self.recon.model.kernel_oracle(self.oracle.plan)
+        try:
+            second = reconstruct(emitted, self.config, strict_closure=False).model
+            return intertwine(self.recon.model, second, emitted, self.config)
+        except (ReconstructionRefused, EquivalenceRefused):
+            if self.emitted_model is None or self.emitted_model.ok:
+                raise
+            return None
 
 
 def _measure_morphism(u, m_small, m_big, site, tol) -> ModelMorphism:

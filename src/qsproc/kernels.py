@@ -416,9 +416,9 @@ def _slice_screen(oracle: KernelOracle) -> tuple[tuple, tuple] | None:
     slice's largest column norm.
 
     That is O(N_l kdim (q r)^2) per slice point, and no N_l x N_l block is
-    gathered.  The candidates the exact pass skips (a word whose
-    factor is one outcome, an event that fixes every word) are skipped here
-    too, and the witnesses have its wording.
+    gathered.  The candidates the exact pass skips (a word whose factor is
+    one outcome, an event that fixes every word) are skipped here too, and
+    `linalg.worst` picks the witnesses, worded as the pass words them.
     """
     if not oracle.words:
         return None
@@ -431,7 +431,7 @@ def _slice_screen(oracle: KernelOracle) -> tuple[tuple, tuple] | None:
     entry = factor.residual + factor.hermitian_defect / 2
     tau = mu * mu + entry
     diag = oracle.table[np.arange(n), np.arange(n)]
-    add, fac = (0.0, "", None), (0.0, "", None)
+    adds, facs = [], []  # per slice point: the worst bound and its witness
     for l in site.maximal_antichains:
         idx = np.array(oracle.words_within(site.down_set(l)), dtype=int)
         if not idx.size:
@@ -468,14 +468,9 @@ def _slice_screen(oracle: KernelOracle) -> tuple[tuple, tuple] | None:
             proper = (outside == 0) & ~fixed & inside.any(axis=1)[:, None]
             lin = mu * (g + (g[at] * proper).sum(axis=0)) + (size + 1) * e
             dia = d + (d[at] * proper).sum(axis=0) + (size + 1) * k * eta
-            for kind, res in enumerate((dia, lin)):
-                res = np.where(size != 1, res, 0.0)
-                i = int(np.argmax(res))
-                if res[i] > add[0]:
-                    add = (float(res[i]), (
-                        f"{('diagonal', 'linear')[kind]} additivity of "
-                        f"{_word_label(oracle.words[idx[i]])} split at {t!r}"
-                    ), None)
+            adds.append(linalg.worst(  # diagonal bounds first, then linear
+                np.where(size != 1, [dia, lin], 0.0), lambda i: _split_witness(
+                    i // idx.size, oracle.words[idx[i % idx.size]], t)))
             phi = np.zeros(q)
             if r:
                 ab = np.concatenate([a, *y.reshape(q, idx.size * k, r)], axis=1)
@@ -487,12 +482,9 @@ def _slice_screen(oracle: KernelOracle) -> tuple[tuple, tuple] | None:
             rest = (g[at] + outside * g[empty]).max(axis=1)
             bound = inside @ phi + 2 * mu_l * rest + 2 * e
             bound[fixed.all(axis=1)] = 0.0  # every product is its word
-            j = int(np.argmax(bound))
-            if bound[j] > fac[0]:
-                b = events[q + 1 + j]
-                fac = (float(bound[j]), f"event {sorted(b)}@{t!r} on slice {sorted(l)}",
-                       None)
-    return add, fac
+            facs.append(linalg.worst(
+                bound, lambda j: _event_witness(events[q + 1 + j], t, l)))
+    return (*_worst_of(adds), None), (*_worst_of(facs), None)
 
 
 def _slice_pass(oracle: KernelOracle) -> tuple[tuple, tuple]:
@@ -510,19 +502,20 @@ def _slice_pass(oracle: KernelOracle) -> tuple[tuple, tuple]:
     Factorizability compares the table's rows and columns through that index
     map; additivity sums, for each word, the maps of the parts of its factor
     at t (the parts refine the factor, so right multiplication installs
-    them).  Each witness is the first worst candidate in slice, word, point,
-    partition order.
+    them).  `linalg.worst` picks each witness: the first worst event in
+    slice, point, event order; the first worst slice, and in it the first
+    worst split in word, point, partition, kind (diagonal first) order.
     """
     site, spaces, table = oracle.site, oracle.spaces, oracle.table
-    add_worst, add_witness, add_missing = 0.0, "", None
-    fac_worst, fac_witness, fac_missing = 0.0, "", None
+    adds, facs = [], []  # each slice's worst split; each event's (residual, b, t, l)
+    add_missing = fac_missing = None
     for l in site.maximal_antichains:
         idx = np.array(oracle.words_within(site.down_set(l)), dtype=int)
         if not idx.size:
             continue
         words = [oracle.words[i] for i in idx]  # for witnesses
         points = sorted(l, key=site.index)
-        found, gaps = [], []  # additivity residuals and missing parts, keyed
+        found, gaps = [np.zeros((5, 0))], []  # additivity candidates, missing parts
         # the slice's table block, contiguous, and buffers for every event
         block = np.ascontiguousarray(table[np.ix_(idx, idx)])
         rows, cols = np.empty_like(block), np.empty_like(block)
@@ -545,11 +538,8 @@ def _slice_pass(oracle: KernelOracle) -> tuple[tuple, tuple]:
                 at = np.searchsorted(idx, maps[b])
                 np.take(block, at, axis=0, out=rows, mode="clip")
                 np.take(block, at, axis=1, out=cols, mode="clip")
-                r = float(np.max(np.abs(np.subtract(rows, cols, out=rows), out=mods)))
-                if r > fac_worst:
-                    fac_worst, fac_witness = r, (
-                        f"event {sorted(b)}@{t!r} on slice {sorted(l)}"
-                    )
+                facs.append((float(np.max(np.abs(
+                    np.subtract(rows, cols, out=rows), out=mods))), b, t, l))
             # the slice's words grouped by their factor at t, first seen first
             keys = code_keys(oracle.codes[idx][:, oracle._columns[t]])
             _, first, group = np.unique(keys, return_index=True, return_inverse=True)
@@ -563,24 +553,23 @@ def _slice_pass(oracle: KernelOracle) -> tuple[tuple, tuple]:
                     j = j.reshape(len(parts), pos.size)
                     present = (j >= 0).all(axis=0)
                     gaps.extend((p, tp) for p in pos[~present])
-                    if present.any():
-                        found.append(_additivity_residuals(
-                            table, idx[pos[present]], j[:, present]
-                        ) + (pos[present], tp, k))
+                    m = pos[present]  # columns (residual, word, point, partition, kind)
+                    cand = np.empty((5, 2, m.size))
+                    cand[0] = _additivity_residuals(table, idx[m], j[:, present])
+                    cand[1], cand[2], cand[3], cand[4] = m, tp, k, [[0], [1]]
+                    found.append(cand.reshape(5, -1))
         if gaps and add_missing is None:
             p, tp = min(gaps)
             add_missing = (
                 f"partition members of {_word_label(words[p])} at {points[tp]!r} "
                 "are outside the word list"
             )
-        r, at = _first_worst(found)
-        if r > add_worst:
-            p, tp, _, kind = at
-            add_worst, add_witness = r, (
-                f"{('diagonal', 'linear')[kind]} additivity of "
-                f"{_word_label(words[p])} split at {points[tp]!r}"
-            )
-    return (add_worst, add_witness, add_missing), (fac_worst, fac_witness, fac_missing)
+        found = np.hstack(found)  # sorted by word, point, partition, then kind
+        res, p, tp, _, kind = found[:, np.lexsort(found[:0:-1])]
+        adds.append(linalg.worst(res, lambda i: _split_witness(
+            int(kind[i]), words[int(p[i])], points[int(tp[i])])))
+    fac = linalg.worst([c[0] for c in facs], lambda i: _event_witness(*facs[i][1:]))
+    return (*_worst_of(adds), add_missing), (*fac, fac_missing)
 
 
 def _additivity_residuals(table, i, parts):
@@ -596,21 +585,17 @@ def _additivity_residuals(table, i, parts):
     return r_diag, np.abs(table[:, i] - column).max(axis=(0, 2, 3))
 
 
-def _first_worst(found) -> tuple[float, tuple | None]:
-    """The largest positive residual among the candidates ``(r_diag, r_lin,
-    pos, tp, k)`` and the least key ``(pos, tp, k, kind)`` attaining it,
-    kind 0 diagonal and 1 linear: what a sequential sweep with a strict
-    comparison finds."""
-    best, key = 0.0, None
-    for r_diag, r_lin, pos, tp, k in found:
-        for kind, r in enumerate((r_diag, r_lin)):
-            top = float(r.max())
-            if top == 0.0 or top < best:
-                continue
-            cand = (int(pos[r == top].min()), tp, k, kind)
-            if top > best or cand < key:
-                best, key = top, cand
-    return best, key
+def _worst_of(found: list[tuple[float, str]]) -> tuple[float, str]:
+    """The first worst of (residual, witness) pairs in sweep order."""
+    return linalg.worst([r for r, _ in found], lambda i: found[i][1])
+
+
+def _split_witness(kind: int, w: EventWord, t: str) -> str:
+    return f"{('diagonal', 'linear')[kind]} additivity of {_word_label(w)} split at {t!r}"
+
+
+def _event_witness(b: frozenset, t: str, l: frozenset) -> str:
+    return f"event {sorted(b)}@{t!r} on slice {sorted(l)}"
 
 
 def check_covariance(

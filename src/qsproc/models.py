@@ -12,7 +12,6 @@ product of two such products.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -85,6 +84,7 @@ class HilbertModel:
             for k, gens in self.algebra.items()
         })
         require_representation(self.symmetry, "model", self.dim)
+        object.__setattr__(self, "_projectors", {})  # (point, event) -> projector
 
     # -- basic structure ---------------------------------------------------
 
@@ -100,16 +100,20 @@ class HilbertModel:
 
     def point_projector(self, t: str, b: Iterable[str]) -> np.ndarray:
         """Projector of the event `b` at point `t`: the sum of its atoms in
-        outcome order, so that its rounding follows no hash order."""
-        fam = self.atoms[t]
-        b = frozenset(b)
-        if unknown := sorted(b.difference(fam)):
-            raise KeyError(f"unknown outcome {unknown[0]!r} at point {t!r}")
-        out = np.zeros((self.dim, self.dim), dtype=COMPLEX)
-        for x in self.spaces.outcomes(t):
-            if x in b:
-                out += fam[x]
-        return out
+        outcome order, so that its rounding follows no hash order.  It is
+        formed once per model and event, and read-only."""
+        key = (t, frozenset(b))
+        if key not in self._projectors:
+            fam = self.atoms[t]
+            if unknown := sorted(key[1].difference(fam)):
+                raise KeyError(f"unknown outcome {unknown[0]!r} at point {t!r}")
+            out = np.zeros((self.dim, self.dim), dtype=COMPLEX)
+            for x in self.spaces.outcomes(t):
+                if x in key[1]:
+                    out += fam[x]
+            out.setflags(write=False)
+            self._projectors[key] = out
+        return self._projectors[key]
 
     def point_unit(self, t: str) -> np.ndarray:
         return self.point_projector(t, self.spaces.full(t))
@@ -434,7 +438,7 @@ def check_model(
         reads.append((name, read, missing))
 
     eye = model.identity()
-    projector = functools.cache(model.point_projector)  # each (point, event) once
+    projector = model.point_projector  # each (point, event) formed once
 
     iso = queue([dagger(model.embedding) @ model.embedding - np.eye(model.kdim)])
     record("embedding_isometry", lambda n: (n[iso][0], "initial embedding"))

@@ -21,7 +21,6 @@ words and more they do with the thread count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -31,14 +30,13 @@ from .config import RunConfig
 from .linalg import COMPLEX, dagger
 from .kernels import (
     KernelOracle,
-    check_axioms,
     check_covariance,
     check_normalization,
     check_positivity,
     check_slice_axioms,
     _word_label,
 )
-from .models import FAIL, INCONCLUSIVE, Check, HilbertModel, Report, SymmetryRep, check_model
+from .models import FAIL, INCONCLUSIVE, Check, HilbertModel, SymmetryRep
 from .words import EventWord, event_label
 
 
@@ -406,46 +404,3 @@ def verify_decomposition(recon: ReconstructedProcess, oracle: KernelOracle,
     if at is not None:
         witness = "pair ({}, {})".format(*(_word_label(oracle.words[i]) for i in at))
     return Check("decomposition", worst, witness, tol)
-
-
-@dataclass(eq=False)
-class Pipeline:
-    """The reconstruction theorem's chain on one oracle: each stage runs once,
-    on its first read, and looks its function up only then."""
-
-    oracle: KernelOracle
-    config: RunConfig = RunConfig()
-
-    @cached_property
-    def axioms(self) -> Report:
-        return check_axioms(self.oracle, self.config)
-
-    @cached_property
-    def recon(self) -> ReconstructedProcess:
-        return reconstruct(self.oracle, self.config)
-
-    @cached_property
-    def verification(self) -> Check:
-        return verify_decomposition(self.recon, self.oracle, self.config)
-
-    @cached_property
-    def emitted_model(self) -> Report | None:
-        """`check_model` of the emitted model; None unless a model built the oracle."""
-        if self.oracle.model is not None:
-            return check_model(self.recon.model, self.oracle.site, self.config)
-
-    @cached_property
-    def idempotence(self):
-        """`intertwine` of the emitted model and its minimal modification on the
-        source's plan; None when refused on an emitted model that fails its
-        check, the cause to report.  Deferred import: the modules cycle."""
-        from .equivalence import EquivalenceRefused, intertwine
-
-        emitted = self.recon.model.kernel_oracle(self.oracle.plan)
-        try:
-            second = reconstruct(emitted, self.config, strict_closure=False).model
-            return intertwine(self.recon.model, second, emitted, self.config)
-        except (ReconstructionRefused, EquivalenceRefused):
-            if self.emitted_model is None or self.emitted_model.ok:
-                raise
-            return None

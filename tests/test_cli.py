@@ -4,6 +4,7 @@ import ast
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import pathlib
 import re
@@ -1259,6 +1260,92 @@ class TestBlockOutsideSite:
             argv = [files.get(a, a) for a in cmd]
             assert cli.main(argv) == 2, argv
             assert capsys.readouterr() == ("", message), argv
+
+
+class TestPointWithoutProjectors:
+    """A model with no projector family at a point of its site is an input
+    error named on one line by every command that reads the model, as
+    either model of `equiv`."""
+
+    COMMANDS = TestBlockOutsideSite.COMMANDS + [
+        ["equiv", "check", "V", "M", "S"], ["equiv", "unitary", "V", "M", "S"],
+    ]
+
+    def test_exits_two_on_one_line(self, tmp_path, capsys):
+        model, site = fixtures.qubit_zx()
+        data = serialize.model_to_json(model)
+        files = {
+            "V": write(tmp_path, "valid.json", data),
+            "S": write(tmp_path, "site.json", serialize.site_to_json(site)),
+        }
+        del data["projectors"]["t2"]
+        files["M"] = write(tmp_path, "model.json", data)
+        message = "input error: no projector family declared at point 't2'\n"
+        for cmd in self.COMMANDS:
+            argv = [files.get(a, a) for a in cmd]
+            assert cli.main(argv) == 2, argv
+            assert capsys.readouterr() == ("", message), argv
+
+
+class TestReaderRefusals:
+    """Refusals of the site, outcome-space and word-list readers, each an
+    input error on one line through `cli.main`."""
+
+    SITES = {  # a site file the qubit model is read with
+        "ragged leq": ({"points": ["t1", "t2"], "leq": [[True, True], [True]]},
+                       "relation matrix shape does not match the point list"),
+        "minkowski dimensions": ({"kind": "minkowski", "coords": [[0, 0], [1]]},
+                                 "coordinates must share a common dimension >= 1"),
+        "minkowski labels": ({"kind": "minkowski", "coords": [[0, 0], [1, 0]],
+                              "labels": ["t1"]}, "labels and coordinates differ in length"),
+        "galilean labels": ({"kind": "galilean", "coords": [0, 1], "labels": ["t1"]},
+                            "labels and times differ in length"),
+    }
+    SPACES = {  # the outcome labels of 't1' in the qubit model
+        "repeated labels": (["0", "0"], "outcome labels at 't1' are not distinct"),
+        "empty labels": ([], "outcome space at 't1' is empty"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SITES) + sorted(SPACES))
+    def test_model_command_exits_two(self, tmp_path, capsys, case):
+        model, site = fixtures.qubit_zx()
+        model_json, site_json = serialize.model_to_json(model), serialize.site_to_json(site)
+        if case in self.SITES:
+            site_json, message = self.SITES[case]
+        else:
+            model_json["spaces"]["t1"], message = self.SPACES[case]
+        argv = ["check", write(tmp_path, "model.json", model_json),
+                write(tmp_path, "site.json", site_json)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+    def test_a_word_listed_twice_exits_two(self, tmp_path, capsys):
+        data = serialize.oracle_to_json(qubit_table())
+        n = len(data["words"])
+        data["words"].append(data["words"][0])  # word n is word 0 again
+        values = data["values"] = dict(data["values"])
+        for i, j in itertools.product(range(n + 1), repeat=2):
+            values.setdefault(f"{i},{j}", values[f"{i % n},{j % n}"])
+        assert cli.main(["reconstruct", write(tmp_path, "table.json", data)]) == 2
+        assert capsys.readouterr() == ("", "input error: word list contains duplicates\n")
+
+    def test_points_that_spell_entry_keys(self, tmp_path, capsys):
+        # the table's "spaces" object, keyed by the points "0,1" and "1,0",
+        # is read as a `serialize.EntryPairs` mapping, and the table is read
+        # as any other
+        points = ("0,1", "1,0")
+        site = chain_site(points)
+        spaces = OutcomeSpaces({points[0]: ("0", "1"), points[1]: ("+", "-")})
+        atoms = {points[0]: dict(fixtures.Z_ATOMS), points[1]: dict(fixtures.X_ATOMS)}
+        model = HilbertModel(dim=2, embedding=fixtures.KET0, atoms=atoms, spaces=spaces)
+        oracle = model.kernel_table(site, enumerate_words(site, spaces))
+        path = write(tmp_path, "table.json", serialize.oracle_to_json(oracle))
+        read = cli._read_json(path, table=True)
+        assert isinstance(read["spaces"], serialize.EntryPairs)
+        assert serialize.spaces_from_json(read["spaces"]) == spaces
+        assert cli.main(["reconstruct", path, "--verify"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verification"]["ok"] and report["idempotence"]["ok"]
 
 
 class TestMisshapenTableSymmetry:

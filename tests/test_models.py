@@ -206,23 +206,27 @@ class TestCheckModel:
             assert report.ok, report.to_dict()
 
     def test_each_point_projector_is_formed_once(self, monkeypatch):
-        # the resolution, compatibility, algebra and covariance sections read
-        # one projector per (point, event); only the unit methods
-        # (`point_unit`) form a point's unit again
-        formed = []
+        # the resolution, compatibility, algebra and covariance sections and
+        # the unit methods (`unit_p`, `slice_projector`) all read the one
+        # projector the model formed per (point, event): each point's unit
+        # is formed once per model, however many sections read it
+        handed = {}  # (point, event) -> every projector handed out for it
         point_projector = HilbertModel.point_projector
 
         def spy(model, t, b):
-            formed.append((sys._getframe(1).f_code.co_name, t, frozenset(b)))
-            return point_projector(model, t, b)
+            out = point_projector(model, t, b)
+            handed.setdefault((t, frozenset(b)), []).append(out)
+            return out
 
         monkeypatch.setattr(HilbertModel, "point_projector", spy)
         for model, site in (fixtures.controlled_kdim2(), fixtures.galilean_shift_fixture(),
                             fixtures.random_valid_model(0)[:2]):
-            formed.clear()
+            handed.clear()
             check_model(model, site)
-            read = [(t, b) for caller, t, b in formed if caller != "point_unit"]
-            assert read and len(set(read)) == len(read)
+            assert all(len({id(p) for p in ps}) == 1 for ps in handed.values())
+            units = [handed[t, model.spaces.full(t)] for t in site.points]
+            assert all(len(ps) > 1 for ps in units)  # read again, not formed again
+            assert not units[0][0].flags.writeable
 
     def test_broken_projector_flagged(self, qubit):
         model, site = qubit

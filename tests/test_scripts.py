@@ -1,5 +1,6 @@
 """The scripts under `scripts/` run end to end against the library."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -101,7 +102,17 @@ def test_cli_sweep_raises_nothing(tmp_path):
     runs = json.loads(out.read_text())["runs"]
     assert [r["argv"] for r in runs if r["exit"] == "traceback"] == []
     module = sweep_module()
-    # `HASHED` comes after every other input: the nine model commands on a
+    # `FAMILYLESS` comes after every other input: the qubit model with no
+    # projector family at 't2' under the nine model commands and four flag
+    # sets, each an input error that names the point
+    familyless = [r for r in runs
+                  if any(a.startswith(n) for a in r["argv"] for n in module.FAMILYLESS)]
+    assert len(familyless) == 4 * 9 and runs[-len(familyless):] == familyless
+    line = "input error: no projector family declared at point 't2'\n"
+    assert {(r["exit"], r["stderr"]) for r in familyless} == {
+        (2, hashlib.sha256(line.encode()).hexdigest())}
+    runs = runs[:-len(familyless)]
+    # `HASHED` comes before it: the nine model commands on a
     # model with three outcomes per point, and the table runs of the three
     # flag sets whose `kernels` prints a table; `--cap 3` an input error
     hashed = [r for r in runs if any(a.startswith(n) for a in r["argv"] for n in module.HASHED)]

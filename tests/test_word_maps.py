@@ -23,7 +23,6 @@ from qsproc.config import RunConfig
 from qsproc.kernels import (
     KernelOracle,
     _additivity_residuals,
-    _first_worst,
     _word_label,
     check_axioms,
     check_slice_axioms,
@@ -101,16 +100,23 @@ def reference_slice_axioms(oracle, config=RunConfig()):
                     present = (j >= 0).all(axis=0)
                     gaps.extend((p, tp) for p in pos[~present])
                     if present.any():
-                        found.append(_additivity_residuals(
+                        r_diag, r_lin = _additivity_residuals(
                             table, idx[pos[present]], j[:, present]
-                        ) + (pos[present], tp, k))
+                        )
+                        for p, rd, rl in zip(pos[present], r_diag, r_lin):
+                            found += [((p, tp, k, 0), rd), ((p, tp, k, 1), rl)]
         if gaps and add_missing is None:
             p, tp = min(gaps)
             add_missing = (
                 f"partition members of {_word_label(words[p])} at {points[tp]!r} "
                 "are outside the word list"
             )
-        r, at = _first_worst(found)
+        # a sequential sweep in (word, point, partition, kind) order, kind 0
+        # diagonal and 1 linear: on equal residuals the lower key wins
+        r, at = 0.0, None
+        for key, res in sorted(found):
+            if res > r:
+                r, at = float(res), key
         if r > add_worst:
             p, tp, _, kind = at
             add_worst, add_witness = r, (
@@ -273,6 +279,22 @@ def test_slice_axioms_match_the_per_word_pass(name, policy):
             assert_dominates(check_slice_axioms(oracle, config), want)
 
 
+def test_a_nan_candidate_never_wins():
+    # a NaN diagonal entry makes the splits that read it NaN: the exact pass
+    # passes over them, as every worst-case sweep does, and names the worst
+    # finite split, as the reference's strict comparisons do
+    model, site = fixtures.qubit_zx()
+    exact = model.kernel_table(site, enumerate_words(site, model.spaces))
+    table = np.array(exact.table)
+    table[0, 0] = np.nan
+    table[5, 5] += 0.25
+    oracle = dataclasses.replace(exact, table=table)
+    want = reference_slice_axioms(oracle)
+    assert [c.to_dict() for c in exact_slice_axioms(oracle)] == [c.to_dict() for c in want]
+    assert [c.residual for c in want] == [0.25, 0.0]  # every event block holds the NaN
+    assert want[0].witness == "diagonal additivity of {['0']@t1} split at 't2'"
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     name=st.sampled_from(CASES),
@@ -358,6 +380,20 @@ def test_inconclusive_witnesses_on_a_sublist():
     add, fac = check_slice_axioms(sub)
     assert (add.status, fac.status) == ("inconclusive", "inconclusive")
     assert [add.witness, fac.witness] == [c.witness for c in reference_slice_axioms(sub)]
+
+
+@pytest.mark.parametrize("name, witnesses", [
+    ("qubit_zx", ["linear additivity of e split at 't1'", "event ['+']@'t2' on slice ['t2']"]),
+    ("galilean_shift_fixture", ["linear additivity of {['0']@g0} split at 'g1'",
+                                "event ['0']@'g2' on slice ['g2']"]),
+])
+def test_the_screen_words_its_worst_bounds(name, witnesses):
+    # on a valid table the screen's bounds are reported, each with the kind,
+    # word and point of the worst split (a linear bound here) or its event
+    model, site = named_model(name)
+    oracle = model.kernel_table(site, enumerate_words(site, model.spaces))
+    assert [w for _, w, _ in oracle.slice_screen] == witnesses
+    assert [c.witness for c in check_slice_axioms(oracle)] == witnesses
 
 
 def test_slice_axioms_across_the_62_bit_cut(monkeypatch):
